@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 
-from .errors import InvalidAmount, InvalidFactor, NotActive, Unauthorized, UnknownValidator, WrongAmount, WrongStatus
+from .errors import InvalidAmount, InvalidFactor, NotActive, Unauthorized, UnknownMethod, UnknownValidator, WrongAmount, WrongStatus
 from .ledger import AddressKind, Call, CallContext, Destroy, Emit, Issue, Msg, Transfer
 
 
@@ -106,7 +106,7 @@ class BeaconContract:
     def handle(self, state: BeaconState, msg: Msg, ctx: CallContext):
         method = getattr(self, "_op_" + msg.method, None)
         if method is None:
-            raise InvalidAmount(f"beacon has no method {msg.method!r}")
+            raise UnknownMethod(f"beacon has no method {msg.method!r}")
         return method(state, msg, ctx)
 
     # --- operations -----------------------------------------------------

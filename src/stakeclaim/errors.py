@@ -53,6 +53,10 @@ class ContractError(StakeclaimError):
     """A contract rejected a message; the whole call tree rolls back."""
 
 
+class UnknownMethod(ContractError):
+    """The target contract has no handler for the message's method."""
+
+
 class InvalidAmount(ContractError):
     pass
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BelowMinimum, ExceedsCapacity, InvalidAmount, MintClosed, NotOwner, UnknownToken, WrongStatus
+from .errors import BelowMinimum, ExceedsCapacity, MintClosed, NotOwner, UnknownMethod, UnknownToken, WrongStatus
 from .ledger import Call, CallContext, Emit, Msg, Transfer
 
 
@@ -72,7 +72,7 @@ class MintContract:
     def handle(self, state: MintState, msg: Msg, ctx: CallContext):
         method = getattr(self, "_op_" + msg.method, None)
         if method is None:
-            raise InvalidAmount(f"mint has no method {msg.method!r}")
+            raise UnknownMethod(f"mint has no method {msg.method!r}")
         return method(state, msg, ctx)
 
     def _op_mint(self, state: MintState, msg: Msg, ctx: CallContext):

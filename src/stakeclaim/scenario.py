@@ -12,7 +12,7 @@ Every epoch executes the same fixed sub-step order:
    then any slashes scheduled for this epoch
 2. beacon sweep
 3. wallet reward forwarding, in validator index order
-   (treasury distribution happens eagerly inside each receipt)
+   (each receipt only raises the treasury's reward accumulator)
 4. wallet watchdog checks
 5. exit/withdrawal settlement
 6. scheduled user actions: escrow post, mint-window abort, deposits,
@@ -26,7 +26,9 @@ runs of the same scenario produce byte-identical event logs and reports.
 
 Scenario files are strict JSON: exactly the top-level keys {treasury,
 mint, beacon, deposits, operator_schedule, slashes, horizon, seed};
-unknown keys anywhere are rejected. Claim and token-transfer schedules
+unknown keys anywhere are rejected, and every integer field must hold a
+JSON integer (not a float, a string or a boolean). Every problem in a
+document is reported, not just the first. Claim and token-transfer schedules
 exist only on the in-code :class:`Scenario` for tests and demos, not in
 the file format.
 """
@@ -35,7 +37,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import MISSING, dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,7 +46,7 @@ from .beacon import BeaconContract, BeaconParams, ValidatorStatus, validator_by_
 from .errors import ContractError, InvalidScenario, InvariantViolation
 from .ledger import Ledger, replay_balances
 from .mint import MintConfig, MintContract
-from .treasury import Phase, TreasuryConfig, TreasuryContract, balance_identity
+from .treasury import Phase, TreasuryConfig, TreasuryContract, accrued, balance_identity
 from .wallet import ValidatorWallet, WalletConfig, WalletStatus
 
 SYSTEM = "system"
@@ -145,69 +148,133 @@ class Scenario:
 
 # --- strict JSON loading -------------------------------------------------------
 
-_TOP_KEYS = ("treasury", "mint", "beacon", "deposits",
-             "operator_schedule", "slashes", "horizon", "seed")
+_TOP_KEYS = frozenset(("treasury", "mint", "beacon", "deposits",
+                       "operator_schedule", "slashes", "horizon", "seed"))
 
 
-def _take(section: dict, where: str, keys: tuple[str, ...],
-          optional: tuple[str, ...] = ()) -> dict:
-    if not isinstance(section, dict):
-        raise InvalidScenario(f"{where} must be an object")
-    unknown = set(section) - set(keys) - set(optional)
-    if unknown:
-        raise InvalidScenario(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = set(keys) - set(section)
-    if missing:
-        raise InvalidScenario(f"missing keys in {where}: {sorted(missing)}")
-    return section
+@dataclass(frozen=True)
+class _Shape:
+    """Keys and field types of one scenario record, read off its dataclass."""
+
+    keys: frozenset
+    required: frozenset
+    optional: frozenset               # keys that may be absent (default None)
+    types: tuple[tuple[str, type], ...]  # (field, int or str) for typed fields
+
+
+_FIELD_TYPES = {"int": int, "int | None": int, "str": str}
+
+
+def _shape(cls) -> _Shape:
+    fs = fields(cls)
+    return _Shape(
+        keys=frozenset(f.name for f in fs),
+        required=frozenset(f.name for f in fs if f.default is MISSING),
+        optional=frozenset(f.name for f in fs if f.default is not MISSING),
+        types=tuple((f.name, _FIELD_TYPES[f.type]) for f in fs if f.type in _FIELD_TYPES),
+    )
+
+
+def _name(where: str | tuple[str, int]) -> str:
+    """A record's name; list items are passed as (list name, index) and
+    formatted only when there is something to report."""
+    return where if isinstance(where, str) else f"{where[0]}[{where[1]}]"
+
+
+def _type_problems(where: str | tuple[str, int], shape: _Shape,
+                   values: dict) -> list[str]:
+    """Every field of `values` whose type its record does not allow.
+
+    ``type(v) is int`` also rejects bool, a subclass of int.
+    """
+    for name, kind in shape.types:      # fast path: all well typed
+        if type(values.get(name)) is not kind:
+            break
+    else:
+        return []
+    out = []
+    for name, kind in shape.types:
+        v = values.get(name)
+        if type(v) is not kind and not (v is None and name in shape.optional):
+            what = "an integer" if kind is int else "a string"
+            out.append(f"{_name(where)}.{name} must be {what}, got {v!r}")
+    return out
+
+
+_SHAPES = {cls: _shape(cls) for cls in (
+    TreasurySpec, MintSpec, BeaconSpec, DepositAction, BehaviorWindow, SlashAction,
+    ClaimAction, NftTransferAction, Scenario)}
+
+
+def _record(section, where: str | tuple[str, int], cls, problems: list[str]):
+    """`section` as a `cls`, or None with its problems appended."""
+    shape = _SHAPES[cls]
+    keys = section.keys() if isinstance(section, dict) else None
+    if keys != shape.keys:
+        if keys is None:
+            problems.append(f"{_name(where)} must be an object")
+            return None
+        unknown = keys - shape.keys
+        if unknown:
+            problems.append(f"unknown keys in {_name(where)}: {sorted(unknown)}")
+        missing = shape.required - keys
+        if missing:
+            problems.append(f"missing keys in {_name(where)}: {sorted(missing)}")
+        if unknown or missing:
+            return None
+    wrong = _type_problems(where, shape, section)
+    if wrong:
+        problems.extend(wrong)
+        return None
+    return cls(**section)
+
+
+def _records(items, where: str, cls, problems: list[str]) -> tuple:
+    if not isinstance(items, list):
+        problems.append(f"{where} must be a list")
+        return ()
+    return tuple(_record(x, (where, i), cls, problems) for i, x in enumerate(items))
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    """Parse a scenario document, rejecting unknown keys outright."""
-    _take(doc, "scenario", _TOP_KEYS)
-    t = _take(doc["treasury"], "treasury",
-              ("fee_bps", "expected_reward_per_epoch", "grace_epochs",
-               "escrow_required", "validators"))
-    m = _take(doc["mint"], "mint", ("min_contribution", "open_epoch", "close_epoch"))
-    b = _take(doc["beacon"], "beacon",
-              ("stake_requirement", "reward_per_epoch", "activation_delay",
-               "exit_delay", "sweep_period"))
-    if not isinstance(doc["deposits"], list):
-        raise InvalidScenario("deposits must be a list")
-    if not isinstance(doc["operator_schedule"], list):
-        raise InvalidScenario("operator_schedule must be a list")
-    if not isinstance(doc["slashes"], list):
-        raise InvalidScenario("slashes must be a list")
-    deposits = tuple(
-        DepositAction(**_take(d, f"deposits[{i}]", ("holder", "amount", "epoch")))
-        for i, d in enumerate(doc["deposits"]))
-    schedule = tuple(
-        BehaviorWindow(**_take(w, f"operator_schedule[{i}]", ("from_epoch", "factor"),
-                               optional=("to_epoch", "validator")))
-        for i, w in enumerate(doc["operator_schedule"]))
-    slashes = tuple(
-        SlashAction(**_take(s, f"slashes[{i}]", ("epoch", "validator", "fraction_bps")))
-        for i, s in enumerate(doc["slashes"]))
-    if not isinstance(doc["horizon"], int) or isinstance(doc["horizon"], bool):
-        raise InvalidScenario("horizon must be an integer")
-    if not isinstance(doc["seed"], int) or isinstance(doc["seed"], bool):
-        raise InvalidScenario("seed must be an integer")
-    return Scenario(
-        treasury=TreasurySpec(**t),
-        mint=MintSpec(**m),
-        beacon=BeaconSpec(**b),
-        deposits=deposits,
-        operator_schedule=schedule,
-        slashes=slashes,
+    """Parse a scenario document, rejecting unknown keys outright.
+
+    Every structural and type problem in the document is collected and
+    raised as one :class:`InvalidScenario`; an integer field holding a
+    float, a string or a bool is a problem, so no float reaches a balance.
+    """
+    if not isinstance(doc, dict):
+        raise InvalidScenario("scenario must be an object")
+    problems: list[str] = []
+    unknown = doc.keys() - _TOP_KEYS
+    if unknown:
+        problems.append(f"unknown keys in scenario: {sorted(unknown)}")
+    missing = _TOP_KEYS - doc.keys()
+    if missing:
+        problems.append(f"missing keys in scenario: {sorted(missing)}")
+    if problems:
+        raise InvalidScenario("; ".join(problems))
+    parts = dict(
+        treasury=_record(doc["treasury"], "treasury", TreasurySpec, problems),
+        mint=_record(doc["mint"], "mint", MintSpec, problems),
+        beacon=_record(doc["beacon"], "beacon", BeaconSpec, problems),
+        deposits=_records(doc["deposits"], "deposits", DepositAction, problems),
+        operator_schedule=_records(doc["operator_schedule"], "operator_schedule",
+                                   BehaviorWindow, problems),
+        slashes=_records(doc["slashes"], "slashes", SlashAction, problems),
         horizon=doc["horizon"],
         seed=doc["seed"],
     )
+    problems.extend(_type_problems("scenario", _SHAPES[Scenario], parts))
+    if problems:
+        raise InvalidScenario("; ".join(problems))
+    return Scenario(**parts)
 
 
 def load_scenario(path: str | Path) -> Scenario:
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:   # ValueError: bad JSON or UTF-8
         raise InvalidScenario(f"cannot read scenario {path}: {exc}") from exc
     return scenario_from_dict(doc)
 
@@ -221,60 +288,86 @@ def _windows_for(schedule, j: int):
     return [w for w in schedule if w.validator in (None, j)]
 
 
+def _bad_int(v, lo: int, hi=None) -> bool:
+    """True unless `v` is an int (never a bool) in [lo, hi]; hi None is unbounded."""
+    return type(v) is not int or v < lo or (hi is not None and v > hi)
+
+
 def validate(s: Scenario) -> list[str]:
-    """Return every constraint violation, not just the first."""
+    """Return every constraint violation, not just the first.
+
+    Every integer field must hold an int, never a float or a bool; a field
+    of the wrong type is reported once and left out of the checks that
+    depend on it.
+    """
     out: list[str] = []
     t, mi, b = s.treasury, s.mint, s.beacon
 
-    if s.horizon < 0:
-        out.append(f"horizon must be >= 0, got {s.horizon}")
-    if not (0 <= t.fee_bps <= 10_000):
-        out.append(f"treasury.fee_bps {t.fee_bps} outside 0..10000")
-    if t.grace_epochs < 1:
-        out.append(f"treasury.grace_epochs must be >= 1, got {t.grace_epochs}")
-    if t.expected_reward_per_epoch < 0:
-        out.append("treasury.expected_reward_per_epoch must be >= 0")
-    if t.escrow_required < 0:
-        out.append("treasury.escrow_required must be >= 0")
-    if t.validators < 1:
-        out.append(f"treasury.validators must be >= 1, got {t.validators}")
-    if mi.min_contribution < 1:
-        out.append("mint.min_contribution must be >= 1")
-    if not (0 <= mi.open_epoch < mi.close_epoch):
-        out.append(f"mint window invalid: open {mi.open_epoch}, close {mi.close_epoch}")
+    if _bad_int(s.horizon, 0):
+        out.append(f"horizon must be an integer >= 0, got {s.horizon!r}")
+    # Epoch bounds fall back to "no upper bound" while the horizon is unusable.
+    last = s.horizon if type(s.horizon) is int else math.inf
+    if type(s.seed) is not int:
+        out.append(f"seed must be an integer, got {s.seed!r}")
+    if _bad_int(t.fee_bps, 0, 10_000):
+        out.append(f"treasury.fee_bps {t.fee_bps!r} is not an integer in 0..10000")
+    if _bad_int(t.grace_epochs, 1):
+        out.append(f"treasury.grace_epochs must be an integer >= 1, got {t.grace_epochs!r}")
+    if _bad_int(t.expected_reward_per_epoch, 0):
+        out.append("treasury.expected_reward_per_epoch must be an integer >= 0")
+    if _bad_int(t.escrow_required, 0):
+        out.append("treasury.escrow_required must be an integer >= 0")
+    m = t.validators if not _bad_int(t.validators, 1) else None
+    if m is None:
+        out.append(f"treasury.validators must be an integer >= 1, got {t.validators!r}")
+    indices = f"0..{m - 1}" if m else "0..validators-1"
+
+    def bad_index(v) -> bool:
+        return type(v) is not int or (m is not None and not 0 <= v < m)
+
+    if _bad_int(mi.min_contribution, 1):
+        out.append("mint.min_contribution must be an integer >= 1")
+    if (_bad_int(mi.open_epoch, 0) or _bad_int(mi.close_epoch, 0)
+            or mi.open_epoch >= mi.close_epoch):
+        out.append(f"mint window invalid: open {mi.open_epoch!r}, close {mi.close_epoch!r}")
     for name in ("stake_requirement", "reward_per_epoch", "activation_delay",
                  "exit_delay", "sweep_period"):
-        if getattr(b, name) < 1:
-            out.append(f"beacon.{name} must be >= 1")
+        if _bad_int(getattr(b, name), 1):
+            out.append(f"beacon.{name} must be an integer >= 1")
 
     for i, d in enumerate(s.deposits):
-        if not d.holder or not isinstance(d.holder, str):
+        if not d.holder or type(d.holder) is not str:
             out.append(f"deposits[{i}]: holder must be a non-empty string")
         elif d.holder in _RESERVED or d.holder.startswith("wallet:"):
             out.append(f"deposits[{i}]: holder name {d.holder!r} is reserved")
-        if d.amount < 1:
-            out.append(f"deposits[{i}]: amount must be >= 1, got {d.amount}")
-        if not (0 <= d.epoch <= s.horizon):
-            out.append(f"deposits[{i}]: epoch {d.epoch} outside 0..{s.horizon}")
+        if type(d.amount) is not int or d.amount < 1:
+            out.append(f"deposits[{i}]: amount must be an integer >= 1, got {d.amount!r}")
+        if type(d.epoch) is not int or not 0 <= d.epoch <= last:
+            out.append(f"deposits[{i}]: epoch {d.epoch!r} is not an integer in 0..{s.horizon}")
 
+    windows_ok = True
     for i, w in enumerate(s.operator_schedule):
         try:
-            f = Fraction(str(w.factor))
+            f = w.factor if type(w.factor) is int else Fraction(str(w.factor))
             if not (0 <= f <= 1):
                 out.append(f"operator_schedule[{i}]: factor {w.factor} outside [0, 1]")
         except (ValueError, ZeroDivisionError):
             out.append(f"operator_schedule[{i}]: factor {w.factor!r} is not a number")
-        if w.from_epoch < 0:
-            out.append(f"operator_schedule[{i}]: from_epoch must be >= 0")
-        if w.from_epoch > s.horizon:
-            out.append(f"operator_schedule[{i}]: from_epoch {w.from_epoch} beyond horizon {s.horizon}")
-        if w.to_epoch is not None and w.to_epoch <= w.from_epoch:
-            out.append(f"operator_schedule[{i}]: empty window [{w.from_epoch}, {w.to_epoch})")
-        if w.validator is not None and not (0 <= w.validator < t.validators):
-            out.append(f"operator_schedule[{i}]: validator {w.validator} outside 0..{t.validators - 1}")
+        problems = len(out)
+        if _bad_int(w.from_epoch, 0, last):
+            out.append(f"operator_schedule[{i}]: from_epoch {w.from_epoch!r} "
+                       f"is not an integer in 0..{s.horizon}")
+        elif w.to_epoch is not None and (type(w.to_epoch) is not int
+                                         or w.to_epoch <= w.from_epoch):
+            out.append(f"operator_schedule[{i}]: empty or non-integer window "
+                       f"[{w.from_epoch}, {w.to_epoch!r})")
+        if w.validator is not None and bad_index(w.validator):
+            out.append(f"operator_schedule[{i}]: validator {w.validator!r} "
+                       f"is not an integer in {indices}")
+        windows_ok = windows_ok and len(out) == problems
 
     seen_overlaps = set()
-    for j in range(t.validators):
+    for j in range(m if m and windows_ok and type(s.horizon) is int else 0):
         windows = sorted(_windows_for(s.operator_schedule, j),
                          key=lambda w: w.from_epoch)
         for a, b2 in zip(windows, windows[1:]):
@@ -289,19 +382,24 @@ def validate(s: Scenario) -> list[str]:
                         f"{b2.to_epoch if b2.to_epoch is not None else s.horizon + 1})")
 
     for i, sl in enumerate(s.slashes):
-        if not (0 <= sl.validator < t.validators):
-            out.append(f"slashes[{i}]: validator index {sl.validator} outside 0..{t.validators - 1}")
-        if not (0 < sl.fraction_bps <= 10_000):
-            out.append(f"slashes[{i}]: fraction_bps {sl.fraction_bps} outside 1..10000")
-        if not (0 <= sl.epoch <= s.horizon):
-            out.append(f"slashes[{i}]: epoch {sl.epoch} outside 0..{s.horizon}")
+        if bad_index(sl.validator):
+            out.append(f"slashes[{i}]: validator index {sl.validator!r} "
+                       f"is not an integer in {indices}")
+        if _bad_int(sl.fraction_bps, 1, 10_000):
+            out.append(f"slashes[{i}]: fraction_bps {sl.fraction_bps!r} "
+                       f"is not an integer in 1..10000")
+        if _bad_int(sl.epoch, 0, last):
+            out.append(f"slashes[{i}]: epoch {sl.epoch!r} is not an integer in 0..{s.horizon}")
 
     for i, c in enumerate(s.claims):
-        if not (0 <= c.epoch <= s.horizon):
-            out.append(f"claims[{i}]: epoch {c.epoch} outside 0..{s.horizon}")
+        if type(c.epoch) is not int or not 0 <= c.epoch <= last:
+            out.append(f"claims[{i}]: epoch {c.epoch!r} is not an integer in 0..{s.horizon}")
     for i, tr in enumerate(s.nft_transfers):
-        if not (0 <= tr.epoch <= s.horizon):
-            out.append(f"nft_transfers[{i}]: epoch {tr.epoch} outside 0..{s.horizon}")
+        if type(tr.epoch) is not int or not 0 <= tr.epoch <= last:
+            out.append(f"nft_transfers[{i}]: epoch {tr.epoch!r} "
+                       f"is not an integer in 0..{s.horizon}")
+        if type(tr.token_id) is not int:
+            out.append(f"nft_transfers[{i}]: token_id {tr.token_id!r} is not an integer")
         if tr.to in _RESERVED:
             out.append(f"nft_transfers[{i}]: recipient {tr.to!r} is reserved")
     return out
@@ -518,7 +616,7 @@ class World:
         if led.contract_state(BEACON).validators:
             led.call(SYSTEM, BEACON, "sweep", {})
 
-        # (3) reward forwarding; distribution is eager inside the treasury
+        # (3) reward forwarding
         for j in range(self.m):
             w = wallet_name(j)
             wst = led.contract_state(w)
@@ -622,13 +720,13 @@ class World:
         tst = led.contract_state(TREASURY)
         events_jsonl = led.events_jsonl()
 
-        names = set(self.holders)
-        names.update(rec.owner for rec in tst.registry.values())
-        names.update(tst.claimable)
-        names.update(tst.claimed_total)
+        claimable = dict(tst.claimable)
         capital: dict[str, int] = {}
-        for rec in tst.registry.values():
+        for token_id, rec in tst.registry.items():
             capital[rec.owner] = capital.get(rec.owner, 0) + rec.capital
+            claimable[rec.owner] = (claimable.get(rec.owner, 0) + accrued(tst, token_id)
+                                    - tst.paid.get(token_id, 0))
+        names = set(self.holders) | set(claimable) | set(tst.claimed_total)
         holders = []
         for h in sorted(names):
             cap = capital.get(h, 0)
@@ -638,7 +736,7 @@ class World:
                 holder=h,
                 capital=cap,
                 claimed=tst.claimed_total.get(h, 0),
-                claimable=tst.claimable.get(h, 0),
+                claimable=claimable.get(h, 0),
                 settlement_credits=settled_credit,
                 realized_loss=loss,
             ))
@@ -702,7 +800,7 @@ def run(scenario: Scenario) -> RunReport:
     """Validate, wire, and execute one scenario."""
     violations = validate(scenario)
     if violations:
-        raise InvalidScenario(violations[0])
+        raise InvalidScenario("; ".join(violations))
     return World(scenario).run()
 
 

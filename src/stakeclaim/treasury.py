@@ -1,20 +1,35 @@
 """Registry and reward accounting for the staking arrangement.
 
 The treasury owns the NFT registry, receives every unit a validator wallet
-forwards, and splits it in integer arithmetic: the operator's cut is
-``amount * fee_bps // 10000``, the rest is credited to token owners in
-proportion to contributed capital using floor division. Sub-unit
-remainders are carried per token (scaled by the capital total) into the
-next split, so a token's cumulative credit is always exactly
-``floor(cumulative_net * C_i / sum(C))``: per-holder rounding error never
-reaches one unit per receipt, for any capital distribution. The undistributed
-units are tracked as dust, preserving the exact per-receipt identity::
+forwards, and accounts for it in integer arithmetic. The operator's cut of
+a reward is ``amount * fee_bps // 10000``; everything else is "net" and
+belongs to the token owners in proportion to contributed capital.
 
-    fee + sum(credits) + (dust_after - dust_before) == amount
+Holder credits are closed-form, not split eagerly. The registry is frozen
+once the phase leaves Fundraising, and distributions happen only after
+that, so with N the cumulative net amount distributed (``net_total``) and
+S the capital total, token i's cumulative credit is exactly::
 
-Exit settlements flow through the same splitter but take no operator fee:
-the fee is defined over rewards only, so principal returns, escrow
-shortfall coverage, and non-performance penalties are distributed whole.
+    accrued(i) = floor(N * C_i / S)
+
+This is the reward-per-token accumulator of Batog, Boca & Johnson
+(*Scalable Reward Distribution on the Ethereum Blockchain*, 2018) in exact
+integer form. A receipt only adds its net to N: no per-token work. Each
+token keeps a checkpoint ``paid[i]``, the part of ``accrued(i)`` already
+moved into an owner's ``claimable``. A token is settled (the difference
+credited to its current owner and the checkpoint moved up) when it changes
+hands and when its owner claims, so every credit lands with whoever owned
+the token when the distribution happened. The undistributed sub-unit
+remainder is dust: ``N - sum(accrued(i))``, always below the token count.
+Per distribution of ``amount`` the split is exact::
+
+    fee + sum(delta accrued(i)) + delta dust == amount
+
+Exit settlements raise N the same way but take no operator fee: the fee
+is defined over rewards only, so principal returns, escrow shortfall
+coverage, and non-performance penalties are distributed whole. They are
+the one O(tokens) step, because each owner's ``settlement_credits`` must
+be attributed at that moment (:func:`split_credits`).
 
 Phase machine: Fundraising -> Staked -> Exiting -> Settled, never skipping
 or reversing. An aborted raise refunds depositors and simply never leaves
@@ -22,7 +37,11 @@ Fundraising.
 
 The master conservation check is :func:`balance_identity`: at rest, the
 treasury's ledger balance always equals principal + reward_pool +
-sum(claimable) + dust + escrow_balance + operator_fees_accrued.
+sum(claimable) + pending + dust + escrow_balance + operator_fees_accrued,
+where pending = sum(accrued(i) - paid[i]) is credit not yet settled to an
+owner. The holder part reduces exactly to ``sum(claimable) + N -
+sum(paid)``, which is what is computed; a checkpoint or a claimable entry
+off by one unit breaks it.
 """
 
 from __future__ import annotations
@@ -37,6 +56,7 @@ from .errors import (
     NotOperator,
     NothingToClaim,
     Underfunded,
+    UnknownMethod,
     UnknownToken,
     UnknownValidator,
     WrongCaller,
@@ -124,10 +144,10 @@ class TreasuryState:
     reward_pool: int = 0
     operator_fees_accrued: int = 0
     fees_claimed_total: int = 0
-    claimable: dict[str, int] = field(default_factory=dict)
+    claimable: dict[str, int] = field(default_factory=dict)   # settled, unclaimed
     claimed_total: dict[str, int] = field(default_factory=dict)
-    remainders: dict[int, int] = field(default_factory=dict)  # token -> net*C_i mod sum_capital
-    dust: int = 0
+    net_total: int = 0                                         # N: cumulative net distributed
+    paid: dict[int, int] = field(default_factory=dict)         # token -> accrued already settled
     escrow_balance: int = 0
     escrow_refunded: int = 0
     phase: Phase = Phase.FUNDRAISING
@@ -149,8 +169,8 @@ class TreasuryState:
             fees_claimed_total=self.fees_claimed_total,
             claimable=dict(self.claimable),
             claimed_total=dict(self.claimed_total),
-            remainders=dict(self.remainders),
-            dust=self.dust,
+            net_total=self.net_total,
+            paid=dict(self.paid),
             escrow_balance=self.escrow_balance,
             escrow_refunded=self.escrow_refunded,
             phase=self.phase,
@@ -163,32 +183,69 @@ class TreasuryState:
 
 
 def balance_identity(state: TreasuryState) -> int:
-    """What the treasury's ledger balance must equal at rest."""
+    """What the treasury's ledger balance must equal at rest.
+
+    sum(claimable) + pending + dust == sum(claimable) + N - sum(paid).
+    """
     return (state.principal + state.reward_pool + sum(state.claimable.values())
-            + state.dust + state.escrow_balance + state.operator_fees_accrued)
+            + state.net_total - sum(state.paid.values())
+            + state.escrow_balance + state.operator_fees_accrued)
 
 
-def split_credits(net: int, registry: dict[int, NftRecord], sum_capital: int,
-                  remainders: dict[int, int]) -> tuple[list[list], int]:
-    """Floor-divide `net` across tokens pro-rata by capital.
+def accrued(state: TreasuryState, token_id: int) -> int:
+    """Token's cumulative credit, settled or not: floor(N * C_i / S)."""
+    return state.net_total * state.registry[token_id].capital // state.sum_capital
 
-    Mutates `remainders` (per-token carry, scaled by sum_capital) and
-    returns ([[token_id, owner, credit], ...] in token order, undistributed)
-    with sum(credits) + undistributed == net exactly. A fresh remainder map
-    yields credit_i == floor(net * C_i / sum_capital), and carrying the map
-    across calls keeps each token's cumulative credit at exactly
-    floor(cumulative_net * C_i / sum_capital).
+
+def claimable_of(state: TreasuryState, holder: str) -> int:
+    """What `holder` could claim now: settled credit plus its tokens' pending credit."""
+    return state.claimable.get(holder, 0) + sum(
+        accrued(state, t) - state.paid.get(t, 0)
+        for t, rec in state.registry.items() if rec.owner == holder)
+
+
+def dust_of(state: TreasuryState) -> int:
+    """Net units distributed to no token yet: N - sum(accrued)."""
+    return state.net_total - sum(accrued(state, t) for t in state.registry)
+
+
+def split_credits(before: int, after: int, registry: dict[int, NftRecord],
+                  sum_capital: int) -> tuple[list[list], int]:
+    """Each token's credit as N rises from `before` to `after`.
+
+    Returns ([[token_id, owner, credit], ...] in token order, undistributed)
+    with credit_i == floor(after * C_i / S) - floor(before * C_i / S) and
+    sum(credits) + undistributed == after - before exactly.
     """
     credits = []
     total = 0
     for token_id in sorted(registry):
         rec = registry[token_id]
-        acc = remainders.get(token_id, 0) + net * rec.capital
-        share = acc // sum_capital
-        remainders[token_id] = acc - share * sum_capital
+        share = after * rec.capital // sum_capital - before * rec.capital // sum_capital
         credits.append([token_id, rec.owner, share])
         total += share
-    return credits, net - total
+    return credits, after - before - total
+
+
+def _settle_token(st: TreasuryState, token_id: int, owner: str) -> None:
+    """Credit the token's pending credit to `owner` and move its checkpoint.
+
+    Mutates an already-copied state.
+    """
+    total = accrued(st, token_id)
+    due = total - st.paid.get(token_id, 0)
+    if due:
+        st.paid[token_id] = total
+        st.claimable[owner] = st.claimable.get(owner, 0) + due
+
+
+def _distributed(amount: int, fee: int, net_total: int) -> Emit:
+    """The log record of one distribution.
+
+    N after it, with the Mint events' capitals, lets anyone rebuild every
+    token's credit from the log alone.
+    """
+    return Emit("Distributed", {"amount": amount, "fee": fee, "net_total": net_total})
 
 
 class TreasuryContract:
@@ -204,7 +261,7 @@ class TreasuryContract:
     def handle(self, state: TreasuryState, msg: Msg, ctx: CallContext):
         method = getattr(self, "_op_" + msg.method, None)
         if method is None:
-            raise InvalidAmount(f"treasury has no method {msg.method!r}")
+            raise UnknownMethod(f"treasury has no method {msg.method!r}")
         return method(state, msg, ctx)
 
     # --- registry (mint-only) ---------------------------------------------
@@ -234,6 +291,7 @@ class TreasuryContract:
         if rec is None:
             raise UnknownToken(f"no token {token_id}")
         st = state.clone()
+        _settle_token(st, token_id, rec.owner)
         st.registry[token_id] = replace(rec, owner=msg.args["to"])
         return st, [], None
 
@@ -302,44 +360,36 @@ class TreasuryContract:
         if msg.value <= 0:
             raise InvalidAmount("reward receipt must carry value")
         j = self.validators.index(msg.caller)
-        st = state.clone()
-        st.rewards_received[j] = st.rewards_received.get(j, 0) + msg.value
-        st.receipt_count += 1
-        effects = [Emit("RewardReceived", {"validator_index": j,
-                                           "epoch": ctx.epoch,
-                                           "amount": msg.value})]
-        effects.extend(self._distribute(st, msg.value, take_fee=True))
+        # Only N and the per-validator totals move, so the registry-sized
+        # maps are shared with the previous state, never copied.
+        fee = (msg.value * self.config.fee_bps) // 10_000
+        st = replace(state,
+                     rewards_received={**state.rewards_received,
+                                       j: state.rewards_received.get(j, 0) + msg.value},
+                     receipt_count=state.receipt_count + 1,
+                     operator_fees_accrued=state.operator_fees_accrued + fee,
+                     net_total=state.net_total + msg.value - fee)
+        effects = [
+            Emit("RewardReceived", {"validator_index": j, "epoch": ctx.epoch,
+                                    "amount": msg.value}),
+            _distributed(msg.value, fee, st.net_total),
+        ]
         return st, effects, None
 
-    def _distribute(self, st: TreasuryState, amount: int,
-                    take_fee: bool, settlement: bool = False) -> list:
-        """Split `amount` between operator and holders.
-
-        Mutates the already-cloned state in place and returns the events to
-        emit. Credits go to each token's current owner; sub-unit remainders
-        stay with the token for the next distribution.
-        """
-        fee = (amount * self.config.fee_bps) // 10_000 if take_fee else 0
-        net = amount - fee
-        credits, undistributed = split_credits(net, st.registry, st.sum_capital,
-                                               st.remainders)
-        for _, owner, share in credits:
-            if share:
-                st.claimable[owner] = st.claimable.get(owner, 0) + share
-                if settlement:
-                    st.settlement_credits[owner] = (
-                        st.settlement_credits.get(owner, 0) + share)
-        st.operator_fees_accrued += fee
-        st.dust += undistributed
-        return [Emit("Distributed", {"amount": amount, "fee": fee,
-                                     "credits": credits, "dust": st.dust})]
-
     def _op_claim(self, state: TreasuryState, msg: Msg, ctx: CallContext):
-        """Pull-payment of everything credited to the caller."""
-        amount = state.claimable.get(msg.caller, 0)
+        """Pull-payment of everything credited to the caller.
+
+        Settles the caller's tokens only; other owners' pending credit stays
+        pending.
+        """
+        owned = [t for t, rec in state.registry.items() if rec.owner == msg.caller]
+        amount = state.claimable.get(msg.caller, 0) + sum(
+            accrued(state, t) - state.paid.get(t, 0) for t in owned)
         if amount <= 0:
             raise NothingToClaim(f"{msg.caller} has nothing to claim")
         st = state.clone()
+        for t in owned:
+            st.paid[t] = accrued(st, t)
         st.claimable[msg.caller] = 0
         st.claimed_total[msg.caller] = st.claimed_total.get(msg.caller, 0) + amount
         effects = [
@@ -419,8 +469,14 @@ class TreasuryContract:
             "shortfall": shortfall, "escrow_cover": escrow_cover,
             "penalty": penalty,
         })]
-        effects.extend(self._distribute(st, returned + escrow_cover + penalty,
-                                        take_fee=False, settlement=True))
+        before = st.net_total
+        pot = returned + escrow_cover + penalty
+        st.net_total += pot
+        effects.append(_distributed(pot, 0, st.net_total))
+        credits, _ = split_credits(before, st.net_total, st.registry, st.sum_capital)
+        for _, owner, share in credits:
+            if share:
+                st.settlement_credits[owner] = st.settlement_credits.get(owner, 0) + share
 
         if len(st.settlements) == len(self.validators):
             st.phase = Phase.SETTLED

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import BeaconNotSwept, InvalidAmount, WrongAmount, WrongCaller, WrongStatus
+from .errors import BeaconNotSwept, UnknownMethod, WrongAmount, WrongCaller, WrongStatus
 from .ledger import Call, CallContext, Emit, Msg
 from .treasury import CAUSE_PERFORMANCE, CAUSE_SLASHED
 
@@ -82,7 +82,7 @@ class ValidatorWallet:
     def handle(self, state: WalletState, msg: Msg, ctx: CallContext):
         method = getattr(self, "_op_" + msg.method, None)
         if method is None:
-            raise InvalidAmount(f"wallet has no method {msg.method!r}")
+            raise UnknownMethod(f"wallet has no method {msg.method!r}")
         return method(state, msg, ctx)
 
     # --- staking ------------------------------------------------------------
@@ -175,9 +175,10 @@ class ValidatorWallet:
             raise WrongStatus(f"wallet is {state.status.value}")
         if now <= state.last_check_epoch:
             raise WrongStatus(f"watchdog already ran at epoch {state.last_check_epoch}")
+        if state.activation_epoch is None:
+            raise WrongStatus("wallet is Active without an activation epoch")
         st = state.clone()
         st.last_check_epoch = now
-        assert st.activation_epoch is not None
         if now - st.activation_epoch + 1 < cfg.grace_epochs:
             return st, [], "Ok"
         window_sum = sum(

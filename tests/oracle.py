@@ -47,24 +47,30 @@ def replay_mixed(stream: list[tuple[int, bool]], capitals: list[int],
     `stream` holds (amount, fee_applies) pairs. Remainders are shared per
     holder across both kinds, mirroring that a token's sub-unit carry does
     not care why a distribution happened. Returns (total_fees,
-    receipt_credits, settlement_credits, dust_units).
+    receipt_credits, settlement_credits, dust_units, per_step) where
+    per_step lists (fee, shares, dust_after) for each stream entry.
     """
     total_cap = sum(capitals)
     acc = [0] * len(capitals)
     receipt_credits = [0] * len(capitals)
     settlement_credits = [0] * len(capitals)
     fees = 0
+    per_step = []
     for amount, fee_applies in stream:
         fee = (amount * fee_bps) // 10_000 if fee_applies else 0
         net = amount - fee
         fees += fee
         bucket = receipt_credits if fee_applies else settlement_credits
+        shares = []
         for i, c in enumerate(capitals):
             acc[i] += net * c
             share = acc[i] // total_cap
             acc[i] -= share * total_cap
             bucket[i] += share
-    return fees, receipt_credits, settlement_credits, sum(acc) // total_cap
+            shares.append(share)
+        per_step.append((fee, shares, sum(acc) // total_cap))
+    return (fees, receipt_credits, settlement_credits, sum(acc) // total_cap,
+            per_step)
 
 
 def rational_shares(total_rewards: int, capitals: list[int],

@@ -35,6 +35,7 @@ from stakeclaim.scenario import (
     TreasurySpec,
     World,
 )
+from stakeclaim.treasury import accrued, dust_of
 
 CORPUS_SEED = 20260808
 CORPUS_SIZE = 50
@@ -102,23 +103,41 @@ def corpus():
     runs = []
     for s in scenarios:
         world = World(s)
+        steps = record_distributions(world)
         report = world.run()
-        runs.append((s, world, report))
+        runs.append((s, world, report, steps))
     elapsed = time.perf_counter() - t0
     return runs, elapsed
 
 
-def paired_distributions(events: list[dict]):
-    """Yield (kind, trigger_event, distributed_event) pairs in log order."""
-    trigger = None
-    for e in events:
-        if e["tag"] in ("RewardReceived", "ExitSettled"):
-            trigger = e
-        elif e["tag"] == "Distributed":
-            assert trigger is not None, "Distributed without a trigger"
-            kind = "receipt" if trigger["tag"] == "RewardReceived" else "settlement"
-            yield kind, trigger, e
-            trigger = None
+def record_distributions(world: World) -> list[tuple]:
+    """Wrap the world's Ledger.call to watch every distribution as it commits.
+
+    For each committed call that logged a Distributed event or moved the
+    treasury's cumulative net N, keeps (trigger tags, Distributed payloads,
+    {token: accrued credit}, dust) read from the committed treasury state
+    right after the call.
+    """
+    led = world.ledger
+    inner = led.call
+    steps = []
+
+    def call(*args, **kwargs):
+        n_before = led.contract_state(TREASURY).net_total
+        first = len(led.events)
+        result = inner(*args, **kwargs)
+        logged = led.events[first:]
+        dists = [e.payload for e in logged if e.tag == "Distributed"]
+        tst = led.contract_state(TREASURY)
+        if dists or tst.net_total != n_before:
+            triggers = [e.tag for e in logged
+                        if e.tag in ("RewardReceived", "ExitSettled")]
+            steps.append((triggers, dists,
+                          {t: accrued(tst, t) for t in tst.registry}, dust_of(tst)))
+        return result
+
+    led.call = call
+    return steps
 
 
 def events_of(report) -> list[dict]:
@@ -128,7 +147,7 @@ def events_of(report) -> list[dict]:
 def test_criterion_1_operator_fee_equation(corpus):
     """S = sum_j R_j * F, within the floor-rounding bound, in under 5 s."""
     runs, elapsed = corpus
-    for s, world, report in runs:
+    for s, world, report, _ in runs:
         fee_bps = s.treasury.fee_bps
         r_total = sum(v.rewards_received for v in report.validators)
         receipt_count = sum(
@@ -147,48 +166,57 @@ def test_criterion_1_operator_fee_equation(corpus):
 
 
 def test_criterion_2_holder_share_equation(corpus):
-    """r_i recomputed by the exact-rational oracle; conservation is exact."""
+    """r_i recomputed by the exact-rational oracle; conservation is exact.
+
+    Checked per distribution and per token: after every committed call that
+    carried a receipt or a settlement, each token's step of accrued credit
+    (read from the committed treasury state) must equal the step of an
+    independent remainder-carry replay, with zero tolerance.
+    """
     runs, _ = corpus
-    for s, world, report in runs:
-        events = events_of(report)
+    for s, world, report, steps in runs:
         tst = world.ledger.contract_state(TREASURY)
         token_order = sorted(tst.registry)
         capitals = [tst.registry[t].capital for t in token_order]
-        pos = {t: i for i, t in enumerate(token_order)}
 
-        stream = []
+        stream = [(dists[0]["amount"], triggers == ["RewardReceived"])
+                  for triggers, dists, _, _ in steps]
+        o_fees, o_reward, o_settle, o_dust, o_steps = replay_mixed(
+            stream, capitals, s.treasury.fee_bps)
         receipts = []
-        reward_credits = [0] * len(capitals)
-        settle_credits = [0] * len(capitals)
-        fee_total = 0
+        prev = [0] * len(capitals)
         prev_dust = 0
-        for kind, trig, dist in paired_distributions(events):
-            p = dist["payload"]
+        for (triggers, dists, acc, dust), (o_fee, o_shares, o_dust_after) in zip(
+                steps, o_steps):
+            # one receipt or one settlement per call, logged once
+            assert len(dists) == 1 and len(triggers) == 1
+            p = dists[0]
+            assert sorted(acc) == token_order
+            now = [acc[t] for t in token_order]
+            step = [a - b for a, b in zip(now, prev)]
             # per-distribution conservation, zero tolerance
-            assert p["fee"] + sum(c[2] for c in p["credits"]) \
-                + (p["dust"] - prev_dust) == p["amount"]
-            prev_dust = p["dust"]
-            stream.append((p["amount"], kind == "receipt"))
-            bucket = reward_credits if kind == "receipt" else settle_credits
-            if kind == "receipt":
-                receipts.append(trig["payload"]["amount"])
-                fee_total += p["fee"]
-            for token, _owner, share in p["credits"]:
-                bucket[pos[token]] += share
+            assert p["fee"] + sum(step) + (dust - prev_dust) == p["amount"]
+            # per-token, per-distribution equality with the oracle
+            assert (p["fee"], step, dust) == (o_fee, o_shares, o_dust_after)
+            if triggers == ["RewardReceived"]:
+                receipts.append(p["amount"])
+            prev, prev_dust = now, dust
         if not receipts:
             continue
-        # integer oracle over the full ordered stream: exact equality
-        o_fees, o_reward, o_settle, o_dust = replay_mixed(
-            stream, capitals, s.treasury.fee_bps)
-        assert reward_credits == o_reward
-        assert settle_credits == o_settle
-        assert fee_total == o_fees
+        assert sum(p["fee"] for _, (p,), _, _ in steps) == o_fees
         # all credits + fee + dust == everything distributed, zero tolerance
         assert o_fees + sum(o_reward) + sum(o_settle) + o_dust \
             == sum(amount for amount, _ in stream)
+        # what the report says each holder got is the oracle's credit
+        owed: dict[str, int] = {}
+        for t, r, z in zip(token_order, o_reward, o_settle):
+            owner = tst.registry[t].owner
+            owed[owner] = owed.get(owner, 0) + r + z
+        for h in report.holders:
+            assert h.claimed + h.claimable == owed.get(h.holder, 0)
         # rational oracle: every holder within < receipt_count
         shares = rational_shares(sum(receipts), capitals, s.treasury.fee_bps)
-        for got, want in zip(reward_credits, shares):
+        for got, want in zip(o_reward, shares):
             assert abs(got - want) < len(receipts)
     print(f"\nACCEPTANCE 2 PASS: holder share equation, exact conservation and "
           f"< receipt-count rational bound on {len(runs)} scenarios")
@@ -200,7 +228,7 @@ def test_criterion_3_conservation(corpus):
     golden_runs = [(sc.load_scenario(sc.golden_scenario_path(name)),)
                    for name in sc.GOLDEN_SCENARIOS]
     checked = 0
-    for s, world, report in runs:
+    for s, world, report, _ in runs:
         assert report.conservation_ok and report.replay_ok
         replay = sc.replay_balances(world.ledger.events)
         for epoch in range(report.final_epoch + 1):

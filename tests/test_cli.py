@@ -63,6 +63,47 @@ class TestRun:
         assert run_cli("run", "--scenario", str(bad), "--out", str(out)) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("section,index,key,value", [
+        # ran to exit 0 with a float operator fee total (19800.0)
+        ("treasury", None, "fee_bps", 1000.5),
+        # ended in a TypeError traceback
+        ("deposits", 0, "amount", "40000000000"),
+        # ended in UnknownContract: wallet:0.0
+        ("slashes", 0, "validator", 0.0),
+        ("treasury", None, "validators", True),
+    ])
+    def test_mistyped_integer_field_exit_1(self, section, index, key, value,
+                                           tmp_path, capsys):
+        doc = json.loads(sc.golden_scenario_path("honest").read_text())
+        doc["slashes"] = [{"epoch": 10, "validator": 0, "fraction_bps": 500}]
+        target = doc[section] if index is None else doc[section][index]
+        target[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run_cli("run", "--scenario", str(bad), "--out", str(out)) == 1
+        assert not out.exists()
+        where = section if index is None else f"{section}[{index}]"
+        assert f"{where}.{key} must be an integer, got {value!r}" \
+            in capsys.readouterr().err
+
+    def test_every_type_violation_listed(self, tmp_path, capsys):
+        doc = json.loads(sc.golden_scenario_path("honest").read_text())
+        doc["treasury"]["fee_bps"] = 1000.5
+        doc["deposits"][1]["epoch"] = "0"
+        doc["horizon"] = 30.0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("validate", "--scenario", str(bad)) == 1
+        err = capsys.readouterr().err
+        for field in ("treasury.fee_bps", "deposits[1].epoch", "horizon"):
+            assert field in err
+
+    def test_undecodable_file_exit_1(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        assert run_cli("run", "--scenario", str(bad), "--out", str(tmp_path / "o")) == 1
+
     def test_csv_format(self, tmp_path):
         code = run_cli("run", "--scenario", str(sc.golden_scenario_path("honest")),
                        "--out", str(tmp_path), "--format", "csv")

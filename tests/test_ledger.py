@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_world
 from stakeclaim.errors import (
     ContractError,
     InsufficientBalance,
@@ -16,6 +17,7 @@ from stakeclaim.errors import (
     Unauthorized,
     UnknownAddress,
     UnknownContract,
+    UnknownMethod,
 )
 from stakeclaim.ledger import (
     Call,
@@ -154,6 +156,15 @@ class TestDispatch:
         with pytest.raises(ReentrancyLimitExceeded):
             led.call("user", "c1", "recurse", {"self": "c1"})
         assert led.snapshot() == snap
+
+    @pytest.mark.parametrize("target", ["mint", "treasury", "beacon", "wallet:0"])
+    def test_unknown_method_is_its_own_error(self, target):
+        w = make_world()
+        snap = w.ledger.snapshot()
+        with pytest.raises(UnknownMethod, match="has no method 'nope'"):
+            w.ledger.call("alice", target, "nope", {}, value=1)
+        assert w.ledger.snapshot() == snap
+        assert not issubclass(UnknownMethod, InvalidAmount)
 
     def test_issue_restricted_to_issuers(self):
         led = dispatch_ledger()

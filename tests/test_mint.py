@@ -16,7 +16,7 @@ from stakeclaim.errors import (
     UnknownToken,
     WrongStatus,
 )
-from stakeclaim.treasury import Phase
+from stakeclaim.treasury import Phase, claimable_of
 
 
 class TestMintFill:
@@ -129,17 +129,17 @@ class TestTransferNft:
         w.accrue()                   # activation + 64 reward
         w.sweep()
         w.forward()                  # epoch-1 rewards -> alice's token
-        before = dict(w.treasury_state.claimable)
-        assert before == {"alice": 64}
+        ts = w.treasury_state
+        assert (claimable_of(ts, "alice"), claimable_of(ts, "bob")) == (64, 0)
 
         w.transfer_nft(0, "alice", "bob")
         w.ledger.advance_epoch()
         w.accrue()
         w.sweep()
         w.forward()                  # epoch-2 rewards -> bob now owns the token
-        claimable = w.treasury_state.claimable
-        assert claimable["alice"] == 64
-        assert claimable["bob"] == 64
+        ts = w.treasury_state
+        assert claimable_of(ts, "alice") == 64
+        assert claimable_of(ts, "bob") == 64
 
         assert w.claim("alice") == 64
         assert w.claim("bob") == 64

@@ -6,6 +6,8 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stakeclaim as sc
 from oracle import rational_shares, replay_split, trigger_epoch
@@ -23,7 +25,25 @@ from stakeclaim.scenario import (
     World,
     scenario_from_dict,
     validate,
+    with_overrides,
 )
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-10 ** 12, max_value=10 ** 12)
+    | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=5)
+
+
+def _paths(node, prefix=()):
+    """Every key path into a JSON document, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield (*prefix, key)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, (*prefix, key))
 
 
 def small_scenario(**overrides) -> Scenario:
@@ -82,6 +102,30 @@ class TestValidate:
         s = small_scenario(deposits=(DepositAction("treasury", 6400, 0),))
         assert any("reserved" in v for v in validate(s))
 
+    def test_non_integer_fields_listed_and_not_range_checked(self):
+        s = small_scenario(
+            treasury=TreasurySpec(fee_bps=1000.5, expected_reward_per_epoch=20,
+                                  grace_epochs=3, escrow_required=50, validators=1),
+            deposits=(DepositAction("alice", "4000", 0), DepositAction("bob", 2400, True)),
+            slashes=(SlashAction(epoch=3, validator=0.0, fraction_bps=100),),
+            claims=(ClaimAction("alice", 2.0),),
+            nft_transfers=(NftTransferAction("0", "alice", "bob", 1),))
+        violations = validate(s)
+        for needle in ("fee_bps 1000.5", "deposits[0]: amount", "deposits[1]: epoch True",
+                       "validator index 0.0", "claims[0]: epoch 2.0",
+                       "nft_transfers[0]: token_id '0'"):
+            assert sum(needle in v for v in violations) == 1, (needle, violations)
+        assert len(violations) == 6
+
+    def test_non_integer_validator_count_does_not_crash_the_checks(self):
+        s = small_scenario(
+            treasury=TreasurySpec(fee_bps=1000, expected_reward_per_epoch=20,
+                                  grace_epochs=3, escrow_required=50, validators="2"),
+            operator_schedule=(BehaviorWindow(from_epoch=0, factor=1.0, validator=0),
+                               BehaviorWindow(from_epoch=0, factor=0.5, validator=1)),
+            slashes=(SlashAction(epoch=3, validator=1, fraction_bps=100),))
+        assert validate(s) == ["treasury.validators must be an integer >= 1, got '2'"]
+
     def test_run_rejects_invalid_scenario_with_first_violation(self):
         s = small_scenario(slashes=(SlashAction(epoch=3, validator=5, fraction_bps=100),))
         with pytest.raises(InvalidScenario, match="validator index 5"):
@@ -106,6 +150,45 @@ class TestLoader:
         del doc["slashes"]
         with pytest.raises(InvalidScenario, match="missing keys"):
             scenario_from_dict(doc)
+
+    def test_every_problem_in_a_document_reported(self):
+        doc = json.loads(sc.golden_scenario_path("honest").read_text())
+        doc["treasury"]["bonus"] = 1
+        doc["mint"]["open_epoch"] = False
+        doc["deposits"].append("alice")
+        doc["seed"] = None
+        with pytest.raises(InvalidScenario) as info:
+            scenario_from_dict(doc)
+        message = str(info.value)
+        for needle in ("unknown keys in treasury: ['bonus']",
+                       "mint.open_epoch must be an integer, got False",
+                       "deposits[2] must be an object",
+                       "seed must be an integer, got None"):
+            assert needle in message
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_any_one_field_replaced_ends_cleanly(self, data):
+        # Whatever lands in one place of a valid document, loading and
+        # validating either reject it as InvalidScenario / violations or
+        # yield a scenario that runs with conservation intact.
+        doc = json.loads(sc.golden_scenario_path("honest").read_text())
+        doc["slashes"] = [{"epoch": 10, "validator": 0, "fraction_bps": 500}]
+        paths = list(_paths(doc))
+        path = data.draw(st.sampled_from(paths))
+        value = data.draw(json_values)
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        try:
+            s = scenario_from_dict(doc)
+        except InvalidScenario:
+            return
+        if validate(s):
+            return
+        report = World(with_overrides(s, horizon=min(s.horizon, 20))).run()
+        assert report.conservation_ok and report.replay_ok
 
     def test_goldens_parse_and_validate(self):
         for name in sc.GOLDEN_SCENARIOS:
@@ -269,6 +352,49 @@ class TestLifecycleVariants:
         assert by_name["bob"].capital == 6400      # owns both tokens at the end
         assert by_name["alice"].capital == 0
         assert report.conservation_ok and report.replay_ok
+
+    def test_credit_trail_rebuilds_from_the_log_alone(self):
+        # Mint capitals, NFT transfers and Distributed.net_total are enough
+        # to attribute every unit of credit, across resales and a settlement.
+        s = small_scenario(
+            treasury=TreasurySpec(fee_bps=777, expected_reward_per_epoch=90,
+                                  grace_epochs=3, escrow_required=50, validators=2),
+            deposits=(DepositAction("alice", 8001, 0), DepositAction("bob", 4799, 0)),
+            operator_schedule=(
+                BehaviorWindow(from_epoch=0, factor=1.0, validator=0),
+                BehaviorWindow(from_epoch=0, to_epoch=8, factor=0.7, validator=1),
+                BehaviorWindow(from_epoch=8, factor=0.0, validator=1),
+            ),
+            nft_transfers=(NftTransferAction(0, "alice", "carol", 5),
+                           NftTransferAction(1, "bob", "alice", 9),
+                           NftTransferAction(0, "carol", "bob", 14)),
+            claims=(ClaimAction("alice", 10), ClaimAction("carol", 12),
+                    ClaimAction("bob", 20)),
+            horizon=25,
+        )
+        report = sc.run(s)
+        capital: dict[int, int] = {}
+        owner: dict[int, str] = {}
+        credit: dict[str, int] = {}
+        n = 0
+        for line in report.events_jsonl.splitlines():
+            e = json.loads(line)
+            p = e["payload"]
+            if e["tag"] == "Mint":
+                capital[p["token_id"]], owner[p["token_id"]] = p["capital"], p["owner"]
+            elif e["tag"] == "TransferNft":
+                owner[p["token_id"]] = p["to"]
+            elif e["tag"] == "Distributed":
+                total = sum(capital.values())
+                for t, c in capital.items():
+                    credit[owner[t]] = (credit.get(owner[t], 0)
+                                        + p["net_total"] * c // total - n * c // total)
+                n = p["net_total"]
+        assert report.validators[1].settled
+        assert {h.holder for h in report.holders} == {"alice", "bob", "carol"}
+        for h in report.holders:
+            assert h.claimed + h.claimable == credit[h.holder]
+            assert h.claimed > 0
 
     def test_slash_before_activation_is_skipped(self):
         s = small_scenario(slashes=(SlashAction(epoch=0, validator=0,

@@ -15,12 +15,25 @@ from stakeclaim.errors import (
     NotOperator,
     NothingToClaim,
     Underfunded,
+    UnknownMethod,
     UnknownValidator,
     WrongPhase,
 )
 from stakeclaim.mint import NftRecord
-from stakeclaim.treasury import Phase, reward_receipts, split_credits
+from stakeclaim.treasury import (
+    Phase,
+    accrued,
+    claimable_of,
+    dust_of,
+    reward_receipts,
+    split_credits,
+)
 from stakeclaim.wallet import WalletStatus
+
+
+def holders_claimable(ts) -> dict[str, int]:
+    """Every current token owner's claimable credit, settled or pending."""
+    return {rec.owner: claimable_of(ts, rec.owner) for rec in ts.registry.values()}
 
 
 def receive(w: Mini, amount: int, j: int = 0):
@@ -35,21 +48,20 @@ def receive(w: Mini, amount: int, j: int = 0):
 class TestSplitCredits:
     def test_worked_example_40_24(self):
         registry = {0: NftRecord(0, "alice", 40, 0), 1: NftRecord(1, "bob", 24, 0)}
-        credits, dust = split_credits(900, registry, 64, {})
+        credits, dust = split_credits(0, 900, registry, 64)
         assert credits == [[0, "alice", 562], [1, "bob", 337]]
         assert dust == 1
 
     def test_exact_split_no_dust(self):
         registry = {0: NftRecord(0, "a", 1, 0), 1: NftRecord(1, "b", 1, 0)}
-        credits, dust = split_credits(100, registry, 2, {})
+        credits, dust = split_credits(0, 100, registry, 2)
         assert [c[2] for c in credits] == [50, 50]
         assert dust == 0
 
     def test_remainders_release_on_later_splits(self):
         registry = {0: NftRecord(0, "alice", 40, 0), 1: NftRecord(1, "bob", 24, 0)}
-        remainders = {}
-        first, _ = split_credits(900, registry, 64, remainders)
-        second, _ = split_credits(900, registry, 64, remainders)
+        first, _ = split_credits(0, 900, registry, 64)
+        second, _ = split_credits(900, 1800, registry, 64)
         assert [c[2] for c in first] == [562, 337]
         assert [c[2] for c in second] == [563, 338]  # the carried halves pay out
 
@@ -60,8 +72,8 @@ class TestReceiveRewards:
         receive(w, 1000)
         ts = w.treasury_state
         assert ts.operator_fees_accrued == 100
-        assert ts.claimable == {"alice": 562, "bob": 337}
-        assert ts.dust == 1
+        assert holders_claimable(ts) == {"alice": 562, "bob": 337}
+        assert dust_of(ts) == 1
         assert ts.rewards_received == {0: 1000}
         assert ts.receipt_count == 1
         w.check_treasury_identity()
@@ -71,11 +83,11 @@ class TestReceiveRewards:
         receive(w, 1000)   # net 900 -> [562, 337], 2 half-units carried
         receive(w, 1000)   # net 900 -> [563, 338], carry released
         ts = w.treasury_state
-        assert ts.claimable == {"alice": 562 + 563, "bob": 337 + 338}
-        assert ts.dust == 0
+        assert holders_claimable(ts) == {"alice": 562 + 563, "bob": 337 + 338}
+        assert dust_of(ts) == 0
         # cumulative credit is exactly floor(cumulative_net * C_i / sum_C)
-        assert ts.claimable["alice"] == (1800 * 40) // 64
-        assert ts.claimable["bob"] == (1800 * 24) // 64
+        assert accrued(ts, 0) == claimable_of(ts, "alice") == (1800 * 40) // 64
+        assert accrued(ts, 1) == claimable_of(ts, "bob") == (1800 * 24) // 64
         w.check_treasury_identity()
 
     def test_stranger_is_unknown_validator(self, staked_world):
@@ -84,7 +96,7 @@ class TestReceiveRewards:
 
     def test_zero_amount_rejected_no_receipt(self, staked_world):
         w = staked_world
-        with pytest.raises(InvalidAmount):
+        with pytest.raises(UnknownMethod):
             w.ledger.call(SYSTEM, w.wallets[0], "forward_", {})  # bogus method also rejected
         snap = w.ledger.snapshot()
         with pytest.raises(InvalidAmount):
@@ -106,7 +118,7 @@ class TestReceiveRewards:
         receive(w, 1000)
         ts = w.treasury_state
         assert ts.operator_fees_accrued == 0
-        assert sum(ts.claimable.values()) + ts.dust == 1000
+        assert sum(holders_claimable(ts).values()) + dust_of(ts) == 1000
 
     def test_single_holder_gets_exactly_net(self):
         w = make_world(fee_bps=2500)
@@ -115,8 +127,8 @@ class TestReceiveRewards:
         receive(w, 1000)
         ts = w.treasury_state
         assert ts.operator_fees_accrued == 250
-        assert ts.claimable == {"alice": 750}
-        assert ts.dust == 0
+        assert holders_claimable(ts) == {"alice": 750}
+        assert dust_of(ts) == 0
 
     def test_full_fee_boundary(self):
         w = make_world(fee_bps=10_000)
@@ -125,7 +137,7 @@ class TestReceiveRewards:
         receive(w, 1000)
         ts = w.treasury_state
         assert ts.operator_fees_accrued == 1000
-        assert ts.claimable.get("alice", 0) == 0
+        assert claimable_of(ts, "alice") == 0
 
 
 class TestClaims:
@@ -135,7 +147,7 @@ class TestClaims:
         before = w.ledger.balance_of("alice")
         assert w.claim("alice") == 562
         assert w.ledger.balance_of("alice") == before + 562
-        assert w.treasury_state.claimable["alice"] == 0
+        assert claimable_of(w.treasury_state, "alice") == 0
         w.check_treasury_identity()
 
     def test_double_claim(self, staked_world):
@@ -224,8 +236,8 @@ class TestSettleExit:
         w = staked_world
         settle(w, 64, cause="slashed")
         ts = w.treasury_state
-        assert ts.claimable == {"alice": 40, "bob": 24}
-        assert ts.dust == 0
+        assert holders_claimable(ts) == {"alice": 40, "bob": 24}
+        assert dust_of(ts) == 0
         assert ts.phase is Phase.SETTLED
         w.check_treasury_identity()
 
@@ -238,7 +250,7 @@ class TestSettleExit:
         w.stake_all()
         settle(w, 6300, cause="slashed")   # short 100, escrow 200
         ts = w.treasury_state
-        assert ts.claimable == {"alice": 4000, "bob": 2400}  # made whole exactly
+        assert holders_claimable(ts) == {"alice": 4000, "bob": 2400}  # made whole exactly
         assert ts.escrow_balance == 0                        # 100 used, 100 refunded
         assert ts.escrow_refunded == 100
         assert ts.settlements[0].escrow_cover == 100
@@ -256,8 +268,8 @@ class TestSettleExit:
         pot = 6300 + 40
         expect_alice = (pot * 4000) // 6400
         expect_bob = (pot * 2400) // 6400
-        assert ts.claimable == {"alice": expect_alice, "bob": expect_bob}
-        assert ts.dust == pot - expect_alice - expect_bob
+        assert holders_claimable(ts) == {"alice": expect_alice, "bob": expect_bob}
+        assert dust_of(ts) == pot - expect_alice - expect_bob
         assert ts.escrow_balance == 0 and ts.escrow_refunded == 0
         w.check_treasury_identity()
 
@@ -272,8 +284,8 @@ class TestSettleExit:
         ts = w.treasury_state
         # full principal + full escrow as penalty, split 4000:2400
         assert ts.settlements[0].penalty == 64
-        assert ts.claimable == {"alice": 4040, "bob": 2424}
-        assert ts.dust == 0
+        assert holders_claimable(ts) == {"alice": 4040, "bob": 2424}
+        assert dust_of(ts) == 0
         w.check_treasury_identity()
 
     def test_settle_twice_rejected(self, staked_world):
@@ -351,18 +363,19 @@ class TestDistributionProperties:
     def test_per_receipt_identity_and_oracle_match(self, capitals, amounts, fee_bps):
         registry = {i: NftRecord(i, f"h{i}", c, 0) for i, c in enumerate(capitals)}
         total_cap = sum(capitals)
-        remainders: dict[int, int] = {}
+        _, _, _, o_steps = replay_split(amounts, capitals, fee_bps)
         dust = 0
         credits = [0] * len(capitals)
         fees = 0
         net_total = 0
-        for amount in amounts:
+        for amount, (_, o_shares, _) in zip(amounts, o_steps):
             fee = (amount * fee_bps) // 10_000
             net = amount - fee
-            per_token, undistributed = split_credits(net, registry, total_cap,
-                                                     remainders)
-            # exact conservation per receipt
+            per_token, undistributed = split_credits(net_total, net_total + net,
+                                                     registry, total_cap)
+            # exact conservation per receipt, and each token's step per receipt
             assert fee + sum(c[2] for c in per_token) + undistributed == amount
+            assert [c[2] for c in per_token] == o_shares
             for i, (_, _, share) in enumerate(per_token):
                 credits[i] += share
             fees += fee

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import BEACON, OPERATOR, TREASURY, make_world
@@ -165,6 +167,15 @@ class TestWatchdog:
     def test_watchdog_requires_active(self, world):
         with pytest.raises(WrongStatus):
             world.watchdog()
+
+    def test_active_without_activation_epoch_rejected(self, staked_world):
+        # A contract error, not an assert: it must hold under python -O too.
+        w = staked_world
+        w.ledger._states[w.wallets[0]] = replace(w.wallet_state(0), activation_epoch=None)
+        snap = w.ledger.snapshot()
+        with pytest.raises(WrongStatus, match="activation epoch"):
+            w.watchdog()
+        assert w.ledger.snapshot() == snap
 
 
 class TestExitPath:
