@@ -77,14 +77,24 @@ class BeaconState:
         return BeaconState(list(self.validators), self.next_id)
 
 
-def exact_floor(amount: int, factor) -> int:
-    """floor(amount * factor) with the factor read as a decimal literal.
+def exact_factor(factor) -> int | Fraction:
+    """A performance factor as an exact number, read as a decimal literal.
 
-    Going through str() pins 0.3 to 3/10 rather than its binary float
-    neighbour, so accrual is platform-independent and matches what a
+    An int or a Fraction is already exact and is returned as it is; anything
+    else goes through str(), which pins 0.3 to 3/10 rather than its binary
+    float neighbour, so accrual is platform-independent and matches what a
     scenario author wrote.
     """
-    frac = Fraction(str(factor))
+    if type(factor) is int or type(factor) is Fraction:
+        return factor
+    return Fraction(str(factor))
+
+
+def exact_floor(amount: int, factor) -> int:
+    """floor(amount * factor), with the factor read by :func:`exact_factor`."""
+    frac = exact_factor(factor)
+    if type(frac) is int:
+        return amount * frac
     return (amount * frac.numerator) // frac.denominator
 
 
@@ -141,7 +151,8 @@ class BeaconContract:
         """Activate due validators, open due exits, then mint epoch rewards.
 
         args: performance maps validator id to a factor in [0, 1];
-        missing ids default to 1.0. Returns the total minted.
+        missing ids default to 1. Each factor is read once, by
+        :func:`exact_factor`. Returns the total minted.
         """
         self._require_driver(msg)
         performance = msg.args.get("performance", {})
@@ -166,9 +177,10 @@ class BeaconContract:
             if v.status is not ValidatorStatus.ACTIVE:
                 continue
             factor = performance.get(v.id, 1)
-            if not (0 <= Fraction(str(factor)) <= 1):
+            frac = exact_factor(factor)
+            if not (0 <= frac <= 1):
                 raise InvalidFactor(f"performance factor {factor} outside [0, 1]")
-            reward = exact_floor(self.params.reward_per_epoch, factor)
+            reward = exact_floor(self.params.reward_per_epoch, frac)
             if reward:
                 st.validators[i] = replace(v, balance=v.balance + reward)
                 minted += reward

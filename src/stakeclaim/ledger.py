@@ -22,6 +22,21 @@ Design constraints honoured throughout:
   in registration order, which is what makes two identically-driven runs
   produce byte-identical event logs.
 
+Records are immutable, picklable named tuples: :class:`Event` for log
+entries, :class:`Msg` for inbound messages, and :class:`Transfer`,
+:class:`Emit`, :class:`Call`, :class:`Issue` and :class:`Destroy` for
+effects. One is built per event, message and effect, so they are kept
+cheap. Effects are told apart by class, never by comparing them: as
+tuples, ``Issue(5, "x") == Destroy(5, "x")``.
+
+The log serialises one event per line, each line exactly
+``json.dumps({"epoch", "seq", "emitter", "tag", "payload"},
+separators=(",", ":"))``; :func:`encode_lines` is the one line builder,
+used by :meth:`Ledger.events_jsonl` and :meth:`Event.to_json`. It writes
+flat payloads from cached encodings and hands anything else to a single
+JSON encoder, so the bytes, and every digest over them, are those of
+``json.dumps``.
+
 A ledger instance is single-threaded but self-contained; independent
 instances can run in parallel threads or processes.
 """
@@ -30,9 +45,11 @@ from __future__ import annotations
 
 import json
 import pickle
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Protocol
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, NamedTuple, Protocol
 
 from .errors import (
     InsufficientBalance,
@@ -45,14 +62,20 @@ from .errors import (
 
 CALL_DEPTH_LIMIT = 8
 
+# json.dumps(o, separators=(",", ":")) without building an encoder per call.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+# Record(*fields) for the ledger's hot paths, skipping the NamedTuple's
+# Python-level __new__: _new_record(Event, (epoch, seq, emitter, tag, payload)).
+_new_record = tuple.__new__
+
 
 class AddressKind(Enum):
     ACCOUNT = "account"    # externally owned
     CONTRACT = "contract"
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One log entry, totally ordered by (epoch, seq). seq is global."""
 
     epoch: int
@@ -62,21 +85,58 @@ class Event:
     payload: dict
 
     def to_json(self) -> str:
-        # Field order is fixed: this line format is the regression surface.
-        return json.dumps(
-            {
-                "epoch": self.epoch,
-                "seq": self.seq,
-                "emitter": self.emitter,
-                "tag": self.tag,
-                "payload": self.payload,
-            },
-            separators=(",", ":"),
-        )
+        """This event's line of :meth:`Ledger.events_jsonl`, without the newline."""
+        return encode_lines((self,))[0][:-1]
 
 
-@dataclass(frozen=True)
-class Msg:
+def encode_lines(events) -> list[str]:
+    """Each event as its JSON line, newline included.
+
+    The line is ``{"epoch":..,"seq":..,"emitter":..,"tag":..,"payload":..}``
+    with no spaces, exactly ``json.dumps`` of that dict with
+    ``separators=(",", ":")``: this format is the regression surface.
+    epoch and seq are the ledger's ints. The part from ``"emitter"`` to
+    ``"payload":`` is encoded once per str (emitter, tag) pair. A flat
+    payload (str keys, values of exact type int or str) is written from
+    encoded keys and strings cached for this call; any other payload goes
+    through the JSON encoder. The caches live only as long as the call.
+    """
+    heads: dict = {}
+    keys: dict = {}
+    strs: dict = {}
+    out = []
+    for epoch, seq, emitter, tag, payload in events:
+        head = heads.get((emitter, tag))
+        if head is None:
+            head = f',"emitter":{_encode(emitter)},"tag":{_encode(tag)},"payload":'
+            if type(emitter) is str and type(tag) is str:
+                heads[(emitter, tag)] = head
+        if type(payload) is dict:
+            parts = []
+            for k, v in payload.items():
+                ek = keys.get(k)
+                if ek is None:
+                    if type(k) is not str:
+                        break
+                    ek = keys[k] = encode_basestring_ascii(k) + ":"
+                t = type(v)
+                if t is int:
+                    parts.append(ek + str(v))
+                elif t is str:
+                    ev = strs.get(v)
+                    if ev is None:
+                        ev = strs[v] = encode_basestring_ascii(v)
+                    parts.append(ek + ev)
+                else:
+                    break
+            else:
+                out.append(f'{{"epoch":{epoch},"seq":{seq}{head}{{{",".join(parts)}}}}}\n')
+                continue
+        out.append(f'{{"epoch":{epoch},"seq":{seq}{head}{_encode(payload)}}}\n')
+    return out
+
+
+class Msg(NamedTuple):
     """An inbound message as seen by a contract handler."""
 
     caller: str
@@ -87,42 +147,64 @@ class Msg:
 
 # --- outbound effects -------------------------------------------------------
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(NamedTuple):
     """Move `amount` from the emitting contract's account to `to`."""
 
     to: str
     amount: int
 
 
-@dataclass(frozen=True)
-class Emit:
+class Emit(NamedTuple):
     """Append an event with the emitting contract as the emitter."""
 
     tag: str
     payload: dict
 
 
-@dataclass(frozen=True)
-class Call:
-    """Invoke another contract; the emitting contract becomes the caller."""
+class _NoArgs(Mapping):
+    """The empty, read-only default of :attr:`Call.args`.
+
+    One shared instance; it pickles as a reference to that instance.
+    """
+
+    __slots__ = ()
+
+    def __getitem__(self, key):
+        raise KeyError(key)
+
+    def __iter__(self):
+        return iter(())
+
+    def __len__(self) -> int:
+        return 0
+
+    def __reduce__(self) -> str:
+        return "NO_ARGS"
+
+
+NO_ARGS = _NoArgs()
+
+
+class Call(NamedTuple):
+    """Invoke another contract; the emitting contract becomes the caller.
+
+    The callee always gets its own copy of `args`.
+    """
 
     target: str
     method: str
-    args: dict = field(default_factory=dict)
+    args: Mapping = NO_ARGS
     value: int = 0
 
 
-@dataclass(frozen=True)
-class Issue:
+class Issue(NamedTuple):
     """Create new units in the emitter's own account (issuers only)."""
 
     amount: int
     memo: str
 
 
-@dataclass(frozen=True)
-class Destroy:
+class Destroy(NamedTuple):
     """Destroy units held in the emitter's own account (issuers only)."""
 
     amount: int
@@ -227,8 +309,12 @@ class _TxFrame:
         led._states.update(self._states)
         led.minted_total += self._minted
         led.burned_total += self._burned
+        epoch, seq = led.epoch, led._seq
+        append = led.events.append
         for emitter, tag, payload in self._events:
-            led._append_event(emitter, tag, payload)
+            append(_new_record(Event, (epoch, seq, emitter, tag, payload)))
+            seq += 1
+        led._seq = seq
 
 
 class Ledger:
@@ -356,7 +442,7 @@ class Ledger:
             frame.move(caller, target, value)
         ctx = CallContext(self, frame)
         state, effects, result = contract.handle(
-            frame.state_of(target), Msg(caller, method, args, value), ctx
+            frame.state_of(target), _new_record(Msg, (caller, method, args, value)), ctx
         )
         frame.set_state(target, state)
         for eff in effects:
@@ -398,8 +484,8 @@ class Ledger:
         self._seq += 1
 
     def events_jsonl(self) -> str:
-        """The whole log as JSON lines, one event per line."""
-        return "".join(e.to_json() + "\n" for e in self.events)
+        """The whole log as JSON lines, one event per line (:func:`encode_lines`)."""
+        return "".join(encode_lines(self.events))
 
     # --- snapshots ---------------------------------------------------------
 

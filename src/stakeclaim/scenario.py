@@ -38,11 +38,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import MISSING, dataclass, fields, replace
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
-from .beacon import BeaconContract, BeaconParams, ValidatorStatus, validator_by_id
+from .beacon import BeaconContract, BeaconParams, ValidatorStatus, exact_factor, validator_by_id
 from .errors import ContractError, InvalidScenario, InvariantViolation
 from .ledger import Ledger, replay_balances
 from .mint import MintConfig, MintContract
@@ -288,6 +290,49 @@ def _windows_for(schedule, j: int):
     return [w for w in schedule if w.validator in (None, j)]
 
 
+def _by_epoch(actions) -> dict[int, tuple]:
+    """epoch -> the actions scheduled for it, in their original order."""
+    out: dict[int, list] = {}
+    for a in actions:
+        out.setdefault(a.epoch, []).append(a)
+    return {e: tuple(acts) for e, acts in out.items()}
+
+
+# Bounds on a decimal-string performance factor, checked before Fraction
+# parses it: Fraction("1e-999999999") would build 10**999999999. A float's
+# decimal form (at most 24 characters, exponent within -324..308) is always
+# inside both.
+FACTOR_MAX_CHARS = 64
+FACTOR_MAX_EXPONENT = 400
+# The exponent of any string Fraction accepts (fractions._RATIONAL_FORMAT).
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def parse_factor(factor) -> int | Fraction:
+    """A window's factor as an exact int or Fraction (``exact_factor``).
+
+    Raises ValueError, with a message that starts with "factor", unless
+    `factor` is an int, a float, a Fraction or a decimal string within
+    FACTOR_MAX_CHARS characters and a decimal exponent within
+    +-FACTOR_MAX_EXPONENT. A bool is not a number here.
+    """
+    if type(factor) is str:
+        if len(factor) > FACTOR_MAX_CHARS:
+            raise ValueError(f"factor is a string of {len(factor)} characters, "
+                             f"longer than {FACTOR_MAX_CHARS}")
+        exp = _EXPONENT.search(factor)
+        if exp and abs(int(exp.group(1))) > FACTOR_MAX_EXPONENT:
+            raise ValueError(f"factor {factor!r} has a decimal exponent outside "
+                             f"-{FACTOR_MAX_EXPONENT}..{FACTOR_MAX_EXPONENT}")
+    elif type(factor) not in (int, float, Fraction):
+        raise ValueError(f"factor {factor!r} is not a number")
+    try:
+        exact = exact_factor(factor)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"factor {factor!r} is not a number") from None
+    return exact.numerator if exact.denominator == 1 else exact
+
+
 def _bad_int(v, lo: int, hi=None) -> bool:
     """True unless `v` is an int (never a bool) in [lo, hi]; hi None is unbounded."""
     return type(v) is not int or v < lo or (hi is not None and v > hi)
@@ -348,11 +393,10 @@ def validate(s: Scenario) -> list[str]:
     windows_ok = True
     for i, w in enumerate(s.operator_schedule):
         try:
-            f = w.factor if type(w.factor) is int else Fraction(str(w.factor))
-            if not (0 <= f <= 1):
+            if not 0 <= parse_factor(w.factor) <= 1:
                 out.append(f"operator_schedule[{i}]: factor {w.factor} outside [0, 1]")
-        except (ValueError, ZeroDivisionError):
-            out.append(f"operator_schedule[{i}]: factor {w.factor!r} is not a number")
+        except ValueError as exc:
+            out.append(f"operator_schedule[{i}]: {exc}")
         problems = len(out)
         if _bad_int(w.from_epoch, 0, last):
             out.append(f"operator_schedule[{i}]: from_epoch {w.from_epoch!r} "
@@ -566,6 +610,14 @@ class World:
             close_epoch=scenario.mint.close_epoch,
         )))
 
+        # Each validator's windows, in schedule order, with factors parsed once.
+        self._windows: list[list[tuple]] = [[] for _ in range(self.m)]
+        for w in scenario.operator_schedule:
+            window = (w.from_epoch, w.to_epoch, parse_factor(w.factor))
+            for j, windows in enumerate(self._windows):
+                if w.validator in (None, j):
+                    windows.append(window)
+
         self._prev_total = led.total_balance()
         self._prev_minted = led.minted_total
         self._prev_burned = led.burned_total
@@ -587,10 +639,23 @@ class World:
             self.ledger.advance_epoch()  # hook runs the sub-steps
         return self.report()
 
+    @cached_property
+    def _schedule(self) -> tuple[dict[int, tuple], ...]:
+        """Slashes, deposits, NFT transfers and claims, each by epoch.
+
+        Within an epoch, actions keep their list order. Built on the first
+        epoch a run executes rather than in __init__: only a run reads it,
+        and constructing a World stays as cheap as before.
+        """
+        s = self.scenario
+        return tuple(_by_epoch(actions)
+                     for actions in (s.slashes, s.deposits, s.nft_transfers, s.claims))
+
     def _epoch_substeps(self) -> None:
         led = self.ledger
         e = led.epoch
         s = self.scenario
+        slashes_at, deposits_at, transfers_at, claims_at = self._schedule
 
         # (1) accrual, then scheduled slashes
         if led.contract_state(BEACON).validators:
@@ -600,9 +665,7 @@ class World:
                 if wst.validator_id is not None:
                     perf[wst.validator_id] = self.factor_for(j, e)
             led.call(SYSTEM, BEACON, "accrue_epoch", {"performance": perf})
-        for sl in s.slashes:
-            if sl.epoch != e:
-                continue
+        for sl in slashes_at.get(e, ()):
             wst = led.contract_state(wallet_name(sl.validator))
             if wst.validator_id is None:
                 continue
@@ -646,16 +709,13 @@ class World:
                 and not mst.aborted and e >= s.mint.close_epoch
                 and mst.minted_total < s.target_total):
             led.call(SYSTEM, MINT, "abort", {})
-        for d in s.deposits:
-            if d.epoch == e:
-                self._try(d.holder, MINT, "mint", {}, value=d.amount, action="mint")
-        for tr in s.nft_transfers:
-            if tr.epoch == e:
-                self._try(tr.from_holder, MINT, "transfer_nft",
-                          {"token_id": tr.token_id, "to": tr.to}, action="transfer_nft")
-        for c in s.claims:
-            if c.epoch == e:
-                self._try(c.holder, TREASURY, "claim", {}, action="claim")
+        for d in deposits_at.get(e, ()):
+            self._try(d.holder, MINT, "mint", {}, value=d.amount, action="mint")
+        for tr in transfers_at.get(e, ()):
+            self._try(tr.from_holder, MINT, "transfer_nft",
+                      {"token_id": tr.token_id, "to": tr.to}, action="transfer_nft")
+        for c in claims_at.get(e, ()):
+            self._try(c.holder, TREASURY, "claim", {}, action="claim")
         mst = led.contract_state(MINT)
         tst = led.contract_state(TREASURY)
         if (tst.phase is Phase.FUNDRAISING and not mst.aborted
@@ -675,12 +735,15 @@ class World:
                 "action": action, "caller": caller, "reason": type(exc).__name__,
             })
 
-    def factor_for(self, j: int, epoch: int):
-        """Performance factor for validator index j at an epoch; default 1."""
-        for w in self.scenario.operator_schedule:
-            if w.validator in (None, j) and w.from_epoch <= epoch \
-                    and (w.to_epoch is None or epoch < w.to_epoch):
-                return w.factor
+    def factor_for(self, j: int, epoch: int) -> int | Fraction:
+        """Performance factor for validator index j at an epoch; default 1.
+
+        The first window in schedule order that covers the epoch wins; its
+        factor is the exact value :func:`parse_factor` gives.
+        """
+        for start, end, factor in self._windows[j]:
+            if start <= epoch and (end is None or epoch < end):
+                return factor
         return 1
 
     # --- live invariants -----------------------------------------------------

@@ -36,9 +36,8 @@ or reversing. An aborted raise refunds depositors and simply never leaves
 Fundraising.
 
 The master conservation check is :func:`balance_identity`: at rest, the
-treasury's ledger balance always equals principal + reward_pool +
-sum(claimable) + pending + dust + escrow_balance + operator_fees_accrued,
-where pending = sum(accrued(i) - paid[i]) is credit not yet settled to an
+treasury's ledger balance always equals principal + sum(claimable) +
+pending + dust + escrow_balance + operator_fees_accrued, where pending = sum(accrued(i) - paid[i]) is credit not yet settled to an
 owner. The holder part reduces exactly to ``sum(claimable) + N -
 sum(paid)``, which is what is computed; a checkpoint or a claimable entry
 off by one unit breaks it.
@@ -141,7 +140,6 @@ class TreasuryState:
     sum_capital: int = 0
     principal: int = 0
     principal_staked: int = 0
-    reward_pool: int = 0
     operator_fees_accrued: int = 0
     fees_claimed_total: int = 0
     claimable: dict[str, int] = field(default_factory=dict)   # settled, unclaimed
@@ -164,7 +162,6 @@ class TreasuryState:
             sum_capital=self.sum_capital,
             principal=self.principal,
             principal_staked=self.principal_staked,
-            reward_pool=self.reward_pool,
             operator_fees_accrued=self.operator_fees_accrued,
             fees_claimed_total=self.fees_claimed_total,
             claimable=dict(self.claimable),
@@ -187,7 +184,7 @@ def balance_identity(state: TreasuryState) -> int:
 
     sum(claimable) + pending + dust == sum(claimable) + N - sum(paid).
     """
-    return (state.principal + state.reward_pool + sum(state.claimable.values())
+    return (state.principal + sum(state.claimable.values())
             + state.net_total - sum(state.paid.values())
             + state.escrow_balance + state.operator_fees_accrued)
 

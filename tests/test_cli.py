@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,16 @@ class TestRun:
         err = capsys.readouterr().err
         for field in ("treasury.fee_bps", "deposits[1].epoch", "horizon"):
             assert field in err
+
+    def test_huge_factor_exponent_exit_1_quickly(self, tmp_path, capsys):
+        doc = json.loads(sc.golden_scenario_path("honest").read_text())
+        doc["operator_schedule"] = [{"from_epoch": 0, "factor": "1e-999999999"}]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        assert run_cli("run", "--scenario", str(bad), "--out", str(tmp_path / "o")) == 1
+        assert time.perf_counter() - t0 < 1
+        assert "decimal exponent outside -400..400" in capsys.readouterr().err
 
     def test_undecodable_file_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +23,12 @@ from stakeclaim.errors import (
 from stakeclaim.ledger import (
     Call,
     Emit,
+    Event,
     Issue,
     Ledger,
     Msg,
     Transfer,
+    encode_lines,
     replay_balances,
 )
 
@@ -95,6 +98,11 @@ class Counter:
             return state, [Issue(msg.args["amount"], "test")], None
         if msg.method == "recurse":
             return state + 1, [Call(msg.args["self"], "recurse", msg.args)], None
+        if msg.method == "call_bare":
+            return state, [Call(msg.args["peer"], "scribble")], None
+        if msg.method == "scribble":
+            msg.args["scribbled"] = True
+            return state, [], dict(msg.args)
         raise ContractError(f"no method {msg.method}")
 
 
@@ -166,6 +174,16 @@ class TestDispatch:
         assert w.ledger.snapshot() == snap
         assert not issubclass(UnknownMethod, InvalidAmount)
 
+    def test_default_call_args_are_never_shared(self):
+        # The callee gets its own copy of Call's default args; scribbling on
+        # it leaves the default empty for every later Call.
+        led = dispatch_ledger()
+        led.call("user", "c1", "call_bare", {"peer": "c2"})
+        led.call("user", "c1", "call_bare", {"peer": "c2"})
+        assert Call("c2", "scribble").args == {}
+        with pytest.raises(TypeError):
+            Call("c2", "scribble").args["x"] = 1
+
     def test_issue_restricted_to_issuers(self):
         led = dispatch_ledger()
         with pytest.raises(Unauthorized):
@@ -225,6 +243,77 @@ class TestEventLog:
         with pytest.raises(ContractError):
             led.call("user", "c1", "boom")
         assert len(led.events) == before
+
+
+class Name(str):
+    """A str subclass: json writes it as the string it holds."""
+
+
+json_text = st.text(max_size=6) | st.text(max_size=6).map(Name) \
+    | st.sampled_from(["amount", "to", "é", "\u2028", "\x00\x1f", '"\\', "💸"])
+json_scalars = (st.none() | st.booleans() | st.integers() | st.floats() | json_text
+                | st.integers(min_value=-2 ** 70, max_value=2 ** 70))
+json_keys = json_text | st.integers(min_value=-5, max_value=5) | st.booleans() | st.none()
+payloads = st.dictionaries(
+    json_keys,
+    st.recursive(json_scalars,
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(json_keys, inner, max_size=3),
+                 max_leaves=6),
+    max_size=4)
+flat_payloads = st.dictionaries(json_text, st.integers() | json_text, max_size=4)
+
+
+def dumps_line(e: Event) -> str:
+    return json.dumps({"epoch": e.epoch, "seq": e.seq, "emitter": e.emitter,
+                       "tag": e.tag, "payload": e.payload}, separators=(",", ":"))
+
+
+class TestEventEncoding:
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(st.sampled_from(["a", "é", Name("a")]),
+                              st.sampled_from(["Transfer", "Tag\u00e9", "x\n"]),
+                              payloads | flat_payloads),
+                    max_size=8),
+           st.integers(min_value=0, max_value=10 ** 9))
+    def test_lines_equal_json_dumps(self, entries, epoch):
+        # Several events per call, so one payload's cached keys and strings
+        # serve the next ones.
+        events = [Event(epoch, seq, em, tag, p) for seq, (em, tag, p) in enumerate(entries)]
+        lines = encode_lines(events)
+        assert lines == [dumps_line(e) + "\n" for e in events]
+        assert [e.to_json() for e in events] == [line[:-1] for line in lines]
+
+    @settings(max_examples=100)
+    @given(st.lists(st.tuples(st.sampled_from(["a", "b"]), st.text(max_size=4),
+                              payloads | flat_payloads), max_size=6))
+    def test_events_jsonl_is_each_events_to_json(self, entries):
+        led = fresh_ledger(a=5, b=0)
+        for emitter, tag, payload in entries:
+            led.emit(emitter, tag, payload)
+            led.advance_epoch()
+        assert led.events_jsonl() == "".join(e.to_json() + "\n" for e in led.events)
+        assert led.events_jsonl() == "".join(dumps_line(e) + "\n" for e in led.events)
+
+    def test_circular_payload_still_rejected(self):
+        p: dict = {"self": []}
+        p["self"].append(p)
+        with pytest.raises(ValueError, match="Circular reference"):
+            Event(0, 0, "a", "Loop", p).to_json()
+
+    def test_records_survive_snapshot_and_pickle(self):
+        led = dispatch_ledger()
+        led.call("user", "c1", "poke", value=3)
+        snap = led.snapshot()
+        jsonl = led.events_jsonl()
+        led.call("user", "c1", "poke")
+        led.restore(snap)
+        assert led.events_jsonl() == jsonl
+        assert all(type(e) is Event for e in led.events)
+        for record in (Msg("a", "m", {"k": 1}), Transfer("a", 1), Emit("T", {}),
+                       Call("a", "m"), Issue(1, "x"), led.events[-1]):
+            assert pickle.loads(pickle.dumps(record)) == record
+        assert pickle.loads(pickle.dumps(Call("a", "m"))).args is Call("a", "m").args
 
 
 class TestConservation:

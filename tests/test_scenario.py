@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +95,34 @@ class TestValidate:
     def test_factor_out_of_range(self):
         s = small_scenario(operator_schedule=(BehaviorWindow(from_epoch=0, factor=1.5),))
         assert any("factor 1.5" in v for v in validate(s))
+
+    def test_factor_bounded_before_it_is_parsed(self):
+        # Fraction("1e-999999999") would build 10**999999999 and stall.
+        bad = ("1e-999999999", "1E+401", "0." + "1" * 70, [0.5], True, None, "1/0", "nan")
+        s = small_scenario(operator_schedule=tuple(
+            BehaviorWindow(from_epoch=i, to_epoch=i + 1, factor=f) for i, f in enumerate(bad)))
+        t0 = time.perf_counter()
+        violations = validate(s)
+        assert time.perf_counter() - t0 < 1
+        assert len(violations) == len(bad), violations
+        assert "operator_schedule[0]: factor '1e-999999999' has a decimal exponent " \
+               "outside -400..400" in violations
+        assert "operator_schedule[2]: factor is a string of 72 characters, " \
+               "longer than 64" in violations
+        for i in (3, 4, 5, 6, 7):
+            assert f"operator_schedule[{i}]: factor {bad[i]!r} is not a number" in violations
+
+    def test_factor_within_bounds_is_exact(self):
+        ok = ("1e-400", "4e-1", 0.29, 1.0, 1, Fraction(1, 3), " 25E-2 ", "-0")
+        s = small_scenario(operator_schedule=tuple(
+            BehaviorWindow(from_epoch=i, to_epoch=i + 1, factor=f) for i, f in enumerate(ok)))
+        assert validate(s) == []
+        w = World(s)
+        assert [w.factor_for(0, i) for i in range(len(ok))] == [
+            Fraction(1, 10 ** 400), Fraction(2, 5), Fraction(29, 100), 1, 1,
+            Fraction(1, 3), Fraction(1, 4), 0]
+        assert [type(w.factor_for(0, i)) for i in (3, 4, 7)] == [int] * 3
+        assert w.factor_for(0, len(ok)) == 1     # no window: full performance
 
     def test_deposit_beyond_horizon(self):
         s = small_scenario(deposits=(DepositAction("alice", 6400, 99),))
@@ -395,6 +425,22 @@ class TestLifecycleVariants:
         for h in report.holders:
             assert h.claimed + h.claimable == credit[h.holder]
             assert h.claimed > 0
+
+    def test_same_epoch_actions_keep_their_order(self):
+        # The second transfer needs the first. Carol holds token 0 only
+        # within epoch 6, so her claim finds nothing.
+        s = small_scenario(
+            nft_transfers=(NftTransferAction(0, "alice", "carol", 6),
+                           NftTransferAction(0, "carol", "bob", 6)),
+            claims=(ClaimAction("carol", 6), ClaimAction("bob", 6)))
+        report = sc.run(s)
+        by_name = {h.holder: h for h in report.holders}
+        assert by_name["bob"].capital == 6400
+        assert by_name["bob"].claimed > 0 and by_name["carol"].claimed == 0
+        rejected = [json.loads(line)["payload"] for line in report.events_jsonl.splitlines()
+                    if '"ActionRejected"' in line]
+        assert rejected == [{"action": "claim", "caller": "carol",
+                             "reason": "NothingToClaim"}]
 
     def test_slash_before_activation_is_skipped(self):
         s = small_scenario(slashes=(SlashAction(epoch=0, validator=0,
