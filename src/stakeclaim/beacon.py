@@ -22,12 +22,12 @@ without polling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .errors import InvalidAmount, InvalidFactor, NotActive, Unauthorized, UnknownMethod, UnknownValidator, WrongAmount, WrongStatus
-from .ledger import AddressKind, Call, CallContext, Destroy, Emit, Issue, Msg, Transfer
+from .errors import InvalidAmount, InvalidFactor, NotActive, Unauthorized, UnknownValidator, WrongAmount, WrongStatus
+from .ledger import AddressKind, Call, CallContext, Destroy, Emit, Handlers, Issue, Msg, Transfer, evolve
 
 
 class ValidatorStatus(Enum):
@@ -70,11 +70,8 @@ class BeaconValidator:
 
 @dataclass
 class BeaconState:
-    validators: list[BeaconValidator] = field(default_factory=list)
+    validators: list[BeaconValidator] = field(default_factory=list)   # id == list index
     next_id: int = 0
-
-    def clone(self) -> "BeaconState":
-        return BeaconState(list(self.validators), self.next_id)
 
 
 def exact_factor(factor) -> int | Fraction:
@@ -98,7 +95,18 @@ def exact_floor(amount: int, factor) -> int:
     return (amount * frac.numerator) // frac.denominator
 
 
-class BeaconContract:
+def validator_by_id(state: BeaconState, vid: int) -> BeaconValidator:
+    """Validator `vid`'s record: ids are list positions by construction.
+
+    Anything but an int in 0..len-1 raises UnknownValidator; without the
+    bounds check, -1 would index the last validator.
+    """
+    if not isinstance(vid, int) or not 0 <= vid < len(state.validators):
+        raise UnknownValidator(f"no validator with id {vid}")
+    return state.validators[vid]
+
+
+class BeaconContract(Handlers):
     """Message handler for the consensus layer.
 
     Per-epoch operations (accrue_epoch, sweep, slash) are restricted to the
@@ -106,18 +114,14 @@ class BeaconContract:
     withdrawal address or the validator's signing-capability holder.
     """
 
+    kind = "beacon"
+
     def __init__(self, params: BeaconParams, driver: str):
         self.params = params
         self.driver = driver
 
     def initial_state(self) -> BeaconState:
         return BeaconState()
-
-    def handle(self, state: BeaconState, msg: Msg, ctx: CallContext):
-        method = getattr(self, "_op_" + msg.method, None)
-        if method is None:
-            raise UnknownMethod(f"beacon has no method {msg.method!r}")
-        return method(state, msg, ctx)
 
     # --- operations -----------------------------------------------------
 
@@ -128,17 +132,16 @@ class BeaconContract:
         wa = msg.args["withdrawal_address"]
         operator = msg.args["operator"]
         ctx.kind_of(wa)  # raises UnknownAddress for unregistered targets
-        st = state.clone()
-        vid = st.next_id
-        st.next_id += 1
-        st.validators.append(BeaconValidator(
+        vid = state.next_id
+        record = BeaconValidator(
             id=vid,
             withdrawal_address=wa,
             operator=operator,
             balance=msg.value,
             status=ValidatorStatus.PENDING,
             activation_epoch=ctx.epoch + self.params.activation_delay,
-        ))
+        )
+        st = evolve(state, validators=[*state.validators, record], next_id=vid + 1)
         effects = [Emit("DepositAccepted", {
             "id": vid, "withdrawal_address": wa, "from": msg.caller,
             "activation_epoch": ctx.epoch + self.params.activation_delay,
@@ -156,24 +159,24 @@ class BeaconContract:
         """
         self._require_driver(msg)
         performance = msg.args.get("performance", {})
-        st = state.clone()
+        validators = list(state.validators)
         effects = []
         now = ctx.epoch
 
-        for i, v in enumerate(st.validators):
+        for i, v in enumerate(validators):
             if v.status is ValidatorStatus.PENDING and v.activation_epoch <= now:
-                st.validators[i] = replace(v, status=ValidatorStatus.ACTIVE)
+                validators[i] = evolve(v, status=ValidatorStatus.ACTIVE)
                 effects.append(Emit("Activated", {"id": v.id}))
                 if ctx.kind_of(v.withdrawal_address) is AddressKind.CONTRACT:
                     effects.append(Call(v.withdrawal_address, "on_validator_activated",
                                         {"validator_id": v.id}))
             elif v.status is ValidatorStatus.EXITING and v.exit_epoch is not None \
                     and v.exit_epoch <= now:
-                st.validators[i] = replace(v, status=ValidatorStatus.WITHDRAWABLE)
+                validators[i] = evolve(v, status=ValidatorStatus.WITHDRAWABLE)
 
         minted = 0
         amounts = []
-        for i, v in enumerate(st.validators):
+        for i, v in enumerate(validators):
             if v.status is not ValidatorStatus.ACTIVE:
                 continue
             factor = performance.get(v.id, 1)
@@ -182,14 +185,14 @@ class BeaconContract:
                 raise InvalidFactor(f"performance factor {factor} outside [0, 1]")
             reward = exact_floor(self.params.reward_per_epoch, frac)
             if reward:
-                st.validators[i] = replace(v, balance=v.balance + reward)
+                validators[i] = evolve(v, balance=v.balance + reward)
                 minted += reward
             amounts.append([v.id, reward])
         if minted:
             effects.append(Issue(minted, "epoch rewards"))
         if amounts:
             effects.append(Emit("EpochAccrual", {"minted": minted, "amounts": amounts}))
-        return st, effects, minted
+        return evolve(state, validators=validators), effects, minted
 
     def _op_slash(self, state: BeaconState, msg: Msg, ctx: CallContext):
         self._require_driver(msg)
@@ -197,18 +200,14 @@ class BeaconContract:
         bps = msg.args["fraction_bps"]
         if not (0 < bps <= 10_000):
             raise InvalidAmount(f"slash fraction {bps} bps outside (0, 10000]")
-        st = state.clone()
-        i = self._index_of(st, vid)
-        v = st.validators[i]
+        v = validator_by_id(state, vid)
         if v.status is not ValidatorStatus.ACTIVE:
             raise NotActive(f"validator {vid} is {v.status.value}")
         burned = (v.balance * bps) // 10_000
-        st.validators[i] = replace(
-            v,
-            balance=v.balance - burned,
-            status=ValidatorStatus.EXITING,
-            exit_epoch=ctx.epoch + self.params.exit_delay,
-        )
+        validators = list(state.validators)
+        validators[vid] = evolve(v, balance=v.balance - burned, status=ValidatorStatus.EXITING,
+                                 exit_epoch=ctx.epoch + self.params.exit_delay)
+        st = evolve(state, validators=validators)
         effects = []
         if burned:
             effects.append(Destroy(burned, f"slash validator {vid}"))
@@ -223,16 +222,16 @@ class BeaconContract:
 
     def _op_request_exit(self, state: BeaconState, msg: Msg, ctx: CallContext):
         vid = msg.args["validator_id"]
-        st = state.clone()
-        i = self._index_of(st, vid)
-        v = st.validators[i]
+        v = validator_by_id(state, vid)
         if msg.caller not in (v.withdrawal_address, v.operator):
             raise Unauthorized(
                 f"{msg.caller} may not exit validator {vid}")
         if v.status is not ValidatorStatus.ACTIVE:
             raise WrongStatus(f"validator {vid} is {v.status.value}")
         exit_epoch = ctx.epoch + self.params.exit_delay
-        st.validators[i] = replace(v, status=ValidatorStatus.EXITING, exit_epoch=exit_epoch)
+        validators = list(state.validators)
+        validators[vid] = evolve(v, status=ValidatorStatus.EXITING, exit_epoch=exit_epoch)
+        st = evolve(state, validators=validators)
         effects = [Emit("ExitRequested", {"id": vid, "by": msg.caller,
                                           "exit_epoch": exit_epoch})]
         return st, effects, exit_epoch
@@ -247,21 +246,21 @@ class BeaconContract:
         self._require_driver(msg)
         if ctx.epoch % self.params.sweep_period != 0:
             return state, [], 0
-        st = state.clone()
+        validators = list(state.validators)
         effects = []
         total = 0
-        for i, v in enumerate(st.validators):
+        for i, v in enumerate(validators):
             if v.status is ValidatorStatus.ACTIVE:
                 excess = v.balance - self.params.stake_requirement
                 if excess > 0:
-                    st.validators[i] = replace(v, balance=self.params.stake_requirement)
+                    validators[i] = evolve(v, balance=self.params.stake_requirement)
                     effects.append(Transfer(v.withdrawal_address, excess))
                     effects.append(Emit("Swept", {"id": v.id, "to": v.withdrawal_address,
                                                   "amount": excess, "kind": "rewards"}))
                     total += excess
             elif v.status is ValidatorStatus.WITHDRAWABLE:
                 amount = v.balance
-                st.validators[i] = replace(v, balance=0, status=ValidatorStatus.WITHDRAWN)
+                validators[i] = evolve(v, balance=0, status=ValidatorStatus.WITHDRAWN)
                 if amount > 0:
                     effects.append(Transfer(v.withdrawal_address, amount))
                 effects.append(Emit("Swept", {"id": v.id, "to": v.withdrawal_address,
@@ -271,24 +270,10 @@ class BeaconContract:
                     effects.append(Call(v.withdrawal_address, "on_exit_swept",
                                         {"validator_id": v.id, "amount": amount}))
                 total += amount
-        return st, effects, total
+        return evolve(state, validators=validators), effects, total
 
     # --- helpers ----------------------------------------------------------
 
     def _require_driver(self, msg: Msg) -> None:
         if msg.caller != self.driver:
             raise Unauthorized(f"{msg.caller} is not the protocol driver")
-
-    @staticmethod
-    def _index_of(state: BeaconState, vid: int) -> int:
-        for i, v in enumerate(state.validators):
-            if v.id == vid:
-                return i
-        raise UnknownValidator(f"no validator with id {vid}")
-
-
-def validator_by_id(state: BeaconState, vid: int) -> BeaconValidator:
-    for v in state.validators:
-        if v.id == vid:
-            return v
-    raise UnknownValidator(f"no validator with id {vid}")

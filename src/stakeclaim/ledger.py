@@ -10,6 +10,17 @@ atomicity trivial: a call tree executes against a buffered frame that is
 committed only if every step succeeds, so any revert leaves the chain
 bit-identical to its pre-call state.
 
+The handler contract, which every contract in this package keeps:
+
+* A handler never mutates the state it receives, whether it returns or
+  raises. That state may be the committed one, so an in-place write would
+  survive a revert.
+* New states are shallow copies (:func:`evolve`) that share every field
+  with the state they came from, so a handler copies a dict or list field
+  before writing to it and leaves the fields it does not write shared.
+* Logged payloads are read-only once emitted. ``Call`` events share one
+  payload dict per (caller, target, method) across the whole log.
+
 Design constraints honoured throughout:
 
 * Amounts are non-negative integers in a fixed base unit. No floats touch
@@ -26,16 +37,17 @@ Records are immutable, picklable named tuples: :class:`Event` for log
 entries, :class:`Msg` for inbound messages, and :class:`Transfer`,
 :class:`Emit`, :class:`Call`, :class:`Issue` and :class:`Destroy` for
 effects. One is built per event, message and effect, so they are kept
-cheap. Effects are told apart by class, never by comparing them: as
+cheap. Effects are told apart by exact class, never by comparing them: as
 tuples, ``Issue(5, "x") == Destroy(5, "x")``.
 
 The log serialises one event per line, each line exactly
 ``json.dumps({"epoch", "seq", "emitter", "tag", "payload"},
 separators=(",", ":"))``; :func:`encode_lines` is the one line builder,
 used by :meth:`Ledger.events_jsonl` and :meth:`Event.to_json`. It writes
-flat payloads from cached encodings and hands anything else to a single
-JSON encoder, so the bytes, and every digest over them, are those of
-``json.dumps``.
+flat payloads and lists of int lists from cached encodings, encodes a
+payload object shared by several events once, and hands anything else to
+a single JSON encoder, so the bytes, and every digest over them, are those
+of ``json.dumps``.
 
 A ledger instance is single-threaded but self-contained; independent
 instances can run in parallel threads or processes.
@@ -58,6 +70,7 @@ from .errors import (
     Unauthorized,
     UnknownAddress,
     UnknownContract,
+    UnknownMethod,
 )
 
 CALL_DEPTH_LIMIT = 8
@@ -96,14 +109,19 @@ def encode_lines(events) -> list[str]:
     with no spaces, exactly ``json.dumps`` of that dict with
     ``separators=(",", ":")``: this format is the regression surface.
     epoch and seq are the ledger's ints. The part from ``"emitter"`` to
-    ``"payload":`` is encoded once per str (emitter, tag) pair. A flat
-    payload (str keys, values of exact type int or str) is written from
-    encoded keys and strings cached for this call; any other payload goes
-    through the JSON encoder. The caches live only as long as the call.
+    ``"payload":`` is encoded once per str (emitter, tag) pair. ``Call``
+    payloads, which the ledger shares one per route, are encoded once per
+    object: the encoding is cached by id next to the payload itself, so the
+    id cannot be reused while cached. Other payloads are mostly one-off and
+    are not kept. A flat payload (str keys, values of exact type int or
+    str, or lists of lists of exact ints) is written from encoded keys and
+    strings cached for this call; any other payload goes through the JSON
+    encoder. The caches live only as long as the call.
     """
     heads: dict = {}
     keys: dict = {}
     strs: dict = {}
+    calls: dict = {}
     out = []
     for epoch, seq, emitter, tag, payload in events:
         head = heads.get((emitter, tag))
@@ -111,29 +129,50 @@ def encode_lines(events) -> list[str]:
             head = f',"emitter":{_encode(emitter)},"tag":{_encode(tag)},"payload":'
             if type(emitter) is str and type(tag) is str:
                 heads[(emitter, tag)] = head
-        if type(payload) is dict:
-            parts = []
-            for k, v in payload.items():
-                ek = keys.get(k)
-                if ek is None:
-                    if type(k) is not str:
+        cached = calls.get(id(payload))
+        if cached is not None:
+            body = cached[1]
+        else:
+            body = None
+            if type(payload) is dict:
+                parts = []
+                for k, v in payload.items():
+                    ek = keys.get(k)
+                    if ek is None:
+                        if type(k) is not str:
+                            break
+                        ek = keys[k] = encode_basestring_ascii(k) + ":"
+                    t = type(v)
+                    if t is int:
+                        parts.append(ek + str(v))
+                    elif t is str:
+                        ev = strs.get(v)
+                        if ev is None:
+                            ev = strs[v] = encode_basestring_ascii(v)
+                        parts.append(ek + ev)
+                    elif t is list and _int_rows(v):
+                        parts.append(ek + str(v).replace(" ", ""))
+                    else:
                         break
-                    ek = keys[k] = encode_basestring_ascii(k) + ":"
-                t = type(v)
-                if t is int:
-                    parts.append(ek + str(v))
-                elif t is str:
-                    ev = strs.get(v)
-                    if ev is None:
-                        ev = strs[v] = encode_basestring_ascii(v)
-                    parts.append(ek + ev)
                 else:
-                    break
-            else:
-                out.append(f'{{"epoch":{epoch},"seq":{seq}{head}{{{",".join(parts)}}}}}\n')
-                continue
-        out.append(f'{{"epoch":{epoch},"seq":{seq}{head}{_encode(payload)}}}\n')
+                    body = "{" + ",".join(parts) + "}"
+            if body is None:
+                body = _encode(payload)
+            if tag == "Call":
+                calls[id(payload)] = (payload, body)
+        out.append(f'{{"epoch":{epoch},"seq":{seq}{head}{body}}}\n')
     return out
+
+
+def _int_rows(v: list) -> bool:
+    """True if `v` is a list of lists of exact ints: str(v) less spaces is its JSON."""
+    for row in v:
+        if type(row) is not list:
+            return False
+        for x in row:
+            if type(x) is not int:
+                return False
+    return True
 
 
 class Msg(NamedTuple):
@@ -221,18 +260,58 @@ class Contract(Protocol):
     def handle(self, state: Any, msg: Msg, ctx: "CallContext") -> HandlerResult: ...
 
 
-class CallContext:
-    """Read-only view handed to handlers: the clock plus frame-aware reads."""
+class Handlers:
+    """Base of contracts whose method ``m`` is handled by ``_op_m``.
 
-    __slots__ = ("_ledger", "_frame")
+    The method table is built once per class, and :meth:`handle` is the one
+    dispatcher: it raises UnknownMethod for any method not in the table.
+    ``kind`` names the contract in that error.
+    """
+
+    kind = "contract"
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._ops = {name[4:]: getattr(cls, name)
+                    for name in dir(cls) if name.startswith("_op_")}
+
+    def handle(self, state: Any, msg: Msg, ctx: "CallContext") -> HandlerResult:
+        op = self._ops.get(msg.method)
+        if op is None:
+            raise UnknownMethod(f"{self.kind} has no method {msg.method!r}")
+        return op(self, state, msg, ctx)
+
+
+_new_object = object.__new__
+
+
+def evolve(obj, **changes):
+    """A shallow copy of `obj` with `changes` applied to its fields.
+
+    The one state copy of every handler. The copy shares each field not in
+    `changes` with `obj`, so a handler copies a dict or list field before
+    writing to it. It writes the instance dict directly, so it also copies
+    frozen dataclasses, and it runs no __init__ or __post_init__.
+    """
+    new = _new_object(type(obj))
+    d = new.__dict__
+    d.update(obj.__dict__)
+    d.update(changes)
+    return new
+
+
+class CallContext:
+    """Read-only view handed to handlers: the clock plus frame-aware reads.
+
+    One per call tree; the epoch cannot move while a tree runs.
+    """
+
+    __slots__ = ("epoch", "_ledger", "_frame")
 
     def __init__(self, ledger: "Ledger", frame: "_TxFrame"):
+        self.epoch = ledger.epoch
         self._ledger = ledger
         self._frame = frame
-
-    @property
-    def epoch(self) -> int:
-        return self._ledger.epoch
 
     def balance_of(self, name: str) -> int:
         return self._frame.balance_of(name)
@@ -242,15 +321,24 @@ class CallContext:
 
 
 class _TxFrame:
-    """Buffered writes for one call tree. Commit applies; drop reverts."""
+    """Buffered writes for one call tree. Commit applies; drop reverts.
+
+    Events are built as the tree runs, numbered on from the ledger's next
+    seq: nothing else appends to the log while a tree runs.
+    """
+
+    __slots__ = ("_ledger", "_balances", "_states", "_events",
+                 "_minted", "_burned", "_epoch", "_seq")
 
     def __init__(self, ledger: "Ledger"):
         self._ledger = ledger
         self._balances: dict[str, int] = {}
         self._states: dict[str, Any] = {}
-        self._events: list[tuple[str, str, dict]] = []
+        self._events: list[Event] = []
         self._minted = 0
         self._burned = 0
+        self._epoch = ledger.epoch
+        self._seq = ledger._seq
 
     def balance_of(self, name: str) -> int:
         if name not in self._ledger._kinds:
@@ -258,14 +346,6 @@ class _TxFrame:
         if name in self._balances:
             return self._balances[name]
         return self._ledger._balances[name]
-
-    def state_of(self, name: str) -> Any:
-        if name in self._states:
-            return self._states[name]
-        return self._ledger._states[name]
-
-    def set_state(self, name: str, state: Any) -> None:
-        self._states[name] = state
 
     def move(self, src: str, dst: str, amount: int) -> None:
         if amount <= 0:
@@ -301,7 +381,9 @@ class _TxFrame:
         self.log(name, "SupplyBurn", {"from": name, "amount": amount, "memo": memo})
 
     def log(self, emitter: str, tag: str, payload: dict) -> None:
-        self._events.append((emitter, tag, payload))
+        events = self._events
+        events.append(_new_record(
+            Event, (self._epoch, self._seq + len(events), emitter, tag, payload)))
 
     def commit(self) -> None:
         led = self._ledger
@@ -309,12 +391,8 @@ class _TxFrame:
         led._states.update(self._states)
         led.minted_total += self._minted
         led.burned_total += self._burned
-        epoch, seq = led.epoch, led._seq
-        append = led.events.append
-        for emitter, tag, payload in self._events:
-            append(_new_record(Event, (epoch, seq, emitter, tag, payload)))
-            seq += 1
-        led._seq = seq
+        led.events += self._events
+        led._seq += len(self._events)
 
 
 class Ledger:
@@ -337,6 +415,8 @@ class Ledger:
         self.burned_total = 0
         self._seq = 0
         self._hooks: list[Callable[[], None]] = []
+        # (caller, target, method) -> the one shared payload of its Call events
+        self._call_payloads: dict[tuple[str, str, str], dict] = {}
 
     # --- registration -------------------------------------------------
 
@@ -426,38 +506,46 @@ class Ledger:
         if caller not in self._kinds:
             raise UnknownAddress(caller)
         frame = _TxFrame(self)
-        result = self._dispatch(frame, caller, target, method, dict(args or {}), value, 0)
+        result = self._dispatch(CallContext(self, frame), caller, target, method,
+                                dict(args or {}), value, 0)
         frame.commit()
         return result
 
-    def _dispatch(self, frame: _TxFrame, caller: str, target: str, method: str,
+    def _dispatch(self, ctx: CallContext, caller: str, target: str, method: str,
                   args: dict, value: int, depth: int) -> Any:
         if depth > CALL_DEPTH_LIMIT:
             raise ReentrancyLimitExceeded(f"call depth exceeded {CALL_DEPTH_LIMIT}")
         contract = self._contracts.get(target)
         if contract is None:
             raise UnknownContract(target)
-        frame.log(caller, "Call", {"caller": caller, "target": target, "method": method})
+        frame = ctx._frame
+        log = frame.log
+        key = (caller, target, method)
+        payload = self._call_payloads.get(key)
+        if payload is None:
+            payload = self._call_payloads[key] = {
+                "caller": caller, "target": target, "method": method}
+        log(caller, "Call", payload)
         if value:
             frame.move(caller, target, value)
-        ctx = CallContext(self, frame)
-        state, effects, result = contract.handle(
-            frame.state_of(target), _new_record(Msg, (caller, method, args, value)), ctx
-        )
-        frame.set_state(target, state)
+        states = frame._states
+        state = states[target] if target in states else self._states[target]
+        states[target], effects, result = contract.handle(
+            state, _new_record(Msg, (caller, method, args, value)), ctx)
         for eff in effects:
-            if isinstance(eff, Transfer):
-                frame.move(target, eff.to, eff.amount)
-            elif isinstance(eff, Emit):
-                frame.log(target, eff.tag, eff.payload)
-            elif isinstance(eff, Call):
-                self._dispatch(frame, target, eff.target, eff.method,
+            kind = type(eff)
+            if kind is Emit:
+                log(target, eff.tag, eff.payload)
+            elif kind is Call:
+                self._dispatch(ctx, target, eff.target, eff.method,
                                dict(eff.args), eff.value, depth + 1)
-            elif isinstance(eff, Issue):
+            elif kind is Transfer:
+                frame.move(target, eff.to, eff.amount)
+            elif kind is Issue:
                 if target not in self._issuers:
                     raise Unauthorized(f"{target} is not an issuer")
                 frame.issue(target, eff.amount, eff.memo)
-            elif isinstance(eff, Destroy):
+            elif kind is Destroy:
                 if target not in self._issuers:
                     raise Unauthorized(f"{target} is not an issuer")
                 frame.destroy(target, eff.amount, eff.memo)

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BelowMinimum, ExceedsCapacity, MintClosed, NotOwner, UnknownMethod, UnknownToken, WrongStatus
-from .ledger import Call, CallContext, Emit, Msg, Transfer
+from .errors import BelowMinimum, ExceedsCapacity, MintClosed, NotOwner, UnknownToken, WrongStatus
+from .ledger import Call, CallContext, Emit, Handlers, Msg, Transfer, evolve
 
 
 @dataclass(frozen=True)
@@ -55,25 +55,17 @@ class MintState:
     next_token_id: int = 0
     aborted: bool = False
 
-    def clone(self) -> "MintState":
-        return MintState(dict(self.owners), self.minted_total,
-                         self.next_token_id, self.aborted)
 
-
-class MintContract:
+class MintContract(Handlers):
     """Handler for mint, NFT transfer, and under-fill abort messages."""
+
+    kind = "mint"
 
     def __init__(self, config: MintConfig):
         self.config = config
 
     def initial_state(self) -> MintState:
         return MintState()
-
-    def handle(self, state: MintState, msg: Msg, ctx: CallContext):
-        method = getattr(self, "_op_" + msg.method, None)
-        if method is None:
-            raise UnknownMethod(f"mint has no method {msg.method!r}")
-        return method(state, msg, ctx)
 
     def _op_mint(self, state: MintState, msg: Msg, ctx: CallContext):
         """Exchange the attached value for a new token; returns the token id."""
@@ -86,11 +78,10 @@ class MintContract:
                 f"(minted {state.minted_total}); rejected whole")
         if msg.value < cfg.min_contribution:
             raise BelowMinimum(f"contribution {msg.value} below minimum {cfg.min_contribution}")
-        st = state.clone()
-        token_id = st.next_token_id
-        st.next_token_id += 1
-        st.owners[token_id] = msg.caller
-        st.minted_total += msg.value
+        token_id = state.next_token_id
+        st = evolve(state, owners={**state.owners, token_id: msg.caller},
+                    minted_total=state.minted_total + msg.value,
+                    next_token_id=token_id + 1)
         effects = [
             Transfer(cfg.treasury, msg.value),
             Call(cfg.treasury, "register_nft", {
@@ -118,8 +109,7 @@ class MintContract:
         ctx.kind_of(to)  # raises UnknownAddress for unregistered recipients
         if to == owner:
             return state, [], None
-        st = state.clone()
-        st.owners[token_id] = to
+        st = evolve(state, owners={**state.owners, token_id: to})
         effects = [
             Call(self.config.treasury, "update_owner",
                  {"token_id": token_id, "from": owner, "to": to}),
@@ -136,8 +126,7 @@ class MintContract:
             raise WrongStatus("mint filled; nothing to abort")
         if ctx.epoch < cfg.close_epoch:
             raise WrongStatus(f"window still open until epoch {cfg.close_epoch}")
-        st = state.clone()
-        st.aborted = True
+        st = evolve(state, aborted=True)
         effects = [
             Call(cfg.treasury, "abort_refund", {}),
             Emit("MintAborted", {"refunded": st.minted_total}),

@@ -39,6 +39,7 @@ import hashlib
 import json
 import math
 import re
+import weakref
 from dataclasses import MISSING, dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
@@ -582,7 +583,7 @@ class World:
         ), driver=SYSTEM), issuer=True)
 
         t = scenario.treasury
-        wallets = tuple(wallet_name(j) for j in range(self.m))
+        self.wallets = wallets = tuple(wallet_name(j) for j in range(self.m))
         for w in wallets:
             led.register_contract(w, ValidatorWallet(WalletConfig(
                 self_address=w,
@@ -621,7 +622,16 @@ class World:
         self._prev_total = led.total_balance()
         self._prev_minted = led.minted_total
         self._prev_burned = led.burned_total
-        led.add_epoch_hook(self._epoch_substeps)
+        # Held weakly: a world and its ledger form no reference cycle, so a
+        # dropped world is freed at once. A ledger left alone runs no sub-steps.
+        world = weakref.ref(self)
+
+        def substeps() -> None:
+            w = world()
+            if w is not None:
+                w._epoch_substeps()
+
+        led.add_epoch_hook(substeps)
 
     @staticmethod
     def _holder_names(scenario: Scenario) -> list[str]:
@@ -660,13 +670,13 @@ class World:
         # (1) accrual, then scheduled slashes
         if led.contract_state(BEACON).validators:
             perf = {}
-            for j in range(self.m):
-                wst = led.contract_state(wallet_name(j))
+            for j, w in enumerate(self.wallets):
+                wst = led.contract_state(w)
                 if wst.validator_id is not None:
                     perf[wst.validator_id] = self.factor_for(j, e)
             led.call(SYSTEM, BEACON, "accrue_epoch", {"performance": perf})
         for sl in slashes_at.get(e, ()):
-            wst = led.contract_state(wallet_name(sl.validator))
+            wst = led.contract_state(self.wallets[sl.validator])
             if wst.validator_id is None:
                 continue
             v = validator_by_id(led.contract_state(BEACON), wst.validator_id)
@@ -680,22 +690,19 @@ class World:
             led.call(SYSTEM, BEACON, "sweep", {})
 
         # (3) reward forwarding
-        for j in range(self.m):
-            w = wallet_name(j)
+        for w in self.wallets:
             wst = led.contract_state(w)
             if wst.status in (WalletStatus.ACTIVE, WalletStatus.EXIT_REQUESTED) \
                     and not wst.settlement_ready:
                 led.call(SYSTEM, w, "forward_rewards", {})
 
         # (4) watchdogs
-        for j in range(self.m):
-            w = wallet_name(j)
+        for w in self.wallets:
             if led.contract_state(w).status is WalletStatus.ACTIVE:
                 led.call(SYSTEM, w, "watchdog_check", {})
 
         # (5) settlements
-        for j in range(self.m):
-            w = wallet_name(j)
+        for w in self.wallets:
             wst = led.contract_state(w)
             if wst.status is WalletStatus.EXIT_REQUESTED and wst.settlement_ready:
                 led.call(SYSTEM, w, "finalize_withdrawal", {})
@@ -806,8 +813,8 @@ class World:
 
         validators = []
         bst = led.contract_state(BEACON)
-        for j in range(self.m):
-            wst = led.contract_state(wallet_name(j))
+        for j, w in enumerate(self.wallets):
+            wst = led.contract_state(w)
             status = None
             if wst.validator_id is not None:
                 status = validator_by_id(bst, wst.validator_id).status.value
@@ -835,7 +842,7 @@ class World:
             replay.balances.get(name, 0) == led.balance_of(name)
             for name in set(replay.balances) | set(self.holders)
             | {SYSTEM, OPERATOR, MINT, TREASURY, BEACON}
-            | {wallet_name(j) for j in range(self.m)}
+            | set(self.wallets)
         )
         conservation_ok = led.total_balance() == led.minted_total - led.burned_total
 

@@ -45,7 +45,7 @@ off by one unit breaks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import (
@@ -55,14 +55,13 @@ from .errors import (
     NotOperator,
     NothingToClaim,
     Underfunded,
-    UnknownMethod,
     UnknownToken,
     UnknownValidator,
     WrongCaller,
     WrongPhase,
     WrongStatus,
 )
-from .ledger import Call, CallContext, Emit, Msg, Transfer
+from .ledger import Call, CallContext, Emit, Handlers, Msg, Transfer, evolve
 from .mint import NftRecord
 
 CAUSE_PERFORMANCE = "performance"
@@ -155,29 +154,6 @@ class TreasuryState:
     settlements: dict[int, SettlementRecord] = field(default_factory=dict)
     settlement_credits: dict[str, int] = field(default_factory=dict)
 
-    def clone(self) -> "TreasuryState":
-        return TreasuryState(
-            validators=self.validators,
-            registry=dict(self.registry),
-            sum_capital=self.sum_capital,
-            principal=self.principal,
-            principal_staked=self.principal_staked,
-            operator_fees_accrued=self.operator_fees_accrued,
-            fees_claimed_total=self.fees_claimed_total,
-            claimable=dict(self.claimable),
-            claimed_total=dict(self.claimed_total),
-            net_total=self.net_total,
-            paid=dict(self.paid),
-            escrow_balance=self.escrow_balance,
-            escrow_refunded=self.escrow_refunded,
-            phase=self.phase,
-            rewards_received=dict(self.rewards_received),
-            receipt_count=self.receipt_count,
-            exit_causes=dict(self.exit_causes),
-            settlements=dict(self.settlements),
-            settlement_credits=dict(self.settlement_credits),
-        )
-
 
 def balance_identity(state: TreasuryState) -> int:
     """What the treasury's ledger balance must equal at rest.
@@ -227,13 +203,13 @@ def split_credits(before: int, after: int, registry: dict[int, NftRecord],
 def _settle_token(st: TreasuryState, token_id: int, owner: str) -> None:
     """Credit the token's pending credit to `owner` and move its checkpoint.
 
-    Mutates an already-copied state.
+    Sets fresh `paid` and `claimable` maps on `st`, a new state.
     """
     total = accrued(st, token_id)
     due = total - st.paid.get(token_id, 0)
     if due:
-        st.paid[token_id] = total
-        st.claimable[owner] = st.claimable.get(owner, 0) + due
+        st.paid = {**st.paid, token_id: total}
+        st.claimable = {**st.claimable, owner: st.claimable.get(owner, 0) + due}
 
 
 def _distributed(amount: int, fee: int, net_total: int) -> Emit:
@@ -245,7 +221,9 @@ def _distributed(amount: int, fee: int, net_total: int) -> Emit:
     return Emit("Distributed", {"amount": amount, "fee": fee, "net_total": net_total})
 
 
-class TreasuryContract:
+class TreasuryContract(Handlers):
+    kind = "treasury"
+
     def __init__(self, config: TreasuryConfig, validators: tuple[str, ...]):
         if len(validators) == 0:
             raise ValueError("need at least one validator wallet")
@@ -255,12 +233,6 @@ class TreasuryContract:
     def initial_state(self) -> TreasuryState:
         return TreasuryState(validators=self.validators)
 
-    def handle(self, state: TreasuryState, msg: Msg, ctx: CallContext):
-        method = getattr(self, "_op_" + msg.method, None)
-        if method is None:
-            raise UnknownMethod(f"treasury has no method {msg.method!r}")
-        return method(state, msg, ctx)
-
     # --- registry (mint-only) ---------------------------------------------
 
     def _op_register_nft(self, state: TreasuryState, msg: Msg, ctx: CallContext):
@@ -268,17 +240,15 @@ class TreasuryContract:
             raise WrongCaller("only the mint registers tokens")
         if state.phase is not Phase.FUNDRAISING:
             raise WrongPhase(f"cannot register in phase {state.phase.value}")
-        st = state.clone()
         rec = NftRecord(
             token_id=msg.args["token_id"],
             owner=msg.args["owner"],
             capital=msg.args["capital"],
             minted_at=msg.args["minted_at"],
         )
-        st.registry[rec.token_id] = rec
-        st.sum_capital += rec.capital
-        st.principal += rec.capital
-        return st, [], None
+        return evolve(state, registry={**state.registry, rec.token_id: rec},
+                      sum_capital=state.sum_capital + rec.capital,
+                      principal=state.principal + rec.capital), [], None
 
     def _op_update_owner(self, state: TreasuryState, msg: Msg, ctx: CallContext):
         if msg.caller != self.config.mint:
@@ -287,9 +257,9 @@ class TreasuryContract:
         rec = state.registry.get(token_id)
         if rec is None:
             raise UnknownToken(f"no token {token_id}")
-        st = state.clone()
+        st = evolve(state)
         _settle_token(st, token_id, rec.owner)
-        st.registry[token_id] = replace(rec, owner=msg.args["to"])
+        st.registry = {**state.registry, token_id: evolve(rec, owner=msg.args["to"])}
         return st, [], None
 
     def _op_abort_refund(self, state: TreasuryState, msg: Msg, ctx: CallContext):
@@ -297,13 +267,11 @@ class TreasuryContract:
             raise WrongCaller("only the mint aborts")
         if state.phase is not Phase.FUNDRAISING:
             raise WrongPhase(f"cannot abort in phase {state.phase.value}")
-        st = state.clone()
         effects = []
-        for token_id in sorted(st.registry):
-            rec = st.registry[token_id]
+        for token_id in sorted(state.registry):
+            rec = state.registry[token_id]
             effects.append(Transfer(rec.owner, rec.capital))
-        st.principal = 0
-        return st, effects, None
+        return evolve(state, principal=0), effects, None
 
     # --- escrow and staking -------------------------------------------------
 
@@ -314,8 +282,7 @@ class TreasuryContract:
             raise InvalidAmount("escrow post must carry value")
         if state.phase not in (Phase.FUNDRAISING, Phase.STAKED):
             raise WrongPhase(f"cannot post escrow in phase {state.phase.value}")
-        st = state.clone()
-        st.escrow_balance += msg.value
+        st = evolve(state, escrow_balance=state.escrow_balance + msg.value)
         return st, [Emit("EscrowPosted", {"amount": msg.value,
                                           "total": st.escrow_balance})], None
 
@@ -333,10 +300,8 @@ class TreasuryContract:
         if state.escrow_balance < cfg.escrow_required:
             raise EscrowMissing(
                 f"escrow {state.escrow_balance} below required {cfg.escrow_required}")
-        st = state.clone()
-        st.principal_staked = st.principal
-        st.principal = 0
-        st.phase = Phase.STAKED
+        st = evolve(state, principal_staked=state.principal, principal=0,
+                    phase=Phase.STAKED)
         effects = [
             Emit("PhaseChanged", {"from": Phase.FUNDRAISING.value,
                                   "to": Phase.STAKED.value}),
@@ -357,15 +322,13 @@ class TreasuryContract:
         if msg.value <= 0:
             raise InvalidAmount("reward receipt must carry value")
         j = self.validators.index(msg.caller)
-        # Only N and the per-validator totals move, so the registry-sized
-        # maps are shared with the previous state, never copied.
         fee = (msg.value * self.config.fee_bps) // 10_000
-        st = replace(state,
-                     rewards_received={**state.rewards_received,
-                                       j: state.rewards_received.get(j, 0) + msg.value},
-                     receipt_count=state.receipt_count + 1,
-                     operator_fees_accrued=state.operator_fees_accrued + fee,
-                     net_total=state.net_total + msg.value - fee)
+        st = evolve(state,
+                    rewards_received={**state.rewards_received,
+                                      j: state.rewards_received.get(j, 0) + msg.value},
+                    receipt_count=state.receipt_count + 1,
+                    operator_fees_accrued=state.operator_fees_accrued + fee,
+                    net_total=state.net_total + msg.value - fee)
         effects = [
             Emit("RewardReceived", {"validator_index": j, "epoch": ctx.epoch,
                                     "amount": msg.value}),
@@ -384,11 +347,12 @@ class TreasuryContract:
             accrued(state, t) - state.paid.get(t, 0) for t in owned)
         if amount <= 0:
             raise NothingToClaim(f"{msg.caller} has nothing to claim")
-        st = state.clone()
+        paid = dict(state.paid)
         for t in owned:
-            st.paid[t] = accrued(st, t)
-        st.claimable[msg.caller] = 0
-        st.claimed_total[msg.caller] = st.claimed_total.get(msg.caller, 0) + amount
+            paid[t] = accrued(state, t)
+        claimed = state.claimed_total.get(msg.caller, 0) + amount
+        st = evolve(state, paid=paid, claimable={**state.claimable, msg.caller: 0},
+                    claimed_total={**state.claimed_total, msg.caller: claimed})
         effects = [
             Transfer(msg.caller, amount),
             Emit("Claimed", {"holder": msg.caller, "amount": amount}),
@@ -401,9 +365,8 @@ class TreasuryContract:
         amount = state.operator_fees_accrued
         if amount <= 0:
             raise NothingToClaim("no fees accrued")
-        st = state.clone()
-        st.operator_fees_accrued = 0
-        st.fees_claimed_total += amount
+        st = evolve(state, operator_fees_accrued=0,
+                    fees_claimed_total=state.fees_claimed_total + amount)
         effects = [
             Transfer(msg.caller, amount),
             Emit("OperatorFeesClaimed", {"amount": amount}),
@@ -420,8 +383,7 @@ class TreasuryContract:
             raise WrongStatus(f"validator {j} already exiting")
         if state.phase not in (Phase.STAKED, Phase.EXITING):
             raise WrongPhase(f"no exits in phase {state.phase.value}")
-        st = state.clone()
-        st.exit_causes[j] = msg.args["cause"]
+        st = evolve(state, exit_causes={**state.exit_causes, j: msg.args["cause"]})
         effects = []
         if st.phase is Phase.STAKED:
             st.phase = Phase.EXITING
@@ -449,7 +411,7 @@ class TreasuryContract:
         if cause is None:
             raise WrongStatus(f"validator {j} never initiated an exit")
 
-        st = state.clone()
+        st = evolve(state)
         returned = msg.value
         shortfall = max(0, self.config.stake_requirement - returned)
         escrow_cover = min(shortfall, st.escrow_balance)
@@ -459,7 +421,8 @@ class TreasuryContract:
             unsettled = len(self.validators) - len(st.settlements)
             penalty = st.escrow_balance // unsettled
             st.escrow_balance -= penalty
-        st.settlements[j] = SettlementRecord(returned, shortfall, escrow_cover, penalty)
+        st.settlements = {**state.settlements,
+                          j: SettlementRecord(returned, shortfall, escrow_cover, penalty)}
 
         effects = [Emit("ExitSettled", {
             "validator_index": j, "cause": cause, "returned": returned,
@@ -471,6 +434,7 @@ class TreasuryContract:
         st.net_total += pot
         effects.append(_distributed(pot, 0, st.net_total))
         credits, _ = split_credits(before, st.net_total, st.registry, st.sum_capital)
+        st.settlement_credits = dict(state.settlement_credits)
         for _, owner, share in credits:
             if share:
                 st.settlement_credits[owner] = st.settlement_credits.get(owner, 0) + share

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import BeaconNotSwept, UnknownMethod, WrongAmount, WrongCaller, WrongStatus
-from .ledger import Call, CallContext, Emit, Msg
+from .errors import BeaconNotSwept, WrongAmount, WrongCaller, WrongStatus
+from .ledger import Call, CallContext, Emit, Handlers, Msg, evolve
 from .treasury import CAUSE_PERFORMANCE, CAUSE_SLASHED
 
 
@@ -57,33 +57,15 @@ class WalletState:
     settlement_ready: bool = False
     settlement_amount: int = 0
 
-    def clone(self) -> "WalletState":
-        return WalletState(
-            status=self.status,
-            validator_id=self.validator_id,
-            activation_epoch=self.activation_epoch,
-            reward_window=dict(self.reward_window),
-            last_check_epoch=self.last_check_epoch,
-            forwarded_total=self.forwarded_total,
-            exit_cause=self.exit_cause,
-            exit_epoch=self.exit_epoch,
-            settlement_ready=self.settlement_ready,
-            settlement_amount=self.settlement_amount,
-        )
 
+class ValidatorWallet(Handlers):
+    kind = "wallet"
 
-class ValidatorWallet:
     def __init__(self, config: WalletConfig):
         self.config = config
 
     def initial_state(self) -> WalletState:
         return WalletState()
-
-    def handle(self, state: WalletState, msg: Msg, ctx: CallContext):
-        method = getattr(self, "_op_" + msg.method, None)
-        if method is None:
-            raise UnknownMethod(f"wallet has no method {msg.method!r}")
-        return method(state, msg, ctx)
 
     # --- staking ------------------------------------------------------------
 
@@ -102,8 +84,7 @@ class ValidatorWallet:
         if msg.value != cfg.stake_requirement:
             raise WrongAmount(
                 f"stake must be exactly {cfg.stake_requirement}, got {msg.value}")
-        st = state.clone()
-        st.status = WalletStatus.DEPOSITED
+        st = evolve(state, status=WalletStatus.DEPOSITED)
         effects = [
             Emit("Deposited", {"stake": msg.value}),
             Call(cfg.beacon, "submit_deposit",
@@ -116,18 +97,14 @@ class ValidatorWallet:
         self._require_beacon(msg)
         if state.status is not WalletStatus.DEPOSITED:
             raise WrongStatus(f"wallet is {state.status.value}")
-        st = state.clone()
-        st.validator_id = msg.args["validator_id"]
-        return st, [], None
+        return evolve(state, validator_id=msg.args["validator_id"]), [], None
 
     def _op_on_validator_activated(self, state: WalletState, msg: Msg, ctx: CallContext):
         self._require_beacon(msg)
         if state.status is not WalletStatus.DEPOSITED:
             raise WrongStatus(f"wallet is {state.status.value}")
-        st = state.clone()
-        st.status = WalletStatus.ACTIVE
-        st.activation_epoch = ctx.epoch
-        return st, [], None
+        return evolve(state, status=WalletStatus.ACTIVE,
+                      activation_epoch=ctx.epoch), [], None
 
     # --- reward forwarding ------------------------------------------------------
 
@@ -141,22 +118,20 @@ class ValidatorWallet:
         """
         if state.status not in (WalletStatus.ACTIVE, WalletStatus.EXIT_REQUESTED):
             raise WrongStatus(f"wallet is {state.status.value}")
-        amount = 0 if state.settlement_ready else ctx.balance_of(self.config.self_address)
-        st = state.clone()
-        st.reward_window[ctx.epoch] = st.reward_window.get(ctx.epoch, 0) + amount
-        self._prune_window(st, ctx.epoch)
+        cfg = self.config
+        now = ctx.epoch
+        amount = 0 if state.settlement_ready else ctx.balance_of(cfg.self_address)
+        # Only the trailing grace_epochs slots ever matter.
+        cutoff = now - cfg.grace_epochs + 1
+        window = {e: r for e, r in state.reward_window.items() if e >= cutoff}
+        window[now] = window.get(now, 0) + amount
+        st = evolve(state, reward_window=window,
+                    forwarded_total=state.forwarded_total + amount)
         effects = []
         if amount > 0:
-            st.forwarded_total += amount
             effects.append(Emit("RewardsForwarded", {"amount": amount}))
-            effects.append(Call(self.config.treasury, "receive_rewards", {}, value=amount))
+            effects.append(Call(cfg.treasury, "receive_rewards", {}, value=amount))
         return st, effects, amount
-
-    def _prune_window(self, st: WalletState, now: int) -> None:
-        # Only the trailing grace_epochs slots ever matter.
-        cutoff = now - self.config.grace_epochs + 1
-        for epoch in [e for e in st.reward_window if e < cutoff]:
-            del st.reward_window[epoch]
 
     # --- the watchdog -------------------------------------------------------------
 
@@ -177,20 +152,17 @@ class ValidatorWallet:
             raise WrongStatus(f"watchdog already ran at epoch {state.last_check_epoch}")
         if state.activation_epoch is None:
             raise WrongStatus("wallet is Active without an activation epoch")
-        st = state.clone()
-        st.last_check_epoch = now
-        if now - st.activation_epoch + 1 < cfg.grace_epochs:
-            return st, [], "Ok"
+        # The reward window is shared with the new state, never copied.
+        if now - state.activation_epoch + 1 < cfg.grace_epochs:
+            return evolve(state, last_check_epoch=now), [], "Ok"
+        window = state.reward_window
         window_sum = sum(
-            st.reward_window.get(e, 0)
-            for e in range(now - cfg.grace_epochs + 1, now + 1)
-        )
+            window.get(e, 0) for e in range(now - cfg.grace_epochs + 1, now + 1))
         threshold = cfg.expected_reward_per_epoch * cfg.grace_epochs
         if window_sum >= threshold:
-            return st, [], "Ok"
-        st.status = WalletStatus.EXIT_REQUESTED
-        st.exit_cause = CAUSE_PERFORMANCE
-        st.exit_epoch = now
+            return evolve(state, last_check_epoch=now), [], "Ok"
+        st = evolve(state, last_check_epoch=now, status=WalletStatus.EXIT_REQUESTED,
+                    exit_cause=CAUSE_PERFORMANCE, exit_epoch=now)
         effects = [
             Emit("ExitTriggered", {"validator_id": st.validator_id,
                                    "window_sum": window_sum,
@@ -205,10 +177,8 @@ class ValidatorWallet:
         self._require_beacon(msg)
         if state.status is not WalletStatus.ACTIVE:
             raise WrongStatus(f"wallet is {state.status.value}")
-        st = state.clone()
-        st.status = WalletStatus.EXIT_REQUESTED
-        st.exit_cause = CAUSE_SLASHED
-        st.exit_epoch = ctx.epoch
+        st = evolve(state, status=WalletStatus.EXIT_REQUESTED,
+                    exit_cause=CAUSE_SLASHED, exit_epoch=ctx.epoch)
         effects = [Call(self.config.treasury, "on_exit_initiated",
                         {"cause": CAUSE_SLASHED})]
         return st, effects, None
@@ -217,10 +187,8 @@ class ValidatorWallet:
         self._require_beacon(msg)
         if state.status is not WalletStatus.EXIT_REQUESTED:
             raise WrongStatus(f"wallet is {state.status.value}")
-        st = state.clone()
-        st.settlement_ready = True
-        st.settlement_amount = msg.args["amount"]
-        return st, [], None
+        return evolve(state, settlement_ready=True,
+                      settlement_amount=msg.args["amount"]), [], None
 
     def _op_finalize_withdrawal(self, state: WalletState, msg: Msg, ctx: CallContext):
         """Hand everything to the treasury for settlement.
@@ -235,8 +203,7 @@ class ValidatorWallet:
             raise BeaconNotSwept("exit balance has not been swept to the wallet yet")
         returned = ctx.balance_of(cfg.self_address)
         shortfall = max(0, cfg.stake_requirement - returned)
-        st = state.clone()
-        st.status = WalletStatus.WITHDRAWN
+        st = evolve(state, status=WalletStatus.WITHDRAWN)
         effects = [
             Emit("WithdrawalFinalized", {"returned": returned, "shortfall": shortfall}),
             Call(cfg.treasury, "settle_exit", {}, value=returned),

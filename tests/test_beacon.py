@@ -215,6 +215,19 @@ class TestExitAndSweep:
         with pytest.raises(UnknownValidator):
             self.led.call("wa", "beacon", "request_exit", {"validator_id": 99})
 
+    @pytest.mark.parametrize("vid", [-1, 1])
+    def test_ids_outside_the_list_are_unknown(self, vid):
+        # Ids are list positions; -1 must not reach the last validator.
+        snap = self.led.snapshot()
+        with pytest.raises(UnknownValidator):
+            validator_by_id(self.led.contract_state("beacon"), vid)
+        with pytest.raises(UnknownValidator):
+            self.led.call("wa", "beacon", "request_exit", {"validator_id": vid})
+        with pytest.raises(UnknownValidator):
+            self.led.call("sys", "beacon", "slash",
+                          {"validator_id": vid, "fraction_bps": 100})
+        assert self.led.snapshot() == snap
+
     def test_sweep_moves_only_excess_for_active(self):
         accrue(self.led, {self.vid: 1.0})  # +100 over stake
         accrue_excess = 500 - 400          # keep style simple: recompute below

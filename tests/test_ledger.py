@@ -78,6 +78,10 @@ class TestTransfer:
 
 # --- toy contracts for dispatch tests ----------------------------------------
 
+class Shout(Emit):
+    """Not an effect: effects are dispatched on their exact class."""
+
+
 class Counter:
     """Increments on poke; optionally calls a peer or explodes."""
 
@@ -103,6 +107,10 @@ class Counter:
         if msg.method == "scribble":
             msg.args["scribbled"] = True
             return state, [], dict(msg.args)
+        if msg.method == "bogus":
+            return state, [Emit("Poked", {}), ("Poked", {})], None
+        if msg.method == "subclassed":
+            return state, [Shout("Poked", {})], None
         raise ContractError(f"no method {msg.method}")
 
 
@@ -184,6 +192,24 @@ class TestDispatch:
         with pytest.raises(TypeError):
             Call("c2", "scribble").args["x"] = 1
 
+    @pytest.mark.parametrize("method", ["bogus", "subclassed"])
+    def test_unknown_effect_raises_and_reverts(self, method):
+        led = dispatch_ledger()
+        snap = led.snapshot()
+        with pytest.raises(TypeError, match="unknown effect"):
+            led.call("user", "c1", method)
+        assert led.snapshot() == snap
+
+    def test_call_events_share_one_payload_per_route(self):
+        led = dispatch_ledger()
+        for _ in range(2):
+            led.call("user", "c1", "poke_then_call", {"peer": "c2", "peer_method": "poke"})
+        calls = [e.payload for e in led.events if e.tag == "Call"]
+        assert calls == [{"caller": "user", "target": "c1", "method": "poke_then_call"},
+                         {"caller": "c1", "target": "c2", "method": "poke"}] * 2
+        assert calls[0] is calls[2] and calls[1] is calls[3]
+        assert calls[0] is not calls[1]
+
     def test_issue_restricted_to_issuers(self):
         led = dispatch_ledger()
         with pytest.raises(Unauthorized):
@@ -264,6 +290,19 @@ payloads = st.dictionaries(
 flat_payloads = st.dictionaries(json_text, st.integers() | json_text, max_size=4)
 
 
+class Int(int):
+    """An int subclass whose str() is not its JSON."""
+
+    def __repr__(self) -> str:
+        return "Int"
+
+
+# Lists of int lists (EpochAccrual's shape), with rows and items that are not.
+int_rows = st.lists(st.lists(st.integers() | st.integers(-3, 3).map(Int) | st.booleans(),
+                             max_size=3) | st.integers(), max_size=3)
+row_payloads = st.dictionaries(json_text, st.integers() | json_text | int_rows, max_size=3)
+
+
 def dumps_line(e: Event) -> str:
     return json.dumps({"epoch": e.epoch, "seq": e.seq, "emitter": e.emitter,
                        "tag": e.tag, "payload": e.payload}, separators=(",", ":"))
@@ -273,7 +312,7 @@ class TestEventEncoding:
     @settings(max_examples=200)
     @given(st.lists(st.tuples(st.sampled_from(["a", "é", Name("a")]),
                               st.sampled_from(["Transfer", "Tag\u00e9", "x\n"]),
-                              payloads | flat_payloads),
+                              payloads | flat_payloads | row_payloads),
                     max_size=8),
            st.integers(min_value=0, max_value=10 ** 9))
     def test_lines_equal_json_dumps(self, entries, epoch):
@@ -294,6 +333,23 @@ class TestEventEncoding:
             led.advance_epoch()
         assert led.events_jsonl() == "".join(e.to_json() + "\n" for e in led.events)
         assert led.events_jsonl() == "".join(dumps_line(e) + "\n" for e in led.events)
+
+    @settings(max_examples=100)
+    @given(st.lists(payloads | flat_payloads | row_payloads, min_size=1, max_size=4),
+           st.lists(st.integers(min_value=0, max_value=3), max_size=10))
+    def test_shared_payload_objects_encode_like_copies(self, pool, picks):
+        # One payload object logged by several events is encoded once.
+        events = [Event(0, seq, "a", "Call", pool[i % len(pool)])
+                  for seq, i in enumerate(picks)]
+        assert encode_lines(events) == [dumps_line(e) + "\n" for e in events]
+
+    def test_payloads_built_on_the_fly_keep_their_own_encoding(self):
+        # A payload freed after its line must not pass its cached encoding
+        # on to a later payload that reuses its id.
+        n = 1000
+        lines = encode_lines(Event(0, i, "a", "Call", {"i": i}) for i in range(n))
+        assert lines == [dumps_line(Event(0, i, "a", "Call", {"i": i})) + "\n"
+                         for i in range(n)]
 
     def test_circular_payload_still_rejected(self):
         p: dict = {"self": []}

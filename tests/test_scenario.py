@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import time
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -479,3 +481,29 @@ class TestLifecycleVariants:
         truncated = World(with_overrides(s, horizon=5)).run()
         assert truncated.final_epoch == 5
         assert truncated.event_count < full.event_count
+
+
+class TestWorldLifetime:
+    def test_a_dropped_world_is_freed_without_the_collector(self):
+        # The ledger's epoch hook holds its world weakly, so a world and its
+        # ledger form no reference cycle.
+        gc.disable()
+        try:
+            world = World(sc.load_scenario(sc.golden_scenario_path("honest")))
+            world.run()
+            led, dropped = world.ledger, weakref.ref(world)
+            del world
+            assert dropped() is None
+            events = len(led.events)
+            led.advance_epoch()          # no world left: no sub-steps run
+            assert len(led.events) == events
+        finally:
+            gc.enable()
+
+    def test_sub_steps_run_inside_advance_epoch(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(World, "_epoch_substeps", lambda w: ran.append(w.ledger.epoch))
+        world = World(small_scenario())
+        world.ledger.advance_epoch()
+        world.ledger.advance_epoch()
+        assert ran == [1, 2]

@@ -12,6 +12,7 @@ ledger balance must equal :func:`balance_identity`.
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import replace
 
 import pytest
@@ -167,7 +168,7 @@ def test_audit_catches_one_unit_bumped(settled_world, field):
     led = settled_world.ledger
     committed = led.contract_state(TREASURY)
     settled_world.audit()
-    bumped = committed.clone()
+    bumped = deepcopy(committed)   # states share fields; bump a private copy
     entries = getattr(bumped, field)
     assert entries, f"no {field} entry to bump"
     entries[min(entries)] += 1
