@@ -71,7 +71,6 @@ class BeaconValidator:
 @dataclass
 class BeaconState:
     validators: list[BeaconValidator] = field(default_factory=list)   # id == list index
-    next_id: int = 0
 
 
 def exact_factor(factor) -> int | Fraction:
@@ -132,7 +131,7 @@ class BeaconContract(Handlers):
         wa = msg.args["withdrawal_address"]
         operator = msg.args["operator"]
         ctx.kind_of(wa)  # raises UnknownAddress for unregistered targets
-        vid = state.next_id
+        vid = len(state.validators)
         record = BeaconValidator(
             id=vid,
             withdrawal_address=wa,
@@ -141,7 +140,7 @@ class BeaconContract(Handlers):
             status=ValidatorStatus.PENDING,
             activation_epoch=ctx.epoch + self.params.activation_delay,
         )
-        st = evolve(state, validators=[*state.validators, record], next_id=vid + 1)
+        st = evolve(state, validators=[*state.validators, record])
         effects = [Emit("DepositAccepted", {
             "id": vid, "withdrawal_address": wa, "from": msg.caller,
             "activation_epoch": ctx.epoch + self.params.activation_delay,
@@ -168,8 +167,7 @@ class BeaconContract(Handlers):
                 validators[i] = evolve(v, status=ValidatorStatus.ACTIVE)
                 effects.append(Emit("Activated", {"id": v.id}))
                 if ctx.kind_of(v.withdrawal_address) is AddressKind.CONTRACT:
-                    effects.append(Call(v.withdrawal_address, "on_validator_activated",
-                                        {"validator_id": v.id}))
+                    effects.append(Call(v.withdrawal_address, "on_validator_activated"))
             elif v.status is ValidatorStatus.EXITING and v.exit_epoch is not None \
                     and v.exit_epoch <= now:
                 validators[i] = evolve(v, status=ValidatorStatus.WITHDRAWABLE)
@@ -216,8 +214,7 @@ class BeaconContract(Handlers):
             "exit_epoch": ctx.epoch + self.params.exit_delay,
         }))
         if ctx.kind_of(v.withdrawal_address) is AddressKind.CONTRACT:
-            effects.append(Call(v.withdrawal_address, "on_forced_exit",
-                                {"validator_id": vid, "burned": burned}))
+            effects.append(Call(v.withdrawal_address, "on_forced_exit"))
         return st, effects, burned
 
     def _op_request_exit(self, state: BeaconState, msg: Msg, ctx: CallContext):
@@ -267,8 +264,7 @@ class BeaconContract(Handlers):
                                               "amount": amount, "kind": "exit"}))
                 effects.append(Emit("Withdrawn", {"id": v.id}))
                 if ctx.kind_of(v.withdrawal_address) is AddressKind.CONTRACT:
-                    effects.append(Call(v.withdrawal_address, "on_exit_swept",
-                                        {"validator_id": v.id, "amount": amount}))
+                    effects.append(Call(v.withdrawal_address, "on_exit_swept"))
                 total += amount
         return evolve(state, validators=validators), effects, total
 

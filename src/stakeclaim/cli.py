@@ -2,18 +2,17 @@
 
 Two subcommands::
 
-    stakeclaim run --scenario PATH --out DIR [--format json|csv]
-                   [--epochs N] [--seed S]
+    stakeclaim run --scenario PATH --out DIR [--format json|csv] [--epochs N]
     stakeclaim validate --scenario PATH
 
 ``run`` writes report.json (or report.csv) plus events.jsonl into the
-output directory. Exit codes: 0 success, 1 invalid input, 2 an invariant
-violation was detected during the run (details on stderr). Output is
-byte-stable for identical inputs.
+output directory. Exit codes: 0 success, 1 invalid input or usage, 2 an
+invariant violation was detected during the run (details on stderr).
+Output is byte-stable for identical inputs.
 
 The STAKECLAIM_LOG environment variable controls stdout verbosity:
-``quiet`` (default) prints nothing on success, ``events`` streams the
-event log, ``trace`` additionally prints the report.
+``quiet`` (default) prints nothing on success, ``events`` prints the event
+log once the run has finished, ``trace`` additionally prints the report.
 """
 
 from __future__ import annotations
@@ -21,10 +20,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import InvalidScenario, InvariantViolation
-from .scenario import World, load_scenario, validate, with_overrides
+from .scenario import World, load_scenario, validate
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -42,7 +42,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.epochs is not None and args.epochs < 0:
         print(f"--epochs must be >= 0, got {args.epochs}", file=sys.stderr)
         return 1
-    scenario = with_overrides(scenario, horizon=args.epochs, seed=args.seed)
+    if args.epochs is not None:
+        scenario = replace(scenario, horizon=args.epochs)
     try:
         report = World(scenario).run()
     except InvariantViolation as exc:
@@ -76,8 +77,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0 if not violations else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):   # invalid input: exit 1, as 2 is an invariant violation
+        self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stakeclaim",
         description="Run and validate staking-arrangement scenarios.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -89,8 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="report format (events are always JSON lines)")
     p_run.add_argument("--epochs", type=int, default=None,
                        help="override the scenario horizon (e.g. truncate the run)")
-    p_run.add_argument("--seed", type=int, default=None,
-                       help="override the scenario seed")
     p_run.set_defaults(func=cmd_run)
 
     p_val = sub.add_parser("validate", help="list scenario constraint violations")

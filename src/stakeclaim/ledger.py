@@ -26,7 +26,8 @@ Design constraints honoured throughout:
 * Amounts are non-negative integers in a fixed base unit. No floats touch
   any balance. Total supply changes only via explicit issuance or
   destruction, each logged, so conservation is checkable from the event
-  log alone (see :func:`replay_balances`).
+  log alone: :func:`replay_balances` rebuilds every balance and the
+  supply totals, to check against the ledger's own counters.
 * Nested calls are capped at depth ``CALL_DEPTH_LIMIT``; exceeding it
   reverts the tree.
 * Epochs only move forward. Per-epoch hooks registered on the ledger run
@@ -250,7 +251,6 @@ class Destroy(NamedTuple):
     memo: str
 
 
-Effect = Transfer | Emit | Call | Issue | Destroy
 HandlerResult = tuple[Any, list, Any]
 
 
@@ -452,9 +452,6 @@ class Ledger:
             raise UnknownAddress(name)
         return self._kinds[name]
 
-    def is_contract(self, name: str) -> bool:
-        return self._kinds.get(name) is AddressKind.CONTRACT
-
     def balance_of(self, name: str) -> int:
         if name not in self._kinds:
             raise UnknownAddress(name)
@@ -594,34 +591,28 @@ class Ledger:
 @dataclass
 class ReplayResult:
     balances: dict[str, int]
-    minted_by_epoch: dict[int, int]
-    burned_by_epoch: dict[int, int]
-    delta_by_epoch: dict[int, int]
+    minted: int
+    burned: int
 
 
 def replay_balances(events: list[Event]) -> ReplayResult:
-    """Reconstruct balances and per-epoch supply deltas from events only.
+    """Reconstruct balances and the supply totals from events only.
 
-    Folds SupplyMint, SupplyBurn and Transfer events. For a well-behaved ledger the
-    reconstructed balances equal the live ones and, for every epoch,
-    delta == minted - burned.
+    Folds SupplyMint, SupplyBurn and Transfer events. For a well-behaved
+    ledger the balances equal the live ones, and the minted and burned
+    totals equal ``Ledger.minted_total`` / ``burned_total``, kept apart.
     """
     balances: dict[str, int] = {}
-    minted: dict[int, int] = {}
-    burned: dict[int, int] = {}
-    delta: dict[int, int] = {}
+    minted = burned = 0
     for e in events:
         p = e.payload
         if e.tag == "SupplyMint":
             balances[p["to"]] = balances.get(p["to"], 0) + p["amount"]
-            minted[e.epoch] = minted.get(e.epoch, 0) + p["amount"]
-            delta[e.epoch] = delta.get(e.epoch, 0) + p["amount"]
+            minted += p["amount"]
         elif e.tag == "SupplyBurn":
             balances[p["from"]] = balances.get(p["from"], 0) - p["amount"]
-            burned[e.epoch] = burned.get(e.epoch, 0) + p["amount"]
-            delta[e.epoch] = delta.get(e.epoch, 0) - p["amount"]
+            burned += p["amount"]
         elif e.tag == "Transfer":
             balances[p["from"]] = balances.get(p["from"], 0) - p["amount"]
             balances[p["to"]] = balances.get(p["to"], 0) + p["amount"]
-            delta.setdefault(e.epoch, 0)
-    return ReplayResult(balances, minted, burned, delta)
+    return ReplayResult(balances, minted, burned)

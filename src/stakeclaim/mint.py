@@ -45,7 +45,6 @@ class NftRecord:
     token_id: int
     owner: str
     capital: int
-    minted_at: int
 
 
 @dataclass
@@ -84,10 +83,8 @@ class MintContract(Handlers):
                     next_token_id=token_id + 1)
         effects = [
             Transfer(cfg.treasury, msg.value),
-            Call(cfg.treasury, "register_nft", {
-                "token_id": token_id, "owner": msg.caller,
-                "capital": msg.value, "minted_at": ctx.epoch,
-            }),
+            Call(cfg.treasury, "register_nft",
+                 {"token_id": token_id, "owner": msg.caller, "capital": msg.value}),
             Emit("Mint", {"token_id": token_id, "owner": msg.caller,
                           "capital": msg.value}),
         ]

@@ -80,8 +80,6 @@ class TreasuryConfig:
     """Arrangement terms, fixed before the mint opens and immutable after."""
 
     fee_bps: int                     # operator fee ratio in basis points
-    expected_reward_per_epoch: int   # watchdog expectation, per validator
-    grace_epochs: int                # watchdog window length
     operator: str
     escrow_required: int
     stake_requirement: int
@@ -90,10 +88,8 @@ class TreasuryConfig:
     def __post_init__(self):
         if not (0 <= self.fee_bps <= 10_000):
             raise ValueError("fee_bps out of range 0..10000")
-        if self.grace_epochs <= 0:
-            raise ValueError("grace_epochs must be positive")
-        if self.expected_reward_per_epoch < 0 or self.escrow_required < 0:
-            raise ValueError("amounts must be non-negative")
+        if self.escrow_required < 0:
+            raise ValueError("escrow_required must be non-negative")
         if self.stake_requirement <= 0:
             raise ValueError("stake_requirement must be positive")
 
@@ -244,7 +240,6 @@ class TreasuryContract(Handlers):
             token_id=msg.args["token_id"],
             owner=msg.args["owner"],
             capital=msg.args["capital"],
-            minted_at=msg.args["minted_at"],
         )
         return evolve(state, registry={**state.registry, rec.token_id: rec},
                       sum_capital=state.sum_capital + rec.capital,

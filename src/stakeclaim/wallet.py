@@ -40,8 +40,14 @@ class WalletConfig:
     beacon: str
     operator: str
     stake_requirement: int
-    expected_reward_per_epoch: int
-    grace_epochs: int
+    expected_reward_per_epoch: int   # watchdog expectation, per epoch
+    grace_epochs: int                # watchdog window length
+
+    def __post_init__(self):
+        if self.grace_epochs <= 0:
+            raise ValueError("grace_epochs must be positive")
+        if self.expected_reward_per_epoch < 0:
+            raise ValueError("expected_reward_per_epoch must be non-negative")
 
 
 @dataclass
@@ -51,11 +57,9 @@ class WalletState:
     activation_epoch: int | None = None
     reward_window: dict[int, int] = field(default_factory=dict)
     last_check_epoch: int = -1
-    forwarded_total: int = 0
     exit_cause: str | None = None
     exit_epoch: int | None = None
     settlement_ready: bool = False
-    settlement_amount: int = 0
 
 
 class ValidatorWallet(Handlers):
@@ -125,8 +129,7 @@ class ValidatorWallet(Handlers):
         cutoff = now - cfg.grace_epochs + 1
         window = {e: r for e, r in state.reward_window.items() if e >= cutoff}
         window[now] = window.get(now, 0) + amount
-        st = evolve(state, reward_window=window,
-                    forwarded_total=state.forwarded_total + amount)
+        st = evolve(state, reward_window=window)
         effects = []
         if amount > 0:
             effects.append(Emit("RewardsForwarded", {"amount": amount}))
@@ -187,8 +190,7 @@ class ValidatorWallet(Handlers):
         self._require_beacon(msg)
         if state.status is not WalletStatus.EXIT_REQUESTED:
             raise WrongStatus(f"wallet is {state.status.value}")
-        return evolve(state, settlement_ready=True,
-                      settlement_amount=msg.args["amount"]), [], None
+        return evolve(state, settlement_ready=True), [], None
 
     def _op_finalize_withdrawal(self, state: WalletState, msg: Msg, ctx: CallContext):
         """Hand everything to the treasury for settlement.

@@ -7,10 +7,13 @@ test explicit about what happens when.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import pytest
+from hypothesis import strategies as st
 
+from stakeclaim import golden_scenario_path
 from stakeclaim.beacon import BeaconContract, BeaconParams
 from stakeclaim.ledger import Ledger
 from stakeclaim.mint import MintConfig, MintContract
@@ -119,13 +122,45 @@ def make_world(m: int = 1, stake: int = 64, fee_bps: int = 1000,
             stake_requirement=stake, expected_reward_per_epoch=expected,
             grace_epochs=grace)))
     led.register_contract(TREASURY, TreasuryContract(TreasuryConfig(
-        fee_bps=fee_bps, expected_reward_per_epoch=expected, grace_epochs=grace,
-        operator=OPERATOR, escrow_required=escrow_required,
+        fee_bps=fee_bps, operator=OPERATOR, escrow_required=escrow_required,
         stake_requirement=stake, mint=MINT), validators=tuple(wallets)))
     led.register_contract(MINT, MintContract(MintConfig(
         treasury=TREASURY, min_contribution=min_contribution,
         target_total=stake * m, open_epoch=open_epoch, close_epoch=close_epoch)))
     return Mini(ledger=led, stake=stake, m=m, fee_bps=fee_bps, wallets=wallets)
+
+
+# --- malformed scenario documents ----------------------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-10 ** 12, max_value=10 ** 12)
+    | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=5)
+
+
+def json_paths(node, prefix=()):
+    """Every key path into a JSON document, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield (*prefix, key)
+        if isinstance(child, (dict, list)):
+            yield from json_paths(child, (*prefix, key))
+
+
+@st.composite
+def one_field_replaced(draw) -> dict:
+    """The honest golden document, plus a slash, with one place replaced by
+    arbitrary JSON."""
+    doc = json.loads(golden_scenario_path("honest").read_text())
+    doc["slashes"] = [{"epoch": 10, "validator": 0, "fraction_bps": 500}]
+    path = draw(st.sampled_from(list(json_paths(doc))))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = draw(json_values)
+    return doc
 
 
 @pytest.fixture

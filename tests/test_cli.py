@@ -7,8 +7,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import stakeclaim as sc
+from conftest import json_values, one_field_replaced
 from stakeclaim.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -137,6 +140,58 @@ class TestRun:
         run_cli("run", "--scenario", str(sc.golden_scenario_path("nonpaying")),
                 "--out", str(tmp_path))
         assert capsys.readouterr().out == ""
+
+
+class TestUsageErrors:
+    """A usage error is invalid input: exit 1, never argparse's 2, which
+    here means an invariant violation."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--scenario", "{scenario}", "--out", "{out}", "--bogus", "1"],
+        ["run", "--scenario", "{scenario}"],
+        ["run", "--scenario", "{scenario}", "--out", "{out}", "--seed", "3"],
+        ["run", "--scenario", "{scenario}", "--out", "{out}", "--epochs", "ten"],
+        [],
+    ], ids=["unknown-flag", "missing-out", "removed-seed", "non-integer-epochs",
+            "no-command"])
+    def test_usage_error_exits_1(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        scenario = str(sc.golden_scenario_path("honest"))
+        with pytest.raises(SystemExit) as info:
+            run_cli(*(a.format(scenario=scenario, out=out) for a in argv))
+        assert info.value.code == 1
+        assert "usage: stakeclaim" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli("run", "--help")
+        assert info.value.code == 0
+        assert "--seed" not in capsys.readouterr().out
+
+
+malformed_files = st.one_of(
+    # a golden document with one place replaced by arbitrary JSON
+    one_field_replaced().map(lambda doc: json.dumps(doc).encode()),
+    # a top level that is not an object
+    json_values.filter(lambda v: not isinstance(v, dict)).map(
+        lambda v: json.dumps(v).encode()),
+    # bytes that are not UTF-8
+    st.binary(max_size=32).map(lambda b: b"\xff" + b),
+)
+
+
+class TestExitCodeProperty:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw=malformed_files)
+    def test_any_malformed_file_exits_0_or_1(self, raw, tmp_path):
+        # Each example overwrites the same file and output directory.
+        path = tmp_path / "scenario.json"
+        path.write_bytes(raw)
+        code = run_cli("run", "--scenario", str(path), "--out", str(tmp_path / "out"),
+                       "--epochs", "20")
+        assert code in (0, 1)
 
 
 class TestValidateCommand:

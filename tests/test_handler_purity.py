@@ -66,7 +66,7 @@ def guard_handlers(monkeypatch) -> tuple[dict, list]:
 def test_handlers_leave_their_input_state_untouched(monkeypatch):
     outcomes, mutated = guard_handlers(monkeypatch)
     rng = random.Random(CORPUS_SEED)
-    corpus = [random_scenario(rng, i) for i in range(CORPUS_SIZE)]
+    corpus = [random_scenario(rng) for _ in range(CORPUS_SIZE)]
     extras = random.Random(CORPUS_SEED + 1)
     scenarios = [with_claims_and_transfers(s, extras) for s in corpus]
     scenarios += [sc.load_scenario(sc.golden_scenario_path(name))

@@ -47,19 +47,19 @@ def receive(w: Mini, amount: int, j: int = 0):
 
 class TestSplitCredits:
     def test_worked_example_40_24(self):
-        registry = {0: NftRecord(0, "alice", 40, 0), 1: NftRecord(1, "bob", 24, 0)}
+        registry = {0: NftRecord(0, "alice", 40), 1: NftRecord(1, "bob", 24)}
         credits, dust = split_credits(0, 900, registry, 64)
         assert credits == [[0, "alice", 562], [1, "bob", 337]]
         assert dust == 1
 
     def test_exact_split_no_dust(self):
-        registry = {0: NftRecord(0, "a", 1, 0), 1: NftRecord(1, "b", 1, 0)}
+        registry = {0: NftRecord(0, "a", 1), 1: NftRecord(1, "b", 1)}
         credits, dust = split_credits(0, 100, registry, 2)
         assert [c[2] for c in credits] == [50, 50]
         assert dust == 0
 
     def test_remainders_release_on_later_splits(self):
-        registry = {0: NftRecord(0, "alice", 40, 0), 1: NftRecord(1, "bob", 24, 0)}
+        registry = {0: NftRecord(0, "alice", 40), 1: NftRecord(1, "bob", 24)}
         first, _ = split_credits(0, 900, registry, 64)
         second, _ = split_credits(900, 1800, registry, 64)
         assert [c[2] for c in first] == [562, 337]
@@ -361,7 +361,7 @@ class TestDistributionProperties:
                             min_size=1, max_size=30),
            fee_bps=st.integers(min_value=0, max_value=10_000))
     def test_per_receipt_identity_and_oracle_match(self, capitals, amounts, fee_bps):
-        registry = {i: NftRecord(i, f"h{i}", c, 0) for i, c in enumerate(capitals)}
+        registry = {i: NftRecord(i, f"h{i}", c) for i, c in enumerate(capitals)}
         total_cap = sum(capitals)
         _, _, _, o_steps = replay_split(amounts, capitals, fee_bps)
         dust = 0
