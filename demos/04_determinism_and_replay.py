@@ -6,6 +6,8 @@ must equal the ledger's own minted and burned counters: total supply moves
 only when the beacon mints rewards or a slash burns stake.
 """
 
+import json
+
 import stakeclaim as sc
 from stakeclaim.scenario import World
 
@@ -22,7 +24,8 @@ print("byte-identical: yes")
 
 world = World(scenario)
 report = world.run()
-replay = sc.replay_balances(world.ledger.events)
+events = [sc.Event(**json.loads(line)) for line in report.events_jsonl.splitlines()]
+replay = sc.replay_balances(events)
 
 print(f"\nevents: {report.event_count}, minted {report.minted:,}, "
       f"burned {report.burned:,}")
@@ -37,6 +40,6 @@ print(f"supply rebuilt from the log: minted {replay.minted:,} "
       f"(ledger counter {led.minted_total:,}), burned {replay.burned:,} "
       f"(ledger counter {led.burned_total:,})")
 assert (replay.minted, replay.burned) == (led.minted_total, led.burned_total)
-slash = next(e for e in led.events if e.tag == "Slashed")
+slash = next(e for e in events if e.tag == "Slashed")
 print(f"the slash shows up as a burn of "
       f"{slash.payload['burned']:,} at epoch {slash.epoch}")

@@ -7,8 +7,10 @@ Two subcommands::
 
 ``run`` writes report.json (or report.csv) plus events.jsonl into the
 output directory. Exit codes: 0 success, 1 invalid input or usage, 2 an
-invariant violation was detected during the run (details on stderr).
-Output is byte-stable for identical inputs.
+invariant violation was detected during the run (details on stderr); on
+exit 2 events.jsonl holds the log committed up to the failing epoch's
+audit, and there is no report.json or report.csv. Output is byte-stable
+for identical inputs.
 
 The STAKECLAIM_LOG environment variable controls stdout verbosity:
 ``quiet`` (default) prints nothing on success, ``events`` prints the event
@@ -44,13 +46,19 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 1
     if args.epochs is not None:
         scenario = replace(scenario, horizon=args.epochs)
+    out = Path(args.out)
+    world = World(scenario)
     try:
-        report = World(scenario).run()
+        report = world.run()
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
+        # The evidence: the log up to the failing audit, and no report.
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "events.jsonl").write_text(world.ledger.events_jsonl())
+        for stale in ("report.json", "report.csv"):
+            (out / stale).unlink(missing_ok=True)
         return 2
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "events.jsonl").write_text(report.events_jsonl)
     if args.format == "csv":

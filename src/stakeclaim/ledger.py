@@ -50,12 +50,22 @@ payload object shared by several events once, and hands anything else to
 a single JSON encoder, so the bytes, and every digest over them, are those
 of ``json.dumps``.
 
+The log streams. Committed events wait in a pending batch until
+``EVENT_BATCH`` of them have built up; the ledger then encodes the batch
+into one more chunk of the log's text, folds it into a running
+:func:`replay_balances`, and drops the Event objects. :meth:`Ledger.flush`
+does the same for a partial batch; :meth:`Ledger.events_jsonl` (the whole
+text, joined once) and :meth:`Ledger.events_digest` (sha256 fed one chunk
+at a time) flush first. The log's bytes do not depend on the batch size,
+and no Event object outlives its batch.
+
 A ledger instance is single-threaded but self-contained; independent
 instances can run in parallel threads or processes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pickle
 from collections.abc import Mapping
@@ -75,6 +85,11 @@ from .errors import (
 )
 
 CALL_DEPTH_LIMIT = 8
+
+# Committed events the ledger holds before it encodes and folds them as one
+# batch. Larger batches share more of encode_lines' per-call caches; smaller
+# ones hold fewer Event objects.
+EVENT_BATCH = 4096
 
 # json.dumps(o, separators=(",", ":")) without building an encoder per call.
 _encode = json.JSONEncoder(separators=(",", ":")).encode
@@ -391,8 +406,7 @@ class _TxFrame:
         led._states.update(self._states)
         led.minted_total += self._minted
         led.burned_total += self._burned
-        led.events += self._events
-        led._seq += len(self._events)
+        led._log(self._events)
 
 
 class Ledger:
@@ -410,10 +424,12 @@ class Ledger:
         self._states: dict[str, Any] = {}
         self._issuers: set[str] = set()
         self.epoch = 0
-        self.events: list[Event] = []
         self.minted_total = 0
         self.burned_total = 0
         self._seq = 0
+        self._pending: list[Event] = []     # committed, not yet encoded or folded
+        self._chunks: list[str] = []        # the log's text, one str per flushed batch
+        self._replay = ReplayResult({}, 0, 0)     # the fold of every flushed event
         self._hooks: list[Callable[[], None]] = []
         # (caller, target, method) -> the one shared payload of its Call events
         self._call_payloads: dict[tuple[str, str, str], dict] = {}
@@ -565,12 +581,48 @@ class Ledger:
     # --- event log ---------------------------------------------------------
 
     def _append_event(self, emitter: str, tag: str, payload: dict) -> None:
-        self.events.append(Event(self.epoch, self._seq, emitter, tag, payload))
-        self._seq += 1
+        self._log((_new_record(Event, (self.epoch, self._seq, emitter, tag, payload)),))
+
+    def _log(self, events: list[Event] | tuple[Event, ...]) -> None:
+        """Append committed events, numbered on from the next seq, to the log."""
+        self._seq += len(events)
+        pending = self._pending
+        pending += events
+        if len(pending) >= EVENT_BATCH:
+            self.flush()
+
+    @property
+    def event_count(self) -> int:
+        """How many events the log holds, flushed or not."""
+        return self._seq
+
+    def flush(self) -> ReplayResult:
+        """Encode and fold the committed events not yet flushed; drop them.
+
+        The batch's lines (:func:`encode_lines`) become one more chunk of the
+        log's text, and :func:`replay_balances` folds the batch into the
+        running replay. Returns that replay, of the whole log so far; the
+        object is the ledger's own, and later flushes fold into it.
+        """
+        pending = self._pending
+        if pending:
+            self._chunks.append("".join(encode_lines(pending)))
+            replay_balances(pending, self._replay)
+            self._pending = []
+        return self._replay
 
     def events_jsonl(self) -> str:
         """The whole log as JSON lines, one event per line (:func:`encode_lines`)."""
-        return "".join(encode_lines(self.events))
+        self.flush()
+        return "".join(self._chunks)
+
+    def events_digest(self) -> str:
+        """sha256 of :meth:`events_jsonl`'s UTF-8, hashed one chunk at a time."""
+        self.flush()
+        h = hashlib.sha256()
+        for chunk in self._chunks:
+            h.update(chunk.encode())
+        return h.hexdigest()
 
     # --- snapshots ---------------------------------------------------------
 
@@ -578,12 +630,14 @@ class Ledger:
         """Serialize all mutable state; pair with :meth:`restore`."""
         return pickle.dumps((
             self._balances, self._states, self.epoch,
-            self.minted_total, self.burned_total, self._seq, self.events,
+            self.minted_total, self.burned_total, self._seq,
+            self._pending, self._chunks, self._replay,
         ))
 
     def restore(self, snap: bytes) -> None:
         (self._balances, self._states, self.epoch,
-         self.minted_total, self.burned_total, self._seq, self.events) = pickle.loads(snap)
+         self.minted_total, self.burned_total, self._seq,
+         self._pending, self._chunks, self._replay) = pickle.loads(snap)
 
 
 # --- post-hoc conservation check from the log alone --------------------------
@@ -595,14 +649,18 @@ class ReplayResult:
     burned: int
 
 
-def replay_balances(events: list[Event]) -> ReplayResult:
+def replay_balances(events, into: ReplayResult | None = None) -> ReplayResult:
     """Reconstruct balances and the supply totals from events only.
 
-    Folds SupplyMint, SupplyBurn and Transfer events. For a well-behaved
-    ledger the balances equal the live ones, and the minted and burned
-    totals equal ``Ledger.minted_total`` / ``burned_total``, kept apart.
+    Folds SupplyMint, SupplyBurn and Transfer events, onto `into` in place
+    if given (so a log can be folded batch by batch), else onto a fresh
+    result. For a well-behaved ledger the balances equal the live ones, and
+    the minted and burned totals equal ``Ledger.minted_total`` /
+    ``burned_total``, kept apart.
     """
-    balances: dict[str, int] = {}
+    if into is None:
+        into = ReplayResult({}, 0, 0)
+    balances = into.balances
     minted = burned = 0
     for e in events:
         p = e.payload
@@ -615,4 +673,6 @@ def replay_balances(events: list[Event]) -> ReplayResult:
         elif e.tag == "Transfer":
             balances[p["from"]] = balances.get(p["from"], 0) - p["amount"]
             balances[p["to"]] = balances.get(p["to"], 0) + p["amount"]
-    return ReplayResult(balances, minted, burned)
+    into.minted += minted
+    into.burned += burned
+    return into

@@ -35,7 +35,6 @@ the file format.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import re
@@ -47,7 +46,7 @@ from pathlib import Path
 
 from .beacon import BeaconContract, BeaconParams, ValidatorStatus, exact_factor, validator_by_id
 from .errors import ContractError, InvalidScenario, InvariantViolation
-from .ledger import Ledger, replay_balances
+from .ledger import Ledger, replay_balances  # noqa: F401  (scenario.replay_balances stays importable)
 from .mint import MintConfig, MintContract
 from .treasury import Phase, TreasuryConfig, TreasuryContract, accrued, balance_identity
 from .wallet import ValidatorWallet, WalletConfig, WalletStatus
@@ -305,6 +304,9 @@ def _by_epoch(actions) -> dict[int, tuple]:
 # inside both.
 FACTOR_MAX_CHARS = 64
 FACTOR_MAX_EXPONENT = 400
+# Bound on treasury.validators: a World registers one wallet per validator
+# and visits each every epoch.
+VALIDATORS_MAX = 1024
 # The exponent of any string Fraction accepts (fractions._RATIONAL_FORMAT).
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
@@ -361,9 +363,12 @@ def validate(s: Scenario) -> list[str]:
         out.append("treasury.expected_reward_per_epoch must be an integer >= 0")
     if _bad_int(t.escrow_required, 0):
         out.append("treasury.escrow_required must be an integer >= 0")
-    m = t.validators if not _bad_int(t.validators, 1) else None
+    m = t.validators if not _bad_int(t.validators, 1, VALIDATORS_MAX) else None
     if m is None:
-        out.append(f"treasury.validators must be an integer >= 1, got {t.validators!r}")
+        out.append(f"treasury.validators must be an integer >= 1, got {t.validators!r}"
+                   if _bad_int(t.validators, 1) else
+                   f"treasury.validators {t.validators} is more than "
+                   f"VALIDATORS_MAX {VALIDATORS_MAX}")
     indices = f"0..{m - 1}" if m else "0..validators-1"
 
     def bad_index(v) -> bool:
@@ -409,8 +414,20 @@ def validate(s: Scenario) -> list[str]:
                        f"is not an integer in {indices}")
         windows_ok = windows_ok and len(out) == problems
 
+    # Validators the schedule does not name have only the validator-null
+    # windows, so the lowest of them stands for all of them.
+    checked: list[int] = []
+    if m and windows_ok and type(s.horizon) is int:
+        named = {w.validator for w in s.operator_schedule}
+        named.discard(None)
+        unnamed = 0
+        while unnamed in named:
+            unnamed += 1
+        if unnamed < m:
+            named.add(unnamed)
+        checked = sorted(named)
     seen_overlaps = set()
-    for j in range(m if m and windows_ok and type(s.horizon) is int else 0):
+    for j in checked:
         windows = sorted(_windows_for(s.operator_schedule, j),
                          key=lambda w: w.from_epoch)
         for a, b2 in zip(windows, windows[1:]):
@@ -756,7 +773,6 @@ class World:
     def report(self) -> RunReport:
         led = self.ledger
         tst = led.contract_state(TREASURY)
-        events_jsonl = led.events_jsonl()
 
         claimable = dict(tst.claimable)
         capital: dict[str, int] = {}
@@ -801,7 +817,8 @@ class World:
                 penalty=settlement.penalty if settlement else None,
             ))
 
-        replay = replay_balances(led.events)
+        # The ledger folded every flushed batch as it committed; this folds the rest.
+        replay = led.flush()
         # Log totals vs the counters: replayed balances sum to minted - burned by construction.
         names = (set(replay.balances) | set(self.holders) | set(self.wallets)
                  | {SYSTEM, OPERATOR, MINT, TREASURY, BEACON})
@@ -824,9 +841,9 @@ class World:
             minted=led.minted_total,
             burned=led.burned_total,
             final_total=led.total_balance(),
-            event_count=len(led.events),
-            events_digest=hashlib.sha256(events_jsonl.encode()).hexdigest(),
-            events_jsonl=events_jsonl,
+            event_count=led.event_count,
+            events_digest=led.events_digest(),
+            events_jsonl=led.events_jsonl(),
         )
 
 

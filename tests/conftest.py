@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from stakeclaim import golden_scenario_path
 from stakeclaim.beacon import BeaconContract, BeaconParams
-from stakeclaim.ledger import Ledger
+from stakeclaim.ledger import Event, Ledger
 from stakeclaim.mint import MintConfig, MintContract
 from stakeclaim.treasury import TreasuryConfig, TreasuryContract, balance_identity
 from stakeclaim.wallet import ValidatorWallet, WalletConfig
@@ -128,6 +128,11 @@ def make_world(m: int = 1, stake: int = 64, fee_bps: int = 1000,
         treasury=TREASURY, min_contribution=min_contribution,
         target_total=stake * m, open_epoch=open_epoch, close_epoch=close_epoch)))
     return Mini(ledger=led, stake=stake, m=m, fee_bps=fee_bps, wallets=wallets)
+
+
+def logged_events(led: Ledger) -> list[Event]:
+    """Every event on `led`'s log so far, decoded from the log's text."""
+    return [Event(**json.loads(line)) for line in led.events_jsonl().splitlines()]
 
 
 # --- malformed scenario documents ----------------------------------------------

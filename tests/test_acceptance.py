@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import stakeclaim as sc
-from conftest import BEACON, MINT, OPERATOR, SYSTEM, TREASURY, make_world
+from conftest import BEACON, MINT, OPERATOR, SYSTEM, TREASURY, logged_events, make_world
 from oracle import rational_shares, replay_mixed, trigger_epoch
 from stakeclaim.beacon import validator_by_id
 from stakeclaim.cli import main as cli_main
@@ -110,7 +110,7 @@ def corpus():
 
 
 def record_distributions(world: World) -> list[tuple]:
-    """Wrap the world's Ledger.call to watch every distribution as it commits.
+    """Wrap the world's Ledger.call and log to watch every distribution as it commits.
 
     For each committed call that logged a Distributed event or moved the
     treasury's cumulative net N, keeps (trigger tags, Distributed payloads,
@@ -119,13 +119,19 @@ def record_distributions(world: World) -> list[tuple]:
     """
     led = world.ledger
     inner = led.call
+    log = led._log
+    committed = []          # every Event the ledger logs, as it commits them
     steps = []
+
+    def keep(events):
+        committed.extend(events)
+        log(events)
 
     def call(*args, **kwargs):
         n_before = led.contract_state(TREASURY).net_total
-        first = len(led.events)
+        first = len(committed)
         result = inner(*args, **kwargs)
-        logged = led.events[first:]
+        logged = committed[first:]
         dists = [e.payload for e in logged if e.tag == "Distributed"]
         tst = led.contract_state(TREASURY)
         if dists or tst.net_total != n_before:
@@ -135,6 +141,7 @@ def record_distributions(world: World) -> list[tuple]:
                           {t: accrued(tst, t) for t in tst.registry}, dust_of(tst)))
         return result
 
+    led._log = keep
     led.call = call
     return steps
 
@@ -150,7 +157,7 @@ def test_criterion_1_operator_fee_equation(corpus):
         fee_bps = s.treasury.fee_bps
         r_total = sum(v.rewards_received for v in report.validators)
         receipt_count = sum(
-            1 for e in world.ledger.events if e.tag == "RewardReceived")
+            1 for e in logged_events(world.ledger) if e.tag == "RewardReceived")
         paid = report.operator_fees_claimed
         if report.operator_fees_accrued > 0:
             paid += world.ledger.call(OPERATOR, TREASURY, "claim_operator_fees", {})
@@ -177,7 +184,7 @@ def test_criterion_2_holder_share_equation(corpus):
     for s, world, report, steps in runs:
         # Every distribution in the log was seen as a step: a driver that
         # bypassed the Ledger.call wrapper would record none and pass below.
-        assert len(steps) == sum(1 for e in world.ledger.events if e.tag == "Distributed")
+        assert len(steps) == sum(1 for e in logged_events(world.ledger) if e.tag == "Distributed")
         tst = world.ledger.contract_state(TREASURY)
         token_order = sorted(tst.registry)
         capitals = [tst.registry[t].capital for t in token_order]
@@ -236,7 +243,7 @@ def test_criterion_3_conservation(corpus):
     for s, world, report, _ in runs:
         assert report.conservation_ok and report.replay_ok
         led = world.ledger
-        replay = sc.replay_balances(led.events)
+        replay = sc.replay_balances(logged_events(led))
         assert (replay.minted, replay.burned) == (led.minted_total, led.burned_total)
         checked += 1
     for (s,) in golden_runs:

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 import stakeclaim as sc
 from conftest import json_values, one_field_replaced
 from stakeclaim.cli import main
+from stakeclaim.errors import InvariantViolation
+from stakeclaim.scenario import World
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -112,6 +114,43 @@ class TestRun:
         assert run_cli("run", "--scenario", str(bad), "--out", str(tmp_path / "o")) == 1
         assert time.perf_counter() - t0 < 1
         assert "decimal exponent outside -400..400" in capsys.readouterr().err
+
+    def test_validator_count_above_the_bound_exit_1_quickly(self, tmp_path, capsys):
+        doc = json.loads(sc.golden_scenario_path("honest").read_text())
+        doc["treasury"]["validators"] = 10 ** 9
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        assert run_cli("validate", "--scenario", str(bad)) == 1
+        assert run_cli("run", "--scenario", str(bad), "--out", str(tmp_path / "o")) == 1
+        assert time.perf_counter() - t0 < 1
+        listed = capsys.readouterr()
+        for listing in (listed.out, listed.err):
+            assert f"treasury.validators 1000000000 is more than VALIDATORS_MAX " \
+                f"{sc.scenario.VALIDATORS_MAX}" in listing
+
+    def test_invariant_violation_exit_2_leaves_the_log_so_far(self, tmp_path, capsys,
+                                                             monkeypatch):
+        scenario = str(sc.golden_scenario_path("honest"))
+        out = tmp_path / "out"
+        assert run_cli("run", "--scenario", scenario, "--out", str(out)) == 0
+        clean = (out / "events.jsonl").read_bytes()
+        k = 7
+        audit = World.audit
+
+        def audit_failing_at_k(world):
+            audit(world)
+            if world.ledger.epoch == k:
+                raise InvariantViolation(f"epoch {k}: planted")
+
+        monkeypatch.setattr(World, "audit", audit_failing_at_k)
+        assert run_cli("run", "--scenario", scenario, "--out", str(out)) == 2
+        assert "invariant violation: epoch 7: planted" in capsys.readouterr().err
+        partial = (out / "events.jsonl").read_bytes()
+        assert 0 < len(partial) < len(clean) and clean.startswith(partial)
+        assert json.loads(partial.splitlines()[-1])["epoch"] == k
+        assert json.loads(clean[len(partial):].splitlines()[0])["epoch"] == k + 1
+        assert not (out / "report.json").exists()
 
     def test_undecodable_file_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_world
+from conftest import logged_events, make_world
 from stakeclaim.errors import (
     ContractError,
     InsufficientBalance,
@@ -71,7 +71,7 @@ class TestTransfer:
     def test_transfer_logged(self):
         led = fresh_ledger(a=5, b=0)
         led.transfer("a", "b", 3)
-        last = led.events[-1]
+        last = logged_events(led)[-1]
         assert last.tag == "Transfer"
         assert last.payload == {"from": "a", "to": "b", "amount": 3}
 
@@ -127,7 +127,7 @@ class TestDispatch:
         result = led.call("user", "c1", "poke")
         assert result == 1
         assert led.contract_state("c1") == 1
-        tags = [e.tag for e in led.events if e.tag != "SupplyMint"]
+        tags = [e.tag for e in logged_events(led) if e.tag != "SupplyMint"]
         assert tags == ["Call", "Poked"]
 
     def test_unknown_contract(self):
@@ -204,7 +204,8 @@ class TestDispatch:
         led = dispatch_ledger()
         for _ in range(2):
             led.call("user", "c1", "poke_then_call", {"peer": "c2", "peer_method": "poke"})
-        calls = [e.payload for e in led.events if e.tag == "Call"]
+        # The batch not yet encoded holds the logged Event objects themselves.
+        calls = [e.payload for e in led._pending if e.tag == "Call"]
         assert calls == [{"caller": "user", "target": "c1", "method": "poke_then_call"},
                          {"caller": "c1", "target": "c2", "method": "poke"}] * 2
         assert calls[0] is calls[2] and calls[1] is calls[3]
@@ -258,17 +259,18 @@ class TestEventLog:
         led.transfer("a", "b", 1)
         led.advance_epoch()
         led.transfer("a", "b", 1)
-        seqs = [e.seq for e in led.events]
+        events = logged_events(led)
+        seqs = [e.seq for e in events]
         assert seqs == sorted(seqs) == list(range(len(seqs)))
-        epochs = [e.epoch for e in led.events]
+        epochs = [e.epoch for e in events]
         assert epochs == sorted(epochs)
 
     def test_reverted_tree_leaves_no_events(self):
         led = dispatch_ledger()
-        before = len(led.events)
+        before = len(logged_events(led))
         with pytest.raises(ContractError):
             led.call("user", "c1", "boom")
-        assert len(led.events) == before
+        assert len(logged_events(led)) == before
 
 
 class Name(str):
@@ -331,8 +333,9 @@ class TestEventEncoding:
         for emitter, tag, payload in entries:
             led.emit(emitter, tag, payload)
             led.advance_epoch()
-        assert led.events_jsonl() == "".join(e.to_json() + "\n" for e in led.events)
-        assert led.events_jsonl() == "".join(dumps_line(e) + "\n" for e in led.events)
+        events = list(led._pending)      # the Event objects, before events_jsonl encodes them
+        assert led.events_jsonl() == "".join(e.to_json() + "\n" for e in events)
+        assert led.events_jsonl() == "".join(dumps_line(e) + "\n" for e in events)
 
     @settings(max_examples=100)
     @given(st.lists(payloads | flat_payloads | row_payloads, min_size=1, max_size=4),
@@ -364,10 +367,11 @@ class TestEventEncoding:
         jsonl = led.events_jsonl()
         led.call("user", "c1", "poke")
         led.restore(snap)
+        restored = led._pending          # the snapshot's batch, not yet encoded
         assert led.events_jsonl() == jsonl
-        assert all(type(e) is Event for e in led.events)
+        assert restored and all(type(e) is Event for e in restored)
         for record in (Msg("a", "m", {"k": 1}), Transfer("a", 1), Emit("T", {}),
-                       Call("a", "m"), Issue(1, "x"), led.events[-1]):
+                       Call("a", "m"), Issue(1, "x"), restored[-1]):
             assert pickle.loads(pickle.dumps(record)) == record
         assert pickle.loads(pickle.dumps(Call("a", "m"))).args is Call("a", "m").args
 
@@ -386,7 +390,7 @@ class TestConservation:
         led.call("user", "c1", "poke", value=25)
         led.advance_epoch()
         led.call("user", "c1", "pay", {"to": "user", "amount": 5})
-        replay = replay_balances(led.events)
+        replay = replay_balances(logged_events(led))
         for name in ("user", "c1", "c2"):
             assert replay.balances.get(name, 0) == led.balance_of(name)
         assert (replay.minted, replay.burned) == (led.minted_total, led.burned_total)

@@ -62,6 +62,31 @@ class TestValidate:
         assert "overlap" in violations[0]
         assert "[0, 10)" in violations[0] and "[5, 21)" in violations[0]
 
+    def test_overlaps_checked_for_named_and_unnamed_validators(self):
+        # Validator 0's own window splits the shared pair for it; validator 1,
+        # which no window names, still sees the shared windows overlap.
+        s = small_scenario(
+            treasury=TreasurySpec(fee_bps=1000, expected_reward_per_epoch=20,
+                                  grace_epochs=3, escrow_required=50, validators=2),
+            operator_schedule=(
+                BehaviorWindow(from_epoch=0, to_epoch=10, factor=1.0),
+                BehaviorWindow(from_epoch=5, factor=0.5),
+                BehaviorWindow(from_epoch=3, to_epoch=4, factor=0, validator=0),
+            ))
+        assert validate(s) == [
+            "operator_schedule windows overlap for validator 0: [0, 10) and [3, 4)",
+            "operator_schedule windows overlap for validator 1: [0, 10) and [5, 21)",
+        ]
+
+    def test_validator_count_is_bounded(self):
+        bound = sc.scenario.VALIDATORS_MAX
+        s = small_scenario(treasury=TreasurySpec(
+            fee_bps=1000, expected_reward_per_epoch=20, grace_epochs=3,
+            escrow_required=50, validators=bound))
+        assert validate(s) == []
+        assert validate(replace(s, treasury=replace(s.treasury, validators=bound + 1))) == [
+            f"treasury.validators {bound + 1} is more than VALIDATORS_MAX {bound}"]
+
     def test_non_overlapping_per_validator_windows_ok(self):
         s = small_scenario(
             treasury=TreasurySpec(fee_bps=1000, expected_reward_per_epoch=20,
@@ -486,9 +511,9 @@ class TestWorldLifetime:
             led, dropped = world.ledger, weakref.ref(world)
             del world
             assert dropped() is None
-            events = len(led.events)
+            events = led.event_count
             led.advance_epoch()          # no world left: no sub-steps run
-            assert len(led.events) == events
+            assert led.event_count == events
         finally:
             gc.enable()
 

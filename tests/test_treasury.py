@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BEACON, OPERATOR, SYSTEM, TREASURY, Mini, make_world
+from conftest import BEACON, OPERATOR, SYSTEM, TREASURY, Mini, logged_events, make_world
 from oracle import rational_shares, replay_split
 from stakeclaim.errors import (
     AlreadySettled,
@@ -162,7 +162,7 @@ class TestClaims:
         amounts = [1000, 777, 31, 4999, 12, 1000]
         for a in amounts:
             receive(w, a)
-        receipts = reward_receipts(w.ledger.events)
+        receipts = reward_receipts(logged_events(w.ledger))
         assert [r.amount for r in receipts] == amounts
         assert sum(r.amount for r in receipts) == w.treasury_state.rewards_received[0]
         fees, _, _, _ = replay_split(amounts, [40, 24], 1000)

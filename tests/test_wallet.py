@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import BEACON, OPERATOR, TREASURY, make_world
+from conftest import BEACON, OPERATOR, TREASURY, logged_events, make_world
 from oracle import trigger_epoch
 from stakeclaim.beacon import validator_by_id
 from stakeclaim.errors import BeaconNotSwept, WrongAmount, WrongCaller, WrongStatus
@@ -67,10 +67,10 @@ class TestForwardRewards:
 
     def test_zero_balance_records_zero_no_transfer(self, staked_world):
         w = staked_world
-        events_before = len(w.ledger.events)
+        events_before = len(logged_events(w.ledger))
         assert w.forward() == 0
         assert w.wallet_state().reward_window[w.ledger.epoch] == 0
-        tags = [e.tag for e in w.ledger.events[events_before:]]
+        tags = [e.tag for e in logged_events(w.ledger)[events_before:]]
         assert "Transfer" not in tags and "RewardsForwarded" not in tags
 
     def test_second_forward_same_epoch_only_new_funds(self, staked_world):
@@ -243,7 +243,7 @@ class TestExitPath:
         w.stake_all()
         run_epoch(w, 0.0)
         assert run_epoch(w, 0.0) == "TriggerExit"
-        triggers = [e for e in w.ledger.events if e.tag == "ExitTriggered"]
+        triggers = [e for e in logged_events(w.ledger) if e.tag == "ExitTriggered"]
         assert len(triggers) == 1
         with pytest.raises(WrongStatus):
             w.watchdog()               # status is no longer Active
@@ -276,13 +276,13 @@ class TestZeroTrust:
         for _ in range(20):
             run_epoch(w, 0.0)
             if trigger_seq is None:
-                hits = [e.seq for e in w.ledger.events if e.tag == "ExitTriggered"]
+                hits = [e.seq for e in logged_events(w.ledger) if e.tag == "ExitTriggered"]
                 if hits:
                     trigger_seq = hits[0]
             if w.wallet_state().status is WalletStatus.WITHDRAWN:
                 break
         assert w.wallet_state().status is WalletStatus.WITHDRAWN
-        exit_path = [e for e in w.ledger.events if e.seq >= trigger_seq]
+        exit_path = [e for e in logged_events(w.ledger) if e.seq >= trigger_seq]
         assert any(e.tag == "ExitSettled" for e in exit_path)
         for e in exit_path:
             assert e.emitter != OPERATOR
@@ -297,6 +297,6 @@ class TestZeroTrust:
             run_epoch(w, 0.7)
             if w.wallet_state().status is WalletStatus.WITHDRAWN:
                 break
-        outflows = {e.payload["to"] for e in w.ledger.events
+        outflows = {e.payload["to"] for e in logged_events(w.ledger)
                     if e.tag == "Transfer" and e.payload["from"] == w.wallets[0]}
         assert outflows <= {TREASURY, BEACON}
