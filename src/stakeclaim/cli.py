@@ -26,7 +26,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import InvalidScenario, InvariantViolation
-from .scenario import World, load_scenario, validate
+from .scenario import World, horizon_problem, load_scenario, validate
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -41,10 +41,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         for v in violations:
             print(v, file=sys.stderr)
         return 1
-    if args.epochs is not None and args.epochs < 0:
-        print(f"--epochs must be >= 0, got {args.epochs}", file=sys.stderr)
-        return 1
     if args.epochs is not None:
+        problem = horizon_problem(args.epochs)
+        if problem:
+            print(f"--epochs: {problem}", file=sys.stderr)
+            return 1
         scenario = replace(scenario, horizon=args.epochs)
     out = Path(args.out)
     world = World(scenario)

@@ -627,7 +627,16 @@ class Ledger:
     # --- snapshots ---------------------------------------------------------
 
     def snapshot(self) -> bytes:
-        """Serialize all mutable state; pair with :meth:`restore`."""
+        """Serialize all mutable state; pair with :meth:`restore`.
+
+        The bytes are not canonical. A restored state holds unpickled copies
+        of the shared ``Call`` payloads and event strings, while payloads
+        and strings built after the restore are other objects, so pickle
+        shares them differently: equal states can pickle to different bytes
+        once :meth:`restore` has run. Compare snapshots taken across a
+        restore with ``pickle.loads``, not as bytes. (Adding the interned
+        payloads to the snapshot does not make the bytes canonical either.)
+        """
         return pickle.dumps((
             self._balances, self._states, self.epoch,
             self.minted_total, self.burned_total, self._seq,

@@ -11,8 +11,10 @@ Every epoch executes the same fixed sub-step order:
 1. beacon accrual (activations and exit maturation first),
    then any slashes scheduled for this epoch
 2. beacon sweep
-3. wallet reward forwarding, in validator index order
-   (each receipt only raises the treasury's reward accumulator)
+3. wallet reward forwarding, in validator index order, for each wallet
+   that holds a balance (each receipt only raises the treasury's reward
+   accumulator); an empty wallet is not poked, since a zero forward moves
+   nothing and the watchdog reads a missing window slot as 0
 4. wallet watchdog checks
 5. exit/withdrawal settlement
 6. scheduled user actions: escrow post, mint-window abort, deposits,
@@ -48,7 +50,7 @@ from .beacon import BeaconContract, BeaconParams, ValidatorStatus, exact_factor,
 from .errors import ContractError, InvalidScenario, InvariantViolation
 from .ledger import Ledger, replay_balances  # noqa: F401  (scenario.replay_balances stays importable)
 from .mint import MintConfig, MintContract
-from .treasury import Phase, TreasuryConfig, TreasuryContract, accrued, balance_identity
+from .treasury import Phase, TreasuryConfig, TreasuryContract, balance_identity, claimable_of
 from .wallet import ValidatorWallet, WalletConfig, WalletStatus
 
 SYSTEM = "system"
@@ -307,6 +309,10 @@ FACTOR_MAX_EXPONENT = 400
 # Bound on treasury.validators: a World registers one wallet per validator
 # and visits each every epoch.
 VALIDATORS_MAX = 1024
+# Bound on horizon (and on `stakeclaim run --epochs`): a run executes every
+# epoch and logs about 1.6 kB per epoch per validator; the benchmark's long
+# workload runs 10,000 epochs.
+HORIZON_MAX = 100_000
 # The exponent of any string Fraction accepts (fractions._RATIONAL_FORMAT).
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
@@ -341,6 +347,15 @@ def _bad_int(v, lo: int, hi=None) -> bool:
     return type(v) is not int or v < lo or (hi is not None and v > hi)
 
 
+def horizon_problem(horizon) -> str | None:
+    """Why `horizon` cannot be run, or None: an integer in 0..HORIZON_MAX."""
+    if _bad_int(horizon, 0):
+        return f"horizon must be an integer >= 0, got {horizon!r}"
+    if horizon > HORIZON_MAX:
+        return f"horizon {horizon} is more than HORIZON_MAX {HORIZON_MAX}"
+    return None
+
+
 def validate(s: Scenario) -> list[str]:
     """Return every constraint violation, not just the first.
 
@@ -351,8 +366,9 @@ def validate(s: Scenario) -> list[str]:
     out: list[str] = []
     t, mi, b = s.treasury, s.mint, s.beacon
 
-    if _bad_int(s.horizon, 0):
-        out.append(f"horizon must be an integer >= 0, got {s.horizon!r}")
+    problem = horizon_problem(s.horizon)
+    if problem:
+        out.append(problem)
     # Epoch bounds fall back to "no upper bound" while the horizon is unusable.
     last = s.horizon if type(s.horizon) is int else math.inf
     if _bad_int(t.fee_bps, 0, 10_000):
@@ -681,11 +697,11 @@ class World:
         if led.contract_state(BEACON).validators:
             led.call(SYSTEM, BEACON, "sweep", {})
 
-        # (3) reward forwarding
+        # (3) reward forwarding, only from wallets that hold something
         for w in self.wallets:
             wst = led.contract_state(w)
             if wst.status in (WalletStatus.ACTIVE, WalletStatus.EXIT_REQUESTED) \
-                    and not wst.settlement_ready:
+                    and not wst.settlement_ready and led.balance_of(w):
                 led.call(SYSTEM, w, "forward_rewards", {})
 
         # (4) watchdogs
@@ -774,23 +790,18 @@ class World:
         led = self.ledger
         tst = led.contract_state(TREASURY)
 
-        claimable = dict(tst.claimable)
-        capital: dict[str, int] = {}
-        for token_id, rec in tst.registry.items():
-            capital[rec.owner] = capital.get(rec.owner, 0) + rec.capital
-            claimable[rec.owner] = (claimable.get(rec.owner, 0) + accrued(tst, token_id)
-                                    - tst.paid.get(token_id, 0))
-        names = set(self.holders) | set(claimable) | set(tst.claimed_total)
+        names = (set(self.holders) | set(tst.owned) | set(tst.claimable)
+                 | set(tst.claimed_total))
         holders = []
         for h in sorted(names):
-            cap = capital.get(h, 0)
+            cap = sum(tst.registry[t].capital for t in tst.owned.get(h, ()))
             settled_credit = tst.settlement_credits.get(h, 0)
             loss = max(0, cap - settled_credit) if tst.phase is Phase.SETTLED else 0
             holders.append(HolderReport(
                 holder=h,
                 capital=cap,
                 claimed=tst.claimed_total.get(h, 0),
-                claimable=claimable.get(h, 0),
+                claimable=claimable_of(tst, h),
                 settlement_credits=settled_credit,
                 realized_loss=loss,
             ))

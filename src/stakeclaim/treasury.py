@@ -19,9 +19,14 @@ token keeps a checkpoint ``paid[i]``, the part of ``accrued(i)`` already
 moved into an owner's ``claimable``. A token is settled (the difference
 credited to its current owner and the checkpoint moved up) when it changes
 hands and when its owner claims, so every credit lands with whoever owned
-the token when the distribution happened. The undistributed sub-unit
-remainder is dust: ``N - sum(accrued(i))``, always below the token count.
-Per distribution of ``amount`` the split is exact::
+the token when the distribution happened. A claim finds the caller's
+tokens through an owner index (``owned``: owner -> ascending token ids,
+the analogue of ERC-721 Enumerable's per-owner token list), kept on
+register and transfer, so it costs O(owned), not a registry scan.
+
+The undistributed sub-unit remainder is dust: ``N - sum(accrued(i))``,
+always below the token count. Per distribution of ``amount`` the split is
+exact::
 
     fee + sum(delta accrued(i)) + delta dust == amount
 
@@ -45,6 +50,7 @@ off by one unit breaks it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -132,6 +138,7 @@ class SettlementRecord:
 class TreasuryState:
     validators: tuple[str, ...] = ()
     registry: dict[int, NftRecord] = field(default_factory=dict)
+    owned: dict[str, tuple[int, ...]] = field(default_factory=dict)  # owner -> its token ids
     sum_capital: int = 0
     principal: int = 0
     principal_staked: int = 0
@@ -169,8 +176,7 @@ def accrued(state: TreasuryState, token_id: int) -> int:
 def claimable_of(state: TreasuryState, holder: str) -> int:
     """What `holder` could claim now: settled credit plus its tokens' pending credit."""
     return state.claimable.get(holder, 0) + sum(
-        accrued(state, t) - state.paid.get(t, 0)
-        for t, rec in state.registry.items() if rec.owner == holder)
+        accrued(state, t) - state.paid.get(t, 0) for t in state.owned.get(holder, ()))
 
 
 def dust_of(state: TreasuryState) -> int:
@@ -194,6 +200,12 @@ def split_credits(before: int, after: int, registry: dict[int, NftRecord],
         credits.append([token_id, rec.owner, share])
         total += share
     return credits, after - before - total
+
+
+def _added(tokens: tuple[int, ...], token_id: int) -> tuple[int, ...]:
+    """Ascending `tokens` with `token_id` inserted in order."""
+    i = bisect_left(tokens, token_id)
+    return tokens[:i] + (token_id,) + tokens[i:]
 
 
 def _settle_token(st: TreasuryState, token_id: int, owner: str) -> None:
@@ -242,6 +254,8 @@ class TreasuryContract(Handlers):
             capital=msg.args["capital"],
         )
         return evolve(state, registry={**state.registry, rec.token_id: rec},
+                      owned={**state.owned,
+                             rec.owner: _added(state.owned.get(rec.owner, ()), rec.token_id)},
                       sum_capital=state.sum_capital + rec.capital,
                       principal=state.principal + rec.capital), [], None
 
@@ -252,9 +266,16 @@ class TreasuryContract(Handlers):
         rec = state.registry.get(token_id)
         if rec is None:
             raise UnknownToken(f"no token {token_id}")
+        to = msg.args["to"]
         st = evolve(state)
         _settle_token(st, token_id, rec.owner)
-        st.registry = {**state.registry, token_id: evolve(rec, owner=msg.args["to"])}
+        st.registry = {**state.registry, token_id: evolve(rec, owner=to)}
+        owned = dict(state.owned)      # copy-on-write: the input's index is shared
+        kept = tuple(t for t in owned.pop(rec.owner) if t != token_id)
+        if kept:
+            owned[rec.owner] = kept
+        owned[to] = _added(owned.get(to, ()), token_id)
+        st.owned = owned
         return st, [], None
 
     def _op_abort_refund(self, state: TreasuryState, msg: Msg, ctx: CallContext):
@@ -334,17 +355,17 @@ class TreasuryContract(Handlers):
     def _op_claim(self, state: TreasuryState, msg: Msg, ctx: CallContext):
         """Pull-payment of everything credited to the caller.
 
-        Settles the caller's tokens only; other owners' pending credit stays
-        pending.
+        Settles the caller's tokens only, found through the owner index;
+        other owners' pending credit stays pending.
         """
-        owned = [t for t, rec in state.registry.items() if rec.owner == msg.caller]
+        checkpoints = {t: accrued(state, t) for t in state.owned.get(msg.caller, ())}
+        paid = state.paid
         amount = state.claimable.get(msg.caller, 0) + sum(
-            accrued(state, t) - state.paid.get(t, 0) for t in owned)
+            total - paid.get(t, 0) for t, total in checkpoints.items())
         if amount <= 0:
             raise NothingToClaim(f"{msg.caller} has nothing to claim")
-        paid = dict(state.paid)
-        for t in owned:
-            paid[t] = accrued(state, t)
+        if checkpoints:
+            paid = {**paid, **checkpoints}
         claimed = state.claimed_total.get(msg.caller, 0) + amount
         st = evolve(state, paid=paid, claimable={**state.claimable, msg.caller: 0},
                     claimed_total={**state.claimed_total, msg.caller: claimed})

@@ -10,7 +10,11 @@ authority.
 
 ``forward_rewards``, ``watchdog_check`` and ``finalize_withdrawal`` are
 deliberately permissionless: any keeper may poke them, and the outcome is a
-pure function of wallet state, so the poker gains nothing. Status moves
+pure function of wallet state, so the poker gains nothing. Rewards land in
+the wallet without running its code (as withdrawals do on Ethereum,
+EIP-4895), so a keeper pokes ``forward_rewards`` only when the wallet holds
+a balance: a zero forward would only record a 0 in the reward window, and
+the watchdog reads a missing window slot as 0 anyway. Status moves
 Idle -> Deposited -> Active -> ExitRequested -> Withdrawn, never backward,
 and a wallet triggers at most one exit in its lifetime.
 """

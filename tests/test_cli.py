@@ -129,6 +129,35 @@ class TestRun:
             assert f"treasury.validators 1000000000 is more than VALIDATORS_MAX " \
                 f"{sc.scenario.VALIDATORS_MAX}" in listing
 
+    def test_horizon_above_the_bound_exit_1_quickly(self, tmp_path, capsys):
+        doc = json.loads(sc.golden_scenario_path("honest").read_text())
+        doc["horizon"] = 10 ** 9
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        assert run_cli("validate", "--scenario", str(bad)) == 1
+        assert run_cli("run", "--scenario", str(bad), "--out", str(tmp_path / "o")) == 1
+        assert time.perf_counter() - t0 < 1
+        listed = capsys.readouterr()
+        for listing in (listed.out, listed.err):
+            assert f"horizon 1000000000 is more than HORIZON_MAX " \
+                f"{sc.scenario.HORIZON_MAX}" in listing
+
+    @pytest.mark.parametrize("epochs,problem", [
+        (-1, "horizon must be an integer >= 0, got -1"),
+        (sc.scenario.HORIZON_MAX + 1, f"horizon {sc.scenario.HORIZON_MAX + 1} is more "
+                                      f"than HORIZON_MAX {sc.scenario.HORIZON_MAX}"),
+    ])
+    def test_epochs_override_outside_the_bounds_exit_1(self, epochs, problem,
+                                                        tmp_path, capsys):
+        out = tmp_path / "o"
+        t0 = time.perf_counter()
+        assert run_cli("run", "--scenario", str(sc.golden_scenario_path("honest")),
+                       "--out", str(out), "--epochs", str(epochs)) == 1
+        assert time.perf_counter() - t0 < 1
+        assert f"--epochs: {problem}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invariant_violation_exit_2_leaves_the_log_so_far(self, tmp_path, capsys,
                                                              monkeypatch):
         scenario = str(sc.golden_scenario_path("honest"))

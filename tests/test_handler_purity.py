@@ -8,13 +8,15 @@ would leave its write behind. Every contract class's ``handle`` is wrapped
 here over the acceptance corpus, with claims and NFT transfers added so
 that rejected calls and the claim and resale paths run too, and over the
 three goldens: the pickle of the state passed in must be the same when the
-handler returns and when it raises.
+handler returns and when it raises. Every registration and every resale
+must also return a fresh owner index (``TreasuryState.owned``).
 """
 
 from __future__ import annotations
 
 import pickle
 import random
+from collections import Counter
 from dataclasses import replace
 
 import stakeclaim as sc
@@ -41,10 +43,16 @@ def with_claims_and_transfers(s, rng: random.Random):
     return replace(s, claims=claims, nft_transfers=transfers)
 
 
-def guard_handlers(monkeypatch) -> tuple[dict, list]:
-    """Wrap every contract class's handle; returns (outcome counts, mutations)."""
+def guard_handlers(monkeypatch) -> tuple[dict, list, Counter]:
+    """Wrap every contract class's handle.
+
+    Returns (outcome counts, mutations, writes). writes counts each method's
+    returns under (method, "") and, under (method, field), the returns whose
+    state holds another object in that field than the input state did.
+    """
     outcomes = {"returned": 0, "raised": 0}
     mutated: list[tuple[str, str, str]] = []
+    writes: Counter = Counter()
 
     for cls in CONTRACTS:
         def guarded(self, state, msg, ctx, inner=cls.handle):
@@ -53,6 +61,10 @@ def guard_handlers(monkeypatch) -> tuple[dict, list]:
             try:
                 result = inner(self, state, msg, ctx)
                 outcome = "returned"
+                old = vars(state)
+                writes[msg.method, ""] += 1
+                writes.update((msg.method, name) for name, value in vars(result[0]).items()
+                              if value is not old[name])
                 return result
             finally:
                 outcomes[outcome] += 1
@@ -60,11 +72,11 @@ def guard_handlers(monkeypatch) -> tuple[dict, list]:
                     mutated.append((type(self).__name__, msg.method, outcome))
 
         monkeypatch.setattr(cls, "handle", guarded)
-    return outcomes, mutated
+    return outcomes, mutated, writes
 
 
 def test_handlers_leave_their_input_state_untouched(monkeypatch):
-    outcomes, mutated = guard_handlers(monkeypatch)
+    outcomes, mutated, writes = guard_handlers(monkeypatch)
     rng = random.Random(CORPUS_SEED)
     corpus = [random_scenario(rng) for _ in range(CORPUS_SIZE)]
     extras = random.Random(CORPUS_SEED + 1)
@@ -78,6 +90,10 @@ def test_handlers_leave_their_input_state_untouched(monkeypatch):
         assert report.conservation_ok and report.replay_ok
         rejected += report.events_jsonl.count('"tag":"ActionRejected"')
     assert mutated == []
+    # The owner index is written, as a fresh map, on every registration and
+    # every resale, and the input states above stayed as they were.
+    for method in ("register_nft", "update_owner"):
+        assert writes[method, "owned"] == writes[method, ""] > 0
     # Both outcomes were exercised: returns and reverted calls alike.
     assert outcomes["returned"] > 10_000
     assert outcomes["raised"] == rejected > 100

@@ -17,6 +17,7 @@ import stakeclaim as sc
 from conftest import one_field_replaced
 from oracle import rational_shares, replay_split, trigger_epoch
 from stakeclaim.errors import InvalidScenario, InvariantViolation
+from stakeclaim.ledger import Event, ReplayResult, replay_balances
 from stakeclaim.scenario import (
     BeaconSpec,
     BehaviorWindow,
@@ -86,6 +87,14 @@ class TestValidate:
         assert validate(s) == []
         assert validate(replace(s, treasury=replace(s.treasury, validators=bound + 1))) == [
             f"treasury.validators {bound + 1} is more than VALIDATORS_MAX {bound}"]
+
+    def test_horizon_is_bounded(self):
+        bound = sc.scenario.HORIZON_MAX
+        assert bound >= 10_000          # the long benchmark workload's horizon
+        s = small_scenario(horizon=bound)
+        assert validate(s) == []
+        assert validate(replace(s, horizon=bound + 1)) == [
+            f"horizon {bound + 1} is more than HORIZON_MAX {bound}"]
 
     def test_non_overlapping_per_validator_windows_ok(self):
         s = small_scenario(
@@ -310,6 +319,21 @@ class TestNonPayingRun:
         assert by_name["bob"].realized_loss == 0
         assert report.operator_fees_accrued == fees
         assert report.validators[0].penalty == 2_000_000
+
+    def test_only_wallets_holding_a_balance_are_poked(self):
+        # The validator earns 1000 at epochs 2..12 and nothing from 13 on.
+        report = sc.run(sc.load_scenario(sc.golden_scenario_path("nonpaying")))
+        events = [Event(**json.loads(line)) for line in report.events_jsonl.splitlines()]
+        balances = ReplayResult({}, 0, 0)
+        poked = []
+        for e in events:
+            if e.tag == "Call" and e.payload["method"] == "forward_rewards":
+                poked.append((e.epoch, balances.balances.get(e.payload["target"], 0)))
+            replay_balances([e], into=balances)
+        assert poked == [(epoch, 1000) for epoch in range(2, 13)]
+        # Skipped forwards left slots missing where zeros were; the exit is unchanged.
+        assert [(e.epoch, e.payload) for e in events if e.tag == "ExitTriggered"] == [
+            (17, {"validator_id": 0, "window_sum": 0, "threshold": 1000})]
 
     def test_no_operator_messages_after_trigger(self):
         report = sc.run(sc.load_scenario(sc.golden_scenario_path("nonpaying")))

@@ -6,8 +6,9 @@ fee claims, in any order. Its model splits every distribution eagerly,
 token by token, carrying each token's sub-unit remainder and crediting
 each share to whoever owns the token at that moment; it shares no code
 with the treasury's closed-form accumulator. After every step each
-holder's claimed + claimable must equal the model, and the treasury's
-ledger balance must equal :func:`balance_identity`.
+holder's claimed + claimable must equal the model, the treasury's
+ledger balance must equal :func:`balance_identity`, and the owner index
+must equal a scan of the registry.
 """
 
 from __future__ import annotations
@@ -139,6 +140,19 @@ class TreasuryMachine(RuleBasedStateMachine):
             assert ts.claimed_total.get(h, 0) == self.claimed[h]
             assert ts.settlement_credits.get(h, 0) == self.settlement_credited[h]
         assert ts.operator_fees_accrued == self.fees
+
+    @invariant()
+    def owner_index_matches_a_registry_scan(self):
+        ts = self.w.treasury_state
+        scan: dict[str, tuple[int, ...]] = {}
+        for t in sorted(ts.registry):
+            owner = ts.registry[t].owner
+            scan[owner] = scan.get(owner, ()) + (t,)
+        # Equal maps: an owner who has sold everything has no entry left.
+        assert ts.owned == scan
+        for h in HOLDERS:
+            assert ts.owned.get(h, ()) == tuple(
+                i for i, owner in enumerate(self.owners) if owner == h)
 
     @invariant()
     def treasury_identity_holds(self):

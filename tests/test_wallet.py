@@ -87,15 +87,20 @@ class TestForwardRewards:
             world.forward()
 
 
-def run_epoch(w, factor=1.0):
-    """One epoch of the fixed sub-step order, driven by hand."""
+def run_epoch(w, factor=1.0, skip_empty=False):
+    """One epoch of the fixed sub-step order, driven by hand.
+
+    With `skip_empty`, an empty wallet is not asked to forward, as the
+    scenario driver does.
+    """
     w.ledger.advance_epoch()
     vid = w.wallet_state().validator_id
     w.accrue({vid: factor})
     w.sweep()
     ws = w.wallet_state()
     if ws.status in (WalletStatus.ACTIVE, WalletStatus.EXIT_REQUESTED) \
-            and not ws.settlement_ready:
+            and not ws.settlement_ready \
+            and not (skip_empty and w.ledger.balance_of(w.wallets[0]) == 0):
         w.forward()
     if w.wallet_state().status is WalletStatus.ACTIVE:
         decision = w.watchdog()
@@ -168,6 +173,30 @@ class TestWatchdog:
         expect = trigger_epoch(received, activation, expected=60, grace=4,
                                last_epoch=activation + 12)
         assert fired_at == expect
+
+    @pytest.mark.parametrize("factors", [
+        [0.0] * 4,                       # window [0, 0, 0]: 0 against 300
+        [1.0, 0.0, 1.0, 0.0, 0.0],       # [100, 0, 100]: 200
+        [1.0, 0.4, 0.0],                 # [100, 40, 0]: 140
+    ])
+    def test_missing_window_slots_read_as_zero(self, factors):
+        """Skipping an empty wallet's forward leaves its window slot missing
+        where a zero forward would write 0; the watchdog's verdict and its
+        ExitTriggered payload must not tell the two apart."""
+        def drive(skip_empty):
+            w = make_world(expected=100, grace=3)
+            w.mint("alice", 64)
+            w.stake_all()
+            decisions = [run_epoch(w, f, skip_empty) for f in factors]
+            triggers = [e.payload for e in logged_events(w.ledger)
+                        if e.tag == "ExitTriggered"]
+            return decisions, triggers, w.wallet_state().reward_window
+
+        zeros, missing = drive(False), drive(True)
+        assert 0 in zeros[2].values() and 0 not in missing[2].values()
+        assert zeros[:2] == missing[:2]
+        assert zeros[0].count("TriggerExit") == 1 and len(zeros[1]) == 1
+        assert zeros[1][0]["threshold"] == 300
 
     def test_watchdog_twice_same_epoch_rejected(self, staked_world):
         w = staked_world
