@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .errors import InvalidAmount, InvalidFactor, NotActive, Unauthorized, UnknownValidator, WrongAmount, WrongStatus
+from .errors import InvalidAmount, InvalidFactor, NotActive, Unauthorized, UnknownValidator, WrongAmount, WrongStatus, bounded, checked
 from .ledger import AddressKind, Call, CallContext, Destroy, Emit, Handlers, Issue, Msg, Transfer, evolve
 
 
@@ -42,17 +42,11 @@ class ValidatorStatus(Enum):
 class BeaconParams:
     """Protocol constants; all strictly positive."""
 
-    stake_requirement: int
-    reward_per_epoch: int
-    activation_delay: int
-    exit_delay: int
-    sweep_period: int
-
-    def __post_init__(self):
-        for name in ("stake_requirement", "reward_per_epoch", "activation_delay",
-                     "exit_delay", "sweep_period"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+    stake_requirement: int = bounded(1)
+    reward_per_epoch: int = bounded(1)
+    activation_delay: int = bounded(1)
+    exit_delay: int = bounded(1)
+    sweep_period: int = bounded(1)
 
 
 @dataclass(frozen=True)
@@ -116,7 +110,7 @@ class BeaconContract(Handlers):
     kind = "beacon"
 
     def __init__(self, params: BeaconParams, driver: str):
-        self.params = params
+        self.params = checked(params)
         self.driver = driver
 
     def initial_state(self) -> BeaconState:

@@ -25,8 +25,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import InvalidScenario, InvariantViolation
-from .scenario import World, horizon_problem, load_scenario, validate
+from .errors import InvalidScenario, InvariantViolation, bound_problems
+from .scenario import World, load_scenario, validate
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -42,11 +42,11 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(v, file=sys.stderr)
         return 1
     if args.epochs is not None:
-        problem = horizon_problem(args.epochs)
-        if problem:
-            print(f"--epochs: {problem}", file=sys.stderr)
-            return 1
         scenario = replace(scenario, horizon=args.epochs)
+        problems = bound_problems(scenario, "")     # horizon: the one bounded field
+        if problems:
+            print(f"--epochs: {problems['horizon']}", file=sys.stderr)
+            return 1
     out = Path(args.out)
     world = World(scenario)
     try:

@@ -1,4 +1,4 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the one check of declared integer bounds.
 
 Two families matter for dispatch semantics:
 
@@ -10,7 +10,18 @@ Either one raised anywhere inside a call tree reverts the entire tree;
 nothing is committed. ``InvariantViolation`` is different: it signals a bug
 in the machine itself (a conservation or accounting identity broke) and is
 never caught by the dispatcher.
+
+Each integer bound is declared once, on its dataclass field, with
+:func:`bounded` (or :func:`bounded_as`, which copies another field's
+bounds): an int, never a bool, in lo..hi. :func:`bound_problems` checks the
+declarations; ``scenario.validate`` lists what it finds, and each contract
+constructor raises it as ValueError through :func:`checked`.
 """
+
+from __future__ import annotations
+
+from dataclasses import field, fields
+from functools import cache
 
 
 class StakeclaimError(Exception):
@@ -139,3 +150,65 @@ class NotActive(ContractError):
 
 class Unauthorized(ContractError):
     pass
+
+
+# --- declared integer bounds ------------------------------------------------
+
+def bounded(lo: int, hi: int | str | None = None, **kwargs):
+    """A dataclass field holding an int in lo..hi. `hi` None is no upper
+    bound; a string names a limit given to :func:`bound_problems`. A field
+    whose default is None may hold None. `kwargs` go to dataclasses.field."""
+    return field(metadata={"bounds": (lo, hi)}, **kwargs)
+
+
+def bounded_as(cls, name: str):
+    """A dataclass field bounded as dataclass `cls`'s field `name` is."""
+    return field(metadata=cls.__dataclass_fields__[name].metadata)
+
+
+@cache
+def _plan(cls) -> tuple[tuple[str, int, int | str | None, bool], ...]:
+    """(field, lo, hi, may be None) for each bounded field of `cls`."""
+    return tuple((f.name, *f.metadata["bounds"], f.default is None)
+                 for f in fields(cls) if "bounds" in f.metadata)
+
+
+def bound_problems(records, where: str, limits: dict | None = None) -> dict[str, str]:
+    """{field path: message} for each bounded field of `records` out of bounds.
+
+    `records` is one dataclass instance, named `where` ("" names its fields
+    alone), or a tuple or list of instances of one class, item i named
+    ``where[i]``. A named limit that `limits` lacks or holds as None leaves
+    its fields with no upper bound.
+    """
+    out = {}
+    if not isinstance(records, (tuple, list)):
+        for name, lo, hi, optional in _plan(type(records)):
+            if type(hi) is str:
+                hi = limits.get(hi) if limits else None
+            v = getattr(records, name)
+            if (type(v) is not int or v < lo or (hi is not None and v > hi)) \
+                    and not (v is None and optional):
+                _report(out, f"{where}.{name}" if where else name, v, lo, hi)
+        return out
+    # One field at a time across the records: a clean pass stays cheap.
+    for name, lo, hi, optional in _plan(type(records[0])) if records else ():
+        if type(hi) is str:
+            hi = limits.get(hi) if limits else None
+        for i, r in enumerate(records):
+            v = getattr(r, name)
+            if (type(v) is not int or v < lo or (hi is not None and v > hi)) \
+                    and not (v is None and optional):
+                _report(out, f"{where}[{i}].{name}", v, lo, hi)
+    return out
+
+
+def _report(out: dict, path: str, v, lo: int, hi: int | None) -> None:
+    out[path] = f"{path} {v!r} is not an integer " + (f">= {lo}" if hi is None else f"in {lo}..{hi}")
+
+
+def checked(config):
+    """`config`, or a ValueError naming each field out of its declared bounds."""
+    if problems := bound_problems(config, type(config).__name__):
+        raise ValueError("; ".join(problems.values()))
+    return config

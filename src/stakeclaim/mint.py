@@ -17,25 +17,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BelowMinimum, ExceedsCapacity, MintClosed, NotOwner, UnknownToken, WrongStatus
+from .errors import BelowMinimum, ExceedsCapacity, MintClosed, NotOwner, UnknownToken, WrongStatus, bounded, checked
 from .ledger import Call, CallContext, Emit, Handlers, Msg, Transfer, evolve
 
 
 @dataclass(frozen=True)
 class MintConfig:
     treasury: str
-    min_contribution: int
-    target_total: int
-    open_epoch: int
-    close_epoch: int
-
-    def __post_init__(self):
-        if self.min_contribution <= 0:
-            raise ValueError("min_contribution must be positive")
-        if self.target_total <= 0:
-            raise ValueError("target_total must be positive")
-        if not (0 <= self.open_epoch < self.close_epoch):
-            raise ValueError("need 0 <= open_epoch < close_epoch")
+    min_contribution: int = bounded(1)
+    target_total: int = bounded(1)
+    open_epoch: int = bounded(0)
+    close_epoch: int = bounded(1)
 
 
 @dataclass(frozen=True)
@@ -61,7 +53,10 @@ class MintContract(Handlers):
     kind = "mint"
 
     def __init__(self, config: MintConfig):
-        self.config = config
+        self.config = checked(config)
+        if config.open_epoch >= config.close_epoch:
+            raise ValueError(f"MintConfig needs open_epoch < close_epoch, got "
+                             f"{config.open_epoch} and {config.close_epoch}")
 
     def initial_state(self) -> MintState:
         return MintState()

@@ -33,12 +33,18 @@ JSON integer (not a float, a string or a boolean). Every problem in a
 document is reported, not just the first. Claim and token-transfer schedules
 exist only on the in-code :class:`Scenario` for tests and demos, not in
 the file format.
+
+Each integer bound is declared once, on its field (``errors.bounded``); a
+field that mirrors a contract config field takes that field's declaration
+(``errors.bounded_as``), and ``beacon`` is the beacon's own
+:class:`BeaconParams`. So :func:`validate` and the contract constructors'
+guards check the same declarations. Epochs are bounded by ``horizon`` and
+validator indices by ``treasury.validators``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
 import weakref
 from dataclasses import MISSING, dataclass, fields
@@ -47,7 +53,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .beacon import BeaconContract, BeaconParams, ValidatorStatus, exact_factor, validator_by_id
-from .errors import ContractError, InvalidScenario, InvariantViolation
+from .errors import ContractError, InvalidScenario, InvariantViolation, bound_problems, bounded, bounded_as
 from .ledger import Ledger, replay_balances  # noqa: F401  (scenario.replay_balances stays importable)
 from .mint import MintConfig, MintContract
 from .treasury import Phase, TreasuryConfig, TreasuryContract, balance_identity, claimable_of
@@ -66,36 +72,36 @@ def wallet_name(index: int) -> str:
 
 # --- scenario description ----------------------------------------------------
 
+# Bound on treasury.validators: a World registers one wallet per validator
+# and visits each every epoch.
+VALIDATORS_MAX = 1024
+# Bound on horizon (and on `stakeclaim run --epochs`): a run executes every
+# epoch and logs about 1.6 kB per epoch per validator; the benchmark's long
+# workload runs 10,000 epochs.
+HORIZON_MAX = 100_000
+
+
 @dataclass(frozen=True)
 class TreasurySpec:
-    fee_bps: int
-    expected_reward_per_epoch: int
-    grace_epochs: int
-    escrow_required: int
-    validators: int
+    fee_bps: int = bounded_as(TreasuryConfig, "fee_bps")
+    expected_reward_per_epoch: int = bounded_as(WalletConfig, "expected_reward_per_epoch")
+    grace_epochs: int = bounded_as(WalletConfig, "grace_epochs")
+    escrow_required: int = bounded_as(TreasuryConfig, "escrow_required")
+    validators: int = bounded(1, VALIDATORS_MAX)
 
 
 @dataclass(frozen=True)
 class MintSpec:
-    min_contribution: int
-    open_epoch: int
-    close_epoch: int
-
-
-@dataclass(frozen=True)
-class BeaconSpec:
-    stake_requirement: int
-    reward_per_epoch: int
-    activation_delay: int
-    exit_delay: int
-    sweep_period: int
+    min_contribution: int = bounded_as(MintConfig, "min_contribution")
+    open_epoch: int = bounded_as(MintConfig, "open_epoch")
+    close_epoch: int = bounded_as(MintConfig, "close_epoch")
 
 
 @dataclass(frozen=True)
 class DepositAction:
     holder: str
-    amount: int
-    epoch: int
+    amount: int = bounded(1)
+    epoch: int = bounded(0, "horizon")
 
 
 @dataclass(frozen=True)
@@ -105,23 +111,23 @@ class BehaviorWindow:
     validator None applies to every validator.
     """
 
-    from_epoch: int
+    from_epoch: int = bounded(0, "horizon")
     factor: float
     to_epoch: int | None = None
-    validator: int | None = None
+    validator: int | None = bounded(0, "validator", default=None)
 
 
 @dataclass(frozen=True)
 class SlashAction:
-    epoch: int
-    validator: int
-    fraction_bps: int
+    epoch: int = bounded(0, "horizon")
+    validator: int = bounded(0, "validator")
+    fraction_bps: int = bounded(1, 10_000)
 
 
 @dataclass(frozen=True)
 class ClaimAction:
     holder: str
-    epoch: int
+    epoch: int = bounded(0, "horizon")
 
 
 @dataclass(frozen=True)
@@ -129,24 +135,37 @@ class NftTransferAction:
     token_id: int
     from_holder: str
     to: str
-    epoch: int
+    epoch: int = bounded(0, "horizon")
 
 
 @dataclass(frozen=True)
 class Scenario:
     treasury: TreasurySpec
     mint: MintSpec
-    beacon: BeaconSpec
+    beacon: BeaconParams
     deposits: tuple[DepositAction, ...]
     operator_schedule: tuple[BehaviorWindow, ...]
     slashes: tuple[SlashAction, ...]
-    horizon: int
+    horizon: int = bounded(0, HORIZON_MAX)
     claims: tuple[ClaimAction, ...] = ()
     nft_transfers: tuple[NftTransferAction, ...] = ()
 
     @property
     def target_total(self) -> int:
         return self.beacon.stake_requirement * self.treasury.validators
+
+    @property
+    def holder_names(self) -> frozenset:
+        """Every holder name of a deposit, claim or NFT transfer; TypeError if
+        one is unhashable. Computed once, for validate and the World (by
+        hand: functools.cached_property takes a lock on Python 3.11)."""
+        names = self.__dict__.get("_holder_names")
+        if names is None:
+            names = frozenset([*[d.holder for d in self.deposits], *[c.holder for c in self.claims],
+                               *[t.from_holder for t in self.nft_transfers],
+                               *[t.to for t in self.nft_transfers]])
+            object.__setattr__(self, "_holder_names", names)
+        return names
 
 
 # --- strict JSON loading -------------------------------------------------------
@@ -205,7 +224,7 @@ def _type_problems(where: str | tuple[str, int], shape: _Shape,
 
 
 _SHAPES = {cls: _shape(cls) for cls in (
-    TreasurySpec, MintSpec, BeaconSpec, DepositAction, BehaviorWindow, SlashAction,
+    TreasurySpec, MintSpec, BeaconParams, DepositAction, BehaviorWindow, SlashAction,
     ClaimAction, NftTransferAction, Scenario)}
 
 
@@ -260,7 +279,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     parts = dict(
         treasury=_record(doc["treasury"], "treasury", TreasurySpec, problems),
         mint=_record(doc["mint"], "mint", MintSpec, problems),
-        beacon=_record(doc["beacon"], "beacon", BeaconSpec, problems),
+        beacon=_record(doc["beacon"], "beacon", BeaconParams, problems),
         deposits=_records(doc["deposits"], "deposits", DepositAction, problems),
         operator_schedule=_records(doc["operator_schedule"], "operator_schedule",
                                    BehaviorWindow, problems),
@@ -288,10 +307,6 @@ def load_scenario(path: str | Path) -> Scenario:
 _RESERVED = {SYSTEM, OPERATOR, MINT, TREASURY, BEACON}
 
 
-def _windows_for(schedule, j: int):
-    return [w for w in schedule if w.validator in (None, j)]
-
-
 def _by_epoch(actions) -> dict[int, tuple]:
     """epoch -> the actions scheduled for it, in their original order."""
     out: dict[int, list] = {}
@@ -306,13 +321,6 @@ def _by_epoch(actions) -> dict[int, tuple]:
 # inside both.
 FACTOR_MAX_CHARS = 64
 FACTOR_MAX_EXPONENT = 400
-# Bound on treasury.validators: a World registers one wallet per validator
-# and visits each every epoch.
-VALIDATORS_MAX = 1024
-# Bound on horizon (and on `stakeclaim run --epochs`): a run executes every
-# epoch and logs about 1.6 kB per epoch per validator; the benchmark's long
-# workload runs 10,000 epochs.
-HORIZON_MAX = 100_000
 # The exponent of any string Fraction accepts (fractions._RATIONAL_FORMAT).
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
@@ -342,98 +350,71 @@ def parse_factor(factor) -> int | Fraction:
     return exact.numerator if exact.denominator == 1 else exact
 
 
-def _bad_int(v, lo: int, hi=None) -> bool:
-    """True unless `v` is an int (never a bool) in [lo, hi]; hi None is unbounded."""
-    return type(v) is not int or v < lo or (hi is not None and v > hi)
+def _is_holder_name(h) -> bool:
+    return type(h) is str and h != "" and h not in _RESERVED and not h.startswith("wallet:")
 
 
-def horizon_problem(horizon) -> str | None:
-    """Why `horizon` cannot be run, or None: an integer in 0..HORIZON_MAX."""
-    if _bad_int(horizon, 0):
-        return f"horizon must be an integer >= 0, got {horizon!r}"
-    if horizon > HORIZON_MAX:
-        return f"horizon {horizon} is more than HORIZON_MAX {HORIZON_MAX}"
-    return None
+def _holder_problems(s: Scenario) -> list[str]:
+    """Each holder field that is not a non-empty string clear of the reserved names."""
+    try:
+        if all(map(_is_holder_name, s.holder_names)):
+            return []
+    except TypeError:           # an unhashable name
+        pass
+    return [f"{where}[{i}].{name} {getattr(r, name)!r} is empty, reserved or not a string"
+            for where, name in (("deposits", "holder"), ("claims", "holder"),
+                                ("nft_transfers", "from_holder"), ("nft_transfers", "to"))
+            for i, r in enumerate(getattr(s, where)) if not _is_holder_name(getattr(r, name))]
 
 
 def validate(s: Scenario) -> list[str]:
     """Return every constraint violation, not just the first.
 
-    Every integer field must hold an int, never a float or a bool; a field
-    of the wrong type is reported once and left out of the checks that
-    depend on it.
+    First each field's declared bounds (``errors.bound_problems``), then the
+    rules that relate fields: holder names, the mint window's order, window
+    factors, ends and overlaps, and NFT token ids. A limit (horizon,
+    validator count) out of its own bounds bounds nothing, and a field out
+    of bounds is left out of the rules that depend on it.
     """
-    out: list[str] = []
-    t, mi, b = s.treasury, s.mint, s.beacon
+    t, mi = s.treasury, s.mint
+    top = bound_problems(s, "")
+    treasury = bound_problems(t, "treasury")
+    horizon = None if top else s.horizon
+    m = None if "treasury.validators" in treasury else t.validators
+    limits = {"horizon": horizon, "validator": m - 1 if m else None}
+    mint = bound_problems(mi, "mint")
+    out = [*top.values(), *treasury.values(), *mint.values(),
+           *bound_problems(s.beacon, "beacon").values()]
+    for where in ("deposits", "slashes", "claims", "nft_transfers"):
+        out.extend(bound_problems(getattr(s, where), where, limits).values())
+    window_problems = bound_problems(s.operator_schedule, "operator_schedule", limits)
+    out.extend(window_problems.values())
+    out.extend(_holder_problems(s))
 
-    problem = horizon_problem(s.horizon)
-    if problem:
-        out.append(problem)
-    # Epoch bounds fall back to "no upper bound" while the horizon is unusable.
-    last = s.horizon if type(s.horizon) is int else math.inf
-    if _bad_int(t.fee_bps, 0, 10_000):
-        out.append(f"treasury.fee_bps {t.fee_bps!r} is not an integer in 0..10000")
-    if _bad_int(t.grace_epochs, 1):
-        out.append(f"treasury.grace_epochs must be an integer >= 1, got {t.grace_epochs!r}")
-    if _bad_int(t.expected_reward_per_epoch, 0):
-        out.append("treasury.expected_reward_per_epoch must be an integer >= 0")
-    if _bad_int(t.escrow_required, 0):
-        out.append("treasury.escrow_required must be an integer >= 0")
-    m = t.validators if not _bad_int(t.validators, 1, VALIDATORS_MAX) else None
-    if m is None:
-        out.append(f"treasury.validators must be an integer >= 1, got {t.validators!r}"
-                   if _bad_int(t.validators, 1) else
-                   f"treasury.validators {t.validators} is more than "
-                   f"VALIDATORS_MAX {VALIDATORS_MAX}")
-    indices = f"0..{m - 1}" if m else "0..validators-1"
+    if "mint.open_epoch" not in mint and "mint.close_epoch" not in mint \
+            and mi.open_epoch >= mi.close_epoch:
+        out.append(f"mint window invalid: open {mi.open_epoch}, close {mi.close_epoch}")
 
-    def bad_index(v) -> bool:
-        return type(v) is not int or (m is not None and not 0 <= v < m)
-
-    if _bad_int(mi.min_contribution, 1):
-        out.append("mint.min_contribution must be an integer >= 1")
-    if (_bad_int(mi.open_epoch, 0) or _bad_int(mi.close_epoch, 0)
-            or mi.open_epoch >= mi.close_epoch):
-        out.append(f"mint window invalid: open {mi.open_epoch!r}, close {mi.close_epoch!r}")
-    for name in ("stake_requirement", "reward_per_epoch", "activation_delay",
-                 "exit_delay", "sweep_period"):
-        if _bad_int(getattr(b, name), 1):
-            out.append(f"beacon.{name} must be an integer >= 1")
-
-    for i, d in enumerate(s.deposits):
-        if not d.holder or type(d.holder) is not str:
-            out.append(f"deposits[{i}]: holder must be a non-empty string")
-        elif d.holder in _RESERVED or d.holder.startswith("wallet:"):
-            out.append(f"deposits[{i}]: holder name {d.holder!r} is reserved")
-        if type(d.amount) is not int or d.amount < 1:
-            out.append(f"deposits[{i}]: amount must be an integer >= 1, got {d.amount!r}")
-        if type(d.epoch) is not int or not 0 <= d.epoch <= last:
-            out.append(f"deposits[{i}]: epoch {d.epoch!r} is not an integer in 0..{s.horizon}")
-
-    windows_ok = True
+    windows_ok = not window_problems
     for i, w in enumerate(s.operator_schedule):
         try:
             if not 0 <= parse_factor(w.factor) <= 1:
                 out.append(f"operator_schedule[{i}]: factor {w.factor} outside [0, 1]")
+                windows_ok = False
         except ValueError as exc:
             out.append(f"operator_schedule[{i}]: {exc}")
-        problems = len(out)
-        if _bad_int(w.from_epoch, 0, last):
-            out.append(f"operator_schedule[{i}]: from_epoch {w.from_epoch!r} "
-                       f"is not an integer in 0..{s.horizon}")
-        elif w.to_epoch is not None and (type(w.to_epoch) is not int
-                                         or w.to_epoch <= w.from_epoch):
+            windows_ok = False
+        if w.to_epoch is not None and (type(w.to_epoch) is not int or (
+                f"operator_schedule[{i}].from_epoch" not in window_problems
+                and w.to_epoch <= w.from_epoch)):
             out.append(f"operator_schedule[{i}]: empty or non-integer window "
                        f"[{w.from_epoch}, {w.to_epoch!r})")
-        if w.validator is not None and bad_index(w.validator):
-            out.append(f"operator_schedule[{i}]: validator {w.validator!r} "
-                       f"is not an integer in {indices}")
-        windows_ok = windows_ok and len(out) == problems
+            windows_ok = False
 
     # Validators the schedule does not name have only the validator-null
     # windows, so the lowest of them stands for all of them.
     checked: list[int] = []
-    if m and windows_ok and type(s.horizon) is int:
+    if m and windows_ok and horizon is not None:
         named = {w.validator for w in s.operator_schedule}
         named.discard(None)
         unnamed = 0
@@ -444,10 +425,10 @@ def validate(s: Scenario) -> list[str]:
         checked = sorted(named)
     seen_overlaps = set()
     for j in checked:
-        windows = sorted(_windows_for(s.operator_schedule, j),
+        windows = sorted((w for w in s.operator_schedule if w.validator in (None, j)),
                          key=lambda w: w.from_epoch)
         for a, b2 in zip(windows, windows[1:]):
-            a_end = a.to_epoch if a.to_epoch is not None else s.horizon + 1
+            a_end = a.to_epoch if a.to_epoch is not None else horizon + 1
             if a_end > b2.from_epoch:
                 key = (a.from_epoch, a.to_epoch, b2.from_epoch, b2.to_epoch)
                 if key not in seen_overlaps:
@@ -455,29 +436,11 @@ def validate(s: Scenario) -> list[str]:
                     out.append(
                         f"operator_schedule windows overlap for validator {j}: "
                         f"[{a.from_epoch}, {a_end}) and [{b2.from_epoch}, "
-                        f"{b2.to_epoch if b2.to_epoch is not None else s.horizon + 1})")
+                        f"{b2.to_epoch if b2.to_epoch is not None else horizon + 1})")
 
-    for i, sl in enumerate(s.slashes):
-        if bad_index(sl.validator):
-            out.append(f"slashes[{i}]: validator index {sl.validator!r} "
-                       f"is not an integer in {indices}")
-        if _bad_int(sl.fraction_bps, 1, 10_000):
-            out.append(f"slashes[{i}]: fraction_bps {sl.fraction_bps!r} "
-                       f"is not an integer in 1..10000")
-        if _bad_int(sl.epoch, 0, last):
-            out.append(f"slashes[{i}]: epoch {sl.epoch!r} is not an integer in 0..{s.horizon}")
-
-    for i, c in enumerate(s.claims):
-        if type(c.epoch) is not int or not 0 <= c.epoch <= last:
-            out.append(f"claims[{i}]: epoch {c.epoch!r} is not an integer in 0..{s.horizon}")
     for i, tr in enumerate(s.nft_transfers):
-        if type(tr.epoch) is not int or not 0 <= tr.epoch <= last:
-            out.append(f"nft_transfers[{i}]: epoch {tr.epoch!r} "
-                       f"is not an integer in 0..{s.horizon}")
         if type(tr.token_id) is not int:
             out.append(f"nft_transfers[{i}]: token_id {tr.token_id!r} is not an integer")
-        if tr.to in _RESERVED:
-            out.append(f"nft_transfers[{i}]: recipient {tr.to!r} is reserved")
     return out
 
 
@@ -574,7 +537,7 @@ class World:
 
         led.register_account(SYSTEM)
         led.register_account(OPERATOR)
-        self.holders = self._holder_names(scenario)
+        self.holders = sorted(scenario.holder_names)
         for h in self.holders:
             led.register_account(h)
         endow: dict[str, int] = {}
@@ -587,13 +550,7 @@ class World:
             led.genesis(OPERATOR, scenario.treasury.escrow_required, "operator escrow")
 
         b = scenario.beacon
-        led.register_contract(BEACON, BeaconContract(BeaconParams(
-            stake_requirement=b.stake_requirement,
-            reward_per_epoch=b.reward_per_epoch,
-            activation_delay=b.activation_delay,
-            exit_delay=b.exit_delay,
-            sweep_period=b.sweep_period,
-        ), driver=SYSTEM), issuer=True)
+        led.register_contract(BEACON, BeaconContract(b, driver=SYSTEM), issuer=True)
 
         t = scenario.treasury
         self.wallets = wallets = tuple(wallet_name(j) for j in range(self.m))
@@ -640,14 +597,6 @@ class World:
                 w._epoch_substeps()
 
         led.add_epoch_hook(substeps)
-
-    @staticmethod
-    def _holder_names(scenario: Scenario) -> list[str]:
-        names = {d.holder for d in scenario.deposits}
-        names.update(c.holder for c in scenario.claims)
-        names.update(t.from_holder for t in scenario.nft_transfers)
-        names.update(t.to for t in scenario.nft_transfers)
-        return sorted(names)
 
     # --- driving ---------------------------------------------------------
 

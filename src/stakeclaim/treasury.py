@@ -54,6 +54,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .beacon import BeaconParams
 from .errors import (
     AlreadySettled,
     EscrowMissing,
@@ -66,6 +67,9 @@ from .errors import (
     WrongCaller,
     WrongPhase,
     WrongStatus,
+    bounded,
+    bounded_as,
+    checked,
 )
 from .ledger import Call, CallContext, Emit, Handlers, Msg, Transfer, evolve
 from .mint import NftRecord
@@ -85,19 +89,11 @@ class Phase(Enum):
 class TreasuryConfig:
     """Arrangement terms, fixed before the mint opens and immutable after."""
 
-    fee_bps: int                     # operator fee ratio in basis points
+    fee_bps: int = bounded(0, 10_000)   # operator fee ratio in basis points
     operator: str
-    escrow_required: int
-    stake_requirement: int
-    mint: str                        # the only address allowed to register tokens
-
-    def __post_init__(self):
-        if not (0 <= self.fee_bps <= 10_000):
-            raise ValueError("fee_bps out of range 0..10000")
-        if self.escrow_required < 0:
-            raise ValueError("escrow_required must be non-negative")
-        if self.stake_requirement <= 0:
-            raise ValueError("stake_requirement must be positive")
+    escrow_required: int = bounded(0)
+    stake_requirement: int = bounded_as(BeaconParams, "stake_requirement")
+    mint: str                           # the only address allowed to register tokens
 
 
 @dataclass(frozen=True)
@@ -235,7 +231,7 @@ class TreasuryContract(Handlers):
     def __init__(self, config: TreasuryConfig, validators: tuple[str, ...]):
         if len(validators) == 0:
             raise ValueError("need at least one validator wallet")
-        self.config = config
+        self.config = checked(config)
         self.validators = tuple(validators)
 
     def initial_state(self) -> TreasuryState:

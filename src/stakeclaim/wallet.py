@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import BeaconNotSwept, WrongAmount, WrongCaller, WrongStatus
+from .beacon import BeaconParams
+from .errors import BeaconNotSwept, WrongAmount, WrongCaller, WrongStatus, bounded, bounded_as, checked
 from .ledger import Call, CallContext, Emit, Handlers, Msg, evolve
 from .treasury import CAUSE_PERFORMANCE, CAUSE_SLASHED
 
@@ -43,15 +44,9 @@ class WalletConfig:
     treasury: str
     beacon: str
     operator: str
-    stake_requirement: int
-    expected_reward_per_epoch: int   # watchdog expectation, per epoch
-    grace_epochs: int                # watchdog window length
-
-    def __post_init__(self):
-        if self.grace_epochs <= 0:
-            raise ValueError("grace_epochs must be positive")
-        if self.expected_reward_per_epoch < 0:
-            raise ValueError("expected_reward_per_epoch must be non-negative")
+    stake_requirement: int = bounded_as(BeaconParams, "stake_requirement")
+    expected_reward_per_epoch: int = bounded(0)   # watchdog expectation, per epoch
+    grace_epochs: int = bounded(1)                # watchdog window length
 
 
 @dataclass
@@ -70,7 +65,7 @@ class ValidatorWallet(Handlers):
     kind = "wallet"
 
     def __init__(self, config: WalletConfig):
-        self.config = config
+        self.config = checked(config)
 
     def initial_state(self) -> WalletState:
         return WalletState()

@@ -8,7 +8,7 @@ test explicit about what happens when.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import pytest
 from hypothesis import strategies as st
@@ -17,6 +17,7 @@ from stakeclaim import golden_scenario_path
 from stakeclaim.beacon import BeaconContract, BeaconParams
 from stakeclaim.ledger import Event, Ledger
 from stakeclaim.mint import MintConfig, MintContract
+from stakeclaim.scenario import BehaviorWindow, DepositAction, MintSpec, Scenario, TreasurySpec
 from stakeclaim.treasury import TreasuryConfig, TreasuryContract, balance_identity
 from stakeclaim.wallet import ValidatorWallet, WalletConfig
 
@@ -133,6 +134,22 @@ def make_world(m: int = 1, stake: int = 64, fee_bps: int = 1000,
 def logged_events(led: Ledger) -> list[Event]:
     """Every event on `led`'s log so far, decoded from the log's text."""
     return [Event(**json.loads(line)) for line in led.events_jsonl().splitlines()]
+
+
+def small_scenario(**overrides) -> Scenario:
+    """A valid one-validator scenario: horizon 20, mint window [0, 2)."""
+    base = Scenario(
+        treasury=TreasurySpec(fee_bps=1000, expected_reward_per_epoch=20,
+                              grace_epochs=3, escrow_required=50, validators=1),
+        mint=MintSpec(min_contribution=1, open_epoch=0, close_epoch=2),
+        beacon=BeaconParams(stake_requirement=6400, reward_per_epoch=100,
+                            activation_delay=1, exit_delay=2, sweep_period=1),
+        deposits=(DepositAction("alice", 4000, 0), DepositAction("bob", 2400, 0)),
+        operator_schedule=(BehaviorWindow(from_epoch=0, factor=1.0),),
+        slashes=(),
+        horizon=20,
+    )
+    return replace(base, **overrides)
 
 
 # --- malformed scenario documents ----------------------------------------------

@@ -22,11 +22,10 @@ import pytest
 import stakeclaim as sc
 from conftest import BEACON, MINT, OPERATOR, SYSTEM, TREASURY, logged_events, make_world
 from oracle import rational_shares, replay_mixed, trigger_epoch
-from stakeclaim.beacon import validator_by_id
+from stakeclaim.beacon import BeaconParams, validator_by_id
 from stakeclaim.cli import main as cli_main
 from stakeclaim.errors import ContractError, LedgerError
 from stakeclaim.scenario import (
-    BeaconSpec,
     BehaviorWindow,
     DepositAction,
     MintSpec,
@@ -80,10 +79,10 @@ def random_scenario(rng: random.Random) -> Scenario:
             escrow_required=rng.choice([0, 1000, 500_000]),
             validators=m),
         mint=MintSpec(min_contribution=1, open_epoch=0, close_epoch=close),
-        beacon=BeaconSpec(stake_requirement=stake, reward_per_epoch=reward,
-                          activation_delay=rng.randint(1, 3),
-                          exit_delay=rng.randint(1, 4),
-                          sweep_period=rng.randint(1, 2)),
+        beacon=BeaconParams(stake_requirement=stake, reward_per_epoch=reward,
+                            activation_delay=rng.randint(1, 3),
+                            exit_delay=rng.randint(1, 4),
+                            sweep_period=rng.randint(1, 2)),
         deposits=deposits,
         operator_schedule=tuple(schedule),
         slashes=slashes,

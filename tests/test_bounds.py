@@ -1,0 +1,176 @@
+"""Every declared integer bound, against a table written out by hand.
+
+The table is not read from the field declarations, so a declaration that
+drifts from it fails here. Each row gives a scenario record path (None for
+a field only a contract config has), the contract config that carries the
+same field (None if there is none), the field, and its lowest and highest
+accepted values in the scenario of :func:`base` (horizon 20, one
+validator, mint window [0, 2)); None means no upper bound. The first value
+rejected on each side is one past those. A float or a bool is never an
+integer, even when it equals an accepted one, and None is accepted only
+where a field's default is None.
+
+Each rejected value must give exactly one ``validate`` violation, naming
+the field, and, for a config field, a ValueError naming the field from the
+contract constructor. These are plain checks that raise, so they hold under
+``python -O``.
+"""
+
+from __future__ import annotations
+
+import re
+from dataclasses import replace
+
+import pytest
+
+from conftest import small_scenario
+from stakeclaim.beacon import BeaconContract, BeaconParams
+from stakeclaim.mint import MintConfig, MintContract
+from stakeclaim.scenario import ClaimAction, NftTransferAction, SlashAction, validate
+from stakeclaim.treasury import TreasuryConfig, TreasuryContract
+from stakeclaim.wallet import ValidatorWallet, WalletConfig
+
+HORIZON = 20
+
+BOUNDS = [
+    ("", None, "horizon", 0, 100_000),
+    ("treasury", TreasuryConfig, "fee_bps", 0, 10_000),
+    ("treasury", WalletConfig, "expected_reward_per_epoch", 0, None),
+    ("treasury", WalletConfig, "grace_epochs", 1, None),
+    ("treasury", TreasuryConfig, "escrow_required", 0, None),
+    ("treasury", None, "validators", 1, 1024),
+    ("mint", MintConfig, "min_contribution", 1, None),
+    ("mint", MintConfig, "open_epoch", 0, None),     # open < close is a cross-field rule
+    ("mint", MintConfig, "close_epoch", 1, None),
+    (None, MintConfig, "target_total", 1, None),
+    ("beacon", BeaconParams, "stake_requirement", 1, None),
+    (None, TreasuryConfig, "stake_requirement", 1, None),
+    (None, WalletConfig, "stake_requirement", 1, None),
+    ("beacon", BeaconParams, "reward_per_epoch", 1, None),
+    ("beacon", BeaconParams, "activation_delay", 1, None),
+    ("beacon", BeaconParams, "exit_delay", 1, None),
+    ("beacon", BeaconParams, "sweep_period", 1, None),
+    ("deposits[0]", None, "amount", 1, None),
+    ("deposits[0]", None, "epoch", 0, HORIZON),
+    ("operator_schedule[0]", None, "from_epoch", 0, HORIZON),
+    ("operator_schedule[0]", None, "validator", 0, 0),
+    ("slashes[0]", None, "epoch", 0, HORIZON),
+    ("slashes[0]", None, "validator", 0, 0),
+    ("slashes[0]", None, "fraction_bps", 1, 10_000),
+    ("claims[0]", None, "epoch", 0, HORIZON),
+    ("nft_transfers[0]", None, "epoch", 0, HORIZON),
+]
+OPTIONAL = {("operator_schedule[0]", "validator")}    # default None: None is accepted
+
+# A valid config of each kind, and the contract constructor that guards it.
+GOOD = {
+    BeaconParams: dict(stake_requirement=64, reward_per_epoch=100, activation_delay=1,
+                       exit_delay=2, sweep_period=1),
+    TreasuryConfig: dict(fee_bps=1000, operator="operator", escrow_required=0,
+                         stake_requirement=64, mint="mint"),
+    WalletConfig: dict(self_address="wallet:0", treasury="treasury", beacon="beacon",
+                       operator="operator", stake_requirement=64,
+                       expected_reward_per_epoch=2, grace_epochs=3),
+    MintConfig: dict(treasury="treasury", min_contribution=1, target_total=64,
+                     open_epoch=0, close_epoch=100),
+}
+CONTRACT = {
+    BeaconParams: lambda config: BeaconContract(config, driver="system"),
+    TreasuryConfig: lambda config: TreasuryContract(config, validators=("wallet:0",)),
+    WalletConfig: ValidatorWallet,
+    MintConfig: MintContract,
+}
+
+
+def base():
+    """small_scenario() with one slash, one claim and one NFT transfer, all at
+    epoch 0 like its deposits, so that horizon 0 is accepted."""
+    return small_scenario(slashes=(SlashAction(epoch=0, validator=0, fraction_bps=100),),
+                          claims=(ClaimAction("alice", 0),),
+                          nft_transfers=(NftTransferAction(0, "alice", "bob", 0),))
+
+
+def with_value(path: str, field: str, value):
+    """base() with `field` of the record at `path` set to `value`."""
+    s = base()
+    if not path:
+        return replace(s, **{field: value})
+    name, _, index = path.partition("[")
+    if not index:
+        return replace(s, **{name: replace(getattr(s, name), **{field: value})})
+    i = int(index.rstrip("]"))
+    records = list(getattr(s, name))
+    records[i] = replace(records[i], **{field: value})
+    return replace(s, **{name: tuple(records)})
+
+
+def accepted(lo, hi):
+    return [lo] if hi is None else [lo, hi]
+
+
+def rejected(lo, hi, optional=False):
+    return [lo - 1, *([] if hi is None else [hi + 1]), float(lo), True,
+            *([] if optional else [None])]
+
+
+def message(path, field, value, lo, hi):
+    where = f"{path}.{field}" if path else field
+    return f"{where} {value!r} is not an integer " + (
+        f">= {lo}" if hi is None else f"in {lo}..{hi}")
+
+
+SCENARIO_ROWS = [(path, field, lo, hi) for path, _, field, lo, hi in BOUNDS if path is not None]
+CONFIG_ROWS = [(config, field, lo, hi) for _, config, field, lo, hi in BOUNDS if config]
+
+
+def test_base_is_valid():
+    assert validate(base()) == []
+
+
+@pytest.mark.parametrize("path,field,value", [
+    pytest.param(path, field, v, id=f"{path or 'scenario'}.{field}={v!r}")
+    for path, field, lo, hi in SCENARIO_ROWS for v in accepted(lo, hi)
+])
+def test_validate_accepts(path, field, value):
+    assert validate(with_value(path, field, value)) == []
+
+
+@pytest.mark.parametrize("path,field,value,lo,hi", [
+    pytest.param(path, field, v, lo, hi, id=f"{path or 'scenario'}.{field}={v!r}")
+    for path, field, lo, hi in SCENARIO_ROWS
+    for v in rejected(lo, hi, (path, field) in OPTIONAL)
+])
+def test_validate_rejects(path, field, value, lo, hi):
+    violations = validate(with_value(path, field, value))
+    assert violations == [message(path, field, value, lo, hi)]
+
+
+def test_optional_field_accepts_none():
+    for path, field in OPTIONAL:
+        assert validate(with_value(path, field, None)) == []
+
+
+@pytest.mark.parametrize("config,field,value", [
+    pytest.param(config, field, v, id=f"{config.__name__}.{field}={v!r}")
+    for config, field, lo, hi in CONFIG_ROWS for v in accepted(lo, hi)
+])
+def test_contract_accepts_a_config_in_bounds(config, field, value):
+    CONTRACT[config](config(**{**GOOD[config], field: value}))
+
+
+@pytest.mark.parametrize("config,field,value,lo,hi", [
+    pytest.param(config, field, v, lo, hi, id=f"{config.__name__}.{field}={v!r}")
+    for config, field, lo, hi in CONFIG_ROWS for v in rejected(lo, hi)
+])
+def test_contract_rejects_a_config_out_of_bounds(config, field, value, lo, hi):
+    # The config itself is built unchecked, as the scenario loader builds
+    # BeaconParams; the contract constructor is the guard.
+    bad = config(**{**GOOD[config], field: value})
+    with pytest.raises(ValueError) as info:
+        CONTRACT[config](bad)
+    assert str(info.value) == message(config.__name__, field, value, lo, hi)
+
+
+def test_mint_contract_keeps_its_window_order():
+    with pytest.raises(ValueError, match=re.escape("open_epoch < close_epoch")):
+        MintContract(MintConfig(**{**GOOD[MintConfig], "open_epoch": 100}))

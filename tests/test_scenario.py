@@ -14,39 +14,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stakeclaim as sc
-from conftest import one_field_replaced
+from conftest import one_field_replaced, small_scenario
 from oracle import rational_shares, replay_split, trigger_epoch
 from stakeclaim.errors import InvalidScenario, InvariantViolation
 from stakeclaim.ledger import Event, ReplayResult, replay_balances
 from stakeclaim.scenario import (
-    BeaconSpec,
     BehaviorWindow,
     ClaimAction,
     DepositAction,
-    MintSpec,
     NftTransferAction,
-    Scenario,
     SlashAction,
     TreasurySpec,
     World,
     scenario_from_dict,
     validate,
 )
-
-
-def small_scenario(**overrides) -> Scenario:
-    base = Scenario(
-        treasury=TreasurySpec(fee_bps=1000, expected_reward_per_epoch=20,
-                              grace_epochs=3, escrow_required=50, validators=1),
-        mint=MintSpec(min_contribution=1, open_epoch=0, close_epoch=2),
-        beacon=BeaconSpec(stake_requirement=6400, reward_per_epoch=100,
-                          activation_delay=1, exit_delay=2, sweep_period=1),
-        deposits=(DepositAction("alice", 4000, 0), DepositAction("bob", 2400, 0)),
-        operator_schedule=(BehaviorWindow(from_epoch=0, factor=1.0),),
-        slashes=(),
-        horizon=20,
-    )
-    return replace(base, **overrides)
 
 
 class TestValidate:
@@ -86,7 +68,7 @@ class TestValidate:
             escrow_required=50, validators=bound))
         assert validate(s) == []
         assert validate(replace(s, treasury=replace(s.treasury, validators=bound + 1))) == [
-            f"treasury.validators {bound + 1} is more than VALIDATORS_MAX {bound}"]
+            f"treasury.validators {bound + 1} is not an integer in 1..{bound}"]
 
     def test_horizon_is_bounded(self):
         bound = sc.scenario.HORIZON_MAX
@@ -94,7 +76,7 @@ class TestValidate:
         s = small_scenario(horizon=bound)
         assert validate(s) == []
         assert validate(replace(s, horizon=bound + 1)) == [
-            f"horizon {bound + 1} is more than HORIZON_MAX {bound}"]
+            f"horizon {bound + 1} is not an integer in 0..{bound}"]
 
     def test_non_overlapping_per_validator_windows_ok(self):
         s = small_scenario(
@@ -108,7 +90,7 @@ class TestValidate:
 
     def test_slash_index_out_of_range(self):
         s = small_scenario(slashes=(SlashAction(epoch=3, validator=5, fraction_bps=100),))
-        assert any("validator index 5" in v for v in validate(s))
+        assert validate(s) == ["slashes[0].validator 5 is not an integer in 0..0"]
 
     def test_factor_out_of_range(self):
         s = small_scenario(operator_schedule=(BehaviorWindow(from_epoch=0, factor=1.5),))
@@ -148,7 +130,29 @@ class TestValidate:
 
     def test_reserved_holder_name(self):
         s = small_scenario(deposits=(DepositAction("treasury", 6400, 0),))
-        assert any("reserved" in v for v in validate(s))
+        assert validate(s) == ["deposits[0].holder 'treasury' is empty, reserved or not a string"]
+
+    @pytest.mark.parametrize("overrides,problem", [
+        # each ran past validate and raised in World: a TypeError in sorting the
+        # holder names, or "address ... already registered"
+        (dict(claims=(ClaimAction(5, 1),)), "claims[0].holder 5"),
+        (dict(nft_transfers=(NftTransferAction(0, 7, "bob", 1),)),
+         "nft_transfers[0].from_holder 7"),
+        (dict(claims=(ClaimAction("wallet:0", 1),)), "claims[0].holder 'wallet:0'"),
+        (dict(nft_transfers=(NftTransferAction(0, "mint", "bob", 1),)),
+         "nft_transfers[0].from_holder 'mint'"),
+        (dict(nft_transfers=(NftTransferAction(0, "alice", "wallet:0", 1),)),
+         "nft_transfers[0].to 'wallet:0'"),
+        # made validate itself raise TypeError: unhashable type: 'list'
+        (dict(nft_transfers=(NftTransferAction(0, "alice", ["x"], 1),)),
+         "nft_transfers[0].to ['x']"),
+        # ran, but a deposit with an empty holder name was already rejected
+        (dict(claims=(ClaimAction("", 1),)), "claims[0].holder ''"),
+    ], ids=["claim-int", "transfer-from-int", "claim-wallet", "transfer-from-mint",
+            "transfer-to-wallet", "transfer-to-list", "claim-empty"])
+    def test_every_holder_field_is_a_holder_name(self, overrides, problem):
+        assert validate(small_scenario(**overrides)) == [
+            f"{problem} is empty, reserved or not a string"]
 
     def test_non_integer_fields_listed_and_not_range_checked(self):
         s = small_scenario(
@@ -158,12 +162,13 @@ class TestValidate:
             slashes=(SlashAction(epoch=3, validator=0.0, fraction_bps=100),),
             claims=(ClaimAction("alice", 2.0),),
             nft_transfers=(NftTransferAction("0", "alice", "bob", 1),))
-        violations = validate(s)
-        for needle in ("fee_bps 1000.5", "deposits[0]: amount", "deposits[1]: epoch True",
-                       "validator index 0.0", "claims[0]: epoch 2.0",
-                       "nft_transfers[0]: token_id '0'"):
-            assert sum(needle in v for v in violations) == 1, (needle, violations)
-        assert len(violations) == 6
+        assert sorted(validate(s)) == sorted([
+            "treasury.fee_bps 1000.5 is not an integer in 0..10000",
+            "deposits[0].amount '4000' is not an integer >= 1",
+            "deposits[1].epoch True is not an integer in 0..20",
+            "slashes[0].validator 0.0 is not an integer in 0..0",
+            "claims[0].epoch 2.0 is not an integer in 0..20",
+            "nft_transfers[0]: token_id '0' is not an integer"])
 
     def test_non_integer_validator_count_does_not_crash_the_checks(self):
         s = small_scenario(
@@ -172,11 +177,12 @@ class TestValidate:
             operator_schedule=(BehaviorWindow(from_epoch=0, factor=1.0, validator=0),
                                BehaviorWindow(from_epoch=0, factor=0.5, validator=1)),
             slashes=(SlashAction(epoch=3, validator=1, fraction_bps=100),))
-        assert validate(s) == ["treasury.validators must be an integer >= 1, got '2'"]
+        assert validate(s) == ["treasury.validators '2' is not an integer in 1..1024"]
 
     def test_run_rejects_invalid_scenario_with_first_violation(self):
         s = small_scenario(slashes=(SlashAction(epoch=3, validator=5, fraction_bps=100),))
-        with pytest.raises(InvalidScenario, match="validator index 5"):
+        with pytest.raises(InvalidScenario,
+                           match=r"^slashes\[0\]\.validator 5 is not an integer in 0\.\.0$"):
             sc.run(s)
 
 

@@ -11,19 +11,7 @@ from oracle import trigger_epoch
 from stakeclaim.beacon import validator_by_id
 from stakeclaim.errors import BeaconNotSwept, WrongAmount, WrongCaller, WrongStatus
 from stakeclaim.treasury import Phase
-from stakeclaim.wallet import WalletConfig, WalletStatus
-
-
-class TestConfig:
-    GOOD = dict(self_address="wallet:0", treasury=TREASURY, beacon=BEACON,
-                operator=OPERATOR, stake_requirement=64,
-                expected_reward_per_epoch=2, grace_epochs=3)
-
-    @pytest.mark.parametrize("field,value", [("grace_epochs", 0),
-                                             ("expected_reward_per_epoch", -1)])
-    def test_out_of_range_rejected(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            WalletConfig(**{**self.GOOD, field: value})
+from stakeclaim.wallet import WalletStatus
 
 
 class TestDeposit:
