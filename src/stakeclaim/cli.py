@@ -43,8 +43,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 1
     if args.epochs is not None:
         scenario = replace(scenario, horizon=args.epochs)
-        problems = bound_problems(scenario, "")     # horizon: the one bounded field
-        if problems:
+        if problems := bound_problems(scenario, ""):    # horizon: the one bounded field
             print(f"--epochs: {problems['horizon']}", file=sys.stderr)
             return 1
     out = Path(args.out)

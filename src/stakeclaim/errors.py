@@ -181,30 +181,20 @@ def bound_problems(records, where: str, limits: dict | None = None) -> dict[str,
     ``where[i]``. A named limit that `limits` lacks or holds as None leaves
     its fields with no upper bound.
     """
+    many = isinstance(records, (tuple, list))
+    items = records if many else (records,)
     out = {}
-    if not isinstance(records, (tuple, list)):
-        for name, lo, hi, optional in _plan(type(records)):
-            if type(hi) is str:
-                hi = limits.get(hi) if limits else None
-            v = getattr(records, name)
-            if (type(v) is not int or v < lo or (hi is not None and v > hi)) \
-                    and not (v is None and optional):
-                _report(out, f"{where}.{name}" if where else name, v, lo, hi)
-        return out
-    # One field at a time across the records: a clean pass stays cheap.
-    for name, lo, hi, optional in _plan(type(records[0])) if records else ():
+    for name, lo, hi, optional in _plan(type(items[0])) if items else ():
         if type(hi) is str:
             hi = limits.get(hi) if limits else None
-        for i, r in enumerate(records):
+        for i, r in enumerate(items):
             v = getattr(r, name)
             if (type(v) is not int or v < lo or (hi is not None and v > hi)) \
                     and not (v is None and optional):
-                _report(out, f"{where}[{i}].{name}", v, lo, hi)
+                path = f"{where}[{i}].{name}" if many else f"{where}.{name}" if where else name
+                out[path] = f"{path} {v!r} is not an integer " + (
+                    f">= {lo}" if hi is None else f"in {lo}..{hi}")
     return out
-
-
-def _report(out: dict, path: str, v, lo: int, hi: int | None) -> None:
-    out[path] = f"{path} {v!r} is not an integer " + (f">= {lo}" if hi is None else f"in {lo}..{hi}")
 
 
 def checked(config):

@@ -154,18 +154,13 @@ class Scenario:
     def target_total(self) -> int:
         return self.beacon.stake_requirement * self.treasury.validators
 
-    @property
+    @cached_property
     def holder_names(self) -> frozenset:
-        """Every holder name of a deposit, claim or NFT transfer; TypeError if
-        one is unhashable. Computed once, for validate and the World (by
-        hand: functools.cached_property takes a lock on Python 3.11)."""
-        names = self.__dict__.get("_holder_names")
-        if names is None:
-            names = frozenset([*[d.holder for d in self.deposits], *[c.holder for c in self.claims],
-                               *[t.from_holder for t in self.nft_transfers],
-                               *[t.to for t in self.nft_transfers]])
-            object.__setattr__(self, "_holder_names", names)
-        return names
+        """Every holder name of a deposit, claim or NFT transfer, for validate
+        and the World; TypeError if one is unhashable."""
+        return frozenset([*[d.holder for d in self.deposits], *[c.holder for c in self.claims],
+                          *[t.from_holder for t in self.nft_transfers],
+                          *[t.to for t in self.nft_transfers]])
 
 
 # --- strict JSON loading -------------------------------------------------------
@@ -355,7 +350,11 @@ def _is_holder_name(h) -> bool:
 
 
 def _holder_problems(s: Scenario) -> list[str]:
-    """Each holder field that is not a non-empty string clear of the reserved names."""
+    """Each holder field that is not a non-empty string clear of the reserved names.
+
+    The distinct names are checked first: a schedule of claims and NFT
+    transfers has thousands of holder fields but few names.
+    """
     try:
         if all(map(_is_holder_name, s.holder_names)):
             return []
@@ -400,10 +399,8 @@ def validate(s: Scenario) -> list[str]:
         try:
             if not 0 <= parse_factor(w.factor) <= 1:
                 out.append(f"operator_schedule[{i}]: factor {w.factor} outside [0, 1]")
-                windows_ok = False
         except ValueError as exc:
             out.append(f"operator_schedule[{i}]: {exc}")
-            windows_ok = False
         if w.to_epoch is not None and (type(w.to_epoch) is not int or (
                 f"operator_schedule[{i}].from_epoch" not in window_problems
                 and w.to_epoch <= w.from_epoch)):

@@ -45,6 +45,20 @@ class TestValidate:
         assert "overlap" in violations[0]
         assert "[0, 10)" in violations[0] and "[5, 21)" in violations[0]
 
+    @pytest.mark.parametrize("factor, problem", [
+        (1.5, "operator_schedule[1]: factor 1.5 outside [0, 1]"),
+        ("x", "operator_schedule[1]: factor 'x' is not a number"),
+    ])
+    def test_bad_factor_and_overlap_both_listed(self, factor, problem):
+        s = small_scenario(operator_schedule=(
+            BehaviorWindow(from_epoch=0, to_epoch=10, factor=1.0),
+            BehaviorWindow(from_epoch=5, factor=factor),
+        ))
+        assert validate(s) == [
+            problem,
+            "operator_schedule windows overlap for validator 0: [0, 10) and [5, 21)",
+        ]
+
     def test_overlaps_checked_for_named_and_unnamed_validators(self):
         # Validator 0's own window splits the shared pair for it; validator 1,
         # which no window names, still sees the shared windows overlap.
