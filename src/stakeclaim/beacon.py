@@ -227,15 +227,19 @@ class BeaconContract(Handlers):
                                           "exit_epoch": exit_epoch})]
         return st, effects, exit_epoch
 
+    def sweep_due(self, epoch: int) -> bool:
+        """True on the sweep period grid, the only epochs a sweep moves anything."""
+        return epoch % self.params.sweep_period == 0
+
     def _op_sweep(self, state: BeaconState, msg: Msg, ctx: CallContext):
-        """Pay out due balances; a no-op off the sweep period grid.
+        """Pay out due balances; a no-op unless :meth:`sweep_due`.
 
         Active validators shed only their excess over the stake
         requirement; withdrawable ones are paid out in full and become
         Withdrawn.
         """
         self._require_driver(msg)
-        if ctx.epoch % self.params.sweep_period != 0:
+        if not self.sweep_due(ctx.epoch):
             return state, [], 0
         validators = list(state.validators)
         effects = []

@@ -51,13 +51,14 @@ a single JSON encoder, so the bytes, and every digest over them, are those
 of ``json.dumps``.
 
 The log streams. Committed events wait in a pending batch until
-``EVENT_BATCH`` of them have built up; the ledger then encodes the batch
-into one more chunk of the log's text, folds it into a running
-:func:`replay_balances`, and drops the Event objects. :meth:`Ledger.flush`
-does the same for a partial batch; :meth:`Ledger.events_jsonl` (the whole
-text, joined once) and :meth:`Ledger.events_digest` (sha256 fed one chunk
-at a time) flush first. The log's bytes do not depend on the batch size,
-and no Event object outlives its batch.
+``EVENT_BATCH`` of them have built up; the ledger then encodes the batch,
+appends it to the log's one text string (grown in place, never joined),
+folds it into a running :func:`replay_balances`, and drops the Event
+objects. :meth:`Ledger.flush` does the same for a partial batch;
+:meth:`Ledger.events_jsonl` (that string itself) and
+:meth:`Ledger.events_digest` (sha256 fed ``DIGEST_SLICE`` characters at a
+time) flush first. The log's bytes do not depend on the batch size, and
+no Event object outlives its batch.
 
 A ledger instance is single-threaded but self-contained; independent
 instances can run in parallel threads or processes.
@@ -90,6 +91,10 @@ CALL_DEPTH_LIMIT = 8
 # batch. Larger batches share more of encode_lines' per-call caches; smaller
 # ones hold fewer Event objects.
 EVENT_BATCH = 4096
+
+# Characters of the log's text encoded and hashed at a time by
+# Ledger.events_digest: the one transient copy the digest makes.
+DIGEST_SLICE = 1 << 19
 
 # json.dumps(o, separators=(",", ":")) without building an encoder per call.
 _encode = json.JSONEncoder(separators=(",", ":")).encode
@@ -428,7 +433,7 @@ class Ledger:
         self.burned_total = 0
         self._seq = 0
         self._pending: list[Event] = []     # committed, not yet encoded or folded
-        self._chunks: list[str] = []        # the log's text, one str per flushed batch
+        self._text = ""                     # the log's text: every flushed batch, encoded
         self._replay = ReplayResult({}, 0, 0)     # the fold of every flushed event
         self._hooks: list[Callable[[], None]] = []
         # (caller, target, method) -> the one shared payload of its Call events
@@ -599,29 +604,39 @@ class Ledger:
     def flush(self) -> ReplayResult:
         """Encode and fold the committed events not yet flushed; drop them.
 
-        The batch's lines (:func:`encode_lines`) become one more chunk of the
-        log's text, and :func:`replay_balances` folds the batch into the
-        running replay. Returns that replay, of the whole log so far; the
-        object is the ledger's own, and later flushes fold into it.
+        The batch's lines (:func:`encode_lines`) are appended to the log's
+        text, and :func:`replay_balances` folds the batch into the running
+        replay. Returns that replay, of the whole log so far; the object is
+        the ledger's own, and later flushes fold into it.
         """
         pending = self._pending
         if pending:
-            self._chunks.append("".join(encode_lines(pending)))
+            # With the local as the string's only reference, CPython's +=
+            # grows it in place instead of copying the whole log.
+            text = self._text
+            self._text = ""
+            text += "".join(encode_lines(pending))
+            self._text = text
             replay_balances(pending, self._replay)
             self._pending = []
         return self._replay
 
     def events_jsonl(self) -> str:
-        """The whole log as JSON lines, one event per line (:func:`encode_lines`)."""
+        """The whole log as JSON lines, one event per line (:func:`encode_lines`).
+
+        The ledger's own string, not a copy. While a caller holds it, the
+        next flush appends to a copy and leaves the caller's text as it was.
+        """
         self.flush()
-        return "".join(self._chunks)
+        return self._text
 
     def events_digest(self) -> str:
-        """sha256 of :meth:`events_jsonl`'s UTF-8, hashed one chunk at a time."""
+        """sha256 of :meth:`events_jsonl`'s UTF-8, encoded one slice at a time."""
         self.flush()
+        text = self._text
         h = hashlib.sha256()
-        for chunk in self._chunks:
-            h.update(chunk.encode())
+        for start in range(0, len(text), DIGEST_SLICE):
+            h.update(text[start:start + DIGEST_SLICE].encode())
         return h.hexdigest()
 
     # --- snapshots ---------------------------------------------------------
@@ -640,13 +655,13 @@ class Ledger:
         return pickle.dumps((
             self._balances, self._states, self.epoch,
             self.minted_total, self.burned_total, self._seq,
-            self._pending, self._chunks, self._replay,
+            self._pending, self._text, self._replay,
         ))
 
     def restore(self, snap: bytes) -> None:
         (self._balances, self._states, self.epoch,
          self.minted_total, self.burned_total, self._seq,
-         self._pending, self._chunks, self._replay) = pickle.loads(snap)
+         self._pending, self._text, self._replay) = pickle.loads(snap)
 
 
 # --- post-hoc conservation check from the log alone --------------------------

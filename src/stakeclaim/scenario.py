@@ -10,12 +10,17 @@ Every epoch executes the same fixed sub-step order:
 
 1. beacon accrual (activations and exit maturation first),
    then any slashes scheduled for this epoch
-2. beacon sweep
+2. beacon sweep, on the ``sweep_period`` grid only
+   (``BeaconContract.sweep_due``, the predicate the handler uses): off
+   the grid a sweep moves nothing
 3. wallet reward forwarding, in validator index order, for each wallet
    that holds a balance (each receipt only raises the treasury's reward
    accumulator); an empty wallet is not poked, since a zero forward moves
    nothing and the watchdog reads a missing window slot as 0
-4. wallet watchdog checks
+4. wallet watchdog checks, for each Active wallet whose
+   ``ValidatorWallet.watchdog_shortfall`` (the predicate the handler
+   decides with) is not None; a check that would return "Ok" changes
+   nothing that any report or later step reads
 5. exit/withdrawal settlement
 6. scheduled user actions: escrow post, mint-window abort, deposits,
    token transfers, claims, and the stake trigger once the raise fills
@@ -115,6 +120,11 @@ class BehaviorWindow:
     factor: float
     to_epoch: int | None = None
     validator: int | None = bounded(0, "validator", default=None)
+
+    @cached_property
+    def exact_factor(self) -> int | Fraction:
+        """:func:`parse_factor` of `factor`, parsed once for validate and the World."""
+        return parse_factor(self.factor)
 
 
 @dataclass(frozen=True)
@@ -397,7 +407,7 @@ def validate(s: Scenario) -> list[str]:
     windows_ok = not window_problems
     for i, w in enumerate(s.operator_schedule):
         try:
-            if not 0 <= parse_factor(w.factor) <= 1:
+            if not 0 <= w.exact_factor <= 1:
                 out.append(f"operator_schedule[{i}]: factor {w.factor} outside [0, 1]")
         except ValueError as exc:
             out.append(f"operator_schedule[{i}]: {exc}")
@@ -547,12 +557,14 @@ class World:
             led.genesis(OPERATOR, scenario.treasury.escrow_required, "operator escrow")
 
         b = scenario.beacon
-        led.register_contract(BEACON, BeaconContract(b, driver=SYSTEM), issuer=True)
+        beacon = BeaconContract(b, driver=SYSTEM)
+        led.register_contract(BEACON, beacon, issuer=True)
 
         t = scenario.treasury
         self.wallets = wallets = tuple(wallet_name(j) for j in range(self.m))
+        keepers = []
         for w in wallets:
-            led.register_contract(w, ValidatorWallet(WalletConfig(
+            wallet = ValidatorWallet(WalletConfig(
                 self_address=w,
                 treasury=TREASURY,
                 beacon=BEACON,
@@ -560,7 +572,9 @@ class World:
                 stake_requirement=b.stake_requirement,
                 expected_reward_per_epoch=t.expected_reward_per_epoch,
                 grace_epochs=t.grace_epochs,
-            )))
+            ))
+            led.register_contract(w, wallet)
+            keepers.append((w, wallet.watchdog_shortfall))
         led.register_contract(TREASURY, TreasuryContract(TreasuryConfig(
             fee_bps=t.fee_bps,
             operator=OPERATOR,
@@ -568,6 +582,10 @@ class World:
             stake_requirement=b.stake_requirement,
             mint=MINT,
         ), validators=wallets))
+        # The keeper's read-only predicates: each handler's own, read on
+        # committed state, so a poke is sent only when it would act.
+        self._sweep_due = beacon.sweep_due
+        self._watchdogs = tuple(keepers)
         led.register_contract(MINT, MintContract(MintConfig(
             treasury=TREASURY,
             min_contribution=scenario.mint.min_contribution,
@@ -579,7 +597,7 @@ class World:
         # Each validator's windows, in schedule order, with factors parsed once.
         self._windows: list[list[tuple]] = [[] for _ in range(self.m)]
         for w in scenario.operator_schedule:
-            window = (w.from_epoch, w.to_epoch, parse_factor(w.factor))
+            window = (w.from_epoch, w.to_epoch, w.exact_factor)
             for j, windows in enumerate(self._windows):
                 if w.validator in (None, j):
                     windows.append(window)
@@ -639,8 +657,8 @@ class World:
                          {"validator_id": wst.validator_id,
                           "fraction_bps": sl.fraction_bps})
 
-        # (2) sweep
-        if led.contract_state(BEACON).validators:
+        # (2) sweep, on the sweep period grid only
+        if led.contract_state(BEACON).validators and self._sweep_due(e):
             led.call(SYSTEM, BEACON, "sweep", {})
 
         # (3) reward forwarding, only from wallets that hold something
@@ -650,9 +668,10 @@ class World:
                     and not wst.settlement_ready and led.balance_of(w):
                 led.call(SYSTEM, w, "forward_rewards", {})
 
-        # (4) watchdogs
-        for w in self.wallets:
-            if led.contract_state(w).status is WalletStatus.ACTIVE:
+        # (4) watchdogs, only where the check would exit (or revert)
+        for w, shortfall in self._watchdogs:
+            wst = led.contract_state(w)
+            if wst.status is WalletStatus.ACTIVE and shortfall(wst, e) is not None:
                 led.call(SYSTEM, w, "watchdog_check", {})
 
         # (5) settlements
@@ -700,7 +719,7 @@ class World:
         """Performance factor for validator index j at an epoch; default 1.
 
         The first window in schedule order that covers the epoch wins; its
-        factor is the exact value :func:`parse_factor` gives.
+        factor is the window's :attr:`BehaviorWindow.exact_factor`.
         """
         for start, end, factor in self._windows[j]:
             if start <= epoch and (end is None or epoch < end):

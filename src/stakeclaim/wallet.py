@@ -14,7 +14,11 @@ pure function of wallet state, so the poker gains nothing. Rewards land in
 the wallet without running its code (as withdrawals do on Ethereum,
 EIP-4895), so a keeper pokes ``forward_rewards`` only when the wallet holds
 a balance: a zero forward would only record a 0 in the reward window, and
-the watchdog reads a missing window slot as 0 anyway. Status moves
+the watchdog reads a missing window slot as 0 anyway. Likewise the keeper
+reads :meth:`ValidatorWallet.watchdog_shortfall` on committed state and
+pokes ``watchdog_check`` only when it is not None (the split of Chainlink
+Automation's ``checkUpkeep``/``performUpkeep``); the handler decides with
+the same predicate and keeps every guard, so any poke stays safe. Status moves
 Idle -> Deposited -> Active -> ExitRequested -> Withdrawn, never backward,
 and a wallet triggers at most one exit in its lifetime.
 """
@@ -137,14 +141,39 @@ class ValidatorWallet(Handlers):
 
     # --- the watchdog -------------------------------------------------------------
 
-    def _op_watchdog_check(self, state: WalletState, msg: Msg, ctx: CallContext):
-        """Exit autonomously when the reward window falls short.
+    def watchdog_shortfall(self, state: WalletState, now: int) -> tuple[int, int] | None:
+        """(window_sum, threshold) if the watchdog would exit at epoch `now`, else None.
 
-        Evaluates sum(window) < expected_reward_per_epoch * grace_epochs
-        over the trailing grace_epochs, current epoch included. The check
-        arms only once the window is fully populated since activation, so
-        activation-queue delay cannot cause a spurious exit. Returns "Ok"
-        or "TriggerExit".
+        Reads sum(window) < expected_reward_per_epoch * grace_epochs over the
+        trailing grace_epochs, current epoch included. The check arms only
+        once the window is fully populated since activation, so
+        activation-queue delay cannot cause a spurious exit. Read-only, and
+        it never raises: an Active state without an activation epoch is not
+        None, so a keeper pokes it and the handler's own guard reverts.
+        """
+        cfg = self.config
+        grace = cfg.grace_epochs
+        start = state.activation_epoch
+        if start is not None and now - start + 1 < grace:
+            return None
+        # The window holds at most grace_epochs slots (forward_rewards trims
+        # it), often fewer, and a missing slot reads as 0; a plain loop over
+        # them is the cheapest sum, and the keeper runs this for every Active
+        # wallet every epoch.
+        oldest = now - grace + 1
+        window_sum = 0
+        for e, reward in state.reward_window.items():
+            if oldest <= e <= now:
+                window_sum += reward
+        threshold = cfg.expected_reward_per_epoch * grace
+        if window_sum >= threshold and start is not None:
+            return None
+        return window_sum, threshold
+
+    def _op_watchdog_check(self, state: WalletState, msg: Msg, ctx: CallContext):
+        """Exit autonomously when :meth:`watchdog_shortfall` says the window fell short.
+
+        Returns "Ok" or "TriggerExit".
         """
         cfg = self.config
         now = ctx.epoch
@@ -154,15 +183,11 @@ class ValidatorWallet(Handlers):
             raise WrongStatus(f"watchdog already ran at epoch {state.last_check_epoch}")
         if state.activation_epoch is None:
             raise WrongStatus("wallet is Active without an activation epoch")
-        # The reward window is shared with the new state, never copied.
-        if now - state.activation_epoch + 1 < cfg.grace_epochs:
+        shortfall = self.watchdog_shortfall(state, now)
+        if shortfall is None:
+            # The reward window is shared with the new state, never copied.
             return evolve(state, last_check_epoch=now), [], "Ok"
-        window = state.reward_window
-        window_sum = sum(
-            window.get(e, 0) for e in range(now - cfg.grace_epochs + 1, now + 1))
-        threshold = cfg.expected_reward_per_epoch * cfg.grace_epochs
-        if window_sum >= threshold:
-            return evolve(state, last_check_epoch=now), [], "Ok"
+        window_sum, threshold = shortfall
         st = evolve(state, last_check_epoch=now, status=WalletStatus.EXIT_REQUESTED,
                     exit_cause=CAUSE_PERFORMANCE, exit_epoch=now)
         effects = [

@@ -9,9 +9,11 @@ and replay those of encoding and folding at once the events it decodes to.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import pickle
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -117,9 +119,10 @@ def test_restore_across_a_flush_gives_the_same_log(monkeypatch):
         return led.snapshot()
 
     after_flush = go_on()
+    flushed = led._text
     say(led, 4)
     unrestored = led.events_jsonl()
-    assert led._chunks, "the calls should have crossed a flush"
+    assert flushed and unrestored.startswith(flushed), "the calls should have crossed a flush"
 
     led.restore(before_flush)
     # Equal state; the bytes may differ in how pickle shares Call payloads.
@@ -183,3 +186,30 @@ def test_a_default_world_holds_at_most_one_batch(monkeypatch):
     assert 0 < max(held) <= 64
     assert report.event_count > 10 * 64
     assert events_held(led) <= 64
+
+
+def test_the_report_makes_no_copy_of_the_log():
+    # The log's text is one string grown in place: the report hands it out
+    # as it is and hashes it a slice at a time, so no second copy of the
+    # whole log is ever alive. The last batch is flushed before tracing
+    # starts, so only the report's own allocations are traced.
+    scenario = sc.load_scenario(sc.golden_scenario_path("honest"))
+    world = World(dataclasses.replace(scenario, horizon=1000))
+    report_of = world.report
+    peaks = []
+
+    def traced_report():
+        world.ledger.flush()
+        tracemalloc.start()
+        try:
+            report = report_of()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return report
+
+    world.report = traced_report
+    log = world.run().events_jsonl
+    assert len(log) > 4 * ledger.DIGEST_SLICE
+    assert peaks[0] < len(log)
+    assert log is world.ledger.events_jsonl()
