@@ -9,8 +9,12 @@ slashing.
 The beacon is registered on the ledger as an issuer contract: its own
 account is the deposit vault, reward accrual is the only place units are
 created, and slashing is the only place they are destroyed. The invariant
-``sum of validator balances == vault balance`` ties the consensus view to
-the ledger.
+``sum(balances) == vault balance`` ties the consensus view to the ledger.
+
+As in the Ethereum consensus specs' ``BeaconState``, balances live in one
+int list indexed by validator id, apart from the validator records: the
+per-epoch accrual, the sweep and a slash each copy that list once, and a
+record is replaced only on a status transition.
 
 Withdrawal addresses are write-once: validator records are frozen
 dataclasses and no operation constructs a record with a different
@@ -51,12 +55,14 @@ class BeaconParams:
 
 @dataclass(frozen=True)
 class BeaconValidator:
-    """One validator record. The withdrawal address is set once, at deposit."""
+    """One validator record; its balance is ``BeaconState.balances[id]``.
+
+    The withdrawal address is set once, at deposit.
+    """
 
     id: int
     withdrawal_address: str
     operator: str
-    balance: int
     status: ValidatorStatus
     activation_epoch: int
     exit_epoch: int | None = None
@@ -65,6 +71,7 @@ class BeaconValidator:
 @dataclass
 class BeaconState:
     validators: list[BeaconValidator] = field(default_factory=list)   # id == list index
+    balances: list[int] = field(default_factory=list)                 # by validator id
 
 
 def exact_factor(factor) -> int | Fraction:
@@ -130,11 +137,11 @@ class BeaconContract(Handlers):
             id=vid,
             withdrawal_address=wa,
             operator=operator,
-            balance=msg.value,
             status=ValidatorStatus.PENDING,
             activation_epoch=ctx.epoch + self.params.activation_delay,
         )
-        st = evolve(state, validators=[*state.validators, record])
+        st = evolve(state, validators=[*state.validators, record],
+                    balances=[*state.balances, msg.value])
         effects = [Emit("DepositAccepted", {
             "id": vid, "withdrawal_address": wa, "from": msg.caller,
             "activation_epoch": ctx.epoch + self.params.activation_delay,
@@ -147,44 +154,72 @@ class BeaconContract(Handlers):
         """Activate due validators, open due exits, then mint epoch rewards.
 
         args: performance maps validator id to a factor in [0, 1];
-        missing ids default to 1. Each factor is read once, by
-        :func:`exact_factor`. Returns the total minted.
+        missing ids default to 1. The map is only read: the driver sends
+        the same one for as long as no factor can change. Each distinct
+        factor is parsed, range-checked and floored once per call
+        (:meth:`_reward`); one that is not a number in [0, 1] raises
+        InvalidFactor. Returns the total minted.
         """
         self._require_driver(msg)
         performance = msg.args.get("performance", {})
-        validators = list(state.validators)
+        validators = state.validators       # copied on the first status transition
+        balances = state.balances           # copied on the first reward
+        # exact factor -> reward; only an int or a Fraction is looked up as
+        # it comes, so a bool never shares the entry of 1.
+        rewards: dict = {}
         effects = []
+        amounts = []
+        minted = 0
         now = ctx.epoch
-
         for i, v in enumerate(validators):
-            if v.status is ValidatorStatus.PENDING and v.activation_epoch <= now:
-                validators[i] = evolve(v, status=ValidatorStatus.ACTIVE)
+            status = v.status
+            if status is ValidatorStatus.PENDING and v.activation_epoch <= now:
+                status = ValidatorStatus.ACTIVE
                 effects.append(Emit("Activated", {"id": v.id}))
                 if ctx.kind_of(v.withdrawal_address) is AddressKind.CONTRACT:
                     effects.append(Call(v.withdrawal_address, "on_validator_activated"))
-            elif v.status is ValidatorStatus.EXITING and v.exit_epoch is not None \
+            elif status is ValidatorStatus.EXITING and v.exit_epoch is not None \
                     and v.exit_epoch <= now:
-                validators[i] = evolve(v, status=ValidatorStatus.WITHDRAWABLE)
-
-        minted = 0
-        amounts = []
-        for i, v in enumerate(validators):
-            if v.status is not ValidatorStatus.ACTIVE:
+                status = ValidatorStatus.WITHDRAWABLE
+            if status is not v.status:
+                if validators is state.validators:
+                    validators = list(validators)
+                validators[i] = evolve(v, status=status)
+            if status is not ValidatorStatus.ACTIVE:
                 continue
             factor = performance.get(v.id, 1)
-            frac = exact_factor(factor)
-            if not (0 <= frac <= 1):
-                raise InvalidFactor(f"performance factor {factor} outside [0, 1]")
-            reward = exact_floor(self.params.reward_per_epoch, frac)
+            kind = type(factor)
+            reward = rewards.get(factor) if kind is int or kind is Fraction else None
+            if reward is None:
+                reward = self._reward(factor, rewards)
             if reward:
-                validators[i] = evolve(v, balance=v.balance + reward)
+                if balances is state.balances:
+                    balances = list(balances)
+                balances[i] += reward
                 minted += reward
             amounts.append([v.id, reward])
         if minted:
             effects.append(Issue(minted, "epoch rewards"))
         if amounts:
             effects.append(Emit("EpochAccrual", {"minted": minted, "amounts": amounts}))
-        return evolve(state, validators=validators), effects, minted
+        return evolve(state, validators=validators, balances=balances), effects, minted
+
+    def _reward(self, factor, rewards: dict) -> int:
+        """floor(reward_per_epoch * factor), memoised in `rewards` under the exact factor.
+
+        Raises InvalidFactor unless `factor` reads (:func:`exact_factor`) as
+        a number in [0, 1].
+        """
+        try:
+            frac = exact_factor(factor)
+        except (ValueError, ZeroDivisionError):     # a bool, None, "abc", nan, ...
+            raise InvalidFactor(f"performance factor {factor!r} is not a number") from None
+        reward = rewards.get(frac)
+        if reward is None:
+            if not (0 <= frac <= 1):
+                raise InvalidFactor(f"performance factor {factor} outside [0, 1]")
+            reward = rewards[frac] = exact_floor(self.params.reward_per_epoch, frac)
+        return reward
 
     def _op_slash(self, state: BeaconState, msg: Msg, ctx: CallContext):
         self._require_driver(msg)
@@ -195,11 +230,13 @@ class BeaconContract(Handlers):
         v = validator_by_id(state, vid)
         if v.status is not ValidatorStatus.ACTIVE:
             raise NotActive(f"validator {vid} is {v.status.value}")
-        burned = (v.balance * bps) // 10_000
+        balances = list(state.balances)
+        burned = (balances[vid] * bps) // 10_000
+        balances[vid] -= burned
         validators = list(state.validators)
-        validators[vid] = evolve(v, balance=v.balance - burned, status=ValidatorStatus.EXITING,
+        validators[vid] = evolve(v, status=ValidatorStatus.EXITING,
                                  exit_epoch=ctx.epoch + self.params.exit_delay)
-        st = evolve(state, validators=validators)
+        st = evolve(state, validators=validators, balances=balances)
         effects = []
         if burned:
             effects.append(Destroy(burned, f"slash validator {vid}"))
@@ -241,21 +278,27 @@ class BeaconContract(Handlers):
         self._require_driver(msg)
         if not self.sweep_due(ctx.epoch):
             return state, [], 0
-        validators = list(state.validators)
+        stake = self.params.stake_requirement
+        validators = state.validators       # copied on the first payout in full
+        balances = list(state.balances)
         effects = []
         total = 0
         for i, v in enumerate(validators):
-            if v.status is ValidatorStatus.ACTIVE:
-                excess = v.balance - self.params.stake_requirement
+            status = v.status
+            if status is ValidatorStatus.ACTIVE:
+                excess = balances[i] - stake
                 if excess > 0:
-                    validators[i] = evolve(v, balance=self.params.stake_requirement)
+                    balances[i] = stake
                     effects.append(Transfer(v.withdrawal_address, excess))
                     effects.append(Emit("Swept", {"id": v.id, "to": v.withdrawal_address,
                                                   "amount": excess, "kind": "rewards"}))
                     total += excess
-            elif v.status is ValidatorStatus.WITHDRAWABLE:
-                amount = v.balance
-                validators[i] = evolve(v, balance=0, status=ValidatorStatus.WITHDRAWN)
+            elif status is ValidatorStatus.WITHDRAWABLE:
+                amount = balances[i]
+                balances[i] = 0
+                if validators is state.validators:
+                    validators = list(validators)
+                validators[i] = evolve(v, status=ValidatorStatus.WITHDRAWN)
                 if amount > 0:
                     effects.append(Transfer(v.withdrawal_address, amount))
                 effects.append(Emit("Swept", {"id": v.id, "to": v.withdrawal_address,
@@ -264,7 +307,7 @@ class BeaconContract(Handlers):
                 if ctx.kind_of(v.withdrawal_address) is AddressKind.CONTRACT:
                     effects.append(Call(v.withdrawal_address, "on_exit_swept"))
                 total += amount
-        return evolve(state, validators=validators), effects, total
+        return evolve(state, validators=validators, balances=balances), effects, total
 
     # --- helpers ----------------------------------------------------------
 

@@ -9,7 +9,10 @@ fresh ledger, executes epochs 0..horizon, and returns a
 Every epoch executes the same fixed sub-step order:
 
 1. beacon accrual (activations and exit maturation first),
-   then any slashes scheduled for this epoch
+   then any slashes scheduled for this epoch; the performance map sent
+   to the accrual is rebuilt only at an epoch where some window starts or
+   ends, or when the beacon has a new validator id, since no factor can
+   change otherwise, and in between the same map is sent again
 2. beacon sweep, on the ``sweep_period`` grid only
    (``BeaconContract.sweep_due``, the predicate the handler uses): off
    the grid a sweep moves nothing
@@ -24,6 +27,10 @@ Every epoch executes the same fixed sub-step order:
 5. exit/withdrawal settlement
 6. scheduled user actions: escrow post, mint-window abort, deposits,
    token transfers, claims, and the stake trigger once the raise fills
+
+Steps (3)-(5) visit only the wallets not yet Withdrawn: Withdrawn is a
+terminal status, and a wallet leaves the walk once its
+``finalize_withdrawal`` commits.
 
 The watchdog runs after forwarding on purpose: the current epoch's rewards
 count toward its window, so a healthy operator is never one epoch away
@@ -52,9 +59,11 @@ from __future__ import annotations
 import json
 import re
 import weakref
+from bisect import bisect_right
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from functools import cached_property
+from math import inf
 from pathlib import Path
 
 from .beacon import BeaconContract, BeaconParams, ValidatorStatus, exact_factor, validator_by_id
@@ -586,6 +595,8 @@ class World:
         # committed state, so a poke is sent only when it would act.
         self._sweep_due = beacon.sweep_due
         self._watchdogs = tuple(keepers)
+        # Steps (3)-(5) walk only the wallets not yet Withdrawn, a terminal status.
+        self._live = self._watchdogs
         led.register_contract(MINT, MintContract(MintConfig(
             treasury=TREASURY,
             min_contribution=scenario.mint.min_contribution,
@@ -601,6 +612,14 @@ class World:
             for j, windows in enumerate(self._windows):
                 if w.validator in (None, j):
                     windows.append(window)
+        # Every factor_for(j, e) is constant between consecutive window edges.
+        self._edges = sorted({e for w in scenario.operator_schedule
+                              for e in (w.from_epoch, w.to_epoch) if e is not None})
+        # The performance map last built, the beacon's validator count then,
+        # and the first epoch at which one of its factors may change.
+        self._perf: dict = {}
+        self._perf_count = 0
+        self._perf_until = 0
 
         # Held weakly: a world and its ledger form no reference cycle, so a
         # dropped world is freed at once. A ledger left alone runs no sub-steps.
@@ -640,13 +659,10 @@ class World:
         slashes_at, deposits_at, transfers_at, claims_at = self._schedule
 
         # (1) accrual, then scheduled slashes
-        if led.contract_state(BEACON).validators:
-            perf = {}
-            for j, w in enumerate(self.wallets):
-                wst = led.contract_state(w)
-                if wst.validator_id is not None:
-                    perf[wst.validator_id] = self.factor_for(j, e)
-            led.call(SYSTEM, BEACON, "accrue_epoch", {"performance": perf})
+        validators = led.contract_state(BEACON).validators
+        if validators:
+            led.call(SYSTEM, BEACON, "accrue_epoch",
+                     {"performance": self._performance(e, len(validators))})
         for sl in slashes_at.get(e, ()):
             wst = led.contract_state(self.wallets[sl.validator])
             if wst.validator_id is None:
@@ -658,27 +674,35 @@ class World:
                           "fraction_bps": sl.fraction_bps})
 
         # (2) sweep, on the sweep period grid only
-        if led.contract_state(BEACON).validators and self._sweep_due(e):
+        if validators and self._sweep_due(e):
             led.call(SYSTEM, BEACON, "sweep", {})
 
-        # (3) reward forwarding, only from wallets that hold something
-        for w in self.wallets:
-            wst = led.contract_state(w)
-            if wst.status in (WalletStatus.ACTIVE, WalletStatus.EXIT_REQUESTED) \
-                    and not wst.settlement_ready and led.balance_of(w):
-                led.call(SYSTEM, w, "forward_rewards", {})
+        # (3) reward forwarding, only from wallets that hold something; the
+        # balance is read first, as most epochs bring a wallet nothing
+        live = self._live
+        for w, _ in live:
+            if led.balance_of(w):
+                wst = led.contract_state(w)
+                if wst.status in (WalletStatus.ACTIVE, WalletStatus.EXIT_REQUESTED) \
+                        and not wst.settlement_ready:
+                    led.call(SYSTEM, w, "forward_rewards", {})
 
         # (4) watchdogs, only where the check would exit (or revert)
-        for w, shortfall in self._watchdogs:
+        for w, shortfall in live:
             wst = led.contract_state(w)
             if wst.status is WalletStatus.ACTIVE and shortfall(wst, e) is not None:
                 led.call(SYSTEM, w, "watchdog_check", {})
 
-        # (5) settlements
-        for w in self.wallets:
+        # (5) settlements; a wallet leaves the walk once its settlement commits
+        settled = []
+        for keeper in live:
+            w = keeper[0]
             wst = led.contract_state(w)
             if wst.status is WalletStatus.EXIT_REQUESTED and wst.settlement_ready:
                 led.call(SYSTEM, w, "finalize_withdrawal", {})
+                settled.append(keeper)
+        if settled:
+            self._live = tuple(k for k in live if k not in settled)
 
         # (6) scheduled user actions
         if e == 0 and s.treasury.escrow_required > 0:
@@ -715,6 +739,34 @@ class World:
                 "action": action, "caller": caller, "reason": type(exc).__name__,
             })
 
+    def _performance(self, e: int, count: int) -> dict:
+        """validator id -> factor at epoch e: the map step (1) sends.
+
+        Rebuilt (:meth:`_performance_at`) only when it can change: at the
+        first window edge after the epoch it was built at, or when the
+        beacon's validator count (`count`) differs from the one it was
+        built with, as each new id is a wallet's. Otherwise the map last
+        sent is sent again; the beacon only reads it. Epochs only move
+        forward on the World's ledger.
+        """
+        if count != self._perf_count or e >= self._perf_until:
+            self._perf = self._performance_at(e)
+            self._perf_count = count
+            edges = self._edges
+            i = bisect_right(edges, e)
+            self._perf_until = edges[i] if i < len(edges) else inf
+        return self._perf
+
+    def _performance_at(self, e: int) -> dict:
+        """validator id -> :meth:`factor_for` at epoch e, for each wallet holding an id."""
+        led = self.ledger
+        perf = {}
+        for j, w in enumerate(self.wallets):
+            wst = led.contract_state(w)
+            if wst.validator_id is not None:
+                perf[wst.validator_id] = self.factor_for(j, e)
+        return perf
+
     def factor_for(self, j: int, epoch: int) -> int | Fraction:
         """Performance factor for validator index j at an epoch; default 1.
 
@@ -743,7 +795,7 @@ class World:
                 f"epoch {led.epoch}: treasury balance {led.balance_of(TREASURY)} != "
                 f"identity {balance_identity(tst)}")
         bst = led.contract_state(BEACON)
-        vault = sum(v.balance for v in bst.validators)
+        vault = sum(bst.balances)
         if led.balance_of(BEACON) != vault:
             raise InvariantViolation(
                 f"epoch {led.epoch}: beacon vault {led.balance_of(BEACON)} != "

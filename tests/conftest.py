@@ -194,6 +194,11 @@ def world() -> Mini:
 @pytest.fixture
 def staked_world() -> Mini:
     """World already staked with capitals alice=40, bob=24 and validator active."""
+    return make_staked_world()
+
+
+def make_staked_world() -> Mini:
+    """The staked_world fixture's world, for callers outside a fixture."""
     w = make_world(escrow_required=10)
     w.post_escrow(10)
     w.mint("alice", 40)

@@ -89,7 +89,7 @@ class TestDeposit:
         led = bare_beacon()
         deposit(led)
         st = led.contract_state("beacon")
-        assert led.balance_of("beacon") == sum(v.balance for v in st.validators) == STAKE
+        assert led.balance_of("beacon") == sum(st.balances) == STAKE
 
 
 class TestAccrual:
@@ -100,7 +100,7 @@ class TestAccrual:
         accrue(self.led)  # activation edge; also first accrual epoch
 
     def balance(self):
-        return validator_by_id(self.led.contract_state("beacon"), self.vid).balance
+        return self.led.contract_state("beacon").balances[self.vid]
 
     def test_full_factor(self):
         start = self.balance()
@@ -131,6 +131,29 @@ class TestAccrual:
         with pytest.raises(InvalidFactor):
             accrue(self.led, {self.vid: -0.1})
 
+    @pytest.mark.parametrize("bad", [True, None, "abc"])
+    def test_a_factor_that_is_not_a_number_is_an_invalid_factor(self, bad):
+        # Validator 0's factor 1 is floored and memoised first; a bool must
+        # not share 1's entry, and no factor may escape as a bare ValueError.
+        other = deposit(self.led)
+        self.led.advance_epoch()
+        accrue(self.led)                        # activates the second validator
+        snap = self.led.snapshot()
+        with pytest.raises(InvalidFactor, match="not a number"):
+            accrue(self.led, {self.vid: 1, other: bad})
+        assert self.led.snapshot() == snap
+
+    def test_one_factor_shared_by_many_validators(self):
+        for _ in range(3):
+            deposit(self.led)
+        self.led.advance_epoch()
+        accrue(self.led)
+        half = {vid: 0.5 for vid in range(4)}
+        assert accrue(self.led, half) == 200
+        assert accrue(self.led, {**half, 3: 1}) == 250
+        with pytest.raises(InvalidFactor, match="outside"):
+            accrue(self.led, {**half, 2: 2})
+
     def test_accrual_mints_supply(self):
         minted_before = self.led.minted_total
         accrue(self.led, {self.vid: 1.0})
@@ -151,10 +174,10 @@ class TestSlash:
     def test_full_slash_boundary(self):
         burned = self.led.call("sys", "beacon", "slash",
                                {"validator_id": self.vid, "fraction_bps": 10_000})
-        v = validator_by_id(self.led.contract_state("beacon"), self.vid)
+        st = self.led.contract_state("beacon")
         assert burned == STAKE
-        assert v.balance == 0
-        assert v.status is ValidatorStatus.EXITING
+        assert st.balances[self.vid] == 0
+        assert validator_by_id(st, self.vid).status is ValidatorStatus.EXITING
 
     def test_500_bps_floor(self):
         burned = self.led.call("sys", "beacon", "slash",
@@ -162,11 +185,11 @@ class TestSlash:
         assert burned == (STAKE * 500) // 10_000 == 1_600_000_000
 
     def test_burn_plus_balance_is_exact(self):
-        v_before = validator_by_id(self.led.contract_state("beacon"), self.vid)
+        before = self.led.contract_state("beacon").balances[self.vid]
         burned = self.led.call("sys", "beacon", "slash",
                                {"validator_id": self.vid, "fraction_bps": 777})
-        v_after = validator_by_id(self.led.contract_state("beacon"), self.vid)
-        assert burned + v_after.balance == v_before.balance
+        after = self.led.contract_state("beacon").balances[self.vid]
+        assert burned + after == before
         assert self.led.burned_total == burned
 
     def test_slash_pending_rejected(self):
@@ -232,8 +255,7 @@ class TestExitAndSweep:
         accrue(self.led, {self.vid: 1.0})  # +100 over stake
         accrue_excess = 500 - 400          # keep style simple: recompute below
         self.led.call("sys", "beacon", "sweep", {})
-        v = validator_by_id(self.led.contract_state("beacon"), self.vid)
-        assert v.balance == STAKE
+        assert self.led.contract_state("beacon").balances[self.vid] == STAKE
         assert self.led.balance_of("wa") == 100
         assert accrue_excess == 100  # guard against dead constant
 
@@ -245,9 +267,9 @@ class TestExitAndSweep:
             self.led.advance_epoch()
             accrue(self.led)  # exiting validators accrue nothing
             self.led.call("sys", "beacon", "sweep", {})
-        v = validator_by_id(self.led.contract_state("beacon"), self.vid)
-        assert v.status is ValidatorStatus.WITHDRAWN
-        assert v.balance == 0
+        st = self.led.contract_state("beacon")
+        assert validator_by_id(st, self.vid).status is ValidatorStatus.WITHDRAWN
+        assert st.balances[self.vid] == 0
         assert self.led.balance_of("wa") == STAKE
         assert self.led.balance_of("beacon") == 0
 

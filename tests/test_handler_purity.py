@@ -7,9 +7,13 @@ would change committed state behind the ledger's back, and a reverted call
 would leave its write behind. Every contract class's ``handle`` is wrapped
 here over the acceptance corpus, with claims and NFT transfers added so
 that rejected calls and the claim and resale paths run too, and over the
-three goldens: the pickle of the state passed in must be the same when the
-handler returns and when it raises. Every registration and every resale
-must also return a fresh owner index (``TreasuryState.owned``).
+three goldens: the pickle of the state passed in, and of the message's
+arguments, must be the same when the handler returns and when it raises.
+The arguments count because the driver sends one performance map to
+``accrue_epoch`` for as long as no factor can change. Every registration
+and every resale must also return a fresh owner index
+(``TreasuryState.owned``), and every accrual that mints a fresh balance
+list (``BeaconState.balances``).
 """
 
 from __future__ import annotations
@@ -46,30 +50,45 @@ def with_claims_and_transfers(s, rng: random.Random):
 def guard_handlers(monkeypatch) -> tuple[dict, list, Counter]:
     """Wrap every contract class's handle.
 
-    Returns (outcome counts, mutations, writes). writes counts each method's
+    Returns (outcome counts, mutations, writes); the outcome counts also
+    count the accruals sent a performance map already sent. writes counts each method's
     returns under (method, "") and, under (method, field), the returns whose
-    state holds another object in that field than the input state did.
+    state holds another object in that field than the input state did; the
+    accruals that mint are counted again under "minting accrue_epoch".
     """
-    outcomes = {"returned": 0, "raised": 0}
+    outcomes = {"returned": 0, "raised": 0, "map sent again": 0}
     mutated: list[tuple[str, str, str]] = []
     writes: Counter = Counter()
+    maps: dict[int, dict] = {}      # id -> each performance map sent, kept so ids stay unique
 
     for cls in CONTRACTS:
         def guarded(self, state, msg, ctx, inner=cls.handle):
             before = pickle.dumps(state)
+            args_before = pickle.dumps(msg.args)
+            if msg.method == "accrue_epoch":
+                performance = msg.args.get("performance")
+                outcomes["map sent again"] += id(performance) in maps
+                maps[id(performance)] = performance
             outcome = "raised"
             try:
                 result = inner(self, state, msg, ctx)
                 outcome = "returned"
                 old = vars(state)
-                writes[msg.method, ""] += 1
-                writes.update((msg.method, name) for name, value in vars(result[0]).items()
-                              if value is not old[name])
+                fresh = [name for name, value in vars(result[0]).items()
+                         if value is not old[name]]
+                methods = [msg.method]
+                if msg.method == "accrue_epoch" and result[2]:
+                    methods.append("minting accrue_epoch")
+                for method in methods:
+                    writes[method, ""] += 1
+                    writes.update((method, name) for name in fresh)
                 return result
             finally:
                 outcomes[outcome] += 1
                 if pickle.dumps(state) != before:
                     mutated.append((type(self).__name__, msg.method, outcome))
+                if pickle.dumps(msg.args) != args_before:
+                    mutated.append((type(self).__name__, msg.method, f"{outcome}, args"))
 
         monkeypatch.setattr(cls, "handle", guarded)
     return outcomes, mutated, writes
@@ -94,6 +113,10 @@ def test_handlers_leave_their_input_state_untouched(monkeypatch):
     # every resale, and the input states above stayed as they were.
     for method in ("register_nft", "update_owner"):
         assert writes[method, "owned"] == writes[method, ""] > 0
+    # Likewise the balances on every accrual that mints.
+    assert writes["minting accrue_epoch", "balances"] == writes["minting accrue_epoch", ""] > 0
     # Both outcomes were exercised: returns and reverted calls alike.
     assert outcomes["returned"] > 10_000
     assert outcomes["raised"] == rejected > 100
+    # The arguments check saw performance maps shared across epochs.
+    assert outcomes["map sent again"] > 1000

@@ -1,13 +1,16 @@
-"""The keeper: the driver pokes the watchdog and the sweep only when they can act.
+"""The keeper: the driver does only the work that can change something.
 
-Step (2) of every epoch sweeps only on the ``sweep_period`` grid
-(``BeaconContract.sweep_due``) and step (4) checks an Active wallet's
-watchdog only when ``ValidatorWallet.watchdog_shortfall`` is not None; the
-handlers decide with the same predicates. :class:`EveryEpochKeeper` is the
-keeper as it was before: it pokes every Active wallet's watchdog and sweeps
-every epoch. Both keepers must give the same economic report and the same
-log, once the old keeper's pokes that the predicates turn down are dropped
-and ``seq`` is ignored.
+Step (1) sends the performance map it last built, rebuilding it only at a
+window edge or when the beacon has a new validator id; step (2) sweeps only
+on the ``sweep_period`` grid (``BeaconContract.sweep_due``); step (4) checks
+an Active wallet's watchdog only when ``ValidatorWallet.watchdog_shortfall``
+is not None, the predicates the handlers decide with; and steps (3)-(5)
+walk only the wallets not yet Withdrawn. :class:`EveryEpochKeeper` is the
+keeper as it was before all that: it builds a fresh map every epoch, walks
+every wallet, pokes every Active wallet's watchdog and sweeps every epoch.
+Both keepers must give the same economic report and the same log, once the
+old keeper's pokes that the predicates turn down are dropped and ``seq`` is
+ignored.
 """
 
 from __future__ import annotations
@@ -37,14 +40,17 @@ from stakeclaim.scenario import (
     validate,
     wallet_name,
 )
+from stakeclaim.wallet import WalletStatus
 from test_acceptance import CORPUS_SEED, CORPUS_SIZE, random_scenario
 
 
 class EveryEpochKeeper(World):
-    """A World whose keeper pokes every Active wallet's watchdog and sweeps every epoch.
+    """A World whose keeper does every epoch's work for every validator.
 
-    ``declined`` holds the seq of each poke's ``Call`` line that the real
-    predicates would not have sent.
+    It builds a fresh performance map every epoch, walks every wallet in
+    steps (3)-(5), pokes every Active wallet's watchdog and sweeps every
+    epoch. ``declined`` holds the seq of each poke's ``Call`` line that the
+    real predicates would not have sent.
     """
 
     def __init__(self, scenario: Scenario):
@@ -68,6 +74,17 @@ class EveryEpochKeeper(World):
 
         self._sweep_due = always_sweep
         self._watchdogs = tuple((w, always_check(f)) for w, f in self._watchdogs)
+
+    def _performance(self, e: int, count: int) -> dict:
+        return self._performance_at(e)
+
+    @property
+    def _live(self):
+        return self._watchdogs          # every wallet, Withdrawn or not
+
+    @_live.setter
+    def _live(self, walk):
+        pass
 
 
 def economics(report) -> dict:
@@ -119,22 +136,37 @@ FACTORS = (0, 0.1, "0.25", 0.5, "0.9", 1)
 
 @st.composite
 def schedules(draw) -> Scenario:
-    """Small valid scenarios with drops, partial factors, slashes and sweep_period > 1."""
+    """Small valid scenarios with drops, partial factors, slashes and sweep_period > 1.
+
+    The horizon is cut into spans at edges drawn from every epoch and from
+    the epochs where something happens: activation (staking fills at epoch
+    1), a slash, and a slashed validator's exit. Each span is a gap (factor
+    1), one validator-null window, or one window per validator.
+    """
     m = draw(st.integers(1, 3))
     stake = 64_000
     reward = draw(st.integers(1, 2_000))
     horizon = draw(st.integers(5, 60))
-    windows = []
-    for j in range(m):
-        cut = draw(st.integers(1, horizon))
-        windows.append(BehaviorWindow(from_epoch=0, to_epoch=cut,
-                                      factor=draw(st.sampled_from(FACTORS)), validator=j))
-        windows.append(BehaviorWindow(from_epoch=cut, factor=draw(st.sampled_from(FACTORS)),
-                                      validator=j))
+    activation_delay = draw(st.integers(1, 3))
+    exit_delay = draw(st.integers(1, 3))
     slashes = tuple(SlashAction(epoch=draw(st.integers(0, horizon)),
                                 validator=draw(st.integers(0, m - 1)),
                                 fraction_bps=draw(st.sampled_from([1, 500, 10_000])))
                     for _ in range(draw(st.integers(0, 2))))
+    landmarks = [e for e in (1 + activation_delay, *(s.epoch for s in slashes),
+                             *(s.epoch + exit_delay for s in slashes)) if 1 <= e <= horizon]
+    edge = st.integers(1, horizon)
+    if landmarks:
+        edge = edge | st.sampled_from(landmarks)
+    bounds = [0, *sorted(set(draw(st.lists(edge, min_size=1, max_size=4)))), None]
+    windows = []
+    for start, end in zip(bounds, bounds[1:]):
+        span = draw(st.sampled_from(["gap", "every validator", "each validator"]))
+        if span == "every validator":
+            windows.append(BehaviorWindow(start, draw(st.sampled_from(FACTORS)), end))
+        elif span == "each validator":
+            windows.extend(BehaviorWindow(start, draw(st.sampled_from(FACTORS)), end, j)
+                           for j in range(m))
     first = draw(st.integers(1, stake * m - 1))
     claims = tuple(ClaimAction(holder=draw(st.sampled_from(["h0", "h1"])),
                                epoch=draw(st.integers(0, horizon)))
@@ -147,8 +179,7 @@ def schedules(draw) -> Scenario:
                               validators=m),
         mint=MintSpec(min_contribution=1, open_epoch=0, close_epoch=2),
         beacon=BeaconParams(stake_requirement=stake, reward_per_epoch=reward,
-                            activation_delay=draw(st.integers(1, 3)),
-                            exit_delay=draw(st.integers(1, 3)),
+                            activation_delay=activation_delay, exit_delay=exit_delay,
                             sweep_period=draw(st.integers(1, 4))),
         deposits=(DepositAction("h0", first, 0), DepositAction("h1", stake * m - first, 1)),
         operator_schedule=tuple(windows),
@@ -220,3 +251,42 @@ def test_an_active_wallet_without_activation_epoch_still_reaches_the_handler():
     led._states[w] = replace(led.contract_state(w), activation_epoch=None)
     with pytest.raises(WrongStatus, match="activation epoch"):
         led.advance_epoch()
+
+
+def test_the_performance_map_is_rebuilt_only_at_window_edges_and_new_ids():
+    # Staking fills at epoch 0, so epoch 1 accrues first (a new id); the
+    # windows' edges are 4, 9 and 12, and edge 0 falls before any validator.
+    windows = (BehaviorWindow(0, 1.0, 4), BehaviorWindow(4, "0.5", 9),
+               BehaviorWindow(12, 0))
+    world = World(small_scenario(operator_schedule=windows))
+    built = []
+    build = world._performance_at
+
+    def recording_build(e):
+        built.append(e)
+        return build(e)
+
+    world._performance_at = recording_build
+    report = world.run()
+    assert built == [1, 4, 9, 12]
+    assert report.validators[0].exit_cause == "performance"
+
+
+def test_a_withdrawn_wallet_leaves_the_walk():
+    world = World(sc.load_scenario(sc.golden_scenario_path("nonpaying")))
+    walks = []
+    substeps = world._epoch_substeps
+
+    def recording_substeps():
+        walks.append([w for w, _ in world._live])
+        substeps()
+
+    world._epoch_substeps = recording_substeps
+    report = world.run()
+    assert report.validators[0].settled
+    assert world.ledger.contract_state(wallet_name(0)).status is WalletStatus.WITHDRAWN
+    settled_at = next(e for e, walk in enumerate(walks) if not walk)
+    events = [json.loads(line) for line in report.events_jsonl.splitlines()]
+    assert settled_at - 1 == next(e["epoch"] for e in events
+                                  if e["tag"] == "WithdrawalFinalized")
+    assert all(walk == [wallet_name(0)] for walk in walks[:settled_at])

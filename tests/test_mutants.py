@@ -1,13 +1,15 @@
-"""Mutants of the bound checker and of the keeper's predicates, each caught by a named test.
+"""Mutants of the bound checker, the keeper and the engine, each caught by a named test.
 
 A mutant is a small wrong version of the code, made by monkeypatching one
 attribute: for ``errors.bound_problems``, the per-class plan it reads
 (``errors._plan``) or the ``type`` it calls; for the keeper,
 ``ValidatorWallet.watchdog_shortfall`` or ``BeaconContract.sweep_due``,
-which the driver and the handlers share. Each names one existing test that
-passes on the real code and must fail under the mutant: a check that no
-mutant fails proves nothing (DeMillo, Lipton & Sayward, *Hints on Test
-Data Selection*, 1978).
+which the driver and the handlers share, or the ``World``'s performance map
+and wallet walk; for the engine, a treasury helper, a contract's method
+table (``_ops``, with one handler wrapped) or ``World.report``. Each names
+one existing test that passes on the real code and must fail under the
+mutant: a check that no mutant fails proves nothing (DeMillo, Lipton &
+Sayward, *Hints on Test Data Selection*, 1978).
 """
 
 from __future__ import annotations
@@ -19,11 +21,17 @@ import pytest
 import test_bounds
 import test_beacon
 import test_keeper
+import test_mint
 import test_scenario
+import test_treasury
 import test_wallet
-from stakeclaim import errors
+from conftest import make_staked_world
+from stakeclaim import errors, treasury
 from stakeclaim.beacon import BeaconContract
-from stakeclaim.wallet import ValidatorWallet
+from stakeclaim.ledger import evolve
+from stakeclaim.scenario import World
+from stakeclaim.treasury import TreasuryContract
+from stakeclaim.wallet import ValidatorWallet, WalletStatus
 
 real_plan = errors._plan
 
@@ -50,6 +58,78 @@ def watchdog_shortfall(short=lambda total, threshold: total < threshold, slots=0
         return (total, threshold) if short(total, threshold) or start is None else None
 
     return shortfall
+
+
+def ops_with(cls, method: str, wrap) -> dict:
+    """`cls`'s method table with `method`'s handler replaced by wrap(handler)."""
+    return {**cls._ops, method: wrap(cls._ops[method])}
+
+
+def fee_rounded_up(handler):
+    """receive_rewards taking ceil(amount * fee_bps / 10000) as the operator's fee."""
+    def mutant(self, state, msg, ctx):
+        st, effects, result = handler(self, state, msg, ctx)
+        if msg.value * self.config.fee_bps % 10_000:
+            st = evolve(st, operator_fees_accrued=st.operator_fees_accrued + 1,
+                        net_total=st.net_total - 1)
+        return st, effects, result
+
+    return mutant
+
+
+def fee_on_settlement(handler):
+    """settle_exit taking the operator's fee out of the settlement pot."""
+    def mutant(self, state, msg, ctx):
+        st, effects, result = handler(self, state, msg, ctx)
+        fee = (st.net_total - state.net_total) * self.config.fee_bps // 10_000
+        return evolve(st, operator_fees_accrued=st.operator_fees_accrued + fee,
+                      net_total=st.net_total - fee), effects, result
+
+    return mutant
+
+
+def map_consumed(handler):
+    """accrue_epoch emptying the performance map it was sent, which the driver sends again."""
+    def mutant(self, state, msg, ctx):
+        result = handler(self, state, msg, ctx)
+        msg.args["performance"].clear()
+        return result
+
+    return mutant
+
+
+def map_never_rebuilt(performance=World._performance):
+    """The World's performance map, built once and sent every epoch after."""
+    def mutant(self, e, count):
+        if not hasattr(self, "first_map"):
+            self.first_map = performance(self, e, count)
+        return self.first_map
+
+    return mutant
+
+
+def exit_requested_dropped(substeps=World._epoch_substeps):
+    """The sub-steps, then every ExitRequested wallet taken out of the walk."""
+    def mutant(self):
+        substeps(self)
+        state = self.ledger.contract_state
+        self._live = tuple(k for k in self._live
+                           if state(k[0]).status is not WalletStatus.EXIT_REQUESTED)
+
+    return mutant
+
+
+def report_without_log_totals(report=World.report):
+    """report() with replay_ok read from the replayed balances alone."""
+    def mutant(self):
+        out = report(self)
+        led = self.ledger
+        replay = led.flush()
+        out.replay_ok = all(replay.balances.get(n, 0) == led.balance_of(n)
+                            for n in replay.balances)
+        return out
+
+    return mutant
 
 
 # name -> (owner, attribute, its mutant, the test that must catch it)
@@ -88,6 +168,28 @@ MUTANTS = {
         BeaconContract, "sweep_due",
         lambda self, epoch: epoch % self.params.sweep_period != 0,
         test_keeper.test_the_sweep_is_called_on_its_grid_only),
+    "no-settlement-on-nft-transfer": (
+        treasury, "_settle_token", lambda st, token_id, owner: None,
+        test_mint.TestTransferNft().test_accrual_follows_ownership_across_transfer),
+    "fee-rounded-up": (
+        TreasuryContract, "_ops", ops_with(TreasuryContract, "receive_rewards", fee_rounded_up),
+        lambda: test_treasury.TestClaims().test_operator_fee_payouts_match_oracle(
+            make_staked_world())),
+    "fee-taken-on-settlement": (
+        TreasuryContract, "_ops", ops_with(TreasuryContract, "settle_exit", fee_on_settlement),
+        test_treasury.TestSettleExit().test_shortfall_fully_covered_by_escrow),
+    "shared-performance-map-written": (
+        BeaconContract, "_ops", ops_with(BeaconContract, "accrue_epoch", map_consumed),
+        test_scenario.TestNonPayingRun().test_exit_and_final_payouts_match_oracle),
+    "log-totals-check-dropped": (
+        World, "report", report_without_log_totals(),
+        test_scenario.TestConservationChecks().test_counter_drift_fails_replay_but_not_conservation),
+    "performance-map-never-rebuilt": (
+        World, "_performance", map_never_rebuilt(),
+        test_keeper.test_goldens_agree_with_the_every_epoch_keeper),
+    "exit-requested-wallet-dropped-from-walk": (
+        World, "_epoch_substeps", exit_requested_dropped(),
+        test_scenario.TestNonPayingRun().test_exit_and_final_payouts_match_oracle),
 }
 
 

@@ -24,7 +24,7 @@ class TestDeposit:
         v = validator_by_id(world.beacon_state, 0)
         assert v.withdrawal_address == world.wallets[0]
         assert v.operator == OPERATOR
-        assert v.balance == 64
+        assert world.beacon_state.balances[0] == 64
 
     def test_non_treasury_caller_rejected(self, world):
         world.ledger.genesis("alice", 64, "extra")
