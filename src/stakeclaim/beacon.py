@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import inf
 
 from .errors import InvalidAmount, InvalidFactor, NotActive, Unauthorized, UnknownValidator, WrongAmount, WrongStatus, bounded, checked
 from .ledger import AddressKind, Call, CallContext, Destroy, Emit, Handlers, Issue, Msg, Transfer, evolve
@@ -104,6 +105,26 @@ def validator_by_id(state: BeaconState, vid: int) -> BeaconValidator:
     if not isinstance(vid, int) or not 0 <= vid < len(state.validators):
         raise UnknownValidator(f"no validator with id {vid}")
     return state.validators[vid]
+
+
+def next_transition(state: BeaconState, now: int) -> int | float:
+    """The first epoch after `now` at which accrual or a sweep may change a
+    validator's status; inf if none can.
+
+    A Pending validator activates at its activation epoch and an Exiting
+    one becomes Withdrawable at its exit epoch; a Withdrawable one is paid
+    out by a sweep, taken to come at `now` + 1.
+    """
+    out = inf
+    for v in state.validators:
+        status = v.status
+        if status is ValidatorStatus.PENDING:
+            out = min(out, v.activation_epoch)
+        elif status is ValidatorStatus.EXITING:
+            out = min(out, v.exit_epoch)
+        elif status is ValidatorStatus.WITHDRAWABLE:
+            return now + 1
+    return out
 
 
 class BeaconContract(Handlers):

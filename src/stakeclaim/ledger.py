@@ -60,6 +60,15 @@ objects. :meth:`Ledger.flush` does the same for a partial batch;
 time) flush first. The log's bytes do not depend on the batch size, and
 no Event object outlives its batch.
 
+A segment is one commit of many epochs (:meth:`Ledger.advance_segment`):
+the driver vouches that each repeats the last epoch's events, and gives
+the states, balances and supply after them in closed form. The ledger
+takes the repeated lines from its own log, checks them against the epoch
+before, appends their copies (integers under ``epoch``, ``seq`` and the
+given keys advanced by fixed strides) at most a batch at a time, and folds
+the last epoch's events into the replay k times over (:func:`fold_scaled`),
+apart from the balances it is given, so the replay still checks them.
+
 A ledger instance is single-threaded but self-contained; independent
 instances can run in parallel threads or processes.
 """
@@ -69,6 +78,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -583,6 +593,70 @@ class Ledger:
             hook()
         return self.epoch
 
+    def advance_segment(self, k: int, n: int, strides: dict[str, int], states: dict[str, Any],
+                        balance_steps: dict[str, int], minted_step: int) -> bool:
+        """Commit k epochs at once, each a repeat of the last epoch's n events.
+
+        The caller vouches that each of the next k epochs would log the last
+        epoch's n lines again with the integers under the keys ``"epoch"``
+        and ``"seq"`` advanced by 1 and n, and those under each key of
+        `strides` by its stride; that each would change every account of
+        `balance_steps` by its amount and mint `minted_step`; and that the
+        contract states after the k epochs are `states` (for the contracts
+        named) and the committed ones (for the rest).
+
+        The lines are the log's own. They are checked first: the epoch
+        before the last, advanced by one stride, must read as the last
+        epoch's lines. If it does not, or the log holds fewer than 2n lines,
+        or more than one epoch hook is registered (a segment stands in for
+        the caller's one hook and runs no other), nothing changes and False
+        is returned. Otherwise, in one
+        step: the k epochs' lines are appended to the log's text, at most
+        ``max(EVENT_BATCH, n)`` lines at a time; the last epoch's events,
+        decoded from its lines, are folded into the replay k times over
+        (:func:`fold_scaled`); the balances, supply counters, epoch, seq and
+        `states` are set. Returns True.
+        """
+        if len(self._hooks) > 1:
+            return False
+        tail = self._tail(n)
+        if tail is None:
+            return False
+        before, last = tail
+        strides = {"epoch": 1, "seq": n, **strides}
+        fmt, values, steps = _stencil(before, strides)
+        if fmt.format(*[v + s for v, s in zip(values, steps)]) != last:
+            return False
+
+        fmt, values, steps = _stencil(last, strides)
+        per_chunk = max(1, EVENT_BATCH // max(n, 1))
+        for first in range(1, k + 1, per_chunk):
+            self._append_text("".join([
+                fmt.format(*[v + t * s for v, s in zip(values, steps)])
+                for t in range(first, min(first + per_chunk, k + 1))]))
+        fold_scaled([Event(**json.loads(line)) for line in last.splitlines()], k, self._replay)
+        self.epoch += k
+        self._seq += k * n
+        self._states.update(states)
+        balances = self._balances
+        for name, step in balance_steps.items():
+            balances[name] += k * step
+        self.minted_total += k * minted_step
+        return True
+
+    def _tail(self, n: int) -> tuple[str, str] | None:
+        """The log's last 2n lines, flushed, as two blocks of n; None if it holds fewer."""
+        self.flush()
+        text = self._text
+        cut = mid = len(text)
+        for i in range(2 * n):
+            if cut == 0:
+                return None
+            cut = text.rfind("\n", 0, cut - 1) + 1
+            if i == n - 1:
+                mid = cut
+        return text[cut:mid], text[mid:]
+
     # --- event log ---------------------------------------------------------
 
     def _append_event(self, emitter: str, tag: str, payload: dict) -> None:
@@ -611,15 +685,22 @@ class Ledger:
         """
         pending = self._pending
         if pending:
-            # With the local as the string's only reference, CPython's +=
-            # grows it in place instead of copying the whole log.
-            text = self._text
-            self._text = ""
-            text += "".join(encode_lines(pending))
-            self._text = text
+            self._append_text("".join(encode_lines(pending)))
             replay_balances(pending, self._replay)
             self._pending = []
         return self._replay
+
+    def _append_text(self, chunk: str) -> None:
+        """Append encoded lines to the log's text.
+
+        With the local as the string's only reference, CPython's += grows
+        it in place instead of copying the whole log: no caller may hold the
+        text while it appends.
+        """
+        text = self._text
+        self._text = ""
+        text += chunk
+        self._text = text
 
     def events_jsonl(self) -> str:
         """The whole log as JSON lines, one event per line (:func:`encode_lines`).
@@ -700,3 +781,38 @@ def replay_balances(events, into: ReplayResult | None = None) -> ReplayResult:
     into.minted += minted
     into.burned += burned
     return into
+
+
+def fold_scaled(events, k: int, into: ReplayResult) -> ReplayResult:
+    """:func:`replay_balances` of `events` repeated k times, folded onto `into`.
+
+    The events are folded once onto an empty result, and k times that
+    result is added.
+    """
+    once = replay_balances(events)
+    balances = into.balances
+    for name, amount in once.balances.items():
+        balances[name] = balances.get(name, 0) + k * amount
+    into.minted += k * once.minted
+    into.burned += k * once.burned
+    return into
+
+
+def _stencil(block: str, strides: dict[str, int]) -> tuple[str, list[int], list[int]]:
+    """`block` as a format string with a field for each integer under a key of
+    `strides`, those integers in order, and each one's stride.
+
+    Only a JSON key is a quote, the key and ``":`` unescaped: inside an
+    encoded string a quote is ``\\"``.
+    """
+    keys = "|".join(re.escape(key) for key in strides)
+    parts, values, steps = [], [], []
+    pos = 0
+    for m in re.finditer(f'"({keys})":(-?\\d+)', block):
+        parts.append(block[pos:m.start(2)].replace("{", "{{").replace("}", "}}"))
+        parts.append("{}")
+        values.append(int(m.group(2)))
+        steps.append(strides[m.group(1)])
+        pos = m.end()
+    parts.append(block[pos:].replace("{", "{{").replace("}", "}}"))
+    return "".join(parts), values, steps

@@ -38,6 +38,36 @@ from a false trigger. Runs are fully schedule-driven, so two runs of the
 same scenario produce byte-identical event logs and reports; the file's
 integer ``seed`` is accepted for file compatibility and ignored.
 
+Quiet epochs are advanced in closed form, not stepped: a next-event time
+advance (Law & Kelton, *Simulation Modeling and Analysis*, ch. 1). After
+each stepped epoch e, :meth:`World.run` finds the next epoch at which
+anything can change (:meth:`World._quiet_span`) and advances the epochs
+before it as one segment. An epoch is quiet when the sweep runs every
+epoch (``sweep_period`` 1) and the raise is over; no action is scheduled
+in it or at e; no window edge falls in it; no validator changes status
+(``beacon.next_transition``); and every live wallet is either Active with
+a steady reward window and a watchdog that cannot act
+(``ValidatorWallet.quiet_until``) or gets no poke at all. The horizon
+ends the span. Each quiet epoch then repeats epoch e: the same calls with
+the same amounts, so the treasury's N and fees, the reward totals, the
+treasury's balance and the minted total rise by the same step each epoch,
+the wallets' windows slide, and the beacon's state is unchanged. The
+segment's states are closed forms (``ValidatorWallet.advance``,
+``TreasuryContract.advance``) and its log lines are epoch e's own with
+``epoch``, ``seq``, ``RewardReceived.epoch`` and ``Distributed.net_total``
+advanced by fixed strides (``Ledger.advance_segment``, which first checks
+that epoch e-1's lines advance to epoch e's, and steps on if not). The
+log, every report and the replay are byte for byte those of stepping.
+
+:meth:`World.audit` runs at both ends of every segment, not at each
+epoch inside it, and that is enough. Inside a segment every term of every
+identity it checks is affine in the epoch: the ledger's total and the
+treasury's balance rise by fixed steps, as do N and the fees in
+:func:`treasury.balance_identity`, and every other term (escrow, principal,
+claimable, checkpoints, the beacon's vault and balances) is constant. The
+difference of two affine functions is affine, and an affine function that
+is zero at two distinct epochs is zero at every epoch between them.
+
 Scenario files are strict JSON: exactly the top-level keys {treasury,
 mint, beacon, deposits, operator_schedule, slashes, horizon, seed};
 unknown keys anywhere are rejected, and every integer field must hold a
@@ -59,14 +89,14 @@ from __future__ import annotations
 import json
 import re
 import weakref
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from math import inf
 from pathlib import Path
 
-from .beacon import BeaconContract, BeaconParams, ValidatorStatus, exact_factor, validator_by_id
+from .beacon import BeaconContract, BeaconParams, ValidatorStatus, exact_factor, next_transition, validator_by_id
 from .errors import ContractError, InvalidScenario, InvariantViolation, bound_problems, bounded, bounded_as
 from .ledger import Ledger, replay_balances  # noqa: F401  (scenario.replay_balances stays importable)
 from .mint import MintConfig, MintContract
@@ -89,9 +119,9 @@ def wallet_name(index: int) -> str:
 # Bound on treasury.validators: a World registers one wallet per validator
 # and visits each every epoch.
 VALIDATORS_MAX = 1024
-# Bound on horizon (and on `stakeclaim run --epochs`): a run executes every
-# epoch and logs about 1.6 kB per epoch per validator; the benchmark's long
-# workload runs 10,000 epochs.
+# Bound on horizon (and on `stakeclaim run --epochs`): a run logs about
+# 1.6 kB per epoch per validator, including the quiet epochs it advances as
+# segments; the benchmark's long workload runs 10,000 epochs.
 HORIZON_MAX = 100_000
 
 
@@ -389,8 +419,9 @@ def validate(s: Scenario) -> list[str]:
     """Return every constraint violation, not just the first.
 
     First each field's declared bounds (``errors.bound_problems``), then the
-    rules that relate fields: holder names, the mint window's order, window
-    factors, ends and overlaps, and NFT token ids. A limit (horizon,
+    rules that relate fields: holder names, the mint window's order, the
+    sweep period against the watchdog's window, window factors, ends and
+    overlaps, and NFT token ids. A limit (horizon,
     validator count) out of its own bounds bounds nothing, and a field out
     of bounds is left out of the rules that depend on it.
     """
@@ -401,8 +432,8 @@ def validate(s: Scenario) -> list[str]:
     m = None if "treasury.validators" in treasury else t.validators
     limits = {"horizon": horizon, "validator": m - 1 if m else None}
     mint = bound_problems(mi, "mint")
-    out = [*top.values(), *treasury.values(), *mint.values(),
-           *bound_problems(s.beacon, "beacon").values()]
+    beacon = bound_problems(s.beacon, "beacon")
+    out = [*top.values(), *treasury.values(), *mint.values(), *beacon.values()]
     for where in ("deposits", "slashes", "claims", "nft_transfers"):
         out.extend(bound_problems(getattr(s, where), where, limits).values())
     window_problems = bound_problems(s.operator_schedule, "operator_schedule", limits)
@@ -412,6 +443,13 @@ def validate(s: Scenario) -> list[str]:
     if "mint.open_epoch" not in mint and "mint.close_epoch" not in mint \
             and mi.open_epoch >= mi.close_epoch:
         out.append(f"mint window invalid: open {mi.open_epoch}, close {mi.close_epoch}")
+    # Rewards reach a wallet only on the sweep grid: a watchdog window
+    # shorter than the period can hold none of them, and an operator paid
+    # in full would be exited.
+    if "beacon.sweep_period" not in beacon and "treasury.grace_epochs" not in treasury \
+            and s.beacon.sweep_period > t.grace_epochs:
+        out.append(f"beacon.sweep_period {s.beacon.sweep_period} is more than "
+                   f"treasury.grace_epochs {t.grace_epochs}")
 
     windows_ok = not window_problems
     for i, w in enumerate(s.operator_schedule):
@@ -572,8 +610,9 @@ class World:
         t = scenario.treasury
         self.wallets = wallets = tuple(wallet_name(j) for j in range(self.m))
         keepers = []
+        self._wallet_of = {}
         for w in wallets:
-            wallet = ValidatorWallet(WalletConfig(
+            wallet = self._wallet_of[w] = ValidatorWallet(WalletConfig(
                 self_address=w,
                 treasury=TREASURY,
                 beacon=BEACON,
@@ -584,13 +623,14 @@ class World:
             ))
             led.register_contract(w, wallet)
             keepers.append((w, wallet.watchdog_shortfall))
-        led.register_contract(TREASURY, TreasuryContract(TreasuryConfig(
+        self._treasury = TreasuryContract(TreasuryConfig(
             fee_bps=t.fee_bps,
             operator=OPERATOR,
             escrow_required=t.escrow_required,
             stake_requirement=b.stake_requirement,
             mint=MINT,
-        ), validators=wallets))
+        ), validators=wallets)
+        led.register_contract(TREASURY, self._treasury)
         # The keeper's read-only predicates: each handler's own, read on
         # committed state, so a poke is sent only when it would act.
         self._sweep_due = beacon.sweep_due
@@ -635,10 +675,75 @@ class World:
     # --- driving ---------------------------------------------------------
 
     def run(self) -> RunReport:
+        led = self.ledger
+        horizon = self.scenario.horizon
         self._epoch_substeps()          # epoch 0
-        for _ in range(self.scenario.horizon):
-            self.ledger.advance_epoch()  # hook runs the sub-steps
+        while led.epoch < horizon:
+            seq = led.event_count
+            led.advance_epoch()         # hook runs the sub-steps
+            k = self._quiet_span()
+            if k:
+                self._advance_segment(k, led.event_count - seq)
         return self.report()
+
+    def _quiet_span(self) -> int:
+        """How many epochs after the current one are quiet; 0 if the next one must step.
+
+        An epoch is quiet when it can only repeat the current one: the
+        sweep runs every epoch and the raise is over; no action is
+        scheduled, no window edge falls and no validator changes status;
+        and each live wallet either is Active with a steady window and a
+        watchdog that stays quiet (``ValidatorWallet.quiet_until``) or
+        gets no poke at all (no balance to forward, nothing to settle).
+        The horizon ends the span.
+        """
+        s = self.scenario
+        led = self.ledger
+        if s.beacon.sweep_period != 1 or led.contract_state(TREASURY).phase is Phase.FUNDRAISING:
+            return 0
+        e = led.epoch
+        actions = self._action_epochs
+        i = bisect_left(actions, e)     # an action at e would be repeated with its lines
+        end = min(s.horizon + 1, self._perf_until, actions[i] if i < len(actions) else inf,
+                  next_transition(led.contract_state(BEACON), e))
+        for w, _ in self._live:
+            if end <= e + 1:
+                return 0
+            wst = led.contract_state(w)
+            if wst.status is WalletStatus.ACTIVE:
+                end = min(end, self._wallet_of[w].quiet_until(wst, e))
+            elif wst.settlement_ready or led.balance_of(w):
+                return 0
+        return max(0, end - e - 1)
+
+    def _advance_segment(self, k: int, n: int) -> None:
+        """Advance the k quiet epochs after the current one, whose n events it
+        repeats, in closed form (``Ledger.advance_segment``), then audit.
+
+        Each epoch, every Active wallet's validator earns what it forwarded
+        in the current epoch: the beacon mints it and sweeps it to the
+        wallet, which forwards it to the treasury. So only the treasury's
+        balance and the minted total move, by the receipts' sum, and only
+        the wallets that forwarded (``ValidatorWallet.advance``) and the
+        treasury (``TreasuryContract.advance``) change state; the beacon's
+        state is the same after each such epoch.
+        """
+        led = self.ledger
+        e = led.epoch
+        receipts = {}
+        states = {}
+        for w, _ in self._live:
+            wst = led.contract_state(w)
+            amount = wst.reward_window.get(e, 0) if wst.status is WalletStatus.ACTIVE else 0
+            if amount:
+                receipts[w] = amount
+                states[w] = self._wallet_of[w].advance(wst, e, k)
+        tst = led.contract_state(TREASURY)
+        states[TREASURY] = after = self._treasury.advance(tst, receipts, k)
+        received = sum(receipts.values())
+        if led.advance_segment(k, n, {"net_total": (after.net_total - tst.net_total) // k},
+                               states, {TREASURY: received}, received):
+            self.audit()
 
     @cached_property
     def _schedule(self) -> tuple[dict[int, tuple], ...]:
@@ -651,6 +756,11 @@ class World:
         s = self.scenario
         return tuple(_by_epoch(actions)
                      for actions in (s.slashes, s.deposits, s.nft_transfers, s.claims))
+
+    @cached_property
+    def _action_epochs(self) -> list[int]:
+        """Every epoch with a scheduled slash, deposit, NFT transfer or claim, ascending."""
+        return sorted(set().union(*self._schedule))
 
     def _epoch_substeps(self) -> None:
         led = self.ledger

@@ -348,6 +348,29 @@ class TreasuryContract(Handlers):
         ]
         return st, effects, None
 
+    def advance(self, state: TreasuryState, receipts: dict[str, int], k: int) -> TreasuryState:
+        """The state after k epochs in each of which every wallet of
+        `receipts` forwards its amount, in that order.
+
+        ``receive_rewards`` k times over, in closed form: each receipt's fee
+        and net are the same every epoch, so the reward totals, the receipt
+        count, the fees and N each rise by k times one epoch's step. The
+        caller sends receipts only in a phase that takes them, and positive
+        amounts only. Pure, like a handler.
+        """
+        rewards = dict(state.rewards_received)
+        fees = net = 0
+        for wallet, amount in receipts.items():
+            j = self.validators.index(wallet)
+            fee = (amount * self.config.fee_bps) // 10_000
+            rewards[j] = rewards.get(j, 0) + k * amount
+            fees += fee
+            net += amount - fee
+        return evolve(state, rewards_received=rewards,
+                      receipt_count=state.receipt_count + k * len(receipts),
+                      operator_fees_accrued=state.operator_fees_accrued + k * fees,
+                      net_total=state.net_total + k * net)
+
     def _op_claim(self, state: TreasuryState, msg: Msg, ctx: CallContext):
         """Pull-payment of everything credited to the caller.
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from math import inf
 
 from .beacon import BeaconParams
 from .errors import BeaconNotSwept, WrongAmount, WrongCaller, WrongStatus, bounded, bounded_as, checked
@@ -169,6 +170,46 @@ class ValidatorWallet(Handlers):
         if window_sum >= threshold and start is not None:
             return None
         return window_sum, threshold
+
+    def quiet_until(self, state: WalletState, now: int) -> int | float:
+        """The first epoch after `now` at which the keeper may have to do
+        more for this Active wallet than forward what it forwarded at `now`.
+
+        Read-only, like :meth:`watchdog_shortfall`; it assumes each later
+        epoch brings the wallet what `now` did. `now` + 1 unless the window
+        is steady (its trailing grace_epochs slots all hold that amount) and
+        the watchdog would not act at `now`. A steady window's sum stays the
+        same, so the watchdog can change its answer only by arming: never
+        (inf) if the amount meets the expectation, else at the epoch it arms.
+        """
+        cfg = self.config
+        grace = cfg.grace_epochs
+        window = state.reward_window
+        amount = window.get(now, 0)
+        for e in range(now - grace + 1, now):
+            if window.get(e, 0) != amount:
+                return now + 1
+        if self.watchdog_shortfall(state, now) is not None:
+            return now + 1
+        if amount >= cfg.expected_reward_per_epoch:
+            return inf
+        return state.activation_epoch + grace - 1
+
+    def advance(self, state: WalletState, now: int, k: int) -> WalletState:
+        """The state after k more epochs that each forward what `now` did.
+
+        ``forward_rewards`` k times over, in closed form, for a wallet whose
+        window is steady (:meth:`quiet_until`): the window's trailing
+        grace_epochs slots, each holding that amount, move k epochs on.
+        Nothing else in the state changes; a wallet that forwarded nothing
+        at `now` keeps its state. Pure, like a handler.
+        """
+        amount = state.reward_window.get(now, 0)
+        if not amount:
+            return state
+        end = now + k
+        return evolve(state, reward_window=dict.fromkeys(
+            range(end - self.config.grace_epochs + 1, end + 1), amount))
 
     def _op_watchdog_check(self, state: WalletState, msg: Msg, ctx: CallContext):
         """Exit autonomously when :meth:`watchdog_shortfall` says the window fell short.

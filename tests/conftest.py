@@ -17,7 +17,7 @@ from stakeclaim import golden_scenario_path
 from stakeclaim.beacon import BeaconContract, BeaconParams
 from stakeclaim.ledger import Event, Ledger
 from stakeclaim.mint import MintConfig, MintContract
-from stakeclaim.scenario import BehaviorWindow, DepositAction, MintSpec, Scenario, TreasurySpec
+from stakeclaim.scenario import BehaviorWindow, DepositAction, MintSpec, Scenario, TreasurySpec, World
 from stakeclaim.treasury import TreasuryConfig, TreasuryContract, balance_identity
 from stakeclaim.wallet import ValidatorWallet, WalletConfig
 
@@ -129,6 +129,17 @@ def make_world(m: int = 1, stake: int = 64, fee_bps: int = 1000,
         treasury=TREASURY, min_contribution=min_contribution,
         target_total=stake * m, open_epoch=open_epoch, close_epoch=close_epoch)))
     return Mini(ledger=led, stake=stake, m=m, fee_bps=fee_bps, wallets=wallets)
+
+
+class SteppedWorld(World):
+    """The reference driver: a World that steps every epoch, never a segment.
+
+    Tests that watch individual calls run on it, and the shipped driver's
+    segments are checked against it.
+    """
+
+    def _quiet_span(self) -> int:
+        return 0
 
 
 def logged_events(led: Ledger) -> list[Event]:

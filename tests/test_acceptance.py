@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import stakeclaim as sc
-from conftest import BEACON, MINT, OPERATOR, SYSTEM, TREASURY, logged_events, make_world
+from conftest import BEACON, MINT, OPERATOR, SYSTEM, TREASURY, SteppedWorld, logged_events, make_world
 from oracle import rational_shares, replay_mixed, trigger_epoch
 from stakeclaim.beacon import BeaconParams, validator_by_id
 from stakeclaim.cli import main as cli_main
@@ -92,7 +92,7 @@ def random_scenario(rng: random.Random) -> Scenario:
 
 @pytest.fixture(scope="module")
 def corpus():
-    """50 randomized runs plus their worlds, with total runtime recorded."""
+    """50 randomized runs on the stepped reference plus their worlds, with total runtime recorded."""
     rng = random.Random(CORPUS_SEED)
     scenarios = [random_scenario(rng) for _ in range(CORPUS_SIZE)]
     for s in scenarios:
@@ -100,7 +100,7 @@ def corpus():
     t0 = time.perf_counter()
     runs = []
     for s in scenarios:
-        world = World(s)
+        world = SteppedWorld(s)         # every call is seen: no epoch is a segment
         steps = record_distributions(world)
         report = world.run()
         runs.append((s, world, report, steps))

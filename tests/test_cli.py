@@ -115,6 +115,18 @@ class TestRun:
         assert time.perf_counter() - t0 < 1
         assert "decimal exponent outside -400..400" in capsys.readouterr().err
 
+    def test_sweep_period_beyond_the_watchdog_window_exit_1(self, tmp_path, capsys):
+        doc = json.loads(sc.golden_scenario_path("honest").read_text())
+        doc["beacon"]["sweep_period"] = 6
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert run_cli("validate", "--scenario", str(bad)) == 1
+        assert run_cli("run", "--scenario", str(bad), "--out", str(out)) == 1
+        assert not out.exists()
+        assert "beacon.sweep_period 6 is more than treasury.grace_epochs 5" \
+            in capsys.readouterr().err.splitlines()
+
     def test_validator_count_above_the_bound_exit_1_quickly(self, tmp_path, capsys):
         doc = json.loads(sc.golden_scenario_path("honest").read_text())
         doc["treasury"]["validators"] = 10 ** 9
@@ -164,7 +176,7 @@ class TestRun:
         out = tmp_path / "out"
         assert run_cli("run", "--scenario", scenario, "--out", str(out)) == 0
         clean = (out / "events.jsonl").read_bytes()
-        k = 7
+        k = 6       # a stepped epoch: the audit runs at it, not inside a segment
         audit = World.audit
 
         def audit_failing_at_k(world):
@@ -174,7 +186,7 @@ class TestRun:
 
         monkeypatch.setattr(World, "audit", audit_failing_at_k)
         assert run_cli("run", "--scenario", scenario, "--out", str(out)) == 2
-        assert "invariant violation: epoch 7: planted" in capsys.readouterr().err
+        assert f"invariant violation: epoch {k}: planted" in capsys.readouterr().err
         partial = (out / "events.jsonl").read_bytes()
         assert 0 < len(partial) < len(clean) and clean.startswith(partial)
         assert json.loads(partial.splitlines()[-1])["epoch"] == k

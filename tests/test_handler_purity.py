@@ -7,13 +7,16 @@ would change committed state behind the ledger's back, and a reverted call
 would leave its write behind. Every contract class's ``handle`` is wrapped
 here over the acceptance corpus, with claims and NFT transfers added so
 that rejected calls and the claim and resale paths run too, and over the
-three goldens: the pickle of the state passed in, and of the message's
-arguments, must be the same when the handler returns and when it raises.
+three goldens, on the stepped reference so that every epoch's calls are
+made: the pickle of the state passed in, and of the message's arguments,
+must be the same when the handler returns and when it raises.
 The arguments count because the driver sends one performance map to
 ``accrue_epoch`` for as long as no factor can change. Every registration
 and every resale must also return a fresh owner index
 (``TreasuryState.owned``), and every accrual that mints a fresh balance
-list (``BeaconState.balances``).
+list (``BeaconState.balances``). The functions that advance a segment in
+closed form, and the predicates that bound it, leave the committed states
+they read untouched as well.
 """
 
 from __future__ import annotations
@@ -26,9 +29,12 @@ from dataclasses import replace
 import stakeclaim as sc
 from stakeclaim.beacon import BeaconContract
 from stakeclaim.mint import MintContract
+from stakeclaim import scenario
+from stakeclaim.beacon import next_transition
 from stakeclaim.scenario import ClaimAction, NftTransferAction, World
 from stakeclaim.treasury import TreasuryContract
 from stakeclaim.wallet import ValidatorWallet
+from conftest import SteppedWorld
 from test_acceptance import CORPUS_SEED, CORPUS_SIZE, random_scenario
 
 CONTRACTS = (BeaconContract, MintContract, TreasuryContract, ValidatorWallet)
@@ -105,7 +111,7 @@ def test_handlers_leave_their_input_state_untouched(monkeypatch):
     rejected = 0
     for s in scenarios:
         assert sc.validate(s) == []
-        report = World(s).run()
+        report = SteppedWorld(s).run()   # every epoch's calls, none in a segment
         assert report.conservation_ok and report.replay_ok
         rejected += report.events_jsonl.count('"tag":"ActionRejected"')
     assert mutated == []
@@ -120,3 +126,39 @@ def test_handlers_leave_their_input_state_untouched(monkeypatch):
     assert outcomes["raised"] == rejected > 100
     # The arguments check saw performance maps shared across epochs.
     assert outcomes["map sent again"] > 1000
+
+
+def test_segment_functions_leave_their_input_state_untouched(monkeypatch):
+    # The closed-form advances and the quiet-span predicates are pure like
+    # the handlers: they read committed states, which must stay as they were.
+    calls: Counter = Counter()
+    mutated = []
+
+    def guarded(name, inner, state_at):
+        def check(*args):
+            state = args[state_at]
+            before = pickle.dumps(state)
+            result = inner(*args)
+            calls[name] += 1
+            if pickle.dumps(state) != before:
+                mutated.append(name)
+            return result
+
+        return check
+
+    for cls, name in ((ValidatorWallet, "advance"), (ValidatorWallet, "quiet_until"),
+                      (TreasuryContract, "advance")):
+        monkeypatch.setattr(cls, name, guarded(f"{cls.__name__}.{name}",
+                                               getattr(cls, name), 1))
+    monkeypatch.setattr(scenario, "next_transition",
+                        guarded("next_transition", next_transition, 0))
+    rng = random.Random(CORPUS_SEED)
+    scenarios = [random_scenario(rng) for _ in range(CORPUS_SIZE)]
+    scenarios += [sc.load_scenario(sc.golden_scenario_path(name))
+                  for name in sc.GOLDEN_SCENARIOS]
+    for s in scenarios:
+        report = World(s).run()
+        assert report.conservation_ok and report.replay_ok
+    assert mutated == []
+    assert min(calls[name] for name in ("ValidatorWallet.advance", "ValidatorWallet.quiet_until",
+                                        "TreasuryContract.advance", "next_transition")) > 50

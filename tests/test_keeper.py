@@ -6,8 +6,10 @@ on the ``sweep_period`` grid (``BeaconContract.sweep_due``); step (4) checks
 an Active wallet's watchdog only when ``ValidatorWallet.watchdog_shortfall``
 is not None, the predicates the handlers decide with; and steps (3)-(5)
 walk only the wallets not yet Withdrawn. :class:`EveryEpochKeeper` is the
-keeper as it was before all that: it builds a fresh map every epoch, walks
-every wallet, pokes every Active wallet's watchdog and sweeps every epoch.
+keeper as it was before all that: it steps every epoch, builds a fresh map
+every epoch, walks every wallet, pokes every Active wallet's watchdog and
+sweeps every epoch. The new keeper is the shipped ``World``, segments of
+quiet epochs included.
 Both keepers must give the same economic report and the same log, once the
 old keeper's pokes that the predicates turn down are dropped and ``seq`` is
 ignored.
@@ -25,7 +27,7 @@ from hypothesis import strategies as st
 import pytest
 
 import stakeclaim as sc
-from conftest import small_scenario
+from conftest import SteppedWorld, small_scenario
 from stakeclaim.beacon import BeaconParams
 from stakeclaim.errors import WrongStatus
 from stakeclaim.scenario import (
@@ -44,12 +46,12 @@ from stakeclaim.wallet import WalletStatus
 from test_acceptance import CORPUS_SEED, CORPUS_SIZE, random_scenario
 
 
-class EveryEpochKeeper(World):
+class EveryEpochKeeper(SteppedWorld):
     """A World whose keeper does every epoch's work for every validator.
 
-    It builds a fresh performance map every epoch, walks every wallet in
-    steps (3)-(5), pokes every Active wallet's watchdog and sweeps every
-    epoch. ``declined`` holds the seq of each poke's ``Call`` line that the
+    It steps every epoch (:class:`SteppedWorld`), builds a fresh
+    performance map every epoch, walks every wallet in steps (3)-(5), pokes
+    every Active wallet's watchdog and sweeps every epoch. ``declined`` holds the seq of each poke's ``Call`` line that the
     real predicates would not have sent.
     """
 
@@ -168,19 +170,20 @@ def schedules(draw) -> Scenario:
             windows.extend(BehaviorWindow(start, draw(st.sampled_from(FACTORS)), end, j)
                            for j in range(m))
     first = draw(st.integers(1, stake * m - 1))
+    grace = draw(st.integers(1, 5))
     claims = tuple(ClaimAction(holder=draw(st.sampled_from(["h0", "h1"])),
                                epoch=draw(st.integers(0, horizon)))
                    for _ in range(draw(st.integers(0, 3))))
     scenario = Scenario(
         treasury=TreasurySpec(fee_bps=draw(st.sampled_from([0, 1000, 10_000])),
                               expected_reward_per_epoch=draw(st.integers(0, reward)),
-                              grace_epochs=draw(st.integers(1, 5)),
+                              grace_epochs=grace,
                               escrow_required=draw(st.sampled_from([0, 500])),
                               validators=m),
         mint=MintSpec(min_contribution=1, open_epoch=0, close_epoch=2),
         beacon=BeaconParams(stake_requirement=stake, reward_per_epoch=reward,
                             activation_delay=activation_delay, exit_delay=exit_delay,
-                            sweep_period=draw(st.integers(1, 4))),
+                            sweep_period=draw(st.integers(1, min(4, grace)))),
         deposits=(DepositAction("h0", first, 0), DepositAction("h1", stake * m - first, 1)),
         operator_schedule=tuple(windows),
         slashes=slashes,
@@ -204,8 +207,11 @@ def pokes(report, method: str) -> list[int]:
 
 
 def test_the_sweep_is_called_on_its_grid_only():
-    report = World(small_scenario(
-        beacon=replace(small_scenario().beacon, sweep_period=4))).run()
+    s = small_scenario()
+    s = replace(s, beacon=replace(s.beacon, sweep_period=4),
+                treasury=replace(s.treasury, grace_epochs=4))
+    assert validate(s) == []
+    report = World(s).run()
     # Staking happens in epoch 0's last step, so the first sweep is at epoch 4.
     assert pokes(report, "sweep") == list(range(4, 21, 4))
 
@@ -278,15 +284,16 @@ def test_a_withdrawn_wallet_leaves_the_walk():
     substeps = world._epoch_substeps
 
     def recording_substeps():
-        walks.append([w for w, _ in world._live])
+        walks.append((world.ledger.epoch, [w for w, _ in world._live]))
         substeps()
 
     world._epoch_substeps = recording_substeps
     report = world.run()
     assert report.validators[0].settled
     assert world.ledger.contract_state(wallet_name(0)).status is WalletStatus.WITHDRAWN
-    settled_at = next(e for e, walk in enumerate(walks) if not walk)
+    # Walks are recorded at stepped epochs only; the one after a settlement steps.
+    i = next(i for i, (_, walk) in enumerate(walks) if not walk)
     events = [json.loads(line) for line in report.events_jsonl.splitlines()]
-    assert settled_at - 1 == next(e["epoch"] for e in events
-                                  if e["tag"] == "WithdrawalFinalized")
-    assert all(walk == [wallet_name(0)] for walk in walks[:settled_at])
+    assert walks[i][0] - 1 == next(e["epoch"] for e in events
+                                   if e["tag"] == "WithdrawalFinalized")
+    assert all(walk == [wallet_name(0)] for _, walk in walks[:i])

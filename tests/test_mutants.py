@@ -1,11 +1,13 @@
-"""Mutants of the bound checker, the keeper and the engine, each caught by a named test.
+"""Mutants of the bound checker, the keeper, segments and the engine, each caught by a named test.
 
 A mutant is a small wrong version of the code, made by monkeypatching one
 attribute: for ``errors.bound_problems``, the per-class plan it reads
 (``errors._plan``) or the ``type`` it calls; for the keeper,
 ``ValidatorWallet.watchdog_shortfall`` or ``BeaconContract.sweep_due``,
 which the driver and the handlers share, or the ``World``'s performance map
-and wallet walk; for the engine, a treasury helper, a contract's method
+and wallet walk; for segments, the ``World``'s quiet span, its search for the next action,
+the beacon's ``next_transition``, ``ValidatorWallet.quiet_until`` or the ledger's
+``fold_scaled``; for the engine, a treasury helper, a contract's method
 table (``_ops``, with one handler wrapped) or ``World.report``. Each names
 one existing test that passes on the real code and must fail under the
 mutant: a check that no mutant fails proves nothing (DeMillo, Lipton &
@@ -15,6 +17,7 @@ Sayward, *Hints on Test Data Selection*, 1978).
 from __future__ import annotations
 
 import builtins
+from bisect import bisect_right
 
 import pytest
 
@@ -23,10 +26,13 @@ import test_beacon
 import test_keeper
 import test_mint
 import test_scenario
+import test_segments
 import test_treasury
 import test_wallet
 from conftest import make_staked_world
-from stakeclaim import errors, treasury
+from math import inf
+
+from stakeclaim import errors, ledger, scenario, treasury
 from stakeclaim.beacon import BeaconContract
 from stakeclaim.ledger import evolve
 from stakeclaim.scenario import World
@@ -132,6 +138,36 @@ def report_without_log_totals(report=World.report):
     return mutant
 
 
+def segment_one_epoch_longer(quiet_span=World._quiet_span):
+    """The quiet span, one epoch longer whenever there is one."""
+    def mutant(self):
+        k = quiet_span(self)
+        return k + 1 if k else 0
+
+    return mutant
+
+
+def quiet_until_without_steady_window(self, state, now):
+    """ValidatorWallet.quiet_until taking any window for a steady one."""
+    if self.watchdog_shortfall(state, now) is not None:
+        return now + 1
+    if state.reward_window.get(now, 0) >= self.config.expected_reward_per_epoch:
+        return inf
+    return state.activation_epoch + self.config.grace_epochs - 1
+
+
+def fold_scaled_off_by_one(fold_scaled=ledger.fold_scaled):
+    """The segment's scaled fold, one unit short on the first balance it moves."""
+    def mutant(events, k, into):
+        before = dict(into.balances)
+        fold_scaled(events, k, into)
+        moved = next(n for n, v in into.balances.items() if v != before.get(n, 0))
+        into.balances[moved] -= 1
+        return into
+
+    return mutant
+
+
 # name -> (owner, attribute, its mutant, the test that must catch it)
 MUTANTS = {
     "bool-accepted-as-int": (
@@ -190,6 +226,21 @@ MUTANTS = {
     "exit-requested-wallet-dropped-from-walk": (
         World, "_epoch_substeps", exit_requested_dropped(),
         test_scenario.TestNonPayingRun().test_exit_and_final_payouts_match_oracle),
+    "segment-one-epoch-too-long": (
+        World, "_quiet_span", segment_one_epoch_longer(),
+        test_segments.test_goldens_match_the_stepped_reference),
+    "beacon-transition-missed": (
+        scenario, "next_transition", lambda state, now: inf,
+        test_segments.test_segments_end_before_each_beacon_transition),
+    "steady-window-condition-dropped": (
+        ValidatorWallet, "quiet_until", quiet_until_without_steady_window,
+        test_segments.test_a_window_still_filling_is_stepped_until_the_watchdog_arms),
+    "action-epoch-repeated": (
+        scenario, "bisect_left", bisect_right,
+        test_segments.test_an_epoch_with_an_action_is_never_repeated),
+    "scaled-fold-off-by-one": (
+        ledger, "fold_scaled", fold_scaled_off_by_one(),
+        test_segments.test_goldens_match_the_stepped_reference),
 }
 
 

@@ -102,6 +102,34 @@ class TestValidate:
             ))
         assert validate(s) == []
 
+    @pytest.mark.parametrize("period", [6, 7, 16])
+    def test_sweep_period_beyond_the_watchdog_window_is_listed(self, period):
+        # Rewards reach a wallet only on the sweep grid: with the period
+        # longer than grace_epochs, an operator paid in full was exited.
+        s = sc.load_scenario(sc.golden_scenario_path("honest"))
+        bad = replace(s, beacon=replace(s.beacon, sweep_period=period),
+                      mint=replace(s.mint, open_epoch=3))
+        assert validate(bad) == [
+            "mint window invalid: open 3, close 2",
+            f"beacon.sweep_period {period} is more than treasury.grace_epochs 5"]
+
+    @pytest.mark.parametrize("period", [1, 5])
+    def test_sweep_period_within_the_watchdog_window_never_exits_the_honest(self, period):
+        s = sc.load_scenario(sc.golden_scenario_path("honest"))
+        s = replace(s, beacon=replace(s.beacon, sweep_period=period))
+        assert validate(s) == []
+        assert [v.exit_cause for v in sc.run(s).validators] == [None, None]
+
+    def test_sweep_rule_skipped_when_a_field_is_out_of_bounds(self):
+        s = sc.load_scenario(sc.golden_scenario_path("honest"))
+        assert validate(replace(s, beacon=replace(s.beacon, sweep_period=0),
+                                treasury=replace(s.treasury, grace_epochs=0))) == [
+            "treasury.grace_epochs 0 is not an integer >= 1",
+            "beacon.sweep_period 0 is not an integer >= 1"]
+        assert validate(replace(s, beacon=replace(s.beacon, sweep_period=6),
+                                treasury=replace(s.treasury, grace_epochs=0))) == [
+            "treasury.grace_epochs 0 is not an integer >= 1"]
+
     def test_slash_index_out_of_range(self):
         s = small_scenario(slashes=(SlashAction(epoch=3, validator=5, fraction_bps=100),))
         assert validate(s) == ["slashes[0].validator 5 is not an integer in 0..0"]
@@ -298,6 +326,37 @@ class TestHonestRun:
         by_name = {h.holder: h.claimable for h in report.holders}
         k = 2 * 99
         assert abs(by_name["alice"] / by_name["bob"] - 40 / 24) <= k / by_name["bob"]
+
+
+class TestProtectionBound:
+    """The watchdog protects the expectation, not the reward.
+
+    On the honest golden (reward 1000, expected 200 per epoch, grace 5), a
+    flat factor of 0.2 pays exactly the expectation and is never exited,
+    so holders lose up to (reward - expected) * (1 - fee_bps / 10000) per
+    validator per epoch with no exit; 0.1999 falls short and both
+    validators exit once the window first fills, at epoch 6.
+    """
+
+    def run_at(self, factor: str):
+        s = sc.load_scenario(sc.golden_scenario_path("honest"))
+        s = replace(s, operator_schedule=(BehaviorWindow(from_epoch=0, factor=factor),))
+        assert validate(s) == []
+        return sc.run(s)
+
+    def test_a_factor_meeting_the_expectation_is_never_exited(self):
+        report = self.run_at("0.2")
+        assert [(v.exit_cause, v.exit_epoch) for v in report.validators] == [(None, None)] * 2
+        # Each validator received 200 per epoch from activation (epoch 2)
+        # on, 800 per epoch short of the reward, of which holders bear 90%.
+        assert [v.rewards_received for v in report.validators] == [200 * 99] * 2
+        lost_per_epoch = (1000 - 200) * (10_000 - 1000) // 10_000
+        assert lost_per_epoch == 720
+
+    def test_a_factor_just_below_the_expectation_exits_when_the_window_fills(self):
+        report = self.run_at("0.1999")
+        assert [(v.exit_cause, v.exit_epoch) for v in report.validators] \
+            == [("performance", 6)] * 2
 
 
 class TestNonPayingRun:

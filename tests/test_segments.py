@@ -1,0 +1,315 @@
+"""Segments: quiet epochs advanced in closed form, byte for byte as if stepped.
+
+After each stepped epoch, ``World.run`` advances the quiet epochs that
+follow as one segment (``World._quiet_span``, ``Ledger.advance_segment``).
+:class:`conftest.SteppedWorld`, which steps every epoch, is the reference:
+on the goldens, the acceptance corpus and hypothesis schedules whose window
+edges, activations, slashes, exits, claims and horizon fall at, just before
+and just after segment ends, both drivers must leave the same log, the same
+report and the same ledger, contract states included.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import replace
+
+from hypothesis import given, settings, target
+from hypothesis import strategies as st
+
+import pytest
+
+import stakeclaim as sc
+from conftest import SteppedWorld, small_scenario
+from stakeclaim import ledger
+from stakeclaim.beacon import BeaconParams
+from stakeclaim.scenario import (
+    BEACON,
+    TREASURY,
+    BehaviorWindow,
+    ClaimAction,
+    DepositAction,
+    MintSpec,
+    NftTransferAction,
+    Scenario,
+    SlashAction,
+    TreasurySpec,
+    World,
+    validate,
+)
+from stakeclaim.treasury import balance_identity
+from test_acceptance import CORPUS_SEED, CORPUS_SIZE, random_scenario
+
+
+def segments_of(world: World) -> list[tuple[int, int]]:
+    """(first, last) epoch of each segment `world` commits, recorded as it runs."""
+    spans = []
+    led = world.ledger
+    commit = led.advance_segment
+
+    def recording(k, n, *args):
+        first = led.epoch + 1
+        done = commit(k, n, *args)
+        if done:
+            spans.append((first, led.epoch))
+        return done
+
+    led.advance_segment = recording
+    return spans
+
+
+def ledger_state(world: World) -> tuple:
+    led = world.ledger
+    replay = led.flush()
+    return (led.epoch, led.event_count, led.minted_total, led.burned_total,
+            led._balances, led._states, replay)
+
+
+def assert_segments_match_the_reference(scenario: Scenario) -> list[tuple[int, int]]:
+    """Run `scenario` with segments and stepped; both must agree. Returns the segments."""
+    world = World(scenario)
+    spans = segments_of(world)
+    report = world.run()
+    reference_world = SteppedWorld(scenario)
+    reference = reference_world.run()
+    assert report.events_jsonl == reference.events_jsonl
+    assert report.to_dict() == reference.to_dict()
+    assert report.replay_ok and report.conservation_ok
+    assert ledger_state(world) == ledger_state(reference_world)
+    return spans
+
+
+def test_goldens_match_the_stepped_reference():
+    for name in sc.GOLDEN_SCENARIOS:
+        assert assert_segments_match_the_reference(
+            sc.load_scenario(sc.golden_scenario_path(name)))
+
+
+def test_acceptance_corpus_matches_the_stepped_reference():
+    rng = random.Random(CORPUS_SEED)
+    segmented = 0
+    for _ in range(CORPUS_SIZE):
+        s = random_scenario(rng)
+        spans = assert_segments_match_the_reference(s)
+        segmented += sum(last - first + 1 for first, last in spans)
+    assert segmented > 1000
+
+
+FACTORS = (0, 0.1, "0.25", 0.5, "0.9", 1)
+
+
+@st.composite
+def segment_schedules(draw) -> Scenario:
+    """Small valid scenarios whose events fall at, just before and just after segment ends.
+
+    Staking fills at epoch 1. The landmarks are the activation, the epoch
+    the watchdog arms, each slash and the slashed validator's exit; window
+    edges, claims, NFT transfers and the horizon are drawn from them, one
+    epoch either side, or anywhere. Grace runs 1..6 and the delays up to
+    12, so idle spans (validators pending or exiting) occur too.
+    """
+    m = draw(st.integers(1, 3))
+    stake = 64_000
+    reward = draw(st.integers(1, 2_000))
+    grace = draw(st.integers(1, 6))
+    activation_delay = draw(st.integers(1, 12))
+    exit_delay = draw(st.integers(1, 12))
+    activation = 1 + activation_delay
+    near = [activation, activation + grace - 1]
+    horizon = draw(st.integers(10, 80) | st.sampled_from(
+        [e + d for e in near for d in (-1, 0, 1) if e + d >= 2]))
+    slashes = tuple(SlashAction(epoch=draw(st.integers(0, horizon)),
+                                validator=draw(st.integers(0, m - 1)),
+                                fraction_bps=draw(st.sampled_from([1, 500, 10_000])))
+                    for _ in range(draw(st.integers(0, 2))))
+    near += [e for sl in slashes for e in (sl.epoch, sl.epoch + exit_delay)]
+    landmarks = sorted({e + d for e in near for d in (-1, 0, 1) if 1 <= e + d <= horizon})
+    epoch = st.integers(1, horizon)
+    if landmarks:
+        epoch = epoch | st.sampled_from(landmarks)
+    bounds = [0, *sorted(set(draw(st.lists(epoch, max_size=4)))), None]
+    windows = []
+    for start, end in zip(bounds, bounds[1:]):
+        span = draw(st.sampled_from(["gap", "every validator", "each validator"]))
+        if span == "every validator":
+            windows.append(BehaviorWindow(start, draw(st.sampled_from(FACTORS)), end))
+        elif span == "each validator":
+            windows.extend(BehaviorWindow(start, draw(st.sampled_from(FACTORS)), end, j)
+                           for j in range(m))
+    first = draw(st.integers(1, stake * m - 1))
+    claims = tuple(ClaimAction(holder=draw(st.sampled_from(["h0", "h1"])), epoch=e + d)
+                   for e in draw(st.lists(epoch, max_size=2))
+                   for d in range(draw(st.integers(1, 3))) if e + d <= horizon)
+    transfers = tuple(NftTransferAction(0, "h0", "h1", draw(epoch))
+                      for _ in range(draw(st.integers(0, 1))))
+    scenario = Scenario(
+        treasury=TreasurySpec(fee_bps=draw(st.sampled_from([0, 1000, 10_000])),
+                              expected_reward_per_epoch=draw(st.integers(0, reward)),
+                              grace_epochs=grace,
+                              escrow_required=draw(st.sampled_from([0, 500])),
+                              validators=m),
+        mint=MintSpec(min_contribution=1, open_epoch=0, close_epoch=2),
+        beacon=BeaconParams(stake_requirement=stake, reward_per_epoch=reward,
+                            activation_delay=activation_delay, exit_delay=exit_delay,
+                            sweep_period=min(grace, draw(st.sampled_from([1, 1, 1, 2])))),
+        deposits=(DepositAction("h0", first, 0), DepositAction("h1", stake * m - first, 1)),
+        operator_schedule=tuple(windows),
+        slashes=slashes,
+        horizon=horizon,
+        claims=claims,
+        nft_transfers=transfers,
+    )
+    assert validate(scenario) == []
+    return scenario
+
+
+@settings(max_examples=150, deadline=None)
+@given(segment_schedules())
+def test_any_schedule_matches_the_stepped_reference(scenario):
+    spans = assert_segments_match_the_reference(scenario)
+    target(float(sum(last - first + 1 for first, last in spans)))
+
+
+@pytest.mark.parametrize("batch", [1, 7, None])
+def test_any_batch_size_gives_the_same_log_across_segments(batch, monkeypatch):
+    s = sc.load_scenario(sc.golden_scenario_path("honest"))
+    s = replace(s, horizon=600, claims=(ClaimAction("alice", 150),))
+    reference = SteppedWorld(s).run()
+    if batch is not None:
+        monkeypatch.setattr(ledger, "EVENT_BATCH", batch)
+    world = World(s)
+    led = world.ledger
+    spans = segments_of(world)
+    chunks = []
+    inside = []
+    commit, flush, append = led.advance_segment, led.flush, led._append_text
+
+    def flagged(fn, flag):
+        def call(*args):
+            inside.append(flag)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        return call
+
+    def recording_append(chunk):
+        if inside[-1:] == ["segment"]:      # a segment's lines, not a flush
+            chunks.append(chunk.count("\n"))
+        append(chunk)
+
+    led.advance_segment = flagged(commit, "segment")
+    led.flush = flagged(flush, "flush")
+    led._append_text = recording_append
+    report = world.run()
+    assert spans == [(7, 149), (153, 600)]
+    assert report.events_jsonl == reference.events_jsonl
+    assert report.to_dict() == reference.to_dict()
+    # At most one batch at a time, or one epoch's 20 lines when that is more.
+    assert max(chunks) == max(ledger.EVENT_BATCH // 20 * 20, 20)
+
+
+def test_segments_end_before_each_beacon_transition():
+    # Two validators pending for 12 epochs (their wallets idle), then one
+    # slashed at epoch 25 and exiting for 15: each segment ends the epoch
+    # before an activation or an exit matures.
+    s = small_scenario(
+        treasury=TreasurySpec(fee_bps=1000, expected_reward_per_epoch=20, grace_epochs=3,
+                              escrow_required=50, validators=2),
+        beacon=BeaconParams(stake_requirement=6400, reward_per_epoch=100,
+                            activation_delay=12, exit_delay=15, sweep_period=1),
+        deposits=(DepositAction("alice", 8000, 0), DepositAction("bob", 4800, 1)),
+        slashes=(SlashAction(epoch=25, validator=1, fraction_bps=500),),
+        horizon=60)
+    assert validate(s) == []
+    spans = assert_segments_match_the_reference(s)
+    assert [span for span in spans if span[1] in (12, 39)] == [(4, 12), (28, 39)]
+
+
+def test_a_window_still_filling_is_stepped_until_the_watchdog_arms():
+    # Grace 6, activation at epoch 2, nothing paid until epoch 5, then the
+    # full 1000 a epoch: epochs 5 and 6 repeat each other, but the window
+    # still holds the unpaid epochs, and when the watchdog arms at epoch 7
+    # it sums 3000 against a threshold of 3600.
+    s = small_scenario(
+        treasury=TreasurySpec(fee_bps=1000, expected_reward_per_epoch=600, grace_epochs=6,
+                              escrow_required=50, validators=1),
+        beacon=BeaconParams(stake_requirement=6400, reward_per_epoch=1000,
+                            activation_delay=1, exit_delay=2, sweep_period=1),
+        deposits=(DepositAction("alice", 4000, 0), DepositAction("bob", 2400, 1)),
+        operator_schedule=(BehaviorWindow(0, 0, 5), BehaviorWindow(5, 1)),
+        horizon=30)
+    assert validate(s) == []
+    assert_segments_match_the_reference(s)
+    report = World(s).run()
+    assert (report.validators[0].exit_cause, report.validators[0].exit_epoch) \
+        == ("performance", 7)
+
+
+def test_an_epoch_with_an_action_is_never_repeated():
+    # Claims rejected at epochs 3 and 4 log the same lines, but epoch 4's
+    # lines hold its claim: epoch 5, which has none, must not repeat them.
+    s = small_scenario(
+        treasury=TreasurySpec(fee_bps=0, expected_reward_per_epoch=0, grace_epochs=1,
+                              escrow_required=0, validators=1),
+        beacon=BeaconParams(stake_requirement=64_000, reward_per_epoch=1,
+                            activation_delay=1, exit_delay=1, sweep_period=1),
+        deposits=(DepositAction("h0", 1, 0), DepositAction("h1", 63_999, 1)),
+        operator_schedule=(),
+        claims=(ClaimAction("h0", 3), ClaimAction("h0", 4)),
+        horizon=8)
+    assert validate(s) == []
+    assert assert_segments_match_the_reference(s) == [(7, 8)]
+
+
+def test_a_ledger_with_another_hook_steps_every_epoch():
+    # A segment runs no hook, so it would skip a hook the World did not register.
+    world = World(sc.load_scenario(sc.golden_scenario_path("honest")))
+    seen = []
+    world.ledger.add_epoch_hook(lambda: seen.append(world.ledger.epoch))
+    spans = segments_of(world)
+    world.run()
+    assert spans == []
+    assert seen == list(range(1, 101))
+
+
+def identity_terms(world: World) -> tuple[int, ...]:
+    """Both sides of each identity World.audit checks."""
+    led = world.ledger
+    tst = led.contract_state(TREASURY)
+    return (led.total_balance(), led.minted_total - led.burned_total,
+            led.balance_of(TREASURY), balance_identity(tst),
+            led.balance_of(BEACON), sum(led.contract_state(BEACON).balances))
+
+
+def test_every_identity_term_is_affine_within_a_segment():
+    # The audit runs only at a segment's two ends. That is enough because
+    # each term of each identity is affine in the epoch inside the segment:
+    # the difference of two affine terms is zero at both ends only if it is
+    # zero throughout. The stepped reference shows each term affine.
+    rng = random.Random(CORPUS_SEED)
+    scenarios = [sc.load_scenario(sc.golden_scenario_path(name))
+                 for name in sc.GOLDEN_SCENARIOS]
+    scenarios += [random_scenario(rng) for _ in range(10)]
+    checked = 0
+    for s in scenarios:
+        world = World(s)
+        spans = segments_of(world)
+        world.run()
+        reference = SteppedWorld(s)
+        terms = {}
+        audit = reference.audit
+
+        def recording_audit():
+            audit()
+            terms[reference.ledger.epoch] = identity_terms(reference)
+
+        reference.audit = recording_audit
+        reference.run()
+        for first, last in spans:
+            span = [terms[e] for e in range(first - 1, last + 1)]
+            for a, b, c in zip(span, span[1:], span[2:]):
+                assert [x - 2 * y + z for x, y, z in zip(a, b, c)] == [0] * 6
+                checked += 1
+    assert checked > 300
