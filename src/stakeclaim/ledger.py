@@ -63,11 +63,12 @@ no Event object outlives its batch.
 A segment is one commit of many epochs (:meth:`Ledger.advance_segment`):
 the driver vouches that each repeats the last epoch's events, and gives
 the states, balances and supply after them in closed form. The ledger
-takes the repeated lines from its own log, checks them against the epoch
-before, appends their copies (integers under ``epoch``, ``seq`` and the
-given keys advanced by fixed strides) at most a batch at a time, and folds
-the last epoch's events into the replay k times over (:func:`fold_scaled`),
-apart from the balances it is given, so the replay still checks them.
+checks the repeated lines, its own, against the epoch before, splits them
+once into text and the integers under ``epoch``, ``seq`` and the given
+keys, and appends them with each integer a column of strings advanced by
+its stride, at most a batch at a time. It folds the last epoch's events
+into the replay k times over (:func:`fold_scaled`), apart from the
+balances it is given, so the replay still checks them.
 
 A ledger instance is single-threaded but self-contained; independent
 instances can run in parallel threads or processes.
@@ -82,6 +83,7 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, NamedTuple, Protocol
 
@@ -605,17 +607,20 @@ class Ledger:
         contract states after the k epochs are `states` (for the contracts
         named) and the committed ones (for the rest).
 
-        The lines are the log's own. They are checked first: the epoch
-        before the last, advanced by one stride, must read as the last
-        epoch's lines. If it does not, or the log holds fewer than 2n lines,
-        or more than one epoch hook is registered (a segment stands in for
-        the caller's one hook and runs no other), nothing changes and False
-        is returned. Otherwise, in one
-        step: the k epochs' lines are appended to the log's text, at most
-        ``max(EVENT_BATCH, n)`` lines at a time; the last epoch's events,
-        decoded from its lines, are folded into the replay k times over
-        (:func:`fold_scaled`); the balances, supply counters, epoch, seq and
-        `states` are set. Returns True.
+        The lines are the log's own, read after a flush, and checked first:
+        the epoch before the last, advanced by one stride, must read as the
+        last epoch's lines. The caller does not test that, so this check is
+        a condition of correctness, not a spare guard. If it fails, the log
+        holds fewer than 2n lines, or more than one epoch hook is registered
+        (a segment runs no hook but the caller's), False is returned and
+        nothing changes, though the pending batch may have been flushed.
+        Otherwise, in one step: the last epoch's lines, split once
+        (:func:`_split`), are copied k times with a column of strings per
+        integer (:func:`_copies`) and appended at most ``max(EVENT_BATCH, n)``
+        lines at a time; the last epoch's events, decoded from its lines, are
+        folded into the replay k times over (:func:`fold_scaled`); the
+        balances, supply counters, epoch, seq and `states` are set. Returns
+        True.
         """
         if len(self._hooks) > 1:
             return False
@@ -624,16 +629,13 @@ class Ledger:
             return False
         before, last = tail
         strides = {"epoch": 1, "seq": n, **strides}
-        fmt, values, steps = _stencil(before, strides)
-        if fmt.format(*[v + s for v, s in zip(values, steps)]) != last:
+        if _copies(*_split(before, strides), 1, 2) != last:
             return False
 
-        fmt, values, steps = _stencil(last, strides)
+        pieces, fields = _split(last, strides)
         per_chunk = max(1, EVENT_BATCH // max(n, 1))
         for first in range(1, k + 1, per_chunk):
-            self._append_text("".join([
-                fmt.format(*[v + t * s for v, s in zip(values, steps)])
-                for t in range(first, min(first + per_chunk, k + 1))]))
+            self._append_text(_copies(pieces, fields, first, min(first + per_chunk, k + 1)))
         fold_scaled([Event(**json.loads(line)) for line in last.splitlines()], k, self._replay)
         self.epoch += k
         self._seq += k * n
@@ -798,21 +800,27 @@ def fold_scaled(events, k: int, into: ReplayResult) -> ReplayResult:
     return into
 
 
-def _stencil(block: str, strides: dict[str, int]) -> tuple[str, list[int], list[int]]:
-    """`block` as a format string with a field for each integer under a key of
-    `strides`, those integers in order, and each one's stride.
+def _split(block: str, strides: dict[str, int]) -> tuple[list[str], list[tuple[int, int]]]:
+    """`block` cut at each integer under a key of `strides`: the text pieces
+    between them (one more than the integers), and each integer with its stride.
 
     Only a JSON key is a quote, the key and ``":`` unescaped: inside an
     encoded string a quote is ``\\"``.
     """
     keys = "|".join(re.escape(key) for key in strides)
-    parts, values, steps = [], [], []
-    pos = 0
-    for m in re.finditer(f'"({keys})":(-?\\d+)', block):
-        parts.append(block[pos:m.start(2)].replace("{", "{{").replace("}", "}}"))
-        parts.append("{}")
-        values.append(int(m.group(2)))
-        steps.append(strides[m.group(1)])
-        pos = m.end()
-    parts.append(block[pos:].replace("{", "{{").replace("}", "}}"))
-    return "".join(parts), values, steps
+    parts = re.split(f'("({keys})":)(-?\\d+)', block)
+    pieces = [text + head for text, head in zip(parts[0::4], parts[1::4])] + [parts[-1]]
+    return pieces, [(int(v), strides[key]) for key, v in zip(parts[2::4], parts[3::4])]
+
+
+def _copies(pieces: list[str], fields: list[tuple[int, int]], first: int, stop: int) -> str:
+    """The split block for t = first .. stop-1, each integer t strides on, built in
+    C: a column of strings per distinct (integer, stride), zipped with the pieces.
+    """
+    count = stop - first
+    columns = {(v, s): list(map(str, range(v + first * s, v + stop * s, s))) if s
+               else [str(v)] * count for v, s in set(fields)}
+    interleaved = [repeat(pieces[0], count)]
+    for field, piece in zip(fields, pieces[1:]):
+        interleaved += columns[field], repeat(piece, count)
+    return "".join(chain.from_iterable(zip(*interleaved)))

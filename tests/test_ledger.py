@@ -376,6 +376,103 @@ class TestEventEncoding:
         assert pickle.loads(pickle.dumps(Call("a", "m"))).args is Call("a", "m").args
 
 
+# --- segments: many epochs committed at once -----------------------------------
+
+# Text that a format string, a pattern over the log or a careless escape misreads.
+HOSTILE = ["{", "{0}", "}", "{{}}", '"', "\\", '\\"', "é€💸", '"epoch":5', '"seq":1',
+           ',"net_total":3}', "\n"]
+
+
+class Tally:
+    """Each poke mints 6 to itself and pays 3 of it to ``user``. It logs the
+    epoch and its running total (`step` more each poke) under keys a segment
+    advances, beside `note` as tag, memo, key and strings."""
+
+    def __init__(self, step: int, note: str):
+        self.step, self.note = step, note
+
+    def initial_state(self):
+        return 24
+
+    def handle(self, state, msg: Msg, ctx):
+        total, note, epoch = state + self.step, self.note, msg.args["epoch"]
+        payload = {"epoch": epoch, "net_total": total, note: note, "seq": note,
+                   "hostile": [*HOSTILE, {"epoch": epoch, "net_total": True, "seq": "1"}]}
+        return total, [Issue(6, note), Transfer("user", 3), Emit(note, payload)], None
+
+
+def tally_ledger(step: int, note: str) -> Ledger:
+    """A ledger whose one epoch hook pokes a Tally (4 events), stepped to epoch 2."""
+    led = fresh_ledger(user=0)
+    led.register_contract("tally", Tally(step, note), issuer=True)
+    led.add_epoch_hook(lambda: led.call("user", "tally", "poke", {"epoch": led.epoch}))
+    led.advance_epoch()
+    led.advance_epoch()
+    return led
+
+
+def tally_segment(led: Ledger, k: int, n: int, step: int) -> bool:
+    """advance_segment for k more pokes of `led`'s Tally, whose stride is `step`."""
+    return led.advance_segment(k, n, {"net_total": step},
+                               {"tally": led.contract_state("tally") + k * step},
+                               {"tally": 3, "user": 3}, 6)
+
+
+def ledger_state(led: Ledger) -> tuple:
+    """Everything the ledger holds, flushed: log, seq, epoch, balances, supply, states, replay."""
+    led.flush()
+    return pickle.loads(led.snapshot())
+
+
+def advanced(obj, t: int, strides: dict[str, int]):
+    """`obj`, decoded from a line, with each int under a key of `strides` advanced t strides."""
+    if type(obj) is list:
+        return [advanced(v, t, strides) for v in obj]
+    if type(obj) is dict:
+        return {key: v + t * strides[key] if key in strides and type(v) is int
+                else advanced(v, t, strides) for key, v in obj.items()}
+    return obj
+
+
+def assert_segment_copies_like_stepping(step: int, note: str, k: int) -> None:
+    led, stepped = tally_ledger(step, note), tally_ledger(step, note)
+    head = led.events_jsonl()
+    last = head.splitlines()[-4:]
+    assert tally_segment(led, k, 4, step)
+    strides = {"epoch": 1, "seq": 4, "net_total": step}
+    reference = [encode_lines([Event(**advanced(json.loads(line), t, strides))])[0]
+                 for t in range(1, k + 1) for line in last]
+    assert led.events_jsonl() == head + "".join(reference)
+    for _ in range(k):
+        stepped.advance_epoch()
+    assert ledger_state(led) == ledger_state(stepped)
+
+
+class TestSegment:
+    @pytest.mark.parametrize("step", [7, 0, -7])
+    def test_copies_match_a_naive_reference_and_stepping(self, step):
+        # 2,500 epochs of 4 lines: three chunks of at most EVENT_BATCH lines.
+        # A stride of -7 takes the total below zero in the first chunk.
+        assert_segment_copies_like_stepping(step, "".join(HOSTILE), 2500)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.text(max_size=8) | st.sampled_from(HOSTILE), st.integers(-30, 30),
+           st.integers(1, 5))
+    def test_any_note_copies_like_stepping(self, note, step, k):
+        assert_segment_copies_like_stepping(step, note, k)
+
+    @pytest.mark.parametrize("step, n, hooks", [(8, 4, 1), (7, 3, 1), (7, 5, 1), (7, 4, 2)],
+                             ids=["stride", "blocks-off-epochs", "fewer-than-2n-lines",
+                                  "second-hook"])
+    def test_a_refused_segment_changes_nothing(self, step, n, hooks):
+        led, untouched = tally_ledger(7, "".join(HOSTILE)), tally_ledger(7, "".join(HOSTILE))
+        for _ in range(hooks - 1):
+            led.add_epoch_hook(lambda: None)
+        assert not tally_segment(led, 50, n, step)
+        assert ledger_state(led) == ledger_state(untouched)
+        assert (led.epoch, led.event_count) == (2, 8)
+
+
 class TestConservation:
     def test_supply_identity_after_activity(self):
         led = dispatch_ledger()

@@ -5,9 +5,10 @@ attribute: for ``errors.bound_problems``, the per-class plan it reads
 (``errors._plan``) or the ``type`` it calls; for the keeper,
 ``ValidatorWallet.watchdog_shortfall`` or ``BeaconContract.sweep_due``,
 which the driver and the handlers share, or the ``World``'s performance map
-and wallet walk; for segments, the ``World``'s quiet span, its search for the next action,
-the beacon's ``next_transition``, ``ValidatorWallet.quiet_until`` or the ledger's
-``fold_scaled``; for the engine, a treasury helper, a contract's method
+and wallet walk; for segments, the ``World``'s quiet span, its search for
+the next action, the beacon's ``next_transition``,
+``ValidatorWallet.quiet_until``, or the ledger's ``fold_scaled`` and column
+copy (``_copies``); for the engine, a treasury helper, a contract's method
 table (``_ops``, with one handler wrapped) or ``World.report``. Each names
 one existing test that passes on the real code and must fail under the
 mutant: a check that no mutant fails proves nothing (DeMillo, Lipton &
@@ -24,6 +25,7 @@ import pytest
 import test_bounds
 import test_beacon
 import test_keeper
+import test_ledger
 import test_mint
 import test_scenario
 import test_segments
@@ -168,6 +170,15 @@ def fold_scaled_off_by_one(fold_scaled=ledger.fold_scaled):
     return mutant
 
 
+def copies_one_stride_behind_after_the_first_chunk(copies=ledger._copies):
+    """The segment's column copy, one stride behind in every chunk after the first."""
+    def mutant(pieces, fields, first, stop):
+        late = first > 1
+        return copies(pieces, fields, first - late, stop - late)
+
+    return mutant
+
+
 # name -> (owner, attribute, its mutant, the test that must catch it)
 MUTANTS = {
     "bool-accepted-as-int": (
@@ -241,6 +252,9 @@ MUTANTS = {
     "scaled-fold-off-by-one": (
         ledger, "fold_scaled", fold_scaled_off_by_one(),
         test_segments.test_goldens_match_the_stepped_reference),
+    "segment-chunk-one-stride-behind": (
+        ledger, "_copies", copies_one_stride_behind_after_the_first_chunk(),
+        lambda: test_ledger.TestSegment().test_copies_match_a_naive_reference_and_stepping(7)),
 }
 
 
