@@ -31,11 +31,9 @@ from .scenario import (
 )
 from .treasury import (
     Phase,
-    RewardReceipt,
     TreasuryConfig,
     TreasuryContract,
     balance_identity,
-    reward_receipts,
 )
 from .wallet import ValidatorWallet, WalletConfig, WalletStatus
 
@@ -66,7 +64,6 @@ __all__ = [
     "MintContract",
     "NftRecord",
     "Phase",
-    "RewardReceipt",
     "RunReport",
     "Scenario",
     "StakeclaimError",
@@ -81,7 +78,6 @@ __all__ = [
     "golden_scenario_path",
     "load_scenario",
     "replay_balances",
-    "reward_receipts",
     "run",
     "scenario_from_dict",
     "validate",

@@ -12,10 +12,10 @@ in the machine itself (a conservation or accounting identity broke) and is
 never caught by the dispatcher.
 
 Each integer bound is declared once, on its dataclass field, with
-:func:`bounded` (or :func:`bounded_as`, which copies another field's
-bounds): an int, never a bool, in lo..hi. :func:`bound_problems` checks the
-declarations; ``scenario.validate`` lists what it finds, and each contract
-constructor raises it as ValueError through :func:`checked`.
+:func:`bounded` (or :func:`bounded_as`): an int, never a bool, in lo..hi.
+:func:`bound_problems` checks the declarations, and is the only type check
+of a bounded scenario field: ``scenario.validate`` lists what it finds, and
+each contract constructor raises it as ValueError through :func:`checked`.
 """
 
 from __future__ import annotations

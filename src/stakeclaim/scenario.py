@@ -71,7 +71,9 @@ is zero at two distinct epochs is zero at every epoch between them.
 Scenario files are strict JSON: exactly the top-level keys {treasury,
 mint, beacon, deposits, operator_schedule, slashes, horizon, seed};
 unknown keys anywhere are rejected, and every integer field must hold a
-JSON integer (not a float, a string or a boolean). Every problem in a
+JSON integer (not a float, a string or a boolean). :func:`scenario_from_dict`
+checks the document's shape; :func:`validate` checks every field's type
+and bounds, then the rules that relate fields. Every problem in a
 document is reported, not just the first. Claim and token-transfer schedules
 exist only on the in-code :class:`Scenario` for tests and demos, not in
 the file format.
@@ -218,80 +220,35 @@ _TOP_KEYS = frozenset(("treasury", "mint", "beacon", "deposits",
                        "operator_schedule", "slashes", "horizon", "seed"))
 
 
-@dataclass(frozen=True)
-class _Shape:
-    """Keys and field types of one scenario record, read off its dataclass."""
-
-    keys: frozenset
-    required: frozenset
-    optional: frozenset               # keys that may be absent (default None)
-    types: tuple[tuple[str, type], ...]  # (field, int or str) for typed fields
-
-
-_FIELD_TYPES = {"int": int, "int | None": int, "str": str}
-
-
-def _shape(cls) -> _Shape:
-    fs = fields(cls)
-    return _Shape(
-        keys=frozenset(f.name for f in fs),
-        required=frozenset(f.name for f in fs if f.default is MISSING),
-        optional=frozenset(f.name for f in fs if f.default is not MISSING),
-        types=tuple((f.name, _FIELD_TYPES[f.type]) for f in fs if f.type in _FIELD_TYPES),
-    )
-
-
 def _name(where: str | tuple[str, int]) -> str:
     """A record's name; list items are passed as (list name, index) and
     formatted only when there is something to report."""
     return where if isinstance(where, str) else f"{where[0]}[{where[1]}]"
 
 
-def _type_problems(where: str | tuple[str, int], shape: _Shape,
-                   values: dict) -> list[str]:
-    """Every field of `values` whose type its record does not allow.
-
-    ``type(v) is int`` also rejects bool, a subclass of int.
-    """
-    for name, kind in shape.types:      # fast path: all well typed
-        if type(values.get(name)) is not kind:
-            break
-    else:
-        return []
-    out = []
-    for name, kind in shape.types:
-        v = values.get(name)
-        if type(v) is not kind and not (v is None and name in shape.optional):
-            what = "an integer" if kind is int else "a string"
-            out.append(f"{_name(where)}.{name} must be {what}, got {v!r}")
-    return out
-
-
-_SHAPES = {cls: _shape(cls) for cls in (
-    TreasurySpec, MintSpec, BeaconParams, DepositAction, BehaviorWindow, SlashAction,
-    ClaimAction, NftTransferAction, Scenario)}
+# Each file record's keys, and those it requires, read off its dataclass.
+_KEYS = {cls: (frozenset(f.name for f in fields(cls)),
+               frozenset(f.name for f in fields(cls) if f.default is MISSING))
+         for cls in (TreasurySpec, MintSpec, BeaconParams,
+                     DepositAction, BehaviorWindow, SlashAction)}
 
 
 def _record(section, where: str | tuple[str, int], cls, problems: list[str]):
-    """`section` as a `cls`, or None with its problems appended."""
-    shape = _SHAPES[cls]
+    """`section` as a `cls`, or None with its shape problems appended."""
+    all_keys, required = _KEYS[cls]
     keys = section.keys() if isinstance(section, dict) else None
-    if keys != shape.keys:
+    if keys != all_keys:
         if keys is None:
             problems.append(f"{_name(where)} must be an object")
             return None
-        unknown = keys - shape.keys
+        unknown = keys - all_keys
         if unknown:
             problems.append(f"unknown keys in {_name(where)}: {sorted(unknown)}")
-        missing = shape.required - keys
+        missing = required - keys
         if missing:
             problems.append(f"missing keys in {_name(where)}: {sorted(missing)}")
         if unknown or missing:
             return None
-    wrong = _type_problems(where, shape, section)
-    if wrong:
-        problems.extend(wrong)
-        return None
     return cls(**section)
 
 
@@ -303,11 +260,12 @@ def _records(items, where: str, cls, problems: list[str]) -> tuple:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    """Parse a scenario document, rejecting unknown keys outright.
+    """Parse a scenario document, checking its shape alone: objects, lists,
+    unknown and missing keys, and ``seed`` (no record declares it). Each
+    field's type and bounds are :func:`validate`'s to check.
 
-    Every structural and type problem in the document is collected and
-    raised as one :class:`InvalidScenario`; an integer field holding a
-    float, a string or a bool is a problem, so no float reaches a balance.
+    Every shape problem is raised in one :class:`InvalidScenario`, next to
+    :func:`_parsed_bound_problems`, so it names every mistyped bounded field too.
     """
     if not isinstance(doc, dict):
         raise InvalidScenario("scenario must be an object")
@@ -330,12 +288,25 @@ def scenario_from_dict(doc: dict) -> Scenario:
         slashes=_records(doc["slashes"], "slashes", SlashAction, problems),
         horizon=doc["horizon"],
     )
-    problems.extend(_type_problems("scenario", _SHAPES[Scenario], parts))
     if type(doc["seed"]) is not int:
         problems.append(f"scenario.seed must be an integer, got {doc['seed']!r}")
     if problems:
-        raise InvalidScenario("; ".join(problems))
+        raise InvalidScenario("; ".join(problems + _parsed_bound_problems(parts)))
     return Scenario(**parts)
+
+
+def _parsed_bound_problems(parts: dict) -> list[str]:
+    """The bound problems of horizon and of each record of `parts` that
+    parsed (not None), under :func:`validate`'s limits; a list item keeps
+    its index in the document even when an item before it did not parse."""
+    top, treasury, limits = _limits(Scenario(**parts))
+    out = [*top.values(), *treasury.values()]
+    for where, r in [("mint", parts["mint"]), ("beacon", parts["beacon"]), *(
+            (f"{key}[{i}]", r) for key in ("deposits", "operator_schedule", "slashes")
+            for i, r in enumerate(parts[key]))]:
+        if r is not None:
+            out.extend(bound_problems(r, where, limits).values())
+    return out
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -415,22 +386,30 @@ def _holder_problems(s: Scenario) -> list[str]:
             for i, r in enumerate(getattr(s, where)) if not _is_holder_name(getattr(r, name))]
 
 
+def _limits(s: Scenario) -> tuple[dict, dict, dict]:
+    """The bound problems of horizon and of the treasury (None: not parsed),
+    and the limits they set, each None when the field setting it is out of
+    bounds: the horizon, and the last validator index."""
+    top = bound_problems(s, "")
+    treasury = {} if s.treasury is None else bound_problems(s.treasury, "treasury")
+    m = None if s.treasury is None or "treasury.validators" in treasury else s.treasury.validators
+    return top, treasury, {"horizon": None if top else s.horizon, "validator": m - 1 if m else None}
+
+
 def validate(s: Scenario) -> list[str]:
     """Return every constraint violation, not just the first.
 
-    First each field's declared bounds (``errors.bound_problems``), then the
-    rules that relate fields: holder names, the mint window's order, the
-    sweep period against the watchdog's window, window factors, ends and
-    overlaps, and NFT token ids. A limit (horizon,
+    Each field's type is checked here, once: first each field's declared
+    bounds (``errors.bound_problems``, which rejects any non-int), then the
+    rules that relate fields and type the rest: holder names, the mint
+    window's order, the sweep period against the watchdog's window, window
+    factors, ends and overlaps, and NFT token ids. A limit (horizon,
     validator count) out of its own bounds bounds nothing, and a field out
     of bounds is left out of the rules that depend on it.
     """
     t, mi = s.treasury, s.mint
-    top = bound_problems(s, "")
-    treasury = bound_problems(t, "treasury")
-    horizon = None if top else s.horizon
-    m = None if "treasury.validators" in treasury else t.validators
-    limits = {"horizon": horizon, "validator": m - 1 if m else None}
+    top, treasury, limits = _limits(s)
+    horizon, last = limits["horizon"], limits["validator"]
     mint = bound_problems(mi, "mint")
     beacon = bound_problems(s.beacon, "beacon")
     out = [*top.values(), *treasury.values(), *mint.values(), *beacon.values()]
@@ -468,13 +447,13 @@ def validate(s: Scenario) -> list[str]:
     # Validators the schedule does not name have only the validator-null
     # windows, so the lowest of them stands for all of them.
     checked: list[int] = []
-    if m and windows_ok and horizon is not None:
+    if last is not None and windows_ok and horizon is not None:
         named = {w.validator for w in s.operator_schedule}
         named.discard(None)
         unnamed = 0
         while unnamed in named:
             unnamed += 1
-        if unnamed < m:
+        if unnamed <= last:
             named.add(unnamed)
         checked = sorted(named)
     seen_overlaps = set()
@@ -581,7 +560,8 @@ class RunReport:
 # --- the world ----------------------------------------------------------------------
 
 class World:
-    """One wired-up arrangement plus the driver that advances it."""
+    """One wired-up arrangement plus the driver that advances it. It trusts a
+    scenario that passed :func:`validate`, which :func:`run` and the CLI run first."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario

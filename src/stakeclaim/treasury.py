@@ -97,32 +97,6 @@ class TreasuryConfig:
 
 
 @dataclass(frozen=True)
-class RewardReceipt:
-    """One increment of a validator's reward total, as seen by the treasury.
-
-    Receipts are journaled as RewardReceived events; summing a validator's
-    receipts gives its lifetime reward total.
-    """
-
-    validator_index: int
-    epoch: int
-    amount: int
-
-
-def reward_receipts(events) -> list[RewardReceipt]:
-    """Extract the receipt journal from an event log (Event objects or dicts)."""
-    out = []
-    for e in events:
-        tag = e["tag"] if isinstance(e, dict) else e.tag
-        if tag != "RewardReceived":
-            continue
-        p = e["payload"] if isinstance(e, dict) else e.payload
-        out.append(RewardReceipt(validator_index=p["validator_index"],
-                                 epoch=p["epoch"], amount=p["amount"]))
-    return out
-
-
-@dataclass(frozen=True)
 class SettlementRecord:
     returned: int
     shortfall: int
@@ -137,7 +111,6 @@ class TreasuryState:
     owned: dict[str, tuple[int, ...]] = field(default_factory=dict)  # owner -> its token ids
     sum_capital: int = 0
     principal: int = 0
-    principal_staked: int = 0
     operator_fees_accrued: int = 0
     fees_claimed_total: int = 0
     claimable: dict[str, int] = field(default_factory=dict)   # settled, unclaimed
@@ -148,7 +121,6 @@ class TreasuryState:
     escrow_refunded: int = 0
     phase: Phase = Phase.FUNDRAISING
     rewards_received: dict[int, int] = field(default_factory=dict)
-    receipt_count: int = 0
     exit_causes: dict[int, str] = field(default_factory=dict)
     settlements: dict[int, SettlementRecord] = field(default_factory=dict)
     settlement_credits: dict[str, int] = field(default_factory=dict)
@@ -312,8 +284,7 @@ class TreasuryContract(Handlers):
         if state.escrow_balance < cfg.escrow_required:
             raise EscrowMissing(
                 f"escrow {state.escrow_balance} below required {cfg.escrow_required}")
-        st = evolve(state, principal_staked=state.principal, principal=0,
-                    phase=Phase.STAKED)
+        st = evolve(state, principal=0, phase=Phase.STAKED)
         effects = [
             Emit("PhaseChanged", {"from": Phase.FUNDRAISING.value,
                                   "to": Phase.STAKED.value}),
@@ -338,7 +309,6 @@ class TreasuryContract(Handlers):
         st = evolve(state,
                     rewards_received={**state.rewards_received,
                                       j: state.rewards_received.get(j, 0) + msg.value},
-                    receipt_count=state.receipt_count + 1,
                     operator_fees_accrued=state.operator_fees_accrued + fee,
                     net_total=state.net_total + msg.value - fee)
         effects = [
@@ -353,10 +323,10 @@ class TreasuryContract(Handlers):
         `receipts` forwards its amount, in that order.
 
         ``receive_rewards`` k times over, in closed form: each receipt's fee
-        and net are the same every epoch, so the reward totals, the receipt
-        count, the fees and N each rise by k times one epoch's step. The
-        caller sends receipts only in a phase that takes them, and positive
-        amounts only. Pure, like a handler.
+        and net are the same every epoch, so the reward totals, the fees and
+        N each rise by k times one epoch's step. The caller sends receipts
+        only in a phase that takes them, and positive amounts only. Pure,
+        like a handler.
         """
         rewards = dict(state.rewards_received)
         fees = net = 0
@@ -367,7 +337,6 @@ class TreasuryContract(Handlers):
             fees += fee
             net += amount - fee
         return evolve(state, rewards_received=rewards,
-                      receipt_count=state.receipt_count + k * len(receipts),
                       operator_fees_accrued=state.operator_fees_accrued + k * fees,
                       net_total=state.net_total + k * net)
 

@@ -13,20 +13,37 @@ where a field's default is None.
 Each rejected value must give exactly one ``validate`` violation, naming
 the field, and, for a config field, a ValueError naming the field from the
 contract constructor. These are plain checks that raise, so they hold under
-``python -O``.
+``python -O``. The rows that are sections of a scenario file are also
+written out as a document: the loader checks only its shape, so validating
+what it loads must give the same violation, and a document with a shape
+problem as well must name the field once, at its index in the document.
+
+Apart from the table, every field that the record classes annotate as
+``int``, ``int | None`` or ``str`` must be rejected when it holds a value of
+another type, so a field added later is covered by default.
 """
 
 from __future__ import annotations
 
+import json
 import re
-from dataclasses import replace
+from dataclasses import asdict, fields, is_dataclass, replace
+from typing import get_args, get_origin, get_type_hints
 
 import pytest
 
 from conftest import small_scenario
 from stakeclaim.beacon import BeaconContract, BeaconParams
+from stakeclaim.errors import InvalidScenario
 from stakeclaim.mint import MintConfig, MintContract
-from stakeclaim.scenario import ClaimAction, NftTransferAction, SlashAction, validate
+from stakeclaim.scenario import (
+    ClaimAction,
+    NftTransferAction,
+    Scenario,
+    SlashAction,
+    scenario_from_dict,
+    validate,
+)
 from stakeclaim.treasury import TreasuryConfig, TreasuryContract
 from stakeclaim.wallet import ValidatorWallet, WalletConfig
 
@@ -119,8 +136,23 @@ def message(path, field, value, lo, hi):
         f">= {lo}" if hi is None else f"in {lo}..{hi}")
 
 
+def document(s: Scenario) -> dict:
+    """`s` as a scenario file's document; claims and NFT transfers are not
+    file sections."""
+    doc = asdict(s)
+    del doc["claims"], doc["nft_transfers"]
+    return json.loads(json.dumps({**doc, "seed": 0}))
+
+
 SCENARIO_ROWS = [(path, field, lo, hi) for path, _, field, lo, hi in BOUNDS if path is not None]
 CONFIG_ROWS = [(config, field, lo, hi) for _, config, field, lo, hi in BOUNDS if config]
+SCENARIO_REJECTED = [
+    pytest.param(path, field, v, lo, hi, id=f"{path or 'scenario'}.{field}={v!r}")
+    for path, field, lo, hi in SCENARIO_ROWS
+    for v in rejected(lo, hi, (path, field) in OPTIONAL)
+]
+DOCUMENT_REJECTED = [p for p in SCENARIO_REJECTED
+                     if not p.values[0].startswith(("claims", "nft_transfers"))]
 
 
 def test_base_is_valid():
@@ -135,14 +167,34 @@ def test_validate_accepts(path, field, value):
     assert validate(with_value(path, field, value)) == []
 
 
-@pytest.mark.parametrize("path,field,value,lo,hi", [
-    pytest.param(path, field, v, lo, hi, id=f"{path or 'scenario'}.{field}={v!r}")
-    for path, field, lo, hi in SCENARIO_ROWS
-    for v in rejected(lo, hi, (path, field) in OPTIONAL)
-])
+@pytest.mark.parametrize("path,field,value,lo,hi", SCENARIO_REJECTED)
 def test_validate_rejects(path, field, value, lo, hi):
     violations = validate(with_value(path, field, value))
     assert violations == [message(path, field, value, lo, hi)]
+
+
+@pytest.mark.parametrize("path,field,value,lo,hi", DOCUMENT_REJECTED)
+def test_validate_rejects_a_loaded_document(path, field, value, lo, hi):
+    doc = document(with_value(path, field, value))
+    assert validate(scenario_from_dict(doc)) == [message(path, field, value, lo, hi)]
+
+
+@pytest.mark.parametrize("path,field,value,lo,hi", DOCUMENT_REJECTED)
+def test_loader_names_a_rejected_field_once_at_its_index(path, field, value, lo, hi):
+    # A copy of the record with an unknown key goes first in its list (in
+    # deposits for a record that is not a list item), so the record itself
+    # moves to index 1 and an unparsed record comes before it.
+    doc = document(with_value(path, field, value))
+    name, _, index = path.partition("[")
+    section = name if index else "deposits"
+    doc[section].insert(0, {**doc[section][0], "bonus": 1})
+    where = f"{name}[1]" if index else path
+    with pytest.raises(InvalidScenario) as info:
+        scenario_from_dict(doc)
+    problems = str(info.value).split("; ")
+    assert f"unknown keys in {section}[0]: ['bonus']" in problems
+    assert message(where, field, value, lo, hi) in problems
+    assert str(info.value).count(f"{where}.{field} " if where else f"{field} ") == 1
 
 
 def test_optional_field_accepts_none():
@@ -174,3 +226,29 @@ def test_contract_rejects_a_config_out_of_bounds(config, field, value, lo, hi):
 def test_mint_contract_keeps_its_window_order():
     with pytest.raises(ValueError, match=re.escape("open_epoch < close_epoch")):
         MintContract(MintConfig(**{**GOOD[MintConfig], "open_epoch": 100}))
+
+
+def record_paths() -> list[tuple[str, type]]:
+    """(path in base(), class) for Scenario and each record it holds, read
+    off Scenario's annotations; a list's path is its first item's."""
+    out = [("", Scenario)]
+    for name, hint in get_type_hints(Scenario).items():
+        if is_dataclass(hint):
+            out.append((name, hint))
+        elif get_origin(hint) is tuple:
+            out.append((f"{name}[0]", get_args(hint)[0]))
+    return out
+
+
+# A field's annotation -> values of other types: a bool is an int to
+# isinstance, and a list is unhashable.
+WRONG_TYPES = {"int": ["0", True], "int | None": ["0", True], "str": [0, ["alice"]]}
+
+
+@pytest.mark.parametrize("path,field,value", [
+    pytest.param(path, f.name, v, id=f"{path or 'scenario'}.{f.name}={v!r}")
+    for path, cls in record_paths() for f in fields(cls) if f.type in WRONG_TYPES
+    for v in WRONG_TYPES[f.type]
+])
+def test_every_typed_field_rejects_another_type(path, field, value):
+    assert any(v.startswith(path or field) for v in validate(with_value(path, field, value)))

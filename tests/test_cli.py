@@ -90,7 +90,7 @@ class TestRun:
         assert run_cli("run", "--scenario", str(bad), "--out", str(out)) == 1
         assert not out.exists()
         where = section if index is None else f"{section}[{index}]"
-        assert f"{where}.{key} must be an integer, got {value!r}" \
+        assert f"{where}.{key} {value!r} is not an integer" \
             in capsys.readouterr().err
 
     def test_every_type_violation_listed(self, tmp_path, capsys):
@@ -101,9 +101,9 @@ class TestRun:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         assert run_cli("validate", "--scenario", str(bad)) == 1
-        err = capsys.readouterr().err
+        out = capsys.readouterr().out
         for field in ("treasury.fee_bps", "deposits[1].epoch", "horizon"):
-            assert field in err
+            assert field in out
 
     def test_huge_factor_exponent_exit_1_quickly(self, tmp_path, capsys):
         doc = json.loads(sc.golden_scenario_path("honest").read_text())

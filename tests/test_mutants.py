@@ -2,7 +2,8 @@
 
 A mutant is a small wrong version of the code, made by monkeypatching one
 attribute: for ``errors.bound_problems``, the per-class plan it reads
-(``errors._plan``) or the ``type`` it calls; for the keeper,
+(``errors._plan``) or the ``type`` it calls; for the loader, the field
+check on its error path (``scenario._parsed_bound_problems``); for the keeper,
 ``ValidatorWallet.watchdog_shortfall`` or ``BeaconContract.sweep_due``,
 which the driver and the handlers share, or the ``World``'s performance map
 and wallet walk; for segments, the ``World``'s quiet span, its search for
@@ -170,6 +171,16 @@ def fold_scaled_off_by_one(fold_scaled=ledger.fold_scaled):
     return mutant
 
 
+def parsed_items_reindexed(problems=scenario._parsed_bound_problems):
+    """The loader's error path over its lists with the unparsed items dropped,
+    so each item after one is named one index too low."""
+    def mutant(parts):
+        return problems({key: tuple(r for r in part if r is not None)
+                         if type(part) is tuple else part for key, part in parts.items()})
+
+    return mutant
+
+
 def copies_one_stride_behind_after_the_first_chunk(copies=ledger._copies):
     """The segment's column copy, one stride behind in every chunk after the first."""
     def mutant(pieces, fields, first, stop):
@@ -195,6 +206,13 @@ MUTANTS = {
     "none-accepted-when-not-optional": (
         errors, "_plan", plan_with(lambda f, lo, hi, opt: (f, lo, hi, True)),
         lambda: test_bounds.test_validate_rejects("deposits[0]", "amount", None, 1, None)),
+    "loader-error-path-skips-field-check": (
+        scenario, "_parsed_bound_problems", lambda parts: [],
+        test_scenario.TestLoader().test_every_problem_in_a_document_reported),
+    "loader-error-path-reindexes-list-items": (
+        scenario, "_parsed_bound_problems", parsed_items_reindexed(),
+        lambda: test_bounds.test_loader_names_a_rejected_field_once_at_its_index(
+            "deposits[0]", "amount", 0, 1, None)),
     "watchdog-never-due": (
         ValidatorWallet, "watchdog_shortfall", lambda self, state, now: None,
         test_scenario.TestNonPayingRun().test_exit_and_final_payouts_match_oracle),

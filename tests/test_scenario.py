@@ -257,7 +257,7 @@ class TestLoader:
             scenario_from_dict(doc)
         message = str(info.value)
         for needle in ("unknown keys in treasury: ['bonus']",
-                       "mint.open_epoch must be an integer, got False",
+                       "mint.open_epoch False is not an integer >= 0",
                        "deposits[2] must be an object",
                        "seed must be an integer, got None"):
             assert needle in message
