@@ -10,7 +10,8 @@ and wallet walk; for segments, the ``World``'s quiet span, its search for
 the next action, the beacon's ``next_transition``,
 ``ValidatorWallet.quiet_until``, or the ledger's ``fold_scaled`` and column
 copy (``_copies``); for the engine, a treasury helper, a contract's method
-table (``_ops``, with one handler wrapped) or ``World.report``. Each names
+table (``_ops``, with one handler wrapped) or ``World.report``; for the
+fold of the log, its table of per-tag handlers (``explain._Fold._on``). Each names
 one existing test that passes on the real code and must fail under the
 mutant: a check that no mutant fails proves nothing (DeMillo, Lipton &
 Sayward, *Hints on Test Data Selection*, 1978).
@@ -25,6 +26,7 @@ import pytest
 
 import test_bounds
 import test_beacon
+import test_explain
 import test_keeper
 import test_ledger
 import test_mint
@@ -37,6 +39,7 @@ from math import inf
 
 from stakeclaim import errors, ledger, scenario, treasury
 from stakeclaim.beacon import BeaconContract
+from stakeclaim.explain import _Fold
 from stakeclaim.ledger import evolve
 from stakeclaim.scenario import World
 from stakeclaim.treasury import TreasuryContract
@@ -190,6 +193,30 @@ def copies_one_stride_behind_after_the_first_chunk(copies=ledger._copies):
     return mutant
 
 
+def fold_with(tag: str, wrap) -> dict:
+    """The fold's handler table with `tag`'s handler replaced by wrap(handler)."""
+    return {**_Fold._on, tag: wrap(_Fold._on.get(tag))}
+
+
+def settlement_read_as_reward(handler):
+    """The fold's Distributed handler taking a settlement's (fee 0) for a reward's."""
+    def mutant(self, e):
+        self.last = e
+        handler(self, e)
+
+    return mutant
+
+
+def slash_read_as_performance(handler):
+    """The fold's Slashed handler recording the exit as a performance exit."""
+    def mutant(self, e):
+        handler(self, e)
+        j = self.wallet_of[e.payload["id"]]
+        self.exits[j] = (treasury.CAUSE_PERFORMANCE, self.exits[j][1])
+
+    return mutant
+
+
 # name -> (owner, attribute, its mutant, the test that must catch it)
 MUTANTS = {
     "bool-accepted-as-int": (
@@ -273,6 +300,15 @@ MUTANTS = {
     "segment-chunk-one-stride-behind": (
         ledger, "_copies", copies_one_stride_behind_after_the_first_chunk(),
         lambda: test_ledger.TestSegment().test_copies_match_a_naive_reference_and_stepping(7)),
+    "fold-settlement-read-as-reward": (
+        _Fold, "_on", fold_with("Distributed", settlement_read_as_reward),
+        test_explain.test_the_fold_follows_resales_claims_and_both_exit_causes),
+    "fold-transfer-nft-ignored": (
+        _Fold, "_on", fold_with("TransferNft", lambda handler: lambda self, e: None),
+        test_explain.test_the_fold_follows_resales_claims_and_both_exit_causes),
+    "fold-slash-read-as-performance": (
+        _Fold, "_on", fold_with("Slashed", slash_read_as_performance),
+        test_explain.test_an_exit_due_but_not_yet_swept_reads_withdrawable),
 }
 
 
