@@ -311,8 +311,6 @@ class BeaconContract(Handlers):
                 if excess > 0:
                     balances[i] = stake
                     effects.append(Transfer(v.withdrawal_address, excess))
-                    effects.append(Emit("Swept", {"id": v.id, "to": v.withdrawal_address,
-                                                  "amount": excess, "kind": "rewards"}))
                     total += excess
             elif status is ValidatorStatus.WITHDRAWABLE:
                 amount = balances[i]

@@ -75,11 +75,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
-        scenario = load_scenario(args.scenario)
+        violations = validate(load_scenario(args.scenario))
     except InvalidScenario as exc:
-        print(f"invalid scenario: {exc}", file=sys.stderr)
-        return 1
-    violations = validate(scenario)
+        violations = exc.problems
     for v in violations:
         print(v)
     return 0 if not violations else 1

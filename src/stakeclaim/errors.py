@@ -33,7 +33,14 @@ class InvariantViolation(StakeclaimError):
 
 
 class InvalidScenario(StakeclaimError):
-    """A scenario document violates its schema or internal constraints."""
+    """A scenario document violates its schema or internal constraints.
+
+    ``problems`` holds each violation found; the message joins them with "; ".
+    """
+
+    def __init__(self, *problems: str):
+        super().__init__("; ".join(problems))
+        self.problems = problems
 
 
 # --- ledger-level failures -------------------------------------------------

@@ -91,12 +91,9 @@ class _Fold:
             handler(self, e)
         self.last = e
 
-    def accrued(self, token_id: int) -> int:
-        return self.net_total * self.registry[token_id].capital // self.sum_capital
-
     def _count(self, token_id: int, owner: str) -> None:
         """Credit `owner` with what the token earned since its last mark."""
-        total = self.accrued(token_id)
+        total = self.net_total * self.registry[token_id].capital // self.sum_capital
         self.credit[owner] = self.credit.get(owner, 0) + total - self.marks.get(token_id, 0)
         self.marks[token_id] = total
 

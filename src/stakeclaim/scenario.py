@@ -9,7 +9,9 @@ fresh ledger, executes epochs 0..horizon, and returns a
 Every epoch executes the same fixed sub-step order:
 
 1. beacon accrual (activations and exit maturation first),
-   then any slashes scheduled for this epoch; the performance map sent
+   then any slashes scheduled for this epoch; accrual and the sweep are
+   sent only while some validator is not yet Withdrawn, a terminal status
+   after which neither could move anything; the performance map sent
    to the accrual is rebuilt only at an epoch where some window starts or
    ends, or when the beacon has a new validator id, since no factor can
    change otherwise, and in between the same map is sent again
@@ -54,8 +56,8 @@ treasury's balance and the minted total rise by the same step each epoch,
 the wallets' windows slide, and the beacon's state is unchanged. The
 segment's states are closed forms (``ValidatorWallet.advance``,
 ``TreasuryContract.advance``) and its log lines are epoch e's own with
-``epoch``, ``seq``, ``RewardReceived.epoch`` and ``Distributed.net_total``
-advanced by fixed strides (``Ledger.advance_segment``, which first checks
+``epoch``, ``seq`` and ``Distributed.net_total`` advanced by fixed
+strides (``Ledger.advance_segment``, which first checks
 that epoch e-1's lines advance to epoch e's, and steps on if not). The
 log, every report and the replay are byte for byte those of stepping.
 
@@ -122,7 +124,7 @@ def wallet_name(index: int) -> str:
 # and visits each every epoch.
 VALIDATORS_MAX = 1024
 # Bound on horizon (and on `stakeclaim run --epochs`): a run logs about
-# 1.6 kB per epoch per validator, including the quiet epochs it advances as
+# 1.1 kB per epoch per validator, including the quiet epochs it advances as
 # segments; the benchmark's long workload runs 10,000 epochs.
 HORIZON_MAX = 100_000
 
@@ -277,7 +279,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if missing:
         problems.append(f"missing keys in scenario: {sorted(missing)}")
     if problems:
-        raise InvalidScenario("; ".join(problems))
+        raise InvalidScenario(*problems)
     parts = dict(
         treasury=_record(doc["treasury"], "treasury", TreasurySpec, problems),
         mint=_record(doc["mint"], "mint", MintSpec, problems),
@@ -291,7 +293,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if type(doc["seed"]) is not int:
         problems.append(f"scenario.seed must be an integer, got {doc['seed']!r}")
     if problems:
-        raise InvalidScenario("; ".join(problems + _parsed_bound_problems(parts)))
+        raise InvalidScenario(*problems, *_parsed_bound_problems(parts))
     return Scenario(**parts)
 
 
@@ -559,6 +561,13 @@ class RunReport:
 
 # --- the world ----------------------------------------------------------------------
 
+def _accruing(validators) -> bool:
+    """True while the beacon has a validator not yet Withdrawn, a terminal
+    status: until then steps (1) and (2) call the beacon, and after it no
+    accrual or sweep can move anything."""
+    return any(v.status is not ValidatorStatus.WITHDRAWN for v in validators)
+
+
 class World:
     """One wired-up arrangement plus the driver that advances it. It trusts a
     scenario that passed :func:`validate`, which :func:`run` and the CLI run first."""
@@ -690,8 +699,10 @@ class World:
         e = led.epoch
         actions = self._action_epochs
         i = bisect_left(actions, e)     # an action at e would be repeated with its lines
-        end = min(s.horizon + 1, self._perf_until, actions[i] if i < len(actions) else inf,
-                  next_transition(led.contract_state(BEACON), e))
+        bst = led.contract_state(BEACON)
+        # A window edge matters only while step (1) sends the performance map.
+        end = min(s.horizon + 1, self._perf_until if _accruing(bst.validators) else inf,
+                  actions[i] if i < len(actions) else inf, next_transition(bst, e))
         for w, _ in self._live:
             if end <= e + 1:
                 return 0
@@ -705,6 +716,8 @@ class World:
     def _advance_segment(self, k: int, n: int) -> None:
         """Advance the k quiet epochs after the current one, whose n events it
         repeats, in closed form (``Ledger.advance_segment``), then audit.
+        Once every validator is Withdrawn and every wallet settled, an epoch
+        logs nothing, and n is 0.
 
         Each epoch, every Active wallet's validator earns what it forwarded
         in the current epoch: the beacon mints it and sweeps it to the
@@ -757,7 +770,8 @@ class World:
 
         # (1) accrual, then scheduled slashes
         validators = led.contract_state(BEACON).validators
-        if validators:
+        accruing = _accruing(validators)
+        if accruing:
             led.call(SYSTEM, BEACON, "accrue_epoch",
                      {"performance": self._performance(e, len(validators))})
         for sl in slashes_at.get(e, ()):
@@ -771,7 +785,7 @@ class World:
                           "fraction_bps": sl.fraction_bps})
 
         # (2) sweep, on the sweep period grid only
-        if validators and self._sweep_due(e):
+        if accruing and self._sweep_due(e):
             led.call(SYSTEM, BEACON, "sweep", {})
 
         # (3) reward forwarding, only from wallets that hold something; the
@@ -976,5 +990,5 @@ def run(scenario: Scenario) -> RunReport:
     """Validate, wire, and execute one scenario."""
     violations = validate(scenario)
     if violations:
-        raise InvalidScenario("; ".join(violations))
+        raise InvalidScenario(*violations)
     return World(scenario).run()

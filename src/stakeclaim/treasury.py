@@ -311,12 +311,7 @@ class TreasuryContract(Handlers):
                                       j: state.rewards_received.get(j, 0) + msg.value},
                     operator_fees_accrued=state.operator_fees_accrued + fee,
                     net_total=state.net_total + msg.value - fee)
-        effects = [
-            Emit("RewardReceived", {"validator_index": j, "epoch": ctx.epoch,
-                                    "amount": msg.value}),
-            _distributed(msg.value, fee, st.net_total),
-        ]
-        return st, effects, None
+        return st, [_distributed(msg.value, fee, st.net_total)], None
 
     def advance(self, state: TreasuryState, receipts: dict[str, int], k: int) -> TreasuryState:
         """The state after k epochs in each of which every wallet of

@@ -134,10 +134,7 @@ class ValidatorWallet(Handlers):
         window = {e: r for e, r in state.reward_window.items() if e >= cutoff}
         window[now] = window.get(now, 0) + amount
         st = evolve(state, reward_window=window)
-        effects = []
-        if amount > 0:
-            effects.append(Emit("RewardsForwarded", {"amount": amount}))
-            effects.append(Call(cfg.treasury, "receive_rewards", {}, value=amount))
+        effects = [Call(cfg.treasury, "receive_rewards", {}, value=amount)] if amount > 0 else []
         return st, effects, amount
 
     # --- the watchdog -------------------------------------------------------------

@@ -114,7 +114,8 @@ def record_distributions(world: World) -> list[tuple]:
     For each committed call that logged a Distributed event or moved the
     treasury's cumulative net N, keeps (trigger tags, Distributed payloads,
     {token: accrued credit}, dust) read from the committed treasury state
-    right after the call.
+    right after the call. A receipt's trigger is the wallet's Call to
+    receive_rewards, a settlement's its ExitSettled event.
     """
     led = world.ledger
     inner = led.call
@@ -134,8 +135,8 @@ def record_distributions(world: World) -> list[tuple]:
         dists = [e.payload for e in logged if e.tag == "Distributed"]
         tst = led.contract_state(TREASURY)
         if dists or tst.net_total != n_before:
-            triggers = [e.tag for e in logged
-                        if e.tag in ("RewardReceived", "ExitSettled")]
+            triggers = [e.payload.get("method", e.tag) for e in logged if e.tag == "ExitSettled"
+                        or (e.tag == "Call" and e.payload["method"] == "receive_rewards")]
             steps.append((triggers, dists,
                           {t: accrued(tst, t) for t in tst.registry}, dust_of(tst)))
         return result
@@ -155,8 +156,15 @@ def test_criterion_1_operator_fee_equation(corpus):
     for s, world, report, _ in runs:
         fee_bps = s.treasury.fee_bps
         r_total = sum(v.rewards_received for v in report.validators)
-        receipt_count = sum(
-            1 for e in logged_events(world.ledger) if e.tag == "RewardReceived")
+        # Each receipt's Distributed follows the wallet's Call to
+        # receive_rewards and the Transfer it carries.
+        events = logged_events(world.ledger)
+        receipts = [dist.payload for call, dist in zip(events, events[2:])
+                    if call.tag == "Call" and call.payload["method"] == "receive_rewards"]
+        receipt_count = len(receipts)
+        assert sum(p["amount"] for p in receipts) == r_total
+        assert sum(p["fee"] for p in receipts) \
+            == report.operator_fees_claimed + report.operator_fees_accrued
         paid = report.operator_fees_claimed
         if report.operator_fees_accrued > 0:
             paid += world.ledger.call(OPERATOR, TREASURY, "claim_operator_fees", {})
@@ -188,7 +196,7 @@ def test_criterion_2_holder_share_equation(corpus):
         token_order = sorted(tst.registry)
         capitals = [tst.registry[t].capital for t in token_order]
 
-        stream = [(dists[0]["amount"], triggers == ["RewardReceived"])
+        stream = [(dists[0]["amount"], triggers == ["receive_rewards"])
                   for triggers, dists, _, _ in steps]
         o_fees, o_reward, o_settle, o_dust, o_steps = replay_mixed(
             stream, capitals, s.treasury.fee_bps)
@@ -207,7 +215,7 @@ def test_criterion_2_holder_share_equation(corpus):
             assert p["fee"] + sum(step) + (dust - prev_dust) == p["amount"]
             # per-token, per-distribution equality with the oracle
             assert (p["fee"], step, dust) == (o_fee, o_shares, o_dust_after)
-            if triggers == ["RewardReceived"]:
+            if triggers == ["receive_rewards"]:
                 receipts.append(p["amount"])
             prev, prev_dust = now, dust
         if not receipts:

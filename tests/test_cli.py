@@ -298,5 +298,27 @@ class TestValidateCommand:
             "slashes[0].validator 9 is not an integer in 0..1",
             "mint window invalid: open 5, close 2"]
 
-    def test_unreadable_file_exit_1(self, tmp_path):
-        assert run_cli("validate", "--scenario", str(tmp_path / "missing.json")) == 1
+    def test_shape_problems_listed_on_stdout_exit_1(self, tmp_path, capsys):
+        # A document of the wrong shape is listed like any other: one
+        # problem a line, on stdout, the bound problems of what parsed included.
+        doc = json.loads(sc.golden_scenario_path("honest").read_text())
+        doc["treasury"]["bonus"] = 1
+        doc["deposits"].append("alice")
+        doc["horizon"] = 30.0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("validate", "--scenario", str(bad)) == 1
+        listed = capsys.readouterr()
+        assert listed.err == ""
+        assert listed.out.splitlines() == [
+            "unknown keys in treasury: ['bonus']",
+            "deposits[2] must be an object",
+            f"horizon 30.0 is not an integer in 0..{sc.scenario.HORIZON_MAX}"]
+
+    def test_unreadable_file_exit_1(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert run_cli("validate", "--scenario", str(missing)) == 1
+        listed = capsys.readouterr()
+        assert listed.err == ""
+        assert [line.startswith(f"cannot read scenario {missing}: ")
+                for line in listed.out.splitlines()] == [True]

@@ -194,7 +194,7 @@ def test_the_report_makes_no_copy_of_the_log():
     # whole log is ever alive. The last batch is flushed before tracing
     # starts, so only the report's own allocations are traced.
     scenario = sc.load_scenario(sc.golden_scenario_path("honest"))
-    world = World(dataclasses.replace(scenario, horizon=1000))
+    world = World(dataclasses.replace(scenario, horizon=1500))
     report_of = world.report
     peaks = []
 

@@ -219,7 +219,12 @@ def test_the_sweep_is_called_on_its_grid_only():
 def test_the_watchdog_is_poked_only_to_exit():
     report = sc.run(sc.load_scenario(sc.golden_scenario_path("nonpaying")))
     assert pokes(report, "watchdog_check") == [17]
-    assert pokes(report, "sweep") == list(range(1, report.final_epoch + 1))
+    # Accrual and the sweep run every epoch until the validator is
+    # Withdrawn, and never after: then they could move nothing.
+    withdrawn = pokes(report, "on_exit_swept")
+    assert withdrawn == [20] and report.final_epoch > 20
+    for method in ("accrue_epoch", "sweep"):
+        assert pokes(report, method) == list(range(1, withdrawn[0] + 1))
 
 
 def at_threshold(expected: int) -> Scenario:

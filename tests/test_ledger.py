@@ -473,6 +473,21 @@ class TestSegment:
         assert (led.epoch, led.event_count) == (2, 8)
 
 
+    def test_epochs_that_log_nothing_advance_as_a_segment(self):
+        # n = 0: each epoch repeats an epoch of no lines, so a segment only
+        # moves the clock, in chunks of EVENT_BATCH epochs.
+        led, stepped = fresh_ledger(user=5), fresh_ledger(user=5)
+        for each in (led, stepped):
+            each.add_epoch_hook(lambda: None)
+            each.advance_epoch()
+            each.advance_epoch()
+        assert led.advance_segment(10_000, 0, {}, {}, {}, 0)
+        for _ in range(10_000):
+            stepped.advance_epoch()
+        assert led.epoch == 10_002
+        assert ledger_state(led) == ledger_state(stepped)
+
+
 class TestConservation:
     def test_supply_identity_after_activity(self):
         led = dispatch_ledger()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from itertools import zip_longest
 
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
@@ -65,6 +66,14 @@ def ledger_state(world: World) -> tuple:
             led._balances, led._states, replay)
 
 
+def first_difference(log: str, reference: str) -> str:
+    """The first line at which two different logs part."""
+    for i, (a, b) in enumerate(zip_longest(log.splitlines(), reference.splitlines())):
+        if a != b:
+            return f"line {i}: {a!r} != {b!r}"
+    return "the logs differ after their last newline"
+
+
 def assert_segments_match_the_reference(scenario: Scenario) -> list[tuple[int, int]]:
     """Run `scenario` with segments and stepped; both must agree. Returns the segments."""
     world = World(scenario)
@@ -72,7 +81,10 @@ def assert_segments_match_the_reference(scenario: Scenario) -> list[tuple[int, i
     report = world.run()
     reference_world = SteppedWorld(scenario)
     reference = reference_world.run()
-    assert report.events_jsonl == reference.events_jsonl
+    # Compared first, then reported by the first differing line: asserting
+    # the == itself would have pytest diff two whole logs.
+    same = report.events_jsonl == reference.events_jsonl
+    assert same, first_difference(report.events_jsonl, reference.events_jsonl)
     assert report.to_dict() == reference.to_dict()
     assert report.replay_ok and report.conservation_ok
     assert ledger_state(world) == ledger_state(reference_world)
@@ -83,6 +95,22 @@ def test_goldens_match_the_stepped_reference():
     for name in sc.GOLDEN_SCENARIOS:
         assert assert_segments_match_the_reference(
             sc.load_scenario(sc.golden_scenario_path(name)))
+
+
+@pytest.mark.parametrize("edge", [None, 20])
+def test_epochs_after_the_last_settlement_log_nothing_and_form_one_segment(edge):
+    # Once every validator is Withdrawn the keeper calls no contract, so
+    # the slashed golden logs nothing after its settlement at epoch 13:
+    # epoch 14 steps, and the rest is one segment of zero-line epochs, even
+    # across a window edge, as no performance map is sent any more.
+    s = sc.load_scenario(sc.golden_scenario_path("slashed"))
+    if edge is not None:
+        s = replace(s, operator_schedule=(BehaviorWindow(0, 1.0, edge),
+                                          BehaviorWindow(edge, 0.5)))
+    spans = assert_segments_match_the_reference(s)
+    assert spans[-1] == (15, s.horizon)
+    log = sc.run(s).events_jsonl
+    assert log.splitlines()[-1].startswith('{"epoch":13,')
 
 
 def test_acceptance_corpus_matches_the_stepped_reference():
@@ -206,8 +234,10 @@ def test_any_batch_size_gives_the_same_log_across_segments(batch, monkeypatch):
     assert spans == [(7, 149), (153, 600)]
     assert report.events_jsonl == reference.events_jsonl
     assert report.to_dict() == reference.to_dict()
-    # At most one batch at a time, or one epoch's 20 lines when that is more.
-    assert max(chunks) == max(ledger.EVENT_BATCH // 20 * 20, 20)
+    # At most one batch at a time, or one epoch's n lines when that is more.
+    n = report.events_jsonl.count('{"epoch":600,')
+    assert n > 0
+    assert max(chunks) == max(ledger.EVENT_BATCH // n * n, n)
 
 
 def test_segments_end_before_each_beacon_transition():

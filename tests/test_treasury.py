@@ -159,13 +159,20 @@ class TestClaims:
         amounts = [1000, 777, 31, 4999, 12, 1000]
         for a in amounts:
             receive(w, a)
-        receipts = [e.payload["amount"] for e in logged_events(w.ledger)
-                    if e.tag == "RewardReceived"]
-        assert receipts == amounts
-        assert sum(receipts) == w.treasury_state.rewards_received[0]
+        # A receipt is the Transfer right after a wallet's Call to
+        # receive_rewards; the Distributed that follows carries its fee.
+        events = logged_events(w.ledger)
+        receipts = [(moved.payload["amount"], dist) for call, moved, dist
+                    in zip(events, events[1:], events[2:])
+                    if call.tag == "Call" and call.payload["method"] == "receive_rewards"]
+        assert [amount for amount, _ in receipts] == amounts
+        assert all(d.tag == "Distributed" and d.payload["amount"] == amount
+                   for amount, d in receipts)
+        assert sum(amounts) == w.treasury_state.rewards_received[0]
         fees, _, _, _ = replay_split(amounts, [40, 24], 1000)
         paid = w.ledger.call(OPERATOR, TREASURY, "claim_operator_fees", {})
-        assert paid == fees == sum((a * 1000) // 10_000 for a in amounts)
+        assert paid == fees == sum(d.payload["fee"] for _, d in receipts) \
+            == sum((a * 1000) // 10_000 for a in amounts)
         assert w.treasury_state.operator_fees_accrued == 0
         # bounded against the real-valued formula: |paid - R*F| < receipt count
         exact = sum(amounts) * 1000 / 10_000
