@@ -19,7 +19,7 @@ from .errors import (
     StakeclaimError,
 )
 from .ledger import AddressKind, Event, Ledger, replay_balances
-from .mint import MintConfig, MintContract, NftRecord
+from .mint import MintContract, MintSpec
 from .scenario import (
     RunReport,
     Scenario,
@@ -30,12 +30,13 @@ from .scenario import (
     validate,
 )
 from .treasury import (
+    NftRecord,
     Phase,
-    TreasuryConfig,
     TreasuryContract,
+    TreasurySpec,
     balance_identity,
 )
-from .wallet import ValidatorWallet, WalletConfig, WalletStatus
+from .wallet import ValidatorWallet, WalletStatus
 
 __version__ = "0.1.0"
 
@@ -60,18 +61,17 @@ __all__ = [
     "InvariantViolation",
     "Ledger",
     "LedgerError",
-    "MintConfig",
     "MintContract",
+    "MintSpec",
     "NftRecord",
     "Phase",
     "RunReport",
     "Scenario",
     "StakeclaimError",
-    "TreasuryConfig",
     "TreasuryContract",
+    "TreasurySpec",
     "ValidatorStatus",
     "ValidatorWallet",
-    "WalletConfig",
     "WalletStatus",
     "World",
     "balance_identity",

@@ -9,8 +9,9 @@ Two subcommands::
 output directory. Exit codes: 0 success, 1 invalid input or usage, 2 an
 invariant violation was detected during the run (details on stderr); on
 exit 2 events.jsonl holds the log committed up to the failing epoch's
-audit, and there is no report.json or report.csv. Output is byte-stable
-for identical inputs.
+audit, and there is no report.json or report.csv. Both commands list a
+scenario's problems one a line, the same lines: ``validate`` on stdout,
+``run`` on stderr. Output is byte-stable for identical inputs.
 
 The STAKECLAIM_LOG environment variable controls stdout verbosity:
 ``quiet`` (default) prints nothing on success, ``events`` prints the event
@@ -33,10 +34,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     log_mode = os.environ.get("STAKECLAIM_LOG", "quiet")
     try:
         scenario = load_scenario(args.scenario)
-    except InvalidScenario as exc:
-        print(f"invalid scenario: {exc}", file=sys.stderr)
-        return 1
-    violations = validate(scenario)
+        violations = validate(scenario)
+    except InvalidScenario as exc:      # the document's shape, as validate lists it
+        violations = exc.problems
     if violations:
         for v in violations:
             print(v, file=sys.stderr)

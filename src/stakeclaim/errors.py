@@ -12,10 +12,10 @@ in the machine itself (a conservation or accounting identity broke) and is
 never caught by the dispatcher.
 
 Each integer bound is declared once, on its dataclass field, with
-:func:`bounded` (or :func:`bounded_as`): an int, never a bool, in lo..hi.
-:func:`bound_problems` checks the declarations, and is the only type check
-of a bounded scenario field: ``scenario.validate`` lists what it finds, and
-each contract constructor raises it as ValueError through :func:`checked`.
+:func:`bounded`: an int, never a bool, in lo..hi. :func:`bound_problems`
+checks the declarations, and is the only type check of a bounded scenario
+field: ``scenario.validate`` lists what it finds, and each contract
+constructor raises it as ValueError (:func:`checked`) on the same records.
 """
 
 from __future__ import annotations
@@ -168,11 +168,6 @@ def bounded(lo: int, hi: int | str | None = None, **kwargs):
     return field(metadata={"bounds": (lo, hi)}, **kwargs)
 
 
-def bounded_as(cls, name: str):
-    """A dataclass field bounded as dataclass `cls`'s field `name` is."""
-    return field(metadata=cls.__dataclass_fields__[name].metadata)
-
-
 @cache
 def _plan(cls) -> tuple[tuple[str, int, int | str | None, bool], ...]:
     """(field, lo, hi, may be None) for each bounded field of `cls`."""
@@ -204,8 +199,8 @@ def bound_problems(records, where: str, limits: dict | None = None) -> dict[str,
     return out
 
 
-def checked(config):
-    """`config`, or a ValueError naming each field out of its declared bounds."""
-    if problems := bound_problems(config, type(config).__name__):
+def checked(record):
+    """`record`, or a ValueError naming each field out of its declared bounds."""
+    if problems := bound_problems(record, type(record).__name__):
         raise ValueError("; ".join(problems.values()))
-    return config
+    return record

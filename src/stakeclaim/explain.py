@@ -45,16 +45,14 @@ from collections.abc import Iterable
 
 from .beacon import ValidatorStatus
 from .ledger import Event, ReplayResult, replay_balances
-from .mint import NftRecord
-from .scenario import BEACON, MINT, OPERATOR, SYSTEM, TREASURY, wallet_name
-from .treasury import CAUSE_PERFORMANCE, CAUSE_SLASHED, Phase, split_credits
+from .scenario import RESERVED, TREASURY, wallet_name
+from .treasury import CAUSE_PERFORMANCE, CAUSE_SLASHED, NftRecord, Phase, split_credits
 
-_RESERVED = frozenset((SYSTEM, OPERATOR, MINT, TREASURY, BEACON))
 _REPLAYED = frozenset(("SupplyMint", "SupplyBurn", "Transfer"))
 
 
 def _is_holder(name: str) -> bool:
-    return name not in _RESERVED and not name.startswith("wallet:")
+    return name not in RESERVED and not name.startswith("wallet:")
 
 
 class _Fold:

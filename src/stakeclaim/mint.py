@@ -17,26 +17,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .beacon import BeaconParams
 from .errors import BelowMinimum, ExceedsCapacity, MintClosed, NotOwner, UnknownToken, WrongStatus, bounded, checked
 from .ledger import Call, CallContext, Emit, Handlers, Msg, Transfer, evolve
+from .treasury import TreasurySpec
 
 
 @dataclass(frozen=True)
-class MintConfig:
-    treasury: str
+class MintSpec:
+    """The raise's window [open_epoch, close_epoch) and smallest contribution."""
+
     min_contribution: int = bounded(1)
-    target_total: int = bounded(1)
     open_epoch: int = bounded(0)
     close_epoch: int = bounded(1)
-
-
-@dataclass(frozen=True)
-class NftRecord:
-    """One minted share: who owns it and how much capital it represents."""
-
-    token_id: int
-    owner: str
-    capital: int
 
 
 @dataclass
@@ -52,33 +45,37 @@ class MintContract(Handlers):
 
     kind = "mint"
 
-    def __init__(self, config: MintConfig):
-        self.config = checked(config)
-        if config.open_epoch >= config.close_epoch:
-            raise ValueError(f"MintConfig needs open_epoch < close_epoch, got "
-                             f"{config.open_epoch} and {config.close_epoch}")
+    def __init__(self, spec: MintSpec, terms: TreasurySpec, params: BeaconParams,
+                 *, treasury: str):
+        self.spec = checked(spec)
+        if spec.open_epoch >= spec.close_epoch:
+            raise ValueError(f"MintSpec needs open_epoch < close_epoch, got "
+                             f"{spec.open_epoch} and {spec.close_epoch}")
+        # One stake requirement per validator: exactly what the treasury stakes.
+        self.target = checked(params).stake_requirement * checked(terms).validators
+        self.treasury = treasury
 
     def initial_state(self) -> MintState:
         return MintState()
 
     def _op_mint(self, state: MintState, msg: Msg, ctx: CallContext):
         """Exchange the attached value for a new token; returns the token id."""
-        cfg = self.config
-        if state.aborted or not (cfg.open_epoch <= ctx.epoch < cfg.close_epoch):
+        spec = self.spec
+        if state.aborted or not (spec.open_epoch <= ctx.epoch < spec.close_epoch):
             raise MintClosed(f"mint not open at epoch {ctx.epoch}")
-        if state.minted_total + msg.value > cfg.target_total:
+        if state.minted_total + msg.value > self.target:
             raise ExceedsCapacity(
-                f"{msg.value} would overshoot target {cfg.target_total} "
+                f"{msg.value} would overshoot target {self.target} "
                 f"(minted {state.minted_total}); rejected whole")
-        if msg.value < cfg.min_contribution:
-            raise BelowMinimum(f"contribution {msg.value} below minimum {cfg.min_contribution}")
+        if msg.value < spec.min_contribution:
+            raise BelowMinimum(f"contribution {msg.value} below minimum {spec.min_contribution}")
         token_id = state.next_token_id
         st = evolve(state, owners={**state.owners, token_id: msg.caller},
                     minted_total=state.minted_total + msg.value,
                     next_token_id=token_id + 1)
         effects = [
-            Transfer(cfg.treasury, msg.value),
-            Call(cfg.treasury, "register_nft",
+            Transfer(self.treasury, msg.value),
+            Call(self.treasury, "register_nft",
                  {"token_id": token_id, "owner": msg.caller, "capital": msg.value}),
             Emit("Mint", {"token_id": token_id, "owner": msg.caller,
                           "capital": msg.value}),
@@ -103,7 +100,7 @@ class MintContract(Handlers):
             return state, [], None
         st = evolve(state, owners={**state.owners, token_id: to})
         effects = [
-            Call(self.config.treasury, "update_owner",
+            Call(self.treasury, "update_owner",
                  {"token_id": token_id, "from": owner, "to": to}),
             Emit("TransferNft", {"token_id": token_id, "from": owner, "to": to}),
         ]
@@ -111,16 +108,16 @@ class MintContract(Handlers):
 
     def _op_abort(self, state: MintState, msg: Msg, ctx: CallContext):
         """Refund everyone after an under-filled window. Permissionless."""
-        cfg = self.config
+        close = self.spec.close_epoch
         if state.aborted:
             raise WrongStatus("mint already aborted")
-        if state.minted_total == cfg.target_total:
+        if state.minted_total == self.target:
             raise WrongStatus("mint filled; nothing to abort")
-        if ctx.epoch < cfg.close_epoch:
-            raise WrongStatus(f"window still open until epoch {cfg.close_epoch}")
+        if ctx.epoch < close:
+            raise WrongStatus(f"window still open until epoch {close}")
         st = evolve(state, aborted=True)
         effects = [
-            Call(cfg.treasury, "abort_refund", {}),
+            Call(self.treasury, "abort_refund", {}),
             Emit("MintAborted", {"refunded": st.minted_total}),
         ]
         return st, effects, st.minted_total

@@ -80,12 +80,12 @@ document is reported, not just the first. Claim and token-transfer schedules
 exist only on the in-code :class:`Scenario` for tests and demos, not in
 the file format.
 
-Each integer bound is declared once, on its field (``errors.bounded``); a
-field that mirrors a contract config field takes that field's declaration
-(``errors.bounded_as``), and ``beacon`` is the beacon's own
-:class:`BeaconParams`. So :func:`validate` and the contract constructors'
-guards check the same declarations. Epochs are bounded by ``horizon`` and
-validator indices by ``treasury.validators``.
+Each integer bound is declared once, on its field (``errors.bounded``).
+The sections ``treasury``, ``mint`` and ``beacon`` are the very records
+the contracts read (``TreasurySpec``, ``MintSpec``, :class:`BeaconParams`),
+so :func:`validate` and the contract constructors' guards check the same
+declarations. Epochs are bounded by ``horizon`` and validator indices by
+``treasury.validators``.
 """
 
 from __future__ import annotations
@@ -101,17 +101,19 @@ from math import inf
 from pathlib import Path
 
 from .beacon import BeaconContract, BeaconParams, ValidatorStatus, exact_factor, next_transition, validator_by_id
-from .errors import ContractError, InvalidScenario, InvariantViolation, bound_problems, bounded, bounded_as
+from .errors import ContractError, InvalidScenario, InvariantViolation, bound_problems, bounded
 from .ledger import Ledger, replay_balances  # noqa: F401  (scenario.replay_balances stays importable)
-from .mint import MintConfig, MintContract
-from .treasury import Phase, TreasuryConfig, TreasuryContract, balance_identity, claimable_of
-from .wallet import ValidatorWallet, WalletConfig, WalletStatus
+from .mint import MintContract, MintSpec
+from .treasury import Phase, TreasuryContract, TreasurySpec, balance_identity, claimable_of
+from .wallet import ValidatorWallet, WalletStatus
 
 SYSTEM = "system"
 OPERATOR = "operator"
 MINT = "mint"
 TREASURY = "treasury"
 BEACON = "beacon"
+# The fixed addresses of every World; no holder may take one.
+RESERVED = frozenset((SYSTEM, OPERATOR, MINT, TREASURY, BEACON))
 
 
 def wallet_name(index: int) -> str:
@@ -120,29 +122,10 @@ def wallet_name(index: int) -> str:
 
 # --- scenario description ----------------------------------------------------
 
-# Bound on treasury.validators: a World registers one wallet per validator
-# and visits each every epoch.
-VALIDATORS_MAX = 1024
 # Bound on horizon (and on `stakeclaim run --epochs`): a run logs about
 # 1.1 kB per epoch per validator, including the quiet epochs it advances as
 # segments; the benchmark's long workload runs 10,000 epochs.
 HORIZON_MAX = 100_000
-
-
-@dataclass(frozen=True)
-class TreasurySpec:
-    fee_bps: int = bounded_as(TreasuryConfig, "fee_bps")
-    expected_reward_per_epoch: int = bounded_as(WalletConfig, "expected_reward_per_epoch")
-    grace_epochs: int = bounded_as(WalletConfig, "grace_epochs")
-    escrow_required: int = bounded_as(TreasuryConfig, "escrow_required")
-    validators: int = bounded(1, VALIDATORS_MAX)
-
-
-@dataclass(frozen=True)
-class MintSpec:
-    min_contribution: int = bounded_as(MintConfig, "min_contribution")
-    open_epoch: int = bounded_as(MintConfig, "open_epoch")
-    close_epoch: int = bounded_as(MintConfig, "close_epoch")
 
 
 @dataclass(frozen=True)
@@ -202,10 +185,6 @@ class Scenario:
     horizon: int = bounded(0, HORIZON_MAX)
     claims: tuple[ClaimAction, ...] = ()
     nft_transfers: tuple[NftTransferAction, ...] = ()
-
-    @property
-    def target_total(self) -> int:
-        return self.beacon.stake_requirement * self.treasury.validators
 
     @cached_property
     def holder_names(self) -> frozenset:
@@ -321,9 +300,6 @@ def load_scenario(path: str | Path) -> Scenario:
 
 # --- semantic validation ----------------------------------------------------------
 
-_RESERVED = {SYSTEM, OPERATOR, MINT, TREASURY, BEACON}
-
-
 def _by_epoch(actions) -> dict[int, tuple]:
     """epoch -> the actions scheduled for it, in their original order."""
     out: dict[int, list] = {}
@@ -368,7 +344,7 @@ def parse_factor(factor) -> int | Fraction:
 
 
 def _is_holder_name(h) -> bool:
-    return type(h) is str and h != "" and h not in _RESERVED and not h.startswith("wallet:")
+    return type(h) is str and h != "" and h not in RESERVED and not h.startswith("wallet:")
 
 
 def _holder_problems(s: Scenario) -> list[str]:
@@ -574,7 +550,6 @@ class World:
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.m = scenario.treasury.validators
         self.ledger = Ledger()
         led = self.ledger
 
@@ -596,29 +571,17 @@ class World:
         beacon = BeaconContract(b, driver=SYSTEM)
         led.register_contract(BEACON, beacon, issuer=True)
 
+        # Every contract reads the scenario's own records; only the addresses are added.
         t = scenario.treasury
-        self.wallets = wallets = tuple(wallet_name(j) for j in range(self.m))
+        self.wallets = wallets = tuple(wallet_name(j) for j in range(t.validators))
         keepers = []
         self._wallet_of = {}
         for w in wallets:
-            wallet = self._wallet_of[w] = ValidatorWallet(WalletConfig(
-                self_address=w,
-                treasury=TREASURY,
-                beacon=BEACON,
-                operator=OPERATOR,
-                stake_requirement=b.stake_requirement,
-                expected_reward_per_epoch=t.expected_reward_per_epoch,
-                grace_epochs=t.grace_epochs,
-            ))
+            wallet = self._wallet_of[w] = ValidatorWallet(
+                t, b, address=w, treasury=TREASURY, beacon=BEACON, operator=OPERATOR)
             led.register_contract(w, wallet)
             keepers.append((w, wallet.watchdog_shortfall))
-        self._treasury = TreasuryContract(TreasuryConfig(
-            fee_bps=t.fee_bps,
-            operator=OPERATOR,
-            escrow_required=t.escrow_required,
-            stake_requirement=b.stake_requirement,
-            mint=MINT,
-        ), validators=wallets)
+        self._treasury = TreasuryContract(t, b, wallets, operator=OPERATOR, mint=MINT)
         led.register_contract(TREASURY, self._treasury)
         # The keeper's read-only predicates: each handler's own, read on
         # committed state, so a poke is sent only when it would act.
@@ -626,16 +589,11 @@ class World:
         self._watchdogs = tuple(keepers)
         # Steps (3)-(5) walk only the wallets not yet Withdrawn, a terminal status.
         self._live = self._watchdogs
-        led.register_contract(MINT, MintContract(MintConfig(
-            treasury=TREASURY,
-            min_contribution=scenario.mint.min_contribution,
-            target_total=scenario.target_total,
-            open_epoch=scenario.mint.open_epoch,
-            close_epoch=scenario.mint.close_epoch,
-        )))
+        self._mint = MintContract(scenario.mint, t, b, treasury=TREASURY)
+        led.register_contract(MINT, self._mint)
 
         # Each validator's windows, in schedule order, with factors parsed once.
-        self._windows: list[list[tuple]] = [[] for _ in range(self.m)]
+        self._windows: list[list[tuple]] = [[] for _ in wallets]
         for w in scenario.operator_schedule:
             window = (w.from_epoch, w.to_epoch, w.exact_factor)
             for j, windows in enumerate(self._windows):
@@ -822,7 +780,7 @@ class World:
         mst = led.contract_state(MINT)
         if (led.contract_state(TREASURY).phase is Phase.FUNDRAISING
                 and not mst.aborted and e >= s.mint.close_epoch
-                and mst.minted_total < s.target_total):
+                and mst.minted_total < self._mint.target):
             led.call(SYSTEM, MINT, "abort", {})
         for d in deposits_at.get(e, ()):
             self._try(d.holder, MINT, "mint", {}, value=d.amount, action="mint")
@@ -834,7 +792,7 @@ class World:
         mst = led.contract_state(MINT)
         tst = led.contract_state(TREASURY)
         if (tst.phase is Phase.FUNDRAISING and not mst.aborted
-                and mst.minted_total == s.target_total
+                and mst.minted_total == self._mint.target
                 and tst.escrow_balance >= s.treasury.escrow_required):
             led.call(SYSTEM, TREASURY, "stake_all", {})
 
@@ -959,8 +917,7 @@ class World:
         # The ledger folded every flushed batch as it committed; this folds the rest.
         replay = led.flush()
         # Log totals vs the counters: replayed balances sum to minted - burned by construction.
-        names = (set(replay.balances) | set(self.holders) | set(self.wallets)
-                 | {SYSTEM, OPERATOR, MINT, TREASURY, BEACON})
+        names = set(replay.balances) | set(self.holders) | set(self.wallets) | RESERVED
         replay_ok = (replay.minted == led.minted_total
                      and replay.burned == led.burned_total
                      and all(replay.balances.get(n, 0) == led.balance_of(n) for n in names))

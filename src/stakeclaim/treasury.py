@@ -68,11 +68,9 @@ from .errors import (
     WrongPhase,
     WrongStatus,
     bounded,
-    bounded_as,
     checked,
 )
 from .ledger import Call, CallContext, Emit, Handlers, Msg, Transfer, evolve
-from .mint import NftRecord
 
 CAUSE_PERFORMANCE = "performance"
 CAUSE_SLASHED = "slashed"
@@ -85,15 +83,29 @@ class Phase(Enum):
     SETTLED = "Settled"
 
 
-@dataclass(frozen=True)
-class TreasuryConfig:
-    """Arrangement terms, fixed before the mint opens and immutable after."""
+# Bound on TreasurySpec.validators: a World registers one wallet per
+# validator and visits each every epoch.
+VALIDATORS_MAX = 1024
 
-    fee_bps: int = bounded(0, 10_000)   # operator fee ratio in basis points
-    operator: str
+
+@dataclass(frozen=True)
+class TreasurySpec:
+    """Arrangement terms, fixed before the mint opens; the treasury and every wallet read them."""
+
+    fee_bps: int = bounded(0, 10_000)             # operator fee ratio in basis points
+    expected_reward_per_epoch: int = bounded(0)   # watchdog expectation, per epoch
+    grace_epochs: int = bounded(1)                # watchdog window length
     escrow_required: int = bounded(0)
-    stake_requirement: int = bounded_as(BeaconParams, "stake_requirement")
-    mint: str                           # the only address allowed to register tokens
+    validators: int = bounded(1, VALIDATORS_MAX)
+
+
+@dataclass(frozen=True)
+class NftRecord:
+    """One minted share: who owns it and how much capital it represents."""
+
+    token_id: int
+    owner: str
+    capital: int
 
 
 @dataclass(frozen=True)
@@ -106,7 +118,6 @@ class SettlementRecord:
 
 @dataclass
 class TreasuryState:
-    validators: tuple[str, ...] = ()
     registry: dict[int, NftRecord] = field(default_factory=dict)
     owned: dict[str, tuple[int, ...]] = field(default_factory=dict)  # owner -> its token ids
     sum_capital: int = 0
@@ -200,19 +211,23 @@ def _distributed(amount: int, fee: int, net_total: int) -> Emit:
 class TreasuryContract(Handlers):
     kind = "treasury"
 
-    def __init__(self, config: TreasuryConfig, validators: tuple[str, ...]):
-        if len(validators) == 0:
-            raise ValueError("need at least one validator wallet")
-        self.config = checked(config)
-        self.validators = tuple(validators)
+    def __init__(self, spec: TreasurySpec, params: BeaconParams, wallets: tuple[str, ...],
+                 *, operator: str, mint: str):
+        self.spec = checked(spec)
+        self.params = checked(params)
+        if len(wallets) != spec.validators:     # one wallet address per validator
+            raise ValueError(f"TreasurySpec.validators {spec.validators} != {len(wallets)} wallets")
+        self.validators = tuple(wallets)
+        self.operator = operator
+        self.mint = mint                        # the only address allowed to register tokens
 
     def initial_state(self) -> TreasuryState:
-        return TreasuryState(validators=self.validators)
+        return TreasuryState()
 
     # --- registry (mint-only) ---------------------------------------------
 
     def _op_register_nft(self, state: TreasuryState, msg: Msg, ctx: CallContext):
-        if msg.caller != self.config.mint:
+        if msg.caller != self.mint:
             raise WrongCaller("only the mint registers tokens")
         if state.phase is not Phase.FUNDRAISING:
             raise WrongPhase(f"cannot register in phase {state.phase.value}")
@@ -228,7 +243,7 @@ class TreasuryContract(Handlers):
                       principal=state.principal + rec.capital), [], None
 
     def _op_update_owner(self, state: TreasuryState, msg: Msg, ctx: CallContext):
-        if msg.caller != self.config.mint:
+        if msg.caller != self.mint:
             raise WrongCaller("only the mint moves tokens")
         token_id = msg.args["token_id"]
         rec = state.registry.get(token_id)
@@ -247,7 +262,7 @@ class TreasuryContract(Handlers):
         return st, [], None
 
     def _op_abort_refund(self, state: TreasuryState, msg: Msg, ctx: CallContext):
-        if msg.caller != self.config.mint:
+        if msg.caller != self.mint:
             raise WrongCaller("only the mint aborts")
         if state.phase is not Phase.FUNDRAISING:
             raise WrongPhase(f"cannot abort in phase {state.phase.value}")
@@ -260,7 +275,7 @@ class TreasuryContract(Handlers):
     # --- escrow and staking -------------------------------------------------
 
     def _op_post_escrow(self, state: TreasuryState, msg: Msg, ctx: CallContext):
-        if msg.caller != self.config.operator:
+        if msg.caller != self.operator:
             raise NotOperator("only the operator posts escrow")
         if msg.value <= 0:
             raise InvalidAmount("escrow post must carry value")
@@ -275,24 +290,23 @@ class TreasuryContract(Handlers):
 
         Permissionless: preconditions, not the caller, gate it.
         """
-        cfg = self.config
+        stake = self.params.stake_requirement
+        escrow = self.spec.escrow_required
         if state.phase is not Phase.FUNDRAISING:
             raise WrongPhase(f"cannot stake in phase {state.phase.value}")
-        target = cfg.stake_requirement * len(self.validators)
+        target = stake * len(self.validators)
         if state.principal != target:
             raise Underfunded(f"raised {state.principal} of {target}")
-        if state.escrow_balance < cfg.escrow_required:
-            raise EscrowMissing(
-                f"escrow {state.escrow_balance} below required {cfg.escrow_required}")
+        if state.escrow_balance < escrow:
+            raise EscrowMissing(f"escrow {state.escrow_balance} below required {escrow}")
         st = evolve(state, principal=0, phase=Phase.STAKED)
         effects = [
             Emit("PhaseChanged", {"from": Phase.FUNDRAISING.value,
                                   "to": Phase.STAKED.value}),
-            Emit("Staked", {"validators": len(self.validators),
-                            "stake_each": cfg.stake_requirement}),
+            Emit("Staked", {"validators": len(self.validators), "stake_each": stake}),
         ]
         for wallet in self.validators:
-            effects.append(Call(wallet, "deposit", {}, value=cfg.stake_requirement))
+            effects.append(Call(wallet, "deposit", {}, value=stake))
         return st, effects, None
 
     # --- reward flow ---------------------------------------------------------
@@ -305,7 +319,7 @@ class TreasuryContract(Handlers):
         if msg.value <= 0:
             raise InvalidAmount("reward receipt must carry value")
         j = self.validators.index(msg.caller)
-        fee = (msg.value * self.config.fee_bps) // 10_000
+        fee = (msg.value * self.spec.fee_bps) // 10_000
         st = evolve(state,
                     rewards_received={**state.rewards_received,
                                       j: state.rewards_received.get(j, 0) + msg.value},
@@ -327,7 +341,7 @@ class TreasuryContract(Handlers):
         fees = net = 0
         for wallet, amount in receipts.items():
             j = self.validators.index(wallet)
-            fee = (amount * self.config.fee_bps) // 10_000
+            fee = (amount * self.spec.fee_bps) // 10_000
             rewards[j] = rewards.get(j, 0) + k * amount
             fees += fee
             net += amount - fee
@@ -359,7 +373,7 @@ class TreasuryContract(Handlers):
         return st, effects, amount
 
     def _op_claim_operator_fees(self, state: TreasuryState, msg: Msg, ctx: CallContext):
-        if msg.caller != self.config.operator:
+        if msg.caller != self.operator:
             raise NotOperator(f"{msg.caller} is not the operator")
         amount = state.operator_fees_accrued
         if amount <= 0:
@@ -412,7 +426,7 @@ class TreasuryContract(Handlers):
 
         st = evolve(state)
         returned = msg.value
-        shortfall = max(0, self.config.stake_requirement - returned)
+        shortfall = max(0, self.params.stake_requirement - returned)
         escrow_cover = min(shortfall, st.escrow_balance)
         st.escrow_balance -= escrow_cover
         penalty = 0
@@ -446,6 +460,6 @@ class TreasuryContract(Handlers):
                 refund = st.escrow_balance
                 st.escrow_balance = 0
                 st.escrow_refunded = refund
-                effects.append(Transfer(self.config.operator, refund))
+                effects.append(Transfer(self.operator, refund))
                 effects.append(Emit("EscrowRefunded", {"amount": refund}))
         return st, effects, None

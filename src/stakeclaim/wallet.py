@@ -30,9 +30,9 @@ from enum import Enum
 from math import inf
 
 from .beacon import BeaconParams
-from .errors import BeaconNotSwept, WrongAmount, WrongCaller, WrongStatus, bounded, bounded_as, checked
+from .errors import BeaconNotSwept, WrongAmount, WrongCaller, WrongStatus, checked
 from .ledger import Call, CallContext, Emit, Handlers, Msg, evolve
-from .treasury import CAUSE_PERFORMANCE, CAUSE_SLASHED
+from .treasury import CAUSE_PERFORMANCE, CAUSE_SLASHED, TreasurySpec
 
 
 class WalletStatus(Enum):
@@ -41,17 +41,6 @@ class WalletStatus(Enum):
     ACTIVE = "Active"
     EXIT_REQUESTED = "ExitRequested"
     WITHDRAWN = "Withdrawn"
-
-
-@dataclass(frozen=True)
-class WalletConfig:
-    self_address: str   # the name this wallet is registered under
-    treasury: str
-    beacon: str
-    operator: str
-    stake_requirement: int = bounded_as(BeaconParams, "stake_requirement")
-    expected_reward_per_epoch: int = bounded(0)   # watchdog expectation, per epoch
-    grace_epochs: int = bounded(1)                # watchdog window length
 
 
 @dataclass
@@ -69,8 +58,14 @@ class WalletState:
 class ValidatorWallet(Handlers):
     kind = "wallet"
 
-    def __init__(self, config: WalletConfig):
-        self.config = checked(config)
+    def __init__(self, spec: TreasurySpec, params: BeaconParams, *, address: str,
+                 treasury: str, beacon: str, operator: str):
+        self.spec = checked(spec)
+        self.params = checked(params)
+        self.address = address          # the name this wallet is registered under
+        self.treasury = treasury
+        self.beacon = beacon
+        self.operator = operator
 
     def initial_state(self) -> WalletState:
         return WalletState()
@@ -84,19 +79,18 @@ class ValidatorWallet(Handlers):
         withdrawal address and hands the signing capability to the
         operator.
         """
-        cfg = self.config
-        if msg.caller != cfg.treasury:
+        if msg.caller != self.treasury:
             raise WrongCaller(f"{msg.caller} is not the treasury")
         if state.status is not WalletStatus.IDLE:
             raise WrongStatus(f"wallet is {state.status.value}")
-        if msg.value != cfg.stake_requirement:
-            raise WrongAmount(
-                f"stake must be exactly {cfg.stake_requirement}, got {msg.value}")
+        stake = self.params.stake_requirement
+        if msg.value != stake:
+            raise WrongAmount(f"stake must be exactly {stake}, got {msg.value}")
         st = evolve(state, status=WalletStatus.DEPOSITED)
         effects = [
             Emit("Deposited", {"stake": msg.value}),
-            Call(cfg.beacon, "submit_deposit",
-                 {"withdrawal_address": cfg.self_address, "operator": cfg.operator},
+            Call(self.beacon, "submit_deposit",
+                 {"withdrawal_address": self.address, "operator": self.operator},
                  value=msg.value),
         ]
         return st, effects, None
@@ -126,15 +120,14 @@ class ValidatorWallet(Handlers):
         """
         if state.status not in (WalletStatus.ACTIVE, WalletStatus.EXIT_REQUESTED):
             raise WrongStatus(f"wallet is {state.status.value}")
-        cfg = self.config
         now = ctx.epoch
-        amount = 0 if state.settlement_ready else ctx.balance_of(cfg.self_address)
+        amount = 0 if state.settlement_ready else ctx.balance_of(self.address)
         # Only the trailing grace_epochs slots ever matter.
-        cutoff = now - cfg.grace_epochs + 1
+        cutoff = now - self.spec.grace_epochs + 1
         window = {e: r for e, r in state.reward_window.items() if e >= cutoff}
         window[now] = window.get(now, 0) + amount
         st = evolve(state, reward_window=window)
-        effects = [Call(cfg.treasury, "receive_rewards", {}, value=amount)] if amount > 0 else []
+        effects = [Call(self.treasury, "receive_rewards", {}, value=amount)] if amount > 0 else []
         return st, effects, amount
 
     # --- the watchdog -------------------------------------------------------------
@@ -149,8 +142,8 @@ class ValidatorWallet(Handlers):
         it never raises: an Active state without an activation epoch is not
         None, so a keeper pokes it and the handler's own guard reverts.
         """
-        cfg = self.config
-        grace = cfg.grace_epochs
+        spec = self.spec
+        grace = spec.grace_epochs
         start = state.activation_epoch
         if start is not None and now - start + 1 < grace:
             return None
@@ -163,7 +156,7 @@ class ValidatorWallet(Handlers):
         for e, reward in state.reward_window.items():
             if oldest <= e <= now:
                 window_sum += reward
-        threshold = cfg.expected_reward_per_epoch * grace
+        threshold = spec.expected_reward_per_epoch * grace
         if window_sum >= threshold and start is not None:
             return None
         return window_sum, threshold
@@ -179,8 +172,8 @@ class ValidatorWallet(Handlers):
         same, so the watchdog can change its answer only by arming: never
         (inf) if the amount meets the expectation, else at the epoch it arms.
         """
-        cfg = self.config
-        grace = cfg.grace_epochs
+        spec = self.spec
+        grace = spec.grace_epochs
         window = state.reward_window
         amount = window.get(now, 0)
         for e in range(now - grace + 1, now):
@@ -188,7 +181,7 @@ class ValidatorWallet(Handlers):
                 return now + 1
         if self.watchdog_shortfall(state, now) is not None:
             return now + 1
-        if amount >= cfg.expected_reward_per_epoch:
+        if amount >= spec.expected_reward_per_epoch:
             return inf
         return state.activation_epoch + grace - 1
 
@@ -206,14 +199,13 @@ class ValidatorWallet(Handlers):
             return state
         end = now + k
         return evolve(state, reward_window=dict.fromkeys(
-            range(end - self.config.grace_epochs + 1, end + 1), amount))
+            range(end - self.spec.grace_epochs + 1, end + 1), amount))
 
     def _op_watchdog_check(self, state: WalletState, msg: Msg, ctx: CallContext):
         """Exit autonomously when :meth:`watchdog_shortfall` says the window fell short.
 
         Returns "Ok" or "TriggerExit".
         """
-        cfg = self.config
         now = ctx.epoch
         if state.status is not WalletStatus.ACTIVE:
             raise WrongStatus(f"wallet is {state.status.value}")
@@ -232,8 +224,8 @@ class ValidatorWallet(Handlers):
             Emit("ExitTriggered", {"validator_id": st.validator_id,
                                    "window_sum": window_sum,
                                    "threshold": threshold}),
-            Call(cfg.beacon, "request_exit", {"validator_id": st.validator_id}),
-            Call(cfg.treasury, "on_exit_initiated", {"cause": CAUSE_PERFORMANCE}),
+            Call(self.beacon, "request_exit", {"validator_id": st.validator_id}),
+            Call(self.treasury, "on_exit_initiated", {"cause": CAUSE_PERFORMANCE}),
         ]
         return st, effects, "TriggerExit"
 
@@ -244,7 +236,7 @@ class ValidatorWallet(Handlers):
             raise WrongStatus(f"wallet is {state.status.value}")
         st = evolve(state, status=WalletStatus.EXIT_REQUESTED,
                     exit_cause=CAUSE_SLASHED, exit_epoch=ctx.epoch)
-        effects = [Call(self.config.treasury, "on_exit_initiated",
+        effects = [Call(self.treasury, "on_exit_initiated",
                         {"cause": CAUSE_SLASHED})]
         return st, effects, None
 
@@ -260,20 +252,19 @@ class ValidatorWallet(Handlers):
         Returns (returned, shortfall) where shortfall is what slashing ate
         out of the original stake.
         """
-        cfg = self.config
         if state.status is not WalletStatus.EXIT_REQUESTED:
             raise WrongStatus(f"wallet is {state.status.value}")
         if not state.settlement_ready:
             raise BeaconNotSwept("exit balance has not been swept to the wallet yet")
-        returned = ctx.balance_of(cfg.self_address)
-        shortfall = max(0, cfg.stake_requirement - returned)
+        returned = ctx.balance_of(self.address)
+        shortfall = max(0, self.params.stake_requirement - returned)
         st = evolve(state, status=WalletStatus.WITHDRAWN)
         effects = [
             Emit("WithdrawalFinalized", {"returned": returned, "shortfall": shortfall}),
-            Call(cfg.treasury, "settle_exit", {}, value=returned),
+            Call(self.treasury, "settle_exit", {}, value=returned),
         ]
         return st, effects, (returned, shortfall)
 
     def _require_beacon(self, msg: Msg) -> None:
-        if msg.caller != self.config.beacon:
+        if msg.caller != self.beacon:
             raise WrongCaller(f"{msg.caller} is not the beacon")

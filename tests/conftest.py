@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 from stakeclaim import golden_scenario_path
 from stakeclaim.beacon import BeaconContract, BeaconParams
 from stakeclaim.ledger import Event, Ledger
-from stakeclaim.mint import MintConfig, MintContract
+from stakeclaim.mint import MintContract
 from stakeclaim.scenario import BehaviorWindow, DepositAction, MintSpec, Scenario, TreasurySpec, World
-from stakeclaim.treasury import TreasuryConfig, TreasuryContract, balance_identity
-from stakeclaim.wallet import ValidatorWallet, WalletConfig
+from stakeclaim.treasury import TreasuryContract, balance_identity
+from stakeclaim.wallet import ValidatorWallet
 
 SYSTEM = "system"
 OPERATOR = "operator"
@@ -112,22 +112,22 @@ def make_world(m: int = 1, stake: int = 64, fee_bps: int = 1000,
             led.genesis(name, endowment)
     led.genesis(OPERATOR, 10_000)
 
-    led.register_contract(BEACON, BeaconContract(BeaconParams(
-        stake_requirement=stake, reward_per_epoch=reward,
-        activation_delay=activation_delay, exit_delay=exit_delay,
-        sweep_period=sweep_period), driver=SYSTEM), issuer=True)
+    # The three records a World hands its contracts.
+    terms = TreasurySpec(fee_bps=fee_bps, expected_reward_per_epoch=expected,
+                         grace_epochs=grace, escrow_required=escrow_required, validators=m)
+    params = BeaconParams(stake_requirement=stake, reward_per_epoch=reward,
+                          activation_delay=activation_delay, exit_delay=exit_delay,
+                          sweep_period=sweep_period)
+    window = MintSpec(min_contribution=min_contribution, open_epoch=open_epoch,
+                      close_epoch=close_epoch)
+    led.register_contract(BEACON, BeaconContract(params, driver=SYSTEM), issuer=True)
     wallets = [f"wallet:{j}" for j in range(m)]
     for w in wallets:
-        led.register_contract(w, ValidatorWallet(WalletConfig(
-            self_address=w, treasury=TREASURY, beacon=BEACON, operator=OPERATOR,
-            stake_requirement=stake, expected_reward_per_epoch=expected,
-            grace_epochs=grace)))
-    led.register_contract(TREASURY, TreasuryContract(TreasuryConfig(
-        fee_bps=fee_bps, operator=OPERATOR, escrow_required=escrow_required,
-        stake_requirement=stake, mint=MINT), validators=tuple(wallets)))
-    led.register_contract(MINT, MintContract(MintConfig(
-        treasury=TREASURY, min_contribution=min_contribution,
-        target_total=stake * m, open_epoch=open_epoch, close_epoch=close_epoch)))
+        led.register_contract(w, ValidatorWallet(
+            terms, params, address=w, treasury=TREASURY, beacon=BEACON, operator=OPERATOR))
+    led.register_contract(TREASURY, TreasuryContract(
+        terms, params, tuple(wallets), operator=OPERATOR, mint=MINT))
+    led.register_contract(MINT, MintContract(window, terms, params, treasury=TREASURY))
     return Mini(ledger=led, stake=stake, m=m, fee_bps=fee_bps, wallets=wallets)
 
 

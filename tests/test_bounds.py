@@ -1,22 +1,22 @@
 """Every declared integer bound, against a table written out by hand.
 
 The table is not read from the field declarations, so a declaration that
-drifts from it fails here. Each row gives a scenario record path (None for
-a field only a contract config has), the contract config that carries the
-same field (None if there is none), the field, and its lowest and highest
-accepted values in the scenario of :func:`base` (horizon 20, one
-validator, mint window [0, 2)); None means no upper bound. The first value
-rejected on each side is one past those. A float or a bool is never an
-integer, even when it equals an accepted one, and None is accepted only
-where a field's default is None.
+drifts from it fails here. Each row gives a scenario record path, the
+record class the contracts read it from (None if no contract does), the
+field, and its lowest and highest accepted values in the scenario of
+:func:`base` (horizon 20, one validator, mint window [0, 2)); None means no
+upper bound. The first value rejected on each side is one past those. A
+float or a bool is never an integer, even when it equals an accepted one,
+and None is accepted only where a field's default is None.
 
 Each rejected value must give exactly one ``validate`` violation, naming
-the field, and, for a config field, a ValueError naming the field from the
-contract constructor. These are plain checks that raise, so they hold under
-``python -O``. The rows that are sections of a scenario file are also
-written out as a document: the loader checks only its shape, so validating
-what it loads must give the same violation, and a document with a shape
-problem as well must name the field once, at its index in the document.
+the field, and, for a record the contracts read, a ValueError naming the
+field from the constructor of every contract that reads that record. These
+are plain checks that raise, so they hold under ``python -O``. The rows
+that are sections of a scenario file are also written out as a document:
+the loader checks only its shape, so validating what it loads must give
+the same violation, and a document with a shape problem as well must name
+the field once, at its index in the document.
 
 Apart from the table, every field that the record classes annotate as
 ``int``, ``int | None`` or ``str`` must be rejected when it holds a value of
@@ -35,7 +35,7 @@ import pytest
 from conftest import small_scenario
 from stakeclaim.beacon import BeaconContract, BeaconParams
 from stakeclaim.errors import InvalidScenario
-from stakeclaim.mint import MintConfig, MintContract
+from stakeclaim.mint import MintContract, MintSpec
 from stakeclaim.scenario import (
     ClaimAction,
     NftTransferAction,
@@ -44,25 +44,22 @@ from stakeclaim.scenario import (
     scenario_from_dict,
     validate,
 )
-from stakeclaim.treasury import TreasuryConfig, TreasuryContract
-from stakeclaim.wallet import ValidatorWallet, WalletConfig
+from stakeclaim.treasury import TreasuryContract, TreasurySpec
+from stakeclaim.wallet import ValidatorWallet
 
 HORIZON = 20
 
 BOUNDS = [
     ("", None, "horizon", 0, 100_000),
-    ("treasury", TreasuryConfig, "fee_bps", 0, 10_000),
-    ("treasury", WalletConfig, "expected_reward_per_epoch", 0, None),
-    ("treasury", WalletConfig, "grace_epochs", 1, None),
-    ("treasury", TreasuryConfig, "escrow_required", 0, None),
-    ("treasury", None, "validators", 1, 1024),
-    ("mint", MintConfig, "min_contribution", 1, None),
-    ("mint", MintConfig, "open_epoch", 0, None),     # open < close is a cross-field rule
-    ("mint", MintConfig, "close_epoch", 1, None),
-    (None, MintConfig, "target_total", 1, None),
+    ("treasury", TreasurySpec, "fee_bps", 0, 10_000),
+    ("treasury", TreasurySpec, "expected_reward_per_epoch", 0, None),
+    ("treasury", TreasurySpec, "grace_epochs", 1, None),
+    ("treasury", TreasurySpec, "escrow_required", 0, None),
+    ("treasury", TreasurySpec, "validators", 1, 1024),
+    ("mint", MintSpec, "min_contribution", 1, None),
+    ("mint", MintSpec, "open_epoch", 0, None),     # open < close is a cross-field rule
+    ("mint", MintSpec, "close_epoch", 1, None),
     ("beacon", BeaconParams, "stake_requirement", 1, None),
-    (None, TreasuryConfig, "stake_requirement", 1, None),
-    (None, WalletConfig, "stake_requirement", 1, None),
     ("beacon", BeaconParams, "reward_per_epoch", 1, None),
     ("beacon", BeaconParams, "activation_delay", 1, None),
     ("beacon", BeaconParams, "exit_delay", 1, None),
@@ -79,24 +76,53 @@ BOUNDS = [
 ]
 OPTIONAL = {("operator_schedule[0]", "validator")}    # default None: None is accepted
 
-# A valid config of each kind, and the contract constructor that guards it.
+# A valid record of each class the contracts read.
 GOOD = {
     BeaconParams: dict(stake_requirement=64, reward_per_epoch=100, activation_delay=1,
                        exit_delay=2, sweep_period=1),
-    TreasuryConfig: dict(fee_bps=1000, operator="operator", escrow_required=0,
-                         stake_requirement=64, mint="mint"),
-    WalletConfig: dict(self_address="wallet:0", treasury="treasury", beacon="beacon",
-                       operator="operator", stake_requirement=64,
-                       expected_reward_per_epoch=2, grace_epochs=3),
-    MintConfig: dict(treasury="treasury", min_contribution=1, target_total=64,
-                     open_epoch=0, close_epoch=100),
+    TreasurySpec: dict(fee_bps=1000, expected_reward_per_epoch=2, grace_epochs=3,
+                       escrow_required=0, validators=1),
+    MintSpec: dict(min_contribution=1, open_epoch=0, close_epoch=100),
 }
+
+
+def wallets(spec: TreasurySpec) -> tuple[str, ...]:
+    """One wallet address per validator of `spec`, or one if its count is not an int."""
+    n = spec.validators
+    return tuple(f"wallet:{j}" for j in range(n if type(n) is int else 1))
+
+
+def beacon(r: dict) -> BeaconContract:
+    return BeaconContract(r[BeaconParams], driver="system")
+
+
+def treasury(r: dict) -> TreasuryContract:
+    return TreasuryContract(r[TreasurySpec], r[BeaconParams], wallets(r[TreasurySpec]),
+                            operator="operator", mint="mint")
+
+
+def wallet(r: dict) -> ValidatorWallet:
+    return ValidatorWallet(r[TreasurySpec], r[BeaconParams], address="wallet:0",
+                           treasury="treasury", beacon="beacon", operator="operator")
+
+
+def mint(r: dict) -> MintContract:
+    return MintContract(r[MintSpec], r[TreasurySpec], r[BeaconParams], treasury="treasury")
+
+
+# Each record class -> every contract that reads it, built from a record of
+# each class. The mint's target is stake_requirement * validators, so its
+# guard of target >= 1 is the one on those two fields.
 CONTRACT = {
-    BeaconParams: lambda config: BeaconContract(config, driver="system"),
-    TreasuryConfig: lambda config: TreasuryContract(config, validators=("wallet:0",)),
-    WalletConfig: ValidatorWallet,
-    MintConfig: MintContract,
+    BeaconParams: (beacon, treasury, wallet, mint),
+    TreasurySpec: (treasury, wallet, mint),
+    MintSpec: (mint,),
 }
+
+
+def records(cls, **changes) -> dict:
+    """A valid record of each class, with `changes` made to the `cls` one."""
+    return {c: c(**{**good, **(changes if c is cls else {})}) for c, good in GOOD.items()}
 
 
 def base():
@@ -145,7 +171,7 @@ def document(s: Scenario) -> dict:
 
 
 SCENARIO_ROWS = [(path, field, lo, hi) for path, _, field, lo, hi in BOUNDS if path is not None]
-CONFIG_ROWS = [(config, field, lo, hi) for _, config, field, lo, hi in BOUNDS if config]
+RECORD_ROWS = [(cls, field, lo, hi) for _, cls, field, lo, hi in BOUNDS if cls]
 SCENARIO_REJECTED = [
     pytest.param(path, field, v, lo, hi, id=f"{path or 'scenario'}.{field}={v!r}")
     for path, field, lo, hi in SCENARIO_ROWS
@@ -202,30 +228,51 @@ def test_optional_field_accepts_none():
         assert validate(with_value(path, field, None)) == []
 
 
-@pytest.mark.parametrize("config,field,value", [
-    pytest.param(config, field, v, id=f"{config.__name__}.{field}={v!r}")
-    for config, field, lo, hi in CONFIG_ROWS for v in accepted(lo, hi)
-])
-def test_contract_accepts_a_config_in_bounds(config, field, value):
-    CONTRACT[config](config(**{**GOOD[config], field: value}))
+# The treasury and the wallet once declared stake_requirement on configs of
+# their own, and the mint a target_total, now stake_requirement * validators.
+# Each keeps its cases under that name, building that one contract from
+# BeaconParams.stake_requirement; the mint's rejections of a target below 1
+# are the TreasurySpec.validators and BeaconParams.stake_requirement cases.
+FORMER = {
+    "TreasuryConfig.stake_requirement": (treasury,),
+    "WalletConfig.stake_requirement": (wallet,),
+    "MintConfig.target_total": (mint,),
+}
 
 
-@pytest.mark.parametrize("config,field,value,lo,hi", [
-    pytest.param(config, field, v, lo, hi, id=f"{config.__name__}.{field}={v!r}")
-    for config, field, lo, hi in CONFIG_ROWS for v in rejected(lo, hi)
+@pytest.mark.parametrize("cls,field,value,builds", [
+    pytest.param(cls, field, v, CONTRACT[cls], id=f"{cls.__name__}.{field}={v!r}")
+    for cls, field, lo, hi in RECORD_ROWS for v in accepted(lo, hi)
+] + [
+    pytest.param(BeaconParams, "stake_requirement", 1, builds, id=f"{name}=1")
+    for name, builds in FORMER.items()
 ])
-def test_contract_rejects_a_config_out_of_bounds(config, field, value, lo, hi):
-    # The config itself is built unchecked, as the scenario loader builds
-    # BeaconParams; the contract constructor is the guard.
-    bad = config(**{**GOOD[config], field: value})
-    with pytest.raises(ValueError) as info:
-        CONTRACT[config](bad)
-    assert str(info.value) == message(config.__name__, field, value, lo, hi)
+def test_contract_accepts_a_config_in_bounds(cls, field, value, builds):
+    for build in builds:
+        build(records(cls, **{field: value}))
+
+
+@pytest.mark.parametrize("cls,field,value,lo,hi,builds", [
+    pytest.param(cls, field, v, lo, hi, CONTRACT[cls], id=f"{cls.__name__}.{field}={v!r}")
+    for cls, field, lo, hi in RECORD_ROWS for v in rejected(lo, hi)
+] + [
+    pytest.param(BeaconParams, "stake_requirement", v, 1, None, builds, id=f"{name}={v!r}")
+    for name, builds in FORMER.items() if name.endswith(".stake_requirement")
+    for v in rejected(1, None)
+])
+def test_contract_rejects_a_config_out_of_bounds(cls, field, value, lo, hi, builds):
+    # The record itself is built unchecked, as the scenario loader builds
+    # it; each constructor that reads it is a guard.
+    bad = records(cls, **{field: value})
+    for build in builds:
+        with pytest.raises(ValueError) as info:
+            build(bad)
+        assert str(info.value) == message(cls.__name__, field, value, lo, hi)
 
 
 def test_mint_contract_keeps_its_window_order():
     with pytest.raises(ValueError, match=re.escape("open_epoch < close_epoch")):
-        MintContract(MintConfig(**{**GOOD[MintConfig], "open_epoch": 100}))
+        mint(records(MintSpec, open_epoch=100))
 
 
 def record_paths() -> list[tuple[str, type]]:

@@ -139,7 +139,7 @@ class TestRun:
         listed = capsys.readouterr()
         for listing in (listed.out, listed.err):
             assert f"treasury.validators 1000000000 is not an integer in " \
-                f"1..{sc.scenario.VALIDATORS_MAX}" in listing.splitlines()
+                f"1..{sc.treasury.VALIDATORS_MAX}" in listing.splitlines()
 
     def test_horizon_above_the_bound_exit_1_quickly(self, tmp_path, capsys):
         doc = json.loads(sc.golden_scenario_path("honest").read_text())
@@ -311,6 +311,28 @@ class TestValidateCommand:
         listed = capsys.readouterr()
         assert listed.err == ""
         assert listed.out.splitlines() == [
+            "unknown keys in treasury: ['bonus']",
+            "deposits[2] must be an object",
+            f"horizon 30.0 is not an integer in 0..{sc.scenario.HORIZON_MAX}"]
+
+    def test_shape_problems_listed_on_stderr_by_run_exit_1(self, tmp_path, capsys):
+        # run lists a document of the wrong shape as validate does, one
+        # problem a line, on stderr, and writes nothing.
+        doc = json.loads(sc.golden_scenario_path("honest").read_text())
+        doc["treasury"]["bonus"] = 1
+        doc["deposits"].append("alice")
+        doc["horizon"] = 30.0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run_cli("validate", "--scenario", str(bad)) == 1
+        validated = capsys.readouterr().out
+        assert run_cli("run", "--scenario", str(bad), "--out", str(out)) == 1
+        listed = capsys.readouterr()
+        assert not out.exists()
+        assert listed.out == ""
+        assert listed.err == validated
+        assert listed.err.splitlines() == [
             "unknown keys in treasury: ['bonus']",
             "deposits[2] must be an object",
             f"horizon 30.0 is not an integer in 0..{sc.scenario.HORIZON_MAX}"]

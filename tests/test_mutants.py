@@ -60,7 +60,7 @@ def bool_is_int(v):
 def watchdog_shortfall(short=lambda total, threshold: total < threshold, slots=0):
     """A watchdog predicate comparing with `short` over a window `slots` slots longer."""
     def shortfall(self, state, now):
-        cfg = self.config
+        cfg = self.spec
         start = state.activation_epoch
         if start is not None and now - start + 1 < cfg.grace_epochs:
             return None
@@ -81,7 +81,7 @@ def fee_rounded_up(handler):
     """receive_rewards taking ceil(amount * fee_bps / 10000) as the operator's fee."""
     def mutant(self, state, msg, ctx):
         st, effects, result = handler(self, state, msg, ctx)
-        if msg.value * self.config.fee_bps % 10_000:
+        if msg.value * self.spec.fee_bps % 10_000:
             st = evolve(st, operator_fees_accrued=st.operator_fees_accrued + 1,
                         net_total=st.net_total - 1)
         return st, effects, result
@@ -93,7 +93,7 @@ def fee_on_settlement(handler):
     """settle_exit taking the operator's fee out of the settlement pot."""
     def mutant(self, state, msg, ctx):
         st, effects, result = handler(self, state, msg, ctx)
-        fee = (st.net_total - state.net_total) * self.config.fee_bps // 10_000
+        fee = (st.net_total - state.net_total) * self.spec.fee_bps // 10_000
         return evolve(st, operator_fees_accrued=st.operator_fees_accrued + fee,
                       net_total=st.net_total - fee), effects, result
 
@@ -157,9 +157,9 @@ def quiet_until_without_steady_window(self, state, now):
     """ValidatorWallet.quiet_until taking any window for a steady one."""
     if self.watchdog_shortfall(state, now) is not None:
         return now + 1
-    if state.reward_window.get(now, 0) >= self.config.expected_reward_per_epoch:
+    if state.reward_window.get(now, 0) >= self.spec.expected_reward_per_epoch:
         return inf
-    return state.activation_epoch + self.config.grace_epochs - 1
+    return state.activation_epoch + self.spec.grace_epochs - 1
 
 
 def fold_scaled_off_by_one(fold_scaled=ledger.fold_scaled):

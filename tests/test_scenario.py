@@ -6,7 +6,7 @@ import gc
 import json
 import time
 import weakref
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 
 import pytest
@@ -76,7 +76,7 @@ class TestValidate:
         ]
 
     def test_validator_count_is_bounded(self):
-        bound = sc.scenario.VALIDATORS_MAX
+        bound = sc.treasury.VALIDATORS_MAX
         s = small_scenario(treasury=TreasurySpec(
             fee_bps=1000, expected_reward_per_epoch=20, grace_epochs=3,
             escrow_required=50, validators=bound))
@@ -627,3 +627,31 @@ class TestWorldLifetime:
         world.ledger.advance_epoch()
         world.ledger.advance_epoch()
         assert ran == [1, 2]
+
+
+class TestOneDeclaration:
+    TERMS = ("fee_bps", "expected_reward_per_epoch", "grace_epochs", "escrow_required",
+             "stake_requirement", "min_contribution", "open_epoch", "close_epoch")
+
+    def test_contracts_hold_the_scenarios_own_records(self):
+        s = small_scenario(treasury=replace(small_scenario().treasury, validators=3),
+                           deposits=(DepositAction("alice", 3 * 6400, 0),))
+        world = World(s)
+        contracts = world.ledger._contracts
+        wallets = [contracts[w] for w in world.wallets]
+        assert len(wallets) == 3
+        for contract in (*wallets, contracts[sc.scenario.TREASURY]):
+            assert contract.spec is s.treasury
+            assert contract.params is s.beacon
+        assert contracts[sc.scenario.MINT].spec is s.mint
+        assert contracts[sc.scenario.BEACON].params is s.beacon
+        assert contracts[sc.scenario.MINT].target == 3 * 6400
+        assert contracts[sc.scenario.TREASURY].validators == world.wallets
+
+    def test_each_term_is_a_field_of_one_record_class(self):
+        classes = {cls for module in (sc.beacon, sc.mint, sc.scenario, sc.treasury, sc.wallet)
+                   for cls in vars(module).values()
+                   if isinstance(cls, type) and is_dataclass(cls) and cls.__module__ == module.__name__}
+        for term in self.TERMS:
+            owners = [cls.__name__ for cls in classes if term in {f.name for f in fields(cls)}]
+            assert len(owners) == 1, (term, owners)

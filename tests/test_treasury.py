@@ -19,9 +19,12 @@ from stakeclaim.errors import (
     UnknownValidator,
     WrongPhase,
 )
-from stakeclaim.mint import NftRecord
+from stakeclaim.beacon import BeaconParams
 from stakeclaim.treasury import (
+    NftRecord,
     Phase,
+    TreasuryContract,
+    TreasurySpec,
     accrued,
     claimable_of,
     dust_of,
@@ -42,6 +45,20 @@ def receive(w: Mini, amount: int, j: int = 0):
         w.accrue({w.wallet_state(j).validator_id: 0})  # activate, no reward
     w.ledger.genesis(w.wallets[j], amount, "test rewards")
     return w.ledger.call(SYSTEM, w.wallets[j], "forward_rewards", {})
+
+
+class TestConstructor:
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_rejects_a_wallet_count_other_than_validators(self, count):
+        # The wallet tuple and TreasurySpec.validators are one count: no
+        # treasury is built where they disagree.
+        spec = TreasurySpec(fee_bps=1000, expected_reward_per_epoch=2, grace_epochs=3,
+                            escrow_required=0, validators=2)
+        params = BeaconParams(stake_requirement=64, reward_per_epoch=100, activation_delay=1,
+                              exit_delay=2, sweep_period=1)
+        with pytest.raises(ValueError, match=f"^TreasurySpec.validators 2 != {count} wallets$"):
+            TreasuryContract(spec, params, tuple(f"wallet:{j}" for j in range(count)),
+                             operator=OPERATOR, mint="mint")
 
 
 class TestSplitCredits:
