@@ -18,7 +18,7 @@ from .errors import (
     LedgerError,
     StakeclaimError,
 )
-from .ledger import AddressKind, Event, Ledger, replay_balances
+from .ledger import Event, Ledger, replay_balances
 from .mint import MintContract, MintSpec
 from .scenario import (
     RunReport,
@@ -50,7 +50,6 @@ def golden_scenario_path(name: str) -> Path:
     return Path(resources.files("stakeclaim").joinpath(f"data/{name}.json"))
 
 __all__ = [
-    "AddressKind",
     "BeaconContract",
     "BeaconParams",
     "BeaconValidator",

@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import inf
 
 from .errors import InvalidAmount, InvalidFactor, NotActive, Unauthorized, UnknownValidator, WrongAmount, WrongStatus, bounded, checked
-from .ledger import AddressKind, Call, CallContext, Destroy, Emit, Handlers, Issue, Msg, Transfer, evolve
+from .ledger import Call, CallContext, Destroy, Emit, Handlers, Issue, Msg, Transfer, evolve
 
 
 class ValidatorStatus(Enum):
@@ -152,7 +152,7 @@ class BeaconContract(Handlers):
                 f"stake must be exactly {self.params.stake_requirement}, got {msg.value}")
         wa = msg.args["withdrawal_address"]
         operator = msg.args["operator"]
-        ctx.kind_of(wa)  # raises UnknownAddress for unregistered targets
+        has_code = ctx.is_contract(wa)  # raises UnknownAddress for unregistered targets
         vid = len(state.validators)
         record = BeaconValidator(
             id=vid,
@@ -167,7 +167,7 @@ class BeaconContract(Handlers):
             "id": vid, "withdrawal_address": wa, "from": msg.caller,
             "activation_epoch": ctx.epoch + self.params.activation_delay,
         })]
-        if ctx.kind_of(wa) is AddressKind.CONTRACT:
+        if has_code:
             effects.append(Call(wa, "deposit_accepted", {"validator_id": vid}))
         return st, effects, vid
 
@@ -197,7 +197,7 @@ class BeaconContract(Handlers):
             if status is ValidatorStatus.PENDING and v.activation_epoch <= now:
                 status = ValidatorStatus.ACTIVE
                 effects.append(Emit("Activated", {"id": v.id}))
-                if ctx.kind_of(v.withdrawal_address) is AddressKind.CONTRACT:
+                if ctx.is_contract(v.withdrawal_address):
                     effects.append(Call(v.withdrawal_address, "on_validator_activated"))
             elif status is ValidatorStatus.EXITING and v.exit_epoch is not None \
                     and v.exit_epoch <= now:
@@ -265,7 +265,7 @@ class BeaconContract(Handlers):
             "id": vid, "burned": burned, "fraction_bps": bps,
             "exit_epoch": ctx.epoch + self.params.exit_delay,
         }))
-        if ctx.kind_of(v.withdrawal_address) is AddressKind.CONTRACT:
+        if ctx.is_contract(v.withdrawal_address):
             effects.append(Call(v.withdrawal_address, "on_forced_exit"))
         return st, effects, burned
 
@@ -323,7 +323,7 @@ class BeaconContract(Handlers):
                 effects.append(Emit("Swept", {"id": v.id, "to": v.withdrawal_address,
                                               "amount": amount, "kind": "exit"}))
                 effects.append(Emit("Withdrawn", {"id": v.id}))
-                if ctx.kind_of(v.withdrawal_address) is AddressKind.CONTRACT:
+                if ctx.is_contract(v.withdrawal_address):
                     effects.append(Call(v.withdrawal_address, "on_exit_swept"))
                 total += amount
         return evolve(state, validators=validators, balances=balances), effects, total

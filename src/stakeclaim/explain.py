@@ -45,14 +45,10 @@ from collections.abc import Iterable
 
 from .beacon import ValidatorStatus
 from .ledger import Event, ReplayResult, replay_balances
-from .scenario import RESERVED, TREASURY, wallet_name
+from .scenario import TREASURY, is_holder_name, wallet_name
 from .treasury import CAUSE_PERFORMANCE, CAUSE_SLASHED, NftRecord, Phase, split_credits
 
 _REPLAYED = frozenset(("SupplyMint", "SupplyBurn", "Transfer"))
-
-
-def _is_holder(name: str) -> bool:
-    return name not in RESERVED and not name.startswith("wallet:")
 
 
 class _Fold:
@@ -98,11 +94,11 @@ class _Fold:
     # --- one handler per tag ---------------------------------------------
 
     def _on_SupplyMint(self, e: Event) -> None:
-        if _is_holder(e.payload["to"]):
+        if is_holder_name(e.payload["to"]):
             self.names.add(e.payload["to"])
 
     def _on_Call(self, e: Event) -> None:
-        if _is_holder(e.payload["caller"]):
+        if is_holder_name(e.payload["caller"]):
             self.names.add(e.payload["caller"])
 
     def _on_Transfer(self, e: Event) -> None:

@@ -30,9 +30,12 @@ Design constraints honoured throughout:
   supply totals, to check against the ledger's own counters.
 * Nested calls are capped at depth ``CALL_DEPTH_LIMIT``; exceeding it
   reverts the tree.
-* Epochs only move forward. Per-epoch hooks registered on the ledger run
-  in registration order, which is what makes two identically-driven runs
-  produce byte-identical event logs.
+* Epochs only move forward. The ledger schedules nothing: the driver
+  hands :meth:`Ledger.advance_epoch` its work for the new epoch, as a keeper
+  pokes contracts on a chain, so two identically-driven runs produce
+  byte-identical event logs.
+* An address is a contract exactly when it has code, that is, when it was
+  registered with one (:meth:`Ledger.is_contract`).
 
 Records are immutable, picklable named tuples: :class:`Event` for log
 entries, :class:`Msg` for inbound messages, and :class:`Transfer`,
@@ -44,7 +47,7 @@ tuples, ``Issue(5, "x") == Destroy(5, "x")``.
 The log serialises one event per line, each line exactly
 ``json.dumps({"epoch", "seq", "emitter", "tag", "payload"},
 separators=(",", ":"))``; :func:`encode_lines` is the one line builder,
-used by :meth:`Ledger.events_jsonl` and :meth:`Event.to_json`. It writes
+used by :meth:`Ledger.events_jsonl`. It writes
 flat payloads and lists of int lists from cached encodings, encodes a
 payload object shared by several events once, and hands anything else to
 a single JSON encoder, so the bytes, and every digest over them, are those
@@ -78,11 +81,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import pickle
 import re
-from collections.abc import Mapping
 from dataclasses import dataclass
-from enum import Enum
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, NamedTuple, Protocol
@@ -116,11 +116,6 @@ _encode = json.JSONEncoder(separators=(",", ":")).encode
 _new_record = tuple.__new__
 
 
-class AddressKind(Enum):
-    ACCOUNT = "account"    # externally owned
-    CONTRACT = "contract"
-
-
 class Event(NamedTuple):
     """One log entry, totally ordered by (epoch, seq). seq is global."""
 
@@ -129,10 +124,6 @@ class Event(NamedTuple):
     emitter: str
     tag: str
     payload: dict
-
-    def to_json(self) -> str:
-        """This event's line of :meth:`Ledger.events_jsonl`, without the newline."""
-        return encode_lines((self,))[0][:-1]
 
 
 def encode_lines(events) -> list[str]:
@@ -233,39 +224,15 @@ class Emit(NamedTuple):
     payload: dict
 
 
-class _NoArgs(Mapping):
-    """The empty, read-only default of :attr:`Call.args`.
-
-    One shared instance; it pickles as a reference to that instance.
-    """
-
-    __slots__ = ()
-
-    def __getitem__(self, key):
-        raise KeyError(key)
-
-    def __iter__(self):
-        return iter(())
-
-    def __len__(self) -> int:
-        return 0
-
-    def __reduce__(self) -> str:
-        return "NO_ARGS"
-
-
-NO_ARGS = _NoArgs()
-
-
 class Call(NamedTuple):
     """Invoke another contract; the emitting contract becomes the caller.
 
-    The callee always gets its own copy of `args`.
+    The callee always gets its own copy of `args` (empty for None).
     """
 
     target: str
     method: str
-    args: Mapping = NO_ARGS
+    args: dict | None = None
     value: int = 0
 
 
@@ -348,8 +315,8 @@ class CallContext:
     def balance_of(self, name: str) -> int:
         return self._frame.balance_of(name)
 
-    def kind_of(self, name: str) -> AddressKind:
-        return self._ledger.kind_of(name)
+    def is_contract(self, name: str) -> bool:
+        return self._ledger.is_contract(name)
 
 
 class _TxFrame:
@@ -373,7 +340,7 @@ class _TxFrame:
         self._seq = ledger._seq
 
     def balance_of(self, name: str) -> int:
-        if name not in self._ledger._kinds:
+        if name not in self._ledger._balances:
             raise UnknownAddress(name)
         if name in self._balances:
             return self._balances[name]
@@ -382,7 +349,7 @@ class _TxFrame:
     def move(self, src: str, dst: str, amount: int) -> None:
         if amount <= 0:
             raise InvalidAmount(f"transfer amount must be positive, got {amount}")
-        if dst not in self._ledger._kinds:
+        if dst not in self._ledger._balances:
             raise UnknownAddress(dst)
         have = self.balance_of(src)
         if have < amount:
@@ -435,8 +402,7 @@ class Ledger:
     """
 
     def __init__(self):
-        self._kinds: dict[str, AddressKind] = {}
-        self._balances: dict[str, int] = {}
+        self._balances: dict[str, int] = {}     # every registered address
         self._contracts: dict[str, Contract] = {}
         self._states: dict[str, Any] = {}
         self._issuers: set[str] = set()
@@ -447,7 +413,6 @@ class Ledger:
         self._pending: list[Event] = []     # committed, not yet encoded or folded
         self._text = ""                     # the log's text: every flushed batch, encoded
         self._replay = ReplayResult({}, 0, 0)     # the fold of every flushed event
-        self._hooks: list[Callable[[], None]] = []
         # (caller, target, method) -> the one shared payload of its Call events
         self._call_payloads: dict[tuple[str, str, str], dict] = {}
 
@@ -455,7 +420,7 @@ class Ledger:
 
     def register_account(self, name: str) -> str:
         """Register an externally-owned account with zero balance."""
-        self._register(name, AddressKind.ACCOUNT)
+        self._register(name)
         return name
 
     def register_contract(self, name: str, contract: Contract, issuer: bool = False) -> str:
@@ -465,28 +430,28 @@ class Ledger:
         units in its own account (the consensus layer uses this for reward
         issuance and slashing; nothing else may).
         """
-        self._register(name, AddressKind.CONTRACT)
+        self._register(name)
         self._contracts[name] = contract
         self._states[name] = contract.initial_state()
         if issuer:
             self._issuers.add(name)
         return name
 
-    def _register(self, name: str, kind: AddressKind) -> None:
-        if name in self._kinds:
+    def _register(self, name: str) -> None:
+        if name in self._balances:
             raise ValueError(f"address {name!r} already registered")
-        self._kinds[name] = kind
         self._balances[name] = 0
 
     # --- reads ----------------------------------------------------------
 
-    def kind_of(self, name: str) -> AddressKind:
-        if name not in self._kinds:
+    def is_contract(self, name: str) -> bool:
+        """True if `name` has code: it was registered as a contract."""
+        if name not in self._balances:
             raise UnknownAddress(name)
-        return self._kinds[name]
+        return name in self._contracts
 
     def balance_of(self, name: str) -> int:
-        if name not in self._kinds:
+        if name not in self._balances:
             raise UnknownAddress(name)
         return self._balances[name]
 
@@ -503,7 +468,7 @@ class Ledger:
 
     def genesis(self, to: str, amount: int, memo: str = "genesis") -> None:
         """Endow an account with newly created units; logged as a Mint."""
-        if to not in self._kinds:
+        if to not in self._balances:
             raise UnknownAddress(to)
         if amount <= 0:
             raise InvalidAmount(f"genesis amount must be positive, got {amount}")
@@ -511,15 +476,9 @@ class Ledger:
         self.minted_total += amount
         self._append_event(to, "SupplyMint", {"to": to, "amount": amount, "memo": memo})
 
-    def transfer(self, src: str, dst: str, amount: int) -> None:
-        """Move value between accounts, atomically. Zero amounts rejected."""
-        frame = _TxFrame(self)
-        frame.move(src, dst, amount)
-        frame.commit()
-
     def emit(self, emitter: str, tag: str, payload: dict) -> None:
         """Append a driver-level event outside any call tree."""
-        if emitter not in self._kinds:
+        if emitter not in self._balances:
             raise UnknownAddress(emitter)
         self._append_event(emitter, tag, payload)
 
@@ -533,7 +492,7 @@ class Ledger:
         propagates to the caller and nothing is applied: no balance, no
         contract state, no event.
         """
-        if caller not in self._kinds:
+        if caller not in self._balances:
             raise UnknownAddress(caller)
         frame = _TxFrame(self)
         result = self._dispatch(CallContext(self, frame), caller, target, method,
@@ -568,7 +527,7 @@ class Ledger:
                 log(target, eff.tag, eff.payload)
             elif kind is Call:
                 self._dispatch(ctx, target, eff.target, eff.method,
-                               dict(eff.args), eff.value, depth + 1)
+                               dict(eff.args or ()), eff.value, depth + 1)
             elif kind is Transfer:
                 frame.move(target, eff.to, eff.amount)
             elif kind is Issue:
@@ -585,14 +544,12 @@ class Ledger:
 
     # --- time -------------------------------------------------------------
 
-    def add_epoch_hook(self, hook: Callable[[], None]) -> None:
-        """Register a callable run on every advance_epoch, in fixed order."""
-        self._hooks.append(hook)
-
-    def advance_epoch(self) -> int:
+    def advance_epoch(self, substeps: Callable[[], None] | None = None) -> int:
+        """Move the clock one epoch, then run `substeps`, the driver's work
+        for the new epoch, if given. Returns the new epoch."""
         self.epoch += 1
-        for hook in self._hooks:
-            hook()
+        if substeps is not None:
+            substeps()
         return self.epoch
 
     def advance_segment(self, k: int, n: int, strides: dict[str, int], states: dict[str, Any],
@@ -610,10 +567,9 @@ class Ledger:
         The lines are the log's own, read after a flush, and checked first:
         the epoch before the last, advanced by one stride, must read as the
         last epoch's lines. The caller does not test that, so this check is
-        a condition of correctness, not a spare guard. If it fails, the log
-        holds fewer than 2n lines, or more than one epoch hook is registered
-        (a segment runs no hook but the caller's), False is returned and
-        nothing changes, though the pending batch may have been flushed.
+        a condition of correctness, not a spare guard. If it fails or the
+        log holds fewer than 2n lines, False is returned and nothing
+        changes, though the pending batch may have been flushed.
         Otherwise, in one step: the last epoch's lines, split once
         (:func:`_split`), are copied k times with a column of strings per
         integer (:func:`_copies`) and appended at most ``max(EVENT_BATCH, n)``
@@ -622,8 +578,6 @@ class Ledger:
         balances, supply counters, epoch, seq and `states` are set. Returns
         True.
         """
-        if len(self._hooks) > 1:
-            return False
         tail = self._tail(n)
         if tail is None:
             return False
@@ -721,30 +675,6 @@ class Ledger:
         for start in range(0, len(text), DIGEST_SLICE):
             h.update(text[start:start + DIGEST_SLICE].encode())
         return h.hexdigest()
-
-    # --- snapshots ---------------------------------------------------------
-
-    def snapshot(self) -> bytes:
-        """Serialize all mutable state; pair with :meth:`restore`.
-
-        The bytes are not canonical. A restored state holds unpickled copies
-        of the shared ``Call`` payloads and event strings, while payloads
-        and strings built after the restore are other objects, so pickle
-        shares them differently: equal states can pickle to different bytes
-        once :meth:`restore` has run. Compare snapshots taken across a
-        restore with ``pickle.loads``, not as bytes. (Adding the interned
-        payloads to the snapshot does not make the bytes canonical either.)
-        """
-        return pickle.dumps((
-            self._balances, self._states, self.epoch,
-            self.minted_total, self.burned_total, self._seq,
-            self._pending, self._text, self._replay,
-        ))
-
-    def restore(self, snap: bytes) -> None:
-        (self._balances, self._states, self.epoch,
-         self.minted_total, self.burned_total, self._seq,
-         self._pending, self._text, self._replay) = pickle.loads(snap)
 
 
 # --- post-hoc conservation check from the log alone --------------------------

@@ -95,7 +95,7 @@ class MintContract(Handlers):
             raise UnknownToken(f"no token {token_id}")
         if msg.caller != owner:
             raise NotOwner(f"{msg.caller} does not own token {token_id}")
-        ctx.kind_of(to)  # raises UnknownAddress for unregistered recipients
+        ctx.is_contract(to)  # raises UnknownAddress for unregistered recipients
         if to == owner:
             return state, [], None
         st = evolve(state, owners={**state.owners, token_id: to})

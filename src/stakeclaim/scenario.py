@@ -92,7 +92,6 @@ from __future__ import annotations
 
 import json
 import re
-import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
@@ -102,7 +101,7 @@ from pathlib import Path
 
 from .beacon import BeaconContract, BeaconParams, ValidatorStatus, exact_factor, next_transition, validator_by_id
 from .errors import ContractError, InvalidScenario, InvariantViolation, bound_problems, bounded
-from .ledger import Ledger, replay_balances  # noqa: F401  (scenario.replay_balances stays importable)
+from .ledger import Ledger, replay_balances  # noqa: F401  (bench/tracing.py patches scenario.replay_balances)
 from .mint import MintContract, MintSpec
 from .treasury import Phase, TreasuryContract, TreasurySpec, balance_identity, claimable_of
 from .wallet import ValidatorWallet, WalletStatus
@@ -114,10 +113,18 @@ TREASURY = "treasury"
 BEACON = "beacon"
 # The fixed addresses of every World; no holder may take one.
 RESERVED = frozenset((SYSTEM, OPERATOR, MINT, TREASURY, BEACON))
+# Every validator wallet's address starts with it; no holder name may.
+WALLET_PREFIX = "wallet:"
 
 
 def wallet_name(index: int) -> str:
-    return f"wallet:{index}"
+    return f"{WALLET_PREFIX}{index}"
+
+
+def is_holder_name(name) -> bool:
+    """A name a holder may take: a non-empty str, neither reserved nor a wallet's."""
+    return (type(name) is str and name != "" and name not in RESERVED
+            and not name.startswith(WALLET_PREFIX))
 
 
 # --- scenario description ----------------------------------------------------
@@ -343,10 +350,6 @@ def parse_factor(factor) -> int | Fraction:
     return exact.numerator if exact.denominator == 1 else exact
 
 
-def _is_holder_name(h) -> bool:
-    return type(h) is str and h != "" and h not in RESERVED and not h.startswith("wallet:")
-
-
 def _holder_problems(s: Scenario) -> list[str]:
     """Each holder field that is not a non-empty string clear of the reserved names.
 
@@ -354,14 +357,14 @@ def _holder_problems(s: Scenario) -> list[str]:
     transfers has thousands of holder fields but few names.
     """
     try:
-        if all(map(_is_holder_name, s.holder_names)):
+        if all(map(is_holder_name, s.holder_names)):
             return []
     except TypeError:           # an unhashable name
         pass
     return [f"{where}[{i}].{name} {getattr(r, name)!r} is empty, reserved or not a string"
             for where, name in (("deposits", "holder"), ("claims", "holder"),
                                 ("nft_transfers", "from_holder"), ("nft_transfers", "to"))
-            for i, r in enumerate(getattr(s, where)) if not _is_holder_name(getattr(r, name))]
+            for i, r in enumerate(getattr(s, where)) if not is_holder_name(getattr(r, name))]
 
 
 def _limits(s: Scenario) -> tuple[dict, dict, dict]:
@@ -608,18 +611,11 @@ class World:
         self._perf_count = 0
         self._perf_until = 0
 
-        # Held weakly: a world and its ledger form no reference cycle, so a
-        # dropped world is freed at once. A ledger left alone runs no sub-steps.
-        world = weakref.ref(self)
-
-        def substeps() -> None:
-            w = world()
-            if w is not None:
-                w._epoch_substeps()
-
-        led.add_epoch_hook(substeps)
-
     # --- driving ---------------------------------------------------------
+
+    def step(self) -> None:
+        """Advance one epoch and run its sub-steps inside ``Ledger.advance_epoch``."""
+        self.ledger.advance_epoch(self._epoch_substeps)
 
     def run(self) -> RunReport:
         led = self.ledger
@@ -627,7 +623,7 @@ class World:
         self._epoch_substeps()          # epoch 0
         while led.epoch < horizon:
             seq = led.event_count
-            led.advance_epoch()         # hook runs the sub-steps
+            self.step()
             k = self._quiet_span()
             if k:
                 self._advance_segment(k, led.event_count - seq)
@@ -783,12 +779,12 @@ class World:
                 and mst.minted_total < self._mint.target):
             led.call(SYSTEM, MINT, "abort", {})
         for d in deposits_at.get(e, ()):
-            self._try(d.holder, MINT, "mint", {}, value=d.amount, action="mint")
+            self._try(d.holder, MINT, "mint", {}, value=d.amount)
         for tr in transfers_at.get(e, ()):
             self._try(tr.from_holder, MINT, "transfer_nft",
-                      {"token_id": tr.token_id, "to": tr.to}, action="transfer_nft")
+                      {"token_id": tr.token_id, "to": tr.to})
         for c in claims_at.get(e, ()):
-            self._try(c.holder, TREASURY, "claim", {}, action="claim")
+            self._try(c.holder, TREASURY, "claim", {})
         mst = led.contract_state(MINT)
         tst = led.contract_state(TREASURY)
         if (tst.phase is Phase.FUNDRAISING and not mst.aborted
@@ -799,13 +795,13 @@ class World:
         self.audit()
 
     def _try(self, caller: str, target: str, method: str, args: dict,
-             value: int = 0, action: str = "") -> None:
+             value: int = 0) -> None:
         """Attempt a scheduled action; a rejection is recorded, not fatal."""
         try:
             self.ledger.call(caller, target, method, args, value=value)
         except ContractError as exc:
             self.ledger.emit(SYSTEM, "ActionRejected", {
-                "action": action, "caller": caller, "reason": type(exc).__name__,
+                "action": method, "caller": caller, "reason": type(exc).__name__,
             })
 
     def _performance(self, e: int, count: int) -> dict:

@@ -158,11 +158,6 @@ def claimable_of(state: TreasuryState, holder: str) -> int:
         accrued(state, t) - state.paid.get(t, 0) for t in state.owned.get(holder, ()))
 
 
-def dust_of(state: TreasuryState) -> int:
-    """Net units distributed to no token yet: N - sum(accrued)."""
-    return state.net_total - sum(accrued(state, t) for t in state.registry)
-
-
 def split_credits(before: int, after: int, registry: dict[int, NftRecord],
                   sum_capital: int) -> tuple[list[list], int]:
     """Each token's credit as N rises from `before` to `after`.

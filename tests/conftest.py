@@ -1,13 +1,15 @@
 """Shared test world builder.
 
 Unit tests drive the contracts step by step with small round numbers, so a
-compact hand-wired world (no scenario engine, no epoch hooks) keeps each
-test explicit about what happens when.
+compact hand-wired world (no scenario engine, no epoch sub-steps) keeps
+each test explicit about what happens when. The ledger operations only
+tests use (snapshots, a bare transfer, one event's line) live here too.
 """
 
 from __future__ import annotations
 
 import json
+import pickle
 from dataclasses import dataclass, field, replace
 
 import pytest
@@ -15,10 +17,10 @@ from hypothesis import strategies as st
 
 from stakeclaim import golden_scenario_path
 from stakeclaim.beacon import BeaconContract, BeaconParams
-from stakeclaim.ledger import Event, Ledger
+from stakeclaim.ledger import Event, Ledger, _TxFrame, encode_lines
 from stakeclaim.mint import MintContract
 from stakeclaim.scenario import BehaviorWindow, DepositAction, MintSpec, Scenario, TreasurySpec, World
-from stakeclaim.treasury import TreasuryContract, balance_identity
+from stakeclaim.treasury import TreasuryContract, TreasuryState, accrued, balance_identity
 from stakeclaim.wallet import ValidatorWallet
 
 SYSTEM = "system"
@@ -140,6 +142,47 @@ class SteppedWorld(World):
 
     def _quiet_span(self) -> int:
         return 0
+
+
+def snapshot(led: Ledger) -> bytes:
+    """All of `led`'s mutable state, pickled; pair with :func:`restore`.
+
+    The bytes are not canonical. A restored state holds unpickled copies
+    of the shared ``Call`` payloads and event strings, while payloads and
+    strings built after the restore are other objects, so pickle shares
+    them differently: equal states can pickle to different bytes once
+    :func:`restore` has run. Compare snapshots taken across a restore with
+    ``pickle.loads``, not as bytes. (Adding the interned payloads to the
+    snapshot does not make the bytes canonical either.)
+    """
+    return pickle.dumps((
+        led._balances, led._states, led.epoch,
+        led.minted_total, led.burned_total, led._seq,
+        led._pending, led._text, led._replay,
+    ))
+
+
+def restore(led: Ledger, snap: bytes) -> None:
+    (led._balances, led._states, led.epoch,
+     led.minted_total, led.burned_total, led._seq,
+     led._pending, led._text, led._replay) = pickle.loads(snap)
+
+
+def transfer(led: Ledger, src: str, dst: str, amount: int) -> None:
+    """Move value between registered addresses as one committed tree. Zero amounts rejected."""
+    frame = _TxFrame(led)
+    frame.move(src, dst, amount)
+    frame.commit()
+
+
+def to_json(e: Event) -> str:
+    """`e`'s line of ``Ledger.events_jsonl``, without the newline."""
+    return encode_lines((e,))[0][:-1]
+
+
+def dust_of(state: TreasuryState) -> int:
+    """Net units distributed to no token yet: N - sum(accrued)."""
+    return state.net_total - sum(accrued(state, t) for t in state.registry)
 
 
 def logged_events(led: Ledger) -> list[Event]:

@@ -20,7 +20,8 @@ from pathlib import Path
 import pytest
 
 import stakeclaim as sc
-from conftest import BEACON, MINT, OPERATOR, SYSTEM, TREASURY, SteppedWorld, logged_events, make_world
+from conftest import (BEACON, MINT, OPERATOR, SYSTEM, TREASURY, SteppedWorld, dust_of, logged_events,
+                      make_world, restore, snapshot, transfer)
 from oracle import rational_shares, replay_mixed, trigger_epoch
 from stakeclaim.beacon import BeaconParams, validator_by_id
 from stakeclaim.cli import main as cli_main
@@ -34,7 +35,7 @@ from stakeclaim.scenario import (
     TreasurySpec,
     World,
 )
-from stakeclaim.treasury import accrued, dust_of
+from stakeclaim.treasury import accrued
 
 CORPUS_SEED = 20260808
 CORPUS_SIZE = 50
@@ -401,7 +402,7 @@ def test_criterion_6_immutability_exhaustive():
         w.sweep()
 
     vocabulary = [
-        lambda: led.transfer("alice", "bob", 1),
+        lambda: transfer(led, "alice", "bob", 1),
         lambda: w.mint("carol", 1),
         lambda: w.transfer_nft(0, "alice", "bob"),
         lambda: w.claim("alice"),
@@ -421,7 +422,7 @@ def test_criterion_6_immutability_exhaustive():
     def dfs(depth: int, snap: bytes):
         nonlocal nodes
         for op in vocabulary:
-            led.restore(snap)
+            restore(led, snap)
             try:
                 op()
             except (ContractError, LedgerError):
@@ -429,9 +430,9 @@ def test_criterion_6_immutability_exhaustive():
             nodes += 1
             check()
             if depth < 4:
-                dfs(depth + 1, led.snapshot())
+                dfs(depth + 1, snapshot(led))
 
-    dfs(1, led.snapshot())
+    dfs(1, snapshot(led))
     expected_nodes = sum(len(vocabulary) ** d for d in (1, 2, 3, 4))
     assert nodes == expected_nodes
     print(f"\nACCEPTANCE 6 PASS: {nodes} operation sequences (depth <= 4, "

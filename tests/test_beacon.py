@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import snapshot
 from stakeclaim.beacon import (
     BeaconContract,
     BeaconParams,
@@ -138,10 +139,10 @@ class TestAccrual:
         other = deposit(self.led)
         self.led.advance_epoch()
         accrue(self.led)                        # activates the second validator
-        snap = self.led.snapshot()
+        snap = snapshot(self.led)
         with pytest.raises(InvalidFactor, match="not a number"):
             accrue(self.led, {self.vid: 1, other: bad})
-        assert self.led.snapshot() == snap
+        assert snapshot(self.led) == snap
 
     def test_one_factor_shared_by_many_validators(self):
         for _ in range(3):
@@ -241,7 +242,7 @@ class TestExitAndSweep:
     @pytest.mark.parametrize("vid", [-1, 1])
     def test_ids_outside_the_list_are_unknown(self, vid):
         # Ids are list positions; -1 must not reach the last validator.
-        snap = self.led.snapshot()
+        snap = snapshot(self.led)
         with pytest.raises(UnknownValidator):
             validator_by_id(self.led.contract_state("beacon"), vid)
         with pytest.raises(UnknownValidator):
@@ -249,7 +250,7 @@ class TestExitAndSweep:
         with pytest.raises(UnknownValidator):
             self.led.call("sys", "beacon", "slash",
                           {"validator_id": vid, "fraction_bps": 100})
-        assert self.led.snapshot() == snap
+        assert snapshot(self.led) == snap
 
     def test_sweep_moves_only_excess_for_active(self):
         accrue(self.led, {self.vid: 1.0})  # +100 over stake

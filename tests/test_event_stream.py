@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import stakeclaim as sc
-from conftest import logged_events
+from conftest import SteppedWorld, logged_events, restore, snapshot
 from stakeclaim import ledger
 from stakeclaim.errors import UnknownAddress
 from stakeclaim.ledger import (
@@ -95,10 +95,10 @@ def test_a_reverted_tree_never_reaches_the_log(monkeypatch):
     monkeypatch.setattr(ledger, "EVENT_BATCH", 7)
     led = chatty_ledger()           # 1 SupplyMint pending
     say(led, 2)                     # + Call, 2 Said, Transfer: 5 pending
-    snap = led.snapshot()
+    snap = snapshot(led)
     with pytest.raises(UnknownAddress):
         say(led, 4, fail=True)      # Call, 4 Said, 2 Transfers would pass 7
-    assert led.snapshot() == snap
+    assert snapshot(led) == snap
     say(led, 2)                     # 10 pending: flushed
     say(led, 0)
     seqs = [e.seq for e in logged_events(led)]
@@ -111,12 +111,12 @@ def test_restore_across_a_flush_gives_the_same_log(monkeypatch):
     monkeypatch.setattr(ledger, "EVENT_BATCH", 7)
     led = chatty_ledger()
     say(led, 1)
-    before_flush = led.snapshot()   # 4 pending, nothing encoded
+    before_flush = snapshot(led)   # 4 pending, nothing encoded
 
     def go_on():
         for n in (3, 0, 5, 2):
             say(led, n)
-        return led.snapshot()
+        return snapshot(led)
 
     after_flush = go_on()
     flushed = led._text
@@ -124,12 +124,12 @@ def test_restore_across_a_flush_gives_the_same_log(monkeypatch):
     unrestored = led.events_jsonl()
     assert flushed and unrestored.startswith(flushed), "the calls should have crossed a flush"
 
-    led.restore(before_flush)
+    restore(led, before_flush)
     # Equal state; the bytes may differ in how pickle shares Call payloads.
     assert pickle.loads(go_on()) == pickle.loads(after_flush)
     say(led, 4)
     assert led.events_jsonl() == unrestored
-    led.restore(after_flush)
+    restore(led, after_flush)
     say(led, 4)
     assert led.events_jsonl() == unrestored
     assert_log_is_the_list_at_once(led)
@@ -177,12 +177,18 @@ def events_held(root) -> int:
 def test_a_default_world_holds_at_most_one_batch(monkeypatch):
     monkeypatch.setattr(ledger, "EVENT_BATCH", 64)
     scenario = sc.load_scenario(sc.golden_scenario_path("honest"))
-    world = World(scenario)
+    world = SteppedWorld(scenario)      # counted after every epoch, none in a segment
     led = world.ledger
     held = []
-    led.add_epoch_hook(lambda: held.append(events_held(led)))
+    substeps = world._epoch_substeps
+
+    def counted():
+        substeps()
+        held.append(events_held(led))
+
+    world._epoch_substeps = counted
     report = world.run()
-    assert len(held) == scenario.horizon
+    assert len(held) == scenario.horizon + 1
     assert 0 < max(held) <= 64
     assert report.event_count > 10 * 64
     assert events_held(led) <= 64

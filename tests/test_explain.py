@@ -18,13 +18,17 @@ import pytest
 import stakeclaim as sc
 from stakeclaim.cli import main as cli_main
 from stakeclaim.explain import rebuild_report
+from stakeclaim.ledger import Event, encode_lines
 from stakeclaim.scenario import (
+    MINT,
+    RESERVED,
     BehaviorWindow,
     ClaimAction,
     DepositAction,
     NftTransferAction,
     SlashAction,
     TreasurySpec,
+    validate,
 )
 from conftest import small_scenario
 from test_acceptance import CORPUS_SEED, CORPUS_SIZE, random_scenario
@@ -111,3 +115,17 @@ def test_an_exit_due_but_not_yet_swept_reads_withdrawable():
     report = sc.run(s)
     assert report.validators[0].beacon_status == "Withdrawable"
     assert_rebuilt(report)
+
+
+@pytest.mark.parametrize("tag", ["SupplyMint", "Call"])
+@pytest.mark.parametrize("name", ["wallet:7", *sorted(RESERVED), "dave"])
+def test_validate_and_the_fold_agree_on_who_is_a_holder(name, tag):
+    # validate rejects a holder name exactly when the fold does not count a
+    # name its log endows or sees calling as a holder's.
+    s = small_scenario(deposits=(*small_scenario().deposits, DepositAction(name, 1, 0)))
+    rejected = any(p.startswith("deposits[2].holder ") for p in validate(s))
+    payload = ({"to": name, "amount": 1, "memo": "m"} if tag == "SupplyMint"
+               else {"caller": name, "target": MINT, "method": "mint"})
+    rebuilt = rebuild_report(encode_lines([Event(0, 0, name, tag, payload)]), 0)
+    assert ({h["holder"] for h in rebuilt["holders"]} == {name}) is not rejected
+    assert rejected is (name != "dave")

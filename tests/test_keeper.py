@@ -256,12 +256,12 @@ def test_an_active_wallet_without_activation_epoch_still_reaches_the_handler():
     led = world.ledger
     world._epoch_substeps()
     for _ in range(5):
-        led.advance_epoch()
+        world.step()
     w = wallet_name(0)
     assert [f(led.contract_state(w), led.epoch) for _, f in world._watchdogs] == [None]
     led._states[w] = replace(led.contract_state(w), activation_epoch=None)
     with pytest.raises(WrongStatus, match="activation epoch"):
-        led.advance_epoch()
+        world.step()
 
 
 def test_the_performance_map_is_rebuilt_only_at_window_edges_and_new_ids():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import logged_events, make_world
+from conftest import logged_events, make_world, restore, snapshot, to_json, transfer
 from stakeclaim.errors import (
     ContractError,
     InsufficientBalance,
@@ -45,32 +45,32 @@ def fresh_ledger(**balances: int) -> Ledger:
 class TestTransfer:
     def test_exact_drain(self):
         led = fresh_ledger(a=5, b=0)
-        led.transfer("a", "b", 5)
+        transfer(led, "a", "b", 5)
         assert led.balance_of("a") == 0
         assert led.balance_of("b") == 5
 
     def test_zero_amount_rejected(self):
         led = fresh_ledger(a=5, b=0)
         with pytest.raises(InvalidAmount):
-            led.transfer("a", "b", 0)
+            transfer(led, "a", "b", 0)
 
     def test_insufficient_leaves_state_unchanged(self):
         led = fresh_ledger(a=5, b=0)
-        snap = led.snapshot()
+        snap = snapshot(led)
         with pytest.raises(InsufficientBalance):
-            led.transfer("a", "b", 6)
-        assert led.snapshot() == snap
+            transfer(led, "a", "b", 6)
+        assert snapshot(led) == snap
 
     def test_unknown_addresses(self):
         led = fresh_ledger(a=5)
         with pytest.raises(UnknownAddress):
-            led.transfer("a", "ghost", 1)
+            transfer(led, "a", "ghost", 1)
         with pytest.raises(UnknownAddress):
-            led.transfer("ghost", "a", 1)
+            transfer(led, "ghost", "a", 1)
 
     def test_transfer_logged(self):
         led = fresh_ledger(a=5, b=0)
-        led.transfer("a", "b", 3)
+        transfer(led, "a", "b", 3)
         last = logged_events(led)[-1]
         assert last.tag == "Transfer"
         assert last.payload == {"from": "a", "to": "b", "amount": 3}
@@ -144,20 +144,20 @@ class TestDispatch:
     def test_nested_revert_rolls_back_everything(self):
         # c1 state bump + value move + nested boom at depth 2: all undone.
         led = dispatch_ledger()
-        snap = led.snapshot()
+        snap = snapshot(led)
         with pytest.raises(ContractError):
             led.call("user", "c1", "poke_then_call",
                      {"peer": "c2", "peer_method": "boom"}, value=10)
-        assert led.snapshot() == snap
+        assert snapshot(led) == snap
 
     def test_nested_insufficient_balance_rolls_back(self):
         led = dispatch_ledger()
-        snap = led.snapshot()
+        snap = snapshot(led)
         with pytest.raises(InsufficientBalance):
             led.call("user", "c1", "poke_then_call",
                      {"peer": "c2", "peer_method": "pay",
                       "peer_args": {"to": "user", "amount": 999}})
-        assert led.snapshot() == snap
+        assert snapshot(led) == snap
 
     def test_nested_call_commits_both_states(self):
         led = dispatch_ledger()
@@ -168,37 +168,37 @@ class TestDispatch:
 
     def test_reentrancy_depth_limit(self):
         led = dispatch_ledger()
-        snap = led.snapshot()
+        snap = snapshot(led)
         with pytest.raises(ReentrancyLimitExceeded):
             led.call("user", "c1", "recurse", {"self": "c1"})
-        assert led.snapshot() == snap
+        assert snapshot(led) == snap
 
     @pytest.mark.parametrize("target", ["mint", "treasury", "beacon", "wallet:0"])
     def test_unknown_method_is_its_own_error(self, target):
         w = make_world()
-        snap = w.ledger.snapshot()
+        snap = snapshot(w.ledger)
         with pytest.raises(UnknownMethod, match="has no method 'nope'"):
             w.ledger.call("alice", target, "nope", {}, value=1)
-        assert w.ledger.snapshot() == snap
+        assert snapshot(w.ledger) == snap
         assert not issubclass(UnknownMethod, InvalidAmount)
 
     def test_default_call_args_are_never_shared(self):
-        # The callee gets its own copy of Call's default args; scribbling on
-        # it leaves the default empty for every later Call.
+        # The callee gets its own empty dict for Call's default args (None);
+        # scribbling on it leaves the default as it was for every later Call.
         led = dispatch_ledger()
         led.call("user", "c1", "call_bare", {"peer": "c2"})
         led.call("user", "c1", "call_bare", {"peer": "c2"})
-        assert Call("c2", "scribble").args == {}
+        assert Call("c2", "scribble").args is None
         with pytest.raises(TypeError):
             Call("c2", "scribble").args["x"] = 1
 
     @pytest.mark.parametrize("method", ["bogus", "subclassed"])
     def test_unknown_effect_raises_and_reverts(self, method):
         led = dispatch_ledger()
-        snap = led.snapshot()
+        snap = snapshot(led)
         with pytest.raises(TypeError, match="unknown effect"):
             led.call("user", "c1", method)
-        assert led.snapshot() == snap
+        assert snapshot(led) == snap
 
     def test_call_events_share_one_payload_per_route(self):
         led = dispatch_ledger()
@@ -220,6 +220,13 @@ class TestDispatch:
         assert led.balance_of("bank") == 5
         assert led.minted_total == 105  # genesis 100 + issued 5
 
+    def test_is_contract_raises_on_an_unregistered_name(self):
+        led = dispatch_ledger()
+        assert led.is_contract("c1")
+        assert not led.is_contract("user")
+        with pytest.raises(UnknownAddress):
+            led.is_contract("ghost")
+
 
 class TestEpochs:
     def test_single_advance(self):
@@ -234,21 +241,29 @@ class TestEpochs:
         assert led.epoch == 1000
 
     def test_hooks_run_in_fixed_order_deterministically(self):
+        # The sub-steps handed to advance_epoch run after the clock moves.
         def build():
             led = fresh_ledger(a=1000, b=0)
-            led.add_epoch_hook(lambda: led.transfer("a", "b", 1))
-            led.add_epoch_hook(lambda: led.transfer("b", "a", 1))
+
+            def substeps():
+                transfer(led, "a", "b", 1)
+                transfer(led, "b", "a", 1)
+
             for _ in range(10):
-                led.advance_epoch()
+                led.advance_epoch(substeps)
             return led.events_jsonl()
 
-        assert build() == build()
+        log = build()
+        assert log == build()
+        moves = [(e["epoch"], e["payload"]["from"]) for e in map(json.loads, log.splitlines())
+                 if e["tag"] == "Transfer"]
+        assert moves == [(epoch, src) for epoch in range(1, 11) for src in "ab"]
 
 
 class TestEventLog:
     def test_jsonl_field_order(self):
         led = fresh_ledger(a=5, b=0)
-        led.transfer("a", "b", 2)
+        transfer(led, "a", "b", 2)
         line = led.events_jsonl().splitlines()[-1]
         assert line.startswith('{"epoch":0,"seq":')
         parsed = json.loads(line)
@@ -256,9 +271,9 @@ class TestEventLog:
 
     def test_seq_is_total_order(self):
         led = fresh_ledger(a=10, b=0)
-        led.transfer("a", "b", 1)
+        transfer(led, "a", "b", 1)
         led.advance_epoch()
-        led.transfer("a", "b", 1)
+        transfer(led, "a", "b", 1)
         events = logged_events(led)
         seqs = [e.seq for e in events]
         assert seqs == sorted(seqs) == list(range(len(seqs)))
@@ -323,7 +338,7 @@ class TestEventEncoding:
         events = [Event(epoch, seq, em, tag, p) for seq, (em, tag, p) in enumerate(entries)]
         lines = encode_lines(events)
         assert lines == [dumps_line(e) + "\n" for e in events]
-        assert [e.to_json() for e in events] == [line[:-1] for line in lines]
+        assert [to_json(e) for e in events] == [line[:-1] for line in lines]
 
     @settings(max_examples=100)
     @given(st.lists(st.tuples(st.sampled_from(["a", "b"]), st.text(max_size=4),
@@ -334,7 +349,7 @@ class TestEventEncoding:
             led.emit(emitter, tag, payload)
             led.advance_epoch()
         events = list(led._pending)      # the Event objects, before events_jsonl encodes them
-        assert led.events_jsonl() == "".join(e.to_json() + "\n" for e in events)
+        assert led.events_jsonl() == "".join(to_json(e) + "\n" for e in events)
         assert led.events_jsonl() == "".join(dumps_line(e) + "\n" for e in events)
 
     @settings(max_examples=100)
@@ -358,15 +373,15 @@ class TestEventEncoding:
         p: dict = {"self": []}
         p["self"].append(p)
         with pytest.raises(ValueError, match="Circular reference"):
-            Event(0, 0, "a", "Loop", p).to_json()
+            to_json(Event(0, 0, "a", "Loop", p))
 
     def test_records_survive_snapshot_and_pickle(self):
         led = dispatch_ledger()
         led.call("user", "c1", "poke", value=3)
-        snap = led.snapshot()
+        snap = snapshot(led)
         jsonl = led.events_jsonl()
         led.call("user", "c1", "poke")
-        led.restore(snap)
+        restore(led, snap)
         restored = led._pending          # the snapshot's batch, not yet encoded
         assert led.events_jsonl() == jsonl
         assert restored and all(type(e) is Event for e in restored)
@@ -401,13 +416,17 @@ class Tally:
         return total, [Issue(6, note), Transfer("user", 3), Emit(note, payload)], None
 
 
+def poke(led: Ledger):
+    """`led`'s sub-steps: one poke of its Tally (4 events)."""
+    return lambda: led.call("user", "tally", "poke", {"epoch": led.epoch})
+
+
 def tally_ledger(step: int, note: str) -> Ledger:
-    """A ledger whose one epoch hook pokes a Tally (4 events), stepped to epoch 2."""
+    """A ledger whose every epoch pokes a Tally (:func:`poke`), stepped to epoch 2."""
     led = fresh_ledger(user=0)
     led.register_contract("tally", Tally(step, note), issuer=True)
-    led.add_epoch_hook(lambda: led.call("user", "tally", "poke", {"epoch": led.epoch}))
-    led.advance_epoch()
-    led.advance_epoch()
+    led.advance_epoch(poke(led))
+    led.advance_epoch(poke(led))
     return led
 
 
@@ -421,7 +440,7 @@ def tally_segment(led: Ledger, k: int, n: int, step: int) -> bool:
 def ledger_state(led: Ledger) -> tuple:
     """Everything the ledger holds, flushed: log, seq, epoch, balances, supply, states, replay."""
     led.flush()
-    return pickle.loads(led.snapshot())
+    return pickle.loads(snapshot(led))
 
 
 def advanced(obj, t: int, strides: dict[str, int]):
@@ -444,7 +463,7 @@ def assert_segment_copies_like_stepping(step: int, note: str, k: int) -> None:
                  for t in range(1, k + 1) for line in last]
     assert led.events_jsonl() == head + "".join(reference)
     for _ in range(k):
-        stepped.advance_epoch()
+        stepped.advance_epoch(poke(stepped))
     assert ledger_state(led) == ledger_state(stepped)
 
 
@@ -461,13 +480,10 @@ class TestSegment:
     def test_any_note_copies_like_stepping(self, note, step, k):
         assert_segment_copies_like_stepping(step, note, k)
 
-    @pytest.mark.parametrize("step, n, hooks", [(8, 4, 1), (7, 3, 1), (7, 5, 1), (7, 4, 2)],
-                             ids=["stride", "blocks-off-epochs", "fewer-than-2n-lines",
-                                  "second-hook"])
-    def test_a_refused_segment_changes_nothing(self, step, n, hooks):
+    @pytest.mark.parametrize("step, n", [(8, 4), (7, 3), (7, 5)],
+                             ids=["stride", "blocks-off-epochs", "fewer-than-2n-lines"])
+    def test_a_refused_segment_changes_nothing(self, step, n):
         led, untouched = tally_ledger(7, "".join(HOSTILE)), tally_ledger(7, "".join(HOSTILE))
-        for _ in range(hooks - 1):
-            led.add_epoch_hook(lambda: None)
         assert not tally_segment(led, 50, n, step)
         assert ledger_state(led) == ledger_state(untouched)
         assert (led.epoch, led.event_count) == (2, 8)
@@ -478,7 +494,6 @@ class TestSegment:
         # moves the clock, in chunks of EVENT_BATCH epochs.
         led, stepped = fresh_ledger(user=5), fresh_ledger(user=5)
         for each in (led, stepped):
-            each.add_epoch_hook(lambda: None)
             each.advance_epoch()
             each.advance_epoch()
         assert led.advance_segment(10_000, 0, {}, {}, {}, 0)
@@ -518,7 +533,7 @@ class TestConservation:
             if src == dst:
                 continue
             try:
-                led.transfer(src, dst, amount)
+                transfer(led, src, dst, amount)
             except InsufficientBalance:
                 pass
         assert led.total_balance() == 300

@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from conftest import MINT, TREASURY, logged_events, make_world
+from conftest import MINT, TREASURY, logged_events, make_world, snapshot
 from stakeclaim.errors import (
     BelowMinimum,
     ExceedsCapacity,
@@ -33,10 +33,10 @@ class TestMintFill:
 
     def test_overshoot_rejected_whole(self, world):
         world.mint("alice", 40)
-        snap = world.ledger.snapshot()
+        snap = snapshot(world.ledger)
         with pytest.raises(ExceedsCapacity):
             world.mint("bob", 32)
-        assert world.ledger.snapshot() == snap
+        assert snapshot(world.ledger) == snap
 
     def test_exact_fill_then_capacity_error(self, world):
         world.mint("alice", 40)

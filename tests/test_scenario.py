@@ -17,7 +17,7 @@ import stakeclaim as sc
 from conftest import one_field_replaced, small_scenario
 from oracle import rational_shares, replay_split, trigger_epoch
 from stakeclaim.errors import InvalidScenario, InvariantViolation
-from stakeclaim.ledger import Event, ReplayResult, replay_balances
+from stakeclaim.ledger import Event, Ledger, ReplayResult, replay_balances
 from stakeclaim.scenario import (
     BehaviorWindow,
     ClaimAction,
@@ -454,7 +454,7 @@ class TestConservationChecks:
         world.run()
         world.ledger._balances["alice"] += 1
         with pytest.raises(InvariantViolation, match="total .* != minted"):
-            world.ledger.advance_epoch()    # the epoch hook runs the audit
+            world.step()                    # the epoch's sub-steps end in the audit
 
 
 class TestLifecycleVariants:
@@ -605,28 +605,39 @@ class TestLifecycleVariants:
 
 class TestWorldLifetime:
     def test_a_dropped_world_is_freed_without_the_collector(self):
-        # The ledger's epoch hook holds its world weakly, so a world and its
+        # The ledger holds no reference to its world, so a world and its
         # ledger form no reference cycle.
         gc.disable()
         try:
             world = World(sc.load_scenario(sc.golden_scenario_path("honest")))
             world.run()
-            led, dropped = world.ledger, weakref.ref(world)
+            dropped = weakref.ref(world)
             del world
             assert dropped() is None
-            events = led.event_count
-            led.advance_epoch()          # no world left: no sub-steps run
-            assert led.event_count == events
         finally:
             gc.enable()
 
     def test_sub_steps_run_inside_advance_epoch(self, monkeypatch):
+        # The benchmark's per-epoch span wraps Ledger.advance_epoch, so each
+        # step's sub-steps must run while it is on the stack.
+        inside = []
+        advance = Ledger.advance_epoch
+
+        def watched(led, *args):
+            inside.append(led.epoch)
+            try:
+                return advance(led, *args)
+            finally:
+                inside.pop()
+
         ran = []
-        monkeypatch.setattr(World, "_epoch_substeps", lambda w: ran.append(w.ledger.epoch))
+        monkeypatch.setattr(Ledger, "advance_epoch", watched)
+        monkeypatch.setattr(World, "_epoch_substeps",
+                            lambda w: ran.append((w.ledger.epoch, list(inside))))
         world = World(small_scenario())
-        world.ledger.advance_epoch()
-        world.ledger.advance_epoch()
-        assert ran == [1, 2]
+        world.step()
+        world.step()
+        assert ran == [(1, [0]), (2, [1])]
 
 
 class TestOneDeclaration:

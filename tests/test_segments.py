@@ -293,17 +293,6 @@ def test_an_epoch_with_an_action_is_never_repeated():
     assert assert_segments_match_the_reference(s) == [(7, 8)]
 
 
-def test_a_ledger_with_another_hook_steps_every_epoch():
-    # A segment runs no hook, so it would skip a hook the World did not register.
-    world = World(sc.load_scenario(sc.golden_scenario_path("honest")))
-    seen = []
-    world.ledger.add_epoch_hook(lambda: seen.append(world.ledger.epoch))
-    spans = segments_of(world)
-    world.run()
-    assert spans == []
-    assert seen == list(range(1, 101))
-
-
 def identity_terms(world: World) -> tuple[int, ...]:
     """Both sides of each identity World.audit checks."""
     led = world.ledger

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BEACON, OPERATOR, SYSTEM, TREASURY, Mini, logged_events, make_world
+from conftest import BEACON, OPERATOR, SYSTEM, TREASURY, Mini, dust_of, logged_events, make_world, snapshot
 from oracle import rational_shares, replay_split
 from stakeclaim.errors import (
     AlreadySettled,
@@ -27,7 +27,6 @@ from stakeclaim.treasury import (
     TreasurySpec,
     accrued,
     claimable_of,
-    dust_of,
     split_credits,
 )
 from stakeclaim.wallet import WalletStatus
@@ -113,10 +112,10 @@ class TestReceiveRewards:
         w = staked_world
         with pytest.raises(UnknownMethod):
             w.ledger.call(SYSTEM, w.wallets[0], "forward_", {})  # bogus method also rejected
-        snap = w.ledger.snapshot()
+        snap = snapshot(w.ledger)
         with pytest.raises(InvalidAmount):
             w.ledger.call(w.wallets[0], TREASURY, "receive_rewards", {}, value=0)
-        assert w.ledger.snapshot() == snap
+        assert snapshot(w.ledger) == snap
 
     def test_wrong_phase_before_staking(self, world):
         world.mint("alice", 64)
@@ -228,10 +227,10 @@ class TestStakeAll:
     def test_escrow_missing(self):
         w = make_world(escrow_required=10)
         w.mint("alice", 64)
-        snap = w.ledger.snapshot()
+        snap = snapshot(w.ledger)
         with pytest.raises(EscrowMissing):
             w.stake_all()
-        assert w.ledger.snapshot() == snap
+        assert snapshot(w.ledger) == snap
 
     def test_underfunded(self, world):
         world.mint("alice", 40)

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import BEACON, OPERATOR, TREASURY, logged_events, make_world
+from conftest import BEACON, OPERATOR, TREASURY, logged_events, make_world, snapshot
 from oracle import trigger_epoch
 from stakeclaim.beacon import validator_by_id
 from stakeclaim.errors import BeaconNotSwept, WrongAmount, WrongCaller, WrongStatus
@@ -201,10 +201,10 @@ class TestWatchdog:
         # A contract error, not an assert: it must hold under python -O too.
         w = staked_world
         w.ledger._states[w.wallets[0]] = replace(w.wallet_state(0), activation_epoch=None)
-        snap = w.ledger.snapshot()
+        snap = snapshot(w.ledger)
         with pytest.raises(WrongStatus, match="activation epoch"):
             w.watchdog()
-        assert w.ledger.snapshot() == snap
+        assert snapshot(w.ledger) == snap
 
 
 class TestExitPath:
