@@ -30,7 +30,6 @@ from .scenario import (
     validate,
 )
 from .treasury import (
-    NftRecord,
     Phase,
     TreasuryContract,
     TreasurySpec,
@@ -62,7 +61,6 @@ __all__ = [
     "LedgerError",
     "MintContract",
     "MintSpec",
-    "NftRecord",
     "Phase",
     "RunReport",
     "Scenario",

@@ -56,12 +56,12 @@ class BeaconParams:
 
 @dataclass(frozen=True)
 class BeaconValidator:
-    """One validator record; its balance is ``BeaconState.balances[id]``.
+    """One validator record. Its id is its position in
+    ``BeaconState.validators``, and its balance is ``BeaconState.balances[id]``.
 
     The withdrawal address is set once, at deposit.
     """
 
-    id: int
     withdrawal_address: str
     operator: str
     status: ValidatorStatus
@@ -155,7 +155,6 @@ class BeaconContract(Handlers):
         has_code = ctx.is_contract(wa)  # raises UnknownAddress for unregistered targets
         vid = len(state.validators)
         record = BeaconValidator(
-            id=vid,
             withdrawal_address=wa,
             operator=operator,
             status=ValidatorStatus.PENDING,
@@ -196,7 +195,7 @@ class BeaconContract(Handlers):
             status = v.status
             if status is ValidatorStatus.PENDING and v.activation_epoch <= now:
                 status = ValidatorStatus.ACTIVE
-                effects.append(Emit("Activated", {"id": v.id}))
+                effects.append(Emit("Activated", {"id": i}))
                 if ctx.is_contract(v.withdrawal_address):
                     effects.append(Call(v.withdrawal_address, "on_validator_activated"))
             elif status is ValidatorStatus.EXITING and v.exit_epoch is not None \
@@ -208,7 +207,7 @@ class BeaconContract(Handlers):
                 validators[i] = evolve(v, status=status)
             if status is not ValidatorStatus.ACTIVE:
                 continue
-            factor = performance.get(v.id, 1)
+            factor = performance.get(i, 1)
             kind = type(factor)
             reward = rewards.get(factor) if kind is int or kind is Fraction else None
             if reward is None:
@@ -218,7 +217,7 @@ class BeaconContract(Handlers):
                     balances = list(balances)
                 balances[i] += reward
                 minted += reward
-            amounts.append([v.id, reward])
+            amounts.append([i, reward])
         if minted:
             effects.append(Issue(minted, "epoch rewards"))
         if amounts:
@@ -320,9 +319,9 @@ class BeaconContract(Handlers):
                 validators[i] = evolve(v, status=ValidatorStatus.WITHDRAWN)
                 if amount > 0:
                     effects.append(Transfer(v.withdrawal_address, amount))
-                effects.append(Emit("Swept", {"id": v.id, "to": v.withdrawal_address,
+                effects.append(Emit("Swept", {"id": i, "to": v.withdrawal_address,
                                               "amount": amount, "kind": "exit"}))
-                effects.append(Emit("Withdrawn", {"id": v.id}))
+                effects.append(Emit("Withdrawn", {"id": i}))
                 if ctx.is_contract(v.withdrawal_address):
                     effects.append(Call(v.withdrawal_address, "on_exit_swept"))
                 total += amount

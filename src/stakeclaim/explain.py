@@ -46,7 +46,7 @@ from collections.abc import Iterable
 from .beacon import ValidatorStatus
 from .ledger import Event, ReplayResult, replay_balances
 from .scenario import TREASURY, is_holder_name, wallet_name
-from .treasury import CAUSE_PERFORMANCE, CAUSE_SLASHED, NftRecord, Phase, split_credits
+from .treasury import CAUSE_PERFORMANCE, CAUSE_SLASHED, Phase, moved, split_credits
 
 _REPLAYED = frozenset(("SupplyMint", "SupplyBurn", "Transfer"))
 
@@ -57,7 +57,8 @@ class _Fold:
     def __init__(self):
         self.replay = ReplayResult({}, 0, 0)
         self.names: set[str] = set()
-        self.registry: dict[int, NftRecord] = {}
+        self.capital: dict[int, int] = {}            # token -> its capital
+        self.owned: dict[str, tuple[int, ...]] = {}  # owner -> its token ids
         self.sum_capital = 0
         self.principal = 0
         self.marks: dict[int, int] = {}      # token -> its credit already counted to an owner
@@ -87,7 +88,7 @@ class _Fold:
 
     def _count(self, token_id: int, owner: str) -> None:
         """Credit `owner` with what the token earned since its last mark."""
-        total = self.net_total * self.registry[token_id].capital // self.sum_capital
+        total = self.net_total * self.capital[token_id] // self.sum_capital
         self.credit[owner] = self.credit.get(owner, 0) + total - self.marks.get(token_id, 0)
         self.marks[token_id] = total
 
@@ -112,7 +113,8 @@ class _Fold:
 
     def _on_Mint(self, e: Event) -> None:
         p = e.payload
-        self.registry[p["token_id"]] = NftRecord(p["token_id"], p["owner"], p["capital"])
+        self.capital[p["token_id"]] = p["capital"]
+        self.owned = moved(self.owned, p["token_id"], None, p["owner"])
         self.sum_capital += p["capital"]
         self.principal += p["capital"]
 
@@ -120,7 +122,7 @@ class _Fold:
         p = e.payload
         token_id = p["token_id"]
         self._count(token_id, p["from"])
-        self.registry[token_id] = NftRecord(token_id, p["to"], self.registry[token_id].capital)
+        self.owned = moved(self.owned, token_id, p["from"], p["to"])
         self.names.add(p["to"])
 
     def _on_MintAborted(self, e: Event) -> None:
@@ -144,10 +146,10 @@ class _Fold:
         p = e.payload
         if self.last.tag == "ExitSettled":
             credits, _ = split_credits(self.net_total, p["net_total"],
-                                       self.registry, self.sum_capital)
-            for _, owner, share in credits:
-                if share:
-                    self.settlement_credits[owner] = self.settlement_credits.get(owner, 0) + share
+                                       self.capital, self.owned, self.sum_capital)
+            for owner, credit in credits.items():
+                if credit:
+                    self.settlement_credits[owner] = self.settlement_credits.get(owner, 0) + credit
         self.fees += p["fee"]
         self.net_total = p["net_total"]
 
@@ -192,14 +194,12 @@ class _Fold:
     # --- the report --------------------------------------------------------
 
     def holders(self) -> list[dict]:
-        for token_id, rec in self.registry.items():
-            self._count(token_id, rec.owner)
-        capital: dict[str, int] = {}
-        for rec in self.registry.values():
-            capital[rec.owner] = capital.get(rec.owner, 0) + rec.capital
+        for owner, tokens in self.owned.items():
+            for token_id in tokens:
+                self._count(token_id, owner)
         out = []
         for h in sorted(self.names):
-            cap = capital.get(h, 0)
+            cap = sum(self.capital[t] for t in self.owned.get(h, ()))
             claimed = self.claimed.get(h, 0)
             settled = self.settlement_credits.get(h, 0)
             out.append({

@@ -200,9 +200,10 @@ def _int_rows(v: list) -> bool:
 
 
 class Msg(NamedTuple):
-    """An inbound message as seen by a contract handler."""
+    """An inbound message as seen by the contract handler running at address `target`."""
 
     caller: str
+    target: str
     method: str
     args: dict
     value: int = 0
@@ -520,7 +521,7 @@ class Ledger:
         states = frame._states
         state = states[target] if target in states else self._states[target]
         states[target], effects, result = contract.handle(
-            state, _new_record(Msg, (caller, method, args, value)), ctx)
+            state, _new_record(Msg, (caller, target, method, args, value)), ctx)
         for eff in effects:
             kind = type(eff)
             if kind is Emit:

@@ -3,8 +3,8 @@
 Collects depositor capital during a fixed epoch window, forwards every unit
 to the treasury, and issues one NFT per contribution recording how much the
 depositor put in. Ownership of a token carries the right to that share of
-future rewards, so transfers are mirrored to the treasury registry in the
-same atomic call tree.
+future rewards, so transfers are mirrored to the treasury's owner index in
+the same atomic call tree.
 
 Contributions are variable-size (per-holder capital differs) and a
 contribution that would push the total past the target is rejected whole:
@@ -34,9 +34,8 @@ class MintSpec:
 
 @dataclass
 class MintState:
-    owners: dict[int, str] = field(default_factory=dict)
+    owners: dict[int, str] = field(default_factory=dict)   # token id -> owner; ids are 0, 1, ...
     minted_total: int = 0
-    next_token_id: int = 0
     aborted: bool = False
 
 
@@ -69,10 +68,9 @@ class MintContract(Handlers):
                 f"(minted {state.minted_total}); rejected whole")
         if msg.value < spec.min_contribution:
             raise BelowMinimum(f"contribution {msg.value} below minimum {spec.min_contribution}")
-        token_id = state.next_token_id
+        token_id = len(state.owners)
         st = evolve(state, owners={**state.owners, token_id: msg.caller},
-                    minted_total=state.minted_total + msg.value,
-                    next_token_id=token_id + 1)
+                    minted_total=state.minted_total + msg.value)
         effects = [
             Transfer(self.treasury, msg.value),
             Call(self.treasury, "register_nft",

@@ -574,24 +574,21 @@ class World:
         beacon = BeaconContract(b, driver=SYSTEM)
         led.register_contract(BEACON, beacon, issuer=True)
 
-        # Every contract reads the scenario's own records; only the addresses are added.
+        # Every contract reads the scenario's own records; only the addresses
+        # are added. One wallet code serves every wallet address.
         t = scenario.treasury
         self.wallets = wallets = tuple(wallet_name(j) for j in range(t.validators))
-        keepers = []
-        self._wallet_of = {}
+        self._wallet = ValidatorWallet(t, b, treasury=TREASURY, beacon=BEACON, operator=OPERATOR)
         for w in wallets:
-            wallet = self._wallet_of[w] = ValidatorWallet(
-                t, b, address=w, treasury=TREASURY, beacon=BEACON, operator=OPERATOR)
-            led.register_contract(w, wallet)
-            keepers.append((w, wallet.watchdog_shortfall))
+            led.register_contract(w, self._wallet)
         self._treasury = TreasuryContract(t, b, wallets, operator=OPERATOR, mint=MINT)
         led.register_contract(TREASURY, self._treasury)
         # The keeper's read-only predicates: each handler's own, read on
         # committed state, so a poke is sent only when it would act.
         self._sweep_due = beacon.sweep_due
-        self._watchdogs = tuple(keepers)
+        self._shortfall = self._wallet.watchdog_shortfall
         # Steps (3)-(5) walk only the wallets not yet Withdrawn, a terminal status.
-        self._live = self._watchdogs
+        self._live = wallets
         self._mint = MintContract(scenario.mint, t, b, treasury=TREASURY)
         led.register_contract(MINT, self._mint)
 
@@ -657,12 +654,12 @@ class World:
         # A window edge matters only while step (1) sends the performance map.
         end = min(s.horizon + 1, self._perf_until if _accruing(bst.validators) else inf,
                   actions[i] if i < len(actions) else inf, next_transition(bst, e))
-        for w, _ in self._live:
+        for w in self._live:
             if end <= e + 1:
                 return 0
             wst = led.contract_state(w)
             if wst.status is WalletStatus.ACTIVE:
-                end = min(end, self._wallet_of[w].quiet_until(wst, e))
+                end = min(end, self._wallet.quiet_until(wst, e))
             elif wst.settlement_ready or led.balance_of(w):
                 return 0
         return max(0, end - e - 1)
@@ -686,12 +683,12 @@ class World:
         e = led.epoch
         receipts = {}
         states = {}
-        for w, _ in self._live:
+        for w in self._live:
             wst = led.contract_state(w)
             amount = wst.reward_window.get(e, 0) if wst.status is WalletStatus.ACTIVE else 0
             if amount:
                 receipts[w] = amount
-                states[w] = self._wallet_of[w].advance(wst, e, k)
+                states[w] = self._wallet.advance(wst, e, k)
         tst = led.contract_state(TREASURY)
         states[TREASURY] = after = self._treasury.advance(tst, receipts, k)
         received = sum(receipts.values())
@@ -745,7 +742,7 @@ class World:
         # (3) reward forwarding, only from wallets that hold something; the
         # balance is read first, as most epochs bring a wallet nothing
         live = self._live
-        for w, _ in live:
+        for w in live:
             if led.balance_of(w):
                 wst = led.contract_state(w)
                 if wst.status in (WalletStatus.ACTIVE, WalletStatus.EXIT_REQUESTED) \
@@ -753,21 +750,20 @@ class World:
                     led.call(SYSTEM, w, "forward_rewards", {})
 
         # (4) watchdogs, only where the check would exit (or revert)
-        for w, shortfall in live:
+        for w in live:
             wst = led.contract_state(w)
-            if wst.status is WalletStatus.ACTIVE and shortfall(wst, e) is not None:
+            if wst.status is WalletStatus.ACTIVE and self._shortfall(wst, e) is not None:
                 led.call(SYSTEM, w, "watchdog_check", {})
 
         # (5) settlements; a wallet leaves the walk once its settlement commits
         settled = []
-        for keeper in live:
-            w = keeper[0]
+        for w in live:
             wst = led.contract_state(w)
             if wst.status is WalletStatus.EXIT_REQUESTED and wst.settlement_ready:
                 led.call(SYSTEM, w, "finalize_withdrawal", {})
-                settled.append(keeper)
+                settled.append(w)
         if settled:
-            self._live = tuple(k for k in live if k not in settled)
+            self._live = tuple(w for w in live if w not in settled)
 
         # (6) scheduled user actions
         if e == 0 and s.treasury.escrow_required > 0:
@@ -876,7 +872,7 @@ class World:
                  | set(tst.claimed_total))
         holders = []
         for h in sorted(names):
-            cap = sum(tst.registry[t].capital for t in tst.owned.get(h, ()))
+            cap = sum(tst.capital[t] for t in tst.owned.get(h, ()))
             settled_credit = tst.settlement_credits.get(h, 0)
             loss = max(0, cap - settled_credit) if tst.phase is Phase.SETTLED else 0
             holders.append(HolderReport(

@@ -1,11 +1,12 @@
-"""Registry and reward accounting for the staking arrangement.
+"""Token records and reward accounting for the staking arrangement.
 
-The treasury owns the NFT registry, receives every unit a validator wallet
-forwards, and accounts for it in integer arithmetic. The operator's cut of
-a reward is ``amount * fee_bps // 10000``; everything else is "net" and
-belongs to the token owners in proportion to contributed capital.
+The treasury keeps each NFT's capital (``capital``: token -> capital) and
+who owns it (``owned``), receives every unit a validator wallet forwards,
+and accounts for it in integer arithmetic. The operator's cut of a reward
+is ``amount * fee_bps // 10000``; everything else is "net" and belongs to
+the token owners in proportion to contributed capital.
 
-Holder credits are closed-form, not split eagerly. The registry is frozen
+Holder credits are closed-form, not split eagerly. The capital map is frozen
 once the phase leaves Fundraising, and distributions happen only after
 that, so with N the cumulative net amount distributed (``net_total``) and
 S the capital total, token i's cumulative credit is exactly::
@@ -20,9 +21,10 @@ moved into an owner's ``claimable``. A token is settled (the difference
 credited to its current owner and the checkpoint moved up) when it changes
 hands and when its owner claims, so every credit lands with whoever owned
 the token when the distribution happened. A claim finds the caller's
-tokens through an owner index (``owned``: owner -> ascending token ids,
-the analogue of ERC-721 Enumerable's per-owner token list), kept on
-register and transfer, so it costs O(owned), not a registry scan.
+tokens through the owner index (``owned``: owner -> ascending token ids,
+the analogue of ERC-721 Enumerable's per-owner token list), the one record
+of who owns a token, kept on register and transfer (:func:`moved`), so it
+costs O(owned), not a scan of every token.
 
 The undistributed sub-unit remainder is dust: ``N - sum(accrued(i))``,
 always below the token count. Per distribution of ``amount`` the split is
@@ -100,15 +102,6 @@ class TreasurySpec:
 
 
 @dataclass(frozen=True)
-class NftRecord:
-    """One minted share: who owns it and how much capital it represents."""
-
-    token_id: int
-    owner: str
-    capital: int
-
-
-@dataclass(frozen=True)
 class SettlementRecord:
     returned: int
     shortfall: int
@@ -118,7 +111,7 @@ class SettlementRecord:
 
 @dataclass
 class TreasuryState:
-    registry: dict[int, NftRecord] = field(default_factory=dict)
+    capital: dict[int, int] = field(default_factory=dict)            # token -> its capital
     owned: dict[str, tuple[int, ...]] = field(default_factory=dict)  # owner -> its token ids
     sum_capital: int = 0
     principal: int = 0
@@ -149,7 +142,7 @@ def balance_identity(state: TreasuryState) -> int:
 
 def accrued(state: TreasuryState, token_id: int) -> int:
     """Token's cumulative credit, settled or not: floor(N * C_i / S)."""
-    return state.net_total * state.registry[token_id].capital // state.sum_capital
+    return state.net_total * state.capital[token_id] // state.sum_capital
 
 
 def claimable_of(state: TreasuryState, holder: str) -> int:
@@ -158,28 +151,32 @@ def claimable_of(state: TreasuryState, holder: str) -> int:
         accrued(state, t) - state.paid.get(t, 0) for t in state.owned.get(holder, ()))
 
 
-def split_credits(before: int, after: int, registry: dict[int, NftRecord],
-                  sum_capital: int) -> tuple[list[list], int]:
-    """Each token's credit as N rises from `before` to `after`.
+def split_credits(before: int, after: int, capital: dict[int, int], owned: dict[str, tuple],
+                  sum_capital: int) -> tuple[dict[str, int], int]:
+    """Each owner's credit as N rises from `before` to `after`.
 
-    Returns ([[token_id, owner, credit], ...] in token order, undistributed)
-    with credit_i == floor(after * C_i / S) - floor(before * C_i / S) and
-    sum(credits) + undistributed == after - before exactly.
+    Returns ({owner: credit}, undistributed). An owner's credit sums its
+    tokens' credits, each floored on its own, floor(after * C_i / S) -
+    floor(before * C_i / S); sum(credits) + undistributed == after - before.
     """
-    credits = []
-    total = 0
-    for token_id in sorted(registry):
-        rec = registry[token_id]
-        share = after * rec.capital // sum_capital - before * rec.capital // sum_capital
-        credits.append([token_id, rec.owner, share])
-        total += share
-    return credits, after - before - total
+    credits = {owner: sum(after * capital[t] // sum_capital - before * capital[t] // sum_capital
+                          for t in tokens) for owner, tokens in owned.items()}
+    return credits, after - before - sum(credits.values())
 
 
-def _added(tokens: tuple[int, ...], token_id: int) -> tuple[int, ...]:
-    """Ascending `tokens` with `token_id` inserted in order."""
+def moved(owned: dict[str, tuple[int, ...]], token_id: int, frm: str | None,
+          to: str) -> dict[str, tuple[int, ...]]:
+    """A copy of the owner index `owned` with `token_id` moved from `frm`
+    (None for a fresh mint) to `to`, each owner's ids kept ascending."""
+    out = dict(owned)       # copy-on-write: the input's index may be shared
+    if frm is not None:
+        kept = tuple(t for t in out.pop(frm) if t != token_id)
+        if kept:
+            out[frm] = kept
+    tokens = out.get(to, ())
     i = bisect_left(tokens, token_id)
-    return tokens[:i] + (token_id,) + tokens[i:]
+    out[to] = tokens[:i] + (token_id,) + tokens[i:]
+    return out
 
 
 def _settle_token(st: TreasuryState, token_id: int, owner: str) -> None:
@@ -219,41 +216,36 @@ class TreasuryContract(Handlers):
     def initial_state(self) -> TreasuryState:
         return TreasuryState()
 
-    # --- registry (mint-only) ---------------------------------------------
+    def _wallet_index(self, msg: Msg) -> int:
+        """The index of the wallet that sent `msg`; UnknownValidator for any other caller."""
+        try:
+            return self.validators.index(msg.caller)
+        except ValueError:
+            raise UnknownValidator(f"{msg.caller} is not a registered validator wallet") from None
+
+    # --- token records (mint-only) ------------------------------------------
 
     def _op_register_nft(self, state: TreasuryState, msg: Msg, ctx: CallContext):
         if msg.caller != self.mint:
             raise WrongCaller("only the mint registers tokens")
         if state.phase is not Phase.FUNDRAISING:
             raise WrongPhase(f"cannot register in phase {state.phase.value}")
-        rec = NftRecord(
-            token_id=msg.args["token_id"],
-            owner=msg.args["owner"],
-            capital=msg.args["capital"],
-        )
-        return evolve(state, registry={**state.registry, rec.token_id: rec},
-                      owned={**state.owned,
-                             rec.owner: _added(state.owned.get(rec.owner, ()), rec.token_id)},
-                      sum_capital=state.sum_capital + rec.capital,
-                      principal=state.principal + rec.capital), [], None
+        token_id, capital = msg.args["token_id"], msg.args["capital"]
+        return evolve(state, capital={**state.capital, token_id: capital},
+                      owned=moved(state.owned, token_id, None, msg.args["owner"]),
+                      sum_capital=state.sum_capital + capital,
+                      principal=state.principal + capital), [], None
 
     def _op_update_owner(self, state: TreasuryState, msg: Msg, ctx: CallContext):
+        """Move a token from its seller, the mint's `from`, to `to`."""
         if msg.caller != self.mint:
             raise WrongCaller("only the mint moves tokens")
         token_id = msg.args["token_id"]
-        rec = state.registry.get(token_id)
-        if rec is None:
-            raise UnknownToken(f"no token {token_id}")
-        to = msg.args["to"]
-        st = evolve(state)
-        _settle_token(st, token_id, rec.owner)
-        st.registry = {**state.registry, token_id: evolve(rec, owner=to)}
-        owned = dict(state.owned)      # copy-on-write: the input's index is shared
-        kept = tuple(t for t in owned.pop(rec.owner) if t != token_id)
-        if kept:
-            owned[rec.owner] = kept
-        owned[to] = _added(owned.get(to, ()), token_id)
-        st.owned = owned
+        frm = msg.args["from"]
+        if token_id not in state.owned.get(frm, ()):
+            raise UnknownToken(f"{frm} holds no token {token_id}")
+        st = evolve(state, owned=moved(state.owned, token_id, frm, msg.args["to"]))
+        _settle_token(st, token_id, frm)
         return st, [], None
 
     def _op_abort_refund(self, state: TreasuryState, msg: Msg, ctx: CallContext):
@@ -261,10 +253,8 @@ class TreasuryContract(Handlers):
             raise WrongCaller("only the mint aborts")
         if state.phase is not Phase.FUNDRAISING:
             raise WrongPhase(f"cannot abort in phase {state.phase.value}")
-        effects = []
-        for token_id in sorted(state.registry):
-            rec = state.registry[token_id]
-            effects.append(Transfer(rec.owner, rec.capital))
+        owners = sorted((t, owner) for owner, tokens in state.owned.items() for t in tokens)
+        effects = [Transfer(owner, state.capital[t]) for t, owner in owners]
         return evolve(state, principal=0), effects, None
 
     # --- escrow and staking -------------------------------------------------
@@ -307,13 +297,11 @@ class TreasuryContract(Handlers):
     # --- reward flow ---------------------------------------------------------
 
     def _op_receive_rewards(self, state: TreasuryState, msg: Msg, ctx: CallContext):
-        if msg.caller not in self.validators:
-            raise UnknownValidator(f"{msg.caller} is not a registered validator wallet")
+        j = self._wallet_index(msg)
         if state.phase not in (Phase.STAKED, Phase.EXITING):
             raise WrongPhase(f"cannot receive rewards in phase {state.phase.value}")
         if msg.value <= 0:
             raise InvalidAmount("reward receipt must carry value")
-        j = self.validators.index(msg.caller)
         fee = (msg.value * self.spec.fee_bps) // 10_000
         st = evolve(state,
                     rewards_received={**state.rewards_received,
@@ -384,9 +372,7 @@ class TreasuryContract(Handlers):
     # --- exit path -------------------------------------------------------------
 
     def _op_on_exit_initiated(self, state: TreasuryState, msg: Msg, ctx: CallContext):
-        if msg.caller not in self.validators:
-            raise UnknownValidator(f"{msg.caller} is not a registered validator wallet")
-        j = self.validators.index(msg.caller)
+        j = self._wallet_index(msg)
         if j in state.exit_causes:
             raise WrongStatus(f"validator {j} already exiting")
         if state.phase not in (Phase.STAKED, Phase.EXITING):
@@ -408,11 +394,9 @@ class TreasuryContract(Handlers):
         of it. When the last validator settles, leftover escrow returns to
         the operator and the phase becomes Settled.
         """
-        if msg.caller not in self.validators:
-            raise UnknownValidator(f"{msg.caller} is not a registered validator wallet")
+        j = self._wallet_index(msg)
         if state.phase is not Phase.EXITING:
             raise WrongPhase(f"cannot settle in phase {state.phase.value}")
-        j = self.validators.index(msg.caller)
         if j in state.settlements:
             raise AlreadySettled(f"validator {j} already settled")
         cause = state.exit_causes.get(j)
@@ -441,11 +425,11 @@ class TreasuryContract(Handlers):
         pot = returned + escrow_cover + penalty
         st.net_total += pot
         effects.append(_distributed(pot, 0, st.net_total))
-        credits, _ = split_credits(before, st.net_total, st.registry, st.sum_capital)
+        credits, _ = split_credits(before, st.net_total, st.capital, st.owned, st.sum_capital)
         st.settlement_credits = dict(state.settlement_credits)
-        for _, owner, share in credits:
-            if share:
-                st.settlement_credits[owner] = st.settlement_credits.get(owner, 0) + share
+        for owner, credit in credits.items():
+            if credit:
+                st.settlement_credits[owner] = st.settlement_credits.get(owner, 0) + credit
 
         if len(st.settlements) == len(self.validators):
             st.phase = Phase.SETTLED

@@ -8,6 +8,10 @@ message from the operator. The operator holds a signing capability on the
 beacon side (recorded at deposit) and that is the full extent of their
 authority.
 
+One ValidatorWallet object serves every wallet address, as EIP-1167
+minimal proxies share one implementation: a handler reads the address it
+runs at from ``msg.target``, and each address keeps its own state and balance.
+
 ``forward_rewards``, ``watchdog_check`` and ``finalize_withdrawal`` are
 deliberately permissionless: any keeper may poke them, and the outcome is a
 pure function of wallet state, so the poker gains nothing. Rewards land in
@@ -50,7 +54,6 @@ class WalletState:
     activation_epoch: int | None = None
     reward_window: dict[int, int] = field(default_factory=dict)
     last_check_epoch: int = -1
-    exit_cause: str | None = None
     exit_epoch: int | None = None
     settlement_ready: bool = False
 
@@ -58,11 +61,10 @@ class WalletState:
 class ValidatorWallet(Handlers):
     kind = "wallet"
 
-    def __init__(self, spec: TreasurySpec, params: BeaconParams, *, address: str,
+    def __init__(self, spec: TreasurySpec, params: BeaconParams, *,
                  treasury: str, beacon: str, operator: str):
         self.spec = checked(spec)
         self.params = checked(params)
-        self.address = address          # the name this wallet is registered under
         self.treasury = treasury
         self.beacon = beacon
         self.operator = operator
@@ -90,7 +92,7 @@ class ValidatorWallet(Handlers):
         effects = [
             Emit("Deposited", {"stake": msg.value}),
             Call(self.beacon, "submit_deposit",
-                 {"withdrawal_address": self.address, "operator": self.operator},
+                 {"withdrawal_address": msg.target, "operator": self.operator},
                  value=msg.value),
         ]
         return st, effects, None
@@ -121,7 +123,7 @@ class ValidatorWallet(Handlers):
         if state.status not in (WalletStatus.ACTIVE, WalletStatus.EXIT_REQUESTED):
             raise WrongStatus(f"wallet is {state.status.value}")
         now = ctx.epoch
-        amount = 0 if state.settlement_ready else ctx.balance_of(self.address)
+        amount = 0 if state.settlement_ready else ctx.balance_of(msg.target)
         # Only the trailing grace_epochs slots ever matter.
         cutoff = now - self.spec.grace_epochs + 1
         window = {e: r for e, r in state.reward_window.items() if e >= cutoff}
@@ -218,8 +220,7 @@ class ValidatorWallet(Handlers):
             # The reward window is shared with the new state, never copied.
             return evolve(state, last_check_epoch=now), [], "Ok"
         window_sum, threshold = shortfall
-        st = evolve(state, last_check_epoch=now, status=WalletStatus.EXIT_REQUESTED,
-                    exit_cause=CAUSE_PERFORMANCE, exit_epoch=now)
+        st = evolve(state, last_check_epoch=now, status=WalletStatus.EXIT_REQUESTED, exit_epoch=now)
         effects = [
             Emit("ExitTriggered", {"validator_id": st.validator_id,
                                    "window_sum": window_sum,
@@ -234,8 +235,7 @@ class ValidatorWallet(Handlers):
         self._require_beacon(msg)
         if state.status is not WalletStatus.ACTIVE:
             raise WrongStatus(f"wallet is {state.status.value}")
-        st = evolve(state, status=WalletStatus.EXIT_REQUESTED,
-                    exit_cause=CAUSE_SLASHED, exit_epoch=ctx.epoch)
+        st = evolve(state, status=WalletStatus.EXIT_REQUESTED, exit_epoch=ctx.epoch)
         effects = [Call(self.treasury, "on_exit_initiated",
                         {"cause": CAUSE_SLASHED})]
         return st, effects, None
@@ -256,7 +256,7 @@ class ValidatorWallet(Handlers):
             raise WrongStatus(f"wallet is {state.status.value}")
         if not state.settlement_ready:
             raise BeaconNotSwept("exit balance has not been swept to the wallet yet")
-        returned = ctx.balance_of(self.address)
+        returned = ctx.balance_of(msg.target)
         shortfall = max(0, self.params.stake_requirement - returned)
         st = evolve(state, status=WalletStatus.WITHDRAWN)
         effects = [

@@ -124,9 +124,9 @@ def make_world(m: int = 1, stake: int = 64, fee_bps: int = 1000,
                       close_epoch=close_epoch)
     led.register_contract(BEACON, BeaconContract(params, driver=SYSTEM), issuer=True)
     wallets = [f"wallet:{j}" for j in range(m)]
+    code = ValidatorWallet(terms, params, treasury=TREASURY, beacon=BEACON, operator=OPERATOR)
     for w in wallets:
-        led.register_contract(w, ValidatorWallet(
-            terms, params, address=w, treasury=TREASURY, beacon=BEACON, operator=OPERATOR))
+        led.register_contract(w, code)      # one wallet code at every wallet address
     led.register_contract(TREASURY, TreasuryContract(
         terms, params, tuple(wallets), operator=OPERATOR, mint=MINT))
     led.register_contract(MINT, MintContract(window, terms, params, treasury=TREASURY))
@@ -182,7 +182,7 @@ def to_json(e: Event) -> str:
 
 def dust_of(state: TreasuryState) -> int:
     """Net units distributed to no token yet: N - sum(accrued)."""
-    return state.net_total - sum(accrued(state, t) for t in state.registry)
+    return state.net_total - sum(accrued(state, t) for t in state.capital)
 
 
 def logged_events(led: Ledger) -> list[Event]:

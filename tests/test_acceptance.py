@@ -139,7 +139,7 @@ def record_distributions(world: World) -> list[tuple]:
             triggers = [e.payload.get("method", e.tag) for e in logged if e.tag == "ExitSettled"
                         or (e.tag == "Call" and e.payload["method"] == "receive_rewards")]
             steps.append((triggers, dists,
-                          {t: accrued(tst, t) for t in tst.registry}, dust_of(tst)))
+                          {t: accrued(tst, t) for t in tst.capital}, dust_of(tst)))
         return result
 
     led._log = keep
@@ -194,8 +194,8 @@ def test_criterion_2_holder_share_equation(corpus):
         # bypassed the Ledger.call wrapper would record none and pass below.
         assert len(steps) == sum(1 for e in logged_events(world.ledger) if e.tag == "Distributed")
         tst = world.ledger.contract_state(TREASURY)
-        token_order = sorted(tst.registry)
-        capitals = [tst.registry[t].capital for t in token_order]
+        token_order = sorted(tst.capital)
+        capitals = [tst.capital[t] for t in token_order]
 
         stream = [(dists[0]["amount"], triggers == ["receive_rewards"])
                   for triggers, dists, _, _ in steps]
@@ -228,8 +228,9 @@ def test_criterion_2_holder_share_equation(corpus):
             == sum(amount for amount, _ in stream)
         # what the report says each holder got is the oracle's credit
         owed: dict[str, int] = {}
+        owner_of = {t: owner for owner, tokens in tst.owned.items() for t in tokens}
         for t, r, z in zip(token_order, o_reward, o_settle):
-            owner = tst.registry[t].owner
+            owner = owner_of[t]
             owed[owner] = owed.get(owner, 0) + r + z
         for h in report.holders:
             assert h.claimed + h.claimable == owed.get(h.holder, 0)

@@ -79,12 +79,14 @@ class TestDeposit:
                      {"withdrawal_address": "wa", "operator": "op"}, value=STAKE - 1)
 
     def test_two_deposits_distinct_ids_deterministic_order(self):
+        # A validator's id is its position in the list, in deposit order.
         led = bare_beacon()
-        a = deposit(led)
-        b = deposit(led)
+        a = deposit(led, operator="op")
+        b = deposit(led, operator="op2")
         assert (a, b) == (0, 1)
-        ids = [v.id for v in led.contract_state("beacon").validators]
-        assert ids == [0, 1]
+        st = led.contract_state("beacon")
+        assert [v.operator for v in st.validators] == ["op", "op2"]
+        assert [validator_by_id(st, vid).operator for vid in (a, b)] == ["op", "op2"]
 
     def test_vault_holds_the_stake(self):
         led = bare_beacon()

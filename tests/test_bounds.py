@@ -102,7 +102,7 @@ def treasury(r: dict) -> TreasuryContract:
 
 
 def wallet(r: dict) -> ValidatorWallet:
-    return ValidatorWallet(r[TreasurySpec], r[BeaconParams], address="wallet:0",
+    return ValidatorWallet(r[TreasurySpec], r[BeaconParams],
                            treasury="treasury", beacon="beacon", operator="operator")
 
 

@@ -66,23 +66,22 @@ class EveryEpochKeeper(SteppedWorld):
                 declined.add(led.event_count)    # the seq of the Call line to come
             return True
 
-        def always_check(shortfall):
-            def check(state, now):
-                if shortfall(state, now) is None:
-                    declined.add(led.event_count)
-                return ()                        # not None: poke
+        shortfall = self._shortfall
 
-            return check
+        def always_check(state, now):
+            if shortfall(state, now) is None:
+                declined.add(led.event_count)
+            return ()                            # not None: poke
 
         self._sweep_due = always_sweep
-        self._watchdogs = tuple((w, always_check(f)) for w, f in self._watchdogs)
+        self._shortfall = always_check
 
     def _performance(self, e: int, count: int) -> dict:
         return self._performance_at(e)
 
     @property
     def _live(self):
-        return self._watchdogs          # every wallet, Withdrawn or not
+        return self.wallets             # every wallet, Withdrawn or not
 
     @_live.setter
     def _live(self, walk):
@@ -258,7 +257,7 @@ def test_an_active_wallet_without_activation_epoch_still_reaches_the_handler():
     for _ in range(5):
         world.step()
     w = wallet_name(0)
-    assert [f(led.contract_state(w), led.epoch) for _, f in world._watchdogs] == [None]
+    assert world._shortfall(led.contract_state(w), led.epoch) is None
     led._states[w] = replace(led.contract_state(w), activation_epoch=None)
     with pytest.raises(WrongStatus, match="activation epoch"):
         world.step()
@@ -289,7 +288,7 @@ def test_a_withdrawn_wallet_leaves_the_walk():
     substeps = world._epoch_substeps
 
     def recording_substeps():
-        walks.append((world.ledger.epoch, [w for w, _ in world._live]))
+        walks.append((world.ledger.epoch, list(world._live)))
         substeps()
 
     world._epoch_substeps = recording_substeps

@@ -385,7 +385,7 @@ class TestEventEncoding:
         restored = led._pending          # the snapshot's batch, not yet encoded
         assert led.events_jsonl() == jsonl
         assert restored and all(type(e) is Event for e in restored)
-        for record in (Msg("a", "m", {"k": 1}), Transfer("a", 1), Emit("T", {}),
+        for record in (Msg("a", "c", "m", {"k": 1}), Transfer("a", 1), Emit("T", {}),
                        Call("a", "m"), Issue(1, "x"), restored[-1]):
             assert pickle.loads(pickle.dumps(record)) == record
         assert pickle.loads(pickle.dumps(Call("a", "m"))).args is Call("a", "m").args

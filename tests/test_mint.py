@@ -26,8 +26,8 @@ class TestMintFill:
         st = world.mint_state
         assert st.owners[0] == "alice"
         assert st.minted_total == 40
-        rec = world.treasury_state.registry[0]
-        assert rec.capital == 40 and rec.owner == "alice"
+        tst = world.treasury_state
+        assert tst.capital == {0: 40} and tst.owned == {"alice": (0,)}
         assert world.ledger.balance_of(TREASURY) == 40
         assert world.ledger.balance_of(MINT) == 0
 
@@ -64,8 +64,7 @@ class TestMintFill:
                             w.mint("alice", amount)
                 st = w.mint_state
                 assert st.minted_total == expected_total <= target
-                assert sum(r.capital for r in w.treasury_state.registry.values()) \
-                    == expected_total
+                assert sum(w.treasury_state.capital.values()) == expected_total
                 if expected_total == target:
                     with pytest.raises(ExceedsCapacity):
                         w.mint("alice", 1)
@@ -91,7 +90,7 @@ class TestMintFill:
         for holder, amount in (("alice", 10), ("bob", 20), ("alice", 34)):
             world.mint(holder, amount)
             st = world.treasury_state
-            assert sum(r.capital for r in st.registry.values()) == st.principal
+            assert sum(st.capital.values()) == st.principal
             world.check_treasury_identity()
 
 
@@ -100,7 +99,7 @@ class TestTransferNft:
         world.mint("alice", 40)
         world.transfer_nft(0, "alice", "bob")
         assert world.mint_state.owners[0] == "bob"
-        assert world.treasury_state.registry[0].owner == "bob"
+        assert world.treasury_state.owned == {"bob": (0,)}
 
     def test_self_transfer_noop_without_events(self, world):
         world.mint("alice", 40)
@@ -119,6 +118,18 @@ class TestTransferNft:
     def test_unknown_token(self, world):
         with pytest.raises(UnknownToken):
             world.transfer_nft(7, "alice", "bob")
+
+    def test_treasury_refuses_a_seller_that_does_not_hold_the_token(self, world):
+        # The treasury takes the seller from the mint's `from` and checks it
+        # against its owner index: bob holds another token, carol holds none.
+        world.mint("alice", 40)
+        world.mint("bob", 24)
+        snap = snapshot(world.ledger)
+        for token_id, frm in ((0, "bob"), (0, "carol"), (7, "alice")):
+            with pytest.raises(UnknownToken):
+                world.ledger.call(MINT, TREASURY, "update_owner",
+                                  {"token_id": token_id, "from": frm, "to": "bob"})
+            assert snapshot(world.ledger) == snap
 
     def test_accrual_follows_ownership_across_transfer(self):
         # Rewards accrued before the transfer stay claimable by the old

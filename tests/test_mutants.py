@@ -125,8 +125,8 @@ def exit_requested_dropped(substeps=World._epoch_substeps):
     def mutant(self):
         substeps(self)
         state = self.ledger.contract_state
-        self._live = tuple(k for k in self._live
-                           if state(k[0]).status is not WalletStatus.EXIT_REQUESTED)
+        self._live = tuple(w for w in self._live
+                           if state(w).status is not WalletStatus.EXIT_REQUESTED)
 
     return mutant
 

@@ -659,6 +659,26 @@ class TestOneDeclaration:
         assert contracts[sc.scenario.MINT].target == 3 * 6400
         assert contracts[sc.scenario.TREASURY].validators == world.wallets
 
+    def test_a_world_checks_its_records_as_often_for_1_validator_as_for_32(self, monkeypatch):
+        # One wallet code serves every wallet address, so the records every
+        # contract reads are checked a fixed number of times, not per wallet.
+        real = sc.errors.checked
+        counts = []
+        for m in (1, 32):
+            calls = []
+
+            def counting(record, calls=calls):
+                calls.append(record)
+                return real(record)
+
+            for module in (sc.beacon, sc.mint, sc.scenario, sc.treasury, sc.wallet):
+                if getattr(module, "checked", None) is real:
+                    monkeypatch.setattr(module, "checked", counting)
+            World(small_scenario(treasury=replace(small_scenario().treasury, validators=m)))
+            monkeypatch.undo()
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
     def test_each_term_is_a_field_of_one_record_class(self):
         classes = {cls for module in (sc.beacon, sc.mint, sc.scenario, sc.treasury, sc.wallet)
                    for cls in vars(module).values()

@@ -21,7 +21,6 @@ from stakeclaim.errors import (
 )
 from stakeclaim.beacon import BeaconParams
 from stakeclaim.treasury import (
-    NftRecord,
     Phase,
     TreasuryContract,
     TreasurySpec,
@@ -34,7 +33,7 @@ from stakeclaim.wallet import WalletStatus
 
 def holders_claimable(ts) -> dict[str, int]:
     """Every current token owner's claimable credit, settled or pending."""
-    return {rec.owner: claimable_of(ts, rec.owner) for rec in ts.registry.values()}
+    return {owner: claimable_of(ts, owner) for owner in ts.owned}
 
 
 def receive(w: Mini, amount: int, j: int = 0):
@@ -61,24 +60,30 @@ class TestConstructor:
 
 
 class TestSplitCredits:
+    # One token per owner in the first three, so each credit is one token's share.
     def test_worked_example_40_24(self):
-        registry = {0: NftRecord(0, "alice", 40), 1: NftRecord(1, "bob", 24)}
-        credits, dust = split_credits(0, 900, registry, 64)
-        assert credits == [[0, "alice", 562], [1, "bob", 337]]
+        credits, dust = split_credits(0, 900, {0: 40, 1: 24}, {"alice": (0,), "bob": (1,)}, 64)
+        assert credits == {"alice": 562, "bob": 337}
         assert dust == 1
 
     def test_exact_split_no_dust(self):
-        registry = {0: NftRecord(0, "a", 1), 1: NftRecord(1, "b", 1)}
-        credits, dust = split_credits(0, 100, registry, 2)
-        assert [c[2] for c in credits] == [50, 50]
+        credits, dust = split_credits(0, 100, {0: 1, 1: 1}, {"a": (0,), "b": (1,)}, 2)
+        assert credits == {"a": 50, "b": 50}
         assert dust == 0
 
     def test_remainders_release_on_later_splits(self):
-        registry = {0: NftRecord(0, "alice", 40), 1: NftRecord(1, "bob", 24)}
-        first, _ = split_credits(0, 900, registry, 64)
-        second, _ = split_credits(900, 1800, registry, 64)
-        assert [c[2] for c in first] == [562, 337]
-        assert [c[2] for c in second] == [563, 338]  # the carried halves pay out
+        capital, owned = {0: 40, 1: 24}, {"alice": (0,), "bob": (1,)}
+        first, _ = split_credits(0, 900, capital, owned, 64)
+        second, _ = split_credits(900, 1800, capital, owned, 64)
+        assert first == {"alice": 562, "bob": 337}
+        assert second == {"alice": 563, "bob": 338}  # the carried halves pay out
+
+    def test_floors_each_token_not_each_owner(self):
+        # a's two tokens earn 2 * 1 // 3 == 0 each; flooring a's summed
+        # capital instead, 2 * 2 // 3, would credit a with 1.
+        credits, dust = split_credits(0, 2, {0: 1, 1: 1, 2: 1}, {"a": (0, 1), "b": (2,)}, 3)
+        assert credits == {"a": 0, "b": 0}
+        assert dust == 2
 
 
 class TestReceiveRewards:
@@ -382,7 +387,8 @@ class TestDistributionProperties:
                             min_size=1, max_size=30),
            fee_bps=st.integers(min_value=0, max_value=10_000))
     def test_per_receipt_identity_and_oracle_match(self, capitals, amounts, fee_bps):
-        registry = {i: NftRecord(i, f"h{i}", c) for i, c in enumerate(capitals)}
+        capital = dict(enumerate(capitals))
+        owned = {f"h{i}": (i,) for i in capital}      # one token per owner
         total_cap = sum(capitals)
         _, _, _, o_steps = replay_split(amounts, capitals, fee_bps)
         dust = 0
@@ -392,12 +398,13 @@ class TestDistributionProperties:
         for amount, (_, o_shares, _) in zip(amounts, o_steps):
             fee = (amount * fee_bps) // 10_000
             net = amount - fee
-            per_token, undistributed = split_credits(net_total, net_total + net,
-                                                     registry, total_cap)
+            per_owner, undistributed = split_credits(net_total, net_total + net,
+                                                     capital, owned, total_cap)
+            per_token = [per_owner[f"h{i}"] for i in capital]
             # exact conservation per receipt, and each token's step per receipt
-            assert fee + sum(c[2] for c in per_token) + undistributed == amount
-            assert [c[2] for c in per_token] == o_shares
-            for i, (_, _, share) in enumerate(per_token):
+            assert fee + sum(per_token) + undistributed == amount
+            assert per_token == o_shares
+            for i, share in enumerate(per_token):
                 credits[i] += share
             fees += fee
             dust += undistributed

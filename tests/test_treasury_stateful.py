@@ -7,8 +7,8 @@ token by token, carrying each token's sub-unit remainder and crediting
 each share to whoever owns the token at that moment; it shares no code
 with the treasury's closed-form accumulator. After every step each
 holder's claimed + claimable must equal the model, the treasury's
-ledger balance must equal :func:`balance_identity`, and the owner index
-must equal a scan of the registry.
+ledger balance must equal :func:`balance_identity`, and the treasury's
+owner index must equal a scan of the mint's token owners.
 """
 
 from __future__ import annotations
@@ -142,14 +142,15 @@ class TreasuryMachine(RuleBasedStateMachine):
         assert ts.operator_fees_accrued == self.fees
 
     @invariant()
-    def owner_index_matches_a_registry_scan(self):
+    def owner_index_matches_a_scan_of_the_mint(self):
         ts = self.w.treasury_state
         scan: dict[str, tuple[int, ...]] = {}
-        for t in sorted(ts.registry):
-            owner = ts.registry[t].owner
+        for t, owner in sorted(self.w.mint_state.owners.items()):
             scan[owner] = scan.get(owner, ()) + (t,)
         # Equal maps: an owner who has sold everything has no entry left.
         assert ts.owned == scan
+        # Every token with a capital is indexed, once.
+        assert sorted(ts.capital) == sorted(t for tokens in ts.owned.values() for t in tokens)
         for h in HOLDERS:
             assert ts.owned.get(h, ()) == tuple(
                 i for i, owner in enumerate(self.owners) if owner == h)

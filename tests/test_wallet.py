@@ -44,6 +44,30 @@ class TestDeposit:
             world.ledger.call(TREASURY, world.wallets[0], "deposit", {}, value=63)
 
 
+class TestOneCodeManyAddresses:
+    def test_each_address_deposits_and_forwards_its_own(self):
+        # make_world registers one ValidatorWallet object at both addresses,
+        # so a handler that read a stored address would name one withdrawal
+        # address twice and forward one wallet's balance for both.
+        w = make_world(m=2)
+        led = w.ledger
+        assert led._contracts[w.wallets[0]] is led._contracts[w.wallets[1]]
+        w.mint("alice", 128)
+        w.stake_all()
+        accepted = [e.payload["withdrawal_address"] for e in logged_events(led)
+                    if e.tag == "DepositAccepted"]
+        assert accepted == w.wallets
+        led.advance_epoch()
+        w.accrue({0: 0, 1: 0})              # activate both, no rewards
+        led.genesis(w.wallets[0], 5, "test rewards")
+        led.genesis(w.wallets[1], 7, "test rewards")
+        assert w.forward(1) == 7
+        assert [led.balance_of(a) for a in w.wallets] == [5, 0]
+        assert w.forward(0) == 5
+        assert [led.balance_of(a) for a in w.wallets] == [0, 0]
+        assert w.treasury_state.rewards_received == {0: 5, 1: 7}
+
+
 class TestForwardRewards:
     def test_forwards_full_balance_and_records_window(self, staked_world):
         w = staked_world
@@ -118,7 +142,7 @@ class TestWatchdog:
         decisions = [run_epoch(w, 0.0) for _ in range(3)]
         assert decisions == ["Ok", "Ok", "TriggerExit"]  # window [0,0,0] once full
         assert w.wallet_state().status is WalletStatus.EXIT_REQUESTED
-        assert w.wallet_state().exit_cause == "performance"
+        assert w.treasury_state.exit_causes[0] == "performance"
 
     def test_partial_shortfall_triggers(self):
         # window [100, 40, 100] against threshold 300 -> 240 < 300
@@ -247,7 +271,7 @@ class TestExitPath:
         w.accrue({0: 0})                       # activate without rewards
         w.slash(0, 2500)                       # burn floor(64 * 0.25) = 16
         assert w.wallet_state().status is WalletStatus.EXIT_REQUESTED
-        assert w.wallet_state().exit_cause == "slashed"
+        assert w.treasury_state.exit_causes[0] == "slashed"
         self.wind_down(w)
         rec = w.treasury_state.settlements[0]
         assert rec.returned == 48
