@@ -6,12 +6,14 @@ Two subcommands::
     stakeclaim validate --scenario PATH
 
 ``run`` writes report.json (or report.csv) plus events.jsonl into the
-output directory. Exit codes: 0 success, 1 invalid input or usage, 2 an
-invariant violation was detected during the run (details on stderr); on
-exit 2 events.jsonl holds the log committed up to the failing epoch's
-audit, and there is no report.json or report.csv. Both commands list a
-scenario's problems one a line, the same lines: ``validate`` on stdout,
-``run`` on stderr. Output is byte-stable for identical inputs.
+output directory, which it creates before the run. Exit codes: 0 success,
+1 invalid input or usage, or an output directory that cannot be written
+(one line on stderr), 2 an invariant violation was detected during the run
+(details on stderr); on exit 2 events.jsonl holds the log committed up to
+the failing epoch's audit, and there is no report.json or report.csv.
+Both commands list a scenario's problems one a line, the same lines:
+``validate`` on stdout, ``run`` on stderr. Output is byte-stable for
+identical inputs.
 
 The STAKECLAIM_LOG environment variable controls stdout verbosity:
 ``quiet`` (default) prints nothing on success, ``events`` prints the event
@@ -27,16 +29,22 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import InvalidScenario, InvariantViolation, bound_problems
-from .scenario import World, load_scenario, validate
+from .scenario import Scenario, World, load_scenario, validate
+
+
+def _load_checked(path: str) -> tuple[Scenario | None, list[str]]:
+    """The scenario file at `path` and its problems: the document's shape
+    as the loader raises it (and no scenario), or else :func:`validate`'s."""
+    try:
+        scenario = load_scenario(path)
+    except InvalidScenario as exc:
+        return None, list(exc.problems)
+    return scenario, validate(scenario)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     log_mode = os.environ.get("STAKECLAIM_LOG", "quiet")
-    try:
-        scenario = load_scenario(args.scenario)
-        violations = validate(scenario)
-    except InvalidScenario as exc:      # the document's shape, as validate lists it
-        violations = exc.problems
+    scenario, violations = _load_checked(args.scenario)
     if violations:
         for v in violations:
             print(v, file=sys.stderr)
@@ -47,24 +55,26 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"--epochs: {problems['horizon']}", file=sys.stderr)
             return 1
     out = Path(args.out)
-    world = World(scenario)
     try:
-        report = world.run()
-    except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        # The evidence: the log up to the failing audit, and no report.
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "events.jsonl").write_text(world.ledger.events_jsonl())
-        for stale in ("report.json", "report.csv"):
-            (out / stale).unlink(missing_ok=True)
-        return 2
-
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "events.jsonl").write_text(report.events_jsonl)
-    if args.format == "csv":
-        (out / "report.csv").write_text(report.to_csv())
-    else:
-        (out / "report.json").write_text(report.to_json())
+        out.mkdir(parents=True, exist_ok=True)          # before the run, which may be long
+        world = World(scenario)
+        try:
+            report = world.run()
+        except InvariantViolation as exc:
+            print(f"invariant violation: {exc}", file=sys.stderr)
+            # The evidence: the log up to the failing audit, and no report.
+            (out / "events.jsonl").write_text(world.ledger.events_jsonl())
+            for stale in ("report.json", "report.csv"):
+                (out / stale).unlink(missing_ok=True)
+            return 2
+        (out / "events.jsonl").write_text(report.events_jsonl)
+        if args.format == "csv":
+            (out / "report.csv").write_text(report.to_csv())
+        else:
+            (out / "report.json").write_text(report.to_json())
+    except OSError as exc:      # --out is not a directory we can write; the run raises none
+        print(f"--out: {exc}", file=sys.stderr)
+        return 1
 
     if log_mode in ("events", "trace"):
         sys.stdout.write(report.events_jsonl)
@@ -74,10 +84,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        violations = validate(load_scenario(args.scenario))
-    except InvalidScenario as exc:
-        violations = exc.problems
+    _, violations = _load_checked(args.scenario)
     for v in violations:
         print(v)
     return 0 if not violations else 1

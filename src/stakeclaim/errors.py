@@ -180,19 +180,25 @@ def bound_problems(records, where: str, limits: dict | None = None) -> dict[str,
 
     `records` is one dataclass instance, named `where` ("" names its fields
     alone), or a tuple or list of instances of one class, item i named
-    ``where[i]``. A named limit that `limits` lacks or holds as None leaves
-    its fields with no upper bound.
+    ``where[i]``. A record that is None (one the loader could not parse) is
+    skipped, and the items after it keep their index. A named limit that
+    `limits` lacks or holds as None leaves its fields with no upper bound.
     """
     many = isinstance(records, (tuple, list))
     items = records if many else (records,)
+    for first in items:                 # the class is that of the first record parsed
+        if first is not None:
+            break
+    else:
+        return {}
     out = {}
-    for name, lo, hi, optional in _plan(type(items[0])) if items else ():
+    for name, lo, hi, optional in _plan(type(first)):
         if type(hi) is str:
             hi = limits.get(hi) if limits else None
         for i, r in enumerate(items):
-            v = getattr(r, name)
+            v = getattr(r, name, None)      # None on a record that is None
             if (type(v) is not int or v < lo or (hi is not None and v > hi)) \
-                    and not (v is None and optional):
+                    and not (v is None and (optional or r is None)):
                 path = f"{where}[{i}].{name}" if many else f"{where}.{name}" if where else name
                 out[path] = f"{path} {v!r} is not an integer " + (
                     f">= {lo}" if hi is None else f"in {lo}..{hi}")

@@ -70,15 +70,15 @@ claimable, checkpoints, the beacon's vault and balances) is constant. The
 difference of two affine functions is affine, and an affine function that
 is zero at two distinct epochs is zero at every epoch between them.
 
-Scenario files are strict JSON: exactly the top-level keys {treasury,
-mint, beacon, deposits, operator_schedule, slashes, horizon, seed};
-unknown keys anywhere are rejected, and every integer field must hold a
-JSON integer (not a float, a string or a boolean). :func:`scenario_from_dict`
-checks the document's shape; :func:`validate` checks every field's type
-and bounds, then the rules that relate fields. Every problem in a
-document is reported, not just the first. Claim and token-transfer schedules
-exist only on the in-code :class:`Scenario` for tests and demos, not in
-the file format.
+A scenario file is a :class:`Scenario` as strict JSON, plus a ``seed``:
+its keys are Scenario's fields, of which ``claims`` and ``nft_transfers``
+may be left out (each defaults to none), and each section's keys are its
+record class's fields. Unknown keys anywhere are rejected, and every
+integer field must hold a JSON integer (not a float, a string or a
+boolean). :func:`scenario_from_dict` checks the document's shape;
+:func:`validate` checks every field's type and bounds, then the rules that
+relate fields. Every problem in a document is reported, not just the
+first.
 
 Each integer bound is declared once, on its field (``errors.bounded``).
 The sections ``treasury``, ``mint`` and ``beacon`` are the very records
@@ -175,7 +175,7 @@ class ClaimAction:
 
 @dataclass(frozen=True)
 class NftTransferAction:
-    token_id: int
+    token_id: int = bounded(0)
     from_holder: str
     to: str
     epoch: int = bounded(0, "horizon")
@@ -204,8 +204,10 @@ class Scenario:
 
 # --- strict JSON loading -------------------------------------------------------
 
-_TOP_KEYS = frozenset(("treasury", "mint", "beacon", "deposits",
-                       "operator_schedule", "slashes", "horizon", "seed"))
+# The file's sections: each a record, or a list of records, of its class.
+_RECORDS = {"treasury": TreasurySpec, "mint": MintSpec, "beacon": BeaconParams}
+_LISTS = {"deposits": DepositAction, "operator_schedule": BehaviorWindow, "slashes": SlashAction,
+          "claims": ClaimAction, "nft_transfers": NftTransferAction}
 
 
 def _name(where: str | tuple[str, int]) -> str:
@@ -214,28 +216,35 @@ def _name(where: str | tuple[str, int]) -> str:
     return where if isinstance(where, str) else f"{where[0]}[{where[1]}]"
 
 
-# Each file record's keys, and those it requires, read off its dataclass.
-_KEYS = {cls: (frozenset(f.name for f in fields(cls)),
-               frozenset(f.name for f in fields(cls) if f.default is MISSING))
-         for cls in (TreasurySpec, MintSpec, BeaconParams,
-                     DepositAction, BehaviorWindow, SlashAction)}
+def _keys(cls, *extra: str) -> tuple[frozenset, frozenset]:
+    """The keys of a `cls` object in a file, and those it requires."""
+    return (frozenset([*(f.name for f in fields(cls)), *extra]),
+            frozenset([*(f.name for f in fields(cls) if f.default is MISSING), *extra]))
+
+
+# Each file object's keys, read off its dataclass; a document is a Scenario and a seed.
+_KEYS = {cls: _keys(cls) for cls in (*_RECORDS.values(), *_LISTS.values())}
+_KEYS[Scenario] = _keys(Scenario, "seed")
+
+
+def _shape_problems(section, where: str | tuple[str, int], cls) -> list[str]:
+    """Why `section` is not an object with a `cls` object's keys, if it is not."""
+    if not isinstance(section, dict):
+        return [f"{_name(where)} must be an object"]
+    all_keys, required = _KEYS[cls]
+    out = []
+    if unknown := section.keys() - all_keys:
+        out.append(f"unknown keys in {_name(where)}: {sorted(unknown)}")
+    if missing := required - section.keys():
+        out.append(f"missing keys in {_name(where)}: {sorted(missing)}")
+    return out
 
 
 def _record(section, where: str | tuple[str, int], cls, problems: list[str]):
     """`section` as a `cls`, or None with its shape problems appended."""
-    all_keys, required = _KEYS[cls]
-    keys = section.keys() if isinstance(section, dict) else None
-    if keys != all_keys:
-        if keys is None:
-            problems.append(f"{_name(where)} must be an object")
-            return None
-        unknown = keys - all_keys
-        if unknown:
-            problems.append(f"unknown keys in {_name(where)}: {sorted(unknown)}")
-        missing = required - keys
-        if missing:
-            problems.append(f"missing keys in {_name(where)}: {sorted(missing)}")
-        if unknown or missing:
+    if not (isinstance(section, dict) and section.keys() == _KEYS[cls][0]):
+        if found := _shape_problems(section, where, cls):
+            problems.extend(found)
             return None
     return cls(**section)
 
@@ -253,48 +262,23 @@ def scenario_from_dict(doc: dict) -> Scenario:
     field's type and bounds are :func:`validate`'s to check.
 
     Every shape problem is raised in one :class:`InvalidScenario`, next to
-    :func:`_parsed_bound_problems`, so it names every mistyped bounded field too.
+    the bound problems of what did parse (:func:`_bound_problems`), so it
+    names every mistyped bounded field too.
     """
-    if not isinstance(doc, dict):
-        raise InvalidScenario("scenario must be an object")
-    problems: list[str] = []
-    unknown = doc.keys() - _TOP_KEYS
-    if unknown:
-        problems.append(f"unknown keys in scenario: {sorted(unknown)}")
-    missing = _TOP_KEYS - doc.keys()
-    if missing:
-        problems.append(f"missing keys in scenario: {sorted(missing)}")
-    if problems:
+    if problems := _shape_problems(doc, "scenario", Scenario):
         raise InvalidScenario(*problems)
-    parts = dict(
-        treasury=_record(doc["treasury"], "treasury", TreasurySpec, problems),
-        mint=_record(doc["mint"], "mint", MintSpec, problems),
-        beacon=_record(doc["beacon"], "beacon", BeaconParams, problems),
-        deposits=_records(doc["deposits"], "deposits", DepositAction, problems),
-        operator_schedule=_records(doc["operator_schedule"], "operator_schedule",
-                                   BehaviorWindow, problems),
-        slashes=_records(doc["slashes"], "slashes", SlashAction, problems),
-        horizon=doc["horizon"],
-    )
+    parts = {"horizon": doc["horizon"]}
+    for key, cls in _RECORDS.items():
+        parts[key] = _record(doc[key], key, cls, problems)
+    for key, cls in _LISTS.items():
+        if key in doc:
+            parts[key] = _records(doc[key], key, cls, problems)
+    s = Scenario(**parts)
     if type(doc["seed"]) is not int:
         problems.append(f"scenario.seed must be an integer, got {doc['seed']!r}")
     if problems:
-        raise InvalidScenario(*problems, *_parsed_bound_problems(parts))
-    return Scenario(**parts)
-
-
-def _parsed_bound_problems(parts: dict) -> list[str]:
-    """The bound problems of horizon and of each record of `parts` that
-    parsed (not None), under :func:`validate`'s limits; a list item keeps
-    its index in the document even when an item before it did not parse."""
-    top, treasury, limits = _limits(Scenario(**parts))
-    out = [*top.values(), *treasury.values()]
-    for where, r in [("mint", parts["mint"]), ("beacon", parts["beacon"]), *(
-            (f"{key}[{i}]", r) for key in ("deposits", "operator_schedule", "slashes")
-            for i, r in enumerate(parts[key]))]:
-        if r is not None:
-            out.extend(bound_problems(r, where, limits).values())
-    return out
+        raise InvalidScenario(*problems, *_bound_problems(s)[0].values())
+    return s
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -367,51 +351,50 @@ def _holder_problems(s: Scenario) -> list[str]:
             for i, r in enumerate(getattr(s, where)) if not is_holder_name(getattr(r, name))]
 
 
-def _limits(s: Scenario) -> tuple[dict, dict, dict]:
-    """The bound problems of horizon and of the treasury (None: not parsed),
-    and the limits they set, each None when the field setting it is out of
-    bounds: the horizon, and the last validator index."""
-    top = bound_problems(s, "")
-    treasury = {} if s.treasury is None else bound_problems(s.treasury, "treasury")
-    m = None if s.treasury is None or "treasury.validators" in treasury else s.treasury.validators
-    return top, treasury, {"horizon": None if top else s.horizon, "validator": m - 1 if m else None}
+def _bound_problems(s: Scenario) -> tuple[dict[str, str], dict]:
+    """{field path: message} for each bounded field of `s` out of bounds, and
+    the limits `s` sets: the horizon and the last validator index, each None
+    when the field setting it is out of bounds. A record that is None (not
+    parsed) is skipped, and a list item keeps its index in the document."""
+    t = s.treasury
+    out = {**bound_problems(s, ""), **bound_problems(t, "treasury")}
+    m = None if t is None or "treasury.validators" in out else t.validators
+    limits = {"horizon": None if "horizon" in out else s.horizon,
+              "validator": m - 1 if m else None}
+    for key in (*_RECORDS, *_LISTS):
+        if key != "treasury":               # checked above: it sets a limit
+            out.update(bound_problems(getattr(s, key), key, limits))
+    return out, limits
 
 
 def validate(s: Scenario) -> list[str]:
     """Return every constraint violation, not just the first.
 
     Each field's type is checked here, once: first each field's declared
-    bounds (``errors.bound_problems``, which rejects any non-int), then the
+    bounds (:func:`_bound_problems`, which rejects any non-int), then the
     rules that relate fields and type the rest: holder names, the mint
-    window's order, the sweep period against the watchdog's window, window
-    factors, ends and overlaps, and NFT token ids. A limit (horizon,
-    validator count) out of its own bounds bounds nothing, and a field out
-    of bounds is left out of the rules that depend on it.
+    window's order, the sweep period against the watchdog's window, and
+    window factors, ends and overlaps. A limit (horizon, validator count)
+    out of its own bounds bounds nothing, and a field out of bounds is left
+    out of the rules that depend on it.
     """
     t, mi = s.treasury, s.mint
-    top, treasury, limits = _limits(s)
+    bounds, limits = _bound_problems(s)
     horizon, last = limits["horizon"], limits["validator"]
-    mint = bound_problems(mi, "mint")
-    beacon = bound_problems(s.beacon, "beacon")
-    out = [*top.values(), *treasury.values(), *mint.values(), *beacon.values()]
-    for where in ("deposits", "slashes", "claims", "nft_transfers"):
-        out.extend(bound_problems(getattr(s, where), where, limits).values())
-    window_problems = bound_problems(s.operator_schedule, "operator_schedule", limits)
-    out.extend(window_problems.values())
-    out.extend(_holder_problems(s))
+    out = [*bounds.values(), *_holder_problems(s)]
 
-    if "mint.open_epoch" not in mint and "mint.close_epoch" not in mint \
+    if "mint.open_epoch" not in bounds and "mint.close_epoch" not in bounds \
             and mi.open_epoch >= mi.close_epoch:
         out.append(f"mint window invalid: open {mi.open_epoch}, close {mi.close_epoch}")
     # Rewards reach a wallet only on the sweep grid: a watchdog window
     # shorter than the period can hold none of them, and an operator paid
     # in full would be exited.
-    if "beacon.sweep_period" not in beacon and "treasury.grace_epochs" not in treasury \
+    if "beacon.sweep_period" not in bounds and "treasury.grace_epochs" not in bounds \
             and s.beacon.sweep_period > t.grace_epochs:
         out.append(f"beacon.sweep_period {s.beacon.sweep_period} is more than "
                    f"treasury.grace_epochs {t.grace_epochs}")
 
-    windows_ok = not window_problems
+    windows_ok = not any(path.startswith("operator_schedule[") for path in bounds)
     for i, w in enumerate(s.operator_schedule):
         try:
             if not 0 <= w.exact_factor <= 1:
@@ -419,7 +402,7 @@ def validate(s: Scenario) -> list[str]:
         except ValueError as exc:
             out.append(f"operator_schedule[{i}]: {exc}")
         if w.to_epoch is not None and (type(w.to_epoch) is not int or (
-                f"operator_schedule[{i}].from_epoch" not in window_problems
+                f"operator_schedule[{i}].from_epoch" not in bounds
                 and w.to_epoch <= w.from_epoch)):
             out.append(f"operator_schedule[{i}]: empty or non-integer window "
                        f"[{w.from_epoch}, {w.to_epoch!r})")
@@ -451,10 +434,6 @@ def validate(s: Scenario) -> list[str]:
                         f"operator_schedule windows overlap for validator {j}: "
                         f"[{a.from_epoch}, {a_end}) and [{b2.from_epoch}, "
                         f"{b2.to_epoch if b2.to_epoch is not None else horizon + 1})")
-
-    for i, tr in enumerate(s.nft_transfers):
-        if type(tr.token_id) is not int:
-            out.append(f"nft_transfers[{i}]: token_id {tr.token_id!r} is not an integer")
     return out
 
 

@@ -227,10 +227,12 @@ def json_paths(node, prefix=()):
 
 @st.composite
 def one_field_replaced(draw) -> dict:
-    """The honest golden document, plus a slash, with one place replaced by
-    arbitrary JSON."""
+    """The honest golden document, plus a slash, a claim and a resale, with
+    one place replaced by arbitrary JSON."""
     doc = json.loads(golden_scenario_path("honest").read_text())
     doc["slashes"] = [{"epoch": 10, "validator": 0, "fraction_bps": 500}]
+    doc["claims"] = [{"holder": "alice", "epoch": 15}]
+    doc["nft_transfers"] = [{"token_id": 0, "from_holder": "alice", "to": "carol", "epoch": 5}]
     path = draw(st.sampled_from(list(json_paths(doc))))
     target = doc
     for key in path[:-1]:

@@ -12,11 +12,11 @@ and None is accepted only where a field's default is None.
 Each rejected value must give exactly one ``validate`` violation, naming
 the field, and, for a record the contracts read, a ValueError naming the
 field from the constructor of every contract that reads that record. These
-are plain checks that raise, so they hold under ``python -O``. The rows
-that are sections of a scenario file are also written out as a document:
-the loader checks only its shape, so validating what it loads must give
-the same violation, and a document with a shape problem as well must name
-the field once, at its index in the document.
+are plain checks that raise, so they hold under ``python -O``, and the
+package holds no ``assert`` statement. Each row is also written out as a
+scenario file's document: the loader checks only its shape, so validating
+what it loads must give the same violation, and a document with a shape
+problem as well must name the field once, at its index in the document.
 
 Apart from the table, every field that the record classes annotate as
 ``int``, ``int | None`` or ``str`` must be rejected when it holds a value of
@@ -25,14 +25,20 @@ another type, so a field added later is covered by default.
 
 from __future__ import annotations
 
+import ast
 import json
+import random
 import re
 from dataclasses import asdict, fields, is_dataclass, replace
+from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import pytest
 
+import stakeclaim
 from conftest import small_scenario
+from test_acceptance import CORPUS_SEED, CORPUS_SIZE, random_scenario
+from test_handler_purity import with_claims_and_transfers
 from stakeclaim.beacon import BeaconContract, BeaconParams
 from stakeclaim.errors import InvalidScenario
 from stakeclaim.mint import MintContract, MintSpec
@@ -41,6 +47,7 @@ from stakeclaim.scenario import (
     NftTransferAction,
     Scenario,
     SlashAction,
+    load_scenario,
     scenario_from_dict,
     validate,
 )
@@ -73,6 +80,7 @@ BOUNDS = [
     ("slashes[0]", None, "fraction_bps", 1, 10_000),
     ("claims[0]", None, "epoch", 0, HORIZON),
     ("nft_transfers[0]", None, "epoch", 0, HORIZON),
+    ("nft_transfers[0]", None, "token_id", 0, None),
 ]
 OPTIONAL = {("operator_schedule[0]", "validator")}    # default None: None is accepted
 
@@ -163,11 +171,8 @@ def message(path, field, value, lo, hi):
 
 
 def document(s: Scenario) -> dict:
-    """`s` as a scenario file's document; claims and NFT transfers are not
-    file sections."""
-    doc = asdict(s)
-    del doc["claims"], doc["nft_transfers"]
-    return json.loads(json.dumps({**doc, "seed": 0}))
+    """`s` as a scenario file's document."""
+    return json.loads(json.dumps({**asdict(s), "seed": 0}))
 
 
 SCENARIO_ROWS = [(path, field, lo, hi) for path, _, field, lo, hi in BOUNDS if path is not None]
@@ -177,8 +182,6 @@ SCENARIO_REJECTED = [
     for path, field, lo, hi in SCENARIO_ROWS
     for v in rejected(lo, hi, (path, field) in OPTIONAL)
 ]
-DOCUMENT_REJECTED = [p for p in SCENARIO_REJECTED
-                     if not p.values[0].startswith(("claims", "nft_transfers"))]
 
 
 def test_base_is_valid():
@@ -199,13 +202,13 @@ def test_validate_rejects(path, field, value, lo, hi):
     assert violations == [message(path, field, value, lo, hi)]
 
 
-@pytest.mark.parametrize("path,field,value,lo,hi", DOCUMENT_REJECTED)
+@pytest.mark.parametrize("path,field,value,lo,hi", SCENARIO_REJECTED)
 def test_validate_rejects_a_loaded_document(path, field, value, lo, hi):
     doc = document(with_value(path, field, value))
     assert validate(scenario_from_dict(doc)) == [message(path, field, value, lo, hi)]
 
 
-@pytest.mark.parametrize("path,field,value,lo,hi", DOCUMENT_REJECTED)
+@pytest.mark.parametrize("path,field,value,lo,hi", SCENARIO_REJECTED)
 def test_loader_names_a_rejected_field_once_at_its_index(path, field, value, lo, hi):
     # A copy of the record with an unknown key goes first in its list (in
     # deposits for a record that is not a list item), so the record itself
@@ -221,6 +224,25 @@ def test_loader_names_a_rejected_field_once_at_its_index(path, field, value, lo,
     assert f"unknown keys in {section}[0]: ['bonus']" in problems
     assert message(where, field, value, lo, hi) in problems
     assert str(info.value).count(f"{where}.{field} " if where else f"{field} ") == 1
+
+
+def test_a_document_loads_to_the_scenario_it_was_written_from():
+    rng, extras = random.Random(CORPUS_SEED), random.Random(CORPUS_SEED + 1)
+    scenarios = [with_claims_and_transfers(random_scenario(rng), extras)
+                 for _ in range(CORPUS_SIZE)]
+    scenarios += [load_scenario(stakeclaim.golden_scenario_path(name))
+                  for name in stakeclaim.GOLDEN_SCENARIOS]
+    for s in scenarios:
+        assert scenario_from_dict(document(s)) == s
+
+
+def test_the_package_holds_no_assert_statement():
+    # python -O strips assert statements, and every check must still hold.
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(stakeclaim.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_optional_field_accepts_none():

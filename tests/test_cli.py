@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ import stakeclaim as sc
 from conftest import json_values, one_field_replaced
 from stakeclaim.cli import main
 from stakeclaim.errors import InvariantViolation
-from stakeclaim.scenario import World
+from stakeclaim.scenario import ClaimAction, NftTransferAction, World
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -59,6 +60,45 @@ class TestRun:
         out = tmp_path / "out"
         assert run_cli("run", "--scenario", str(bad), "--out", str(out)) == 1
         assert not out.exists()
+
+    def test_out_that_cannot_be_a_directory_exit_1_before_the_run(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        out = tmp_path / "out"
+        out.write_text("a file")
+        runs = []
+        monkeypatch.setattr(World, "run", lambda world: runs.append(world))
+        assert run_cli("run", "--scenario", str(sc.golden_scenario_path("honest")),
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert runs == [] and out.read_text() == "a file"
+
+    def test_output_file_that_cannot_be_written_exit_1(self, tmp_path, capsys):
+        (tmp_path / "events.jsonl").mkdir()
+        assert run_cli("run", "--scenario", str(sc.golden_scenario_path("honest")),
+                       "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "events.jsonl" in err
+
+    def test_claims_and_resales_in_a_file_report_as_in_code(self, tmp_path):
+        # A claim each, a resale, and a resale by a seller who no longer owns
+        # the token, which the mint rejects.
+        doc = json.loads(sc.golden_scenario_path("honest").read_text())
+        doc["claims"] = [{"holder": "alice", "epoch": 40}, {"holder": "carol", "epoch": 90}]
+        doc["nft_transfers"] = [
+            {"token_id": 1, "from_holder": "bob", "to": "carol", "epoch": 30},
+            {"token_id": 1, "from_holder": "bob", "to": "dave", "epoch": 60}]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        s = replace(sc.load_scenario(sc.golden_scenario_path("honest")),
+                    claims=(ClaimAction("alice", 40), ClaimAction("carol", 90)),
+                    nft_transfers=(NftTransferAction(1, "bob", "carol", 30),
+                                   NftTransferAction(1, "bob", "dave", 60)))
+        assert run_cli("run", "--scenario", str(path), "--out", str(tmp_path / "out")) == 0
+        expected = sc.run(s)
+        assert (tmp_path / "out" / "report.json").read_text() == expected.to_json()
+        assert expected.events_jsonl.count('"tag":"ActionRejected"') == 1
+        assert [h.holder for h in expected.holders if h.capital] == ["alice", "carol"]
 
     def test_invalid_scenario_exit_1(self, tmp_path):
         doc = json.loads(sc.golden_scenario_path("honest").read_text())

@@ -2,8 +2,9 @@
 
 A mutant is a small wrong version of the code, made by monkeypatching one
 attribute: for ``errors.bound_problems``, the per-class plan it reads
-(``errors._plan``) or the ``type`` it calls; for the loader, the field
-check on its error path (``scenario._parsed_bound_problems``); for the keeper,
+(``errors._plan``) or the ``type`` it calls; for the loader, the bound
+walk on its error path, which ``validate`` shares
+(``scenario._bound_problems``); for the keeper,
 ``ValidatorWallet.watchdog_shortfall`` or ``BeaconContract.sweep_due``,
 which the driver and the handlers share, or the ``World``'s performance map
 and wallet walk; for segments, the ``World``'s quiet span, its search for
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import builtins
 from bisect import bisect_right
+from dataclasses import replace
 
 import pytest
 
@@ -174,12 +176,24 @@ def fold_scaled_off_by_one(fold_scaled=ledger.fold_scaled):
     return mutant
 
 
-def parsed_items_reindexed(problems=scenario._parsed_bound_problems):
-    """The loader's error path over its lists with the unparsed items dropped,
-    so each item after one is named one index too low."""
-    def mutant(parts):
-        return problems({key: tuple(r for r in part if r is not None)
-                         if type(part) is tuple else part for key, part in parts.items()})
+def walk_blind_once_a_record_is_unparsed(walk=scenario._bound_problems):
+    """The bound walk finding nothing once a record is None, as the loader
+    leaves one it could not parse."""
+    def mutant(s):
+        problems, limits = walk(s)
+        records = [*(getattr(s, key) for key in scenario._RECORDS),
+                   *(r for key in scenario._LISTS for r in getattr(s, key))]
+        return ({} if None in records else problems), limits
+
+    return mutant
+
+
+def walk_reindexes_after_an_unparsed_item(walk=scenario._bound_problems):
+    """The bound walk over the lists with their unparsed items dropped, so
+    each item after one is named one index too low."""
+    def mutant(s):
+        return walk(replace(s, **{key: tuple(r for r in getattr(s, key) if r is not None)
+                                  for key in scenario._LISTS}))
 
     return mutant
 
@@ -234,10 +248,10 @@ MUTANTS = {
         errors, "_plan", plan_with(lambda f, lo, hi, opt: (f, lo, hi, True)),
         lambda: test_bounds.test_validate_rejects("deposits[0]", "amount", None, 1, None)),
     "loader-error-path-skips-field-check": (
-        scenario, "_parsed_bound_problems", lambda parts: [],
+        scenario, "_bound_problems", walk_blind_once_a_record_is_unparsed(),
         test_scenario.TestLoader().test_every_problem_in_a_document_reported),
     "loader-error-path-reindexes-list-items": (
-        scenario, "_parsed_bound_problems", parsed_items_reindexed(),
+        scenario, "_bound_problems", walk_reindexes_after_an_unparsed_item(),
         lambda: test_bounds.test_loader_names_a_rejected_field_once_at_its_index(
             "deposits[0]", "amount", 0, 1, None)),
     "watchdog-never-due": (

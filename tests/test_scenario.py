@@ -210,7 +210,7 @@ class TestValidate:
             "deposits[1].epoch True is not an integer in 0..20",
             "slashes[0].validator 0.0 is not an integer in 0..0",
             "claims[0].epoch 2.0 is not an integer in 0..20",
-            "nft_transfers[0]: token_id '0' is not an integer"])
+            "nft_transfers[0].token_id '0' is not an integer >= 0"])
 
     def test_non_integer_validator_count_does_not_crash_the_checks(self):
         s = small_scenario(
