@@ -10,6 +10,8 @@ The beacon is registered on the ledger as an issuer contract: its own
 account is the deposit vault, reward accrual is the only place units are
 created, and slashing is the only place they are destroyed. The invariant
 ``sum(balances) == vault balance`` ties the consensus view to the ledger.
+A performance factor reaches the beacon exact, an int or a Fraction in
+[0, 1] parsed once by ``scenario.parse_factor``: the beacon parses nothing.
 
 As in the Ethereum consensus specs' ``BeaconState``, balances live in one
 int list indexed by validator id, apart from the validator records: the
@@ -73,27 +75,6 @@ class BeaconValidator:
 class BeaconState:
     validators: list[BeaconValidator] = field(default_factory=list)   # id == list index
     balances: list[int] = field(default_factory=list)                 # by validator id
-
-
-def exact_factor(factor) -> int | Fraction:
-    """A performance factor as an exact number, read as a decimal literal.
-
-    An int or a Fraction is already exact and is returned as it is; anything
-    else goes through str(), which pins 0.3 to 3/10 rather than its binary
-    float neighbour, so accrual is platform-independent and matches what a
-    scenario author wrote.
-    """
-    if type(factor) is int or type(factor) is Fraction:
-        return factor
-    return Fraction(str(factor))
-
-
-def exact_floor(amount: int, factor) -> int:
-    """floor(amount * factor), with the factor read by :func:`exact_factor`."""
-    frac = exact_factor(factor)
-    if type(frac) is int:
-        return amount * frac
-    return (amount * frac.numerator) // frac.denominator
 
 
 def validator_by_id(state: BeaconState, vid: int) -> BeaconValidator:
@@ -173,19 +154,19 @@ class BeaconContract(Handlers):
     def _op_accrue_epoch(self, state: BeaconState, msg: Msg, ctx: CallContext):
         """Activate due validators, open due exits, then mint epoch rewards.
 
-        args: performance maps validator id to a factor in [0, 1];
-        missing ids default to 1. The map is only read: the driver sends
-        the same one for as long as no factor can change. Each distinct
-        factor is parsed, range-checked and floored once per call
-        (:meth:`_reward`); one that is not a number in [0, 1] raises
-        InvalidFactor. Returns the total minted.
+        args: performance maps validator id to a factor in [0, 1], an
+        int or a Fraction; missing ids default to 1. The map is only read:
+        the driver sends the same one for as long as no factor can change.
+        Each distinct factor is checked and floored once per call
+        (:meth:`_reward`); any other factor raises InvalidFactor. Returns
+        the total minted.
         """
         self._require_driver(msg)
         performance = msg.args.get("performance", {})
         validators = state.validators       # copied on the first status transition
         balances = state.balances           # copied on the first reward
-        # exact factor -> reward; only an int or a Fraction is looked up as
-        # it comes, so a bool never shares the entry of 1.
+        # factor -> reward; only an int or a Fraction is looked up, so neither
+        # a bool nor a float shares the entry of an equal exact factor.
         rewards: dict = {}
         effects = []
         amounts = []
@@ -225,21 +206,17 @@ class BeaconContract(Handlers):
         return evolve(state, validators=validators, balances=balances), effects, minted
 
     def _reward(self, factor, rewards: dict) -> int:
-        """floor(reward_per_epoch * factor), memoised in `rewards` under the exact factor.
+        """floor(reward_per_epoch * factor), memoised in `rewards` under the factor.
 
-        Raises InvalidFactor unless `factor` reads (:func:`exact_factor`) as
-        a number in [0, 1].
+        Raises InvalidFactor unless `factor` is an int or a Fraction in [0, 1].
         """
-        try:
-            frac = exact_factor(factor)
-        except (ValueError, ZeroDivisionError):     # a bool, None, "abc", nan, ...
-            raise InvalidFactor(f"performance factor {factor!r} is not a number") from None
-        reward = rewards.get(frac)
-        if reward is None:
-            if not (0 <= frac <= 1):
-                raise InvalidFactor(f"performance factor {factor} outside [0, 1]")
-            reward = rewards[frac] = exact_floor(self.params.reward_per_epoch, frac)
-        return reward
+        kind = type(factor)
+        if kind is not int and kind is not Fraction:
+            raise InvalidFactor(f"performance factor {factor!r} is not an int or a Fraction")
+        if not 0 <= factor <= 1:
+            raise InvalidFactor(f"performance factor {factor} outside [0, 1]")
+        rewards[factor] = self.params.reward_per_epoch * factor.numerator // factor.denominator
+        return rewards[factor]
 
     def _op_slash(self, state: BeaconState, msg: Msg, ctx: CallContext):
         self._require_driver(msg)

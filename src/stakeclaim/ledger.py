@@ -6,9 +6,9 @@ message-driven state machines: a handler is a pure function of
 ``(state, message, context)`` that returns a new state plus a list of
 outbound effects (value transfers, events, nested calls, issuance). The
 ledger applies effects; handlers never mutate anything directly. This makes
-atomicity trivial: a call tree executes against a buffered frame that is
-committed only if every step succeeds, so any revert leaves the chain
-bit-identical to its pre-call state.
+atomicity trivial: a call tree executes against one :class:`CallContext`,
+which buffers its writes and is committed only if every step succeeds, so
+any revert leaves the chain bit-identical to its pre-call state.
 
 The handler contract, which every contract in this package keeps:
 
@@ -23,8 +23,10 @@ The handler contract, which every contract in this package keeps:
 
 Design constraints honoured throughout:
 
-* Amounts are non-negative integers in a fixed base unit. No floats touch
-  any balance. Total supply changes only via explicit issuance or
+* Amounts are non-negative integers in a fixed base unit. Every amount
+  that reaches a balance (a genesis, a call's value, a transfer, an issue
+  or a destruction) is checked to be an exact int, so no float or bool
+  touches any balance. Total supply changes only via explicit issuance or
   destruction, each logged, so conservation is checkable from the event
   log alone: :func:`replay_balances` rebuilds every balance and the
   supply totals, to check against the ledger's own counters.
@@ -301,43 +303,27 @@ def evolve(obj, **changes):
 
 
 class CallContext:
-    """Read-only view handed to handlers: the clock plus frame-aware reads.
+    """One call tree's context: the clock, the tree's buffered writes, and reads through them.
 
-    One per call tree; the epoch cannot move while a tree runs.
+    One per call tree; the epoch cannot move while a tree runs. Handlers
+    read only ``epoch``, :meth:`balance_of` and :meth:`is_contract`, and
+    write through the effects they return; the ledger applies those here.
+    Commit applies the writes; dropping the context reverts them. Events
+    are built as the tree runs, numbered on from the ledger's next seq:
+    nothing else appends to the log while a tree runs.
     """
 
-    __slots__ = ("epoch", "_ledger", "_frame")
-
-    def __init__(self, ledger: "Ledger", frame: "_TxFrame"):
-        self.epoch = ledger.epoch
-        self._ledger = ledger
-        self._frame = frame
-
-    def balance_of(self, name: str) -> int:
-        return self._frame.balance_of(name)
-
-    def is_contract(self, name: str) -> bool:
-        return self._ledger.is_contract(name)
-
-
-class _TxFrame:
-    """Buffered writes for one call tree. Commit applies; drop reverts.
-
-    Events are built as the tree runs, numbered on from the ledger's next
-    seq: nothing else appends to the log while a tree runs.
-    """
-
-    __slots__ = ("_ledger", "_balances", "_states", "_events",
-                 "_minted", "_burned", "_epoch", "_seq")
+    __slots__ = ("epoch", "_ledger", "_balances", "_states", "_events",
+                 "_minted", "_burned", "_seq")
 
     def __init__(self, ledger: "Ledger"):
+        self.epoch = ledger.epoch
         self._ledger = ledger
         self._balances: dict[str, int] = {}
         self._states: dict[str, Any] = {}
         self._events: list[Event] = []
         self._minted = 0
         self._burned = 0
-        self._epoch = ledger.epoch
         self._seq = ledger._seq
 
     def balance_of(self, name: str) -> int:
@@ -347,9 +333,12 @@ class _TxFrame:
             return self._balances[name]
         return self._ledger._balances[name]
 
+    def is_contract(self, name: str) -> bool:
+        return self._ledger.is_contract(name)
+
     def move(self, src: str, dst: str, amount: int) -> None:
-        if amount <= 0:
-            raise InvalidAmount(f"transfer amount must be positive, got {amount}")
+        if type(amount) is not int or amount <= 0:
+            raise InvalidAmount(f"transfer amount must be a positive integer, got {amount!r}")
         if dst not in self._ledger._balances:
             raise UnknownAddress(dst)
         have = self.balance_of(src)
@@ -360,8 +349,8 @@ class _TxFrame:
         self.log(src, "Transfer", {"from": src, "to": dst, "amount": amount})
 
     def issue(self, name: str, amount: int, memo: str) -> None:
-        if amount < 0:
-            raise InvalidAmount(f"issue amount must be non-negative, got {amount}")
+        if type(amount) is not int or amount < 0:
+            raise InvalidAmount(f"issue amount must be a non-negative integer, got {amount!r}")
         if amount == 0:
             return
         self._balances[name] = self.balance_of(name) + amount
@@ -369,8 +358,8 @@ class _TxFrame:
         self.log(name, "SupplyMint", {"to": name, "amount": amount, "memo": memo})
 
     def destroy(self, name: str, amount: int, memo: str) -> None:
-        if amount < 0:
-            raise InvalidAmount(f"destroy amount must be non-negative, got {amount}")
+        if type(amount) is not int or amount < 0:
+            raise InvalidAmount(f"destroy amount must be a non-negative integer, got {amount!r}")
         if amount == 0:
             return
         have = self.balance_of(name)
@@ -383,7 +372,7 @@ class _TxFrame:
     def log(self, emitter: str, tag: str, payload: dict) -> None:
         events = self._events
         events.append(_new_record(
-            Event, (self._epoch, self._seq + len(events), emitter, tag, payload)))
+            Event, (self.epoch, self._seq + len(events), emitter, tag, payload)))
 
     def commit(self) -> None:
         led = self._ledger
@@ -471,8 +460,8 @@ class Ledger:
         """Endow an account with newly created units; logged as a Mint."""
         if to not in self._balances:
             raise UnknownAddress(to)
-        if amount <= 0:
-            raise InvalidAmount(f"genesis amount must be positive, got {amount}")
+        if type(amount) is not int or amount <= 0:
+            raise InvalidAmount(f"genesis amount must be a positive integer, got {amount!r}")
         self._balances[to] += amount
         self.minted_total += amount
         self._append_event(to, "SupplyMint", {"to": to, "amount": amount, "memo": memo})
@@ -491,14 +480,14 @@ class Ledger:
 
         Any LedgerError or ContractError raised anywhere in the tree
         propagates to the caller and nothing is applied: no balance, no
-        contract state, no event.
+        contract state, no event. A `value` that is not an int >= 0 is
+        InvalidAmount.
         """
         if caller not in self._balances:
             raise UnknownAddress(caller)
-        frame = _TxFrame(self)
-        result = self._dispatch(CallContext(self, frame), caller, target, method,
-                                dict(args or {}), value, 0)
-        frame.commit()
+        ctx = CallContext(self)
+        result = self._dispatch(ctx, caller, target, method, dict(args or {}), value, 0)
+        ctx.commit()
         return result
 
     def _dispatch(self, ctx: CallContext, caller: str, target: str, method: str,
@@ -508,17 +497,16 @@ class Ledger:
         contract = self._contracts.get(target)
         if contract is None:
             raise UnknownContract(target)
-        frame = ctx._frame
-        log = frame.log
+        log = ctx.log
         key = (caller, target, method)
         payload = self._call_payloads.get(key)
         if payload is None:
             payload = self._call_payloads[key] = {
                 "caller": caller, "target": target, "method": method}
         log(caller, "Call", payload)
-        if value:
-            frame.move(caller, target, value)
-        states = frame._states
+        if value or type(value) is not int:     # move rejects any value but a positive int
+            ctx.move(caller, target, value)
+        states = ctx._states
         state = states[target] if target in states else self._states[target]
         states[target], effects, result = contract.handle(
             state, _new_record(Msg, (caller, target, method, args, value)), ctx)
@@ -530,15 +518,15 @@ class Ledger:
                 self._dispatch(ctx, target, eff.target, eff.method,
                                dict(eff.args or ()), eff.value, depth + 1)
             elif kind is Transfer:
-                frame.move(target, eff.to, eff.amount)
+                ctx.move(target, eff.to, eff.amount)
             elif kind is Issue:
                 if target not in self._issuers:
                     raise Unauthorized(f"{target} is not an issuer")
-                frame.issue(target, eff.amount, eff.memo)
+                ctx.issue(target, eff.amount, eff.memo)
             elif kind is Destroy:
                 if target not in self._issuers:
                     raise Unauthorized(f"{target} is not an issuer")
-                frame.destroy(target, eff.amount, eff.memo)
+                ctx.destroy(target, eff.amount, eff.memo)
             else:
                 raise TypeError(f"unknown effect {eff!r}")
         return result

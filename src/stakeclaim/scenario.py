@@ -97,9 +97,10 @@ from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from math import inf
+from operator import attrgetter
 from pathlib import Path
 
-from .beacon import BeaconContract, BeaconParams, ValidatorStatus, exact_factor, next_transition, validator_by_id
+from .beacon import BeaconContract, BeaconParams, ValidatorStatus, next_transition, validator_by_id
 from .errors import ContractError, InvalidScenario, InvariantViolation, bound_problems, bounded
 from .ledger import Ledger, replay_balances  # noqa: F401  (bench/tracing.py patches scenario.replay_balances)
 from .mint import MintContract, MintSpec
@@ -151,7 +152,7 @@ class BehaviorWindow:
 
     from_epoch: int = bounded(0, "horizon")
     factor: float
-    to_epoch: int | None = None
+    to_epoch: int | None = bounded(1, default=None)     # a window ending at 0 is empty
     validator: int | None = bounded(0, "validator", default=None)
 
     @cached_property
@@ -197,9 +198,8 @@ class Scenario:
     def holder_names(self) -> frozenset:
         """Every holder name of a deposit, claim or NFT transfer, for validate
         and the World; TypeError if one is unhashable."""
-        return frozenset([*[d.holder for d in self.deposits], *[c.holder for c in self.claims],
-                          *[t.from_holder for t in self.nft_transfers],
-                          *[t.to for t in self.nft_transfers]])
+        return frozenset().union(*[map(attrgetter(name), getattr(self, where))
+                                   for where, name in HOLDER_FIELDS])
 
 
 # --- strict JSON loading -------------------------------------------------------
@@ -208,6 +208,9 @@ class Scenario:
 _RECORDS = {"treasury": TreasurySpec, "mint": MintSpec, "beacon": BeaconParams}
 _LISTS = {"deposits": DepositAction, "operator_schedule": BehaviorWindow, "slashes": SlashAction,
           "claims": ClaimAction, "nft_transfers": NftTransferAction}
+# Every field of a _LISTS record that names a holder, as (section, field).
+HOLDER_FIELDS = (("deposits", "holder"), ("claims", "holder"),
+                 ("nft_transfers", "from_holder"), ("nft_transfers", "to"))
 
 
 def _name(where: str | tuple[str, int]) -> str:
@@ -310,14 +313,18 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def parse_factor(factor) -> int | Fraction:
-    """A window's factor as an exact int or Fraction (``exact_factor``).
+    """A window's factor as an exact int or Fraction in [0, 1], which the
+    beacon is sent as it is: the one reading of a factor.
 
-    Raises ValueError, with a message that starts with "factor", unless
-    `factor` is an int, a float, a Fraction or a decimal string within
-    FACTOR_MAX_CHARS characters and a decimal exponent within
-    +-FACTOR_MAX_EXPONENT. A bool is not a number here.
+    A float or a string is read as a decimal literal through str(), so 0.3
+    is 3/10, not its binary float neighbour. Raises ValueError, with a
+    message that starts with "factor", unless `factor` is an int, a float,
+    a Fraction or a decimal string within FACTOR_MAX_CHARS characters and a
+    decimal exponent within +-FACTOR_MAX_EXPONENT, and it is in [0, 1]. A
+    bool is not a number here.
     """
-    if type(factor) is str:
+    kind = type(factor)
+    if kind is str:
         if len(factor) > FACTOR_MAX_CHARS:
             raise ValueError(f"factor is a string of {len(factor)} characters, "
                              f"longer than {FACTOR_MAX_CHARS}")
@@ -325,12 +332,14 @@ def parse_factor(factor) -> int | Fraction:
         if exp and abs(int(exp.group(1))) > FACTOR_MAX_EXPONENT:
             raise ValueError(f"factor {factor!r} has a decimal exponent outside "
                              f"-{FACTOR_MAX_EXPONENT}..{FACTOR_MAX_EXPONENT}")
-    elif type(factor) not in (int, float, Fraction):
+    elif kind is not int and kind is not float and kind is not Fraction:
         raise ValueError(f"factor {factor!r} is not a number")
     try:
-        exact = exact_factor(factor)
-    except (ValueError, ZeroDivisionError):
+        exact = factor if kind is int or kind is Fraction else Fraction(str(factor))
+    except (ValueError, ZeroDivisionError):     # "abc", "1/0", nan, ...
         raise ValueError(f"factor {factor!r} is not a number") from None
+    if not 0 <= exact <= 1:
+        raise ValueError(f"factor {factor} outside [0, 1]")
     return exact.numerator if exact.denominator == 1 else exact
 
 
@@ -346,8 +355,7 @@ def _holder_problems(s: Scenario) -> list[str]:
     except TypeError:           # an unhashable name
         pass
     return [f"{where}[{i}].{name} {getattr(r, name)!r} is empty, reserved or not a string"
-            for where, name in (("deposits", "holder"), ("claims", "holder"),
-                                ("nft_transfers", "from_holder"), ("nft_transfers", "to"))
+            for where, name in HOLDER_FIELDS
             for i, r in enumerate(getattr(s, where)) if not is_holder_name(getattr(r, name))]
 
 
@@ -374,9 +382,9 @@ def validate(s: Scenario) -> list[str]:
     bounds (:func:`_bound_problems`, which rejects any non-int), then the
     rules that relate fields and type the rest: holder names, the mint
     window's order, the sweep period against the watchdog's window, and
-    window factors, ends and overlaps. A limit (horizon, validator count)
-    out of its own bounds bounds nothing, and a field out of bounds is left
-    out of the rules that depend on it.
+    window factors (:func:`parse_factor`), ends and overlaps. A limit
+    (horizon, validator count) out of its own bounds bounds nothing, and a
+    field out of bounds is left out of the rules that depend on it.
     """
     t, mi = s.treasury, s.mint
     bounds, limits = _bound_problems(s)
@@ -397,15 +405,13 @@ def validate(s: Scenario) -> list[str]:
     windows_ok = not any(path.startswith("operator_schedule[") for path in bounds)
     for i, w in enumerate(s.operator_schedule):
         try:
-            if not 0 <= w.exact_factor <= 1:
-                out.append(f"operator_schedule[{i}]: factor {w.factor} outside [0, 1]")
+            w.exact_factor              # parse_factor, once: the World reads it cached
         except ValueError as exc:
             out.append(f"operator_schedule[{i}]: {exc}")
-        if w.to_epoch is not None and (type(w.to_epoch) is not int or (
-                f"operator_schedule[{i}].from_epoch" not in bounds
-                and w.to_epoch <= w.from_epoch)):
-            out.append(f"operator_schedule[{i}]: empty or non-integer window "
-                       f"[{w.from_epoch}, {w.to_epoch!r})")
+        if w.to_epoch is not None and f"operator_schedule[{i}].from_epoch" not in bounds \
+                and f"operator_schedule[{i}].to_epoch" not in bounds \
+                and w.to_epoch <= w.from_epoch:
+            out.append(f"operator_schedule[{i}]: empty window [{w.from_epoch}, {w.to_epoch})")
             windows_ok = False
 
     # Validators the schedule does not name have only the validator-null
@@ -847,10 +853,9 @@ class World:
         led = self.ledger
         tst = led.contract_state(TREASURY)
 
-        names = (set(self.holders) | set(tst.owned) | set(tst.claimable)
-                 | set(tst.claimed_total))
+        # Every owner, claimer and transfer recipient is in holder_names.
         holders = []
-        for h in sorted(names):
+        for h in self.holders:
             cap = sum(tst.capital[t] for t in tst.owned.get(h, ()))
             settled_credit = tst.settlement_credits.get(h, 0)
             loss = max(0, cap - settled_credit) if tst.phase is Phase.SETTLED else 0

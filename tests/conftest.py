@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from stakeclaim import golden_scenario_path
 from stakeclaim.beacon import BeaconContract, BeaconParams
-from stakeclaim.ledger import Event, Ledger, _TxFrame, encode_lines
+from stakeclaim.ledger import CallContext, Event, Ledger, encode_lines
 from stakeclaim.mint import MintContract
 from stakeclaim.scenario import BehaviorWindow, DepositAction, MintSpec, Scenario, TreasurySpec, World
 from stakeclaim.treasury import TreasuryContract, TreasuryState, accrued, balance_identity
@@ -170,9 +170,23 @@ def restore(led: Ledger, snap: bytes) -> None:
 
 def transfer(led: Ledger, src: str, dst: str, amount: int) -> None:
     """Move value between registered addresses as one committed tree. Zero amounts rejected."""
-    frame = _TxFrame(led)
-    frame.move(src, dst, amount)
-    frame.commit()
+    ctx = CallContext(led)
+    ctx.move(src, dst, amount)
+    ctx.commit()
+
+
+def raised(error: type[BaseException], fn, *args, **kwargs) -> BaseException | None:
+    """The `error` that fn(*args, **kwargs) raised, or None if it returned.
+
+    For a plain assert in place of pytest.raises: a test named as a
+    mutant's catcher (tests/test_mutants.py) must fail with an
+    AssertionError, and a failed pytest.raises is not one.
+    """
+    try:
+        fn(*args, **kwargs)
+    except error as exc:
+        return exc
+    return None
 
 
 def to_json(e: Event) -> str:

@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import snapshot
+from conftest import raised, snapshot
 from stakeclaim.beacon import (
     BeaconContract,
     BeaconParams,
     ValidatorStatus,
-    exact_floor,
     validator_by_id,
 )
 from stakeclaim.errors import (
@@ -107,43 +108,48 @@ class TestAccrual:
 
     def test_full_factor(self):
         start = self.balance()
-        accrue_total = accrue(self.led, {self.vid: 1.0})
+        accrue_total = accrue(self.led, {self.vid: 1})
         assert accrue_total == 100
         assert self.balance() == start + 100
 
     def test_zero_factor_offline_operator(self):
         start = self.balance()
-        assert accrue(self.led, {self.vid: 0.0}) == 0
+        assert accrue(self.led, {self.vid: 0}) == 0
         assert self.balance() == start
 
     def test_half_factor_floor(self):
         start = self.balance()
-        assert accrue(self.led, {self.vid: 0.5}) == 50
+        assert accrue(self.led, {self.vid: Fraction(1, 2)}) == 50
         assert self.balance() == start + 50
 
     def test_decimal_factor_exact(self):
-        # 0.29 is not a dyadic float; the accrual must still read it as 29/100.
-        assert exact_floor(100, 0.29) == 29
+        # A file's 0.29 reaches the beacon as 29/100 (scenario.parse_factor),
+        # and 100 * 29/100 is floored exactly, with no float in between.
         start = self.balance()
-        assert accrue(self.led, {self.vid: 0.29}) == 29
+        assert accrue(self.led, {self.vid: Fraction(29, 100)}) == 29
         assert self.balance() == start + 29
 
     def test_factor_out_of_range(self):
         with pytest.raises(InvalidFactor):
-            accrue(self.led, {self.vid: 1.5})
+            accrue(self.led, {self.vid: Fraction(3, 2)})
         with pytest.raises(InvalidFactor):
-            accrue(self.led, {self.vid: -0.1})
+            accrue(self.led, {self.vid: Fraction(-1, 10)})
 
-    @pytest.mark.parametrize("bad", [True, None, "abc"])
-    def test_a_factor_that_is_not_a_number_is_an_invalid_factor(self, bad):
-        # Validator 0's factor 1 is floored and memoised first; a bool must
-        # not share 1's entry, and no factor may escape as a bare ValueError.
+    @pytest.mark.parametrize("first,bad", [
+        pytest.param(first, bad, id=str(bad)) for first, bad in
+        ((1, True), (1, None), (1, "abc"), (Fraction(1, 2), 0.5), (1, "1/2"))])
+    def test_a_factor_that_is_not_a_number_is_an_invalid_factor(self, first, bad):
+        # Validator 0's factor is floored and memoised first; neither a bool
+        # nor a float may share the entry of the exact factor it equals, the
+        # beacon parses no string, and no factor escapes as a bare ValueError.
+        # A plain assert, not pytest.raises, so a mutant that lets the factor
+        # through fails with an AssertionError.
         other = deposit(self.led)
         self.led.advance_epoch()
         accrue(self.led)                        # activates the second validator
         snap = snapshot(self.led)
-        with pytest.raises(InvalidFactor, match="not a number"):
-            accrue(self.led, {self.vid: 1, other: bad})
+        error = raised(InvalidFactor, accrue, self.led, {self.vid: first, other: bad})
+        assert str(error) == f"performance factor {bad!r} is not an int or a Fraction"
         assert snapshot(self.led) == snap
 
     def test_one_factor_shared_by_many_validators(self):
@@ -151,7 +157,7 @@ class TestAccrual:
             deposit(self.led)
         self.led.advance_epoch()
         accrue(self.led)
-        half = {vid: 0.5 for vid in range(4)}
+        half = {vid: Fraction(1, 2) for vid in range(4)}
         assert accrue(self.led, half) == 200
         assert accrue(self.led, {**half, 3: 1}) == 250
         with pytest.raises(InvalidFactor, match="outside"):
@@ -159,7 +165,7 @@ class TestAccrual:
 
     def test_accrual_mints_supply(self):
         minted_before = self.led.minted_total
-        accrue(self.led, {self.vid: 1.0})
+        accrue(self.led, {self.vid: 1})
         assert self.led.minted_total == minted_before + 100
 
     def test_driver_only(self):
@@ -255,7 +261,7 @@ class TestExitAndSweep:
         assert snapshot(self.led) == snap
 
     def test_sweep_moves_only_excess_for_active(self):
-        accrue(self.led, {self.vid: 1.0})  # +100 over stake
+        accrue(self.led, {self.vid: 1})  # +100 over stake
         accrue_excess = 500 - 400          # keep style simple: recompute below
         self.led.call("sys", "beacon", "sweep", {})
         assert self.led.contract_state("beacon").balances[self.vid] == STAKE
@@ -280,12 +286,12 @@ class TestExitAndSweep:
         led = bare_beacon(activation_delay=1, sweep_period=4)
         vid = deposit(led)
         led.advance_epoch()
-        accrue(led, {vid: 1.0})   # epoch 1: +100
+        accrue(led, {vid: 1})   # epoch 1: +100
         led.call("sys", "beacon", "sweep", {})  # epoch 1 % 4 != 0: no-op
         assert led.balance_of("wa") == 0
         for _ in range(3):
             led.advance_epoch()
-            accrue(led, {vid: 1.0})
+            accrue(led, {vid: 1})
         led.call("sys", "beacon", "sweep", {})  # epoch 4: pays out all excess
         assert led.balance_of("wa") == 400
 
@@ -304,7 +310,7 @@ class TestWithdrawalAddressImmutable:
         for op in ops:
             try:
                 if op == "accrue":
-                    accrue(led, {vid: 1.0})
+                    accrue(led, {vid: 1})
                 elif op == "sweep":
                     led.call("sys", "beacon", "sweep", {})
                 elif op == "slash":

@@ -20,7 +20,10 @@ problem as well must name the field once, at its index in the document.
 
 Apart from the table, every field that the record classes annotate as
 ``int``, ``int | None`` or ``str`` must be rejected when it holds a value of
-another type, so a field added later is covered by default.
+another type, so a field added later is covered by default. Two more
+inputs are read in one place each: the package builds a Fraction only in
+``scenario.parse_factor``, and every ``str`` field of a list record is one
+of ``scenario.HOLDER_FIELDS``.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ from stakeclaim.beacon import BeaconContract, BeaconParams
 from stakeclaim.errors import InvalidScenario
 from stakeclaim.mint import MintContract, MintSpec
 from stakeclaim.scenario import (
+    _LISTS,
+    HOLDER_FIELDS,
     ClaimAction,
     NftTransferAction,
     Scenario,
@@ -74,6 +79,7 @@ BOUNDS = [
     ("deposits[0]", None, "amount", 1, None),
     ("deposits[0]", None, "epoch", 0, HORIZON),
     ("operator_schedule[0]", None, "from_epoch", 0, HORIZON),
+    ("operator_schedule[0]", None, "to_epoch", 1, None),   # a window ending at 0 is empty
     ("operator_schedule[0]", None, "validator", 0, 0),
     ("slashes[0]", None, "epoch", 0, HORIZON),
     ("slashes[0]", None, "validator", 0, 0),
@@ -82,7 +88,8 @@ BOUNDS = [
     ("nft_transfers[0]", None, "epoch", 0, HORIZON),
     ("nft_transfers[0]", None, "token_id", 0, None),
 ]
-OPTIONAL = {("operator_schedule[0]", "validator")}    # default None: None is accepted
+OPTIONAL = {("operator_schedule[0]", "validator"),     # default None: None is accepted
+            ("operator_schedule[0]", "to_epoch")}
 
 # A valid record of each class the contracts read.
 GOOD = {
@@ -243,6 +250,31 @@ def test_the_package_holds_no_assert_statement():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_the_package_builds_a_fraction_only_in_parse_factor():
+    # A factor is parsed once, at the edge: the core is handed an int or a
+    # Fraction and reads nothing else. A call is named by the innermost
+    # function around it.
+    found = []
+    for path in sorted(Path(stakeclaim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [f for f in ast.walk(tree)
+                     if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "Fraction" in ast.unparse(node.func):
+                around = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                name = max(around, key=lambda f: f.lineno).name if around else "<module>"
+                found.append(f"{path.stem}.{name}")
+    assert found == ["scenario.parse_factor"]
+
+
+def test_every_str_field_of_a_list_record_is_a_holder_field():
+    # holder_names (the World's accounts and the report's rows) and the
+    # holder name check both read HOLDER_FIELDS, so a str field added to a
+    # record must be listed there.
+    assert {(where, f.name) for where, cls in _LISTS.items()
+            for f in fields(cls) if f.type == "str"} == set(HOLDER_FIELDS)
 
 
 def test_optional_field_accepts_none():

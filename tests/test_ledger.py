@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import logged_events, make_world, restore, snapshot, to_json, transfer
+from conftest import logged_events, make_world, raised, restore, snapshot, to_json, transfer
 from stakeclaim.errors import (
     ContractError,
     InsufficientBalance,
@@ -22,6 +22,7 @@ from stakeclaim.errors import (
 )
 from stakeclaim.ledger import (
     Call,
+    Destroy,
     Emit,
     Event,
     Issue,
@@ -100,6 +101,8 @@ class Counter:
             raise ContractError("boom")
         if msg.method == "issue":
             return state, [Issue(msg.args["amount"], "test")], None
+        if msg.method == "destroy":
+            return state, [Destroy(msg.args["amount"], "test")], None
         if msg.method == "recurse":
             return state + 1, [Call(msg.args["self"], "recurse", msg.args)], None
         if msg.method == "call_bare":
@@ -119,6 +122,40 @@ def dispatch_ledger():
     led.register_contract("c1", Counter())
     led.register_contract("c2", Counter())
     return led
+
+
+# Each way an amount reaches a balance: entry(ledger, amount), on a ledger
+# of amount_ledger().
+AMOUNT_ENTRIES = {
+    "genesis": lambda led, amount: led.genesis("user", amount),
+    "call value": lambda led, amount: led.call("user", "c1", "poke", value=amount),
+    "transfer": lambda led, amount: led.call("user", "c1", "pay", {"to": "user", "amount": amount}),
+    "issue": lambda led, amount: led.call("user", "c1", "issue", {"amount": amount}),
+    "destroy": lambda led, amount: led.call("user", "c1", "destroy", {"amount": amount}),
+}
+
+
+def amount_ledger() -> Ledger:
+    """A user holding 90 and an issuer contract c1 holding 10."""
+    led = fresh_ledger(user=100)
+    led.register_contract("c1", Counter(), issuer=True)
+    transfer(led, "user", "c1", 10)
+    return led
+
+
+class TestIntegerAmounts:
+    @pytest.mark.parametrize("amount", [1.5, True, 0.0])
+    @pytest.mark.parametrize("entry", AMOUNT_ENTRIES)
+    def test_an_amount_that_is_not_an_int_is_invalid(self, entry, amount):
+        # A plain assert, not pytest.raises, so a mutant that lets the amount
+        # through fails with an AssertionError.
+        led = amount_ledger()
+        snap = snapshot(led)
+        error = raised(InvalidAmount, AMOUNT_ENTRIES[entry], led, amount)
+        assert str(error).endswith(f" integer, got {amount!r}")
+        assert snapshot(led) == snap
+        AMOUNT_ENTRIES[entry](led, 1)           # the entry itself is open to an int
+        assert snapshot(led) != snap
 
 
 class TestDispatch:

@@ -12,7 +12,9 @@ the next action, the beacon's ``next_transition``,
 ``ValidatorWallet.quiet_until``, or the ledger's ``fold_scaled`` and column
 copy (``_copies``); for the engine, a treasury helper, a contract's method
 table (``_ops``, with one handler wrapped) or ``World.report``; for the
-fold of the log, its table of per-tag handlers (``explain._Fold._on``). Each names
+fold of the log, its table of per-tag handlers (``explain._Fold._on``); for
+exact inputs, the ``type`` the ledger calls or the beacon's reward
+(``BeaconContract._reward``). Each names
 one existing test that passes on the real code and must fail under the
 mutant: a check that no mutant fails proves nothing (DeMillo, Lipton &
 Sayward, *Hints on Test Data Selection*, 1978).
@@ -23,6 +25,7 @@ from __future__ import annotations
 import builtins
 from bisect import bisect_right
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -57,6 +60,23 @@ def plan_with(change):
 
 def bool_is_int(v):
     return int if builtins.type(v) is bool else builtins.type(v)
+
+
+def float_is_int(v):
+    return int if builtins.type(v) is float else builtins.type(v)
+
+
+def reward_of_a_decimal_read(self, factor, rewards):
+    """BeaconContract._reward reading any factor through str(), as a decimal literal."""
+    exact = Fraction(str(factor))
+    return self.params.reward_per_epoch * exact.numerator // exact.denominator
+
+
+def set_up(cls):
+    """An instance of the test class `cls`, set up as pytest sets one up."""
+    case = cls()
+    case.setup_method()
+    return case
 
 
 def watchdog_shortfall(short=lambda total, threshold: total < threshold, slots=0):
@@ -320,6 +340,14 @@ MUTANTS = {
     "fold-transfer-nft-ignored": (
         _Fold, "_on", fold_with("TransferNft", lambda handler: lambda self, e: None),
         test_explain.test_the_fold_follows_resales_claims_and_both_exit_causes),
+    "ledger-takes-a-float-amount": (
+        ledger, "type", float_is_int,
+        lambda: test_ledger.TestIntegerAmounts().test_an_amount_that_is_not_an_int_is_invalid(
+            "call value", 1.5)),
+    "beacon-reads-a-float-factor": (
+        BeaconContract, "_reward", reward_of_a_decimal_read,
+        lambda: set_up(test_beacon.TestAccrual)
+        .test_a_factor_that_is_not_a_number_is_an_invalid_factor(Fraction(1, 2), 0.5)),
     "fold-slash-read-as-performance": (
         _Fold, "_on", fold_with("Slashed", slash_read_as_performance),
         test_explain.test_an_exit_due_but_not_yet_swept_reads_withdrawable),

@@ -166,6 +166,17 @@ class TestValidate:
         assert [type(w.factor_for(0, i)) for i in (3, 4, 7)] == [int] * 3
         assert w.factor_for(0, len(ok)) == 1     # no window: full performance
 
+    def test_an_empty_window_is_listed_past_windows_out_of_bounds(self):
+        # Only a window whose own ends are out of bounds skips the empty rule.
+        s = small_scenario(operator_schedule=(
+            BehaviorWindow(from_epoch=0, to_epoch="3", factor=1),
+            BehaviorWindow(from_epoch=5, to_epoch=5, factor=1),
+            BehaviorWindow(from_epoch=99, to_epoch=2, factor=1)))
+        assert validate(s) == [
+            "operator_schedule[2].from_epoch 99 is not an integer in 0..20",
+            "operator_schedule[0].to_epoch '3' is not an integer >= 1",
+            "operator_schedule[1]: empty window [5, 5)"]
+
     def test_deposit_beyond_horizon(self):
         s = small_scenario(deposits=(DepositAction("alice", 6400, 99),))
         assert any("epoch 99" in v for v in validate(s))

@@ -10,6 +10,7 @@ from conftest import BEACON, OPERATOR, TREASURY, logged_events, make_world, snap
 from oracle import trigger_epoch
 from stakeclaim.beacon import validator_by_id
 from stakeclaim.errors import BeaconNotSwept, WrongAmount, WrongCaller, WrongStatus
+from stakeclaim.scenario import parse_factor
 from stakeclaim.treasury import Phase
 from stakeclaim.wallet import WalletStatus
 
@@ -103,11 +104,12 @@ def run_epoch(w, factor=1.0, skip_empty=False):
     """One epoch of the fixed sub-step order, driven by hand.
 
     With `skip_empty`, an empty wallet is not asked to forward, as the
-    scenario driver does.
+    scenario driver does. The factor is read as a scenario file's is
+    (:func:`parse_factor`), so the beacon is sent an int or a Fraction.
     """
     w.ledger.advance_epoch()
     vid = w.wallet_state().validator_id
-    w.accrue({vid: factor})
+    w.accrue({vid: parse_factor(factor)})
     w.sweep()
     ws = w.wallet_state()
     if ws.status in (WalletStatus.ACTIVE, WalletStatus.EXIT_REQUESTED) \
