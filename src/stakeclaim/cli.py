@@ -18,6 +18,7 @@ identical inputs.
 The STAKECLAIM_LOG environment variable controls stdout verbosity:
 ``quiet`` (default) prints nothing on success, ``events`` prints the event
 log once the run has finished, ``trace`` additionally prints the report.
+Any other value is invalid input: ``run`` exits 1 before it starts.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ def _load_checked(path: str) -> tuple[Scenario | None, list[str]]:
 
 def cmd_run(args: argparse.Namespace) -> int:
     log_mode = os.environ.get("STAKECLAIM_LOG", "quiet")
+    if log_mode not in ("quiet", "events", "trace"):
+        print(f"STAKECLAIM_LOG must be quiet, events or trace, got {log_mode!r}", file=sys.stderr)
+        return 1
     scenario, violations = _load_checked(args.scenario)
     if violations:
         for v in violations:

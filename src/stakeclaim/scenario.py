@@ -93,6 +93,7 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from functools import cached_property
@@ -104,7 +105,8 @@ from .beacon import BeaconContract, BeaconParams, ValidatorStatus, next_transiti
 from .errors import ContractError, InvalidScenario, InvariantViolation, bound_problems, bounded
 from .ledger import Ledger, replay_balances  # noqa: F401  (bench/tracing.py patches scenario.replay_balances)
 from .mint import MintContract, MintSpec
-from .treasury import Phase, TreasuryContract, TreasurySpec, balance_identity, claimable_of
+from .treasury import (Phase, TreasuryContract, TreasurySpec, TreasuryState, balance_identity,
+                       claimable_of)
 from .wallet import ValidatorWallet, WalletStatus
 
 SYSTEM = "system"
@@ -464,10 +466,10 @@ class ValidatorReport:
     exit_cause: str | None
     exit_epoch: int | None
     settled: bool
-    returned: int | None
-    shortfall: int | None
-    escrow_cover: int | None
-    penalty: int | None
+    returned: int | None = None         # the SettlementRecord's fields, once settled
+    shortfall: int | None = None
+    escrow_cover: int | None = None
+    penalty: int | None = None
 
 
 @dataclass
@@ -488,6 +490,37 @@ class RunReport:
     event_count: int
     events_digest: str
     events_jsonl: str
+
+    @classmethod
+    def read(cls, tst: TreasuryState, holders: Iterable[str],
+             wallets: Iterable[tuple[int | None, str | None, int | None]], **rest) -> RunReport:
+        """The report of a run whose treasury ended in `tst`.
+
+        `holders` are the holders' names in report order, `wallets` each
+        wallet's (validator id, beacon status, exit epoch) in index order,
+        and `rest` the fields the treasury does not hold: the epochs, the
+        conservation checks and the log. A holder's claimable is its settled
+        credit plus its tokens' pending credit; its realized loss, capital
+        not returned as settlement credit, counts only once Settled.
+        """
+        settled = tst.phase is Phase.SETTLED
+        rows = []
+        for h in holders:
+            cap = sum(tst.capital[t] for t in tst.owned.get(h, ()))
+            credit = tst.settlement_credits.get(h, 0)
+            rows.append(HolderReport(h, cap, tst.claimed_total.get(h, 0), claimable_of(tst, h),
+                                     credit, max(0, cap - credit) if settled else 0))
+        validators = []
+        for j, (vid, status, exit_epoch) in enumerate(wallets):
+            record = tst.settlements.get(j)
+            validators.append(ValidatorReport(
+                index=j, validator_id=vid, rewards_received=tst.rewards_received.get(j, 0),
+                beacon_status=status, exit_cause=tst.exit_causes.get(j), exit_epoch=exit_epoch,
+                settled=record is not None, **(vars(record) if record else {})))
+        return cls(phase=tst.phase.value, holders=rows,
+                   operator_fees_accrued=tst.operator_fees_accrued,
+                   operator_fees_claimed=tst.fees_claimed_total,
+                   escrow_refunded=tst.escrow_refunded, validators=validators, **rest)
 
     def to_dict(self) -> dict:
         # Records' fields are all scalars: copy their instance dicts, not asdict's deep copy.
@@ -851,44 +884,13 @@ class World:
 
     def report(self) -> RunReport:
         led = self.ledger
-        tst = led.contract_state(TREASURY)
-
-        # Every owner, claimer and transfer recipient is in holder_names.
-        holders = []
-        for h in self.holders:
-            cap = sum(tst.capital[t] for t in tst.owned.get(h, ()))
-            settled_credit = tst.settlement_credits.get(h, 0)
-            loss = max(0, cap - settled_credit) if tst.phase is Phase.SETTLED else 0
-            holders.append(HolderReport(
-                holder=h,
-                capital=cap,
-                claimed=tst.claimed_total.get(h, 0),
-                claimable=claimable_of(tst, h),
-                settlement_credits=settled_credit,
-                realized_loss=loss,
-            ))
-
-        validators = []
         bst = led.contract_state(BEACON)
-        for j, w in enumerate(self.wallets):
+        wallets = []
+        for w in self.wallets:
             wst = led.contract_state(w)
-            status = None
-            if wst.validator_id is not None:
-                status = validator_by_id(bst, wst.validator_id).status.value
-            settlement = tst.settlements.get(j)
-            validators.append(ValidatorReport(
-                index=j,
-                validator_id=wst.validator_id,
-                rewards_received=tst.rewards_received.get(j, 0),
-                beacon_status=status,
-                exit_cause=tst.exit_causes.get(j),
-                exit_epoch=wst.exit_epoch,
-                settled=settlement is not None,
-                returned=settlement.returned if settlement else None,
-                shortfall=settlement.shortfall if settlement else None,
-                escrow_cover=settlement.escrow_cover if settlement else None,
-                penalty=settlement.penalty if settlement else None,
-            ))
+            vid = wst.validator_id
+            status = None if vid is None else validator_by_id(bst, vid).status.value
+            wallets.append((vid, status, wst.exit_epoch))
 
         # The ledger folded every flushed batch as it committed; this folds the rest.
         replay = led.flush()
@@ -897,18 +899,13 @@ class World:
         replay_ok = (replay.minted == led.minted_total
                      and replay.burned == led.burned_total
                      and all(replay.balances.get(n, 0) == led.balance_of(n) for n in names))
-        conservation_ok = led.total_balance() == led.minted_total - led.burned_total
 
-        return RunReport(
+        # Every owner, claimer and transfer recipient is in holder_names.
+        return RunReport.read(
+            led.contract_state(TREASURY), self.holders, wallets,
             horizon=self.scenario.horizon,
             final_epoch=led.epoch,
-            phase=tst.phase.value,
-            holders=holders,
-            operator_fees_accrued=tst.operator_fees_accrued,
-            operator_fees_claimed=tst.fees_claimed_total,
-            escrow_refunded=tst.escrow_refunded,
-            validators=validators,
-            conservation_ok=conservation_ok,
+            conservation_ok=led.total_balance() == led.minted_total - led.burned_total,
             replay_ok=replay_ok,
             minted=led.minted_total,
             burned=led.burned_total,

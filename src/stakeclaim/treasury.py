@@ -179,7 +179,7 @@ def moved(owned: dict[str, tuple[int, ...]], token_id: int, frm: str | None,
     return out
 
 
-def _settle_token(st: TreasuryState, token_id: int, owner: str) -> None:
+def settle_token(st: TreasuryState, token_id: int, owner: str) -> None:
     """Credit the token's pending credit to `owner` and move its checkpoint.
 
     Sets fresh `paid` and `claimable` maps on `st`, a new state.
@@ -189,6 +189,16 @@ def _settle_token(st: TreasuryState, token_id: int, owner: str) -> None:
     if due:
         st.paid = {**st.paid, token_id: total}
         st.claimable = {**st.claimable, owner: st.claimable.get(owner, 0) + due}
+
+
+def credit_settlement(st: TreasuryState, before: int) -> None:
+    """Add each owner's credit as N rose from `before` to ``st.net_total``
+    to its ``settlement_credits``. Sets a fresh map on `st`, a new state."""
+    credits, _ = split_credits(before, st.net_total, st.capital, st.owned, st.sum_capital)
+    st.settlement_credits = dict(st.settlement_credits)
+    for owner, credit in credits.items():
+        if credit:
+            st.settlement_credits[owner] = st.settlement_credits.get(owner, 0) + credit
 
 
 def _distributed(amount: int, fee: int, net_total: int) -> Emit:
@@ -245,7 +255,7 @@ class TreasuryContract(Handlers):
         if token_id not in state.owned.get(frm, ()):
             raise UnknownToken(f"{frm} holds no token {token_id}")
         st = evolve(state, owned=moved(state.owned, token_id, frm, msg.args["to"]))
-        _settle_token(st, token_id, frm)
+        settle_token(st, token_id, frm)
         return st, [], None
 
     def _op_abort_refund(self, state: TreasuryState, msg: Msg, ctx: CallContext):
@@ -425,11 +435,7 @@ class TreasuryContract(Handlers):
         pot = returned + escrow_cover + penalty
         st.net_total += pot
         effects.append(_distributed(pot, 0, st.net_total))
-        credits, _ = split_credits(before, st.net_total, st.capital, st.owned, st.sum_capital)
-        st.settlement_credits = dict(state.settlement_credits)
-        for owner, credit in credits.items():
-            if credit:
-                st.settlement_credits[owner] = st.settlement_credits.get(owner, 0) + credit
+        credit_settlement(st, before)
 
         if len(st.settlements) == len(self.validators):
             st.phase = Phase.SETTLED

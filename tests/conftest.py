@@ -175,20 +175,6 @@ def transfer(led: Ledger, src: str, dst: str, amount: int) -> None:
     ctx.commit()
 
 
-def raised(error: type[BaseException], fn, *args, **kwargs) -> BaseException | None:
-    """The `error` that fn(*args, **kwargs) raised, or None if it returned.
-
-    For a plain assert in place of pytest.raises: a test named as a
-    mutant's catcher (tests/test_mutants.py) must fail with an
-    AssertionError, and a failed pytest.raises is not one.
-    """
-    try:
-        fn(*args, **kwargs)
-    except error as exc:
-        return exc
-    return None
-
-
 def to_json(e: Event) -> str:
     """`e`'s line of ``Ledger.events_jsonl``, without the newline."""
     return encode_lines((e,))[0][:-1]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import raised, snapshot
+from conftest import snapshot
 from stakeclaim.beacon import (
     BeaconContract,
     BeaconParams,
@@ -142,14 +142,13 @@ class TestAccrual:
         # Validator 0's factor is floored and memoised first; neither a bool
         # nor a float may share the entry of the exact factor it equals, the
         # beacon parses no string, and no factor escapes as a bare ValueError.
-        # A plain assert, not pytest.raises, so a mutant that lets the factor
-        # through fails with an AssertionError.
         other = deposit(self.led)
         self.led.advance_epoch()
         accrue(self.led)                        # activates the second validator
         snap = snapshot(self.led)
-        error = raised(InvalidFactor, accrue, self.led, {self.vid: first, other: bad})
-        assert str(error) == f"performance factor {bad!r} is not an int or a Fraction"
+        with pytest.raises(InvalidFactor) as error:
+            accrue(self.led, {self.vid: first, other: bad})
+        assert str(error.value) == f"performance factor {bad!r} is not an int or a Fraction"
         assert snapshot(self.led) == snap
 
     def test_one_factor_shared_by_many_validators(self):

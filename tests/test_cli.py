@@ -260,6 +260,27 @@ class TestRun:
         out = capsys.readouterr().out
         assert out == (tmp_path / "events.jsonl").read_text()
 
+    def test_trace_log_mode_prints_the_log_then_the_report(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("STAKECLAIM_LOG", "trace")
+        assert run_cli("run", "--scenario", str(sc.golden_scenario_path("nonpaying")),
+                       "--out", str(tmp_path)) == 0
+        out = capsys.readouterr().out
+        assert out.encode() == ((tmp_path / "events.jsonl").read_bytes()
+                                + (tmp_path / "report.json").read_bytes())
+
+    @pytest.mark.parametrize("mode", ["event", "Trace", ""])
+    def test_an_unknown_log_mode_exits_1_before_the_run(self, mode, tmp_path, capsys,
+                                                         monkeypatch):
+        monkeypatch.setenv("STAKECLAIM_LOG", mode)
+        runs = []
+        monkeypatch.setattr(World, "run", lambda world: runs.append(world))
+        out = tmp_path / "out"
+        assert run_cli("run", "--scenario", str(sc.golden_scenario_path("honest")),
+                       "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and runs == [] and not out.exists()
+        assert captured.err == f"STAKECLAIM_LOG must be quiet, events or trace, got {mode!r}\n"
+
     def test_quiet_mode_prints_nothing(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("STAKECLAIM_LOG", raising=False)
         run_cli("run", "--scenario", str(sc.golden_scenario_path("nonpaying")),

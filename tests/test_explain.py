@@ -21,13 +21,17 @@ from stakeclaim.explain import rebuild_report
 from stakeclaim.ledger import Event, encode_lines
 from stakeclaim.scenario import (
     MINT,
+    OPERATOR,
     RESERVED,
+    TREASURY,
     BehaviorWindow,
     ClaimAction,
     DepositAction,
     NftTransferAction,
+    RunReport,
     SlashAction,
     TreasurySpec,
+    World,
     validate,
 )
 from conftest import small_scenario
@@ -74,12 +78,12 @@ def test_the_fold_rebuilds_every_corpus_report():
     assert {"Active", "Exiting", "Withdrawn"} <= statuses
 
 
-def test_the_fold_follows_resales_claims_and_both_exit_causes():
+def resales_claims_and_both_exit_causes() -> sc.Scenario:
     # Tokens change hands before and after claims; one validator is
     # slashed, the other exits for performance; a claim and a resale are
     # rejected. (The recipient of a rejected resale is not logged, so it
     # goes to a holder the log names elsewhere.)
-    s = small_scenario(
+    return small_scenario(
         treasury=TreasurySpec(fee_bps=777, expected_reward_per_epoch=90,
                               grace_epochs=3, escrow_required=50, validators=2),
         deposits=(DepositAction("alice", 8001, 0), DepositAction("bob", 4799, 0)),
@@ -97,7 +101,14 @@ def test_the_fold_follows_resales_claims_and_both_exit_causes():
                 ClaimAction("erin", 13), ClaimAction("bob", 20)),
         horizon=25,
     )
-    report = sc.run(s)
+
+
+def run_with_resales_claims_and_both_exit_causes() -> RunReport:
+    return sc.run(resales_claims_and_both_exit_causes())
+
+
+def test_the_fold_follows_resales_claims_and_both_exit_causes():
+    report = run_with_resales_claims_and_both_exit_causes()
     assert [v.exit_cause for v in report.validators] == ["slashed", "performance"]
     assert report.events_jsonl.count('"tag":"ActionRejected"') == 2
     assert {h.holder for h in report.holders} == {"alice", "bob", "carol", "erin"}
@@ -129,3 +140,47 @@ def test_validate_and_the_fold_agree_on_who_is_a_holder(name, tag):
     rebuilt = rebuild_report(encode_lines([Event(0, 0, name, tag, payload)]), 0)
     assert ({h["holder"] for h in rebuilt["holders"]} == {name}) is not rejected
     assert rejected is (name != "dave")
+
+
+def run_with_the_escrow_refunded() -> RunReport:
+    """A slash that costs nothing, so the whole escrow returns to the operator."""
+    report = sc.run(small_scenario(slashes=(SlashAction(epoch=5, validator=0, fraction_bps=1),)))
+    assert report.escrow_refunded == 50
+    return report
+
+
+def run_with_the_operator_fees_claimed() -> RunReport:
+    """No scenario action claims the operator's fees; the operator claims
+    them once the run is over."""
+    world = World(resales_claims_and_both_exit_causes())
+    world.run()
+    world.ledger.call(OPERATOR, TREASURY, "claim_operator_fees", {})
+    report = world.report()
+    assert report.operator_fees_claimed > 0 and report.operator_fees_accrued == 0
+    return report
+
+
+def test_the_fold_follows_an_operator_fee_claim():
+    assert_rebuilt(run_with_the_operator_fees_claimed())
+
+
+@pytest.mark.parametrize("run,tag,key", [
+    (run_with_resales_claims_and_both_exit_causes, "Claimed", "amount"),
+    (run_with_resales_claims_and_both_exit_causes, "EscrowPosted", "total"),
+    (run_with_resales_claims_and_both_exit_causes, "Distributed", "fee"),
+    # A refund or a fee claim must be taken off the balance, not zero it.
+    (run_with_the_escrow_refunded, "EscrowPosted", "total"),
+    (run_with_the_operator_fees_claimed, "OperatorFeesClaimed", "amount"),
+], ids=["Claimed.amount", "EscrowPosted.total", "Distributed.fee",
+        "EscrowPosted.total-refunded", "OperatorFeesClaimed.amount"])
+def test_one_unit_added_to_an_amount_the_fold_reads_fails_replay_ok(run, tag, key):
+    # The treasury's replayed balance must be what the rebuilt state says
+    # it holds, so the first such line, one unit off, breaks replay_ok.
+    report = run()
+    lines = report.events_jsonl.splitlines(keepends=True)
+    assert rebuild_report(lines, report.horizon)["conservation"]["replay_ok"]
+    i = next(i for i, line in enumerate(lines) if f'"tag":"{tag}"' in line)
+    e = json.loads(lines[i])
+    e["payload"][key] += 1
+    lines[i] = encode_lines([Event(**e)])[0]
+    assert not rebuild_report(lines, report.horizon)["conservation"]["replay_ok"]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import logged_events, make_world, raised, restore, snapshot, to_json, transfer
+from conftest import logged_events, make_world, restore, snapshot, to_json, transfer
 from stakeclaim.errors import (
     ContractError,
     InsufficientBalance,
@@ -147,12 +147,11 @@ class TestIntegerAmounts:
     @pytest.mark.parametrize("amount", [1.5, True, 0.0])
     @pytest.mark.parametrize("entry", AMOUNT_ENTRIES)
     def test_an_amount_that_is_not_an_int_is_invalid(self, entry, amount):
-        # A plain assert, not pytest.raises, so a mutant that lets the amount
-        # through fails with an AssertionError.
         led = amount_ledger()
         snap = snapshot(led)
-        error = raised(InvalidAmount, AMOUNT_ENTRIES[entry], led, amount)
-        assert str(error).endswith(f" integer, got {amount!r}")
+        with pytest.raises(InvalidAmount) as error:
+            AMOUNT_ENTRIES[entry](led, amount)
+        assert str(error.value).endswith(f" integer, got {amount!r}")
         assert snapshot(led) == snap
         AMOUNT_ENTRIES[entry](led, 1)           # the entry itself is open to an int
         assert snapshot(led) != snap

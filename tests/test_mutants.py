@@ -12,25 +12,29 @@ the next action, the beacon's ``next_transition``,
 ``ValidatorWallet.quiet_until``, or the ledger's ``fold_scaled`` and column
 copy (``_copies``); for the engine, a treasury helper, a contract's method
 table (``_ops``, with one handler wrapped) or ``World.report``; for the
-fold of the log, its table of per-tag handlers (``explain._Fold._on``); for
-exact inputs, the ``type`` the ledger calls or the beacon's reward
-(``BeaconContract._reward``). Each names
-one existing test that passes on the real code and must fail under the
-mutant: a check that no mutant fails proves nothing (DeMillo, Lipton &
-Sayward, *Hints on Test Data Selection*, 1978).
+report, the reader both the run and the fold call (``RunReport.read``); for
+the fold of the log, its table of per-tag handlers (``explain._Fold._on``);
+for exact inputs, the ``type`` the ledger calls or the beacon's reward
+(``BeaconContract._reward``). Each names one existing test that passes on
+the real code and must fail under the mutant, with an ``AssertionError``
+or a failed ``pytest.raises``: a check that no mutant fails proves nothing
+(DeMillo, Lipton & Sayward, *Hints on Test Data Selection*, 1978).
 """
 
 from __future__ import annotations
 
 import builtins
+import tempfile
 from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import test_bounds
 import test_beacon
+import test_cli
 import test_explain
 import test_keeper
 import test_ledger
@@ -46,7 +50,7 @@ from stakeclaim import errors, ledger, scenario, treasury
 from stakeclaim.beacon import BeaconContract
 from stakeclaim.explain import _Fold
 from stakeclaim.ledger import evolve
-from stakeclaim.scenario import World
+from stakeclaim.scenario import RunReport, World
 from stakeclaim.treasury import TreasuryContract
 from stakeclaim.wallet import ValidatorWallet, WalletStatus
 
@@ -70,6 +74,15 @@ def reward_of_a_decimal_read(self, factor, rewards):
     """BeaconContract._reward reading any factor through str(), as a decimal literal."""
     exact = Fraction(str(factor))
     return self.params.reward_per_epoch * exact.numerator // exact.denominator
+
+
+def in_a_temporary_directory(test):
+    """A call of test(tmp_path), handed a fresh directory as pytest would."""
+    def run():
+        with tempfile.TemporaryDirectory() as tmp:
+            test(Path(tmp))
+
+    return run
 
 
 def set_up(cls):
@@ -166,6 +179,17 @@ def report_without_log_totals(report=World.report):
     return mutant
 
 
+def loss_counted_before_settled(read=RunReport.read):
+    """RunReport.read counting each holder's realized loss in every phase, not only Settled."""
+    def mutant(tst, *args, **rest):
+        report = read(tst, *args, **rest)
+        for h in report.holders:
+            h.realized_loss = max(0, h.capital - h.settlement_credits)
+        return report
+
+    return mutant
+
+
 def segment_one_epoch_longer(quiet_span=World._quiet_span):
     """The quiet span, one epoch longer whenever there is one."""
     def mutant(self):
@@ -245,8 +269,17 @@ def slash_read_as_performance(handler):
     """The fold's Slashed handler recording the exit as a performance exit."""
     def mutant(self, e):
         handler(self, e)
-        j = self.wallet_of[e.payload["id"]]
-        self.exits[j] = (treasury.CAUSE_PERFORMANCE, self.exits[j][1])
+        self.tst.exit_causes[self.wallet_of[e.payload["id"]]] = treasury.CAUSE_PERFORMANCE
+
+    return mutant
+
+
+def claim_zeroes_claimable(handler):
+    """The fold's Claimed handler leaving the holder nothing to claim, as the
+    claim handler does, whatever amount the line says was taken."""
+    def mutant(self, e):
+        handler(self, e)
+        self.tst.claimable[e.payload["holder"]] = 0
 
     return mutant
 
@@ -295,7 +328,7 @@ MUTANTS = {
         lambda self, epoch: epoch % self.params.sweep_period != 0,
         test_keeper.test_the_sweep_is_called_on_its_grid_only),
     "no-settlement-on-nft-transfer": (
-        treasury, "_settle_token", lambda st, token_id, owner: None,
+        treasury, "settle_token", lambda st, token_id, owner: None,
         test_mint.TestTransferNft().test_accrual_follows_ownership_across_transfer),
     "fee-rounded-up": (
         TreasuryContract, "_ops", ops_with(TreasuryContract, "receive_rewards", fee_rounded_up),
@@ -310,6 +343,10 @@ MUTANTS = {
     "log-totals-check-dropped": (
         World, "report", report_without_log_totals(),
         test_scenario.TestConservationChecks().test_counter_drift_fails_replay_but_not_conservation),
+    "realized-loss-counted-before-settled": (
+        RunReport, "read", loss_counted_before_settled(),
+        in_a_temporary_directory(
+            lambda tmp: test_cli.TestRun().test_golden_reports_frozen("honest", tmp))),
     "performance-map-never-rebuilt": (
         World, "_performance", map_never_rebuilt(),
         test_keeper.test_goldens_agree_with_the_every_epoch_keeper),
@@ -351,6 +388,10 @@ MUTANTS = {
     "fold-slash-read-as-performance": (
         _Fold, "_on", fold_with("Slashed", slash_read_as_performance),
         test_explain.test_an_exit_due_but_not_yet_swept_reads_withdrawable),
+    "fold-claim-zeroes-claimable": (
+        _Fold, "_on", fold_with("Claimed", claim_zeroes_claimable),
+        lambda: test_explain.test_one_unit_added_to_an_amount_the_fold_reads_fails_replay_ok(
+            test_explain.run_with_resales_claims_and_both_exit_causes, "Claimed", "amount")),
 }
 
 
@@ -359,5 +400,6 @@ def test_mutant_is_caught(mutant, monkeypatch):
     owner, attribute, patched, caught_by = MUTANTS[mutant]
     caught_by()                     # passes on the real code
     monkeypatch.setattr(owner, attribute, patched, raising=False)
-    with pytest.raises(AssertionError):
+    # A failed pytest.raises ("DID NOT RAISE") is a catch as much as a failed assert.
+    with pytest.raises((AssertionError, pytest.fail.Exception)):
         caught_by()
