@@ -3,12 +3,14 @@
 Two runs of the same scenario produce byte-identical logs, and the log
 alone is enough to rebuild every balance and the supply totals, which
 must equal the ledger's own minted and burned counters: total supply moves
-only when the beacon mints rewards or a slash burns stake.
+only when the beacon mints rewards or a slash burns stake. A stretch of
+quiet epochs is logged as one Repeat line; `expand` writes it out in full.
 """
 
 import json
 
 import stakeclaim as sc
+from stakeclaim.explain import expand
 from stakeclaim.scenario import World
 
 scenario = sc.load_scenario(sc.golden_scenario_path("slashed"))
@@ -24,10 +26,11 @@ print("byte-identical: yes")
 
 world = World(scenario)
 report = world.run()
-events = [sc.Event(**json.loads(line)) for line in report.events_jsonl.splitlines()]
+lines = report.events_jsonl.splitlines(keepends=True)
+events = [sc.Event(**json.loads(line)) for line in expand(lines)]
 replay = sc.replay_balances(events)
 
-print(f"\nevents: {report.event_count}, minted {report.minted:,}, "
+print(f"\nevents: {report.event_count} in {len(lines)} lines, minted {report.minted:,}, "
       f"burned {report.burned:,}")
 mismatches = sum(
     1 for name in replay.balances

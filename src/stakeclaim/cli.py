@@ -1,9 +1,10 @@
 """Command-line front door.
 
-Two subcommands::
+Three subcommands::
 
     stakeclaim run --scenario PATH --out DIR [--format json|csv] [--epochs N]
     stakeclaim validate --scenario PATH
+    stakeclaim explain --events FILE --expand
 
 ``run`` writes report.json (or report.csv) plus events.jsonl into the
 output directory, which it creates before the run. Exit codes: 0 success,
@@ -14,6 +15,12 @@ the failing epoch's audit, and there is no report.json or report.csv.
 Both commands list a scenario's problems one a line, the same lines:
 ``validate`` on stdout, ``run`` on stderr. Output is byte-stable for
 identical inputs.
+
+``explain --expand`` prints an events.jsonl with each ``Repeat`` line, a
+segment of quiet epochs, written out in full (``explain.expand``): the log
+of stepping every epoch. It streams; on an unreadable or inconsistent log
+it stops there and exits 1 with one line on stderr. A reader that closes
+stdout early (``| head``) ends it quietly, with exit 0.
 
 The STAKECLAIM_LOG environment variable controls stdout verbosity:
 ``quiet`` (default) prints nothing on success, ``events`` prints the event
@@ -30,6 +37,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import InvalidScenario, InvariantViolation, bound_problems
+from .explain import expand
 from .scenario import Scenario, World, load_scenario, validate
 
 
@@ -94,6 +102,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0 if not violations else 1
 
 
+def cmd_explain(args: argparse.Namespace) -> int:
+    try:
+        with open(args.events, encoding="utf-8", newline="") as log:
+            sys.stdout.writelines(expand(log))
+    except BrokenPipeError:     # the reader closed stdout, as `| head` does: stop quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except (OSError, ValueError) as exc:     # a decode error is a ValueError
+        print(f"--events: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):   # invalid input: exit 1, as 2 is an invariant violation
         self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
@@ -117,6 +137,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="list scenario constraint violations")
     p_val.add_argument("--scenario", required=True, help="scenario JSON file")
     p_val.set_defaults(func=cmd_validate)
+
+    p_exp = sub.add_parser("explain", help="read a run's event log")
+    p_exp.add_argument("--events", required=True, help="events.jsonl of a run")
+    p_exp.add_argument("--expand", action="store_true", required=True,
+                       help="print the log with each Repeat line written out in full")
+    p_exp.set_defaults(func=cmd_explain)
     return parser
 
 

@@ -1,6 +1,11 @@
 """The report, rebuilt from the event log alone.
 
-:func:`rebuild_report` folds the lines of a run's ``events.jsonl`` into
+A segment of quiet epochs is logged as one ``Repeat`` line
+(``Ledger.advance_segment``); :func:`expand` writes each out in full, with
+the ledger's own line-advancing helper (``ledger.strided``), and checks it
+against the lines around it.
+
+:func:`rebuild_report` folds the expanded lines of a run's ``events.jsonl`` into
 the treasury's own state, a :class:`treasury.TreasuryState`, with the
 treasury's own helpers, then reads it as the run does
 (:meth:`RunReport.read`). The one input the log does not hold is the
@@ -22,8 +27,12 @@ name the log gives an endowment, a ``Call``, a rejected action or a token.
 
 ``SupplyMint``, ``SupplyBurn`` and ``Transfer`` are replayed
 (:func:`ledger.replay_balances`): ``ok`` holds when the replayed total is
-minted - burned, and ``replay_ok`` when no replayed balance is negative
-and the treasury's is the rebuilt state's :func:`treasury.balance_identity`.
+minted - burned, and ``replay_ok`` when no replayed balance is negative,
+the treasury's is the rebuilt state's :func:`treasury.balance_identity`,
+and every line agrees with the state before it: each ``Distributed``
+raises N by its amount less its fee, ``Staked`` deploys the principal
+raised, and ``MintAborted`` refunds it. ``event_count`` counts the
+expanded lines, and ``events_digest`` hashes the text as read.
 
 Two names reach the report without a line of their own: before the raise
 fills, no event names a validator wallet, so a run that never stakes
@@ -38,7 +47,7 @@ import json
 from collections.abc import Iterable, Iterator
 
 from .beacon import ValidatorStatus
-from .ledger import Event, ReplayResult, replay_balances
+from .ledger import REPEAT, REPEAT_KEYS, SYSTEM, Event, ReplayResult, replay_balances, strided
 from .scenario import TREASURY, RunReport, is_holder_name, wallet_name
 from .treasury import (CAUSE_PERFORMANCE, CAUSE_SLASHED, Phase, SettlementRecord, TreasuryState,
                        balance_identity, claimable_of, credit_settlement, moved, settle_token)
@@ -59,6 +68,7 @@ class _Fold:
         self.exit_at: dict[int, int] = {}    # validator id -> the epoch its exit is due
         self.exit_epoch: dict[int, int] = {}     # wallet index -> the epoch its exit began
         self.last = Event(0, -1, "", "", {})     # the event before the one being folded
+        self.consistent = True      # no line has disagreed with the state before it
 
     def step(self, e: Event) -> None:
         if e.tag in _REPLAYED:
@@ -102,11 +112,14 @@ class _Fold:
         self.names.add(p["to"])
 
     def _on_MintAborted(self, e: Event) -> None:
+        self.consistent &= self.tst.principal == e.payload["refunded"]
         self.tst.principal = 0
 
     def _on_Staked(self, e: Event) -> None:
+        p = e.payload
+        self.consistent &= self.tst.principal == p["validators"] * p["stake_each"]
         self.tst.principal = 0
-        self.wallets = {wallet_name(j): j for j in range(e.payload["validators"])}
+        self.wallets = {wallet_name(j): j for j in range(p["validators"])}
 
     def _on_EscrowPosted(self, e: Event) -> None:
         self.tst.escrow_balance = e.payload["total"]
@@ -119,9 +132,10 @@ class _Fold:
         self.tst.phase = Phase(e.payload["to"])
 
     def _on_Distributed(self, e: Event) -> None:
-        t = self.tst
-        before, t.net_total = t.net_total, e.payload["net_total"]
-        t.operator_fees_accrued += e.payload["fee"]
+        t, p = self.tst, e.payload
+        before, t.net_total = t.net_total, p["net_total"]
+        self.consistent &= t.net_total == before + p["amount"] - p["fee"]
+        t.operator_fees_accrued += p["fee"]
         if self.last.tag == "ExitSettled":
             credit_settlement(t, before)
 
@@ -187,16 +201,71 @@ class _Fold:
             yield vid, status, self.exit_epoch.get(j)
 
 
+def _event(line: str) -> Event:
+    """`line` decoded; ValueError if it is not a log line."""
+    try:
+        e = Event(**json.loads(line))
+        if type(e.epoch) is int and type(e.seq) is int:
+            return e
+    except TypeError:       # not an object with exactly an Event's keys
+        pass
+    raise ValueError(f"not a log line: {line.strip()[:80]}")
+
+
+def expand(lines: Iterable[str]) -> Iterator[str]:
+    """The log `lines` with each ``Repeat`` line written out in full.
+
+    A Repeat ``{"epoch":e,"seq":s,...,"payload":{"epochs":k,"lines":n,...}}``
+    stands for the n lines before it repeated k times, with ``epoch``,
+    ``seq`` and each further payload key advanced by 1, n and that key's
+    value each time. Raises ValueError if those n lines are not exactly
+    epoch e-1, all of it, up to seq s-1; if the line after it does not
+    carry seq s + k·n and an epoch past e+k-1; or if a line is not a log
+    line. Holds one epoch's lines at a time.
+    """
+    block: list[str] = []     # the lines of the last epoch written so far
+    block_epoch = last_seq = None
+    after = None              # (seq, least epoch) of the line after a Repeat
+    for line in lines:
+        e = _event(line)
+        if after is not None and (e.seq != after[0] or e.epoch < after[1]):
+            raise ValueError(f"the line at seq {e.seq} does not follow the Repeat before it")
+        after = None
+        if (e.emitter, e.tag) != (SYSTEM, REPEAT):
+            if e.epoch != block_epoch:
+                block, block_epoch = [], e.epoch
+            block.append(line)
+            last_seq = e.seq
+            yield line
+            continue
+        p = e.payload
+        if type(p) is not dict or not all(type(v) is int for v in p.values()):
+            raise ValueError(f"the Repeat at seq {e.seq} is not a map of ints")
+        k, n = p.get("epochs", 0), p.get("lines")
+        if k < 1 or (n, block_epoch, last_seq) != (len(block), e.epoch - 1, e.seq - 1):
+            raise ValueError(f"the Repeat at seq {e.seq} does not follow one whole epoch")
+        strides = {key: v for key, v in p.items() if key not in REPEAT_KEYS}
+        at = strided("".join(block), {"epoch": 1, "seq": n, **strides})
+        for t in range(1, k + 1):
+            block = at(t).splitlines(keepends=True)
+            yield from block
+        block_epoch, last_seq = e.epoch + k - 1, e.seq + k * n - 1
+        after = (e.seq + k * n, e.epoch + k)
+
+
 def rebuild_report(lines: Iterable[str], horizon: int) -> dict:
     """:meth:`RunReport.to_dict` of the run that logged `lines`, which ended at `horizon`.
 
     `lines` are the log's lines as ``events.jsonl`` holds them, each with
     its newline (iterating the open file, or ``splitlines(keepends=True)``).
+    Raises ValueError if they do not expand (:func:`expand`).
     """
     lines = list(lines)
     fold = _Fold()
-    for line in lines:
-        fold.step(Event(**json.loads(line)))
+    count = 0
+    for line in expand(lines):
+        fold.step(_event(line))
+        count += 1
     text = "".join(lines)
     replay, tst = fold.replay, fold.tst
     balances = replay.balances
@@ -206,12 +275,12 @@ def rebuild_report(lines: Iterable[str], horizon: int) -> dict:
         horizon=horizon,
         final_epoch=horizon,
         conservation_ok=final_total == replay.minted - replay.burned,
-        replay_ok=(min(balances.values(), default=0) >= 0
+        replay_ok=(fold.consistent and min(balances.values(), default=0) >= 0
                    and balances.get(TREASURY, 0) == balance_identity(tst)),
         minted=replay.minted,
         burned=replay.burned,
         final_total=final_total,
-        event_count=len(lines),
+        event_count=count,
         events_digest=hashlib.sha256(text.encode()).hexdigest(),
         events_jsonl=text,
     ).to_dict()

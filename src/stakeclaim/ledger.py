@@ -68,12 +68,18 @@ no Event object outlives its batch.
 A segment is one commit of many epochs (:meth:`Ledger.advance_segment`):
 the driver vouches that each repeats the last epoch's events, and gives
 the states, balances and supply after them in closed form. The ledger
-checks the repeated lines, its own, against the epoch before, splits them
-once into text and the integers under ``epoch``, ``seq`` and the given
-keys, and appends them with each integer a column of strings advanced by
-its stride, at most a batch at a time. It folds the last epoch's events
-into the replay k times over (:func:`fold_scaled`), apart from the
-balances it is given, so the replay still checks them.
+checks the last epoch's lines, its own, against the epoch before advanced
+by one stride (:func:`strided`), and logs the whole segment as one
+``Repeat`` line: ``{"epoch":e+1,"seq":s,"emitter":"system","tag":"Repeat",
+"payload":{"epochs":k,"lines":n,...}}`` says that the n lines before it
+repeat k times, with ``epoch``, ``seq`` and each further key of the
+payload advanced by 1, n and its value. It is not an event and takes no
+seq: ``seq`` counts on through the events it stands for, which
+``explain.expand`` writes out again. The segment's last epoch is then no
+longer text, so the ledger keeps its lines, one epoch's, in hand for the
+next check. It folds the last epoch's events into the replay k times over
+(:func:`fold_scaled`), apart from the balances it is given, so the replay
+still checks them.
 
 A ledger instance is single-threaded but self-contained; independent
 instances can run in parallel threads or processes.
@@ -85,7 +91,6 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass
-from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, NamedTuple, Protocol
 
@@ -100,6 +105,13 @@ from .errors import (
 )
 
 CALL_DEPTH_LIMIT = 8
+
+# The emitter and tag of the line that stands for a segment's epochs, and
+# the keys no stride may take: the two every line advances and the line's
+# own two. Every other key of its payload is a stride.
+SYSTEM = "system"
+REPEAT = "Repeat"
+REPEAT_KEYS = frozenset(("epoch", "seq", "epochs", "lines"))
 
 # Committed events the ledger holds before it encodes and folds them as one
 # batch. Larger batches share more of encode_lines' per-call caches; smaller
@@ -402,6 +414,10 @@ class Ledger:
         self._seq = 0
         self._pending: list[Event] = []     # committed, not yet encoded or folded
         self._text = ""                     # the log's text: every flushed batch, encoded
+        # The lines of the last epoch a segment repeated, and where the text
+        # after its Repeat line starts.
+        self._held = ""
+        self._held_at = 0
         self._replay = ReplayResult({}, 0, 0)     # the fold of every flushed event
         # (caller, target, method) -> the one shared payload of its Call events
         self._call_payloads: dict[tuple[str, str, str], dict] = {}
@@ -470,6 +486,8 @@ class Ledger:
         """Append a driver-level event outside any call tree."""
         if emitter not in self._balances:
             raise UnknownAddress(emitter)
+        if tag == REPEAT and emitter == SYSTEM:
+            raise ValueError("a system Repeat line is the ledger's own, not an event")
         self._append_event(emitter, tag, payload)
 
     # --- contract dispatch ----------------------------------------------
@@ -559,26 +577,28 @@ class Ledger:
         a condition of correctness, not a spare guard. If it fails or the
         log holds fewer than 2n lines, False is returned and nothing
         changes, though the pending batch may have been flushed.
-        Otherwise, in one step: the last epoch's lines, split once
-        (:func:`_split`), are copied k times with a column of strings per
-        integer (:func:`_copies`) and appended at most ``max(EVENT_BATCH, n)``
-        lines at a time; the last epoch's events, decoded from its lines, are
-        folded into the replay k times over (:func:`fold_scaled`); the
-        balances, supply counters, epoch, seq and `states` are set. Returns
-        True.
+        Otherwise, in one step: one ``Repeat`` line stands for the k·n
+        lines (none if k or n is 0), and the last of the k epochs' lines
+        are held for the next segment's check; the last epoch's events,
+        decoded from its lines, are folded into the replay k times over
+        (:func:`fold_scaled`); the balances, supply counters, epoch, seq and
+        `states` are set. Returns True.
         """
+        if strides.keys() & REPEAT_KEYS:
+            raise ValueError(f"a stride may not be named any of {sorted(REPEAT_KEYS)}")
         tail = self._tail(n)
         if tail is None:
             return False
         before, last = tail
-        strides = {"epoch": 1, "seq": n, **strides}
-        if _copies(*_split(before, strides), 1, 2) != last:
+        every = {"epoch": 1, "seq": n, **strides}
+        if strided(before, every)(1) != last:
             return False
 
-        pieces, fields = _split(last, strides)
-        per_chunk = max(1, EVENT_BATCH // max(n, 1))
-        for first in range(1, k + 1, per_chunk):
-            self._append_text(_copies(pieces, fields, first, min(first + per_chunk, k + 1)))
+        if k and n:
+            self._append_text(encode_lines((Event(
+                self.epoch + 1, self._seq, SYSTEM, REPEAT,
+                {"epochs": k, "lines": n, **strides}),))[0])
+            self._held, self._held_at = strided(last, every)(k), len(self._text)
         fold_scaled([Event(**json.loads(line)) for line in last.splitlines()], k, self._replay)
         self.epoch += k
         self._seq += k * n
@@ -590,16 +610,22 @@ class Ledger:
         return True
 
     def _tail(self, n: int) -> tuple[str, str] | None:
-        """The log's last 2n lines, flushed, as two blocks of n; None if it holds fewer."""
+        """The log's last 2n lines, written out and flushed, as two blocks of n;
+        None if it holds fewer.
+
+        They are the text's, unless fewer than 2n lines follow the last
+        Repeat line: then the held epoch, the last the Repeat stands for,
+        goes before them.
+        """
         self.flush()
         text = self._text
-        cut = mid = len(text)
-        for i in range(2 * n):
-            if cut == 0:
+        cut = _lines_back(text, 2 * n, self._held_at)
+        if cut is None:
+            text = self._held + text[self._held_at:]
+            cut = _lines_back(text, 2 * n, 0)
+            if cut is None:
                 return None
-            cut = text.rfind("\n", 0, cut - 1) + 1
-            if i == n - 1:
-                mid = cut
+        mid = _lines_back(text, n, cut)
         return text[cut:mid], text[mid:]
 
     # --- event log ---------------------------------------------------------
@@ -648,7 +674,8 @@ class Ledger:
         self._text = text
 
     def events_jsonl(self) -> str:
-        """The whole log as JSON lines, one event per line (:func:`encode_lines`).
+        """The whole log as JSON lines, one event or ``Repeat`` line per line
+        (:func:`encode_lines`).
 
         The ledger's own string, not a copy. While a caller holds it, the
         next flush appends to a copy and leaves the caller's text as it was.
@@ -719,27 +746,32 @@ def fold_scaled(events, k: int, into: ReplayResult) -> ReplayResult:
     return into
 
 
-def _split(block: str, strides: dict[str, int]) -> tuple[list[str], list[tuple[int, int]]]:
-    """`block` cut at each integer under a key of `strides`: the text pieces
-    between them (one more than the integers), and each integer with its stride.
+def strided(block: str, strides: dict[str, int]) -> Callable[[int], str]:
+    """The function t -> `block` with each integer under a key of `strides`
+    advanced by t times its stride: the one line-advancing helper, which the
+    segment check and ``explain.expand`` share.
 
-    Only a JSON key is a quote, the key and ``":`` unescaped: inside an
-    encoded string a quote is ``\\"``.
+    `block` is cut once at those integers. Only a JSON key is a quote, the
+    key and ``":`` unescaped: inside an encoded string a quote is ``\\"``.
     """
     keys = "|".join(re.escape(key) for key in strides)
-    parts = re.split(f'("({keys})":)(-?\\d+)', block)
-    pieces = [text + head for text, head in zip(parts[0::4], parts[1::4])] + [parts[-1]]
-    return pieces, [(int(v), strides[key]) for key, v in zip(parts[2::4], parts[3::4])]
+    parts = re.split(f'"({keys})":(-?\\d+)', block)
+    heads = [f'{text}"{key}":' for text, key in zip(parts[0::3], parts[1::3])]
+    fields = [(int(v), strides[key]) for key, v in zip(parts[1::3], parts[2::3])]
+    end = parts[-1]
+
+    def at(t: int) -> str:
+        return "".join([head + str(v + t * s) for head, (v, s) in zip(heads, fields)]) + end
+
+    return at
 
 
-def _copies(pieces: list[str], fields: list[tuple[int, int]], first: int, stop: int) -> str:
-    """The split block for t = first .. stop-1, each integer t strides on, built in
-    C: a column of strings per distinct (integer, stride), zipped with the pieces.
-    """
-    count = stop - first
-    columns = {(v, s): list(map(str, range(v + first * s, v + stop * s, s))) if s
-               else [str(v)] * count for v, s in set(fields)}
-    interleaved = [repeat(pieces[0], count)]
-    for field, piece in zip(fields, pieces[1:]):
-        interleaved += columns[field], repeat(piece, count)
-    return "".join(chain.from_iterable(zip(*interleaved)))
+def _lines_back(text: str, count: int, floor: int) -> int | None:
+    """Where the last `count` lines of `text` start; None if fewer than
+    `count` lines lie past `floor`, a line's start."""
+    cut = len(text)
+    for _ in range(count):
+        if cut <= floor:
+            return None
+        cut = text.rfind("\n", 0, cut - 1) + 1
+    return cut

@@ -58,8 +58,10 @@ segment's states are closed forms (``ValidatorWallet.advance``,
 ``TreasuryContract.advance``) and its log lines are epoch e's own with
 ``epoch``, ``seq`` and ``Distributed.net_total`` advanced by fixed
 strides (``Ledger.advance_segment``, which first checks
-that epoch e-1's lines advance to epoch e's, and steps on if not). The
-log, every report and the replay are byte for byte those of stepping.
+that epoch e-1's lines advance to epoch e's, and steps on if not); the log
+holds them as one ``Repeat`` line. ``explain.expand(log)`` is byte for
+byte the log of stepping; the replay and every report field but
+``events_digest`` are those of stepping.
 
 :meth:`World.audit` runs at both ends of every segment, not at each
 epoch inside it, and that is enough. Inside a segment every term of every
@@ -103,13 +105,12 @@ from pathlib import Path
 
 from .beacon import BeaconContract, BeaconParams, ValidatorStatus, next_transition, validator_by_id
 from .errors import ContractError, InvalidScenario, InvariantViolation, bound_problems, bounded
-from .ledger import Ledger, replay_balances  # noqa: F401  (bench/tracing.py patches scenario.replay_balances)
+from .ledger import SYSTEM, Ledger, replay_balances  # noqa: F401  (bench/tracing.py patches scenario.replay_balances)
 from .mint import MintContract, MintSpec
 from .treasury import (Phase, TreasuryContract, TreasurySpec, TreasuryState, balance_identity,
                        claimable_of)
 from .wallet import ValidatorWallet, WalletStatus
 
-SYSTEM = "system"
 OPERATOR = "operator"
 MINT = "mint"
 TREASURY = "treasury"
@@ -132,9 +133,10 @@ def is_holder_name(name) -> bool:
 
 # --- scenario description ----------------------------------------------------
 
-# Bound on horizon (and on `stakeclaim run --epochs`): a run logs about
-# 1.1 kB per epoch per validator, including the quiet epochs it advances as
-# segments; the benchmark's long workload runs 10,000 epochs.
+# Bound on horizon (and on `stakeclaim run --epochs`): a stepped epoch logs
+# about 1.1 kB per validator, and a run with a sweep_period above 1 steps
+# every epoch; a segment of quiet epochs logs one Repeat line, so quiet
+# epochs add next to nothing. The benchmark's long workload runs 10,000.
 HORIZON_MAX = 100_000
 
 

@@ -3,7 +3,8 @@
 Unit tests drive the contracts step by step with small round numbers, so a
 compact hand-wired world (no scenario engine, no epoch sub-steps) keeps
 each test explicit about what happens when. The ledger operations only
-tests use (snapshots, a bare transfer, one event's line) live here too.
+tests use (snapshots, a bare transfer, one event's line, the expanded
+log) live here too.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from stakeclaim import golden_scenario_path
 from stakeclaim.beacon import BeaconContract, BeaconParams
+from stakeclaim.explain import expand
 from stakeclaim.ledger import CallContext, Event, Ledger, encode_lines
 from stakeclaim.mint import MintContract
 from stakeclaim.scenario import BehaviorWindow, DepositAction, MintSpec, Scenario, TreasurySpec, World
@@ -158,14 +160,14 @@ def snapshot(led: Ledger) -> bytes:
     return pickle.dumps((
         led._balances, led._states, led.epoch,
         led.minted_total, led.burned_total, led._seq,
-        led._pending, led._text, led._replay,
+        led._pending, led._text, led._replay, led._held, led._held_at,
     ))
 
 
 def restore(led: Ledger, snap: bytes) -> None:
     (led._balances, led._states, led.epoch,
      led.minted_total, led.burned_total, led._seq,
-     led._pending, led._text, led._replay) = pickle.loads(snap)
+     led._pending, led._text, led._replay, led._held, led._held_at) = pickle.loads(snap)
 
 
 def transfer(led: Ledger, src: str, dst: str, amount: int) -> None:
@@ -185,9 +187,18 @@ def dust_of(state: TreasuryState) -> int:
     return state.net_total - sum(accrued(state, t) for t in state.capital)
 
 
+def expanded(log: str) -> str:
+    """`log` with each Repeat line written out (``explain.expand``); an
+    inconsistent Repeat fails the test."""
+    try:
+        return "".join(expand(log.splitlines(keepends=True)))
+    except ValueError as exc:
+        pytest.fail(f"the log does not expand: {exc}")
+
+
 def logged_events(led: Ledger) -> list[Event]:
-    """Every event on `led`'s log so far, decoded from the log's text."""
-    return [Event(**json.loads(line)) for line in led.events_jsonl().splitlines()]
+    """Every event on `led`'s log so far, decoded from the expanded log."""
+    return [Event(**json.loads(line)) for line in expanded(led.events_jsonl()).splitlines()]
 
 
 def small_scenario(**overrides) -> Scenario:

@@ -20,8 +20,8 @@ from pathlib import Path
 import pytest
 
 import stakeclaim as sc
-from conftest import (BEACON, MINT, OPERATOR, SYSTEM, TREASURY, SteppedWorld, dust_of, logged_events,
-                      make_world, restore, snapshot, transfer)
+from conftest import (BEACON, MINT, OPERATOR, SYSTEM, TREASURY, SteppedWorld, dust_of, expanded,
+                      logged_events, make_world, restore, snapshot, transfer)
 from oracle import rational_shares, replay_mixed, trigger_epoch
 from stakeclaim.beacon import BeaconParams, validator_by_id
 from stakeclaim.cli import main as cli_main
@@ -148,7 +148,7 @@ def record_distributions(world: World) -> list[tuple]:
 
 
 def events_of(report) -> list[dict]:
-    return [json.loads(line) for line in report.events_jsonl.splitlines()]
+    return [json.loads(line) for line in expanded(report.events_jsonl).splitlines()]
 
 
 def test_criterion_1_operator_fee_equation(corpus):

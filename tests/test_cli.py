@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import stakeclaim as sc
-from conftest import json_values, one_field_replaced
+from conftest import SteppedWorld, json_values, one_field_replaced
 from stakeclaim.cli import main
 from stakeclaim.errors import InvariantViolation
 from stakeclaim.scenario import ClaimAction, NftTransferAction, World
@@ -35,7 +39,6 @@ class TestRun:
         assert produced == frozen
         events = (tmp_path / name / "events.jsonl").read_text()
         digest = json.loads(frozen)["events_digest"]
-        import hashlib
         assert hashlib.sha256(events.encode()).hexdigest() == digest
 
     def test_byte_stable_across_runs(self, tmp_path):
@@ -298,8 +301,9 @@ class TestUsageErrors:
         ["run", "--scenario", "{scenario}", "--out", "{out}", "--seed", "3"],
         ["run", "--scenario", "{scenario}", "--out", "{out}", "--epochs", "ten"],
         [],
+        ["explain", "--events", "{out}"],
     ], ids=["unknown-flag", "missing-out", "removed-seed", "non-integer-epochs",
-            "no-command"])
+            "no-command", "explain-without-expand"])
     def test_usage_error_exits_1(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
         scenario = str(sc.golden_scenario_path("honest"))
@@ -405,3 +409,68 @@ class TestValidateCommand:
         assert listed.err == ""
         assert [line.startswith(f"cannot read scenario {missing}: ")
                 for line in listed.out.splitlines()] == [True]
+
+
+# sha256 of each golden's log as stepping writes it, every line in full:
+# the events_digest each golden report held before quiet epochs were logged
+# as Repeat lines.
+STEPPED_DIGESTS = {
+    "honest": "a7b0fac33fa1516ab8f29607be8a083220c4b4fc7c30baef31e3425bee8c7a47",
+    "nonpaying": "3c23232f9654aa4705468f854ae108cf6d34e91f009e301440f398131bdff606",
+    "slashed": "213319dc98fb50e3526af8e2390a8773fcc610ad60f89ee8b0613653bda4ca8d",
+}
+
+
+class TestExplainCommand:
+    @pytest.mark.parametrize("name", sc.GOLDEN_SCENARIOS)
+    def test_expand_prints_the_stepped_log(self, name, tmp_path, capsys):
+        assert run_cli("run", "--scenario", str(sc.golden_scenario_path(name)),
+                       "--out", str(tmp_path)) == 0
+        log = (tmp_path / "events.jsonl").read_text()
+        assert '"tag":"Repeat"' in log
+        capsys.readouterr()
+        assert run_cli("explain", "--events", str(tmp_path / "events.jsonl"), "--expand") == 0
+        printed = capsys.readouterr()
+        assert printed.err == ""
+        assert printed.out == SteppedWorld(sc.load_scenario(sc.golden_scenario_path(name))) \
+            .run().events_jsonl
+        assert hashlib.sha256(printed.out.encode()).hexdigest() == STEPPED_DIGESTS[name]
+
+    def test_a_log_without_repeat_lines_prints_as_it_is(self, tmp_path, capsys):
+        log = SteppedWorld(sc.load_scenario(sc.golden_scenario_path("slashed"))).run().events_jsonl
+        (tmp_path / "events.jsonl").write_text(log)
+        assert run_cli("explain", "--events", str(tmp_path / "events.jsonl"), "--expand") == 0
+        assert capsys.readouterr().out == log
+
+    def test_a_reader_that_stops_early_ends_it_quietly(self, tmp_path):
+        # As `stakeclaim explain ... --expand | head -1` does: the expanded
+        # log (177 kB) outgrows the pipe, and the reader closes it.
+        assert run_cli("run", "--scenario", str(sc.golden_scenario_path("honest")),
+                       "--out", str(tmp_path)) == 0
+        src = Path(sc.__file__).resolve().parent.parent
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "stakeclaim.cli", "explain",
+             "--events", str(tmp_path / "events.jsonl"), "--expand"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.stdout.readline().startswith(b'{"epoch":0,"seq":0,')
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
+    @pytest.mark.parametrize("content", [
+        None,                                   # no such file
+        b"\xff\xfe{",                           # not UTF-8
+        b"{not json\n",
+        b'{"epoch":4,"seq":0,"emitter":"system","tag":"Repeat",'
+        b'"payload":{"epochs":1,"lines":1}}\n',   # a Repeat with no epoch before it
+    ], ids=["missing", "undecodable", "not-json", "inconsistent-repeat"])
+    def test_an_unreadable_or_inconsistent_log_exits_1(self, content, tmp_path, capsys):
+        path = tmp_path / "events.jsonl"
+        if content is not None:
+            path.write_bytes(content)
+        assert run_cli("explain", "--events", str(path), "--expand") == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("--events: ")
+        assert "Traceback" not in err

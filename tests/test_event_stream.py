@@ -3,8 +3,9 @@
 The ledger keeps committed events only until ``EVENT_BATCH`` of them are
 pending, then encodes them into the log's text and folds them into the
 replay. Whatever the batch size, the log's bytes must be the golden runs'
-(which encoded the whole Event list at once), and its digest, event count
-and replay those of encoding and folding at once the events it decodes to.
+(which encoded the whole Event list at once), and its event count and
+replay those of encoding and folding at once the events it decodes to,
+each Repeat line written out (``explain.expand``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import stakeclaim as sc
-from conftest import SteppedWorld, logged_events, restore, snapshot
+from conftest import SteppedWorld, expanded, logged_events, restore, snapshot
 from stakeclaim import ledger
 from stakeclaim.errors import UnknownAddress
 from stakeclaim.ledger import (
@@ -69,9 +70,9 @@ def say(led: Ledger, n: int, value: int = 1, fail: bool = False) -> None:
 
 def assert_log_is_the_list_at_once(led: Ledger) -> None:
     events = logged_events(led)
-    whole = "".join(encode_lines(events))
-    assert led.events_jsonl() == whole
-    assert led.events_digest() == hashlib.sha256(whole.encode()).hexdigest()
+    log = led.events_jsonl()
+    assert expanded(log) == "".join(encode_lines(events))
+    assert led.events_digest() == hashlib.sha256(log.encode()).hexdigest()
     assert led.event_count == len(events)
     assert led.flush() == replay_balances(events)
 
@@ -198,9 +199,10 @@ def test_the_report_makes_no_copy_of_the_log():
     # The log's text is one string grown in place: the report hands it out
     # as it is and hashes it a slice at a time, so no second copy of the
     # whole log is ever alive. The last batch is flushed before tracing
-    # starts, so only the report's own allocations are traced.
+    # starts, so only the report's own allocations are traced. Stepped, as
+    # a segment's epochs would add one line.
     scenario = sc.load_scenario(sc.golden_scenario_path("honest"))
-    world = World(dataclasses.replace(scenario, horizon=1500))
+    world = SteppedWorld(dataclasses.replace(scenario, horizon=1500))
     report_of = world.report
     peaks = []
 

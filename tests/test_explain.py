@@ -5,6 +5,8 @@ result must equal ``RunReport.to_dict()`` exactly, field for field. It
 runs over the acceptance corpus with claims and resales added (as
 ``test_handler_purity`` does), over the three goldens as the CLI writes
 them, and over one scenario built to reach every path of the credit trail.
+It folds the log written out (``explain.expand``), which refuses a
+``Repeat`` line that does not fit the lines around it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import pytest
 
 import stakeclaim as sc
 from stakeclaim.cli import main as cli_main
-from stakeclaim.explain import rebuild_report
+from stakeclaim.explain import expand, rebuild_report
 from stakeclaim.ledger import Event, encode_lines
 from stakeclaim.scenario import (
     MINT,
@@ -34,7 +36,7 @@ from stakeclaim.scenario import (
     World,
     validate,
 )
-from conftest import small_scenario
+from conftest import SteppedWorld, small_scenario
 from test_acceptance import CORPUS_SEED, CORPUS_SIZE, random_scenario
 from test_handler_purity import with_claims_and_transfers
 
@@ -142,10 +144,21 @@ def test_validate_and_the_fold_agree_on_who_is_a_holder(name, tag):
     assert rejected is (name != "dave")
 
 
-def run_with_the_escrow_refunded() -> RunReport:
+def escrow_refunded() -> sc.Scenario:
     """A slash that costs nothing, so the whole escrow returns to the operator."""
-    report = sc.run(small_scenario(slashes=(SlashAction(epoch=5, validator=0, fraction_bps=1),)))
+    return small_scenario(slashes=(SlashAction(epoch=5, validator=0, fraction_bps=1),))
+
+
+def run_with_the_escrow_refunded() -> RunReport:
+    report = sc.run(escrow_refunded())
     assert report.escrow_refunded == 50
+    return report
+
+
+def run_with_the_mint_aborted() -> RunReport:
+    """A raise that does not fill: the mint refunds it when its window closes."""
+    report = sc.run(small_scenario(deposits=(DepositAction("alice", 4000, 0),)))
+    assert report.phase == "Fundraising" and '"tag":"MintAborted"' in report.events_jsonl
     return report
 
 
@@ -171,8 +184,17 @@ def test_the_fold_follows_an_operator_fee_claim():
     # A refund or a fee claim must be taken off the balance, not zero it.
     (run_with_the_escrow_refunded, "EscrowPosted", "total"),
     (run_with_the_operator_fees_claimed, "OperatorFeesClaimed", "amount"),
+    # The principal raised must be what is staked, or what is refunded.
+    (run_with_resales_claims_and_both_exit_causes, "Mint", "capital"),
+    (run_with_resales_claims_and_both_exit_causes, "Staked", "validators"),
+    (run_with_the_mint_aborted, "Mint", "capital"),
+    # Each Distributed raises N by its amount less its fee, repeated ones too.
+    (run_with_resales_claims_and_both_exit_causes, "Distributed", "net_total"),
+    (run_with_the_escrow_refunded, "Repeat", "net_total"),
 ], ids=["Claimed.amount", "EscrowPosted.total", "Distributed.fee",
-        "EscrowPosted.total-refunded", "OperatorFeesClaimed.amount"])
+        "EscrowPosted.total-refunded", "OperatorFeesClaimed.amount", "Mint.capital",
+        "Staked.validators", "Mint.capital-aborted", "Distributed.net_total",
+        "Repeat.net_total"])
 def test_one_unit_added_to_an_amount_the_fold_reads_fails_replay_ok(run, tag, key):
     # The treasury's replayed balance must be what the rebuilt state says
     # it holds, so the first such line, one unit off, breaks replay_ok.
@@ -184,3 +206,49 @@ def test_one_unit_added_to_an_amount_the_fold_reads_fails_replay_ok(run, tag, ke
     e["payload"][key] += 1
     lines[i] = encode_lines([Event(**e)])[0]
     assert not rebuild_report(lines, report.horizon)["conservation"]["replay_ok"]
+
+
+def lines_around_a_repeat(report: RunReport) -> tuple[list[str], int]:
+    """`report`'s log lines, and the index of its first Repeat line with a line after it."""
+    lines = report.events_jsonl.splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines[:-1]) if '"tag":"Repeat"' in line)
+    return lines, i
+
+
+def changed(line: str, change) -> str:
+    e = json.loads(line)
+    change(e)
+    return json.dumps(e, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("at, change", [
+    (0, lambda e: e["payload"].update(epochs=e["payload"]["epochs"] + 1)),
+    (0, lambda e: e["payload"].update(epochs=e["payload"]["epochs"] - 1)),
+    (0, lambda e: e["payload"].update(epochs=0)),
+    (0, lambda e: e["payload"].update(lines=e["payload"]["lines"] + 1)),
+    (0, lambda e: e["payload"].update(lines=e["payload"]["lines"] - 1)),
+    (0, lambda e: e["payload"].update(net_total="1")),
+    (0, lambda e: e.update(epoch=e["epoch"] + 1)),
+    (0, lambda e: e.update(seq=e["seq"] + 1)),
+    (1, lambda e: e.update(seq=e["seq"] + 1)),
+    (1, lambda e: e.update(epoch=e["epoch"] - 1)),
+    (-1, lambda e: e.update(epoch=e["epoch"] - 1)),
+], ids=["epochs+1", "epochs-1", "epochs=0", "lines+1", "lines-1", "stride-not-an-int",
+        "epoch+1", "seq+1", "next-seq+1", "next-epoch-overlaps", "epoch-before-split"])
+def test_a_repeat_that_does_not_fit_the_lines_around_it_does_not_expand(at, change):
+    # `at` picks the Repeat line (0), the line after it (1) or the line before it (-1).
+    report = run_with_the_escrow_refunded()
+    lines, i = lines_around_a_repeat(report)
+    assert "".join(expand(lines)) == SteppedWorld(escrow_refunded()).run().events_jsonl
+    lines[i + at] = changed(lines[i + at], change)
+    with pytest.raises(ValueError):
+        list(expand(lines))
+    with pytest.raises(ValueError):
+        rebuild_report(lines, report.horizon)
+
+
+@pytest.mark.parametrize("line", ["[1, 2]\n", "7\n", '{"epoch": 0}\n', "{not json\n",
+                                  '{"epoch":"0","seq":0,"emitter":"a","tag":"b","payload":{}}\n'])
+def test_a_line_that_is_not_a_log_line_does_not_expand(line):
+    with pytest.raises(ValueError):
+        list(expand([line]))

@@ -10,9 +10,9 @@ keeper as it was before all that: it steps every epoch, builds a fresh map
 every epoch, walks every wallet, pokes every Active wallet's watchdog and
 sweeps every epoch. The new keeper is the shipped ``World``, segments of
 quiet epochs included.
-Both keepers must give the same economic report and the same log, once the
-old keeper's pokes that the predicates turn down are dropped and ``seq`` is
-ignored.
+Both keepers must give the same economic report and the same log (the
+new one's written out, ``explain.expand``), once the old keeper's pokes that
+the predicates turn down are dropped and ``seq`` is ignored.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 import pytest
 
 import stakeclaim as sc
-from conftest import SteppedWorld, small_scenario
+from conftest import SteppedWorld, expanded, small_scenario
 from stakeclaim.beacon import BeaconParams
 from stakeclaim.errors import WrongStatus
 from stakeclaim.scenario import (
@@ -118,7 +118,7 @@ def assert_keepers_agree(scenario: Scenario) -> None:
             assert event["payload"]["method"] in ("watchdog_check", "sweep")
         else:
             kept.append(rest)
-    assert lines_without_seq(new.events_jsonl) == kept
+    assert lines_without_seq(expanded(new.events_jsonl)) == kept
 
 
 def test_goldens_agree_with_the_every_epoch_keeper():
@@ -200,7 +200,7 @@ def test_any_schedule_agrees_with_the_every_epoch_keeper(scenario):
 
 
 def pokes(report, method: str) -> list[int]:
-    events = [json.loads(line) for line in report.events_jsonl.splitlines()]
+    events = [json.loads(line) for line in expanded(report.events_jsonl).splitlines()]
     return [e["epoch"] for e in events
             if e["tag"] == "Call" and e["payload"]["method"] == method]
 
@@ -297,7 +297,7 @@ def test_a_withdrawn_wallet_leaves_the_walk():
     assert world.ledger.contract_state(wallet_name(0)).status is WalletStatus.WITHDRAWN
     # Walks are recorded at stepped epochs only; the one after a settlement steps.
     i = next(i for i, (_, walk) in enumerate(walks) if not walk)
-    events = [json.loads(line) for line in report.events_jsonl.splitlines()]
+    events = [json.loads(line) for line in expanded(report.events_jsonl).splitlines()]
     assert walks[i][0] - 1 == next(e["epoch"] for e in events
                                    if e["tag"] == "WithdrawalFinalized")
     assert all(walk == [wallet_name(0)] for _, walk in walks[:i])

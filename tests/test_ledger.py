@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import logged_events, make_world, restore, snapshot, to_json, transfer
+from conftest import expanded, logged_events, make_world, restore, snapshot, to_json, transfer
 from stakeclaim.errors import (
     ContractError,
     InsufficientBalance,
@@ -474,9 +474,12 @@ def tally_segment(led: Ledger, k: int, n: int, step: int) -> bool:
 
 
 def ledger_state(led: Ledger) -> tuple:
-    """Everything the ledger holds, flushed: log, seq, epoch, balances, supply, states, replay."""
+    """What the ledger holds, flushed, with its log written out: the expanded
+    log, seq, epoch, balances, supply, states and replay, but not the epoch
+    it holds for its next segment."""
     led.flush()
-    return pickle.loads(snapshot(led))
+    *state, text, replay, _, _ = pickle.loads(snapshot(led))
+    return (*state, expanded(text), replay)
 
 
 def advanced(obj, t: int, strides: dict[str, int]):
@@ -489,26 +492,39 @@ def advanced(obj, t: int, strides: dict[str, int]):
     return obj
 
 
+def repeat_line(epoch: int, seq: int, k: int, n: int, step: int) -> str:
+    return json.dumps({"epoch": epoch, "seq": seq, "emitter": "system", "tag": "Repeat",
+                       "payload": {"epochs": k, "lines": n, "net_total": step}},
+                      separators=(",", ":")) + "\n"
+
+
 def assert_segment_copies_like_stepping(step: int, note: str, k: int) -> None:
     led, stepped = tally_ledger(step, note), tally_ledger(step, note)
-    head = led.events_jsonl()
-    last = head.splitlines()[-4:]
-    assert tally_segment(led, k, 4, step)
-    strides = {"epoch": 1, "seq": 4, "net_total": step}
-    reference = [encode_lines([Event(**advanced(json.loads(line), t, strides))])[0]
-                 for t in range(1, k + 1) for line in last]
-    assert led.events_jsonl() == head + "".join(reference)
-    for _ in range(k):
-        stepped.advance_epoch(poke(stepped))
-    assert ledger_state(led) == ledger_state(stepped)
+    for first in (3, k + 4):
+        # A segment, one stepped epoch, and a segment checked against the held epoch.
+        head = led.events_jsonl()
+        whole = expanded(head)
+        last = head.splitlines()[-4:]
+        assert tally_segment(led, k, 4, step)
+        strides = {"epoch": 1, "seq": 4, "net_total": step}
+        reference = [encode_lines([Event(**advanced(json.loads(line), t, strides))])[0]
+                     for t in range(1, k + 1) for line in last]
+        assert led.events_jsonl() == head + repeat_line(first, 4 * first - 4, k, 4, step)
+        assert expanded(led.events_jsonl()) == whole + "".join(reference)
+        assert led._held == "".join(reference[-4:])
+        for _ in range(k):
+            stepped.advance_epoch(poke(stepped))
+        assert ledger_state(led) == ledger_state(stepped)
+        for each in (led, stepped):
+            each.advance_epoch(poke(each))
 
 
 class TestSegment:
     @pytest.mark.parametrize("step", [7, 0, -7])
     def test_copies_match_a_naive_reference_and_stepping(self, step):
-        # 2,500 epochs of 4 lines: three chunks of at most EVENT_BATCH lines.
-        # A stride of -7 takes the total below zero in the first chunk.
-        assert_segment_copies_like_stepping(step, "".join(HOSTILE), 2500)
+        # Two segments of 500 epochs of 4 lines, each one Repeat line.
+        # A stride of -7 takes the total below zero in the first.
+        assert_segment_copies_like_stepping(step, "".join(HOSTILE), 500)
 
     @settings(max_examples=60, deadline=None)
     @given(st.text(max_size=8) | st.sampled_from(HOSTILE), st.integers(-30, 30),
@@ -521,13 +537,26 @@ class TestSegment:
     def test_a_refused_segment_changes_nothing(self, step, n):
         led, untouched = tally_ledger(7, "".join(HOSTILE)), tally_ledger(7, "".join(HOSTILE))
         assert not tally_segment(led, 50, n, step)
-        assert ledger_state(led) == ledger_state(untouched)
+        untouched.flush()
+        assert pickle.loads(snapshot(led)) == pickle.loads(snapshot(untouched))
         assert (led.epoch, led.event_count) == (2, 8)
 
+    def test_a_segment_is_checked_against_the_epoch_it_ended_on(self):
+        # The epoch before the next stepped one is no longer text: after an
+        # idle epoch the held one is 2 epochs back, so the lines before the
+        # next poke are not its epoch's and the segment is refused.
+        led = tally_ledger(7, "x")
+        assert tally_segment(led, 5, 4, 7)
+        led.advance_epoch()
+        led.advance_epoch(poke(led))
+        led.flush()
+        before = pickle.loads(snapshot(led))
+        assert not tally_segment(led, 5, 4, 7)
+        assert pickle.loads(snapshot(led)) == before
 
     def test_epochs_that_log_nothing_advance_as_a_segment(self):
         # n = 0: each epoch repeats an epoch of no lines, so a segment only
-        # moves the clock, in chunks of EVENT_BATCH epochs.
+        # moves the clock.
         led, stepped = fresh_ledger(user=5), fresh_ledger(user=5)
         for each in (led, stepped):
             each.advance_epoch()
@@ -537,6 +566,38 @@ class TestSegment:
             stepped.advance_epoch()
         assert led.epoch == 10_002
         assert ledger_state(led) == ledger_state(stepped)
+
+    def test_a_segment_of_epochs_that_log_nothing_writes_no_line(self):
+        # After a segment of pokes, two idle epochs, then a segment of idle
+        # ones: it writes nothing, and the held epoch stays the last poked.
+        led, stepped = tally_ledger(7, "x"), tally_ledger(7, "x")
+        assert tally_segment(led, 5, 4, 7)
+        for _ in range(5):
+            stepped.advance_epoch(poke(stepped))
+        for each in (led, stepped):
+            each.advance_epoch()
+            each.advance_epoch()
+        text, held = led.events_jsonl(), led._held
+        assert led.advance_segment(10, 0, {}, {}, {}, 0)
+        for _ in range(10):
+            stepped.advance_epoch()
+        assert (led.events_jsonl(), led._held) == (text, held)
+        assert ledger_state(led) == ledger_state(stepped)
+
+    @pytest.mark.parametrize("key", ["epoch", "seq", "epochs", "lines"])
+    def test_a_stride_may_not_take_a_key_of_the_repeat_line(self, key):
+        led = tally_ledger(7, "x")
+        before = pickle.loads(snapshot(led))
+        with pytest.raises(ValueError, match="stride"):
+            led.advance_segment(5, 4, {key: 7}, {}, {}, 0)
+        assert pickle.loads(snapshot(led)) == before
+
+    def test_the_repeat_line_is_not_an_event_a_driver_may_emit(self):
+        led = fresh_ledger(user=5)
+        led.register_account("system")
+        with pytest.raises(ValueError, match="Repeat"):
+            led.emit("system", "Repeat", {"epochs": 1, "lines": 1})
+        led.emit("user", "Repeat", {})     # only the system's is the ledger's
 
 
 class TestConservation:

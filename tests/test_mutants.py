@@ -9,8 +9,9 @@ walk on its error path, which ``validate`` shares
 which the driver and the handlers share, or the ``World``'s performance map
 and wallet walk; for segments, the ``World``'s quiet span, its search for
 the next action, the beacon's ``next_transition``,
-``ValidatorWallet.quiet_until``, or the ledger's ``fold_scaled`` and column
-copy (``_copies``); for the engine, a treasury helper, a contract's method
+``ValidatorWallet.quiet_until``, or the ledger's ``fold_scaled``, its
+line-advancing helper (``strided``) and the ``Repeat`` line it writes
+(through ``encode_lines``); for the engine, a treasury helper, a contract's method
 table (``_ops``, with one handler wrapped) or ``World.report``; for the
 report, the reader both the run and the fold call (``RunReport.read``); for
 the fold of the log, its table of per-tag handlers (``explain._Fold._on``);
@@ -242,11 +243,20 @@ def walk_reindexes_after_an_unparsed_item(walk=scenario._bound_problems):
     return mutant
 
 
-def copies_one_stride_behind_after_the_first_chunk(copies=ledger._copies):
-    """The segment's column copy, one stride behind in every chunk after the first."""
-    def mutant(pieces, fields, first, stop):
-        late = first > 1
-        return copies(pieces, fields, first - late, stop - late)
+def repeat_written_with(change, encode_lines=ledger.encode_lines):
+    """The ledger's line builder, writing each Repeat line's payload through `change`."""
+    def mutant(events):
+        return encode_lines([e._replace(payload=change(dict(e.payload))) if e.tag == "Repeat"
+                             else e for e in events])
+
+    return mutant
+
+
+def stride_one_too_far(strided=ledger.strided):
+    """The line-advancing helper, advancing every integer one stride too far."""
+    def mutant(block, strides):
+        at = strided(block, strides)
+        return lambda t: at(t + 1)
 
     return mutant
 
@@ -368,8 +378,18 @@ MUTANTS = {
     "scaled-fold-off-by-one": (
         ledger, "fold_scaled", fold_scaled_off_by_one(),
         test_segments.test_goldens_match_the_stepped_reference),
-    "segment-chunk-one-stride-behind": (
-        ledger, "_copies", copies_one_stride_behind_after_the_first_chunk(),
+    "repeat-one-epoch-short": (
+        ledger, "encode_lines", repeat_written_with(lambda p: {**p, "epochs": p["epochs"] - 1}),
+        test_segments.test_goldens_match_the_stepped_reference),
+    "repeat-one-epoch-long": (
+        ledger, "encode_lines", repeat_written_with(lambda p: {**p, "epochs": p["epochs"] + 1}),
+        test_segments.test_goldens_match_the_stepped_reference),
+    "repeat-stride-one-unit-off": (
+        ledger, "encode_lines",
+        repeat_written_with(lambda p: {**p, "net_total": p["net_total"] + 1}),
+        test_segments.test_goldens_match_the_stepped_reference),
+    "segment-lines-one-stride-ahead": (
+        ledger, "strided", stride_one_too_far(),
         lambda: test_ledger.TestSegment().test_copies_match_a_naive_reference_and_stepping(7)),
     "fold-settlement-read-as-reward": (
         _Fold, "_on", fold_with("Distributed", settlement_read_as_reward),

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stakeclaim as sc
-from conftest import one_field_replaced, small_scenario
+from conftest import expanded, one_field_replaced, small_scenario
 from oracle import rational_shares, replay_split, trigger_epoch
 from stakeclaim.errors import InvalidScenario, InvariantViolation
 from stakeclaim.ledger import Event, Ledger, ReplayResult, replay_balances
@@ -374,7 +374,7 @@ class TestNonPayingRun:
     def test_exit_and_final_payouts_match_oracle(self):
         s = sc.load_scenario(sc.golden_scenario_path("nonpaying"))
         report = sc.run(s)
-        events = [json.loads(line) for line in report.events_jsonl.splitlines()]
+        events = [json.loads(line) for line in expanded(report.events_jsonl).splitlines()]
 
         activation = next(e["epoch"] for e in events if e["tag"] == "Activated")
         assert activation == 2
@@ -413,7 +413,7 @@ class TestNonPayingRun:
     def test_only_wallets_holding_a_balance_are_poked(self):
         # The validator earns 1000 at epochs 2..12 and nothing from 13 on.
         report = sc.run(sc.load_scenario(sc.golden_scenario_path("nonpaying")))
-        events = [Event(**json.loads(line)) for line in report.events_jsonl.splitlines()]
+        events = [Event(**json.loads(line)) for line in expanded(report.events_jsonl).splitlines()]
         balances = ReplayResult({}, 0, 0)
         poked = []
         for e in events:
@@ -427,7 +427,7 @@ class TestNonPayingRun:
 
     def test_no_operator_messages_after_trigger(self):
         report = sc.run(sc.load_scenario(sc.golden_scenario_path("nonpaying")))
-        events = [json.loads(line) for line in report.events_jsonl.splitlines()]
+        events = [json.loads(line) for line in expanded(report.events_jsonl).splitlines()]
         trigger_seq = next(e["seq"] for e in events if e["tag"] == "ExitTriggered")
         for e in events:
             if e["seq"] < trigger_seq:
@@ -542,7 +542,7 @@ class TestLifecycleVariants:
         owner: dict[int, str] = {}
         credit: dict[str, int] = {}
         n = 0
-        for line in report.events_jsonl.splitlines():
+        for line in expanded(report.events_jsonl).splitlines():
             e = json.loads(line)
             p = e["payload"]
             if e["tag"] == "Mint":

@@ -1,17 +1,22 @@
 """Segments: quiet epochs advanced in closed form, byte for byte as if stepped.
 
 After each stepped epoch, ``World.run`` advances the quiet epochs that
-follow as one segment (``World._quiet_span``, ``Ledger.advance_segment``).
-:class:`conftest.SteppedWorld`, which steps every epoch, is the reference:
-on the goldens, the acceptance corpus and hypothesis schedules whose window
-edges, activations, slashes, exits, claims and horizon fall at, just before
-and just after segment ends, both drivers must leave the same log, the same
-report and the same ledger, contract states included.
+follow as one segment (``World._quiet_span``, ``Ledger.advance_segment``),
+logged as one ``Repeat`` line. :class:`conftest.SteppedWorld`, which steps
+every epoch, is the reference: on the goldens, the acceptance corpus and
+hypothesis schedules whose window edges, activations, slashes, exits,
+claims and horizon fall at, just before and just after segment ends, the
+segmented log written out (``explain.expand``) must be the stepped log, and
+both drivers must leave the same report (but for the digest of the shorter
+log) and the same ledger, contract states included.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import zip_longest
 
@@ -21,7 +26,7 @@ from hypothesis import strategies as st
 import pytest
 
 import stakeclaim as sc
-from conftest import SteppedWorld, small_scenario
+from conftest import SteppedWorld, expanded, small_scenario
 from stakeclaim import ledger
 from stakeclaim.beacon import BeaconParams
 from stakeclaim.scenario import (
@@ -74,6 +79,17 @@ def first_difference(log: str, reference: str) -> str:
     return "the logs differ after their last newline"
 
 
+def repeats(log: str) -> list[tuple[int, int, int]]:
+    """(first epoch, epochs, lines) of each Repeat line in `log`."""
+    return [(e["epoch"], e["payload"]["epochs"], e["payload"]["lines"])
+            for e in map(json.loads, log.splitlines()) if e["tag"] == "Repeat"]
+
+
+def but_the_digest(report) -> dict:
+    """`report`'s fields, all but the digest of its log's text."""
+    return {**report.to_dict(), "events_digest": None}
+
+
 def assert_segments_match_the_reference(scenario: Scenario) -> list[tuple[int, int]]:
     """Run `scenario` with segments and stepped; both must agree. Returns the segments."""
     world = World(scenario)
@@ -83,9 +99,15 @@ def assert_segments_match_the_reference(scenario: Scenario) -> list[tuple[int, i
     reference = reference_world.run()
     # Compared first, then reported by the first differing line: asserting
     # the == itself would have pytest diff two whole logs.
-    same = report.events_jsonl == reference.events_jsonl
-    assert same, first_difference(report.events_jsonl, reference.events_jsonl)
-    assert report.to_dict() == reference.to_dict()
+    log = expanded(report.events_jsonl)
+    same = log == reference.events_jsonl
+    assert same, first_difference(log, reference.events_jsonl)
+    # One Repeat line for each segment whose epochs log anything.
+    per_epoch = Counter(json.loads(line)["epoch"] for line in log.splitlines())
+    assert repeats(report.events_jsonl) == [(first, last - first + 1, per_epoch[first])
+                                            for first, last in spans if per_epoch[first]]
+    assert report.events_digest == hashlib.sha256(report.events_jsonl.encode()).hexdigest()
+    assert but_the_digest(report) == but_the_digest(reference)
     assert report.replay_ok and report.conservation_ok
     assert ledger_state(world) == ledger_state(reference_world)
     return spans
@@ -109,8 +131,26 @@ def test_epochs_after_the_last_settlement_log_nothing_and_form_one_segment(edge)
                                           BehaviorWindow(edge, 0.5)))
     spans = assert_segments_match_the_reference(s)
     assert spans[-1] == (15, s.horizon)
+    # The last segment's epochs log nothing, so it writes no Repeat line.
     log = sc.run(s).events_jsonl
     assert log.splitlines()[-1].startswith('{"epoch":13,')
+    assert log.count('"tag":"Repeat"') == len(spans) - 1
+
+
+@pytest.mark.parametrize("name", sc.GOLDEN_SCENARIOS)
+def test_a_run_that_forms_no_segment_logs_what_stepping_logs(name):
+    # A sweep every other epoch steps every epoch: no Repeat line, and the
+    # very bytes and digest of the stepped log.
+    s = sc.load_scenario(sc.golden_scenario_path(name))
+    s = replace(s, beacon=replace(s.beacon, sweep_period=2))
+    assert validate(s) == []
+    world = World(s)
+    spans = segments_of(world)
+    report = world.run()
+    reference = SteppedWorld(s).run()
+    assert spans == []
+    assert report.events_jsonl == reference.events_jsonl
+    assert report.to_dict() == reference.to_dict()
 
 
 def test_acceptance_corpus_matches_the_stepped_reference():
@@ -232,12 +272,10 @@ def test_any_batch_size_gives_the_same_log_across_segments(batch, monkeypatch):
     led._append_text = recording_append
     report = world.run()
     assert spans == [(7, 149), (153, 600)]
-    assert report.events_jsonl == reference.events_jsonl
-    assert report.to_dict() == reference.to_dict()
-    # At most one batch at a time, or one epoch's n lines when that is more.
-    n = report.events_jsonl.count('{"epoch":600,')
-    assert n > 0
-    assert max(chunks) == max(ledger.EVENT_BATCH // n * n, n)
+    assert expanded(report.events_jsonl) == reference.events_jsonl
+    assert but_the_digest(report) == but_the_digest(reference)
+    # Each segment appends its one Repeat line, whatever the batch size.
+    assert chunks == [1, 1]
 
 
 def test_segments_end_before_each_beacon_transition():
