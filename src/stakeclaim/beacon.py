@@ -18,6 +18,14 @@ int list indexed by validator id, apart from the validator records: the
 per-epoch accrual, the sweep and a slash each copy that list once, and a
 record is replaced only on a status transition.
 
+Accrual costs O(changes), not O(validators) Python work: the contract keeps
+the last accrual it derived (:class:`Accrual`: each validator's reward, the
+total minted and the ``EpochAccrual`` payload) beside the validators list
+it came from, and walks the validators again only when the list, the
+factor map's contents or a status can have changed. In between, an accrual
+adds the kept reward vector to the balances and logs the kept payload
+object again, which the ledger encodes once per flush.
+
 Withdrawal addresses are write-once: validator records are frozen
 dataclasses and no operation constructs a record with a different
 withdrawal address. Contract withdrawal addresses receive lifecycle
@@ -32,6 +40,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import inf
+from operator import add
+from typing import NamedTuple
 
 from .errors import InvalidAmount, InvalidFactor, NotActive, Unauthorized, UnknownValidator, WrongAmount, WrongStatus, bounded, checked
 from .ledger import Call, CallContext, Destroy, Emit, Handlers, Issue, Msg, Transfer, evolve
@@ -75,6 +85,25 @@ class BeaconValidator:
 class BeaconState:
     validators: list[BeaconValidator] = field(default_factory=list)   # id == list index
     balances: list[int] = field(default_factory=list)                 # by validator id
+
+
+class Accrual(NamedTuple):
+    """What one accrual derives from a validators list and a factor map, kept
+    for the accruals after it (:meth:`BeaconContract._derive`)."""
+
+    validators: list[BeaconValidator]   # the list after the transitions, held so its id stays its own
+    key: tuple                          # the factor map's factor_key
+    due: int | float                    # the first epoch at which a status in the list changes; inf if none
+    vector: list[int]                   # each validator's reward per epoch, 0 unless Active
+    minted: int                         # sum(vector)
+    payload: dict | None                # the EpochAccrual payload; None if no validator is Active
+
+
+def factor_key(performance: dict) -> tuple:
+    """What accrual reads of a factor map: a copy of its contents, and each
+    factor's exact type, so that neither a bool nor a float passes for an
+    equal int or Fraction. Compared by value, a map written in place reads anew."""
+    return dict(performance), list(map(type, performance.values()))
 
 
 def validator_by_id(state: BeaconState, vid: int) -> BeaconValidator:
@@ -121,6 +150,8 @@ class BeaconContract(Handlers):
     def __init__(self, params: BeaconParams, driver: str):
         self.params = checked(params)
         self.driver = driver
+        # The last accrual derived; a memo of what _derive read, kept by reference.
+        self._accrual: Accrual | None = None
 
     def initial_state(self) -> BeaconState:
         return BeaconState()
@@ -157,53 +188,89 @@ class BeaconContract(Handlers):
         args: performance maps validator id to a factor in [0, 1], an
         int or a Fraction; missing ids default to 1. The map is only read:
         the driver sends the same one for as long as no factor can change.
-        Each distinct factor is checked and floored once per call
+        Each distinct factor is checked and floored once per derivation
         (:meth:`_reward`); any other factor raises InvalidFactor. Returns
         the total minted.
+
+        The loop over the validators (:meth:`_derive`) runs only when its
+        result can differ from the last one's: the validators list is
+        another object (the beacon copies it on every write), the map's
+        contents differ (:func:`factor_key`), or the epoch has reached a
+        status transition of the list. Otherwise the accrual adds the kept
+        reward vector to the balances and logs the kept payload again.
         """
         self._require_driver(msg)
         performance = msg.args.get("performance", {})
-        validators = state.validators       # copied on the first status transition
-        balances = state.balances           # copied on the first reward
+        key = factor_key(performance)
+        accrual = self._accrual
+        if accrual is not None and accrual.validators is state.validators \
+                and ctx.epoch < accrual.due and accrual.key == key:
+            effects = []
+        else:
+            accrual, effects = self._derive(state.validators, performance, key, ctx)
+            self._accrual = accrual
+        balances = state.balances
+        if accrual.minted:
+            balances = list(map(add, balances, accrual.vector))
+            effects.append(Issue(accrual.minted, "epoch rewards"))
+        if accrual.payload is not None:
+            effects.append(Emit("EpochAccrual", accrual.payload))
+        return evolve(state, validators=accrual.validators, balances=balances), \
+            effects, accrual.minted
+
+    def _derive(self, validators: list[BeaconValidator], performance: dict, key: tuple,
+                ctx: CallContext) -> tuple[Accrual, list]:
+        """One pass over `validators` at the context's epoch: the accrual
+        they and `performance` (whose :func:`factor_key` is `key`) give, and
+        the effects of the status transitions due.
+
+        A Pending validator whose activation epoch has come becomes Active
+        (an ``Activated`` event, and ``on_validator_activated`` to a contract
+        withdrawal address), and an Exiting one whose exit epoch has come
+        becomes Withdrawable. The list is copied on the first transition.
+        """
         # factor -> reward; only an int or a Fraction is looked up, so neither
         # a bool nor a float shares the entry of an equal exact factor.
         rewards: dict = {}
         effects = []
+        vector = []
         amounts = []
         minted = 0
+        due = inf
         now = ctx.epoch
+        out = validators
         for i, v in enumerate(validators):
             status = v.status
-            if status is ValidatorStatus.PENDING and v.activation_epoch <= now:
-                status = ValidatorStatus.ACTIVE
-                effects.append(Emit("Activated", {"id": i}))
-                if ctx.is_contract(v.withdrawal_address):
-                    effects.append(Call(v.withdrawal_address, "on_validator_activated"))
-            elif status is ValidatorStatus.EXITING and v.exit_epoch is not None \
-                    and v.exit_epoch <= now:
-                status = ValidatorStatus.WITHDRAWABLE
+            if status is ValidatorStatus.PENDING:
+                if v.activation_epoch <= now:
+                    status = ValidatorStatus.ACTIVE
+                    effects.append(Emit("Activated", {"id": i}))
+                    if ctx.is_contract(v.withdrawal_address):
+                        effects.append(Call(v.withdrawal_address, "on_validator_activated"))
+                elif v.activation_epoch < due:
+                    due = v.activation_epoch
+            elif status is ValidatorStatus.EXITING and v.exit_epoch is not None:
+                if v.exit_epoch <= now:
+                    status = ValidatorStatus.WITHDRAWABLE
+                elif v.exit_epoch < due:
+                    due = v.exit_epoch
             if status is not v.status:
-                if validators is state.validators:
-                    validators = list(validators)
-                validators[i] = evolve(v, status=status)
+                if out is validators:
+                    out = list(validators)
+                out[i] = evolve(v, status=status)
             if status is not ValidatorStatus.ACTIVE:
+                vector.append(0)
                 continue
             factor = performance.get(i, 1)
             kind = type(factor)
             reward = rewards.get(factor) if kind is int or kind is Fraction else None
             if reward is None:
                 reward = self._reward(factor, rewards)
-            if reward:
-                if balances is state.balances:
-                    balances = list(balances)
-                balances[i] += reward
-                minted += reward
+            vector.append(reward)
+            minted += reward
             amounts.append([i, reward])
-        if minted:
-            effects.append(Issue(minted, "epoch rewards"))
-        if amounts:
-            effects.append(Emit("EpochAccrual", {"minted": minted, "amounts": amounts}))
-        return evolve(state, validators=validators, balances=balances), effects, minted
+        payload = {"minted": minted, "amounts": amounts} if amounts else None
+        return Accrual(out, key, due, vector, minted, payload), effects
 
     def _reward(self, factor, rewards: dict) -> int:
         """floor(reward_per_epoch * factor), memoised in `rewards` under the factor.

@@ -19,7 +19,9 @@ The handler contract, which every contract in this package keeps:
   with the state they came from, so a handler copies a dict or list field
   before writing to it and leaves the fields it does not write shared.
 * Logged payloads are read-only once emitted. ``Call`` events share one
-  payload dict per (caller, target, method) across the whole log.
+  payload dict per (caller, target, method) across the whole log, and the
+  beacon's ``EpochAccrual`` events one payload while their rewards stay
+  the same.
 
 Design constraints honoured throughout:
 
@@ -51,9 +53,11 @@ The log serialises one event per line, each line exactly
 separators=(",", ":"))``; :func:`encode_lines` is the one line builder,
 used by :meth:`Ledger.events_jsonl`. It writes
 flat payloads and lists of int lists from cached encodings, encodes a
-payload object shared by several events once, and hands anything else to
-a single JSON encoder, so the bytes, and every digest over them, are those
-of ``json.dumps``.
+shared payload object (a ``Call``'s, or the beacon's ``EpochAccrual``)
+once per batch, and hands anything else to a single JSON encoder, so the
+bytes, and every digest over them, are those of ``json.dumps``. The tags
+of the lines the ledger writes itself (``LEDGER_TAGS``) are no
+contract's or driver's to emit.
 
 The log streams. Committed events wait in a pending batch until
 ``EVENT_BATCH`` of them have built up; the ledger then encodes the batch,
@@ -113,6 +117,10 @@ SYSTEM = "system"
 REPEAT = "Repeat"
 REPEAT_KEYS = frozenset(("epoch", "seq", "epochs", "lines"))
 
+# The tags of the lines the ledger writes itself, which replay_balances folds
+# or the fold of the log reads as the ledger's: no contract or driver emits one.
+LEDGER_TAGS = frozenset(("Transfer", "SupplyMint", "SupplyBurn", "Call"))
+
 # Committed events the ledger holds before it encodes and folds them as one
 # batch. Larger batches share more of encode_lines' per-call caches; smaller
 # ones hold fewer Event objects.
@@ -147,19 +155,22 @@ def encode_lines(events) -> list[str]:
     with no spaces, exactly ``json.dumps`` of that dict with
     ``separators=(",", ":")``: this format is the regression surface.
     epoch and seq are the ledger's ints. The part from ``"emitter"`` to
-    ``"payload":`` is encoded once per str (emitter, tag) pair. ``Call``
-    payloads, which the ledger shares one per route, are encoded once per
-    object: the encoding is cached by id next to the payload itself, so the
-    id cannot be reused while cached. Other payloads are mostly one-off and
-    are not kept. A flat payload (str keys, values of exact type int or
-    str, or lists of lists of exact ints) is written from encoded keys and
-    strings cached for this call; any other payload goes through the JSON
-    encoder. The caches live only as long as the call.
+    ``"payload":`` is encoded once per str (emitter, tag) pair. The payloads
+    that events share are encoded once per object: ``Call`` payloads, which
+    the ledger shares one per route, and payloads holding lists of int
+    lists, such as the beacon's ``EpochAccrual``, which it shares while its
+    rewards stay the same and which cost the most to encode. Their encoding
+    is cached by id next to the payload itself, so the id cannot be reused
+    while cached. Other payloads are mostly one-off and are not kept. A flat
+    payload (str keys, values of exact type int or str, or lists of lists of
+    exact ints) is written from encoded keys and strings cached for this
+    call; any other payload goes through the JSON encoder. The caches live
+    only as long as the call.
     """
     heads: dict = {}
     keys: dict = {}
     strs: dict = {}
-    calls: dict = {}
+    shared: dict = {}
     out = []
     for epoch, seq, emitter, tag, payload in events:
         head = heads.get((emitter, tag))
@@ -167,11 +178,12 @@ def encode_lines(events) -> list[str]:
             head = f',"emitter":{_encode(emitter)},"tag":{_encode(tag)},"payload":'
             if type(emitter) is str and type(tag) is str:
                 heads[(emitter, tag)] = head
-        cached = calls.get(id(payload))
+        cached = shared.get(id(payload))
         if cached is not None:
             body = cached[1]
         else:
             body = None
+            keep = tag == "Call"
             if type(payload) is dict:
                 parts = []
                 for k, v in payload.items():
@@ -190,14 +202,15 @@ def encode_lines(events) -> list[str]:
                         parts.append(ek + ev)
                     elif t is list and _int_rows(v):
                         parts.append(ek + str(v).replace(" ", ""))
+                        keep = True
                     else:
                         break
                 else:
                     body = "{" + ",".join(parts) + "}"
             if body is None:
                 body = _encode(payload)
-            if tag == "Call":
-                calls[id(payload)] = (payload, body)
+            if keep:
+                shared[id(payload)] = (payload, body)
         out.append(f'{{"epoch":{epoch},"seq":{seq}{head}{body}}}\n')
     return out
 
@@ -486,8 +499,8 @@ class Ledger:
         """Append a driver-level event outside any call tree."""
         if emitter not in self._balances:
             raise UnknownAddress(emitter)
-        if tag == REPEAT and emitter == SYSTEM:
-            raise ValueError("a system Repeat line is the ledger's own, not an event")
+        if tag in LEDGER_TAGS or (tag == REPEAT and emitter == SYSTEM):
+            raise ValueError(f"a {emitter} {tag} line is the ledger's own, not an event")
         self._append_event(emitter, tag, payload)
 
     # --- contract dispatch ----------------------------------------------
@@ -531,6 +544,8 @@ class Ledger:
         for eff in effects:
             kind = type(eff)
             if kind is Emit:
+                if eff.tag in LEDGER_TAGS:
+                    raise Unauthorized(f"{target} may not emit {eff.tag!r}, a line the ledger writes")
                 log(target, eff.tag, eff.payload)
             elif kind is Call:
                 self._dispatch(ctx, target, eff.target, eff.method,

@@ -220,6 +220,7 @@ class TreasuryContract(Handlers):
         if len(wallets) != spec.validators:     # one wallet address per validator
             raise ValueError(f"TreasurySpec.validators {spec.validators} != {len(wallets)} wallets")
         self.validators = tuple(wallets)
+        self._index = {w: j for j, w in enumerate(self.validators)}    # wallet -> its index
         self.operator = operator
         self.mint = mint                        # the only address allowed to register tokens
 
@@ -228,10 +229,10 @@ class TreasuryContract(Handlers):
 
     def _wallet_index(self, msg: Msg) -> int:
         """The index of the wallet that sent `msg`; UnknownValidator for any other caller."""
-        try:
-            return self.validators.index(msg.caller)
-        except ValueError:
-            raise UnknownValidator(f"{msg.caller} is not a registered validator wallet") from None
+        j = self._index.get(msg.caller)
+        if j is None:
+            raise UnknownValidator(f"{msg.caller} is not a registered validator wallet")
+        return j
 
     # --- token records (mint-only) ------------------------------------------
 
@@ -333,7 +334,7 @@ class TreasuryContract(Handlers):
         rewards = dict(state.rewards_received)
         fees = net = 0
         for wallet, amount in receipts.items():
-            j = self.validators.index(wallet)
+            j = self._index[wallet]
             fee = (amount * self.spec.fee_bps) // 10_000
             rewards[j] = rewards.get(j, 0) + k * amount
             fees += fee

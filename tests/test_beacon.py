@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -25,7 +27,7 @@ from stakeclaim.errors import (
     WrongAmount,
     WrongStatus,
 )
-from stakeclaim.ledger import Ledger
+from stakeclaim.ledger import CallContext, Ledger, Msg
 
 STAKE = 32_000_000_000
 
@@ -170,6 +172,83 @@ class TestAccrual:
     def test_driver_only(self):
         with pytest.raises(Unauthorized):
             self.led.call("op", "beacon", "accrue_epoch", {"performance": {}})
+
+
+FACTORS = (0, 1, Fraction(1, 2), Fraction(1, 3))
+
+
+def typed(result: tuple) -> tuple:
+    """A handler's (state, effects, result), each effect beside its class:
+    as tuples, ``Issue(5, "x") == Destroy(5, "x")``."""
+    state, effects, value = result
+    return state, [(type(e), e) for e in effects], value
+
+
+def drive_against_a_fresh_beacon(seed: int, epochs: int = 120) -> Counter:
+    """Drive a beacon through deposits, activations, factor changes (a new
+    map, or the one map written in place), slashes, exits and sweeps. Before
+    each epoch's accrual, its handler's result on the committed state is
+    compared with a freshly built contract's, which derives everything anew.
+    Returns how often each kind of step ran."""
+    rng = random.Random(seed)
+    led = bare_beacon(activation_delay=2, exit_delay=3, sweep_period=3)
+    led.genesis("depositor", STAKE * 8)
+    beacon = led._contracts["beacon"]
+    performance: dict = {}
+    steps: Counter = Counter()
+    for _ in range(epochs):
+        led.advance_epoch()
+        state = led.contract_state("beacon")
+        ids = range(len(state.validators))
+        roll = rng.random()
+        if roll < 0.15 and ids:
+            performance = {vid: rng.choice(FACTORS) for vid in ids if rng.random() < 0.7}
+            steps["new map"] += 1
+        elif roll < 0.3 and ids:
+            performance[rng.choice(ids)] = rng.choice(FACTORS)
+            steps["map written in place"] += 1
+        msg = Msg("sys", "beacon", "accrue_epoch", {"performance": performance})
+        fresh = BeaconContract(beacon.params, "sys").handle(state, msg, CallContext(led))
+        kept = beacon._accrual
+        assert typed(beacon.handle(state, msg, CallContext(led))) == typed(fresh)
+        steps["kept accrual"] += beacon._accrual is kept
+        led.call("sys", "beacon", "accrue_epoch", {"performance": performance})
+        active = [vid for vid, v in enumerate(led.contract_state("beacon").validators)
+                  if v.status is ValidatorStatus.ACTIVE]
+        if rng.random() < 0.2 and len(ids) < 8:
+            deposit(led)
+            steps["deposit"] += 1
+        if active and rng.random() < 0.06:
+            led.call("sys", "beacon", "slash",
+                     {"validator_id": rng.choice(active), "fraction_bps": 500})
+            steps["slash"] += 1
+        elif active and rng.random() < 0.06:
+            led.call("op", "beacon", "request_exit", {"validator_id": rng.choice(active)})
+            steps["exit"] += 1
+        steps["paid out"] += led.call("sys", "beacon", "sweep", {}) > 0
+    return steps
+
+
+class TestAccrualKept:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_kept_accrual_equals_a_fresh_contracts(self, seed):
+        steps = drive_against_a_fresh_beacon(seed)
+        # Every kind of step ran, and a third of the accruals or more reused
+        # the last one's work.
+        assert min(steps.values()) > 0 and len(steps) == 7
+        assert steps["kept accrual"] > 40
+
+    def test_a_map_written_in_place_is_read_anew(self):
+        led = bare_beacon(activation_delay=1)
+        vid = deposit(led)
+        led.advance_epoch()
+        performance = {vid: 1}
+        assert accrue(led, performance) == 100
+        performance[vid] = Fraction(1, 2)
+        assert accrue(led, performance) == 50
+        performance[vid] = 0.5      # equal, but not an exact factor
+        with pytest.raises(InvalidFactor):
+            accrue(led, performance)
 
 
 class TestSlash:

@@ -21,6 +21,7 @@ from stakeclaim.errors import (
     UnknownMethod,
 )
 from stakeclaim.ledger import (
+    LEDGER_TAGS,
     Call,
     Destroy,
     Emit,
@@ -114,6 +115,8 @@ class Counter:
             return state, [Emit("Poked", {}), ("Poked", {})], None
         if msg.method == "subclassed":
             return state, [Shout("Poked", {})], None
+        if msg.method == "forge":
+            return state + 1, [Emit(msg.args["tag"], {"to": "user", "amount": 5})], None
         raise ContractError(f"no method {msg.method}")
 
 
@@ -323,6 +326,20 @@ class TestEventLog:
             led.call("user", "c1", "boom")
         assert len(logged_events(led)) == before
 
+    @pytest.mark.parametrize("tag", sorted(LEDGER_TAGS))
+    def test_a_line_the_ledger_writes_is_no_one_elses_event(self, tag):
+        # A forged balance move would be folded by the replay as a real one;
+        # this one, without "from", would crash the fold of a Transfer.
+        led = dispatch_ledger()
+        before = snapshot(led)
+        with pytest.raises(Unauthorized, match=f"'{tag}'"):
+            led.call("user", "c1", "forge", {"tag": tag})
+        with pytest.raises(ValueError, match=f"user {tag} line"):
+            led.emit("user", tag, {"to": "user", "amount": 5})
+        assert snapshot(led) == before
+        led.call("user", "c1", "forge", {"tag": "Forged"})      # any other tag is an event
+        assert logged_events(led)[-1].tag == "Forged"
+
 
 class Name(str):
     """A str subclass: json writes it as the string it holds."""
@@ -356,6 +373,12 @@ int_rows = st.lists(st.lists(st.integers() | st.integers(-3, 3).map(Int) | st.bo
 row_payloads = st.dictionaries(json_text, st.integers() | json_text | int_rows, max_size=3)
 
 
+def event_tags(max_size: int):
+    """Any text up to `max_size` characters that a contract or a driver may
+    emit as a tag: none of the ledger's own (``LEDGER_TAGS``)."""
+    return st.text(max_size=max_size).filter(lambda tag: tag not in LEDGER_TAGS)
+
+
 def dumps_line(e: Event) -> str:
     return json.dumps({"epoch": e.epoch, "seq": e.seq, "emitter": e.emitter,
                        "tag": e.tag, "payload": e.payload}, separators=(",", ":"))
@@ -377,7 +400,7 @@ class TestEventEncoding:
         assert [to_json(e) for e in events] == [line[:-1] for line in lines]
 
     @settings(max_examples=100)
-    @given(st.lists(st.tuples(st.sampled_from(["a", "b"]), st.text(max_size=4),
+    @given(st.lists(st.tuples(st.sampled_from(["a", "b"]), event_tags(4),
                               payloads | flat_payloads), max_size=6))
     def test_events_jsonl_is_each_events_to_json(self, entries):
         led = fresh_ledger(a=5, b=0)
@@ -390,20 +413,24 @@ class TestEventEncoding:
 
     @settings(max_examples=100)
     @given(st.lists(payloads | flat_payloads | row_payloads, min_size=1, max_size=4),
-           st.lists(st.integers(min_value=0, max_value=3), max_size=10))
+           st.lists(st.tuples(st.integers(min_value=0, max_value=3),
+                              st.sampled_from(["Call", "EpochAccrual"])), max_size=10))
     def test_shared_payload_objects_encode_like_copies(self, pool, picks):
-        # One payload object logged by several events is encoded once.
-        events = [Event(0, seq, "a", "Call", pool[i % len(pool)])
-                  for seq, i in enumerate(picks)]
+        # One payload object logged by several events, a Call's or one that
+        # holds lists of int lists, is encoded once.
+        events = [Event(0, seq, "a", tag, pool[i % len(pool)])
+                  for seq, (i, tag) in enumerate(picks)]
         assert encode_lines(events) == [dumps_line(e) + "\n" for e in events]
 
     def test_payloads_built_on_the_fly_keep_their_own_encoding(self):
         # A payload freed after its line must not pass its cached encoding
         # on to a later payload that reuses its id.
         n = 1000
-        lines = encode_lines(Event(0, i, "a", "Call", {"i": i}) for i in range(n))
-        assert lines == [dumps_line(Event(0, i, "a", "Call", {"i": i})) + "\n"
-                         for i in range(n)]
+        for tag, payload in (("Call", lambda i: {"i": i}),
+                             ("EpochAccrual", lambda i: {"amounts": [[0, i]]})):
+            lines = encode_lines(Event(0, i, "a", tag, payload(i)) for i in range(n))
+            assert lines == [dumps_line(Event(0, i, "a", tag, payload(i))) + "\n"
+                             for i in range(n)]
 
     def test_circular_payload_still_rejected(self):
         p: dict = {"self": []}
@@ -527,7 +554,7 @@ class TestSegment:
         assert_segment_copies_like_stepping(step, "".join(HOSTILE), 500)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.text(max_size=8) | st.sampled_from(HOSTILE), st.integers(-30, 30),
+    @given(event_tags(8) | st.sampled_from(HOSTILE), st.integers(-30, 30),
            st.integers(1, 5))
     def test_any_note_copies_like_stepping(self, note, step, k):
         assert_segment_copies_like_stepping(step, note, k)

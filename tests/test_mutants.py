@@ -16,7 +16,9 @@ table (``_ops``, with one handler wrapped) or ``World.report``; for the
 report, the reader both the run and the fold call (``RunReport.read``); for
 the fold of the log, its table of per-tag handlers (``explain._Fold._on``);
 for exact inputs, the ``type`` the ledger calls or the beacon's reward
-(``BeaconContract._reward``). Each names one existing test that passes on
+(``BeaconContract._reward``); for the accrual the beacon keeps, its
+derivation (``BeaconContract._derive``) or the key of a factor map
+(``beacon.factor_key``). Each names one existing test that passes on
 the real code and must fail under the mutant, with an ``AssertionError``
 or a failed ``pytest.raises``: a check that no mutant fails proves nothing
 (DeMillo, Lipton & Sayward, *Hints on Test Data Selection*, 1978).
@@ -47,7 +49,7 @@ import test_wallet
 from conftest import make_staked_world
 from math import inf
 
-from stakeclaim import errors, ledger, scenario, treasury
+from stakeclaim import beacon, errors, ledger, scenario, treasury
 from stakeclaim.beacon import BeaconContract
 from stakeclaim.explain import _Fold
 from stakeclaim.ledger import evolve
@@ -142,6 +144,15 @@ def map_consumed(handler):
         result = handler(self, state, msg, ctx)
         msg.args["performance"].clear()
         return result
+
+    return mutant
+
+
+def accrual_kept_past_transitions(derive=BeaconContract._derive):
+    """The beacon's derivation, its accrual kept as if no status could change again."""
+    def mutant(self, *args):
+        accrual, effects = derive(self, *args)
+        return accrual._replace(due=inf), effects
 
     return mutant
 
@@ -350,6 +361,12 @@ MUTANTS = {
     "shared-performance-map-written": (
         BeaconContract, "_ops", ops_with(BeaconContract, "accrue_epoch", map_consumed),
         test_scenario.TestNonPayingRun().test_exit_and_final_payouts_match_oracle),
+    "accrual-kept-past-a-transition": (
+        BeaconContract, "_derive", accrual_kept_past_transitions(),
+        lambda: test_beacon.drive_against_a_fresh_beacon(0)),
+    "accrual-keyed-on-the-map-object": (
+        beacon, "factor_key", lambda performance: (id(performance),),
+        lambda: test_beacon.drive_against_a_fresh_beacon(0)),
     "log-totals-check-dropped": (
         World, "report", report_without_log_totals(),
         test_scenario.TestConservationChecks().test_counter_drift_fails_replay_but_not_conservation),
