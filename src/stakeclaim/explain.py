@@ -29,10 +29,11 @@ name the log gives an endowment, a ``Call``, a rejected action or a token.
 (:func:`ledger.replay_balances`): ``ok`` holds when the replayed total is
 minted - burned, and ``replay_ok`` when no replayed balance is negative,
 the treasury's is the rebuilt state's :func:`treasury.balance_identity`,
-and every line agrees with the state before it: each ``Distributed``
-raises N by its amount less its fee, ``Staked`` deploys the principal
-raised, and ``MintAborted`` refunds it. ``event_count`` counts the
-expanded lines, and ``events_digest`` hashes the text as read.
+and every line agrees with the state before it: each ``Mint`` takes the
+next token id, each ``TransferNft`` moves a token its seller holds, each
+``Distributed`` raises N by its amount less its fee, ``Staked`` deploys
+the principal raised, and ``MintAborted`` refunds it. ``event_count``
+counts the expanded lines, and ``events_digest`` hashes the text as read.
 
 Two names reach the report without a line of their own: before the raise
 fills, no event names a validator wallet, so a run that never stakes
@@ -100,16 +101,21 @@ class _Fold:
 
     def _on_Mint(self, e: Event) -> None:
         p, t = e.payload, self.tst
-        t.capital[p["token_id"]] = p["capital"]
-        t.owned = moved(t.owned, p["token_id"], None, p["owner"])
+        token_id = len(t.capital)       # ids are positions: the next one
+        self.consistent &= p["token_id"] == token_id
+        t.capital = t.capital.set(token_id, p["capital"])
+        t.owned = moved(t.owned, token_id, None, p["owner"])
         t.sum_capital += p["capital"]
         t.principal += p["capital"]
 
     def _on_TransferNft(self, e: Event) -> None:
         p, t = e.payload, self.tst
+        self.names.add(p["to"])
+        if p["token_id"] not in t.owned.get(p["from"], ()):     # no such token of the seller's
+            self.consistent = False
+            return
         t.owned = moved(t.owned, p["token_id"], p["from"], p["to"])
         settle_token(t, p["token_id"], p["from"])
-        self.names.add(p["to"])
 
     def _on_MintAborted(self, e: Event) -> None:
         self.consistent &= self.tst.principal == e.payload["refunded"]
@@ -147,8 +153,8 @@ class _Fold:
         left = claimable_of(t, h) - amount
         for token_id in t.owned.get(h, ()):
             settle_token(t, token_id, h)
-        t.claimable[h] = left
-        t.claimed_total[h] = t.claimed_total.get(h, 0) + amount
+        t.claimable = t.claimable.set(h, left)
+        t.claimed_total = t.claimed_total.set(h, t.claimed_total.get(h, 0) + amount)
 
     def _on_OperatorFeesClaimed(self, e: Event) -> None:
         self.tst.operator_fees_accrued -= e.payload["amount"]

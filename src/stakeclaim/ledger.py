@@ -17,7 +17,8 @@ The handler contract, which every contract in this package keeps:
   survive a revert.
 * New states are shallow copies (:func:`evolve`) that share every field
   with the state they came from, so a handler copies a dict or list field
-  before writing to it and leaves the fields it does not write shared.
+  before writing to it and leaves the fields it does not write shared; a
+  field written per token or per holder is a :class:`SharedMap` instead.
 * Logged payloads are read-only once emitted. ``Call`` events share one
   payload dict per (caller, target, method) across the whole log, and the
   beacon's ``EpochAccrual`` events one payload while their rewards stay
@@ -94,7 +95,9 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, NamedTuple, Protocol
 
@@ -325,6 +328,114 @@ def evolve(obj, **changes):
     d.update(obj.__dict__)
     d.update(changes)
     return new
+
+
+# Entries per chunk of a SharedMap: a write copies at most one chunk and the spine.
+CHUNK_BITS = 5
+_CHUNK = 1 << CHUNK_BITS
+_MASK = _CHUNK - 1
+
+
+class SharedMap(Mapping):
+    """An immutable map whose versions share structure, for the state fields
+    written once per token or per holder (Bagwell, *Ideal Hash Trees*, 2001).
+
+    ``set`` returns a new map. Values sit in insertion order in a spine of
+    full chunks of ``_CHUNK`` and a shorter tail: a new key copies the tail,
+    an overwrite its chunk and the spine, and every other chunk is shared.
+    Keys find their positions in an index dict that versions share and only
+    extend; a version of n entries reads positions below n only, and a write
+    copies the index first if another version took position n. ``items()``
+    and ``values()`` are one-pass iterators at C speed. Like a ledger, not
+    thread-safe. Equal to any mapping with the same items; pickles as them.
+    """
+
+    __slots__ = ("_index", "_spine", "_tail", "_len")
+
+    def __init__(self, items=()):
+        self._index, self._spine, self._tail, self._len = {}, (), (), 0
+        if items:
+            d = dict(items)
+            values = tuple(d.values())
+            full = len(values) & ~_MASK
+            self._index = dict(zip(d, range(len(d))))
+            self._spine = tuple(values[i:i + _CHUNK] for i in range(0, full, _CHUNK))
+            self._tail = values[full:]
+            self._len = len(d)
+
+    def __getitem__(self, key):
+        i = self._index.get(key, self._len)
+        if i < self._len:
+            c = i >> CHUNK_BITS
+            return (self._spine[c] if c < len(self._spine) else self._tail)[i & _MASK]
+        raise KeyError(key)
+
+    def get(self, key, default=None):
+        i = self._index.get(key, self._len)
+        if i < self._len:
+            c = i >> CHUNK_BITS
+            return (self._spine[c] if c < len(self._spine) else self._tail)[i & _MASK]
+        return default
+
+    def __contains__(self, key):
+        return self._index.get(key, self._len) < self._len
+
+    def __len__(self):
+        return self._len
+
+    def __iter__(self):     # a list: a later write may extend the index
+        return iter(list(islice(self._index, self._len)))
+
+    def items(self):
+        return zip(list(islice(self._index, self._len)), chain(*self._spine, self._tail))
+
+    def values(self):
+        return chain(*self._spine, self._tail)
+
+    def __reduce__(self):
+        return SharedMap, (list(self.items()),)
+
+    def __repr__(self):
+        return f"SharedMap({dict(self.items())!r})"
+
+    def set(self, key, value) -> "SharedMap":
+        """This map with `key` mapped to `value`, a new key last; this map
+        itself if `key` already holds `value`."""
+        index, spine, tail, n = self._index, self._spine, self._tail, self._len
+        i = index.get(key, n)
+        if i < n:
+            c = i >> CHUNK_BITS
+            in_spine = c < len(spine)
+            chunk = spine[c] if in_spine else tail
+            if chunk[i & _MASK] is value:
+                return self
+            chunk = list(chunk)
+            chunk[i & _MASK] = value
+            if in_spine:
+                spine = list(spine)
+                spine[c] = tuple(chunk)
+                spine = tuple(spine)
+            else:
+                tail = tuple(chunk)
+        else:
+            if len(index) == n:
+                index[key] = n
+            elif index.get(key) != n:   # position n is another key's: copy the index
+                index = dict(zip(index, range(n)))
+                index[key] = n
+            tail += (value,)
+            if len(tail) == _CHUNK:
+                spine, tail = spine + (tail,), ()
+            n += 1
+        new = _new_object(SharedMap)
+        new._index, new._spine, new._tail, new._len = index, spine, tail, n
+        return new
+
+    def delete(self, key) -> "SharedMap":
+        """This map without `key`, rebuilt: O(n), for the rare removal."""
+        d = dict(self.items())
+        del d[key]
+        return SharedMap(d)
 
 
 class CallContext:

@@ -4,7 +4,8 @@ Collects depositor capital during a fixed epoch window, forwards every unit
 to the treasury, and issues one NFT per contribution recording how much the
 depositor put in. Ownership of a token carries the right to that share of
 future rewards, so transfers are mirrored to the treasury's owner index in
-the same atomic call tree.
+the same atomic call tree. Token ids are the positions 0, 1, ...; any
+other id, a bool or a float equal to one included, is ``UnknownToken``.
 
 Contributions are variable-size (per-holder capital differs) and a
 contribution that would push the total past the target is rejected whole:
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .beacon import BeaconParams
 from .errors import BelowMinimum, ExceedsCapacity, MintClosed, NotOwner, UnknownToken, WrongStatus, bounded, checked
-from .ledger import Call, CallContext, Emit, Handlers, Msg, Transfer, evolve
+from .ledger import Call, CallContext, Emit, Handlers, Msg, SharedMap, Transfer, evolve
 from .treasury import TreasurySpec
 
 
@@ -34,7 +35,7 @@ class MintSpec:
 
 @dataclass
 class MintState:
-    owners: dict[int, str] = field(default_factory=dict)   # token id -> owner; ids are 0, 1, ...
+    owners: SharedMap = field(default_factory=SharedMap)   # token id -> owner; ids are 0, 1, ...
     minted_total: int = 0
     aborted: bool = False
 
@@ -69,7 +70,7 @@ class MintContract(Handlers):
         if msg.value < spec.min_contribution:
             raise BelowMinimum(f"contribution {msg.value} below minimum {spec.min_contribution}")
         token_id = len(state.owners)
-        st = evolve(state, owners={**state.owners, token_id: msg.caller},
+        st = evolve(state, owners=state.owners.set(token_id, msg.caller),
                     minted_total=state.minted_total + msg.value)
         effects = [
             Transfer(self.treasury, msg.value),
@@ -88,7 +89,7 @@ class MintContract(Handlers):
         """
         token_id = msg.args["token_id"]
         to = msg.args["to"]
-        owner = state.owners.get(token_id)
+        owner = state.owners.get(token_id) if type(token_id) is int else None  # not True, 1.0
         if owner is None:
             raise UnknownToken(f"no token {token_id}")
         if msg.caller != owner:
@@ -96,7 +97,7 @@ class MintContract(Handlers):
         ctx.is_contract(to)  # raises UnknownAddress for unregistered recipients
         if to == owner:
             return state, [], None
-        st = evolve(state, owners={**state.owners, token_id: to})
+        st = evolve(state, owners=state.owners.set(token_id, to))
         effects = [
             Call(self.treasury, "update_owner",
                  {"token_id": token_id, "from": owner, "to": to}),

@@ -105,7 +105,7 @@ from pathlib import Path
 
 from .beacon import BeaconContract, BeaconParams, ValidatorStatus, next_transition, validator_by_id
 from .errors import ContractError, InvalidScenario, InvariantViolation, bound_problems, bounded
-from .ledger import SYSTEM, Ledger, replay_balances  # noqa: F401  (bench/tracing.py patches scenario.replay_balances)
+from .ledger import SYSTEM, Ledger, evolve, replay_balances  # noqa: F401  (bench/tracing.py patches scenario.replay_balances)
 from .mint import MintContract, MintSpec
 from .treasury import (Phase, TreasuryContract, TreasurySpec, TreasuryState, balance_identity,
                        claimable_of)
@@ -506,6 +506,8 @@ class RunReport:
         not returned as settlement credit, counts only once Settled.
         """
         settled = tst.phase is Phase.SETTLED
+        # Plain dicts for the per-token reads below: one C-speed copy each.
+        tst = evolve(tst, capital=dict(tst.capital.items()), paid=dict(tst.paid.items()))
         rows = []
         for h in holders:
             cap = sum(tst.capital[t] for t in tst.owned.get(h, ()))

@@ -24,7 +24,8 @@ the token when the distribution happened. A claim finds the caller's
 tokens through the owner index (``owned``: owner -> ascending token ids,
 the analogue of ERC-721 Enumerable's per-owner token list), the one record
 of who owns a token, kept on register and transfer (:func:`moved`), so it
-costs O(owned), not a scan of every token.
+costs O(owned), not a scan of every token. These maps are SharedMaps: a
+write copies one chunk, so a raise of n tokens costs O(n), not O(n^2).
 
 The undistributed sub-unit remainder is dust: ``N - sum(accrued(i))``,
 always below the token count. Per distribution of ``amount`` the split is
@@ -72,7 +73,7 @@ from .errors import (
     bounded,
     checked,
 )
-from .ledger import Call, CallContext, Emit, Handlers, Msg, Transfer, evolve
+from .ledger import Call, CallContext, Emit, Handlers, Msg, SharedMap, Transfer, evolve
 
 CAUSE_PERFORMANCE = "performance"
 CAUSE_SLASHED = "slashed"
@@ -111,16 +112,16 @@ class SettlementRecord:
 
 @dataclass
 class TreasuryState:
-    capital: dict[int, int] = field(default_factory=dict)            # token -> its capital
-    owned: dict[str, tuple[int, ...]] = field(default_factory=dict)  # owner -> its token ids
+    capital: SharedMap = field(default_factory=SharedMap)    # token -> its capital
+    owned: SharedMap = field(default_factory=SharedMap)      # owner -> its token ids, ascending
     sum_capital: int = 0
     principal: int = 0
     operator_fees_accrued: int = 0
     fees_claimed_total: int = 0
-    claimable: dict[str, int] = field(default_factory=dict)   # settled, unclaimed
-    claimed_total: dict[str, int] = field(default_factory=dict)
-    net_total: int = 0                                         # N: cumulative net distributed
-    paid: dict[int, int] = field(default_factory=dict)         # token -> accrued already settled
+    claimable: SharedMap = field(default_factory=SharedMap)  # holder -> settled, unclaimed
+    claimed_total: SharedMap = field(default_factory=SharedMap)
+    net_total: int = 0                                        # N: cumulative net distributed
+    paid: SharedMap = field(default_factory=SharedMap)       # token -> accrued already settled
     escrow_balance: int = 0
     escrow_refunded: int = 0
     phase: Phase = Phase.FUNDRAISING
@@ -151,7 +152,7 @@ def claimable_of(state: TreasuryState, holder: str) -> int:
         accrued(state, t) - state.paid.get(t, 0) for t in state.owned.get(holder, ()))
 
 
-def split_credits(before: int, after: int, capital: dict[int, int], owned: dict[str, tuple],
+def split_credits(before: int, after: int, capital: SharedMap, owned: SharedMap,
                   sum_capital: int) -> tuple[dict[str, int], int]:
     """Each owner's credit as N rises from `before` to `after`.
 
@@ -159,36 +160,34 @@ def split_credits(before: int, after: int, capital: dict[int, int], owned: dict[
     tokens' credits, each floored on its own, floor(after * C_i / S) -
     floor(before * C_i / S); sum(credits) + undistributed == after - before.
     """
+    capital = dict(capital.items())     # one copy at C speed, then a dict lookup per token
     credits = {owner: sum(after * capital[t] // sum_capital - before * capital[t] // sum_capital
                           for t in tokens) for owner, tokens in owned.items()}
     return credits, after - before - sum(credits.values())
 
 
-def moved(owned: dict[str, tuple[int, ...]], token_id: int, frm: str | None,
-          to: str) -> dict[str, tuple[int, ...]]:
-    """A copy of the owner index `owned` with `token_id` moved from `frm`
-    (None for a fresh mint) to `to`, each owner's ids kept ascending."""
-    out = dict(owned)       # copy-on-write: the input's index may be shared
+def moved(owned: SharedMap, token_id: int, frm: str | None, to: str) -> SharedMap:
+    """The owner index `owned` with `token_id` moved from `frm` (None for a
+    fresh mint) to `to`, each owner's ids kept ascending; an owner left
+    with no token leaves the index."""
     if frm is not None:
-        kept = tuple(t for t in out.pop(frm) if t != token_id)
-        if kept:
-            out[frm] = kept
-    tokens = out.get(to, ())
+        kept = tuple(t for t in owned[frm] if t != token_id)
+        owned = owned.set(frm, kept) if kept else owned.delete(frm)
+    tokens = owned.get(to, ())
     i = bisect_left(tokens, token_id)
-    out[to] = tokens[:i] + (token_id,) + tokens[i:]
-    return out
+    return owned.set(to, tokens[:i] + (token_id,) + tokens[i:])
 
 
 def settle_token(st: TreasuryState, token_id: int, owner: str) -> None:
     """Credit the token's pending credit to `owner` and move its checkpoint.
 
-    Sets fresh `paid` and `claimable` maps on `st`, a new state.
+    Sets new `paid` and `claimable` maps on `st`, a new state.
     """
     total = accrued(st, token_id)
     due = total - st.paid.get(token_id, 0)
     if due:
-        st.paid = {**st.paid, token_id: total}
-        st.claimable = {**st.claimable, owner: st.claimable.get(owner, 0) + due}
+        st.paid = st.paid.set(token_id, total)
+        st.claimable = st.claimable.set(owner, st.claimable.get(owner, 0) + due)
 
 
 def credit_settlement(st: TreasuryState, before: int) -> None:
@@ -242,7 +241,7 @@ class TreasuryContract(Handlers):
         if state.phase is not Phase.FUNDRAISING:
             raise WrongPhase(f"cannot register in phase {state.phase.value}")
         token_id, capital = msg.args["token_id"], msg.args["capital"]
-        return evolve(state, capital={**state.capital, token_id: capital},
+        return evolve(state, capital=state.capital.set(token_id, capital),
                       owned=moved(state.owned, token_id, None, msg.args["owner"]),
                       sum_capital=state.sum_capital + capital,
                       principal=state.principal + capital), [], None
@@ -349,17 +348,17 @@ class TreasuryContract(Handlers):
         Settles the caller's tokens only, found through the owner index;
         other owners' pending credit stays pending.
         """
-        checkpoints = {t: accrued(state, t) for t in state.owned.get(msg.caller, ())}
+        checkpoints = [(t, accrued(state, t)) for t in state.owned.get(msg.caller, ())]
         paid = state.paid
         amount = state.claimable.get(msg.caller, 0) + sum(
-            total - paid.get(t, 0) for t, total in checkpoints.items())
+            total - paid.get(t, 0) for t, total in checkpoints)
         if amount <= 0:
             raise NothingToClaim(f"{msg.caller} has nothing to claim")
-        if checkpoints:
-            paid = {**paid, **checkpoints}
+        for t, total in checkpoints:
+            paid = paid.set(t, total)
         claimed = state.claimed_total.get(msg.caller, 0) + amount
-        st = evolve(state, paid=paid, claimable={**state.claimable, msg.caller: 0},
-                    claimed_total={**state.claimed_total, msg.caller: claimed})
+        st = evolve(state, paid=paid, claimable=state.claimable.set(msg.caller, 0),
+                    claimed_total=state.claimed_total.set(msg.caller, claimed))
         effects = [
             Transfer(msg.caller, amount),
             Emit("Claimed", {"holder": msg.caller, "amount": amount}),

@@ -41,6 +41,22 @@ class TestRun:
         digest = json.loads(frozen)["events_digest"]
         assert hashlib.sha256(events.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("name", sc.GOLDEN_SCENARIOS)
+    def test_golden_files_do_not_depend_on_the_hash_seed(self, name, tmp_path):
+        # str hashes, and with them the layout of every set and dict, differ
+        # from one PYTHONHASHSEED to the next; the files a run writes may not.
+        src = Path(sc.__file__).resolve().parent.parent
+        frozen = (GOLDEN_DIR / name / "report.json").read_text()
+        for seed in ("1", "2"):
+            out = tmp_path / seed
+            subprocess.run([sys.executable, "-m", "stakeclaim.cli", "run", "--scenario",
+                            str(sc.golden_scenario_path(name)), "--out", str(out)],
+                           env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+                           check=True, timeout=120)
+            assert (out / "report.json").read_text() == frozen
+            events = (out / "events.jsonl").read_bytes()
+            assert hashlib.sha256(events).hexdigest() == json.loads(frozen)["events_digest"]
+
     def test_byte_stable_across_runs(self, tmp_path):
         scenario = str(sc.golden_scenario_path("honest"))
         assert run_cli("run", "--scenario", scenario, "--out", str(tmp_path / "a")) == 0

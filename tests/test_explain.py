@@ -188,12 +188,17 @@ def test_the_fold_follows_an_operator_fee_claim():
     (run_with_resales_claims_and_both_exit_causes, "Mint", "capital"),
     (run_with_resales_claims_and_both_exit_causes, "Staked", "validators"),
     (run_with_the_mint_aborted, "Mint", "capital"),
+    # Token ids are positions: a Mint takes the next one, and a resale
+    # moves a token its seller holds.
+    (run_with_resales_claims_and_both_exit_causes, "Mint", "token_id"),
+    (run_with_resales_claims_and_both_exit_causes, "TransferNft", "token_id"),
     # Each Distributed raises N by its amount less its fee, repeated ones too.
     (run_with_resales_claims_and_both_exit_causes, "Distributed", "net_total"),
     (run_with_the_escrow_refunded, "Repeat", "net_total"),
 ], ids=["Claimed.amount", "EscrowPosted.total", "Distributed.fee",
         "EscrowPosted.total-refunded", "OperatorFeesClaimed.amount", "Mint.capital",
-        "Staked.validators", "Mint.capital-aborted", "Distributed.net_total",
+        "Staked.validators", "Mint.capital-aborted", "Mint.token_id", "TransferNft.token_id",
+        "Distributed.net_total",
         "Repeat.net_total"])
 def test_one_unit_added_to_an_amount_the_fold_reads_fails_replay_ok(run, tag, key):
     # The treasury's replayed balance must be what the rebuilt state says

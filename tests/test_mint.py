@@ -119,6 +119,18 @@ class TestTransferNft:
         with pytest.raises(UnknownToken):
             world.transfer_nft(7, "alice", "bob")
 
+    @pytest.mark.parametrize("token_id", [True, 1.0, -1, 2],
+                             ids=["True", "1.0", "-1", "len(tokens)"])
+    def test_an_id_that_is_not_a_minted_position_is_an_unknown_token(self, world, token_id):
+        # True and 1.0 equal token 1 as dict keys, and -1 counts from the
+        # end of a sequence; none of them is a token id, and no token moves.
+        world.mint("alice", 40)
+        world.mint("bob", 24)
+        snap = snapshot(world.ledger)
+        with pytest.raises(UnknownToken):
+            world.ledger.call("bob", MINT, "transfer_nft", {"token_id": token_id, "to": "alice"})
+        assert snapshot(world.ledger) == snap
+
     def test_treasury_refuses_a_seller_that_does_not_hold_the_token(self, world):
         # The treasury takes the seller from the mint's `from` and checks it
         # against its owner index: bob holds another token, carol holds none.

@@ -18,7 +18,9 @@ the fold of the log, its table of per-tag handlers (``explain._Fold._on``);
 for exact inputs, the ``type`` the ledger calls or the beacon's reward
 (``BeaconContract._reward``); for the accrual the beacon keeps, its
 derivation (``BeaconContract._derive``) or the key of a factor map
-(``beacon.factor_key``). Each names one existing test that passes on
+(``beacon.factor_key``); for the state maps written per token or per
+holder, the shared map's write (``ledger.SharedMap.set``). Each names one
+existing test that passes on
 the real code and must fail under the mutant, with an ``AssertionError``
 or a failed ``pytest.raises``: a check that no mutant fails proves nothing
 (DeMillo, Lipton & Sayward, *Hints on Test Data Selection*, 1978).
@@ -44,6 +46,7 @@ import test_ledger
 import test_mint
 import test_scenario
 import test_segments
+import test_shared_map
 import test_treasury
 import test_wallet
 from conftest import make_staked_world
@@ -52,7 +55,7 @@ from math import inf
 from stakeclaim import beacon, errors, ledger, scenario, treasury
 from stakeclaim.beacon import BeaconContract
 from stakeclaim.explain import _Fold
-from stakeclaim.ledger import evolve
+from stakeclaim.ledger import SharedMap, evolve
 from stakeclaim.scenario import RunReport, World
 from stakeclaim.treasury import TreasuryContract
 from stakeclaim.wallet import ValidatorWallet, WalletStatus
@@ -300,7 +303,28 @@ def claim_zeroes_claimable(handler):
     claim handler does, whatever amount the line says was taken."""
     def mutant(self, e):
         handler(self, e)
-        self.tst.claimable[e.payload["holder"]] = 0
+        self.tst.claimable = self.tst.claimable.set(e.payload["holder"], 0)
+
+    return mutant
+
+
+def written_in_place(write=SharedMap.set):
+    """SharedMap.set also turning the map it was called on into the new one."""
+    def mutant(self, key, value):
+        new = write(self, key, value)
+        self._index, self._spine, self._tail, self._len = new._index, new._spine, new._tail, new._len
+        return new
+
+    return mutant
+
+
+def every_chunk_copied(write=SharedMap.set):
+    """SharedMap.set copying every chunk, as a copy of the whole map does."""
+    def mutant(self, key, value):
+        new = write(self, key, value)
+        new._spine = tuple(tuple([*chunk]) for chunk in new._spine)
+        new._tail = tuple([*new._tail])
+        return new
 
     return mutant
 
@@ -429,6 +453,12 @@ MUTANTS = {
         _Fold, "_on", fold_with("Claimed", claim_zeroes_claimable),
         lambda: test_explain.test_one_unit_added_to_an_amount_the_fold_reads_fails_replay_ok(
             test_explain.run_with_resales_claims_and_both_exit_causes, "Claimed", "amount")),
+    "token-map-writes-in-place": (
+        SharedMap, "set", written_in_place(),
+        test_shared_map.test_every_version_reads_like_its_dict),
+    "token-map-copies-every-chunk": (
+        SharedMap, "set", every_chunk_copied(),
+        test_shared_map.test_a_write_shares_every_chunk_but_one_with_its_input),
 }
 
 

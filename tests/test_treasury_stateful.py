@@ -186,7 +186,8 @@ def test_audit_catches_one_unit_bumped(settled_world, field):
     bumped = deepcopy(committed)   # states share fields; bump a private copy
     entries = getattr(bumped, field)
     assert entries, f"no {field} entry to bump"
-    entries[min(entries)] += 1
+    key = min(entries)
+    setattr(bumped, field, entries.set(key, entries[key] + 1))
     led._states[TREASURY] = bumped
     try:
         assert led.balance_of(TREASURY) != balance_identity(bumped)
