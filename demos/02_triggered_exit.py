@@ -38,8 +38,6 @@ for h in report.holders:
           f"{h.claimable - h.capital:>+12,}")
 
 operator_msgs = [e for e in events
-                 if e["seq"] >= trigger["seq"]
-                 and (e["emitter"] == "operator"
-                      or (e["tag"] == "Call" and e["payload"]["caller"] == "operator"))]
+                 if e["seq"] >= trigger["seq"] and e["emitter"] == "operator"]
 print(f"\noperator-originated messages on the exit path: {len(operator_msgs)}")
 assert not operator_msgs

@@ -18,27 +18,47 @@ seller, ``Distributed`` raises N and the fees (right after an
 settles the holder's tokens, and ``Staked``, ``PhaseChanged``, the escrow
 and fee events do the rest. A claim, a fee claim or an escrow refund
 subtracts what its line says it took where the handler zeroes the
-balance, so a tampered amount stays in the state. A reward receipt is
-the ``Transfer`` right after wallet j's ``Call`` to ``receive_rewards``.
-``Slashed`` and ``ExitTriggered`` give a wallet's exit cause and epoch,
-the beacon's events its validator id and status (an exit due by the
-horizon and not yet swept reads Withdrawable), and the holders are every
-name the log gives an endowment, a ``Call``, a rejected action or a token.
+balance, so a tampered amount stays in the state. A line the ledger
+writes names its sender as its emitter: a reward receipt is the
+``Transfer`` right after a ``Call`` to ``receive_rewards`` that wallet j
+emits. ``Slashed`` and ``ExitTriggered`` give a wallet's exit cause and
+epoch, the beacon's events its validator id and status (an exit due by
+the horizon and not yet swept reads Withdrawable), and the holders are
+every name the log endows, sees calling, names in a rejected action (its
+caller, and a resale's recipient) or gives a token.
 
 ``SupplyMint``, ``SupplyBurn`` and ``Transfer`` are replayed
 (:func:`ledger.replay_balances`): ``ok`` holds when the replayed total is
 minted - burned, and ``replay_ok`` when no replayed balance is negative,
 the treasury's is the rebuilt state's :func:`treasury.balance_identity`,
-and every line agrees with the state before it: each ``Mint`` takes the
-next token id, each ``TransferNft`` moves a token its seller holds, each
-``Distributed`` raises N by its amount less its fee, ``Staked`` deploys
-the principal raised, and ``MintAborted`` refunds it. ``event_count``
-counts the expanded lines, and ``events_digest`` hashes the text as read.
+no line lies past the horizon, and every line agrees with the state
+before it and with the line it restates:
 
-Two names reach the report without a line of their own: before the raise
+* each ``Mint`` takes the next token id, and each ``TransferNft`` moves a
+  token its seller holds;
+* each ``Distributed`` raises N by its amount less its fee, and its amount
+  is the ``Transfer`` right before it (a reward) or the returned, escrow
+  cover and penalty of the ``ExitSettled`` right before it (a settlement);
+* ``Staked`` deploys the principal raised, ``MintAborted`` refunds it,
+  each ``Deposited`` is one stake, and ``EscrowPosted`` adds its amount
+  to the last total;
+* an ``EpochAccrual``'s minted is the sum of its rewards and, when
+  positive, the beacon's ``SupplyMint`` right before it; a ``Slashed``
+  line's burn is the ``SupplyBurn`` before it, and a ``Swept`` line's
+  payout the ``Transfer`` before it, to the validator's wallet;
+* an ``ExitSettled`` returns what its wallet's ``WithdrawalFinalized``
+  did, and each states the shortfall below one stake;
+* validator ids are positions, each status moves only from the one before
+  it (Pending at its activation epoch, Active, Exiting once its exit is
+  due), ``Withdrawn`` follows its ``Swept``, and an ``ExitTriggered``
+  names its own wallet's validator.
+
+``event_count`` counts the expanded lines, and ``events_digest`` hashes
+the text as read.
+
+One name reaches the report without a line of its own: before the raise
 fills, no event names a validator wallet, so a run that never stakes
-rebuilds no validator rows; and the recipient of a rejected token
-transfer is not logged, so a holder named only there is missing.
+rebuilds no validator rows.
 """
 
 from __future__ import annotations
@@ -66,8 +86,11 @@ class _Fold:
         self.wallets: dict[str, int] = {}    # wallet name -> index
         self.wallet_of: dict[int, int] = {}  # validator id -> wallet index
         self.status: dict[int, str] = {}     # validator id -> beacon status
+        self.activation_at: dict[int, int] = {}  # validator id -> the epoch it activates
         self.exit_at: dict[int, int] = {}    # validator id -> the epoch its exit is due
         self.exit_epoch: dict[int, int] = {}     # wallet index -> the epoch its exit began
+        self.returned: dict[str, int] = {}   # wallet name -> what its withdrawal returned
+        self.stake_each = 0                  # each validator's stake, once staked
         self.last = Event(0, -1, "", "", {})     # the event before the one being folded
         self.consistent = True      # no line has disagreed with the state before it
 
@@ -82,22 +105,23 @@ class _Fold:
     # --- one handler per tag ---------------------------------------------
 
     def _on_SupplyMint(self, e: Event) -> None:
-        if is_holder_name(e.payload["to"]):
-            self.names.add(e.payload["to"])
+        # the emitter: the holder an endowment credits, or (as _on_Call) a caller
+        if is_holder_name(e.emitter):
+            self.names.add(e.emitter)
 
-    def _on_Call(self, e: Event) -> None:
-        if is_holder_name(e.payload["caller"]):
-            self.names.add(e.payload["caller"])
+    _on_Call = _on_SupplyMint
 
     def _on_Transfer(self, e: Event) -> None:
         last = self.last
         if last.tag == "Call" and last.payload["method"] == "receive_rewards":
-            j = self.wallets[last.payload["caller"]]
+            j = self.wallets[last.emitter]
             rewards = self.tst.rewards_received
             rewards[j] = rewards.get(j, 0) + e.payload["amount"]
 
     def _on_ActionRejected(self, e: Event) -> None:
         self.names.add(e.payload["caller"])
+        if "to" in e.payload:       # a resale's recipient
+            self.names.add(e.payload["to"])
 
     def _on_Mint(self, e: Event) -> None:
         p, t = e.payload, self.tst
@@ -125,10 +149,13 @@ class _Fold:
         p = e.payload
         self.consistent &= self.tst.principal == p["validators"] * p["stake_each"]
         self.tst.principal = 0
+        self.stake_each = p["stake_each"]
         self.wallets = {wallet_name(j): j for j in range(p["validators"])}
 
     def _on_EscrowPosted(self, e: Event) -> None:
-        self.tst.escrow_balance = e.payload["total"]
+        t, p = self.tst, e.payload
+        self.consistent &= p["total"] == t.escrow_balance + p["amount"]
+        t.escrow_balance = p["total"]
 
     def _on_EscrowRefunded(self, e: Event) -> None:
         self.tst.escrow_refunded = e.payload["amount"]
@@ -138,12 +165,16 @@ class _Fold:
         self.tst.phase = Phase(e.payload["to"])
 
     def _on_Distributed(self, e: Event) -> None:
-        t, p = self.tst, e.payload
+        t, p, last = self.tst, e.payload, self.last
         before, t.net_total = t.net_total, p["net_total"]
         self.consistent &= t.net_total == before + p["amount"] - p["fee"]
         t.operator_fees_accrued += p["fee"]
-        if self.last.tag == "ExitSettled":
+        if last.tag == "ExitSettled":       # a settlement: the pot the exit settled
+            q = last.payload
+            self.consistent &= p["amount"] == q["returned"] + q["escrow_cover"] + q["penalty"]
             credit_settlement(t, before)
+        else:                               # a reward: the receipt right before it
+            self.consistent &= last.tag == "Transfer" and p["amount"] == last.payload["amount"]
 
     def _on_Claimed(self, e: Event) -> None:
         # As the claim handler, but what is left is what the holder could
@@ -160,41 +191,92 @@ class _Fold:
         self.tst.operator_fees_accrued -= e.payload["amount"]
         self.tst.fees_claimed_total += e.payload["amount"]
 
+    def _on_Deposited(self, e: Event) -> None:
+        self.consistent &= e.payload["stake"] == self.stake_each
+
     def _on_DepositAccepted(self, e: Event) -> None:
         vid = e.payload["id"]
+        self.consistent &= vid == len(self.status)      # ids are positions: the next one
         self.wallet_of[vid] = self.wallets[e.payload["withdrawal_address"]]
         self.status[vid] = ValidatorStatus.PENDING.value
+        self.activation_at[vid] = e.payload["activation_epoch"]
 
     def _on_Activated(self, e: Event) -> None:
-        self.status[e.payload["id"]] = ValidatorStatus.ACTIVE.value
+        vid = e.payload["id"]
+        self.consistent &= e.epoch == self.activation_at.get(vid)
+        self._moves(vid, ValidatorStatus.PENDING, ValidatorStatus.ACTIVE)
 
     def _on_Slashed(self, e: Event) -> None:
-        vid = e.payload["id"]
-        self.status[vid] = ValidatorStatus.EXITING.value
-        self.exit_at[vid] = e.payload["exit_epoch"]
-        j = self.wallet_of[vid]
-        self.tst.exit_causes[j] = CAUSE_SLASHED
-        self.exit_epoch[j] = e.epoch
+        p = e.payload
+        self.consistent &= self._follows(e, "SupplyBurn", p["burned"])
+        if self._exits(e):
+            j = self.wallet_of[p["id"]]
+            self.tst.exit_causes[j] = CAUSE_SLASHED
+            self.exit_epoch[j] = e.epoch
 
     def _on_ExitTriggered(self, e: Event) -> None:
         j = self.wallets[e.emitter]
+        self.consistent &= self.wallet_of.get(e.payload["validator_id"]) == j
         self.tst.exit_causes[j] = CAUSE_PERFORMANCE
         self.exit_epoch[j] = e.epoch
 
     def _on_ExitRequested(self, e: Event) -> None:
-        self.status[e.payload["id"]] = ValidatorStatus.EXITING.value
-        self.exit_at[e.payload["id"]] = e.payload["exit_epoch"]
+        self._exits(e)
+
+    def _on_Swept(self, e: Event) -> None:
+        # an exit's payout: the beacon's Transfer right before it, to the validator's wallet
+        p = e.payload
+        self.consistent &= self._follows(e, "Transfer", p["amount"]) \
+            and self.wallets.get(p["to"]) == self.wallet_of.get(p["id"])
 
     def _on_Withdrawn(self, e: Event) -> None:
-        self.status[e.payload["id"]] = ValidatorStatus.WITHDRAWN.value
+        vid, last = e.payload["id"], self.last
+        self.consistent &= last.tag == "Swept" and last.payload["id"] == vid
+        if self._moves(vid, ValidatorStatus.EXITING, ValidatorStatus.WITHDRAWN):
+            self.consistent &= self.exit_at[vid] <= e.epoch
+
+    def _on_EpochAccrual(self, e: Event) -> None:
+        p = e.payload
+        self.consistent &= p["minted"] == sum(reward for _, reward in p["amounts"]) \
+            and self._follows(e, "SupplyMint", p["minted"])
+
+    def _on_WithdrawalFinalized(self, e: Event) -> None:
+        p = e.payload
+        self.consistent &= p["shortfall"] == max(0, self.stake_each - p["returned"])
+        self.returned[e.emitter] = p["returned"]
 
     def _on_ExitSettled(self, e: Event) -> None:
         p = e.payload
+        self.consistent &= self.returned.get(wallet_name(p["validator_index"])) == p["returned"] \
+            and p["shortfall"] == max(0, self.stake_each - p["returned"])
         self.tst.settlements[p["validator_index"]] = SettlementRecord(
             p["returned"], p["shortfall"], p["escrow_cover"], p["penalty"])
         self.tst.escrow_balance -= p["escrow_cover"] + p["penalty"]
 
     _on = {name[4:]: f for name, f in list(vars().items()) if name.startswith("_on_")}
+
+    def _follows(self, e: Event, tag: str, amount: int) -> bool:
+        """True if `amount` is 0, or the line before `e` is a `tag` of it from `e`'s emitter."""
+        last = self.last
+        return amount == 0 or (last.tag, last.emitter, last.payload.get("amount")) \
+            == (tag, e.emitter, amount)
+
+    def _moves(self, vid: int, was: ValidatorStatus, to: ValidatorStatus) -> bool:
+        """Move validator `vid` from status `was` to `to`; if it is not at
+        `was`, the line disagrees with the state: False, and nothing moves."""
+        ok = self.status.get(vid) == was.value
+        if ok:
+            self.status[vid] = to.value
+        self.consistent &= ok
+        return ok
+
+    def _exits(self, e: Event) -> bool:
+        """A Slashed or ExitRequested line: its Active validator starts its exit."""
+        vid = e.payload["id"]
+        if not self._moves(vid, ValidatorStatus.ACTIVE, ValidatorStatus.EXITING):
+            return False
+        self.exit_at[vid] = e.payload["exit_epoch"]
+        return True
 
     def wallet_facts(self, final_epoch: int) -> Iterator[tuple[int | None, str | None, int | None]]:
         """Each wallet's (validator id, beacon status, exit epoch) at `final_epoch`."""
@@ -270,7 +352,9 @@ def rebuild_report(lines: Iterable[str], horizon: int) -> dict:
     fold = _Fold()
     count = 0
     for line in expand(lines):
-        fold.step(_event(line))
+        e = _event(line)
+        fold.consistent &= e.epoch <= horizon       # no line after the run ended
+        fold.step(e)
         count += 1
     text = "".join(lines)
     replay, tst = fold.replay, fold.tst

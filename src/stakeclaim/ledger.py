@@ -20,7 +20,7 @@ The handler contract, which every contract in this package keeps:
   before writing to it and leaves the fields it does not write shared; a
   field written per token or per holder is a :class:`SharedMap` instead.
 * Logged payloads are read-only once emitted. ``Call`` events share one
-  payload dict per (caller, target, method) across the whole log, and the
+  payload dict per (target, method) across the whole log, and the
   beacon's ``EpochAccrual`` events one payload while their rewards stay
   the same.
 
@@ -58,7 +58,12 @@ shared payload object (a ``Call``'s, or the beacon's ``EpochAccrual``)
 once per batch, and hands anything else to a single JSON encoder, so the
 bytes, and every digest over them, are those of ``json.dumps``. The tags
 of the lines the ledger writes itself (``LEDGER_TAGS``) are no
-contract's or driver's to emit.
+contract's or driver's to emit, so such a line names its sender once, as
+its emitter, as an EVM log entry names its address (Wood, *Ethereum
+Yellow Paper*, §4.3.1): a ``Transfer``, ``SupplyMint`` or ``SupplyBurn``
+line's emitter is the account it debits or credits, and a ``Call``
+line's is its caller. Their payloads are ``{"to","amount"}``,
+``{"amount","memo"}`` and ``{"target","method"}``.
 
 The log streams. Committed events wait in a pending batch until
 ``EVENT_BATCH`` of them have built up; the ledger then encodes the batch,
@@ -482,7 +487,7 @@ class CallContext:
             raise InsufficientBalance(f"{src} has {have}, needs {amount}")
         self._balances[src] = have - amount
         self._balances[dst] = self.balance_of(dst) + amount
-        self.log(src, "Transfer", {"from": src, "to": dst, "amount": amount})
+        self.log(src, "Transfer", {"to": dst, "amount": amount})
 
     def issue(self, name: str, amount: int, memo: str) -> None:
         if type(amount) is not int or amount < 0:
@@ -491,7 +496,7 @@ class CallContext:
             return
         self._balances[name] = self.balance_of(name) + amount
         self._minted += amount
-        self.log(name, "SupplyMint", {"to": name, "amount": amount, "memo": memo})
+        self.log(name, "SupplyMint", {"amount": amount, "memo": memo})
 
     def destroy(self, name: str, amount: int, memo: str) -> None:
         if type(amount) is not int or amount < 0:
@@ -503,7 +508,7 @@ class CallContext:
             raise InsufficientBalance(f"{name} has {have}, cannot destroy {amount}")
         self._balances[name] = have - amount
         self._burned += amount
-        self.log(name, "SupplyBurn", {"from": name, "amount": amount, "memo": memo})
+        self.log(name, "SupplyBurn", {"amount": amount, "memo": memo})
 
     def log(self, emitter: str, tag: str, payload: dict) -> None:
         events = self._events
@@ -543,8 +548,8 @@ class Ledger:
         self._held = ""
         self._held_at = 0
         self._replay = ReplayResult({}, 0, 0)     # the fold of every flushed event
-        # (caller, target, method) -> the one shared payload of its Call events
-        self._call_payloads: dict[tuple[str, str, str], dict] = {}
+        # (target, method) -> the one shared payload of its Call events
+        self._call_payloads: dict[tuple[str, str], dict] = {}
 
     # --- registration -------------------------------------------------
 
@@ -597,14 +602,14 @@ class Ledger:
     # --- direct operations (outside any call tree) ----------------------
 
     def genesis(self, to: str, amount: int, memo: str = "genesis") -> None:
-        """Endow an account with newly created units; logged as a Mint."""
+        """Endow an account with newly created units; logged as a SupplyMint it emits."""
         if to not in self._balances:
             raise UnknownAddress(to)
         if type(amount) is not int or amount <= 0:
             raise InvalidAmount(f"genesis amount must be a positive integer, got {amount!r}")
         self._balances[to] += amount
         self.minted_total += amount
-        self._append_event(to, "SupplyMint", {"to": to, "amount": amount, "memo": memo})
+        self._append_event(to, "SupplyMint", {"amount": amount, "memo": memo})
 
     def emit(self, emitter: str, tag: str, payload: dict) -> None:
         """Append a driver-level event outside any call tree."""
@@ -640,11 +645,10 @@ class Ledger:
         if contract is None:
             raise UnknownContract(target)
         log = ctx.log
-        key = (caller, target, method)
+        key = (target, method)
         payload = self._call_payloads.get(key)
         if payload is None:
-            payload = self._call_payloads[key] = {
-                "caller": caller, "target": target, "method": method}
+            payload = self._call_payloads[key] = {"target": target, "method": method}
         log(caller, "Call", payload)
         if value or type(value) is not int:     # move rejects any value but a positive int
             ctx.move(caller, target, value)
@@ -833,24 +837,25 @@ def replay_balances(events, into: ReplayResult | None = None) -> ReplayResult:
 
     Folds SupplyMint, SupplyBurn and Transfer events, onto `into` in place
     if given (so a log can be folded batch by batch), else onto a fresh
-    result. For a well-behaved ledger the balances equal the live ones, and
-    the minted and burned totals equal ``Ledger.minted_total`` /
-    ``burned_total``, kept apart.
+    result. Each credits or debits its emitter: a Transfer moves its amount
+    from the emitter to its ``to``. For a well-behaved ledger the balances
+    equal the live ones, and the minted and burned totals equal
+    ``Ledger.minted_total`` / ``burned_total``, kept apart.
     """
     if into is None:
         into = ReplayResult({}, 0, 0)
     balances = into.balances
     minted = burned = 0
     for e in events:
-        p = e.payload
+        p, name = e.payload, e.emitter
         if e.tag == "SupplyMint":
-            balances[p["to"]] = balances.get(p["to"], 0) + p["amount"]
+            balances[name] = balances.get(name, 0) + p["amount"]
             minted += p["amount"]
         elif e.tag == "SupplyBurn":
-            balances[p["from"]] = balances.get(p["from"], 0) - p["amount"]
+            balances[name] = balances.get(name, 0) - p["amount"]
             burned += p["amount"]
         elif e.tag == "Transfer":
-            balances[p["from"]] = balances.get(p["from"], 0) - p["amount"]
+            balances[name] = balances.get(name, 0) - p["amount"]
             balances[p["to"]] = balances.get(p["to"], 0) + p["amount"]
     into.minted += minted
     into.burned += burned

@@ -814,12 +814,13 @@ class World:
 
     def _try(self, caller: str, target: str, method: str, args: dict,
              value: int = 0) -> None:
-        """Attempt a scheduled action; a rejection is recorded, not fatal."""
+        """Attempt a scheduled action; a rejection is recorded, with its
+        args (a resale's ``token_id`` and ``to``), not fatal."""
         try:
             self.ledger.call(caller, target, method, args, value=value)
         except ContractError as exc:
             self.ledger.emit(SYSTEM, "ActionRejected", {
-                "action": method, "caller": caller, "reason": type(exc).__name__,
+                "action": method, "caller": caller, "reason": type(exc).__name__, **args,
             })
 
     def _performance(self, e: int, count: int) -> dict:

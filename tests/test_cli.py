@@ -19,6 +19,7 @@ import stakeclaim as sc
 from conftest import SteppedWorld, json_values, one_field_replaced
 from stakeclaim.cli import main
 from stakeclaim.errors import InvariantViolation
+from stakeclaim.explain import rebuild_report
 from stakeclaim.scenario import ClaimAction, NftTransferAction, World
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -118,6 +119,10 @@ class TestRun:
         assert (tmp_path / "out" / "report.json").read_text() == expected.to_json()
         assert expected.events_jsonl.count('"tag":"ActionRejected"') == 1
         assert [h.holder for h in expected.holders if h.capital] == ["alice", "carol"]
+        # dave is named only as the recipient of the rejected resale, which the log records.
+        assert "dave" in {h.holder for h in expected.holders}
+        with open(tmp_path / "out" / "events.jsonl", encoding="utf-8", newline="") as log:
+            assert rebuild_report(log, expected.horizon) == expected.to_dict()
 
     def test_invalid_scenario_exit_1(self, tmp_path):
         doc = json.loads(sc.golden_scenario_path("honest").read_text())
@@ -428,12 +433,11 @@ class TestValidateCommand:
 
 
 # sha256 of each golden's log as stepping writes it, every line in full:
-# the events_digest each golden report held before quiet epochs were logged
-# as Repeat lines.
+# what `stakeclaim explain --expand` prints for the log the run wrote.
 STEPPED_DIGESTS = {
-    "honest": "a7b0fac33fa1516ab8f29607be8a083220c4b4fc7c30baef31e3425bee8c7a47",
-    "nonpaying": "3c23232f9654aa4705468f854ae108cf6d34e91f009e301440f398131bdff606",
-    "slashed": "213319dc98fb50e3526af8e2390a8773fcc610ad60f89ee8b0613653bda4ca8d",
+    "honest": "918d07b1e329e1a906de1efabd36ad6afc0133642c5218d45fd95ff7ee1a3e7e",
+    "nonpaying": "4190c920890d56625d7647368f715ca45473545cde99e878885fcb79f6ba53d0",
+    "slashed": "71f2aa970053eaabe5be81c456ce05c0024fdb04b6d0a48f53130682991040e1",
 }
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,7 @@ from test_acceptance import CORPUS_SEED, CORPUS_SIZE, random_scenario
 from test_handler_purity import with_claims_and_transfers
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def assert_rebuilt(report) -> None:
@@ -83,8 +85,7 @@ def test_the_fold_rebuilds_every_corpus_report():
 def resales_claims_and_both_exit_causes() -> sc.Scenario:
     # Tokens change hands before and after claims; one validator is
     # slashed, the other exits for performance; a claim and a resale are
-    # rejected. (The recipient of a rejected resale is not logged, so it
-    # goes to a holder the log names elsewhere.)
+    # rejected, the resale to dave, whom no other line names.
     return small_scenario(
         treasury=TreasurySpec(fee_bps=777, expected_reward_per_epoch=90,
                               grace_epochs=3, escrow_required=50, validators=2),
@@ -97,7 +98,7 @@ def resales_claims_and_both_exit_causes() -> sc.Scenario:
         slashes=(SlashAction(epoch=16, validator=0, fraction_bps=500),),
         nft_transfers=(NftTransferAction(0, "alice", "carol", 5),
                        NftTransferAction(1, "bob", "alice", 9),
-                       NftTransferAction(1, "bob", "carol", 10),
+                       NftTransferAction(1, "bob", "dave", 10),
                        NftTransferAction(0, "carol", "bob", 14)),
         claims=(ClaimAction("alice", 10), ClaimAction("carol", 12),
                 ClaimAction("erin", 13), ClaimAction("bob", 20)),
@@ -113,7 +114,7 @@ def test_the_fold_follows_resales_claims_and_both_exit_causes():
     report = run_with_resales_claims_and_both_exit_causes()
     assert [v.exit_cause for v in report.validators] == ["slashed", "performance"]
     assert report.events_jsonl.count('"tag":"ActionRejected"') == 2
-    assert {h.holder for h in report.holders} == {"alice", "bob", "carol", "erin"}
+    assert {h.holder for h in report.holders} == {"alice", "bob", "carol", "dave", "erin"}
     assert_rebuilt(report)
 
 
@@ -137,8 +138,8 @@ def test_validate_and_the_fold_agree_on_who_is_a_holder(name, tag):
     # name its log endows or sees calling as a holder's.
     s = small_scenario(deposits=(*small_scenario().deposits, DepositAction(name, 1, 0)))
     rejected = any(p.startswith("deposits[2].holder ") for p in validate(s))
-    payload = ({"to": name, "amount": 1, "memo": "m"} if tag == "SupplyMint"
-               else {"caller": name, "target": MINT, "method": "mint"})
+    payload = ({"amount": 1, "memo": "m"} if tag == "SupplyMint"
+               else {"target": MINT, "method": "mint"})
     rebuilt = rebuild_report(encode_lines([Event(0, 0, name, tag, payload)]), 0)
     assert ({h["holder"] for h in rebuilt["holders"]} == {name}) is not rejected
     assert rejected is (name != "dave")
@@ -195,11 +196,17 @@ def test_the_fold_follows_an_operator_fee_claim():
     # Each Distributed raises N by its amount less its fee, repeated ones too.
     (run_with_resales_claims_and_both_exit_causes, "Distributed", "net_total"),
     (run_with_the_escrow_refunded, "Repeat", "net_total"),
+    # A line that restates another must say what that one says: a reward is
+    # its Transfer, an accrual's minted its rewards and its SupplyMint, and a
+    # settlement's returned its wallet's withdrawal.
+    (run_with_resales_claims_and_both_exit_causes, "Distributed", "amount"),
+    (run_with_resales_claims_and_both_exit_causes, "EpochAccrual", "minted"),
+    (run_with_resales_claims_and_both_exit_causes, "ExitSettled", "returned"),
 ], ids=["Claimed.amount", "EscrowPosted.total", "Distributed.fee",
         "EscrowPosted.total-refunded", "OperatorFeesClaimed.amount", "Mint.capital",
         "Staked.validators", "Mint.capital-aborted", "Mint.token_id", "TransferNft.token_id",
-        "Distributed.net_total",
-        "Repeat.net_total"])
+        "Distributed.net_total", "Repeat.net_total",
+        "Distributed.amount", "EpochAccrual.minted", "ExitSettled.returned"])
 def test_one_unit_added_to_an_amount_the_fold_reads_fails_replay_ok(run, tag, key):
     # The treasury's replayed balance must be what the rebuilt state says
     # it holds, so the first such line, one unit off, breaks replay_ok.
@@ -211,6 +218,72 @@ def test_one_unit_added_to_an_amount_the_fold_reads_fails_replay_ok(run, tag, ke
     e["payload"][key] += 1
     lines[i] = encode_lines([Event(**e)])[0]
     assert not rebuild_report(lines, report.horizon)["conservation"]["replay_ok"]
+
+
+# (tag, key) -> why one unit added to that int field of a line can leave
+# replay_ok true: the number is stated on that line alone, and nothing the
+# fold holds restates it. The sweep below keeps this list exact.
+UNCHECKED = {
+    ("SupplyMint", "amount"):
+        "a genesis endowment is an input no line restates (a beacon issue is its accrual's minted)",
+    ("ActionRejected", "token_id"):
+        "a rejected resale changes nothing, and may name any id (an UnknownToken)",
+    ("ExitTriggered", "threshold"):
+        "the watchdog's expected sum is a scenario term no line states",
+    ("ExitTriggered", "window_sum"):
+        "the watchdog's window spans grace_epochs, a scenario term no line states",
+    ("Slashed", "fraction_bps"):
+        "the validator's beacon balance, which it is a share of, is not rebuilt from the log",
+}
+
+
+def int_fields(lines: list[str]) -> dict[tuple[str, str], list[int]]:
+    """(tag, key) -> the indexes of the lines whose payload holds an int under key."""
+    fields: dict[tuple[str, str], list[int]] = {}
+    for i, line in enumerate(lines):
+        e = json.loads(line)
+        for key, value in e["payload"].items():
+            if type(value) is int:
+                fields.setdefault((e["tag"], key), []).append(i)
+    return fields
+
+
+def test_one_unit_added_to_any_int_field_fails_replay_ok():
+    # Every int field of every line kind, at its first and its last line, in
+    # six logs: a +1 must make replay_ok false (or make the log refuse to
+    # expand), unless UNCHECKED names the field and says why.
+    runs = [sc.run(sc.load_scenario(sc.golden_scenario_path(name)))
+            for name in sc.GOLDEN_SCENARIOS]
+    runs += [run_with_resales_claims_and_both_exit_causes(), run_with_the_escrow_refunded(),
+             run_with_the_operator_fees_claimed()]
+    missed = set()
+    for report in runs:
+        lines = report.events_jsonl.splitlines(keepends=True)
+        for (tag, key), at in int_fields(lines).items():
+            for i in {at[0], at[-1]}:
+                e = json.loads(lines[i])
+                e["payload"][key] += 1
+                tampered = [*lines[:i], encode_lines([Event(**e)])[0], *lines[i + 1:]]
+                try:
+                    kept = rebuild_report(tampered, report.horizon)["conservation"]["replay_ok"]
+                except ValueError:
+                    kept = False
+                if kept:
+                    missed.add((tag, key))
+    assert missed - UNCHECKED.keys() == set(), "a +1 left replay_ok true"
+    assert UNCHECKED.keys() - missed == set(), "now checked: take off UNCHECKED"
+
+
+def test_every_log_line_the_readme_shows_is_a_line_of_the_honest_golden():
+    # Written as the log writes it, or, inside a quiet stretch, as expand does.
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    shown = [line + "\n" for block in blocks for line in block.splitlines()
+             if line.startswith('{"epoch"')]
+    assert len(shown) >= 4
+    log = sc.run(sc.load_scenario(sc.golden_scenario_path("honest"))).events_jsonl
+    lines = log.splitlines(keepends=True)
+    written, expanded = set(lines), set(expand(lines))
+    assert [line for line in shown if line not in written | expanded] == []
 
 
 def lines_around_a_repeat(report: RunReport) -> tuple[list[str], int]:

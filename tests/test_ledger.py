@@ -75,7 +75,7 @@ class TestTransfer:
         transfer(led, "a", "b", 3)
         last = logged_events(led)[-1]
         assert last.tag == "Transfer"
-        assert last.payload == {"from": "a", "to": "b", "amount": 3}
+        assert (last.emitter, last.payload) == ("a", {"to": "b", "amount": 3})
 
 
 # --- toy contracts for dispatch tests ----------------------------------------
@@ -245,8 +245,8 @@ class TestDispatch:
             led.call("user", "c1", "poke_then_call", {"peer": "c2", "peer_method": "poke"})
         # The batch not yet encoded holds the logged Event objects themselves.
         calls = [e.payload for e in led._pending if e.tag == "Call"]
-        assert calls == [{"caller": "user", "target": "c1", "method": "poke_then_call"},
-                         {"caller": "c1", "target": "c2", "method": "poke"}] * 2
+        assert calls == [{"target": "c1", "method": "poke_then_call"},
+                         {"target": "c2", "method": "poke"}] * 2
         assert calls[0] is calls[2] and calls[1] is calls[3]
         assert calls[0] is not calls[1]
 
@@ -294,7 +294,7 @@ class TestEpochs:
 
         log = build()
         assert log == build()
-        moves = [(e["epoch"], e["payload"]["from"]) for e in map(json.loads, log.splitlines())
+        moves = [(e["epoch"], e["emitter"]) for e in map(json.loads, log.splitlines())
                  if e["tag"] == "Transfer"]
         assert moves == [(epoch, src) for epoch in range(1, 11) for src in "ab"]
 
@@ -328,8 +328,7 @@ class TestEventLog:
 
     @pytest.mark.parametrize("tag", sorted(LEDGER_TAGS))
     def test_a_line_the_ledger_writes_is_no_one_elses_event(self, tag):
-        # A forged balance move would be folded by the replay as a real one;
-        # this one, without "from", would crash the fold of a Transfer.
+        # A forged balance move would be folded by the replay as a real one.
         led = dispatch_ledger()
         before = snapshot(led)
         with pytest.raises(Unauthorized, match=f"'{tag}'"):

@@ -20,9 +20,10 @@ for exact inputs, the ``type`` the ledger calls or the beacon's reward
 derivation (``BeaconContract._derive``) or the key of a factor map
 (``beacon.factor_key``); for the state maps written per token or per
 holder, the shared map's write (``ledger.SharedMap.set``). Each names one
-existing test that passes on
-the real code and must fail under the mutant, with an ``AssertionError``
-or a failed ``pytest.raises``: a check that no mutant fails proves nothing
+existing test that passes on the real code and must fail under the
+mutant, with an ``AssertionError`` or a failed ``pytest.raises``, or with
+an exception group of only those (hypothesis raises one when it finds
+several failures): a check that no mutant fails proves nothing
 (DeMillo, Lipton & Sayward, *Hints on Test Data Selection*, 1978).
 """
 
@@ -59,6 +60,14 @@ from stakeclaim.ledger import SharedMap, evolve
 from stakeclaim.scenario import RunReport, World
 from stakeclaim.treasury import TreasuryContract
 from stakeclaim.wallet import ValidatorWallet, WalletStatus
+
+try:
+    BaseExceptionGroup
+except NameError:       # Python 3.10: the backport hypothesis itself depends on
+    from exceptiongroup import BaseExceptionGroup
+
+# A failed assert, or a failed pytest.raises ("DID NOT RAISE").
+CATCHES = (AssertionError, pytest.fail.Exception)
 
 real_plan = errors._plan
 
@@ -298,6 +307,17 @@ def slash_read_as_performance(handler):
     return mutant
 
 
+def unchecked(handler):
+    """A fold handler with its checks dropped: it applies its line and never
+    finds it inconsistent."""
+    def mutant(self, e):
+        consistent = self.consistent
+        handler(self, e)
+        self.consistent = consistent
+
+    return mutant
+
+
 def claim_zeroes_claimable(handler):
     """The fold's Claimed handler leaving the holder nothing to claim, as the
     claim handler does, whatever amount the line says was taken."""
@@ -453,6 +473,10 @@ MUTANTS = {
         _Fold, "_on", fold_with("Claimed", claim_zeroes_claimable),
         lambda: test_explain.test_one_unit_added_to_an_amount_the_fold_reads_fails_replay_ok(
             test_explain.run_with_resales_claims_and_both_exit_causes, "Claimed", "amount")),
+    **{f"fold-{tag}-unchecked": (
+        _Fold, "_on", fold_with(tag, unchecked),
+        test_explain.test_one_unit_added_to_any_int_field_fails_replay_ok)
+       for tag in ("EpochAccrual", "ExitSettled", "Swept", "Activated")},
     "token-map-writes-in-place": (
         SharedMap, "set", written_in_place(),
         test_shared_map.test_every_version_reads_like_its_dict),
@@ -462,11 +486,42 @@ MUTANTS = {
 }
 
 
+def assert_caught(check) -> None:
+    """`check` fails with one of ``CATCHES``, or with an exception group
+    whose every leaf is one: hypothesis raises a group when it finds more
+    than one distinct failure. Any other exception propagates."""
+    with pytest.raises((*CATCHES, BaseExceptionGroup)) as raised:
+        check()
+    if isinstance(raised.value, BaseExceptionGroup):
+        rest = raised.value.split(CATCHES)[1]
+        if rest is not None:
+            raise rest
+
+
 @pytest.mark.parametrize("mutant", MUTANTS)
 def test_mutant_is_caught(mutant, monkeypatch):
     owner, attribute, patched, caught_by = MUTANTS[mutant]
     caught_by()                     # passes on the real code
     monkeypatch.setattr(owner, attribute, patched, raising=False)
-    # A failed pytest.raises ("DID NOT RAISE") is a catch as much as a failed assert.
-    with pytest.raises((AssertionError, pytest.fail.Exception)):
-        caught_by()
+    assert_caught(caught_by)
+
+
+def fail_with(*errors):
+    """A check that fails as hypothesis does when it finds several failures."""
+    def check():
+        raise BaseExceptionGroup("found 2 distinct failures", list(errors))
+    return check
+
+
+@pytest.mark.parametrize("errors", [
+    (AssertionError("one"), AssertionError("two")),
+    (AssertionError("one"), pytest.fail.Exception("DID NOT RAISE")),
+], ids=["two-asserts", "an-assert-and-a-failed-raises"])
+def test_a_group_of_only_failed_checks_is_a_catch(errors):
+    assert_caught(fail_with(*errors))
+
+
+def test_a_group_with_any_other_error_is_not_a_catch():
+    with pytest.raises(BaseExceptionGroup) as raised:
+        assert_caught(fail_with(AssertionError("one"), KeyError("two")))
+    assert [type(e) for e in raised.value.exceptions] == [KeyError]
