@@ -93,7 +93,7 @@ class Accrual(NamedTuple):
 
     validators: list[BeaconValidator]   # the list after the transitions, held so its id stays its own
     key: tuple                          # the factor map's factor_key
-    due: int | float                    # the first epoch at which a status in the list changes; inf if none
+    due: int | float                    # next_transition of the list: when a status may change; inf if none
     vector: list[int]                   # each validator's reward per epoch, 0 unless Active
     minted: int                         # sum(vector)
     payload: dict | None                # the EpochAccrual payload; None if no validator is Active
@@ -117,16 +117,17 @@ def validator_by_id(state: BeaconState, vid: int) -> BeaconValidator:
     return state.validators[vid]
 
 
-def next_transition(state: BeaconState, now: int) -> int | float:
-    """The first epoch after `now` at which accrual or a sweep may change a
-    validator's status; inf if none can.
+def next_transition(validators: list[BeaconValidator], now: int) -> int | float:
+    """The first epoch after `now` at which accrual or a sweep may change
+    the status of one of `validators`, as they stand after `now`'s
+    accrual; inf if none can.
 
     A Pending validator activates at its activation epoch and an Exiting
     one becomes Withdrawable at its exit epoch; a Withdrawable one is paid
     out by a sweep, taken to come at `now` + 1.
     """
     out = inf
-    for v in state.validators:
+    for v in validators:
         status = v.status
         if status is ValidatorStatus.PENDING:
             out = min(out, v.activation_epoch)
@@ -236,24 +237,17 @@ class BeaconContract(Handlers):
         vector = []
         amounts = []
         minted = 0
-        due = inf
         now = ctx.epoch
         out = validators
         for i, v in enumerate(validators):
             status = v.status
-            if status is ValidatorStatus.PENDING:
-                if v.activation_epoch <= now:
-                    status = ValidatorStatus.ACTIVE
-                    effects.append(Emit("Activated", {"id": i}))
-                    if ctx.is_contract(v.withdrawal_address):
-                        effects.append(Call(v.withdrawal_address, "on_validator_activated"))
-                elif v.activation_epoch < due:
-                    due = v.activation_epoch
-            elif status is ValidatorStatus.EXITING and v.exit_epoch is not None:
-                if v.exit_epoch <= now:
-                    status = ValidatorStatus.WITHDRAWABLE
-                elif v.exit_epoch < due:
-                    due = v.exit_epoch
+            if status is ValidatorStatus.PENDING and v.activation_epoch <= now:
+                status = ValidatorStatus.ACTIVE
+                effects.append(Emit("Activated", {"id": i}))
+                if ctx.is_contract(v.withdrawal_address):
+                    effects.append(Call(v.withdrawal_address, "on_validator_activated"))
+            elif status is ValidatorStatus.EXITING and v.exit_epoch <= now:
+                status = ValidatorStatus.WITHDRAWABLE
             if status is not v.status:
                 if out is validators:
                     out = list(validators)
@@ -270,7 +264,7 @@ class BeaconContract(Handlers):
             minted += reward
             amounts.append([i, reward])
         payload = {"minted": minted, "amounts": amounts} if amounts else None
-        return Accrual(out, key, due, vector, minted, payload), effects
+        return Accrual(out, key, next_transition(out, now), vector, minted, payload), effects
 
     def _reward(self, factor, rewards: dict) -> int:
         """floor(reward_per_epoch * factor), memoised in `rewards` under the factor.

@@ -346,7 +346,9 @@ def rebuild_report(lines: Iterable[str], horizon: int) -> dict:
 
     `lines` are the log's lines as ``events.jsonl`` holds them, each with
     its newline (iterating the open file, or ``splitlines(keepends=True)``).
-    Raises ValueError if they do not expand (:func:`expand`).
+    Raises ValueError if they do not expand (:func:`expand`), or, naming
+    its seq, at the first line the fold cannot read: a field missing or of
+    the wrong type, or a wallet or validator that no line before it made.
     """
     lines = list(lines)
     fold = _Fold()
@@ -354,7 +356,10 @@ def rebuild_report(lines: Iterable[str], horizon: int) -> dict:
     for line in expand(lines):
         e = _event(line)
         fold.consistent &= e.epoch <= horizon       # no line after the run ended
-        fold.step(e)
+        try:
+            fold.step(e)
+        except (LookupError, TypeError, ValueError, AttributeError) as exc:
+            raise ValueError(f"the line at seq {e.seq} does not fold: {exc!r}") from None
         count += 1
     text = "".join(lines)
     replay, tst = fold.replay, fold.tst

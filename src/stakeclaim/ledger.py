@@ -53,10 +53,10 @@ The log serialises one event per line, each line exactly
 ``json.dumps({"epoch", "seq", "emitter", "tag", "payload"},
 separators=(",", ":"))``; :func:`encode_lines` is the one line builder,
 used by :meth:`Ledger.events_jsonl`. It writes
-flat payloads and lists of int lists from cached encodings, encodes a
-shared payload object (a ``Call``'s, or the beacon's ``EpochAccrual``)
-once per batch, and hands anything else to a single JSON encoder, so the
-bytes, and every digest over them, are those of ``json.dumps``. The tags
+flat payloads from cached encodings, hands anything else to a single JSON
+encoder, and encodes a shared payload object (a ``Call``'s, or the
+beacon's ``EpochAccrual``) once per batch, so the bytes, and every digest
+over them, are those of ``json.dumps``. The tags
 of the lines the ledger writes itself (``LEDGER_TAGS``) are no
 contract's or driver's to emit, so such a line names its sender once, as
 its emitter, as an EVM log entry names its address (Wood, *Ethereum
@@ -76,10 +76,10 @@ time) flush first. The log's bytes do not depend on the batch size, and
 no Event object outlives its batch.
 
 A segment is one commit of many epochs (:meth:`Ledger.advance_segment`):
-the driver vouches that each repeats the last epoch's events, and gives
-the states, balances and supply after them in closed form. The ledger
-checks the last epoch's lines, its own, against the epoch before advanced
-by one stride (:func:`strided`), and logs the whole segment as one
+the driver says how many epochs repeat the last one, by what strides, and
+which contract states they leave. The ledger counts the last epoch's lines
+itself, checks them, its own, against the lines before them advanced by
+one stride (:func:`strided`), and logs the whole segment as one
 ``Repeat`` line: ``{"epoch":e+1,"seq":s,"emitter":"system","tag":"Repeat",
 "payload":{"epochs":k,"lines":n,...}}`` says that the n lines before it
 repeat k times, with ``epoch``, ``seq`` and each further key of the
@@ -87,9 +87,10 @@ payload advanced by 1, n and its value. It is not an event and takes no
 seq: ``seq`` counts on through the events it stands for, which
 ``explain.expand`` writes out again. The segment's last epoch is then no
 longer text, so the ledger keeps its lines, one epoch's, in hand for the
-next check. It folds the last epoch's events into the replay k times over
-(:func:`fold_scaled`), apart from the balances it is given, so the replay
-still checks them.
+next check. Every balance and supply move of the segment is k times
+:func:`replay_balances` of the last epoch's lines, applied to the live
+balances, the supply counters and the running replay alike: no balance
+moves on the driver's word.
 
 A ledger instance is single-threaded but self-contained; independent
 instances can run in parallel threads or processes.
@@ -163,17 +164,15 @@ def encode_lines(events) -> list[str]:
     with no spaces, exactly ``json.dumps`` of that dict with
     ``separators=(",", ":")``: this format is the regression surface.
     epoch and seq are the ledger's ints. The part from ``"emitter"`` to
-    ``"payload":`` is encoded once per str (emitter, tag) pair. The payloads
-    that events share are encoded once per object: ``Call`` payloads, which
-    the ledger shares one per route, and payloads holding lists of int
-    lists, such as the beacon's ``EpochAccrual``, which it shares while its
-    rewards stay the same and which cost the most to encode. Their encoding
-    is cached by id next to the payload itself, so the id cannot be reused
-    while cached. Other payloads are mostly one-off and are not kept. A flat
-    payload (str keys, values of exact type int or str, or lists of lists of
-    exact ints) is written from encoded keys and strings cached for this
-    call; any other payload goes through the JSON encoder. The caches live
-    only as long as the call.
+    ``"payload":`` is encoded once per str (emitter, tag) pair. A flat
+    payload (str keys, values of exact type int or str) is written from
+    encoded keys and strings cached for this call; any other payload goes
+    through the JSON encoder. Both a payload that went through the encoder
+    and a ``Call`` payload, which the ledger shares one per route, are
+    encoded once per object: the beacon's ``EpochAccrual`` payload, shared
+    while its rewards stay the same, is the costliest to encode. Their
+    encoding is cached by id next to the payload itself, so the id cannot
+    be reused while cached. The caches live only as long as the call.
     """
     heads: dict = {}
     keys: dict = {}
@@ -191,7 +190,6 @@ def encode_lines(events) -> list[str]:
             body = cached[1]
         else:
             body = None
-            keep = tag == "Call"
             if type(payload) is dict:
                 parts = []
                 for k, v in payload.items():
@@ -208,30 +206,17 @@ def encode_lines(events) -> list[str]:
                         if ev is None:
                             ev = strs[v] = encode_basestring_ascii(v)
                         parts.append(ek + ev)
-                    elif t is list and _int_rows(v):
-                        parts.append(ek + str(v).replace(" ", ""))
-                        keep = True
                     else:
                         break
                 else:
                     body = "{" + ",".join(parts) + "}"
             if body is None:
                 body = _encode(payload)
-            if keep:
+                shared[id(payload)] = (payload, body)
+            elif tag == "Call":
                 shared[id(payload)] = (payload, body)
         out.append(f'{{"epoch":{epoch},"seq":{seq}{head}{body}}}\n')
     return out
-
-
-def _int_rows(v: list) -> bool:
-    """True if `v` is a list of lists of exact ints: str(v) less spaces is its JSON."""
-    for row in v:
-        if type(row) is not list:
-            return False
-        for x in row:
-            if type(x) is not int:
-                return False
-    return True
 
 
 class Msg(NamedTuple):
@@ -541,6 +526,7 @@ class Ledger:
         self.minted_total = 0
         self.burned_total = 0
         self._seq = 0
+        self._epoch_seq = 0                 # the seq at which the current epoch began
         self._pending: list[Event] = []     # committed, not yet encoded or folded
         self._text = ""                     # the log's text: every flushed batch, encoded
         # The lines of the last epoch a segment repeated, and where the text
@@ -685,37 +671,39 @@ class Ledger:
         """Move the clock one epoch, then run `substeps`, the driver's work
         for the new epoch, if given. Returns the new epoch."""
         self.epoch += 1
+        self._epoch_seq = self._seq
         if substeps is not None:
             substeps()
         return self.epoch
 
-    def advance_segment(self, k: int, n: int, strides: dict[str, int], states: dict[str, Any],
-                        balance_steps: dict[str, int], minted_step: int) -> bool:
-        """Commit k epochs at once, each a repeat of the last epoch's n events.
+    def advance_segment(self, k: int, strides: dict[str, int], states: dict[str, Any]) -> bool:
+        """Commit k epochs at once, each a repeat of the last epoch's events.
 
         The caller vouches that each of the next k epochs would log the last
-        epoch's n lines again with the integers under the keys ``"epoch"``
-        and ``"seq"`` advanced by 1 and n, and those under each key of
-        `strides` by its stride; that each would change every account of
-        `balance_steps` by its amount and mint `minted_step`; and that the
-        contract states after the k epochs are `states` (for the contracts
-        named) and the committed ones (for the rest).
+        epoch's n lines again, n being the events logged since the epoch
+        began, with the integers under the keys ``"epoch"`` and ``"seq"``
+        advanced by 1 and n, and those under each key of `strides` by its
+        stride; and that the contract states after the k epochs are
+        `states` (for the contracts named) and the committed ones (for the
+        rest). Balances and supply are not the caller's to state: they move
+        as the lines say.
 
         The lines are the log's own, read after a flush, and checked first:
-        the epoch before the last, advanced by one stride, must read as the
-        last epoch's lines. The caller does not test that, so this check is
-        a condition of correctness, not a spare guard. If it fails or the
-        log holds fewer than 2n lines, False is returned and nothing
-        changes, though the pending batch may have been flushed.
+        the n lines before the last epoch's, advanced by one stride, must
+        read as the last epoch's lines. The caller does not test that, so
+        this check is a condition of correctness, not a spare guard. If it
+        fails or the log holds fewer than 2n lines, False is returned and
+        nothing changes, though the pending batch may have been flushed.
         Otherwise, in one step: one ``Repeat`` line stands for the k·n
         lines (none if k or n is 0), and the last of the k epochs' lines
-        are held for the next segment's check; the last epoch's events,
-        decoded from its lines, are folded into the replay k times over
-        (:func:`fold_scaled`); the balances, supply counters, epoch, seq and
-        `states` are set. Returns True.
+        are held for the next segment's check; k times
+        :func:`replay_balances` of the last epoch's lines moves the live
+        balances, the supply counters and the running replay; the epoch,
+        seq and `states` are set. Returns True.
         """
         if strides.keys() & REPEAT_KEYS:
             raise ValueError(f"a stride may not be named any of {sorted(REPEAT_KEYS)}")
+        n = self._seq - self._epoch_seq
         tail = self._tail(n)
         if tail is None:
             return False
@@ -729,14 +717,18 @@ class Ledger:
                 self.epoch + 1, self._seq, SYSTEM, REPEAT,
                 {"epochs": k, "lines": n, **strides}),))[0])
             self._held, self._held_at = strided(last, every)(k), len(self._text)
-        fold_scaled([Event(**json.loads(line)) for line in last.splitlines()], k, self._replay)
+        once = replay_balances([Event(**json.loads(line)) for line in last.splitlines()])
+        for moved in (self._balances, self._replay.balances):
+            for name, amount in once.balances.items():
+                moved[name] = moved.get(name, 0) + k * amount
+        self.minted_total += k * once.minted
+        self.burned_total += k * once.burned
+        self._replay.minted += k * once.minted
+        self._replay.burned += k * once.burned
         self.epoch += k
         self._seq += k * n
+        self._epoch_seq += k * n
         self._states.update(states)
-        balances = self._balances
-        for name, step in balance_steps.items():
-            balances[name] += k * step
-        self.minted_total += k * minted_step
         return True
 
     def _tail(self, n: int) -> tuple[str, str] | None:
@@ -859,21 +851,6 @@ def replay_balances(events, into: ReplayResult | None = None) -> ReplayResult:
             balances[p["to"]] = balances.get(p["to"], 0) + p["amount"]
     into.minted += minted
     into.burned += burned
-    return into
-
-
-def fold_scaled(events, k: int, into: ReplayResult) -> ReplayResult:
-    """:func:`replay_balances` of `events` repeated k times, folded onto `into`.
-
-    The events are folded once onto an empty result, and k times that
-    result is added.
-    """
-    once = replay_balances(events)
-    balances = into.balances
-    for name, amount in once.balances.items():
-        balances[name] = balances.get(name, 0) + k * amount
-    into.minted += k * once.minted
-    into.burned += k * once.burned
     return into
 
 

@@ -55,13 +55,14 @@ the same amounts, so the treasury's N and fees, the reward totals, the
 treasury's balance and the minted total rise by the same step each epoch,
 the wallets' windows slide, and the beacon's state is unchanged. The
 segment's states are closed forms (``ValidatorWallet.advance``,
-``TreasuryContract.advance``) and its log lines are epoch e's own with
+``TreasuryContract.advance``); its log lines are epoch e's own with
 ``epoch``, ``seq`` and ``Distributed.net_total`` advanced by fixed
-strides (``Ledger.advance_segment``, which first checks
-that epoch e-1's lines advance to epoch e's, and steps on if not); the log
-holds them as one ``Repeat`` line. ``explain.expand(log)`` is byte for
-byte the log of stepping; the replay and every report field but
-``events_digest`` are those of stepping.
+strides, and its balance and supply moves k times those epoch e's lines
+make (``Ledger.advance_segment``, which counts epoch e's lines, first
+checks that the lines before them advance to them, and steps on if not).
+The log holds the segment as one ``Repeat`` line. ``explain.expand(log)``
+is byte for byte the log of stepping; the replay and every report field
+but ``events_digest`` are those of stepping.
 
 :meth:`World.audit` runs at both ends of every segment, not at each
 epoch inside it, and that is enough. Inside a segment every term of every
@@ -641,11 +642,10 @@ class World:
         horizon = self.scenario.horizon
         self._epoch_substeps()          # epoch 0
         while led.epoch < horizon:
-            seq = led.event_count
             self.step()
             k = self._quiet_span()
             if k:
-                self._advance_segment(k, led.event_count - seq)
+                self._advance_segment(k)
         return self.report()
 
     def _quiet_span(self) -> int:
@@ -675,7 +675,7 @@ class World:
         bst = led.contract_state(BEACON)
         # A window edge matters only while step (1) sends the performance map.
         end = min(s.horizon + 1, self._perf_until if _accruing(bst.validators) else inf,
-                  actions[i] if i < len(actions) else inf, next_transition(bst, e))
+                  actions[i] if i < len(actions) else inf, next_transition(bst.validators, e))
         for w in self._live:
             if end <= e + 1:
                 return 0
@@ -686,20 +686,20 @@ class World:
                 return 0
         return max(0, end - e - 1)
 
-    def _advance_segment(self, k: int, n: int) -> None:
-        """Advance the k quiet epochs after the current one, whose n events it
-        repeats, in closed form (``Ledger.advance_segment``), then audit.
-        Once every validator is Withdrawn and every wallet settled, an epoch
-        logs nothing, and n is 0.
+    def _advance_segment(self, k: int) -> None:
+        """Advance the k quiet epochs after the current one, which each
+        repeat it, in closed form (``Ledger.advance_segment``), then audit.
 
         Each epoch, every Active wallet's validator earns what it forwarded
         in the current epoch: the beacon mints it and sweeps it to the
-        wallet, which forwards it to the treasury. So only the treasury's
-        balance and the minted total move, by the receipts' sum, and only
-        the wallets that forwarded (``ValidatorWallet.advance``) and the
-        treasury (``TreasuryContract.advance``) change state; the beacon's
-        state is the same after each such epoch. If the ledger refuses the
-        segment (see :meth:`_quiet_span`), nothing changes and no audit runs.
+        wallet, which forwards it to the treasury. So only the wallets that
+        forwarded (``ValidatorWallet.advance``) and the treasury
+        (``TreasuryContract.advance``, from those receipts) change state;
+        the beacon's state is the same after each such epoch. The ledger
+        moves the balances and the supply as the current epoch's lines say,
+        so the audit's treasury identity checks the treasury's closed form
+        against the log. If the ledger refuses the segment (see
+        :meth:`_quiet_span`), nothing changes and no audit runs.
         """
         led = self.ledger
         e = led.epoch
@@ -713,9 +713,7 @@ class World:
                 states[w] = self._wallet.advance(wst, e, k)
         tst = led.contract_state(TREASURY)
         states[TREASURY] = after = self._treasury.advance(tst, receipts, k)
-        received = sum(receipts.values())
-        if led.advance_segment(k, n, {"net_total": (after.net_total - tst.net_total) // k},
-                               states, {TREASURY: received}, received):
+        if led.advance_segment(k, {"net_total": (after.net_total - tst.net_total) // k}, states):
             self.audit()
 
     @cached_property

@@ -146,8 +146,20 @@ class SteppedWorld(World):
         return 0
 
 
+# The Ledger fields a snapshot leaves out, each with its reason: registries
+# that no call tree writes, so restoring them could only undo a registration
+# or unshare what the log shares. Every other instance field is snapshotted,
+# so a field added to Ledger is covered unless it is named here.
+REGISTRY_FIELDS = {
+    "_contracts": "contract code, registered once and never written by a call",
+    "_issuers": "the issuer set, fixed when a contract registers",
+    "_call_payloads": "the interned Call payloads, which logged events share by identity",
+}
+
+
 def snapshot(led: Ledger) -> bytes:
-    """All of `led`'s mutable state, pickled; pair with :func:`restore`.
+    """All of `led`'s mutable state, every instance field but the
+    ``REGISTRY_FIELDS``, pickled; pair with :func:`restore`.
 
     The bytes are not canonical. A restored state holds unpickled copies
     of the shared ``Call`` payloads and event strings, while payloads and
@@ -157,17 +169,12 @@ def snapshot(led: Ledger) -> bytes:
     ``pickle.loads``, not as bytes. (Adding the interned payloads to the
     snapshot does not make the bytes canonical either.)
     """
-    return pickle.dumps((
-        led._balances, led._states, led.epoch,
-        led.minted_total, led.burned_total, led._seq,
-        led._pending, led._text, led._replay, led._held, led._held_at,
-    ))
+    return pickle.dumps({name: value for name, value in vars(led).items()
+                         if name not in REGISTRY_FIELDS})
 
 
 def restore(led: Ledger, snap: bytes) -> None:
-    (led._balances, led._states, led.epoch,
-     led.minted_total, led.burned_total, led._seq,
-     led._pending, led._text, led._replay, led._held, led._held_at) = pickle.loads(snap)
+    vars(led).update(pickle.loads(snap))
 
 
 def transfer(led: Ledger, src: str, dst: str, amount: int) -> None:

@@ -274,6 +274,36 @@ def test_one_unit_added_to_any_int_field_fails_replay_ok():
     assert UNCHECKED.keys() - missed == set(), "now checked: take off UNCHECKED"
 
 
+@pytest.mark.parametrize("marker, change", [
+    ('"method":"receive_rewards"', lambda e: e.update(emitter="alice")),
+    ('"tag":"ExitTriggered"', lambda e: e.update(emitter="alice")),
+    ('"tag":"DepositAccepted"', lambda e: e["payload"].update(withdrawal_address="alice")),
+    ('"tag":"Staked"', lambda e: e["payload"].update(validators=-1)),
+    ('"tag":"ExitTriggered"', lambda e: e["payload"].pop("validator_id")),
+    ('"tag":"Mint"', lambda e: e["payload"].update(capital="x")),
+], ids=["rewards-Call-from-a-holder", "ExitTriggered-from-a-holder",
+        "DepositAccepted-to-a-holder", "Staked.validators=-1", "ExitTriggered-no-validator_id",
+        "Mint.capital-a-string"])
+def test_a_line_the_fold_cannot_read_fails_replay_ok_or_names_its_seq(marker, change):
+    # The fold never ends in a KeyError or a TypeError: a line naming a
+    # wallet or validator no line made, or a field missing or mistyped,
+    # makes replay_ok false or raises the ValueError of an unreadable log,
+    # naming the seq of that line or of a later one that reads it.
+    report = sc.run(sc.load_scenario(sc.golden_scenario_path("nonpaying")))
+    lines = report.events_jsonl.splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if marker in line)
+    e = json.loads(lines[i])
+    change(e)
+    lines[i] = encode_lines([Event(**e)])[0]
+    try:
+        replay_ok = rebuild_report(lines, report.horizon)["conservation"]["replay_ok"]
+    except ValueError as exc:
+        named = re.match(r"the line at seq (\d+) ", str(exc))
+        assert named and int(named[1]) >= e["seq"], exc
+    else:
+        assert not replay_ok
+
+
 def test_every_log_line_the_readme_shows_is_a_line_of_the_honest_golden():
     # Written as the log writes it, or, inside a quiet stretch, as expand does.
     blocks = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)

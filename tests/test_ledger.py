@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import expanded, logged_events, make_world, restore, snapshot, to_json, transfer
+from conftest import (REGISTRY_FIELDS, expanded, logged_events, make_world, restore, snapshot,
+                      to_json, transfer)
 from stakeclaim.errors import (
     ContractError,
     InsufficientBalance,
@@ -452,6 +453,18 @@ class TestEventEncoding:
             assert pickle.loads(pickle.dumps(record)) == record
         assert pickle.loads(pickle.dumps(Call("a", "m"))).args is Call("a", "m").args
 
+    def test_a_snapshot_holds_every_field_of_a_ledger_but_its_registries(self):
+        fields = vars(Ledger()).keys()
+        assert REGISTRY_FIELDS.keys() < fields
+        led = tally_ledger(7, "x")
+        snap = snapshot(led)
+        assert pickle.loads(snap).keys() == fields - REGISTRY_FIELDS.keys()
+        # A segment moves the clock, the seqs, balances, supply, replay and
+        # log; a restore brings every one of them back.
+        assert tally_segment(led, 5, 7)
+        restore(led, snap)
+        assert pickle.loads(snapshot(led)) == pickle.loads(snap)
+
 
 # --- segments: many epochs committed at once -----------------------------------
 
@@ -485,27 +498,33 @@ def poke(led: Ledger):
 
 def tally_ledger(step: int, note: str) -> Ledger:
     """A ledger whose every epoch pokes a Tally (:func:`poke`), stepped to epoch 2."""
+    return poked_ledger(1, 1, step=step, note=note)
+
+
+def poked_ledger(*pokes: int, step: int = 7, note: str = "x") -> Ledger:
+    """A fresh ledger with a Tally, stepped one epoch for each of `pokes`,
+    whose Tally is poked that many times in it."""
     led = fresh_ledger(user=0)
     led.register_contract("tally", Tally(step, note), issuer=True)
-    led.advance_epoch(poke(led))
-    led.advance_epoch(poke(led))
+    for times in pokes:
+        led.advance_epoch(lambda: [poke(led)() for _ in range(times)])
     return led
 
 
-def tally_segment(led: Ledger, k: int, n: int, step: int) -> bool:
+def tally_segment(led: Ledger, k: int, step: int) -> bool:
     """advance_segment for k more pokes of `led`'s Tally, whose stride is `step`."""
-    return led.advance_segment(k, n, {"net_total": step},
-                               {"tally": led.contract_state("tally") + k * step},
-                               {"tally": 3, "user": 3}, 6)
+    return led.advance_segment(k, {"net_total": step},
+                               {"tally": led.contract_state("tally") + k * step})
 
 
-def ledger_state(led: Ledger) -> tuple:
+def ledger_state(led: Ledger) -> dict:
     """What the ledger holds, flushed, with its log written out: the expanded
     log, seq, epoch, balances, supply, states and replay, but not the epoch
     it holds for its next segment."""
     led.flush()
-    *state, text, replay, _, _ = pickle.loads(snapshot(led))
-    return (*state, expanded(text), replay)
+    state = pickle.loads(snapshot(led))
+    del state["_held"], state["_held_at"]
+    return {**state, "_text": expanded(state["_text"])}
 
 
 def advanced(obj, t: int, strides: dict[str, int]):
@@ -531,7 +550,7 @@ def assert_segment_copies_like_stepping(step: int, note: str, k: int) -> None:
         head = led.events_jsonl()
         whole = expanded(head)
         last = head.splitlines()[-4:]
-        assert tally_segment(led, k, 4, step)
+        assert tally_segment(led, k, step)
         strides = {"epoch": 1, "seq": 4, "net_total": step}
         reference = [encode_lines([Event(**advanced(json.loads(line), t, strides))])[0]
                      for t in range(1, k + 1) for line in last]
@@ -558,26 +577,30 @@ class TestSegment:
     def test_any_note_copies_like_stepping(self, note, step, k):
         assert_segment_copies_like_stepping(step, note, k)
 
-    @pytest.mark.parametrize("step, n", [(8, 4), (7, 3), (7, 5)],
-                             ids=["stride", "blocks-off-epochs", "fewer-than-2n-lines"])
-    def test_a_refused_segment_changes_nothing(self, step, n):
-        led, untouched = tally_ledger(7, "".join(HOSTILE)), tally_ledger(7, "".join(HOSTILE))
-        assert not tally_segment(led, 50, n, step)
+    @pytest.mark.parametrize("build, step", [
+        (lambda: tally_ledger(7, "".join(HOSTILE)), 8),
+        (lambda: poked_ledger(1), 7),
+        (lambda: poked_ledger(1, 1, 2), 7),
+    ], ids=["stride", "fewer-than-2n-lines", "epoch-longer-than-the-one-before"])
+    def test_a_refused_segment_changes_nothing(self, build, step):
+        led, untouched = build(), build()
+        epoch, count = led.epoch, led.event_count
+        assert not tally_segment(led, 50, step)
         untouched.flush()
         assert pickle.loads(snapshot(led)) == pickle.loads(snapshot(untouched))
-        assert (led.epoch, led.event_count) == (2, 8)
+        assert (led.epoch, led.event_count) == (epoch, count)
 
     def test_a_segment_is_checked_against_the_epoch_it_ended_on(self):
         # The epoch before the next stepped one is no longer text: after an
         # idle epoch the held one is 2 epochs back, so the lines before the
         # next poke are not its epoch's and the segment is refused.
         led = tally_ledger(7, "x")
-        assert tally_segment(led, 5, 4, 7)
+        assert tally_segment(led, 5, 7)
         led.advance_epoch()
         led.advance_epoch(poke(led))
         led.flush()
         before = pickle.loads(snapshot(led))
-        assert not tally_segment(led, 5, 4, 7)
+        assert not tally_segment(led, 5, 7)
         assert pickle.loads(snapshot(led)) == before
 
     def test_epochs_that_log_nothing_advance_as_a_segment(self):
@@ -587,7 +610,7 @@ class TestSegment:
         for each in (led, stepped):
             each.advance_epoch()
             each.advance_epoch()
-        assert led.advance_segment(10_000, 0, {}, {}, {}, 0)
+        assert led.advance_segment(10_000, {}, {})
         for _ in range(10_000):
             stepped.advance_epoch()
         assert led.epoch == 10_002
@@ -597,14 +620,14 @@ class TestSegment:
         # After a segment of pokes, two idle epochs, then a segment of idle
         # ones: it writes nothing, and the held epoch stays the last poked.
         led, stepped = tally_ledger(7, "x"), tally_ledger(7, "x")
-        assert tally_segment(led, 5, 4, 7)
+        assert tally_segment(led, 5, 7)
         for _ in range(5):
             stepped.advance_epoch(poke(stepped))
         for each in (led, stepped):
             each.advance_epoch()
             each.advance_epoch()
         text, held = led.events_jsonl(), led._held
-        assert led.advance_segment(10, 0, {}, {}, {}, 0)
+        assert led.advance_segment(10, {}, {})
         for _ in range(10):
             stepped.advance_epoch()
         assert (led.events_jsonl(), led._held) == (text, held)
@@ -615,7 +638,7 @@ class TestSegment:
         led = tally_ledger(7, "x")
         before = pickle.loads(snapshot(led))
         with pytest.raises(ValueError, match="stride"):
-            led.advance_segment(5, 4, {key: 7}, {}, {}, 0)
+            led.advance_segment(5, {key: 7}, {})
         assert pickle.loads(snapshot(led)) == before
 
     def test_the_repeat_line_is_not_an_event_a_driver_may_emit(self):

@@ -2,29 +2,30 @@
 
 A mutant is a small wrong version of the code, made by monkeypatching one
 attribute: for ``errors.bound_problems``, the per-class plan it reads
-(``errors._plan``) or the ``type`` it calls; for the loader, the bound
-walk on its error path, which ``validate`` shares
+(``errors._plan``) or the ``type`` it calls; for the loader, the bound walk
+on its error path, which ``validate`` shares
 (``scenario._bound_problems``); for the keeper,
 ``ValidatorWallet.watchdog_shortfall`` or ``BeaconContract.sweep_due``,
 which the driver and the handlers share, or the ``World``'s performance map
 and wallet walk; for segments, the ``World``'s quiet span, its search for
 the next action, the beacon's ``next_transition``,
-``ValidatorWallet.quiet_until``, or the ledger's ``fold_scaled``, its
-line-advancing helper (``strided``) and the ``Repeat`` line it writes
-(through ``encode_lines``); for the engine, a treasury helper, a contract's method
-table (``_ops``, with one handler wrapped) or ``World.report``; for the
-report, the reader both the run and the fold call (``RunReport.read``); for
-the fold of the log, its table of per-tag handlers (``explain._Fold._on``);
-for exact inputs, the ``type`` the ledger calls or the beacon's reward
-(``BeaconContract._reward``); for the accrual the beacon keeps, its
-derivation (``BeaconContract._derive``) or the key of a factor map
-(``beacon.factor_key``); for the state maps written per token or per
-holder, the shared map's write (``ledger.SharedMap.set``). Each names one
-existing test that passes on the real code and must fail under the
-mutant, with an ``AssertionError`` or a failed ``pytest.raises``, or with
-an exception group of only those (hypothesis raises one when it finds
-several failures): a check that no mutant fails proves nothing
-(DeMillo, Lipton & Sayward, *Hints on Test Data Selection*, 1978).
+``ValidatorWallet.quiet_until``, or the ledger's segment commit
+(``Ledger.advance_segment``), its line-advancing helper (``strided``) and
+the ``Repeat`` line it writes (through ``encode_lines``); for the engine, a
+treasury helper, a contract's method table (``_ops``, with one handler
+wrapped) or ``World.report``; for the report, the reader both the run and
+the fold call (``RunReport.read``); for the fold of the log, its table of
+per-tag handlers (``explain._Fold._on``); for exact inputs, the ``type``
+the ledger calls or the beacon's reward (``BeaconContract._reward``); for
+the accrual the beacon keeps, its derivation (``BeaconContract._derive``)
+or the key of a factor map (``beacon.factor_key``); for the state maps
+written per token or per holder, the shared map's write
+(``ledger.SharedMap.set``). Each names one existing test that passes on the
+real code and must fail under the mutant, with an ``AssertionError`` or a
+failed ``pytest.raises``, or with an exception group of only those
+(hypothesis raises one when it finds several failures): a check that no
+mutant fails proves nothing (DeMillo, Lipton & Sayward, *Hints on Test Data
+Selection*, 1978).
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from math import inf
 from stakeclaim import beacon, errors, ledger, scenario, treasury
 from stakeclaim.beacon import BeaconContract
 from stakeclaim.explain import _Fold
-from stakeclaim.ledger import SharedMap, evolve
+from stakeclaim.ledger import Ledger, SharedMap, evolve
 from stakeclaim.scenario import RunReport, World
 from stakeclaim.treasury import TreasuryContract
 from stakeclaim.wallet import ValidatorWallet, WalletStatus
@@ -232,14 +233,15 @@ def quiet_until_without_steady_window(self, state, now):
     return state.activation_epoch + self.spec.grace_epochs - 1
 
 
-def fold_scaled_off_by_one(fold_scaled=ledger.fold_scaled):
-    """The segment's scaled fold, one unit short on the first balance it moves."""
-    def mutant(events, k, into):
-        before = dict(into.balances)
-        fold_scaled(events, k, into)
-        moved = next(n for n, v in into.balances.items() if v != before.get(n, 0))
-        into.balances[moved] -= 1
-        return into
+def segment_moves_one_unit_short(advance_segment=Ledger.advance_segment):
+    """The ledger's segment commit, one unit short on the first live balance it moves."""
+    def mutant(self, k, strides, states):
+        before = dict(self._balances)
+        done = advance_segment(self, k, strides, states)
+        moved = next((n for n, v in self._balances.items() if v != before[n]), None)
+        if moved is not None:
+            self._balances[moved] -= 1
+        return done
 
     return mutant
 
@@ -436,9 +438,9 @@ MUTANTS = {
     "action-epoch-repeated": (
         scenario, "bisect_left", bisect_right,
         test_segments.test_an_epoch_with_an_action_is_never_repeated),
-    "scaled-fold-off-by-one": (
-        ledger, "fold_scaled", fold_scaled_off_by_one(),
-        test_segments.test_goldens_match_the_stepped_reference),
+    "segment-moves-one-unit-short": (
+        Ledger, "advance_segment", segment_moves_one_unit_short(),
+        lambda: test_ledger.TestSegment().test_copies_match_a_naive_reference_and_stepping(7)),
     "repeat-one-epoch-short": (
         ledger, "encode_lines", repeat_written_with(lambda p: {**p, "epochs": p["epochs"] - 1}),
         test_segments.test_goldens_match_the_stepped_reference),

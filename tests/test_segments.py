@@ -43,7 +43,8 @@ from stakeclaim.scenario import (
     World,
     validate,
 )
-from stakeclaim.treasury import balance_identity
+from stakeclaim.errors import InvariantViolation
+from stakeclaim.treasury import TreasuryContract, balance_identity
 from test_acceptance import CORPUS_SEED, CORPUS_SIZE, random_scenario
 
 
@@ -53,9 +54,9 @@ def segments_of(world: World) -> list[tuple[int, int]]:
     led = world.ledger
     commit = led.advance_segment
 
-    def recording(k, n, *args):
+    def recording(k, *args):
         first = led.epoch + 1
-        done = commit(k, n, *args)
+        done = commit(k, *args)
         if done:
             spans.append((first, led.epoch))
         return done
@@ -370,3 +371,24 @@ def test_every_identity_term_is_affine_within_a_segment():
                 assert [x - 2 * y + z for x, y, z in zip(a, b, c)] == [0] * 6
                 checked += 1
     assert checked > 300
+
+
+def test_a_closed_form_receipt_one_unit_short_fails_the_audit_at_the_segment_end(monkeypatch):
+    # The treasury's closed form reads each wallet's receipt from the World;
+    # one unit short, it no longer agrees with the lines the segment
+    # repeats, which alone move the treasury's balance. The audit at the
+    # first segment's end must see it, not the report at the horizon.
+    s = sc.load_scenario(sc.golden_scenario_path("honest"))
+    world = World(s)
+    spans = segments_of(world)
+    world.run()
+    advance = TreasuryContract.advance
+
+    def one_unit_short(self, state, receipts, k):
+        short = next(iter(receipts))
+        receipts[short] -= 1
+        return advance(self, state, receipts, k)
+
+    monkeypatch.setattr(TreasuryContract, "advance", one_unit_short)
+    with pytest.raises(InvariantViolation, match=f"^epoch {spans[0][1]}: treasury balance"):
+        World(s).run()
