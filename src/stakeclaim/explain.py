@@ -147,6 +147,8 @@ class _Fold:
 
     def _on_Staked(self, e: Event) -> None:
         p = e.payload
+        if p["validators"] < 1:     # no wallet for a later line to name
+            raise ValueError(f"{p['validators']} validators staked")
         self.consistent &= self.tst.principal == p["validators"] * p["stake_each"]
         self.tst.principal = 0
         self.stake_each = p["stake_each"]

@@ -77,20 +77,21 @@ no Event object outlives its batch.
 
 A segment is one commit of many epochs (:meth:`Ledger.advance_segment`):
 the driver says how many epochs repeat the last one, by what strides, and
-which contract states they leave. The ledger counts the last epoch's lines
-itself, checks them, its own, against the lines before them advanced by
-one stride (:func:`strided`), and logs the whole segment as one
-``Repeat`` line: ``{"epoch":e+1,"seq":s,"emitter":"system","tag":"Repeat",
+which contract states they leave. The ledger keeps where its last two
+epochs began, so it counts their lines itself. It checks the last epoch's
+lines, its own, against the whole epoch before, which must have logged as
+many, advanced by one stride (:func:`strided`), and logs the whole
+segment as one ``Repeat`` line: ``{"epoch":e+1,"seq":s,"emitter":"system","tag":"Repeat",
 "payload":{"epochs":k,"lines":n,...}}`` says that the n lines before it
 repeat k times, with ``epoch``, ``seq`` and each further key of the
 payload advanced by 1, n and its value. It is not an event and takes no
 seq: ``seq`` counts on through the events it stands for, which
 ``explain.expand`` writes out again. The segment's last epoch is then no
-longer text, so the ledger keeps its lines, one epoch's, in hand for the
-next check. Every balance and supply move of the segment is k times
-:func:`replay_balances` of the last epoch's lines, applied to the live
-balances, the supply counters and the running replay alike: no balance
-moves on the driver's word.
+longer text, so the ledger keeps its lines, one epoch's, in hand as the
+epoch before the next one. Every balance and supply move of the segment
+is k times :func:`replay_balances` of the last epoch's lines, applied to
+the live balances, the supply counters and the running replay alike: no
+balance moves on the driver's word.
 
 A ledger instance is single-threaded but self-contained; independent
 instances can run in parallel threads or processes.
@@ -526,13 +527,14 @@ class Ledger:
         self.minted_total = 0
         self.burned_total = 0
         self._seq = 0
+        self._prev_seq = 0                  # the seq at which the epoch before it began
         self._epoch_seq = 0                 # the seq at which the current epoch began
         self._pending: list[Event] = []     # committed, not yet encoded or folded
         self._text = ""                     # the log's text: every flushed batch, encoded
-        # The lines of the last epoch a segment repeated, and where the text
-        # after its Repeat line starts.
+        # The lines of the last epoch a segment repeated, and that epoch;
+        # before any segment, epoch -1, which logged none.
         self._held = ""
-        self._held_at = 0
+        self._held_epoch = -1
         self._replay = ReplayResult({}, 0, 0)     # the fold of every flushed event
         # (target, method) -> the one shared payload of its Call events
         self._call_payloads: dict[tuple[str, str], dict] = {}
@@ -671,7 +673,7 @@ class Ledger:
         """Move the clock one epoch, then run `substeps`, the driver's work
         for the new epoch, if given. Returns the new epoch."""
         self.epoch += 1
-        self._epoch_seq = self._seq
+        self._prev_seq, self._epoch_seq = self._epoch_seq, self._seq
         if substeps is not None:
             substeps()
         return self.epoch
@@ -688,15 +690,19 @@ class Ledger:
         rest). Balances and supply are not the caller's to state: they move
         as the lines say.
 
-        The lines are the log's own, read after a flush, and checked first:
-        the n lines before the last epoch's, advanced by one stride, must
-        read as the last epoch's lines. The caller does not test that, so
-        this check is a condition of correctness, not a spare guard. If it
-        fails or the log holds fewer than 2n lines, False is returned and
-        nothing changes, though the pending batch may have been flushed.
+        The lines are the log's own, and checked first. Unless the epoch
+        before the last logged exactly n lines and the last epoch is not
+        the held one (the last a ``Repeat`` line stands for, as on a second
+        ask with no epoch between), False is returned and nothing changes,
+        the pending batch included. Then, after a flush, the epoch before's
+        lines (held, if it is the held epoch; else the text's n lines
+        before its last n), advanced by one stride, must read as the last
+        epoch's lines, the text's last n. The caller does not test that, so
+        this check is a condition of correctness, not a spare guard: if it
+        fails, False is returned and nothing but the flush has happened.
         Otherwise, in one step: one ``Repeat`` line stands for the k·n
-        lines (none if k or n is 0), and the last of the k epochs' lines
-        are held for the next segment's check; k times
+        lines (none if k or n is 0), and the last of the k epochs becomes
+        the held one, its lines kept for the next segment's check; k times
         :func:`replay_balances` of the last epoch's lines moves the live
         balances, the supply counters and the running replay; the epoch,
         seq and `states` are set. Returns True.
@@ -704,10 +710,14 @@ class Ledger:
         if strides.keys() & REPEAT_KEYS:
             raise ValueError(f"a stride may not be named any of {sorted(REPEAT_KEYS)}")
         n = self._seq - self._epoch_seq
-        tail = self._tail(n)
-        if tail is None:
+        if self._epoch_seq - self._prev_seq != n or self.epoch == self._held_epoch:
             return False
-        before, last = tail
+        self.flush()
+        text = self._text
+        mid = _lines_back(text, n)
+        last = text[mid:]
+        before = (self._held if self.epoch - 1 == self._held_epoch
+                  else text[_lines_back(text, 2 * n):mid])
         every = {"epoch": 1, "seq": n, **strides}
         if strided(before, every)(1) != last:
             return False
@@ -716,7 +726,7 @@ class Ledger:
             self._append_text(encode_lines((Event(
                 self.epoch + 1, self._seq, SYSTEM, REPEAT,
                 {"epochs": k, "lines": n, **strides}),))[0])
-            self._held, self._held_at = strided(last, every)(k), len(self._text)
+            self._held, self._held_epoch = strided(last, every)(k), self.epoch + k
         once = replay_balances([Event(**json.loads(line)) for line in last.splitlines()])
         for moved in (self._balances, self._replay.balances):
             for name, amount in once.balances.items():
@@ -727,28 +737,10 @@ class Ledger:
         self._replay.burned += k * once.burned
         self.epoch += k
         self._seq += k * n
+        self._prev_seq += k * n
         self._epoch_seq += k * n
         self._states.update(states)
         return True
-
-    def _tail(self, n: int) -> tuple[str, str] | None:
-        """The log's last 2n lines, written out and flushed, as two blocks of n;
-        None if it holds fewer.
-
-        They are the text's, unless fewer than 2n lines follow the last
-        Repeat line: then the held epoch, the last the Repeat stands for,
-        goes before them.
-        """
-        self.flush()
-        text = self._text
-        cut = _lines_back(text, 2 * n, self._held_at)
-        if cut is None:
-            text = self._held + text[self._held_at:]
-            cut = _lines_back(text, 2 * n, 0)
-            if cut is None:
-                return None
-        mid = _lines_back(text, n, cut)
-        return text[cut:mid], text[mid:]
 
     # --- event log ---------------------------------------------------------
 
@@ -874,12 +866,9 @@ def strided(block: str, strides: dict[str, int]) -> Callable[[int], str]:
     return at
 
 
-def _lines_back(text: str, count: int, floor: int) -> int | None:
-    """Where the last `count` lines of `text` start; None if fewer than
-    `count` lines lie past `floor`, a line's start."""
+def _lines_back(text: str, count: int) -> int:
+    """Where the last `count` lines of `text` start; it holds at least that many."""
     cut = len(text)
     for _ in range(count):
-        if cut <= floor:
-            return None
         cut = text.rfind("\n", 0, cut - 1) + 1
     return cut

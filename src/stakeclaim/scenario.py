@@ -59,7 +59,7 @@ segment's states are closed forms (``ValidatorWallet.advance``,
 ``epoch``, ``seq`` and ``Distributed.net_total`` advanced by fixed
 strides, and its balance and supply moves k times those epoch e's lines
 make (``Ledger.advance_segment``, which counts epoch e's lines, first
-checks that the lines before them advance to them, and steps on if not).
+checks that epoch e-1's whole lines advance to them, and steps on if not).
 The log holds the segment as one ``Repeat`` line. ``explain.expand(log)``
 is byte for byte the log of stepping; the replay and every report field
 but ``events_digest`` are those of stepping.
@@ -660,10 +660,10 @@ class World:
         The horizon ends the span.
 
         It does not test that the current epoch repeats the one before;
-        ``Ledger.advance_segment`` does, from their lines, and refuses the
-        segment if not (89 of 157 over the acceptance corpus, the goldens
-        and long and wide at seed 0), so that check is a condition of
-        correctness, not a spare guard.
+        ``Ledger.advance_segment`` does, from the whole of both epochs'
+        lines, and refuses the segment if not (89 of 157 over the
+        acceptance corpus, the goldens and long and wide at seed 0), so
+        that check is a condition of correctness, not a spare guard.
         """
         s = self.scenario
         led = self.ledger

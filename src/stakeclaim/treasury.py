@@ -307,28 +307,24 @@ class TreasuryContract(Handlers):
     # --- reward flow ---------------------------------------------------------
 
     def _op_receive_rewards(self, state: TreasuryState, msg: Msg, ctx: CallContext):
-        j = self._wallet_index(msg)
+        self._wallet_index(msg)
         if state.phase not in (Phase.STAKED, Phase.EXITING):
             raise WrongPhase(f"cannot receive rewards in phase {state.phase.value}")
         if msg.value <= 0:
             raise InvalidAmount("reward receipt must carry value")
-        fee = (msg.value * self.spec.fee_bps) // 10_000
-        st = evolve(state,
-                    rewards_received={**state.rewards_received,
-                                      j: state.rewards_received.get(j, 0) + msg.value},
-                    operator_fees_accrued=state.operator_fees_accrued + fee,
-                    net_total=state.net_total + msg.value - fee)
+        st = self.advance(state, {msg.caller: msg.value}, 1)
+        fee = st.operator_fees_accrued - state.operator_fees_accrued
         return st, [_distributed(msg.value, fee, st.net_total)], None
 
     def advance(self, state: TreasuryState, receipts: dict[str, int], k: int) -> TreasuryState:
         """The state after k epochs in each of which every wallet of
         `receipts` forwards its amount, in that order.
 
-        ``receive_rewards`` k times over, in closed form: each receipt's fee
-        and net are the same every epoch, so the reward totals, the fees and
-        N each rise by k times one epoch's step. The caller sends receipts
-        only in a phase that takes them, and positive amounts only. Pure,
-        like a handler.
+        The one reward-receipt rule: ``receive_rewards`` is one wallet's
+        receipt at k = 1. Each receipt's fee and net are the same every
+        epoch, so the reward totals, the fees and N each rise by k times one
+        epoch's step. The caller sends receipts only in a phase that takes
+        them, and positive amounts only. Pure, like a handler.
         """
         rewards = dict(state.rewards_received)
         fees = net = 0

@@ -523,7 +523,7 @@ def ledger_state(led: Ledger) -> dict:
     it holds for its next segment."""
     led.flush()
     state = pickle.loads(snapshot(led))
-    del state["_held"], state["_held_at"]
+    del state["_held"], state["_held_epoch"]
     return {**state, "_text": expanded(state["_text"])}
 
 
@@ -581,19 +581,45 @@ class TestSegment:
         (lambda: tally_ledger(7, "".join(HOSTILE)), 8),
         (lambda: poked_ledger(1), 7),
         (lambda: poked_ledger(1, 1, 2), 7),
-    ], ids=["stride", "fewer-than-2n-lines", "epoch-longer-than-the-one-before"])
+        # The last epoch's lines are the tail of the one before, advanced one
+        # stride, but that epoch logged more lines.
+        (lambda: poked_ledger(2, 1), 7),
+    ], ids=["stride", "first-epoch-that-logs-lines", "epoch-longer-than-the-one-before",
+            "epoch-shorter-than-the-one-before"])
     def test_a_refused_segment_changes_nothing(self, build, step):
         led, untouched = build(), build()
         epoch, count = led.epoch, led.event_count
         assert not tally_segment(led, 50, step)
-        untouched.flush()
+        for each in (led, untouched):
+            each.flush()
         assert pickle.loads(snapshot(led)) == pickle.loads(snapshot(untouched))
         assert (led.epoch, led.event_count) == (epoch, count)
 
+    def test_an_epoch_of_no_lines_repeats_only_another(self):
+        # Epoch 2 logs nothing after epoch 1's poke, so it repeats nothing:
+        # refused before any flush. Epoch 3, after epoch 2, repeats it.
+        led, untouched = poked_ledger(1, 0), poked_ledger(1, 0)
+        assert not led.advance_segment(5, {}, {})
+        assert pickle.loads(snapshot(led)) == pickle.loads(snapshot(untouched))
+        stepped = poked_ledger(1, 0, 0)
+        led.advance_epoch()
+        assert led.advance_segment(5, {}, {})
+        for _ in range(5):
+            stepped.advance_epoch()
+        assert led.epoch == 8
+        assert ledger_state(led) == ledger_state(stepped)
+
+    def test_a_second_segment_with_no_epoch_between_is_refused(self):
+        led = tally_ledger(7, "x")
+        assert tally_segment(led, 5, 7)
+        before = pickle.loads(snapshot(led))
+        assert not tally_segment(led, 5, 7)
+        assert pickle.loads(snapshot(led)) == before
+
     def test_a_segment_is_checked_against_the_epoch_it_ended_on(self):
-        # The epoch before the next stepped one is no longer text: after an
-        # idle epoch the held one is 2 epochs back, so the lines before the
-        # next poke are not its epoch's and the segment is refused.
+        # The held epoch is the one before the next only while no epoch
+        # steps between: after an idle epoch and a poked one, the epoch
+        # before the poke logged no lines, so the segment is refused.
         led = tally_ledger(7, "x")
         assert tally_segment(led, 5, 7)
         led.advance_epoch()

@@ -246,6 +246,16 @@ def segment_moves_one_unit_short(advance_segment=Ledger.advance_segment):
     return mutant
 
 
+def segment_epoch_count_unchecked(advance_segment=Ledger.advance_segment):
+    """The ledger's segment commit, taking the epoch before the last to have
+    logged as many lines as the last, whatever it logged."""
+    def mutant(self, k, strides, states):
+        self._prev_seq = 2 * self._epoch_seq - self._seq
+        return advance_segment(self, k, strides, states)
+
+    return mutant
+
+
 def walk_blind_once_a_record_is_unparsed(walk=scenario._bound_problems):
     """The bound walk finding nothing once a record is None, as the loader
     leaves one it could not parse."""
@@ -441,6 +451,10 @@ MUTANTS = {
     "segment-moves-one-unit-short": (
         Ledger, "advance_segment", segment_moves_one_unit_short(),
         lambda: test_ledger.TestSegment().test_copies_match_a_naive_reference_and_stepping(7)),
+    "segment-epoch-count-unchecked": (
+        Ledger, "advance_segment", segment_epoch_count_unchecked(),
+        lambda: test_ledger.TestSegment().test_a_refused_segment_changes_nothing(
+            lambda: test_ledger.poked_ledger(2, 1), 7)),
     "repeat-one-epoch-short": (
         ledger, "encode_lines", repeat_written_with(lambda p: {**p, "epochs": p["epochs"] - 1}),
         test_segments.test_goldens_match_the_stepped_reference),
