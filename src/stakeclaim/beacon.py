@@ -43,7 +43,7 @@ from math import inf
 from operator import add
 from typing import NamedTuple
 
-from .errors import InvalidAmount, InvalidFactor, NotActive, Unauthorized, UnknownValidator, WrongAmount, WrongStatus, bounded, checked
+from .errors import UINT256_MAX, InvalidAmount, InvalidFactor, NotActive, Unauthorized, UnknownValidator, WrongAmount, WrongStatus, bounded, checked
 from .ledger import Call, CallContext, Destroy, Emit, Handlers, Issue, Msg, Transfer, evolve
 
 
@@ -59,10 +59,10 @@ class ValidatorStatus(Enum):
 class BeaconParams:
     """Protocol constants; all strictly positive."""
 
-    stake_requirement: int = bounded(1)
-    reward_per_epoch: int = bounded(1)
-    activation_delay: int = bounded(1)
-    exit_delay: int = bounded(1)
+    stake_requirement: int = bounded(1, UINT256_MAX)
+    reward_per_epoch: int = bounded(1, UINT256_MAX)
+    activation_delay: int = bounded(1, UINT256_MAX)
+    exit_delay: int = bounded(1, UINT256_MAX)
     sweep_period: int = bounded(1)
 
 

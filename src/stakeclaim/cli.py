@@ -12,6 +12,8 @@ output directory, which it creates before the run. Exit codes: 0 success,
 (one line on stderr), 2 an invariant violation was detected during the run
 (details on stderr); on exit 2 events.jsonl holds the log committed up to
 the failing epoch's audit, and there is no report.json or report.csv.
+events.jsonl is written from the chunks the ledger kept the log in, and so
+is the log on stdout: neither joins the log into one string.
 Both commands list a scenario's problems one a line, the same lines:
 ``validate`` on stdout, ``run`` on stderr. Output is byte-stable for
 identical inputs.
@@ -51,6 +53,11 @@ def _load_checked(path: str) -> tuple[Scenario | None, list[str]]:
     return scenario, validate(scenario)
 
 
+def _write_log(path: Path, chunks: tuple[str, ...]) -> None:
+    with path.open("w") as f:
+        f.writelines(chunks)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     log_mode = os.environ.get("STAKECLAIM_LOG", "quiet")
     if log_mode not in ("quiet", "events", "trace"):
@@ -75,11 +82,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         except InvariantViolation as exc:
             print(f"invariant violation: {exc}", file=sys.stderr)
             # The evidence: the log up to the failing audit, and no report.
-            (out / "events.jsonl").write_text(world.ledger.events_jsonl())
+            _write_log(out / "events.jsonl", world.ledger.log_chunks())
             for stale in ("report.json", "report.csv"):
                 (out / stale).unlink(missing_ok=True)
             return 2
-        (out / "events.jsonl").write_text(report.events_jsonl)
+        _write_log(out / "events.jsonl", report.log_chunks)
         if args.format == "csv":
             (out / "report.csv").write_text(report.to_csv())
         else:
@@ -89,7 +96,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 1
 
     if log_mode in ("events", "trace"):
-        sys.stdout.write(report.events_jsonl)
+        sys.stdout.writelines(report.log_chunks)
     if log_mode == "trace":
         sys.stdout.write(report.to_json())
     return 0

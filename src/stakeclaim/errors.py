@@ -12,7 +12,8 @@ in the machine itself (a conservation or accounting identity broke) and is
 never caught by the dispatcher.
 
 Each integer bound is declared once, on its dataclass field, with
-:func:`bounded`: an int, never a bool, in lo..hi. :func:`bound_problems`
+:func:`bounded`: an int, never a bool, in lo..hi. Every amount and
+delay is at most ``UINT256_MAX``. :func:`bound_problems`
 checks the declarations, and is the only type check of a bounded scenario
 field: ``scenario.validate`` lists what it finds, and each contract
 constructor raises it as ValueError (:func:`checked`) on the same records.
@@ -160,6 +161,15 @@ class Unauthorized(ContractError):
 
 
 # --- declared integer bounds ------------------------------------------------
+
+# The upper bound of every amount and delay a scenario states: the largest
+# uint256, an EVM contract's integer type. The sums and products a run logs
+# (a holder's deposits, a reward total, an epoch plus a delay) then stay
+# thousands of digits below CPython's limit on converting an int to text
+# (sys.get_int_max_str_digits, 4,300 by default), which every log line and
+# report needs.
+UINT256_MAX = 2**256 - 1
+
 
 def bounded(lo: int, hi: int | str | None = None, **kwargs):
     """A dataclass field holding an int in lo..hi. `hi` None is no upper

@@ -54,7 +54,7 @@ before it and with the line it restates:
   names its own wallet's validator.
 
 ``event_count`` counts the expanded lines, and ``events_digest`` hashes
-the text as read.
+the lines as read, each as it passes.
 
 One name reaches the report without a line of its own: before the raise
 fills, no event names a validator wallet, so a run that never stakes
@@ -347,15 +347,22 @@ def rebuild_report(lines: Iterable[str], horizon: int) -> dict:
     """:meth:`RunReport.to_dict` of the run that logged `lines`, which ended at `horizon`.
 
     `lines` are the log's lines as ``events.jsonl`` holds them, each with
-    its newline (iterating the open file, or ``splitlines(keepends=True)``).
+    its newline (iterating the open file, or ``splitlines(keepends=True)``);
+    they are read once, each hashed as it passes into :func:`expand`.
     Raises ValueError if they do not expand (:func:`expand`), or, naming
     its seq, at the first line the fold cannot read: a field missing or of
     the wrong type, or a wallet or validator that no line before it made.
     """
-    lines = list(lines)
+    digest = hashlib.sha256()
+
+    def hashed() -> Iterator[str]:
+        for line in lines:
+            digest.update(line.encode())
+            yield line
+
     fold = _Fold()
     count = 0
-    for line in expand(lines):
+    for line in expand(hashed()):
         e = _event(line)
         fold.consistent &= e.epoch <= horizon       # no line after the run ended
         try:
@@ -363,7 +370,6 @@ def rebuild_report(lines: Iterable[str], horizon: int) -> dict:
         except (LookupError, TypeError, ValueError, AttributeError) as exc:
             raise ValueError(f"the line at seq {e.seq} does not fold: {exc!r}") from None
         count += 1
-    text = "".join(lines)
     replay, tst = fold.replay, fold.tst
     balances = replay.balances
     final_total = sum(balances.values())
@@ -378,6 +384,6 @@ def rebuild_report(lines: Iterable[str], horizon: int) -> dict:
         burned=replay.burned,
         final_total=final_total,
         event_count=count,
-        events_digest=hashlib.sha256(text.encode()).hexdigest(),
-        events_jsonl=text,
+        events_digest=digest.hexdigest(),
+        log_chunks=(),      # to_dict holds no log
     ).to_dict()

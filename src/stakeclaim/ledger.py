@@ -52,7 +52,7 @@ tuples, ``Issue(5, "x") == Destroy(5, "x")``.
 The log serialises one event per line, each line exactly
 ``json.dumps({"epoch", "seq", "emitter", "tag", "payload"},
 separators=(",", ":"))``; :func:`encode_lines` is the one line builder,
-used by :meth:`Ledger.events_jsonl`. It writes
+used by :meth:`Ledger.flush`. It writes
 flat payloads from cached encodings, hands anything else to a single JSON
 encoder, and encodes a shared payload object (a ``Call``'s, or the
 beacon's ``EpochAccrual``) once per batch, so the bytes, and every digest
@@ -66,21 +66,22 @@ line's is its caller. Their payloads are ``{"to","amount"}``,
 ``{"amount","memo"}`` and ``{"target","method"}``.
 
 The log streams. Committed events wait in a pending batch until
-``EVENT_BATCH`` of them have built up; the ledger then encodes the batch,
-appends it to the log's one text string (grown in place, never joined),
-folds it into a running :func:`replay_balances`, and drops the Event
-objects. :meth:`Ledger.flush` does the same for a partial batch;
-:meth:`Ledger.events_jsonl` (that string itself) and
-:meth:`Ledger.events_digest` (sha256 fed ``DIGEST_SLICE`` characters at a
-time) flush first. The log's bytes do not depend on the batch size, and
-no Event object outlives its batch.
+``EVENT_BATCH`` of them have built up; the ledger then encodes the batch
+as one chunk of text, keeps the chunk, folds the batch into a running
+:func:`replay_balances`, and drops the Event objects. :meth:`Ledger.flush`
+does the same for a partial batch. The log is its chunks in order, held
+once: :meth:`Ledger.log_chunks` hands them out as they are,
+:meth:`Ledger.events_digest` hashes them one at a time, and only
+:meth:`Ledger.events_jsonl` joins them, when asked. The log's bytes do not
+depend on the batch size, and no Event object outlives its batch.
 
 A segment is one commit of many epochs (:meth:`Ledger.advance_segment`):
 the driver says how many epochs repeat the last one, by what strides, and
 which contract states they leave. The ledger keeps where its last two
 epochs began, so it counts their lines itself. It checks the last epoch's
 lines, its own, against the whole epoch before, which must have logged as
-many, advanced by one stride (:func:`strided`), and logs the whole
+many, advanced by one stride (:func:`strided`); both are read off the
+log's trailing chunks. It then logs the whole
 segment as one ``Repeat`` line: ``{"epoch":e+1,"seq":s,"emitter":"system","tag":"Repeat",
 "payload":{"epochs":k,"lines":n,...}}`` says that the n lines before it
 repeat k times, with ``epoch``, ``seq`` and each further key of the
@@ -132,13 +133,9 @@ REPEAT_KEYS = frozenset(("epoch", "seq", "epochs", "lines"))
 LEDGER_TAGS = frozenset(("Transfer", "SupplyMint", "SupplyBurn", "Call"))
 
 # Committed events the ledger holds before it encodes and folds them as one
-# batch. Larger batches share more of encode_lines' per-call caches; smaller
-# ones hold fewer Event objects.
-EVENT_BATCH = 4096
-
-# Characters of the log's text encoded and hashed at a time by
-# Ledger.events_digest: the one transient copy the digest makes.
-DIGEST_SLICE = 1 << 19
+# batch, the log's one chunk. Larger batches share more of encode_lines'
+# per-call caches; smaller ones hold fewer Event objects and payloads.
+EVENT_BATCH = 512
 
 # json.dumps(o, separators=(",", ":")) without building an encoder per call.
 _encode = json.JSONEncoder(separators=(",", ":")).encode
@@ -530,7 +527,7 @@ class Ledger:
         self._prev_seq = 0                  # the seq at which the epoch before it began
         self._epoch_seq = 0                 # the seq at which the current epoch began
         self._pending: list[Event] = []     # committed, not yet encoded or folded
-        self._text = ""                     # the log's text: every flushed batch, encoded
+        self._chunks: list[str] = []        # the log's text: each flushed batch, encoded
         # The lines of the last epoch a segment repeated, and that epoch;
         # before any segment, epoch -1, which logged none.
         self._held = ""
@@ -695,9 +692,10 @@ class Ledger:
         the held one (the last a ``Repeat`` line stands for, as on a second
         ask with no epoch between), False is returned and nothing changes,
         the pending batch included. Then, after a flush, the epoch before's
-        lines (held, if it is the held epoch; else the text's n lines
+        lines (held, if it is the held epoch; else the log's n lines
         before its last n), advanced by one stride, must read as the last
-        epoch's lines, the text's last n. The caller does not test that, so
+        epoch's lines, the log's last n (both read off its trailing
+        chunks). The caller does not test that, so
         this check is a condition of correctness, not a spare guard: if it
         fails, False is returned and nothing but the flush has happened.
         Otherwise, in one step: one ``Repeat`` line stands for the k·n
@@ -713,17 +711,16 @@ class Ledger:
         if self._epoch_seq - self._prev_seq != n or self.epoch == self._held_epoch:
             return False
         self.flush()
-        text = self._text
-        mid = _lines_back(text, n)
-        last = text[mid:]
-        before = (self._held if self.epoch - 1 == self._held_epoch
-                  else text[_lines_back(text, 2 * n):mid])
+        held = self.epoch - 1 == self._held_epoch
+        tail = _last_lines(self._chunks, n if held else 2 * n)
+        last = _last_lines([tail], n)
+        before = self._held if held else tail[:len(tail) - len(last)]
         every = {"epoch": 1, "seq": n, **strides}
         if strided(before, every)(1) != last:
             return False
 
         if k and n:
-            self._append_text(encode_lines((Event(
+            self._chunks.append(encode_lines((Event(
                 self.epoch + 1, self._seq, SYSTEM, REPEAT,
                 {"epochs": k, "lines": n, **strides}),))[0])
             self._held, self._held_epoch = strided(last, every)(k), self.epoch + k
@@ -763,47 +760,35 @@ class Ledger:
     def flush(self) -> ReplayResult:
         """Encode and fold the committed events not yet flushed; drop them.
 
-        The batch's lines (:func:`encode_lines`) are appended to the log's
-        text, and :func:`replay_balances` folds the batch into the running
-        replay. Returns that replay, of the whole log so far; the object is
-        the ledger's own, and later flushes fold into it.
+        The batch's lines (:func:`encode_lines`) are kept as one chunk of
+        the log's text, and :func:`replay_balances` folds the batch into
+        the running replay. Returns that replay, of the whole log so far;
+        the object is the ledger's own, and later flushes fold into it.
         """
         pending = self._pending
         if pending:
-            self._append_text("".join(encode_lines(pending)))
+            self._chunks.append("".join(encode_lines(pending)))
             replay_balances(pending, self._replay)
             self._pending = []
         return self._replay
 
-    def _append_text(self, chunk: str) -> None:
-        """Append encoded lines to the log's text.
-
-        With the local as the string's only reference, CPython's += grows
-        it in place instead of copying the whole log: no caller may hold the
-        text while it appends.
-        """
-        text = self._text
-        self._text = ""
-        text += chunk
-        self._text = text
+    def log_chunks(self) -> tuple[str, ...]:
+        """The whole log, flushed, as the chunks it was kept in: their
+        concatenation is :meth:`events_jsonl`. A snapshot: later flushes
+        add chunks to the ledger, not to the tuple."""
+        self.flush()
+        return tuple(self._chunks)
 
     def events_jsonl(self) -> str:
         """The whole log as JSON lines, one event or ``Repeat`` line per line
-        (:func:`encode_lines`).
-
-        The ledger's own string, not a copy. While a caller holds it, the
-        next flush appends to a copy and leaves the caller's text as it was.
-        """
-        self.flush()
-        return self._text
+        (:func:`encode_lines`): its chunks, joined into a new string."""
+        return "".join(self.log_chunks())
 
     def events_digest(self) -> str:
-        """sha256 of :meth:`events_jsonl`'s UTF-8, encoded one slice at a time."""
-        self.flush()
-        text = self._text
+        """sha256 of :meth:`events_jsonl`'s UTF-8, encoded one chunk at a time."""
         h = hashlib.sha256()
-        for start in range(0, len(text), DIGEST_SLICE):
-            h.update(text[start:start + DIGEST_SLICE].encode())
+        for chunk in self.log_chunks():
+            h.update(chunk.encode())
         return h.hexdigest()
 
 
@@ -866,9 +851,16 @@ def strided(block: str, strides: dict[str, int]) -> Callable[[int], str]:
     return at
 
 
-def _lines_back(text: str, count: int) -> int:
-    """Where the last `count` lines of `text` start; it holds at least that many."""
-    cut = len(text)
-    for _ in range(count):
-        cut = text.rfind("\n", 0, cut - 1) + 1
-    return cut
+def _last_lines(chunks: list[str], count: int) -> str:
+    """The last `count` lines of the text that `chunks`, each whole lines,
+    join to; it holds at least that many. Only those lines are copied."""
+    parts = []
+    for chunk in reversed(chunks):
+        cut = len(chunk)
+        while count and cut:
+            cut = chunk.rfind("\n", 0, cut - 1) + 1
+            count -= 1
+        parts.append(chunk[cut:])
+        if not count:
+            break
+    return "".join(reversed(parts))

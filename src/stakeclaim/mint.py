@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .beacon import BeaconParams
-from .errors import BelowMinimum, ExceedsCapacity, MintClosed, NotOwner, UnknownToken, WrongStatus, bounded, checked
+from .errors import UINT256_MAX, BelowMinimum, ExceedsCapacity, MintClosed, NotOwner, UnknownToken, WrongStatus, bounded, checked
 from .ledger import Call, CallContext, Emit, Handlers, Msg, SharedMap, Transfer, evolve
 from .treasury import TreasurySpec
 
@@ -28,7 +28,7 @@ from .treasury import TreasurySpec
 class MintSpec:
     """The raise's window [open_epoch, close_epoch) and smallest contribution."""
 
-    min_contribution: int = bounded(1)
+    min_contribution: int = bounded(1, UINT256_MAX)
     open_epoch: int = bounded(0)
     close_epoch: int = bounded(1)
 

@@ -97,7 +97,7 @@ import json
 import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from math import inf
@@ -105,7 +105,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .beacon import BeaconContract, BeaconParams, ValidatorStatus, next_transition, validator_by_id
-from .errors import ContractError, InvalidScenario, InvariantViolation, bound_problems, bounded
+from .errors import UINT256_MAX, ContractError, InvalidScenario, InvariantViolation, bound_problems, bounded
 from .ledger import SYSTEM, Ledger, evolve, replay_balances  # noqa: F401  (bench/tracing.py patches scenario.replay_balances)
 from .mint import MintContract, MintSpec
 from .treasury import (Phase, TreasuryContract, TreasurySpec, TreasuryState, balance_identity,
@@ -135,7 +135,7 @@ def is_holder_name(name) -> bool:
 # --- scenario description ----------------------------------------------------
 
 # Bound on horizon (and on `stakeclaim run --epochs`): a stepped epoch logs
-# about 1.1 kB per validator, and a run with a sweep_period above 1 steps
+# about 0.6 kB per validator, and a run with a sweep_period above 1 steps
 # every epoch; a segment of quiet epochs logs one Repeat line, so quiet
 # epochs add next to nothing. The benchmark's long workload runs 10,000.
 HORIZON_MAX = 100_000
@@ -144,7 +144,7 @@ HORIZON_MAX = 100_000
 @dataclass(frozen=True)
 class DepositAction:
     holder: str
-    amount: int = bounded(1)
+    amount: int = bounded(1, UINT256_MAX)
     epoch: int = bounded(0, "horizon")
 
 
@@ -492,7 +492,14 @@ class RunReport:
     final_total: int
     event_count: int
     events_digest: str
-    events_jsonl: str
+    # The log as the ledger kept it (Ledger.log_chunks). Equal logs have
+    # equal digests, so two reports compare on those.
+    log_chunks: tuple[str, ...] = field(repr=False, compare=False)
+
+    @cached_property
+    def events_jsonl(self) -> str:
+        """The whole log, its chunks joined on first read."""
+        return "".join(self.log_chunks)
 
     @classmethod
     def read(cls, tst: TreasuryState, holders: Iterable[str],
@@ -915,7 +922,7 @@ class World:
             final_total=led.total_balance(),
             event_count=led.event_count,
             events_digest=led.events_digest(),
-            events_jsonl=led.events_jsonl(),
+            log_chunks=led.log_chunks(),
         )
 
 

@@ -59,6 +59,7 @@ from enum import Enum
 
 from .beacon import BeaconParams
 from .errors import (
+    UINT256_MAX,
     AlreadySettled,
     EscrowMissing,
     InvalidAmount,
@@ -95,10 +96,10 @@ VALIDATORS_MAX = 1024
 class TreasurySpec:
     """Arrangement terms, fixed before the mint opens; the treasury and every wallet read them."""
 
-    fee_bps: int = bounded(0, 10_000)             # operator fee ratio in basis points
-    expected_reward_per_epoch: int = bounded(0)   # watchdog expectation, per epoch
-    grace_epochs: int = bounded(1)                # watchdog window length
-    escrow_required: int = bounded(0)
+    fee_bps: int = bounded(0, 10_000)                          # operator fee ratio in basis points
+    expected_reward_per_epoch: int = bounded(0, UINT256_MAX)   # watchdog expectation, per epoch
+    grace_epochs: int = bounded(1)                             # watchdog window length
+    escrow_required: int = bounded(0, UINT256_MAX)
     validators: int = bounded(1, VALIDATORS_MAX)
 
 

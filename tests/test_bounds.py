@@ -60,23 +60,24 @@ from stakeclaim.treasury import TreasuryContract, TreasurySpec
 from stakeclaim.wallet import ValidatorWallet
 
 HORIZON = 20
+UINT256 = 2**256 - 1      # every amount's and delay's upper bound, the largest uint256
 
 BOUNDS = [
     ("", None, "horizon", 0, 100_000),
     ("treasury", TreasurySpec, "fee_bps", 0, 10_000),
-    ("treasury", TreasurySpec, "expected_reward_per_epoch", 0, None),
+    ("treasury", TreasurySpec, "expected_reward_per_epoch", 0, UINT256),
     ("treasury", TreasurySpec, "grace_epochs", 1, None),
-    ("treasury", TreasurySpec, "escrow_required", 0, None),
+    ("treasury", TreasurySpec, "escrow_required", 0, UINT256),
     ("treasury", TreasurySpec, "validators", 1, 1024),
-    ("mint", MintSpec, "min_contribution", 1, None),
+    ("mint", MintSpec, "min_contribution", 1, UINT256),
     ("mint", MintSpec, "open_epoch", 0, None),     # open < close is a cross-field rule
     ("mint", MintSpec, "close_epoch", 1, None),
-    ("beacon", BeaconParams, "stake_requirement", 1, None),
-    ("beacon", BeaconParams, "reward_per_epoch", 1, None),
-    ("beacon", BeaconParams, "activation_delay", 1, None),
-    ("beacon", BeaconParams, "exit_delay", 1, None),
+    ("beacon", BeaconParams, "stake_requirement", 1, UINT256),
+    ("beacon", BeaconParams, "reward_per_epoch", 1, UINT256),
+    ("beacon", BeaconParams, "activation_delay", 1, UINT256),
+    ("beacon", BeaconParams, "exit_delay", 1, UINT256),
     ("beacon", BeaconParams, "sweep_period", 1, None),
-    ("deposits[0]", None, "amount", 1, None),
+    ("deposits[0]", None, "amount", 1, UINT256),
     ("deposits[0]", None, "epoch", 0, HORIZON),
     ("operator_schedule[0]", None, "from_epoch", 0, HORIZON),
     ("operator_schedule[0]", None, "to_epoch", 1, None),   # a window ending at 0 is empty
@@ -310,9 +311,9 @@ def test_contract_accepts_a_config_in_bounds(cls, field, value, builds):
     pytest.param(cls, field, v, lo, hi, CONTRACT[cls], id=f"{cls.__name__}.{field}={v!r}")
     for cls, field, lo, hi in RECORD_ROWS for v in rejected(lo, hi)
 ] + [
-    pytest.param(BeaconParams, "stake_requirement", v, 1, None, builds, id=f"{name}={v!r}")
+    pytest.param(BeaconParams, "stake_requirement", v, 1, UINT256, builds, id=f"{name}={v!r}")
     for name, builds in FORMER.items() if name.endswith(".stake_requirement")
-    for v in rejected(1, None)
+    for v in rejected(1, UINT256)
 ])
 def test_contract_rejects_a_config_out_of_bounds(cls, field, value, lo, hi, builds):
     # The record itself is built unchecked, as the scenario loader builds

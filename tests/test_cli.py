@@ -219,6 +219,37 @@ class TestRun:
             assert f"horizon 1000000000 is not an integer in " \
                 f"0..{sc.scenario.HORIZON_MAX}" in listing.splitlines()
 
+    # Each value parses (at most 4,300 digits, CPython's default limit on
+    # converting between int and str), but a sum the run logs would pass
+    # that limit: the run ended in a traceback from the log's encoder after
+    # validate had passed the file. Every amount and delay is a uint256.
+    @pytest.mark.parametrize("name,field,value", [
+        ("honest", "beacon.reward_per_epoch", 9 * 10 ** 4299),
+        # two more deposits: alice's endowment is their sum
+        ("honest", "deposits.amount", 9 * 10 ** 4299),
+        # the slashed validator's exit epoch is the slash's epoch plus the delay
+        ("slashed", "beacon.exit_delay", 10 ** 4300 - 1),
+    ], ids=["reward", "deposits", "exit-delay"])
+    def test_a_value_whose_logged_sum_has_too_many_digits_exit_1(self, name, field, value,
+                                                                 tmp_path, capsys):
+        doc = json.loads(sc.golden_scenario_path(name).read_text())
+        section, key = field.split(".")
+        if section == "deposits":
+            doc["deposits"] += [{"holder": "alice", "amount": value, "epoch": 0}] * 2
+            records = ["deposits[2]", "deposits[3]"]
+        else:
+            doc[section][key] = value
+            records = [section]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run_cli("validate", "--scenario", str(bad)) == 1
+        assert run_cli("run", "--scenario", str(bad), "--out", str(out)) == 1
+        assert not out.exists()
+        listed = capsys.readouterr()
+        assert listed.out.splitlines() == listed.err.splitlines() == [
+            f"{r}.{key} {value} is not an integer in 1..{2 ** 256 - 1}" for r in records]
+
     @pytest.mark.parametrize("epochs,problem", [
         (-1, f"horizon -1 is not an integer in 0..{sc.scenario.HORIZON_MAX}"),
         (sc.scenario.HORIZON_MAX + 1, f"horizon {sc.scenario.HORIZON_MAX + 1} is not an "

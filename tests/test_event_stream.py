@@ -1,11 +1,12 @@
 """The streamed event log: encoded and folded per committed batch.
 
 The ledger keeps committed events only until ``EVENT_BATCH`` of them are
-pending, then encodes them into the log's text and folds them into the
-replay. Whatever the batch size, the log's bytes must be the golden runs'
-(which encoded the whole Event list at once), and its event count and
-replay those of encoding and folding at once the events it decodes to,
-each Repeat line written out (``explain.expand``).
+pending, then encodes them into one chunk of the log's text and folds them
+into the replay; the log is held once, as those chunks. Whatever the batch
+size, the log's bytes must be the golden runs' (which encoded the whole
+Event list at once), and its event count and replay those of encoding and
+folding at once the events it decodes to, each Repeat line written out
+(``explain.expand``).
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def test_restore_across_a_flush_gives_the_same_log(monkeypatch):
         return snapshot(led)
 
     after_flush = go_on()
-    flushed = led._text
+    flushed = "".join(pickle.loads(after_flush)["_chunks"])
     say(led, 4)
     unrestored = led.events_jsonl()
     assert flushed and unrestored.startswith(flushed), "the calls should have crossed a flush"
@@ -195,29 +196,43 @@ def test_a_default_world_holds_at_most_one_batch(monkeypatch):
     assert events_held(led) <= 64
 
 
-def test_the_report_makes_no_copy_of_the_log():
-    # The log's text is one string grown in place: the report hands it out
-    # as it is and hashes it a slice at a time, so no second copy of the
-    # whole log is ever alive. The last batch is flushed before tracing
-    # starts, so only the report's own allocations are traced. Stepped, as
-    # a segment's epochs would add one line.
+# What a stepped run may hold beyond its log's own bytes at its peak: the
+# contracts' states, the Call payloads and one batch of Event objects with
+# its chunk. About 0.2 MB on the run below; a second copy of the log would
+# add its 2.4 MB.
+BEYOND_THE_LOG = 1 << 19
+
+
+def test_a_run_holds_its_log_once():
+    # The log is kept as the chunks flush encodes, never joined or copied:
+    # over the whole run, the report included, tracemalloc's peak stays
+    # within BEYOND_THE_LOG of the log's bytes. The text is joined only
+    # when asked for, after tracing stops. Stepped, as a segment's epochs
+    # would add one line.
     scenario = sc.load_scenario(sc.golden_scenario_path("honest"))
     world = SteppedWorld(dataclasses.replace(scenario, horizon=1500))
-    report_of = world.report
-    peaks = []
+    tracemalloc.start()
+    try:
+        report = world.run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    log = report.events_jsonl
+    assert len(log) > 2_000_000 and log.isascii()
+    assert peak < len(log) + BEYOND_THE_LOG, (peak, len(log))
 
-    def traced_report():
-        world.ledger.flush()
-        tracemalloc.start()
-        try:
-            report = report_of()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        return report
 
-    world.report = traced_report
-    log = world.run().events_jsonl
-    assert len(log) > 4 * ledger.DIGEST_SLICE
-    assert peaks[0] < len(log)
-    assert log is world.ledger.events_jsonl()
+def test_a_report_keeps_its_log_as_the_run_left_it(monkeypatch):
+    # The report's text is joined on its first read, here after the world
+    # has stepped on and flushed more: it is still the log at report().
+    monkeypatch.setattr(ledger, "EVENT_BATCH", 7)
+    world = World(sc.load_scenario(sc.golden_scenario_path("honest")))
+    report = world.run()
+    count = report.event_count
+    for _ in range(3):
+        world.step()
+    now = world.ledger.events_jsonl()
+    assert world.ledger.event_count > count
+    assert expanded(report.events_jsonl).count("\n") == count
+    assert hashlib.sha256(report.events_jsonl.encode()).hexdigest() == report.events_digest
+    assert now.startswith(report.events_jsonl) and now != report.events_jsonl

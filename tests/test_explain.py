@@ -64,6 +64,22 @@ def test_the_fold_rebuilds_each_golden_report(name, tmp_path):
         assert rebuild_report(log, frozen["horizon"]) == frozen
 
 
+
+@pytest.mark.parametrize("name", sc.GOLDEN_SCENARIOS)
+def test_the_fold_reads_a_one_shot_generator(name):
+    # rebuild_report reads its lines once, as they come, and hashes each as
+    # it passes: a generator, which cannot be read twice, rebuilds the report.
+    report = sc.run(sc.load_scenario(sc.golden_scenario_path(name)))
+    pulled = []
+
+    def lines():
+        for line in report.events_jsonl.splitlines(keepends=True):
+            pulled.append(line)
+            yield line
+
+    assert rebuild_report(lines(), report.horizon) == report.to_dict()
+    assert "".join(pulled) == report.events_jsonl
+
 def test_the_fold_rebuilds_every_corpus_report():
     rng = random.Random(CORPUS_SEED)
     corpus = [random_scenario(rng) for _ in range(CORPUS_SIZE)]

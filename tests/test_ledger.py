@@ -519,12 +519,12 @@ def tally_segment(led: Ledger, k: int, step: int) -> bool:
 
 def ledger_state(led: Ledger) -> dict:
     """What the ledger holds, flushed, with its log written out: the expanded
-    log, seq, epoch, balances, supply, states and replay, but not the epoch
-    it holds for its next segment."""
-    led.flush()
+    log (not the chunks it is kept in), seq, epoch, balances, supply, states
+    and replay, but not the epoch it holds for its next segment."""
+    log = expanded(led.events_jsonl())
     state = pickle.loads(snapshot(led))
-    del state["_held"], state["_held_epoch"]
-    return {**state, "_text": expanded(state["_text"])}
+    del state["_held"], state["_held_epoch"], state["_chunks"]
+    return {**state, "log": log}
 
 
 def advanced(obj, t: int, strides: dict[str, int]):

@@ -376,14 +376,15 @@ MUTANTS = {
         test_scenario.TestValidate().test_deposit_beyond_horizon),
     "none-accepted-when-not-optional": (
         errors, "_plan", plan_with(lambda f, lo, hi, opt: (f, lo, hi, True)),
-        lambda: test_bounds.test_validate_rejects("deposits[0]", "amount", None, 1, None)),
+        lambda: test_bounds.test_validate_rejects("deposits[0]", "amount", None, 1,
+                                             test_bounds.UINT256)),
     "loader-error-path-skips-field-check": (
         scenario, "_bound_problems", walk_blind_once_a_record_is_unparsed(),
         test_scenario.TestLoader().test_every_problem_in_a_document_reported),
     "loader-error-path-reindexes-list-items": (
         scenario, "_bound_problems", walk_reindexes_after_an_unparsed_item(),
         lambda: test_bounds.test_loader_names_a_rejected_field_once_at_its_index(
-            "deposits[0]", "amount", 0, 1, None)),
+            "deposits[0]", "amount", 0, 1, test_bounds.UINT256)),
     "watchdog-never-due": (
         ValidatorWallet, "watchdog_shortfall", lambda self, state, now: None,
         test_scenario.TestNonPayingRun().test_exit_and_final_payouts_match_oracle),

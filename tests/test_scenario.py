@@ -217,7 +217,7 @@ class TestValidate:
             nft_transfers=(NftTransferAction("0", "alice", "bob", 1),))
         assert sorted(validate(s)) == sorted([
             "treasury.fee_bps 1000.5 is not an integer in 0..10000",
-            "deposits[0].amount '4000' is not an integer >= 1",
+            f"deposits[0].amount '4000' is not an integer in 1..{2 ** 256 - 1}",
             "deposits[1].epoch True is not an integer in 0..20",
             "slashes[0].validator 0.0 is not an integer in 0..0",
             "claims[0].epoch 2.0 is not an integer in 0..20",

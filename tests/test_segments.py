@@ -251,27 +251,23 @@ def test_any_batch_size_gives_the_same_log_across_segments(batch, monkeypatch):
     led = world.ledger
     spans = segments_of(world)
     chunks = []
-    inside = []
-    commit, flush, append = led.advance_segment, led.flush, led._append_text
+    commit, flush = led.advance_segment, led.flush
+    kept = [0]          # how many chunks the log held after the last flush
 
-    def flagged(fn, flag):
-        def call(*args):
-            inside.append(flag)
-            try:
-                return fn(*args)
-            finally:
-                inside.pop()
+    def marked_flush():
+        replay = flush()
+        kept[0] = len(led._chunks)
+        return replay
 
-        return call
+    def recorded_commit(*args):
+        kept[0] = len(led._chunks)
+        done = commit(*args)
+        # The chunks a segment appends after its flush: its own lines.
+        chunks.extend(chunk.count("\n") for chunk in led._chunks[kept[0]:])
+        return done
 
-    def recording_append(chunk):
-        if inside[-1:] == ["segment"]:      # a segment's lines, not a flush
-            chunks.append(chunk.count("\n"))
-        append(chunk)
-
-    led.advance_segment = flagged(commit, "segment")
-    led.flush = flagged(flush, "flush")
-    led._append_text = recording_append
+    led.advance_segment = recorded_commit
+    led.flush = marked_flush
     report = world.run()
     assert spans == [(7, 149), (153, 600)]
     assert expanded(report.events_jsonl) == reference.events_jsonl
