@@ -109,10 +109,10 @@ def factor_key(performance: dict) -> tuple:
 def validator_by_id(state: BeaconState, vid: int) -> BeaconValidator:
     """Validator `vid`'s record: ids are list positions by construction.
 
-    Anything but an int in 0..len-1 raises UnknownValidator; without the
-    bounds check, -1 would index the last validator.
+    Anything but an int in 0..len-1 raises UnknownValidator, a bool too;
+    without the bounds check, -1 would index the last validator.
     """
-    if not isinstance(vid, int) or not 0 <= vid < len(state.validators):
+    if type(vid) is not int or not 0 <= vid < len(state.validators):
         raise UnknownValidator(f"no validator with id {vid}")
     return state.validators[vid]
 

@@ -15,11 +15,11 @@ Each line changes the state as the handler that logged it did: ``Mint``
 registers a token, ``TransferNft`` moves it and settles its credit to the
 seller, ``Distributed`` raises N and the fees (right after an
 ``ExitSettled`` it is a settlement, credited per owner), ``Claimed``
-settles the holder's tokens, and ``Staked``, ``PhaseChanged``, the escrow
-and fee events do the rest. A claim, a fee claim or an escrow refund
-subtracts what its line says it took where the handler zeroes the
-balance, so a tampered amount stays in the state. A line the ledger
-writes names its sender as its emitter: a reward receipt is the
+adds to the holder's claimed total, and ``Staked``, ``PhaseChanged``,
+the escrow and fee events do the rest. A claim, a fee claim or an escrow
+refund books what its line says it took, never what the state says was
+due, so a tampered amount stays in the state. A line the ledger writes
+names its sender as its emitter: a reward receipt is the
 ``Transfer`` right after a ``Call`` to ``receive_rewards`` that wallet j
 emits. ``Slashed`` and ``ExitTriggered`` give a wallet's exit cause and
 epoch, the beacon's events its validator id and status (an exit due by
@@ -42,10 +42,11 @@ before it and with the line it restates:
 * ``Staked`` deploys the principal raised, ``MintAborted`` refunds it,
   each ``Deposited`` is one stake, and ``EscrowPosted`` adds its amount
   to the last total;
-* an ``EpochAccrual``'s minted is the sum of its rewards and, when
-  positive, the beacon's ``SupplyMint`` right before it; a ``Slashed``
-  line's burn is the ``SupplyBurn`` before it, and a ``Swept`` line's
-  payout the ``Transfer`` before it, to the validator's wallet;
+* an ``EpochAccrual`` rewards the Active validators, in id order, and
+  its minted is their sum and, when positive, the beacon's ``SupplyMint``
+  right before it; a ``Slashed`` line's burn is the ``SupplyBurn`` before
+  it, and a ``Swept`` line's payout the ``Transfer`` before it, to the
+  validator's wallet;
 * an ``ExitSettled`` returns what its wallet's ``WithdrawalFinalized``
   did, and each states the shortfall below one stake;
 * validator ids are positions, each status moves only from the one before
@@ -71,7 +72,7 @@ from .beacon import ValidatorStatus
 from .ledger import REPEAT, REPEAT_KEYS, SYSTEM, Event, ReplayResult, replay_balances, strided
 from .scenario import TREASURY, RunReport, is_holder_name, wallet_name
 from .treasury import (CAUSE_PERFORMANCE, CAUSE_SLASHED, Phase, SettlementRecord, TreasuryState,
-                       balance_identity, claimable_of, credit_settlement, moved, settle_token)
+                       balance_identity, credit_settlement, moved, settle_token)
 
 _REPLAYED = frozenset(("SupplyMint", "SupplyBurn", "Transfer"))
 
@@ -179,15 +180,10 @@ class _Fold:
             self.consistent &= last.tag == "Transfer" and p["amount"] == last.payload["amount"]
 
     def _on_Claimed(self, e: Event) -> None:
-        # As the claim handler, but what is left is what the holder could
-        # claim less what the line says it took, not 0: a tampered amount
-        # stays in the state and breaks balance_identity.
-        t, h, amount = self.tst, e.payload["holder"], e.payload["amount"]
-        left = claimable_of(t, h) - amount
-        for token_id in t.owned.get(h, ()):
-            settle_token(t, token_id, h)
-        t.claimable = t.claimable.set(h, left)
-        t.claimed_total = t.claimed_total.set(h, t.claimed_total.get(h, 0) + amount)
+        # As the claim handler, with what the line says was taken: a
+        # tampered amount stays in the state and breaks balance_identity.
+        t, h = self.tst, e.payload["holder"]
+        t.claimed_total = t.claimed_total.set(h, t.claimed_total.get(h, 0) + e.payload["amount"])
 
     def _on_OperatorFeesClaimed(self, e: Event) -> None:
         self.tst.operator_fees_accrued -= e.payload["amount"]
@@ -238,8 +234,10 @@ class _Fold:
             self.consistent &= self.exit_at[vid] <= e.epoch
 
     def _on_EpochAccrual(self, e: Event) -> None:
-        p = e.payload
-        self.consistent &= p["minted"] == sum(reward for _, reward in p["amounts"]) \
+        p, active = e.payload, ValidatorStatus.ACTIVE.value
+        self.consistent &= [vid for vid, _ in p["amounts"]] \
+            == [vid for vid, status in self.status.items() if status == active] \
+            and p["minted"] == sum(reward for _, reward in p["amounts"]) \
             and self._follows(e, "SupplyMint", p["minted"])
 
     def _on_WithdrawalFinalized(self, e: Event) -> None:

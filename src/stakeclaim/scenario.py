@@ -69,9 +69,9 @@ epoch inside it, and that is enough. Inside a segment every term of every
 identity it checks is affine in the epoch: the ledger's total and the
 treasury's balance rise by fixed steps, as do N and the fees in
 :func:`treasury.balance_identity`, and every other term (escrow, principal,
-claimable, checkpoints, the beacon's vault and balances) is constant. The
-difference of two affine functions is affine, and an affine function that
-is zero at two distinct epochs is zero at every epoch between them.
+credited, claimed, checkpoints, the beacon's vault and balances) is
+constant. The difference of two affine functions is affine, and an affine
+function that is zero at two distinct epochs is zero at every epoch between them.
 
 A scenario file is a :class:`Scenario` as strict JSON, plus a ``seed``:
 its keys are Scenario's fields, of which ``claims`` and ``nft_transfers``
@@ -509,8 +509,8 @@ class RunReport:
         `holders` are the holders' names in report order, `wallets` each
         wallet's (validator id, beacon status, exit epoch) in index order,
         and `rest` the fields the treasury does not hold: the epochs, the
-        conservation checks and the log. A holder's claimable is its settled
-        credit plus its tokens' pending credit; its realized loss, capital
+        conservation checks and the log. A holder's claimable is
+        :func:`treasury.claimable_of`; its realized loss, capital
         not returned as settlement credit, counts only once Settled.
         """
         settled = tst.phase is Phase.SETTLED

@@ -17,15 +17,16 @@ This is the reward-per-token accumulator of Batog, Boca & Johnson
 (*Scalable Reward Distribution on the Ethereum Blockchain*, 2018) in exact
 integer form. A receipt only adds its net to N: no per-token work. Each
 token keeps a checkpoint ``paid[i]``, the part of ``accrued(i)`` already
-moved into an owner's ``claimable``. A token is settled (the difference
-credited to its current owner and the checkpoint moved up) when it changes
-hands and when its owner claims, so every credit lands with whoever owned
-the token when the distribution happened. A claim finds the caller's
-tokens through the owner index (``owned``: owner -> ascending token ids,
-the analogue of ERC-721 Enumerable's per-owner token list), the one record
-of who owns a token, kept on register and transfer (:func:`moved`), so it
-costs O(owned), not a scan of every token. These maps are SharedMaps: a
-write copies one chunk, so a raise of n tokens costs O(n), not O(n^2).
+credited to a seller. A token is settled (the difference added to its
+seller's cumulative ``credited``, the checkpoint moved up) only when it
+changes hands, so every credit lands with whoever owned the token when the
+distribution happened. A holder may claim ``credited`` less
+``claimed_total`` plus its tokens' pending credit, found through the owner
+index (``owned``: owner -> ascending token ids, the analogue of ERC-721
+Enumerable's per-owner token list), the one record of who owns a token,
+kept on register and transfer (:func:`moved`), so a claim costs O(owned).
+These maps are SharedMaps: a write copies one chunk, so a raise of n
+tokens costs O(n), not O(n^2).
 
 The undistributed sub-unit remainder is dust: ``N - sum(accrued(i))``,
 always below the token count. Per distribution of ``amount`` the split is
@@ -44,11 +45,11 @@ or reversing. An aborted raise refunds depositors and simply never leaves
 Fundraising.
 
 The master conservation check is :func:`balance_identity`: at rest, the
-treasury's ledger balance always equals principal + sum(claimable) +
-pending + dust + escrow_balance + operator_fees_accrued, where pending = sum(accrued(i) - paid[i]) is credit not yet settled to an
-owner. The holder part reduces exactly to ``sum(claimable) + N -
-sum(paid)``, which is what is computed; a checkpoint or a claimable entry
-off by one unit breaks it.
+treasury's ledger balance always equals principal + sum(claimable) + dust
++ escrow_balance + operator_fees_accrued. The holder part reduces exactly
+to ``sum(credited) - sum(claimed_total) + N - sum(paid)``, which is what is
+computed, not shortened by ``sum(credited) == sum(paid)``: an entry of any
+of the three maps off by one unit breaks it.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ class TreasuryState:
     principal: int = 0
     operator_fees_accrued: int = 0
     fees_claimed_total: int = 0
-    claimable: SharedMap = field(default_factory=SharedMap)  # holder -> settled, unclaimed
+    credited: SharedMap = field(default_factory=SharedMap)   # holder -> settled on its resales
     claimed_total: SharedMap = field(default_factory=SharedMap)
     net_total: int = 0                                        # N: cumulative net distributed
     paid: SharedMap = field(default_factory=SharedMap)       # token -> accrued already settled
@@ -135,9 +136,9 @@ class TreasuryState:
 def balance_identity(state: TreasuryState) -> int:
     """What the treasury's ledger balance must equal at rest.
 
-    sum(claimable) + pending + dust == sum(claimable) + N - sum(paid).
+    sum(claimable) + dust == sum(credited) - sum(claimed_total) + N - sum(paid).
     """
-    return (state.principal + sum(state.claimable.values())
+    return (state.principal + sum(state.credited.values()) - sum(state.claimed_total.values())
             + state.net_total - sum(state.paid.values())
             + state.escrow_balance + state.operator_fees_accrued)
 
@@ -148,8 +149,8 @@ def accrued(state: TreasuryState, token_id: int) -> int:
 
 
 def claimable_of(state: TreasuryState, holder: str) -> int:
-    """What `holder` could claim now: settled credit plus its tokens' pending credit."""
-    return state.claimable.get(holder, 0) + sum(
+    """What `holder` could claim now: credited less claimed, plus its tokens' pending credit."""
+    return state.credited.get(holder, 0) - state.claimed_total.get(holder, 0) + sum(
         accrued(state, t) - state.paid.get(t, 0) for t in state.owned.get(holder, ()))
 
 
@@ -180,15 +181,14 @@ def moved(owned: SharedMap, token_id: int, frm: str | None, to: str) -> SharedMa
 
 
 def settle_token(st: TreasuryState, token_id: int, owner: str) -> None:
-    """Credit the token's pending credit to `owner` and move its checkpoint.
-
-    Sets new `paid` and `claimable` maps on `st`, a new state.
-    """
+    """Credit the token's pending credit to `owner`, its seller, and move
+    its checkpoint, the only writes of either: new `paid` and `credited`
+    maps on `st`, a new state."""
     total = accrued(st, token_id)
     due = total - st.paid.get(token_id, 0)
     if due:
         st.paid = st.paid.set(token_id, total)
-        st.claimable = st.claimable.set(owner, st.claimable.get(owner, 0) + due)
+        st.credited = st.credited.set(owner, st.credited.get(owner, 0) + due)
 
 
 def credit_settlement(st: TreasuryState, before: int) -> None:
@@ -340,22 +340,12 @@ class TreasuryContract(Handlers):
                       net_total=state.net_total + k * net)
 
     def _op_claim(self, state: TreasuryState, msg: Msg, ctx: CallContext):
-        """Pull-payment of everything credited to the caller.
-
-        Settles the caller's tokens only, found through the owner index;
-        other owners' pending credit stays pending.
-        """
-        checkpoints = [(t, accrued(state, t)) for t in state.owned.get(msg.caller, ())]
-        paid = state.paid
-        amount = state.claimable.get(msg.caller, 0) + sum(
-            total - paid.get(t, 0) for t, total in checkpoints)
+        """Pull-payment of the caller's :func:`claimable_of`; only its ``claimed_total`` moves."""
+        amount = claimable_of(state, msg.caller)
         if amount <= 0:
             raise NothingToClaim(f"{msg.caller} has nothing to claim")
-        for t, total in checkpoints:
-            paid = paid.set(t, total)
         claimed = state.claimed_total.get(msg.caller, 0) + amount
-        st = evolve(state, paid=paid, claimable=state.claimable.set(msg.caller, 0),
-                    claimed_total=state.claimed_total.set(msg.caller, claimed))
+        st = evolve(state, claimed_total=state.claimed_total.set(msg.caller, claimed))
         effects = [
             Transfer(msg.caller, amount),
             Emit("Claimed", {"holder": msg.caller, "amount": amount}),

@@ -325,9 +325,10 @@ class TestExitAndSweep:
         with pytest.raises(UnknownValidator):
             self.led.call("wa", "beacon", "request_exit", {"validator_id": 99})
 
-    @pytest.mark.parametrize("vid", [-1, 1])
+    @pytest.mark.parametrize("vid", [-1, 1, False])
     def test_ids_outside_the_list_are_unknown(self, vid):
-        # Ids are list positions; -1 must not reach the last validator.
+        # Ids are list positions; -1 must not reach the last validator, nor
+        # False the first.
         snap = snapshot(self.led)
         with pytest.raises(UnknownValidator):
             validator_by_id(self.led.contract_state("beacon"), vid)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
@@ -253,21 +254,40 @@ UNCHECKED = {
 }
 
 
-def int_fields(lines: list[str]) -> dict[tuple[str, str], list[int]]:
-    """(tag, key) -> the indexes of the lines whose payload holds an int under key."""
-    fields: dict[tuple[str, str], list[int]] = {}
+def int_paths(value, path: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
+    """The path of each int in `value`: () for `value` itself, else its
+    positions in the lists it is nested in (an EpochAccrual's [id, reward])."""
+    if type(value) is int:
+        yield path
+    elif type(value) is list:
+        for j, item in enumerate(value):
+            yield from int_paths(item, (*path, j))
+
+
+def int_fields(lines: list[str]) -> dict[tuple[str, str], list[tuple[int, tuple[int, ...]]]]:
+    """(tag, key) -> (line index, path) of every int under key in a line's payload."""
+    fields: dict[tuple[str, str], list[tuple[int, tuple[int, ...]]]] = {}
     for i, line in enumerate(lines):
         e = json.loads(line)
         for key, value in e["payload"].items():
-            if type(value) is int:
-                fields.setdefault((e["tag"], key), []).append(i)
+            for path in int_paths(value):
+                fields.setdefault((e["tag"], key), []).append((i, path))
     return fields
 
 
+def one_unit_added(payload: dict, key: str, path: tuple[int, ...]) -> None:
+    """Add 1 to the int at `path` under `key` (:func:`int_paths`), in place."""
+    inner, at = payload, key
+    for j in path:
+        inner, at = inner[at], j
+    inner[at] += 1
+
+
 def test_one_unit_added_to_any_int_field_fails_replay_ok():
-    # Every int field of every line kind, at its first and its last line, in
-    # six logs: a +1 must make replay_ok false (or make the log refuse to
-    # expand), unless UNCHECKED names the field and says why.
+    # Every int field of every line kind, each int of it, nested in lists
+    # too, at its first and its last line, in six logs: a +1 must make
+    # replay_ok false (or make the log refuse to expand), unless UNCHECKED
+    # names the field and says why.
     runs = [sc.run(sc.load_scenario(sc.golden_scenario_path(name)))
             for name in sc.GOLDEN_SCENARIOS]
     runs += [run_with_resales_claims_and_both_exit_causes(), run_with_the_escrow_refunded(),
@@ -276,9 +296,10 @@ def test_one_unit_added_to_any_int_field_fails_replay_ok():
     for report in runs:
         lines = report.events_jsonl.splitlines(keepends=True)
         for (tag, key), at in int_fields(lines).items():
-            for i in {at[0], at[-1]}:
+            ends = {at[0][0], at[-1][0]}
+            for i, path in (x for x in at if x[0] in ends):
                 e = json.loads(lines[i])
-                e["payload"][key] += 1
+                one_unit_added(e["payload"], key, path)
                 tampered = [*lines[:i], encode_lines([Event(**e)])[0], *lines[i + 1:]]
                 try:
                     kept = rebuild_report(tampered, report.horizon)["conservation"]["replay_ok"]

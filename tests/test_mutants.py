@@ -330,12 +330,13 @@ def unchecked(handler):
     return mutant
 
 
-def claim_zeroes_claimable(handler):
-    """The fold's Claimed handler leaving the holder nothing to claim, as the
-    claim handler does, whatever amount the line says was taken."""
+def claim_records_what_was_claimable(handler):
+    """The fold's Claimed handler recording as claimed what the holder could
+    claim, as the claim handler does, whatever amount the line says was taken."""
     def mutant(self, e):
-        handler(self, e)
-        self.tst.claimable = self.tst.claimable.set(e.payload["holder"], 0)
+        t, h = self.tst, e.payload["holder"]
+        t.claimed_total = t.claimed_total.set(h, t.claimed_total.get(h, 0)
+                                              + treasury.claimable_of(t, h))
 
     return mutant
 
@@ -486,8 +487,8 @@ MUTANTS = {
     "fold-slash-read-as-performance": (
         _Fold, "_on", fold_with("Slashed", slash_read_as_performance),
         test_explain.test_an_exit_due_but_not_yet_swept_reads_withdrawable),
-    "fold-claim-zeroes-claimable": (
-        _Fold, "_on", fold_with("Claimed", claim_zeroes_claimable),
+    "fold-claim-records-what-was-claimable": (
+        _Fold, "_on", fold_with("Claimed", claim_records_what_was_claimable),
         lambda: test_explain.test_one_unit_added_to_an_amount_the_fold_reads_fails_replay_ok(
             test_explain.run_with_resales_claims_and_both_exit_causes, "Claimed", "amount")),
     **{f"fold-{tag}-unchecked": (

@@ -168,6 +168,23 @@ class TestClaims:
         assert claimable_of(w.treasury_state, "alice") == 0
         w.check_treasury_identity()
 
+    def test_a_claim_moves_no_checkpoint(self, staked_world):
+        # A token's checkpoint moves only when the token changes hands: a
+        # claim writes the claimer's claimed total and nothing else.
+        w = staked_world
+        receive(w, 1000)
+        w.transfer_nft(1, "bob", "alice")       # a resale: token 1 gets a checkpoint
+        receive(w, 777)
+        before = w.treasury_state
+        assert before.paid == {1: 337}
+        assert w.claim("alice") == claimable_of(before, "alice") > 0
+        after = w.treasury_state
+        assert after.paid is before.paid
+        assert after.credited is before.credited == {"bob": 337}
+        assert after.claimed_total == {"alice": claimable_of(before, "alice")}
+        assert claimable_of(after, "alice") == 0
+        w.check_treasury_identity()
+
     def test_double_claim(self, staked_world):
         w = staked_world
         receive(w, 1000)

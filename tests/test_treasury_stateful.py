@@ -7,8 +7,9 @@ token by token, carrying each token's sub-unit remainder and crediting
 each share to whoever owns the token at that moment; it shares no code
 with the treasury's closed-form accumulator. After every step each
 holder's claimed + claimable must equal the model, the treasury's
-ledger balance must equal :func:`balance_identity`, and the treasury's
-owner index must equal a scan of the mint's token owners.
+ledger balance must equal :func:`balance_identity`, the credit settled on
+resales must equal what the checkpoints moved, and the treasury's owner
+index must equal a scan of the mint's token owners.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class TreasuryMachine(RuleBasedStateMachine):
         self.total = sum(capitals)
         self.owners = [owner for _, owner in tokens]
         self.carry = [0] * len(capitals)
-        self.credited = {h: 0 for h in HOLDERS}
+        self.earned = {h: 0 for h in HOLDERS}
         self.settlement_credited = {h: 0 for h in HOLDERS}
         self.claimed = {h: 0 for h in HOLDERS}
         self.fees = 0
@@ -70,7 +71,7 @@ class TreasuryMachine(RuleBasedStateMachine):
             self.carry[i] += net * c
             share = self.carry[i] // self.total
             self.carry[i] -= share * self.total
-            self.credited[self.owners[i]] += share
+            self.earned[self.owners[i]] += share
             if settlement:
                 self.settlement_credited[self.owners[i]] += share
         self.fees += fee
@@ -112,7 +113,7 @@ class TreasuryMachine(RuleBasedStateMachine):
 
     @rule(holder=st.sampled_from(HOLDERS))
     def claim(self, holder):
-        due = self.credited[holder] - self.claimed[holder]
+        due = self.earned[holder] - self.claimed[holder]
         if due == 0:
             with pytest.raises(NothingToClaim):
                 self.w.claim(holder)
@@ -136,7 +137,7 @@ class TreasuryMachine(RuleBasedStateMachine):
     def holders_match_the_oracle(self):
         ts = self.w.treasury_state
         for h in HOLDERS:
-            assert ts.claimed_total.get(h, 0) + claimable_of(ts, h) == self.credited[h]
+            assert ts.claimed_total.get(h, 0) + claimable_of(ts, h) == self.earned[h]
             assert ts.claimed_total.get(h, 0) == self.claimed[h]
             assert ts.settlement_credits.get(h, 0) == self.settlement_credited[h]
         assert ts.operator_fees_accrued == self.fees
@@ -159,6 +160,13 @@ class TreasuryMachine(RuleBasedStateMachine):
     def treasury_identity_holds(self):
         self.w.check_treasury_identity()
 
+    @invariant()
+    def credited_is_what_the_checkpoints_moved(self):
+        # Only a resale moves a checkpoint, and it credits the seller
+        # exactly what it moved.
+        ts = self.w.treasury_state
+        assert sum(ts.credited.values()) == sum(ts.paid.values())
+
 
 TreasuryMachine.TestCase.settings = settings(max_examples=60, stateful_step_count=30,
                                              deadline=None)
@@ -169,7 +177,7 @@ TestTreasuryMachine = TreasuryMachine.TestCase
 
 @pytest.fixture(scope="module")
 def settled_world() -> World:
-    """The honest golden with a claim and a resale, so both maps have entries."""
+    """The honest golden with a claim and a resale, so all three maps have entries."""
     s = sc.load_scenario(sc.golden_scenario_path("honest"))
     s = replace(s, claims=(ClaimAction("alice", 10),),
                 nft_transfers=(NftTransferAction(0, "alice", "bob", 12),))
@@ -178,7 +186,7 @@ def settled_world() -> World:
     return world
 
 
-@pytest.mark.parametrize("field", ["paid", "claimable"])
+@pytest.mark.parametrize("field", ["paid", "credited", "claimed_total"])
 def test_audit_catches_one_unit_bumped(settled_world, field):
     led = settled_world.ledger
     committed = led.contract_state(TREASURY)
