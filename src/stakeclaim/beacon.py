@@ -283,8 +283,8 @@ class BeaconContract(Handlers):
         self._require_driver(msg)
         vid = msg.args["validator_id"]
         bps = msg.args["fraction_bps"]
-        if not (0 < bps <= 10_000):
-            raise InvalidAmount(f"slash fraction {bps} bps outside (0, 10000]")
+        if type(bps) is not int or not 0 < bps <= 10_000:     # a bool too
+            raise InvalidAmount(f"slash fraction {bps!r} bps is not an int in (0, 10000]")
         v = validator_by_id(state, vid)
         if v.status is not ValidatorStatus.ACTIVE:
             raise NotActive(f"validator {vid} is {v.status.value}")

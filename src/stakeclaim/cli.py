@@ -12,8 +12,9 @@ output directory, which it creates before the run. Exit codes: 0 success,
 (one line on stderr), 2 an invariant violation was detected during the run
 (details on stderr); on exit 2 events.jsonl holds the log committed up to
 the failing epoch's audit, and there is no report.json or report.csv.
-events.jsonl is written from the chunks the ledger kept the log in, and so
-is the log on stdout: neither joins the log into one string.
+events.jsonl is copied from the log file the ledger wrote as the run went,
+and the chunks it still held, and so is the log on stdout: neither holds
+the whole log in memory.
 Both commands list a scenario's problems one a line, the same lines:
 ``validate`` on stdout, ``run`` on stderr. Output is byte-stable for
 identical inputs.
@@ -25,8 +26,9 @@ it stops there and exits 1 with one line on stderr. A reader that closes
 stdout early (``| head``) ends it quietly, with exit 0.
 
 The STAKECLAIM_LOG environment variable controls stdout verbosity:
-``quiet`` (default) prints nothing on success, ``events`` prints the event
-log once the run has finished, ``trace`` additionally prints the report.
+``quiet`` (default) prints nothing on success, ``events`` streams the
+event log, as events.jsonl is written, once the run has finished,
+``trace`` additionally prints the report.
 Any other value is invalid input: ``run`` exits 1 before it starts.
 """
 
@@ -40,6 +42,7 @@ from pathlib import Path
 
 from .errors import InvalidScenario, InvariantViolation, bound_problems
 from .explain import expand
+from .ledger import LogText
 from .scenario import Scenario, World, load_scenario, validate
 
 
@@ -53,9 +56,9 @@ def _load_checked(path: str) -> tuple[Scenario | None, list[str]]:
     return scenario, validate(scenario)
 
 
-def _write_log(path: Path, chunks: tuple[str, ...]) -> None:
-    with path.open("w") as f:
-        f.writelines(chunks)
+def _write_log(path: Path, log: LogText) -> None:
+    with path.open("wb") as f:
+        f.writelines(log.blocks())
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -82,11 +85,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         except InvariantViolation as exc:
             print(f"invariant violation: {exc}", file=sys.stderr)
             # The evidence: the log up to the failing audit, and no report.
-            _write_log(out / "events.jsonl", world.ledger.log_chunks())
+            _write_log(out / "events.jsonl", world.ledger.log_text())
             for stale in ("report.json", "report.csv"):
                 (out / stale).unlink(missing_ok=True)
             return 2
-        _write_log(out / "events.jsonl", report.log_chunks)
+        _write_log(out / "events.jsonl", report.log)
         if args.format == "csv":
             (out / "report.csv").write_text(report.to_csv())
         else:
@@ -96,7 +99,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 1
 
     if log_mode in ("events", "trace"):
-        sys.stdout.writelines(report.log_chunks)
+        sys.stdout.writelines(report.log.chunks())
     if log_mode == "trace":
         sys.stdout.write(report.to_json())
     return 0

@@ -383,5 +383,4 @@ def rebuild_report(lines: Iterable[str], horizon: int) -> dict:
         final_total=final_total,
         event_count=count,
         events_digest=digest.hexdigest(),
-        log_chunks=(),      # to_dict holds no log
     ).to_dict()

@@ -67,11 +67,18 @@ line's is its caller. Their payloads are ``{"to","amount"}``,
 
 The log streams. Committed events wait in a pending batch until
 ``EVENT_BATCH`` of them have built up; the ledger then encodes the batch
-as one chunk of text, keeps the chunk, folds the batch into a running
+as one chunk of text, folds the batch into a running
 :func:`replay_balances`, and drops the Event objects. :meth:`Ledger.flush`
-does the same for a partial batch. The log is its chunks in order, held
-once: :meth:`Ledger.log_chunks` hands them out as they are,
-:meth:`Ledger.events_digest` hashes them one at a time, and only
+does the same for a partial batch. The ledger holds the chunks a segment
+check reads, those from the epoch before the current one on; once the
+chunks before those reach ``LOG_BLOCK`` bytes, it writes them to the log's
+file at the log's length and drops them. So what a run holds does not grow
+with its log, and a log shorter than ``LOG_BLOCK`` never reaches a file.
+The file (:class:`LogFile`) is an unlinked temporary file, opened at the
+first write and closed once neither the ledger nor a report holds it.
+:meth:`Ledger.log_text` is the log as it stands (:class:`LogText`): the
+file, its length and the chunks held, read back a block at a time.
+:meth:`Ledger.events_digest` hashes those blocks, and only
 :meth:`Ledger.events_jsonl` joins them, when asked. The log's bytes do not
 depend on the batch size, and no Event object outlives its batch.
 
@@ -81,7 +88,7 @@ which contract states they leave. The ledger keeps where its last two
 epochs began, so it counts their lines itself. It checks the last epoch's
 lines, its own, against the whole epoch before, which must have logged as
 many, advanced by one stride (:func:`strided`); both are read off the
-log's trailing chunks. It then logs the whole
+trailing chunks it keeps in hand. It then logs the whole
 segment as one ``Repeat`` line: ``{"epoch":e+1,"seq":s,"emitter":"system","tag":"Repeat",
 "payload":{"epochs":k,"lines":n,...}}`` says that the n lines before it
 repeat k times, with ``epoch``, ``seq`` and each further key of the
@@ -103,7 +110,10 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from collections.abc import Mapping
+import tempfile
+import weakref
+from bisect import bisect_right
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
@@ -136,6 +146,10 @@ LEDGER_TAGS = frozenset(("Transfer", "SupplyMint", "SupplyBurn", "Call"))
 # batch, the log's one chunk. Larger batches share more of encode_lines'
 # per-call caches; smaller ones hold fewer Event objects and payloads.
 EVENT_BATCH = 512
+
+# The log's file is written in blocks of at least this many bytes, the
+# chunks no segment check reads, and read back in blocks of at most this many.
+LOG_BLOCK = 1 << 16
 
 # json.dumps(o, separators=(",", ":")) without building an encoder per call.
 _encode = json.JSONEncoder(separators=(",", ":")).encode
@@ -507,6 +521,55 @@ class CallContext:
         led._log(self._events)
 
 
+class LogFile:
+    """A ledger's log file: unlinked, so nothing is left on disk, and closed
+    once neither the ledger nor a report holds it."""
+
+    __slots__ = ("file", "__weakref__")
+
+    def __init__(self):
+        self.file = tempfile.TemporaryFile()
+        weakref.finalize(self, self.file.close)
+
+
+class LogText(NamedTuple):
+    """A log as it stood: the first `length` bytes of its file (None while
+    the ledger has written none), then the chunks it held (`tail`). The
+    ledger only appends to the file, so later writes leave those bytes as
+    they are; a restored snapshot writes over them (``tests/conftest.py``)."""
+
+    file: LogFile | None = None
+    length: int = 0
+    tail: tuple[str, ...] = ()
+
+    def _file_blocks(self) -> Iterator[bytes]:
+        for at in range(0, self.length, LOG_BLOCK):
+            f = self.file.file
+            f.seek(at)
+            yield f.read(min(LOG_BLOCK, self.length - at))
+
+    def blocks(self) -> Iterator[bytes]:
+        """The text's bytes: the file's ``LOG_BLOCK`` at a time, then each
+        chunk's of the tail."""
+        yield from self._file_blocks()
+        for chunk in self.tail:
+            yield chunk.encode()
+
+    def chunks(self) -> Iterator[str]:
+        """The text: the file's a block at a time, then the tail's chunks.
+        The log is ASCII, so no block ends inside a character."""
+        for block in self._file_blocks():
+            yield block.decode()
+        yield from self.tail
+
+    def digest(self) -> str:
+        """sha256 of the text's bytes."""
+        h = hashlib.sha256()
+        for block in self.blocks():
+            h.update(block)
+        return h.hexdigest()
+
+
 class Ledger:
     """One simulated chain instance.
 
@@ -527,7 +590,13 @@ class Ledger:
         self._prev_seq = 0                  # the seq at which the epoch before it began
         self._epoch_seq = 0                 # the seq at which the current epoch began
         self._pending: list[Event] = []     # committed, not yet encoded or folded
-        self._chunks: list[str] = []        # the log's text: each flushed batch, encoded
+        # The log's text: a file, opened at its first write, of the chunks
+        # written (_log_len bytes), then the chunks held, each flushed batch
+        # or Repeat line encoded, with the seq each one's lines end before.
+        self._log_file: LogFile | None = None
+        self._log_len = 0
+        self._chunks: list[str] = []
+        self._chunk_ends: list[int] = []
         # The lines of the last epoch a segment repeated, and that epoch;
         # before any segment, epoch -1, which logged none.
         self._held = ""
@@ -720,7 +789,7 @@ class Ledger:
             return False
 
         if k and n:
-            self._chunks.append(encode_lines((Event(
+            self._append(encode_lines((Event(
                 self.epoch + 1, self._seq, SYSTEM, REPEAT,
                 {"epochs": k, "lines": n, **strides}),))[0])
             self._held, self._held_epoch = strided(last, every)(k), self.epoch + k
@@ -760,36 +829,52 @@ class Ledger:
     def flush(self) -> ReplayResult:
         """Encode and fold the committed events not yet flushed; drop them.
 
-        The batch's lines (:func:`encode_lines`) are kept as one chunk of
-        the log's text, and :func:`replay_balances` folds the batch into
-        the running replay. Returns that replay, of the whole log so far;
-        the object is the ledger's own, and later flushes fold into it.
+        The batch's lines (:func:`encode_lines`) are the log's next chunk,
+        and :func:`replay_balances` folds the batch into the running
+        replay. The ledger holds the chunks a segment check may read, those
+        with lines from the epoch before the current one on. Once the
+        chunks before those reach ``LOG_BLOCK`` bytes, it writes them to
+        the log's file at the log's length and drops them. Returns the
+        replay of the whole log so far; the object is the ledger's own, and
+        later flushes fold into it.
         """
         pending = self._pending
         if pending:
-            self._chunks.append("".join(encode_lines(pending)))
+            self._append("".join(encode_lines(pending)))
             replay_balances(pending, self._replay)
             self._pending = []
+            old = bisect_right(self._chunk_ends, self._prev_seq)
+            size = sum(map(len, self._chunks[:old]))    # bytes too: the log is ASCII
+            if size >= LOG_BLOCK:
+                if self._log_file is None:
+                    self._log_file = LogFile()
+                f = self._log_file.file
+                f.seek(self._log_len)
+                f.writelines(chunk.encode() for chunk in self._chunks[:old])
+                self._log_len += size
+                del self._chunks[:old], self._chunk_ends[:old]
         return self._replay
 
-    def log_chunks(self) -> tuple[str, ...]:
-        """The whole log, flushed, as the chunks it was kept in: their
-        concatenation is :meth:`events_jsonl`. A snapshot: later flushes
-        add chunks to the ledger, not to the tuple."""
+    def _append(self, chunk: str) -> None:
+        """Hold `chunk`, whole lines that end before seq ``_seq``, as the log's last."""
+        self._chunks.append(chunk)
+        self._chunk_ends.append(self._seq)
+
+    def log_text(self) -> LogText:
+        """The whole log, flushed: its file, the file's length and the
+        chunks held. A snapshot: later writes go after that length."""
         self.flush()
-        return tuple(self._chunks)
+        return LogText(self._log_file, self._log_len, tuple(self._chunks))
 
     def events_jsonl(self) -> str:
         """The whole log as JSON lines, one event or ``Repeat`` line per line
-        (:func:`encode_lines`): its chunks, joined into a new string."""
-        return "".join(self.log_chunks())
+        (:func:`encode_lines`): its file and the chunks held, read back
+        into a new string."""
+        return "".join(self.log_text().chunks())
 
     def events_digest(self) -> str:
-        """sha256 of :meth:`events_jsonl`'s UTF-8, encoded one chunk at a time."""
-        h = hashlib.sha256()
-        for chunk in self.log_chunks():
-            h.update(chunk.encode())
-        return h.hexdigest()
+        """sha256 of :meth:`events_jsonl`'s UTF-8, hashed a block at a time."""
+        return self.log_text().digest()
 
 
 # --- post-hoc conservation check from the log alone --------------------------

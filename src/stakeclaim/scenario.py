@@ -106,7 +106,7 @@ from pathlib import Path
 
 from .beacon import BeaconContract, BeaconParams, ValidatorStatus, next_transition, validator_by_id
 from .errors import UINT256_MAX, ContractError, InvalidScenario, InvariantViolation, bound_problems, bounded
-from .ledger import SYSTEM, Ledger, evolve, replay_balances  # noqa: F401  (bench/tracing.py patches scenario.replay_balances)
+from .ledger import SYSTEM, Ledger, LogText, evolve, replay_balances  # noqa: F401  (bench/tracing.py patches scenario.replay_balances)
 from .mint import MintContract, MintSpec
 from .treasury import (Phase, TreasuryContract, TreasurySpec, TreasuryState, balance_identity,
                        claimable_of)
@@ -477,6 +477,17 @@ class ValidatorReport:
 
 @dataclass
 class RunReport:
+    """A run's outcome, and its log as it stood at :meth:`World.report`.
+
+    The log is not held as text: the report keeps a handle on the
+    ledger's log file, the file's length then and the chunks the ledger
+    held (``log``), reads them back on the first read of
+    :attr:`events_jsonl`, and keeps the file open while it lives. A
+    report taken before a snapshot's restore (``tests/conftest.py``) is
+    not read after it: the restored ledger writes over the file from its
+    restored length.
+    """
+
     horizon: int
     final_epoch: int
     phase: str
@@ -492,14 +503,16 @@ class RunReport:
     final_total: int
     event_count: int
     events_digest: str
-    # The log as the ledger kept it (Ledger.log_chunks). Equal logs have
-    # equal digests, so two reports compare on those.
-    log_chunks: tuple[str, ...] = field(repr=False, compare=False)
+    # The log as it stood at report() (Ledger.log_text): the ledger's file,
+    # which the report only reads, its length then and the chunks held;
+    # empty for a report rebuilt from a log. Equal logs have equal digests,
+    # so two reports compare on those.
+    log: LogText = field(default=LogText(), repr=False, compare=False)
 
     @cached_property
     def events_jsonl(self) -> str:
-        """The whole log, its chunks joined on first read."""
-        return "".join(self.log_chunks)
+        """The whole log, read back on first read."""
+        return "".join(self.log.chunks())
 
     @classmethod
     def read(cls, tst: TreasuryState, holders: Iterable[str],
@@ -922,7 +935,7 @@ class World:
             final_total=led.total_balance(),
             event_count=led.event_count,
             events_digest=led.events_digest(),
-            log_chunks=led.log_chunks(),
+            log=led.log_text(),
         )
 
 

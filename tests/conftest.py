@@ -148,12 +148,15 @@ class SteppedWorld(World):
 
 # The Ledger fields a snapshot leaves out, each with its reason: registries
 # that no call tree writes, so restoring them could only undo a registration
-# or unshare what the log shares. Every other instance field is snapshotted,
-# so a field added to Ledger is covered unless it is named here.
+# or unshare what the log shares, and the log's file, which no pickle holds.
+# Every other instance field is snapshotted, so a field added to Ledger is
+# covered unless it is named here.
 REGISTRY_FIELDS = {
     "_contracts": "contract code, registered once and never written by a call",
     "_issuers": "the issuer set, fixed when a contract registers",
     "_call_payloads": "the interned Call payloads, which logged events share by identity",
+    "_log_file": "the log's open file: a restore keeps it, and the restored _log_len "
+                 "rolls the log back, as the next write goes at that length",
 }
 
 
@@ -167,7 +170,9 @@ def snapshot(led: Ledger) -> bytes:
     them differently: equal states can pickle to different bytes once
     :func:`restore` has run. Compare snapshots taken across a restore with
     ``pickle.loads``, not as bytes. (Adding the interned payloads to the
-    snapshot does not make the bytes canonical either.)
+    snapshot does not make the bytes canonical either.) A report taken
+    before a restore is not read after it: the restored ledger writes its
+    log over the file the report reads.
     """
     return pickle.dumps({name: value for name, value in vars(led).items()
                          if name not in REGISTRY_FIELDS})

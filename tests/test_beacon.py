@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import snapshot
+from conftest import make_staked_world, snapshot
 from stakeclaim.beacon import (
     BeaconContract,
     BeaconParams,
@@ -291,6 +291,16 @@ class TestSlash:
             with pytest.raises(InvalidAmount):
                 self.led.call("sys", "beacon", "slash",
                               {"validator_id": self.vid, "fraction_bps": bps})
+
+    def test_a_bool_fraction_is_no_fraction(self):
+        # True is the int 1 to a comparison: it would burn 0, log
+        # "fraction_bps":true and still force the validator out.
+        w = make_staked_world()
+        before = snapshot(w.ledger)
+        for bps in (True, False, 500.0):
+            with pytest.raises(InvalidAmount):
+                w.slash(0, bps)
+        assert snapshot(w.ledger) == before
 
 
 class TestExitAndSweep:

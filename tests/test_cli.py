@@ -287,6 +287,11 @@ class TestRun:
         assert json.loads(partial.splitlines()[-1])["epoch"] == k
         assert json.loads(clean[len(partial):].splitlines()[0])["epoch"] == k + 1
         assert not (out / "report.json").exists()
+        # The evidence folds: the log so far is the log of the run cut at k.
+        monkeypatch.setattr(World, "audit", audit)
+        cut = World(replace(sc.load_scenario(scenario), horizon=k)).run()
+        with (out / "events.jsonl").open(encoding="utf-8", newline="") as log:
+            assert rebuild_report(log, k) == cut.to_dict()
 
     def test_undecodable_file_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"

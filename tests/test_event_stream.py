@@ -1,8 +1,10 @@
 """The streamed event log: encoded and folded per committed batch.
 
 The ledger keeps committed events only until ``EVENT_BATCH`` of them are
-pending, then encodes them into one chunk of the log's text and folds them
-into the replay; the log is held once, as those chunks. Whatever the batch
+pending, then encodes them into one chunk of the log's text, written to
+the log's file, and folds them into the replay; memory keeps only the
+chunks a segment check reads, and the file closes with its last holder.
+Whatever the batch
 size, the log's bytes must be the golden runs' (which encoded the whole
 Event list at once), and its event count and replay those of encoding and
 folding at once the events it decodes to, each Repeat line written out
@@ -81,11 +83,14 @@ def assert_log_is_the_list_at_once(led: Ledger) -> None:
 @pytest.mark.parametrize("batch", [1, 7, None])
 @pytest.mark.parametrize("name", sc.GOLDEN_SCENARIOS)
 def test_any_batch_size_gives_the_whole_list_at_once(name, batch, monkeypatch):
-    if batch is not None:
+    if batch is not None:       # and the log's file written in blocks of 256 bytes
         monkeypatch.setattr(ledger, "EVENT_BATCH", batch)
+        monkeypatch.setattr(ledger, "LOG_BLOCK", 256)
     world = World(sc.load_scenario(sc.golden_scenario_path(name)))
     report = world.run()
     led = world.ledger
+    # A golden's log, about 12 kB, stays in hand at the default block.
+    assert (report.log.file is None) == (batch is None)
     assert_log_is_the_list_at_once(led)
     assert (report.events_jsonl, report.events_digest, report.event_count) \
         == (led.events_jsonl(), led.events_digest(), led.event_count)
@@ -134,6 +139,33 @@ def test_restore_across_a_flush_gives_the_same_log(monkeypatch):
     restore(led, after_flush)
     say(led, 4)
     assert led.events_jsonl() == unrestored
+    assert_log_is_the_list_at_once(led)
+
+
+def test_restore_across_a_write_rolls_the_file_back(monkeypatch):
+    # A restore keeps the log's file and rolls the log back to the restored
+    # length: what the ledger writes next goes over the bytes written since,
+    # and none of those is read again.
+    monkeypatch.setattr(ledger, "EVENT_BATCH", 7)
+    monkeypatch.setattr(ledger, "LOG_BLOCK", 64)
+
+    def drive(led, sizes):
+        for n in sizes:
+            say(led, n)
+            led.advance_epoch()
+
+    led, fresh = chatty_ledger(), chatty_ledger()
+    drive(led, (1, 3))
+    before = snapshot(led)
+    written = pickle.loads(before)["_log_len"]
+    drive(led, (5, 2, 4, 0, 6, 1))
+    assert led._log_len > written, "the calls should have written"
+    restore(led, before)
+    drive(led, (2, 2, 2, 2))
+    assert led._log_len > written, "the calls should have written again"
+    drive(fresh, (1, 3, 2, 2, 2, 2))
+    assert led._log_len == fresh._log_len
+    assert led.events_jsonl() == fresh.events_jsonl()
     assert_log_is_the_list_at_once(led)
 
 
@@ -196,36 +228,61 @@ def test_a_default_world_holds_at_most_one_batch(monkeypatch):
     assert events_held(led) <= 64
 
 
-# What a stepped run may hold beyond its log's own bytes at its peak: the
-# contracts' states, the Call payloads and one batch of Event objects with
-# its chunk. About 0.2 MB on the run below; a second copy of the log would
-# add its 2.4 MB.
-BEYOND_THE_LOG = 1 << 19
+# What a stepped run may hold at its peak, whatever its horizon: the
+# contracts' states, the Call payloads, one batch of Event objects with its
+# chunk, the chunks a segment check reads, and up to LOG_BLOCK bytes more
+# before they are written. About 0.4 MB on the runs below; the log in
+# memory would add 2.4 MB at horizon 1,500.
+RUN_PEAK = 1 << 20
 
 
-def test_a_run_holds_its_log_once():
-    # The log is kept as the chunks flush encodes, never joined or copied:
-    # over the whole run, the report included, tracemalloc's peak stays
-    # within BEYOND_THE_LOG of the log's bytes. The text is joined only
+def test_a_run_holds_a_bounded_tail_of_its_log():
+    # The log goes to its file at each flush. The ledger keeps in hand only
+    # the chunks from the epoch before the current one on, and the report
+    # only the file and its length, so tracemalloc's peak over the whole run,
+    # the report included, stays under one bound at a horizon of 1,500 and
+    # at four times that, well below either log. The text is read back only
     # when asked for, after tracing stops. Stepped, as a segment's epochs
     # would add one line.
     scenario = sc.load_scenario(sc.golden_scenario_path("honest"))
-    world = SteppedWorld(dataclasses.replace(scenario, horizon=1500))
-    tracemalloc.start()
-    try:
-        report = world.run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    log = report.events_jsonl
-    assert len(log) > 2_000_000 and log.isascii()
-    assert peak < len(log) + BEYOND_THE_LOG, (peak, len(log))
+    for horizon, at_least in ((1500, 2_000_000), (6000, 9_000_000)):
+        world = SteppedWorld(dataclasses.replace(scenario, horizon=horizon))
+        tracemalloc.start()
+        try:
+            report = world.run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        log = report.events_jsonl
+        assert len(log) > at_least and log.isascii()
+        assert hashlib.sha256(log.encode()).hexdigest() == report.events_digest
+        assert peak < RUN_PEAK, (horizon, peak, len(log))
+
+
+FD_DIR = Path("/proc/self/fd")
+
+
+@pytest.mark.skipif(not FD_DIR.is_dir(), reason="no per-process descriptor listing here")
+def test_no_log_file_outlives_its_ledger_and_report(monkeypatch):
+    # Each run opens its log file at its first write, here early on. Once the
+    # world and the report are dropped, the file closes (weakref.finalize),
+    # cycles or not.
+    monkeypatch.setattr(ledger, "LOG_BLOCK", 256)
+    scenario = sc.load_scenario(sc.golden_scenario_path("slashed"))
+    gc.collect()
+    before = len(list(FD_DIR.iterdir()))
+    reports = [World(scenario).run() for _ in range(50)]
+    assert all(r.log.file is not None for r in reports)
+    del reports
+    gc.collect()
+    assert len(list(FD_DIR.iterdir())) == before
 
 
 def test_a_report_keeps_its_log_as_the_run_left_it(monkeypatch):
-    # The report's text is joined on its first read, here after the world
-    # has stepped on and flushed more: it is still the log at report().
+    # The report's text is read on its first read, here after the world has
+    # stepped on and written more to the file: it is still the log at report().
     monkeypatch.setattr(ledger, "EVENT_BATCH", 7)
+    monkeypatch.setattr(ledger, "LOG_BLOCK", 256)
     world = World(sc.load_scenario(sc.golden_scenario_path("honest")))
     report = world.run()
     count = report.event_count
@@ -233,6 +290,7 @@ def test_a_report_keeps_its_log_as_the_run_left_it(monkeypatch):
         world.step()
     now = world.ledger.events_jsonl()
     assert world.ledger.event_count > count
+    assert world.ledger._log_len > report.log.length, "the steps should have written"
     assert expanded(report.events_jsonl).count("\n") == count
     assert hashlib.sha256(report.events_jsonl.encode()).hexdigest() == report.events_digest
     assert now.startswith(report.events_jsonl) and now != report.events_jsonl

@@ -519,11 +519,13 @@ def tally_segment(led: Ledger, k: int, step: int) -> bool:
 
 def ledger_state(led: Ledger) -> dict:
     """What the ledger holds, flushed, with its log written out: the expanded
-    log (not the chunks it is kept in), seq, epoch, balances, supply, states
-    and replay, but not the epoch it holds for its next segment."""
+    log (not the file's length or the chunks kept in hand), seq, epoch,
+    balances, supply, states and replay, but not the epoch it holds for its
+    next segment."""
     log = expanded(led.events_jsonl())
     state = pickle.loads(snapshot(led))
-    del state["_held"], state["_held_epoch"], state["_chunks"]
+    for kept in ("_held", "_held_epoch", "_chunks", "_chunk_ends", "_log_len"):
+        del state[kept]
     return {**state, "log": log}
 
 
