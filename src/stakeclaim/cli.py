@@ -13,8 +13,7 @@ output directory, which it creates before the run. Exit codes: 0 success,
 (details on stderr); on exit 2 events.jsonl holds the log committed up to
 the failing epoch's audit, and there is no report.json or report.csv.
 events.jsonl is copied from the log file the ledger wrote as the run went,
-and the chunks it still held, and so is the log on stdout: neither holds
-the whole log in memory.
+and so is the log on stdout: neither holds the whole log in memory.
 Both commands list a scenario's problems one a line, the same lines:
 ``validate`` on stdout, ``run`` on stderr. Output is byte-stable for
 identical inputs.

@@ -66,37 +66,34 @@ line's is its caller. Their payloads are ``{"to","amount"}``,
 ``{"amount","memo"}`` and ``{"target","method"}``.
 
 The log streams. Committed events wait in a pending batch until
-``EVENT_BATCH`` of them have built up; the ledger then encodes the batch
-as one chunk of text, folds the batch into a running
-:func:`replay_balances`, and drops the Event objects. :meth:`Ledger.flush`
-does the same for a partial batch. The ledger holds the chunks a segment
-check reads, those from the epoch before the current one on; once the
-chunks before those reach ``LOG_BLOCK`` bytes, it writes them to the log's
-file at the log's length and drops them. So what a run holds does not grow
-with its log, and a log shorter than ``LOG_BLOCK`` never reaches a file.
-The file (:class:`LogFile`) is an unlinked temporary file, opened at the
-first write and closed once neither the ledger nor a report holds it.
-:meth:`Ledger.log_text` is the log as it stands (:class:`LogText`): the
-file, its length and the chunks held, read back a block at a time.
-:meth:`Ledger.events_digest` hashes those blocks, and only
+``EVENT_BATCH`` of them have built up; :meth:`Ledger.flush` then encodes
+the batch, writes its text to the log's file at the log's length, folds
+the batch into a running :func:`replay_balances`, and drops the Event
+objects. The file (:class:`LogFile`) is a spooled temporary file, made at
+the first write: it stays in memory until it holds ``LOG_BLOCK`` bytes,
+then becomes an unlinked file, closed once neither the ledger nor a report
+holds it. So a log shorter than ``LOG_BLOCK`` opens no file, and what a run
+holds in memory does not grow with its log. :meth:`Ledger.log_text` is the
+log as it stands (:class:`LogText`): the file and its length, read back a
+block at a time. :meth:`Ledger.events_digest` hashes those blocks, and only
 :meth:`Ledger.events_jsonl` joins them, when asked. The log's bytes do not
 depend on the batch size, and no Event object outlives its batch.
 
 A segment is one commit of many epochs (:meth:`Ledger.advance_segment`):
 the driver says how many epochs repeat the last one, by what strides, and
 which contract states they leave. The ledger keeps where its last two
-epochs began, so it counts their lines itself. It checks the last epoch's
-lines, its own, against the whole epoch before, which must have logged as
-many, advanced by one stride (:func:`strided`); both are read off the
-trailing chunks it keeps in hand. It then logs the whole
-segment as one ``Repeat`` line: ``{"epoch":e+1,"seq":s,"emitter":"system","tag":"Repeat",
+epochs began, so it counts their lines itself, and keeps those lines
+apart from the file, as each flush encoded them. It checks the last
+epoch's lines, its own, against the whole epoch before, which must have
+logged as many, advanced by one stride (:func:`strided`). It then logs the
+whole segment as one ``Repeat`` line: ``{"epoch":e+1,"seq":s,"emitter":"system","tag":"Repeat",
 "payload":{"epochs":k,"lines":n,...}}`` says that the n lines before it
 repeat k times, with ``epoch``, ``seq`` and each further key of the
 payload advanced by 1, n and its value. It is not an event and takes no
 seq: ``seq`` counts on through the events it stands for, which
 ``explain.expand`` writes out again. The segment's last epoch is then no
-longer text, so the ledger keeps its lines, one epoch's, in hand as the
-epoch before the next one. Every balance and supply move of the segment
+longer text, so the ledger keeps its lines, one epoch's, as the epoch
+before the next one. Every balance and supply move of the segment
 is k times :func:`replay_balances` of the last epoch's lines, applied to
 the live balances, the supply counters and the running replay alike: no
 balance moves on the driver's word.
@@ -112,7 +109,6 @@ import json
 import re
 import tempfile
 import weakref
-from bisect import bisect_right
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -147,8 +143,8 @@ LEDGER_TAGS = frozenset(("Transfer", "SupplyMint", "SupplyBurn", "Call"))
 # per-call caches; smaller ones hold fewer Event objects and payloads.
 EVENT_BATCH = 512
 
-# The log's file is written in blocks of at least this many bytes, the
-# chunks no segment check reads, and read back in blocks of at most this many.
+# The log's file stays in memory until it holds more than this many bytes,
+# and is read back in blocks of at most this many.
 LOG_BLOCK = 1 << 16
 
 # json.dumps(o, separators=(",", ":")) without building an encoder per call.
@@ -522,45 +518,38 @@ class CallContext:
 
 
 class LogFile:
-    """A ledger's log file: unlinked, so nothing is left on disk, and closed
-    once neither the ledger nor a report holds it."""
+    """A ledger's log file: in memory up to ``LOG_BLOCK`` bytes, then
+    unlinked on disk, so nothing is left there, and closed once neither the
+    ledger nor a report holds it."""
 
     __slots__ = ("file", "__weakref__")
 
     def __init__(self):
-        self.file = tempfile.TemporaryFile()
+        self.file = tempfile.SpooledTemporaryFile(max_size=LOG_BLOCK)
         weakref.finalize(self, self.file.close)
 
 
 class LogText(NamedTuple):
     """A log as it stood: the first `length` bytes of its file (None while
-    the ledger has written none), then the chunks it held (`tail`). The
-    ledger only appends to the file, so later writes leave those bytes as
-    they are; a restored snapshot writes over them (``tests/conftest.py``)."""
+    the ledger has written none). The ledger only appends to the file, so
+    later writes leave those bytes as they are; a restored snapshot writes
+    over them (``tests/conftest.py``)."""
 
     file: LogFile | None = None
     length: int = 0
-    tail: tuple[str, ...] = ()
 
-    def _file_blocks(self) -> Iterator[bytes]:
+    def blocks(self) -> Iterator[bytes]:
+        """The text's bytes, ``LOG_BLOCK`` at a time."""
         for at in range(0, self.length, LOG_BLOCK):
             f = self.file.file
             f.seek(at)
             yield f.read(min(LOG_BLOCK, self.length - at))
 
-    def blocks(self) -> Iterator[bytes]:
-        """The text's bytes: the file's ``LOG_BLOCK`` at a time, then each
-        chunk's of the tail."""
-        yield from self._file_blocks()
-        for chunk in self.tail:
-            yield chunk.encode()
-
     def chunks(self) -> Iterator[str]:
-        """The text: the file's a block at a time, then the tail's chunks.
-        The log is ASCII, so no block ends inside a character."""
-        for block in self._file_blocks():
+        """The text, a block at a time. The log is ASCII, so no block ends
+        inside a character."""
+        for block in self.blocks():
             yield block.decode()
-        yield from self.tail
 
     def digest(self) -> str:
         """sha256 of the text's bytes."""
@@ -590,16 +579,13 @@ class Ledger:
         self._prev_seq = 0                  # the seq at which the epoch before it began
         self._epoch_seq = 0                 # the seq at which the current epoch began
         self._pending: list[Event] = []     # committed, not yet encoded or folded
-        # The log's text: a file, opened at its first write, of the chunks
-        # written (_log_len bytes), then the chunks held, each flushed batch
-        # or Repeat line encoded, with the seq each one's lines end before.
+        # The log's text: a file, made at its first write, of _log_len bytes.
         self._log_file: LogFile | None = None
         self._log_len = 0
-        self._chunks: list[str] = []
-        self._chunk_ends: list[int] = []
-        # The lines of the last epoch a segment repeated, and that epoch;
-        # before any segment, epoch -1, which logged none.
-        self._held = ""
+        # The lines a segment check reads, as flushed: those from _prev_seq
+        # on, or after a segment, those of the epoch it ended on (the held
+        # epoch; before any segment, epoch -1, which logged none).
+        self._recent: list[str] = []
         self._held_epoch = -1
         self._replay = ReplayResult({}, 0, 0)     # the fold of every flushed event
         # (target, method) -> the one shared payload of its Call events
@@ -617,8 +603,11 @@ class Ledger:
 
         `issuer=True` grants the contract the right to create and destroy
         units in its own account (the consensus layer uses this for reward
-        issuance and slashing; nothing else may).
+        issuance and slashing; nothing else may). No contract may run at
+        ``SYSTEM``, whose ``Repeat`` lines are the ledger's own.
         """
+        if name == SYSTEM:
+            raise ValueError(f"{SYSTEM!r} is the ledger's own emitter, not a contract's")
         self._register(name)
         self._contracts[name] = contract
         self._states[name] = contract.initial_state()
@@ -756,17 +745,17 @@ class Ledger:
         rest). Balances and supply are not the caller's to state: they move
         as the lines say.
 
+        k is an int >= 0 and each stride an int, and no stride takes a key
+        of the ``Repeat`` line; else ValueError, and nothing changes.
         The lines are the log's own, and checked first. Unless the epoch
         before the last logged exactly n lines and the last epoch is not
         the held one (the last a ``Repeat`` line stands for, as on a second
         ask with no epoch between), False is returned and nothing changes,
         the pending batch included. Then, after a flush, the epoch before's
-        lines (held, if it is the held epoch; else the log's n lines
-        before its last n), advanced by one stride, must read as the last
-        epoch's lines, the log's last n (both read off its trailing
-        chunks). The caller does not test that, so
-        this check is a condition of correctness, not a spare guard: if it
-        fails, False is returned and nothing but the flush has happened.
+        n lines, advanced by one stride, must read as the last epoch's n,
+        the last 2n lines the ledger keeps. The caller does not test that,
+        so this check is a condition of correctness, not a spare guard: if
+        it fails, False is returned and nothing but the flush has happened.
         Otherwise, in one step: one ``Repeat`` line stands for the k·n
         lines (none if k or n is 0), and the last of the k epochs becomes
         the held one, its lines kept for the next segment's check; k times
@@ -774,26 +763,28 @@ class Ledger:
         balances, the supply counters and the running replay; the epoch,
         seq and `states` are set. Returns True.
         """
+        if type(k) is not int or k < 0 or any(type(v) is not int for v in strides.values()):
+            raise ValueError(f"a segment is an int k >= 0 of int strides, got {k!r}, {strides!r}")
         if strides.keys() & REPEAT_KEYS:
             raise ValueError(f"a stride may not be named any of {sorted(REPEAT_KEYS)}")
         n = self._seq - self._epoch_seq
         if self._epoch_seq - self._prev_seq != n or self.epoch == self._held_epoch:
             return False
         self.flush()
-        held = self.epoch - 1 == self._held_epoch
-        tail = _last_lines(self._chunks, n if held else 2 * n)
-        last = _last_lines([tail], n)
-        before = self._held if held else tail[:len(tail) - len(last)]
+        recent = self._recent
+        cut = len(recent) - n           # where the last epoch's lines begin
+        last = "".join(recent[cut:])
         every = {"epoch": 1, "seq": n, **strides}
-        if strided(before, every)(1) != last:
+        if strided("".join(recent[max(cut - n, 0):cut]), every)(1) != last:
             return False
 
         if k and n:
-            self._append(encode_lines((Event(
+            self._write(encode_lines((Event(
                 self.epoch + 1, self._seq, SYSTEM, REPEAT,
                 {"epochs": k, "lines": n, **strides}),))[0])
-            self._held, self._held_epoch = strided(last, every)(k), self.epoch + k
-        once = replay_balances([Event(**json.loads(line)) for line in last.splitlines()])
+            self._recent = strided(last, every)(k).splitlines(keepends=True)
+            self._held_epoch = self.epoch + k
+        once = replay_balances([Event(**json.loads(line)) for line in recent[cut:]])
         for moved in (self._balances, self._replay.balances):
             for name, amount in once.balances.items():
                 moved[name] = moved.get(name, 0) + k * amount
@@ -829,47 +820,41 @@ class Ledger:
     def flush(self) -> ReplayResult:
         """Encode and fold the committed events not yet flushed; drop them.
 
-        The batch's lines (:func:`encode_lines`) are the log's next chunk,
-        and :func:`replay_balances` folds the batch into the running
-        replay. The ledger holds the chunks a segment check may read, those
-        with lines from the epoch before the current one on. Once the
-        chunks before those reach ``LOG_BLOCK`` bytes, it writes them to
-        the log's file at the log's length and drops them. Returns the
-        replay of the whole log so far; the object is the ledger's own, and
-        later flushes fold into it.
+        The batch's lines (:func:`encode_lines`) go to the log's file, and
+        :func:`replay_balances` folds the batch into the running replay.
+        The ledger keeps the lines from the epoch before the current one on
+        (``_prev_seq``), those a segment check reads. Returns the replay of
+        the whole log so far; the object is the ledger's own, and later
+        flushes fold into it.
         """
         pending = self._pending
         if pending:
-            self._append("".join(encode_lines(pending)))
+            lines = encode_lines(pending)
+            self._write("".join(lines))
             replay_balances(pending, self._replay)
             self._pending = []
-            old = bisect_right(self._chunk_ends, self._prev_seq)
-            size = sum(map(len, self._chunks[:old]))    # bytes too: the log is ASCII
-            if size >= LOG_BLOCK:
-                if self._log_file is None:
-                    self._log_file = LogFile()
-                f = self._log_file.file
-                f.seek(self._log_len)
-                f.writelines(chunk.encode() for chunk in self._chunks[:old])
-                self._log_len += size
-                del self._chunks[:old], self._chunk_ends[:old]
+            recent = self._recent
+            recent += lines
+            del recent[:max(len(recent) - (self._seq - self._prev_seq), 0)]
         return self._replay
 
-    def _append(self, chunk: str) -> None:
-        """Hold `chunk`, whole lines that end before seq ``_seq``, as the log's last."""
-        self._chunks.append(chunk)
-        self._chunk_ends.append(self._seq)
+    def _write(self, text: str) -> None:
+        """Write `text`, whole lines, to the log's file at the log's length."""
+        if self._log_file is None:
+            self._log_file = LogFile()
+        f = self._log_file.file
+        f.seek(self._log_len)
+        self._log_len += f.write(text.encode())
 
     def log_text(self) -> LogText:
-        """The whole log, flushed: its file, the file's length and the
-        chunks held. A snapshot: later writes go after that length."""
+        """The whole log, flushed: its file and the file's length. A
+        snapshot: later writes go after that length."""
         self.flush()
-        return LogText(self._log_file, self._log_len, tuple(self._chunks))
+        return LogText(self._log_file, self._log_len)
 
     def events_jsonl(self) -> str:
         """The whole log as JSON lines, one event or ``Repeat`` line per line
-        (:func:`encode_lines`): its file and the chunks held, read back
-        into a new string."""
+        (:func:`encode_lines`), read back from its file into a new string."""
         return "".join(self.log_text().chunks())
 
     def events_digest(self) -> str:
@@ -935,17 +920,3 @@ def strided(block: str, strides: dict[str, int]) -> Callable[[int], str]:
 
     return at
 
-
-def _last_lines(chunks: list[str], count: int) -> str:
-    """The last `count` lines of the text that `chunks`, each whole lines,
-    join to; it holds at least that many. Only those lines are copied."""
-    parts = []
-    for chunk in reversed(chunks):
-        cut = len(chunk)
-        while count and cut:
-            cut = chunk.rfind("\n", 0, cut - 1) + 1
-            count -= 1
-        parts.append(chunk[cut:])
-        if not count:
-            break
-    return "".join(reversed(parts))

@@ -480,9 +480,9 @@ class RunReport:
     """A run's outcome, and its log as it stood at :meth:`World.report`.
 
     The log is not held as text: the report keeps a handle on the
-    ledger's log file, the file's length then and the chunks the ledger
-    held (``log``), reads them back on the first read of
-    :attr:`events_jsonl`, and keeps the file open while it lives. A
+    ledger's log file and the file's length then (``log``), reads them
+    back on the first read of :attr:`events_jsonl`, and keeps the file
+    open while it lives. A
     report taken before a snapshot's restore (``tests/conftest.py``) is
     not read after it: the restored ledger writes over the file from its
     restored length.
@@ -504,8 +504,8 @@ class RunReport:
     event_count: int
     events_digest: str
     # The log as it stood at report() (Ledger.log_text): the ledger's file,
-    # which the report only reads, its length then and the chunks held;
-    # empty for a report rebuilt from a log. Equal logs have equal digests,
+    # which the report only reads, and its length then; empty for a report
+    # rebuilt from a log. Equal logs have equal digests,
     # so two reports compare on those.
     log: LogText = field(default=LogText(), repr=False, compare=False)
 

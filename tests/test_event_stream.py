@@ -1,10 +1,9 @@
 """The streamed event log: encoded and folded per committed batch.
 
 The ledger keeps committed events only until ``EVENT_BATCH`` of them are
-pending, then encodes them into one chunk of the log's text, written to
-the log's file, and folds them into the replay; memory keeps only the
-chunks a segment check reads, and the file closes with its last holder.
-Whatever the batch
+pending, then encodes them, writes their text to the log's file, and
+folds them into the replay; memory keeps only the lines a segment check
+reads, and the file closes with its last holder. Whatever the batch
 size, the log's bytes must be the golden runs' (which encoded the whole
 Event list at once), and its event count and replay those of encoding and
 folding at once the events it decodes to, each Repeat line written out
@@ -83,14 +82,12 @@ def assert_log_is_the_list_at_once(led: Ledger) -> None:
 @pytest.mark.parametrize("batch", [1, 7, None])
 @pytest.mark.parametrize("name", sc.GOLDEN_SCENARIOS)
 def test_any_batch_size_gives_the_whole_list_at_once(name, batch, monkeypatch):
-    if batch is not None:       # and the log's file written in blocks of 256 bytes
+    if batch is not None:       # and the log's file on disk past 256 bytes
         monkeypatch.setattr(ledger, "EVENT_BATCH", batch)
         monkeypatch.setattr(ledger, "LOG_BLOCK", 256)
     world = World(sc.load_scenario(sc.golden_scenario_path(name)))
     report = world.run()
     led = world.ledger
-    # A golden's log, about 12 kB, stays in hand at the default block.
-    assert (report.log.file is None) == (batch is None)
     assert_log_is_the_list_at_once(led)
     assert (report.events_jsonl, report.events_digest, report.event_count) \
         == (led.events_jsonl(), led.events_digest(), led.event_count)
@@ -126,7 +123,7 @@ def test_restore_across_a_flush_gives_the_same_log(monkeypatch):
         return snapshot(led)
 
     after_flush = go_on()
-    flushed = "".join(pickle.loads(after_flush)["_chunks"])
+    flushed = "".join(pickle.loads(after_flush)["_recent"])     # all, at epoch 0
     say(led, 4)
     unrestored = led.events_jsonl()
     assert flushed and unrestored.startswith(flushed), "the calls should have crossed a flush"
@@ -230,15 +227,15 @@ def test_a_default_world_holds_at_most_one_batch(monkeypatch):
 
 # What a stepped run may hold at its peak, whatever its horizon: the
 # contracts' states, the Call payloads, one batch of Event objects with its
-# chunk, the chunks a segment check reads, and up to LOG_BLOCK bytes more
-# before they are written. About 0.4 MB on the runs below; the log in
-# memory would add 2.4 MB at horizon 1,500.
+# lines, the lines of the two epochs a segment check reads, and the log's
+# file while it is still in memory, up to LOG_BLOCK bytes. About 0.5 MB on
+# the runs below; the log in memory would add 2.4 MB at horizon 1,500.
 RUN_PEAK = 1 << 20
 
 
 def test_a_run_holds_a_bounded_tail_of_its_log():
     # The log goes to its file at each flush. The ledger keeps in hand only
-    # the chunks from the epoch before the current one on, and the report
+    # the lines from the epoch before the current one on, and the report
     # only the file and its length, so tracemalloc's peak over the whole run,
     # the report included, stays under one bound at a horizon of 1,500 and
     # at four times that, well below either log. The text is read back only
@@ -264,18 +261,24 @@ FD_DIR = Path("/proc/self/fd")
 
 @pytest.mark.skipif(not FD_DIR.is_dir(), reason="no per-process descriptor listing here")
 def test_no_log_file_outlives_its_ledger_and_report(monkeypatch):
-    # Each run opens its log file at its first write, here early on. Once the
-    # world and the report are dropped, the file closes (weakref.finalize),
+    # A log's file stays in memory until it holds LOG_BLOCK bytes: a
+    # golden's log, about 12 kB, opens no descriptor at the default block,
+    # and at 256 bytes each run's file opens one, early on. Once the worlds
+    # and the reports are dropped, the files close (weakref.finalize),
     # cycles or not.
-    monkeypatch.setattr(ledger, "LOG_BLOCK", 256)
     scenario = sc.load_scenario(sc.golden_scenario_path("slashed"))
-    gc.collect()
-    before = len(list(FD_DIR.iterdir()))
-    reports = [World(scenario).run() for _ in range(50)]
-    assert all(r.log.file is not None for r in reports)
-    del reports
-    gc.collect()
-    assert len(list(FD_DIR.iterdir())) == before
+
+    def open_descriptors() -> int:
+        gc.collect()
+        return len(list(FD_DIR.iterdir()))
+
+    before = open_descriptors()
+    for block, each in ((ledger.LOG_BLOCK, 0), (256, 1)):
+        monkeypatch.setattr(ledger, "LOG_BLOCK", block)
+        reports = [World(scenario).run() for _ in range(50)]
+        assert open_descriptors() == before + each * len(reports)
+        del reports
+        assert open_descriptors() == before
 
 
 def test_a_report_keeps_its_log_as_the_run_left_it(monkeypatch):

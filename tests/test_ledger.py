@@ -340,6 +340,17 @@ class TestEventLog:
         led.call("user", "c1", "forge", {"tag": "Forged"})      # any other tag is an event
         assert logged_events(led)[-1].tag == "Forged"
 
+    def test_no_contract_runs_at_the_system_address(self):
+        # A contract at system could emit a Repeat line that reads as the
+        # ledger's own, as Ledger.emit refuses to log.
+        led = dispatch_ledger()
+        before = snapshot(led)
+        with pytest.raises(ValueError, match="'system'"):
+            led.register_contract("system", Counter())
+        assert snapshot(led) == before
+        with pytest.raises(UnknownAddress):
+            led.is_contract("system")
+
 
 class Name(str):
     """A str subclass: json writes it as the string it holds."""
@@ -519,12 +530,13 @@ def tally_segment(led: Ledger, k: int, step: int) -> bool:
 
 def ledger_state(led: Ledger) -> dict:
     """What the ledger holds, flushed, with its log written out: the expanded
-    log (not the file's length or the chunks kept in hand), seq, epoch,
-    balances, supply, states and replay, but not the epoch it holds for its
-    next segment."""
+    log (not the file's length), seq, epoch, balances, supply, states and
+    replay, but not the epoch it holds for its next segment or the lines it
+    keeps for that check, which must be the expanded log's last."""
     log = expanded(led.events_jsonl())
     state = pickle.loads(snapshot(led))
-    for kept in ("_held", "_held_epoch", "_chunks", "_chunk_ends", "_log_len"):
+    assert log.endswith("".join(state.pop("_recent")))
+    for kept in ("_held_epoch", "_log_len"):
         del state[kept]
     return {**state, "log": log}
 
@@ -558,7 +570,7 @@ def assert_segment_copies_like_stepping(step: int, note: str, k: int) -> None:
                      for t in range(1, k + 1) for line in last]
         assert led.events_jsonl() == head + repeat_line(first, 4 * first - 4, k, 4, step)
         assert expanded(led.events_jsonl()) == whole + "".join(reference)
-        assert led._held == "".join(reference[-4:])
+        assert led._recent == reference[-4:]
         for _ in range(k):
             stepped.advance_epoch(poke(stepped))
         assert ledger_state(led) == ledger_state(stepped)
@@ -654,11 +666,11 @@ class TestSegment:
         for each in (led, stepped):
             each.advance_epoch()
             each.advance_epoch()
-        text, held = led.events_jsonl(), led._held
+        text, held = led.events_jsonl(), (list(led._recent), led._held_epoch)
         assert led.advance_segment(10, {}, {})
         for _ in range(10):
             stepped.advance_epoch()
-        assert (led.events_jsonl(), led._held) == (text, held)
+        assert (led.events_jsonl(), (led._recent, led._held_epoch)) == (text, held)
         assert ledger_state(led) == ledger_state(stepped)
 
     @pytest.mark.parametrize("key", ["epoch", "seq", "epochs", "lines"])
@@ -668,6 +680,18 @@ class TestSegment:
         with pytest.raises(ValueError, match="stride"):
             led.advance_segment(5, {key: 7}, {})
         assert pickle.loads(snapshot(led)) == before
+
+    @pytest.mark.parametrize("k, other", [(-1, 0), (True, 0), (1.0, 0), (5, True), (5, 1.5)],
+                             ids=["k-negative", "k-bool", "k-float", "stride-bool", "stride-float"])
+    def test_a_segment_is_an_int_count_of_epochs_by_int_strides(self, k, other):
+        # Taken, either would log a Repeat line explain.expand refuses, and
+        # a negative k would move the clock, the seqs and supply backwards.
+        led = tally_ledger(7, "x")
+        before = ledger_state(led)
+        with pytest.raises(ValueError, match="segment"):
+            led.advance_segment(k, {"net_total": 7, "other": other},
+                                {"tally": led.contract_state("tally") + 7})
+        assert ledger_state(led) == before
 
     def test_the_repeat_line_is_not_an_event_a_driver_may_emit(self):
         led = fresh_ledger(user=5)

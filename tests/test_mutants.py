@@ -10,8 +10,9 @@ which the driver and the handlers share, or the ``World``'s performance map
 and wallet walk; for segments, the ``World``'s quiet span, its search for
 the next action, the beacon's ``next_transition``,
 ``ValidatorWallet.quiet_until``, or the ledger's segment commit
-(``Ledger.advance_segment``), its line-advancing helper (``strided``) and
-the ``Repeat`` line it writes (through ``encode_lines``); for the engine, a
+(``Ledger.advance_segment``), its line-advancing helper (``strided``), the
+``Repeat`` line it writes (through ``encode_lines``) and the lines it
+reads, as the ledger's flush keeps them (``Ledger.flush``); for the engine, a
 treasury helper, a contract's method table (``_ops``, with one handler
 wrapped) or ``World.report``; for the report, the reader both the run and
 the fold call (``RunReport.read``); for the fold of the log, its table of
@@ -256,6 +257,18 @@ def segment_epoch_count_unchecked(advance_segment=Ledger.advance_segment):
     return mutant
 
 
+def recent_one_line_short(flush=Ledger.flush):
+    """The ledger's flush, keeping one line fewer of those from the epoch
+    before the current one on than there are."""
+    def mutant(self):
+        replay = flush(self)
+        recent = self._recent
+        del recent[:max(len(recent) - (self._seq - self._prev_seq) + 1, 0)]
+        return replay
+
+    return mutant
+
+
 def walk_blind_once_a_record_is_unparsed(walk=scenario._bound_problems):
     """The bound walk finding nothing once a record is None, as the loader
     leaves one it could not parse."""
@@ -457,6 +470,9 @@ MUTANTS = {
         Ledger, "advance_segment", segment_epoch_count_unchecked(),
         lambda: test_ledger.TestSegment().test_a_refused_segment_changes_nothing(
             lambda: test_ledger.poked_ledger(2, 1), 7)),
+    "recent-trimmed-one-line-short": (
+        Ledger, "flush", recent_one_line_short(),
+        lambda: test_ledger.TestSegment().test_copies_match_a_naive_reference_and_stepping(7)),
     "repeat-one-epoch-short": (
         ledger, "encode_lines", repeat_written_with(lambda p: {**p, "epochs": p["epochs"] - 1}),
         test_segments.test_goldens_match_the_stepped_reference),

@@ -251,23 +251,29 @@ def test_any_batch_size_gives_the_same_log_across_segments(batch, monkeypatch):
     led = world.ledger
     spans = segments_of(world)
     chunks = []
-    commit, flush = led.advance_segment, led.flush
-    kept = [0]          # how many chunks the log held after the last flush
+    commit, flush, write = led.advance_segment, led.flush, led._write
+    writes = []         # the lines of each write to the log's file
+    kept = [0]          # how many writes there were after the last flush
 
     def marked_flush():
         replay = flush()
-        kept[0] = len(led._chunks)
+        kept[0] = len(writes)
         return replay
 
+    def recorded_write(text):
+        writes.append(text.count("\n"))
+        write(text)
+
     def recorded_commit(*args):
-        kept[0] = len(led._chunks)
+        kept[0] = len(writes)
         done = commit(*args)
-        # The chunks a segment appends after its flush: its own lines.
-        chunks.extend(chunk.count("\n") for chunk in led._chunks[kept[0]:])
+        # What a segment writes after its flush: its own lines.
+        chunks.extend(writes[kept[0]:])
         return done
 
     led.advance_segment = recorded_commit
     led.flush = marked_flush
+    led._write = recorded_write
     report = world.run()
     assert spans == [(7, 149), (153, 600)]
     assert expanded(report.events_jsonl) == reference.events_jsonl
