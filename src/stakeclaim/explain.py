@@ -19,26 +19,30 @@ adds to the holder's claimed total, and ``Staked``, ``PhaseChanged``,
 the escrow and fee events do the rest. A claim, a fee claim or an escrow
 refund books what its line says it took, never what the state says was
 due, so a tampered amount stays in the state. A line the ledger writes
-names its sender as its emitter: a reward receipt is the
-``Transfer`` right after a ``Call`` to ``receive_rewards`` that wallet j
-emits. ``Slashed`` and ``ExitTriggered`` give a wallet's exit cause and
-epoch, the beacon's events its validator id and status (an exit due by
-the horizon and not yet swept reads Withdrawable), and the holders are
-every name the log endows, sees calling, names in a rejected action (its
-caller, and a resale's recipient) or gives a token.
+names its sender as its emitter: a reward receipt is a ``Call`` to
+``receive_rewards`` that wallet j emits with a ``value``. ``Slashed``
+and ``ExitTriggered`` give a wallet's exit cause and epoch, the beacon's
+events its validator id and status (an exit due by the horizon and not
+yet swept reads Withdrawable), and the holders are every name the log
+endows, sees calling, names in a rejected action (its caller, and a
+resale's recipient) or gives a token.
 
-``SupplyMint``, ``SupplyBurn`` and ``Transfer`` are replayed
-(:func:`ledger.replay_balances`): ``ok`` holds when the replayed total is
-minted - burned, and ``replay_ok`` when no replayed balance is negative,
-the treasury's is the rebuilt state's :func:`treasury.balance_identity`,
-no line lies past the horizon, and every line agrees with the state
-before it and with the line it restates:
+``SupplyMint``, ``SupplyBurn``, ``Transfer`` and a ``Call``'s ``value``
+are replayed (:func:`ledger.replay_balances`): ``ok`` holds when the
+replayed total is minted - burned, and ``replay_ok`` when no replayed
+balance is negative, the treasury's is the rebuilt state's
+:func:`treasury.balance_identity`, no line lies past the horizon, and
+every line agrees with the state before it and with the line it
+restates:
 
 * each ``Mint`` takes the next token id, and each ``TransferNft`` moves a
   token its seller holds;
 * each ``Distributed`` raises N by its amount less its fee, and its amount
-  is the ``Transfer`` right before it (a reward) or the returned, escrow
-  cover and penalty of the ``ExitSettled`` right before it (a settlement);
+  is the value of the receipt ``Call`` right before it (a reward) or the
+  returned, escrow cover and penalty of the ``ExitSettled`` right before
+  it (a settlement);
+* a reward receipt leaves its wallet's replayed balance at 0: a wallet
+  forwards all it holds, so its receipts restate the sweeps it was paid;
 * ``Staked`` deploys the principal raised, ``MintAborted`` refunds it,
   each ``Deposited`` is one stake, and ``EscrowPosted`` adds its amount
   to the last total;
@@ -74,7 +78,7 @@ from .scenario import TREASURY, RunReport, is_holder_name, wallet_name
 from .treasury import (CAUSE_PERFORMANCE, CAUSE_SLASHED, Phase, SettlementRecord, TreasuryState,
                        balance_identity, credit_settlement, moved, settle_token)
 
-_REPLAYED = frozenset(("SupplyMint", "SupplyBurn", "Transfer"))
+_REPLAYED = frozenset(("SupplyMint", "SupplyBurn", "Transfer", "Call"))
 
 
 class _Fold:
@@ -110,14 +114,15 @@ class _Fold:
         if is_holder_name(e.emitter):
             self.names.add(e.emitter)
 
-    _on_Call = _on_SupplyMint
-
-    def _on_Transfer(self, e: Event) -> None:
-        last = self.last
-        if last.tag == "Call" and last.payload["method"] == "receive_rewards":
-            j = self.wallets[last.emitter]
+    def _on_Call(self, e: Event) -> None:
+        self._on_SupplyMint(e)
+        p = e.payload
+        if p["method"] == "receive_rewards" and "value" in p:     # wallet j's reward receipt
+            j = self.wallets[e.emitter]
             rewards = self.tst.rewards_received
-            rewards[j] = rewards.get(j, 0) + e.payload["amount"]
+            rewards[j] = rewards.get(j, 0) + p["value"]
+            # a wallet forwards all it holds, so the sweeps it got are its receipts
+            self.consistent &= self.replay.balances[e.emitter] == 0
 
     def _on_ActionRejected(self, e: Event) -> None:
         self.names.add(e.payload["caller"])
@@ -177,7 +182,7 @@ class _Fold:
             self.consistent &= p["amount"] == q["returned"] + q["escrow_cover"] + q["penalty"]
             credit_settlement(t, before)
         else:                               # a reward: the receipt right before it
-            self.consistent &= last.tag == "Transfer" and p["amount"] == last.payload["amount"]
+            self.consistent &= last.tag == "Call" and p["amount"] == last.payload.get("value")
 
     def _on_Claimed(self, e: Event) -> None:
         # As the claim handler, with what the line says was taken: a

@@ -19,10 +19,10 @@ The handler contract, which every contract in this package keeps:
   with the state they came from, so a handler copies a dict or list field
   before writing to it and leaves the fields it does not write shared; a
   field written per token or per holder is a :class:`SharedMap` instead.
-* Logged payloads are read-only once emitted. ``Call`` events share one
-  payload dict per (target, method) across the whole log, and the
-  beacon's ``EpochAccrual`` events one payload while their rewards stay
-  the same.
+* Logged payloads are read-only once emitted. ``Call`` events without
+  value share one payload dict per (target, method) across the whole
+  log, and the beacon's ``EpochAccrual`` events one payload while their
+  rewards stay the same.
 
 Design constraints honoured throughout:
 
@@ -52,18 +52,22 @@ tuples, ``Issue(5, "x") == Destroy(5, "x")``.
 The log serialises one event per line, each line exactly
 ``json.dumps({"epoch", "seq", "emitter", "tag", "payload"},
 separators=(",", ":"))``; :func:`encode_lines` is the one line builder,
-used by :meth:`Ledger.flush`. It writes
-flat payloads from cached encodings, hands anything else to a single JSON
-encoder, and encodes a shared payload object (a ``Call``'s, or the
-beacon's ``EpochAccrual``) once per batch, so the bytes, and every digest
-over them, are those of ``json.dumps``. The tags
+used by :meth:`Ledger.flush`. It writes flat payloads from cached
+encodings, hands anything else to a single JSON encoder, and encodes a
+shared payload object (a ``Call``'s without value, or the beacon's
+``EpochAccrual``) once per batch, so the bytes, and every digest over
+them, are those of ``json.dumps``. The tags
 of the lines the ledger writes itself (``LEDGER_TAGS``) are no
 contract's or driver's to emit, so such a line names its sender once, as
 its emitter, as an EVM log entry names its address (Wood, *Ethereum
 Yellow Paper*, §4.3.1): a ``Transfer``, ``SupplyMint`` or ``SupplyBurn``
 line's emitter is the account it debits or credits, and a ``Call``
 line's is its caller. Their payloads are ``{"to","amount"}``,
-``{"amount","memo"}`` and ``{"target","method"}``.
+``{"amount","memo"}`` and ``{"target","method"}``, or
+``{"target","method","value"}`` for a call that carries value. As a
+message call carries its value as a parameter (§8), that ``Call`` line
+is the value's one line: no ``Transfer`` line repeats it, and
+:func:`replay_balances` moves it from the caller to the target.
 
 The log streams. Committed events wait in a pending batch until
 ``EVENT_BATCH`` of them have built up; :meth:`Ledger.flush` then encodes
@@ -176,9 +180,10 @@ def encode_lines(events) -> list[str]:
     payload (str keys, values of exact type int or str) is written from
     encoded keys and strings cached for this call; any other payload goes
     through the JSON encoder. Both a payload that went through the encoder
-    and a ``Call`` payload, which the ledger shares one per route, are
-    encoded once per object: the beacon's ``EpochAccrual`` payload, shared
-    while its rewards stay the same, is the costliest to encode. Their
+    and a ``Call`` payload without value, which the ledger shares one per
+    route, are encoded once per object: the beacon's ``EpochAccrual``
+    payload, shared while its rewards stay the same, is the costliest to
+    encode. Their
     encoding is cached by id next to the payload itself, so the id cannot
     be reused while cached. The caches live only as long as the call.
     """
@@ -221,7 +226,7 @@ def encode_lines(events) -> list[str]:
             if body is None:
                 body = _encode(payload)
                 shared[id(payload)] = (payload, body)
-            elif tag == "Call":
+            elif tag == "Call" and "value" not in payload:
                 shared[id(payload)] = (payload, body)
         out.append(f'{{"epoch":{epoch},"seq":{seq}{head}{body}}}\n')
     return out
@@ -470,7 +475,9 @@ class CallContext:
     def is_contract(self, name: str) -> bool:
         return self._ledger.is_contract(name)
 
-    def move(self, src: str, dst: str, amount: int) -> None:
+    def pay(self, src: str, dst: str, amount: int) -> None:
+        """Move `amount`, a positive int, from `src` to `dst`, logging
+        nothing: a call's value, which its ``Call`` line carries."""
         if type(amount) is not int or amount <= 0:
             raise InvalidAmount(f"transfer amount must be a positive integer, got {amount!r}")
         if dst not in self._ledger._balances:
@@ -480,6 +487,10 @@ class CallContext:
             raise InsufficientBalance(f"{src} has {have}, needs {amount}")
         self._balances[src] = have - amount
         self._balances[dst] = self.balance_of(dst) + amount
+
+    def move(self, src: str, dst: str, amount: int) -> None:
+        """:meth:`pay`, logged as the ``Transfer`` line `src` emits."""
+        self.pay(src, dst, amount)
         self.log(src, "Transfer", {"to": dst, "amount": amount})
 
     def issue(self, name: str, amount: int, memo: str) -> None:
@@ -588,7 +599,7 @@ class Ledger:
         self._recent: list[str] = []
         self._held_epoch = -1
         self._replay = ReplayResult({}, 0, 0)     # the fold of every flushed event
-        # (target, method) -> the one shared payload of its Call events
+        # (target, method) -> the one shared payload of its Call events without value
         self._call_payloads: dict[tuple[str, str], dict] = {}
 
     # --- registration -------------------------------------------------
@@ -688,13 +699,15 @@ class Ledger:
         if contract is None:
             raise UnknownContract(target)
         log = ctx.log
-        key = (target, method)
-        payload = self._call_payloads.get(key)
-        if payload is None:
-            payload = self._call_payloads[key] = {"target": target, "method": method}
+        if value or type(value) is not int:     # pay rejects any value but a positive int
+            ctx.pay(caller, target, value)
+            payload = {"target": target, "method": method, "value": value}
+        else:
+            key = (target, method)
+            payload = self._call_payloads.get(key)
+            if payload is None:
+                payload = self._call_payloads[key] = {"target": target, "method": method}
         log(caller, "Call", payload)
-        if value or type(value) is not int:     # move rejects any value but a positive int
-            ctx.move(caller, target, value)
         states = ctx._states
         state = states[target] if target in states else self._states[target]
         states[target], effects, result = contract.handle(
@@ -745,8 +758,9 @@ class Ledger:
         rest). Balances and supply are not the caller's to state: they move
         as the lines say.
 
-        k is an int >= 0 and each stride an int, and no stride takes a key
-        of the ``Repeat`` line; else ValueError, and nothing changes.
+        k is an int >= 0, each stride an int, no stride takes a key of the
+        ``Repeat`` line, and `states` names registered contracts only; else
+        ValueError, and nothing changes.
         The lines are the log's own, and checked first. Unless the epoch
         before the last logged exactly n lines and the last epoch is not
         the held one (the last a ``Repeat`` line stands for, as on a second
@@ -767,6 +781,8 @@ class Ledger:
             raise ValueError(f"a segment is an int k >= 0 of int strides, got {k!r}, {strides!r}")
         if strides.keys() & REPEAT_KEYS:
             raise ValueError(f"a stride may not be named any of {sorted(REPEAT_KEYS)}")
+        if not states.keys() <= self._contracts.keys():
+            raise ValueError(f"no contract is named {sorted(states.keys() - self._contracts.keys())}")
         n = self._seq - self._epoch_seq
         if self._epoch_seq - self._prev_seq != n or self.epoch == self._held_epoch:
             return False
@@ -874,10 +890,11 @@ class ReplayResult:
 def replay_balances(events, into: ReplayResult | None = None) -> ReplayResult:
     """Reconstruct balances and the supply totals from events only.
 
-    Folds SupplyMint, SupplyBurn and Transfer events, onto `into` in place
-    if given (so a log can be folded batch by batch), else onto a fresh
-    result. Each credits or debits its emitter: a Transfer moves its amount
-    from the emitter to its ``to``. For a well-behaved ledger the balances
+    Folds SupplyMint, SupplyBurn, Transfer and Call events, onto `into` in
+    place if given (so a log can be folded batch by batch), else onto a
+    fresh result. Each credits or debits its emitter: a Transfer moves its
+    amount from the emitter to its ``to``, and a Call its ``value``, if it
+    carries one, to its ``target``. For a well-behaved ledger the balances
     equal the live ones, and the minted and burned totals equal
     ``Ledger.minted_total`` / ``burned_total``, kept apart.
     """
@@ -896,6 +913,9 @@ def replay_balances(events, into: ReplayResult | None = None) -> ReplayResult:
         elif e.tag == "Transfer":
             balances[name] = balances.get(name, 0) - p["amount"]
             balances[p["to"]] = balances.get(p["to"], 0) + p["amount"]
+        elif e.tag == "Call" and "value" in p:
+            balances[name] = balances.get(name, 0) - p["value"]
+            balances[p["target"]] = balances.get(p["target"], 0) + p["value"]
     into.minted += minted
     into.burned += burned
     return into

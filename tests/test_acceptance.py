@@ -158,10 +158,12 @@ def test_criterion_1_operator_fee_equation(corpus):
         fee_bps = s.treasury.fee_bps
         r_total = sum(v.rewards_received for v in report.validators)
         # Each receipt's Distributed follows the wallet's Call to
-        # receive_rewards and the Transfer it carries.
+        # receive_rewards, which carries the receipt's value.
         events = logged_events(world.ledger)
-        receipts = [dist.payload for call, dist in zip(events, events[2:])
-                    if call.tag == "Call" and call.payload["method"] == "receive_rewards"]
+        pairs = [(call.payload, dist.payload) for call, dist in zip(events, events[1:])
+                 if call.tag == "Call" and call.payload["method"] == "receive_rewards"]
+        assert all(call["value"] == dist["amount"] for call, dist in pairs)
+        receipts = [dist for _, dist in pairs]
         receipt_count = len(receipts)
         assert sum(p["amount"] for p in receipts) == r_total
         assert sum(p["fee"] for p in receipts) \

@@ -471,9 +471,9 @@ class TestValidateCommand:
 # sha256 of each golden's log as stepping writes it, every line in full:
 # what `stakeclaim explain --expand` prints for the log the run wrote.
 STEPPED_DIGESTS = {
-    "honest": "918d07b1e329e1a906de1efabd36ad6afc0133642c5218d45fd95ff7ee1a3e7e",
-    "nonpaying": "4190c920890d56625d7647368f715ca45473545cde99e878885fcb79f6ba53d0",
-    "slashed": "71f2aa970053eaabe5be81c456ce05c0024fdb04b6d0a48f53130682991040e1",
+    "honest": "44f6642ba54a918b301d6d0ab9b8fa1e8e9430d2be9f203dfe581ed746363167",
+    "nonpaying": "39421cb33e9d66c803b78e8da25a99d2639094eb7cd5cbd5a5e32a0a16480ec8",
+    "slashed": "c496116ef930ff64093298356b17608b4fa76a9ed2d61d7687ad66a9857665fc",
 }
 
 
@@ -500,7 +500,7 @@ class TestExplainCommand:
 
     def test_a_reader_that_stops_early_ends_it_quietly(self, tmp_path):
         # As `stakeclaim explain ... --expand | head -1` does: the expanded
-        # log (177 kB) outgrows the pipe, and the reader closes it.
+        # log (139 kB) outgrows the pipe, and the reader closes it.
         assert run_cli("run", "--scenario", str(sc.golden_scenario_path("honest")),
                        "--out", str(tmp_path)) == 0
         src = Path(sc.__file__).resolve().parent.parent

@@ -214,8 +214,8 @@ def test_the_fold_follows_an_operator_fee_claim():
     (run_with_resales_claims_and_both_exit_causes, "Distributed", "net_total"),
     (run_with_the_escrow_refunded, "Repeat", "net_total"),
     # A line that restates another must say what that one says: a reward is
-    # its Transfer, an accrual's minted its rewards and its SupplyMint, and a
-    # settlement's returned its wallet's withdrawal.
+    # its Call's value, an accrual's minted its rewards and its SupplyMint,
+    # and a settlement's returned its wallet's withdrawal.
     (run_with_resales_claims_and_both_exit_causes, "Distributed", "amount"),
     (run_with_resales_claims_and_both_exit_causes, "EpochAccrual", "minted"),
     (run_with_resales_claims_and_both_exit_causes, "ExitSettled", "returned"),
@@ -235,6 +235,21 @@ def test_one_unit_added_to_an_amount_the_fold_reads_fails_replay_ok(run, tag, ke
     e["payload"][key] += 1
     lines[i] = encode_lines([Event(**e)])[0]
     assert not rebuild_report(lines, report.horizon)["conservation"]["replay_ok"]
+
+
+def test_one_unit_added_to_a_reward_receipt_fails_replay_ok():
+    # A reward receipt is a wallet's Call to receive_rewards with a value.
+    # One unit more, at the first receipt or the last, moves a unit its
+    # wallet never held, past the Distributed that restates the receipt.
+    report = run_with_resales_claims_and_both_exit_causes()
+    lines = report.events_jsonl.splitlines(keepends=True)
+    receipts = [i for i, line in enumerate(lines) if '"method":"receive_rewards","value":' in line]
+    assert len(receipts) > 1
+    for i in (receipts[0], receipts[-1]):
+        e = json.loads(lines[i])
+        e["payload"]["value"] += 1
+        tampered = [*lines[:i], encode_lines([Event(**e)])[0], *lines[i + 1:]]
+        assert not rebuild_report(tampered, report.horizon)["conservation"]["replay_ok"]
 
 
 # (tag, key) -> why one unit added to that int field of a line can leave
@@ -311,23 +326,22 @@ def test_one_unit_added_to_any_int_field_fails_replay_ok():
     assert UNCHECKED.keys() - missed == set(), "now checked: take off UNCHECKED"
 
 
-@pytest.mark.parametrize("marker, change, later", [
-    ('"method":"receive_rewards"', lambda e: e.update(emitter="alice"), 1),
-    ('"tag":"ExitTriggered"', lambda e: e.update(emitter="alice"), 0),
-    ('"tag":"DepositAccepted"', lambda e: e["payload"].update(withdrawal_address="alice"), 0),
-    ('"tag":"Staked"', lambda e: e["payload"].update(validators=-1), 0),
-    ('"tag":"Staked"', lambda e: e["payload"].update(validators=0), 0),
-    ('"tag":"ExitTriggered"', lambda e: e["payload"].pop("validator_id"), 0),
-    ('"tag":"Mint"', lambda e: e["payload"].update(capital="x"), 0),
+@pytest.mark.parametrize("marker, change", [
+    ('"method":"receive_rewards"', lambda e: e.update(emitter="alice")),
+    ('"tag":"ExitTriggered"', lambda e: e.update(emitter="alice")),
+    ('"tag":"DepositAccepted"', lambda e: e["payload"].update(withdrawal_address="alice")),
+    ('"tag":"Staked"', lambda e: e["payload"].update(validators=-1)),
+    ('"tag":"Staked"', lambda e: e["payload"].update(validators=0)),
+    ('"tag":"ExitTriggered"', lambda e: e["payload"].pop("validator_id")),
+    ('"tag":"Mint"', lambda e: e["payload"].update(capital="x")),
 ], ids=["rewards-Call-from-a-holder", "ExitTriggered-from-a-holder",
         "DepositAccepted-to-a-holder", "Staked.validators=-1", "Staked.validators=0",
         "ExitTriggered-no-validator_id", "Mint.capital-a-string"])
-def test_a_line_the_fold_cannot_read_fails_replay_ok_or_names_its_seq(marker, change, later):
+def test_a_line_the_fold_cannot_read_fails_replay_ok_or_names_its_seq(marker, change):
     # The fold never ends in a KeyError or a TypeError: a line naming a
     # wallet or validator no line made, or a field missing or mistyped,
     # makes replay_ok false or raises the ValueError of an unreadable log,
-    # naming the seq of that line, or `later` lines on for the line that
-    # reads it (a Call's caller is read by the Transfer after it).
+    # naming the seq of that line.
     report = sc.run(sc.load_scenario(sc.golden_scenario_path("nonpaying")))
     lines = report.events_jsonl.splitlines(keepends=True)
     i = next(i for i, line in enumerate(lines) if marker in line)
@@ -338,7 +352,7 @@ def test_a_line_the_fold_cannot_read_fails_replay_ok_or_names_its_seq(marker, ch
         replay_ok = rebuild_report(lines, report.horizon)["conservation"]["replay_ok"]
     except ValueError as exc:
         named = re.match(r"the line at seq (\d+) ", str(exc))
-        assert named and int(named[1]) == e["seq"] + later, exc
+        assert named and int(named[1]) == e["seq"], exc
     else:
         assert not replay_ok
 

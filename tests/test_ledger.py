@@ -22,6 +22,7 @@ from stakeclaim.errors import (
     UnknownMethod,
 )
 from stakeclaim.ledger import (
+    CALL_DEPTH_LIMIT,
     LEDGER_TAGS,
     Call,
     Destroy,
@@ -176,10 +177,14 @@ class TestDispatch:
             led.call("user", "nope", "poke")
 
     def test_value_moves_with_call(self):
+        # and is logged once, on the Call line
         led = dispatch_ledger()
         led.call("user", "c1", "poke", value=40)
         assert led.balance_of("user") == 60
         assert led.balance_of("c1") == 40
+        assert [(e.emitter, e.tag, e.payload) for e in logged_events(led)[1:]] == [
+            ("user", "Call", {"target": "c1", "method": "poke", "value": 40}),
+            ("c1", "Poked", {"count": 1})]
 
     def test_nested_revert_rolls_back_everything(self):
         # c1 state bump + value move + nested boom at depth 2: all undone.
@@ -693,12 +698,121 @@ class TestSegment:
                                 {"tally": led.contract_state("tally") + 7})
         assert ledger_state(led) == before
 
+    def test_a_segment_sets_the_states_of_contracts_only(self):
+        # An account has no state, and an unregistered name no address: a
+        # state stored under either is one contract_state refuses to read.
+        led = tally_ledger(7, "x")
+        before = ledger_state(led)
+        with pytest.raises(ValueError, match=r"no contract is named \['ghost', 'user'\]"):
+            led.advance_segment(3, {"net_total": 7},
+                                {"tally": led.contract_state("tally") + 21, "user": 99, "ghost": 1})
+        assert ledger_state(led) == before
+
     def test_the_repeat_line_is_not_an_event_a_driver_may_emit(self):
         led = fresh_ledger(user=5)
         led.register_account("system")
         with pytest.raises(ValueError, match="Repeat"):
             led.emit("system", "Repeat", {"epochs": 1, "lines": 1})
         led.emit("user", "Repeat", {})     # only the system's is the ledger's
+
+
+# --- a call's value: carried by its Call line, replayed from it ----------------
+
+RELAYS = ("r0", "r1", "r2")
+
+
+class Relay:
+    """Runs the call tree in its args: pays each (to, amount) of ``pays``,
+    then makes each call (target, value, pays, calls) of ``calls``."""
+
+    def initial_state(self):
+        return 0
+
+    def handle(self, state, msg: Msg, ctx):
+        effects = [Transfer(to, amount) for to, amount in msg.args["pays"]]
+        effects += [Call(target, "relay", {"pays": pays, "calls": calls}, value)
+                    for target, value, pays, calls in msg.args["calls"]]
+        return state + 1, effects, None
+
+
+def relay_ledger() -> Ledger:
+    """``user`` and three Relays, each endowed with 60."""
+    led = fresh_ledger(user=60)
+    for name in RELAYS:
+        led.register_contract(name, Relay())
+        led.genesis(name, 60)
+    return led
+
+
+def relay(led: Ledger, tree) -> None:
+    """``user``'s call of `tree`, a (target, value, pays, calls) of :class:`Relay`."""
+    target, value, pays, calls = tree
+    led.call("user", target, "relay", {"pays": pays, "calls": calls}, value)
+
+
+def tree_lines(tree, caller: str, balances: dict, lines: list, depth: int = 0) -> None:
+    """The oracle of :func:`relay`: append the lines `tree` logs to `lines`
+    and move `balances`, as the ledger must, or raise the error it must."""
+    target, value, pays, calls = tree
+    if depth > CALL_DEPTH_LIMIT:
+        raise ReentrancyLimitExceeded
+    if type(value) is not int or value < 0:
+        raise InvalidAmount
+    call = {"target": target, "method": "relay"}
+    if value:
+        tree_moved(balances, caller, target, value)
+        call["value"] = value
+    lines.append((caller, "Call", call))
+    for to, amount in pays:
+        tree_moved(balances, target, to, amount)
+        lines.append((target, "Transfer", {"to": to, "amount": amount}))
+    for child in calls:
+        tree_lines(child, target, balances, lines, depth + 1)
+
+
+def tree_moved(balances: dict, src: str, dst: str, amount: int) -> None:
+    if balances[src] < amount:
+        raise InsufficientBalance
+    balances[src] -= amount
+    balances[dst] += amount
+
+
+# A call's value: an int from 0 to 30, or, about one time in five, no int >= 0.
+call_values = st.sampled_from([*range(31), -1, True, False, 1.5, 2.0, "3", None])
+tree_pays = st.lists(st.tuples(st.sampled_from(("user", *RELAYS)), st.integers(1, 20)),
+                     max_size=2)
+call_trees = st.recursive(
+    st.tuples(st.sampled_from(RELAYS), call_values, tree_pays, st.just([])),
+    lambda inner: st.tuples(st.sampled_from(RELAYS), call_values, tree_pays,
+                            st.lists(inner, max_size=3)),
+    max_leaves=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(call_trees)
+def test_a_call_tree_logs_each_value_once_on_its_call_line(tree):
+    # Value at any depth rides on its Call line: the tree logs the oracle's
+    # lines, so no Transfer line repeats a Call's value, and replaying them,
+    # at once or flush by flush, gives the live balances. A value that is
+    # not an int >= 0, like a balance too small, reverts the whole tree and
+    # writes no line.
+    led = relay_ledger()
+    genesis, before = len(logged_events(led)), snapshot(led)
+    balances = {name: led.balance_of(name) for name in ("user", *RELAYS)}
+    lines: list = []
+    try:
+        tree_lines(tree, "user", balances, lines)
+    except (InvalidAmount, InsufficientBalance, ReentrancyLimitExceeded) as error:
+        with pytest.raises(type(error)):
+            relay(led, tree)
+        assert snapshot(led) == before
+        return
+    relay(led, tree)
+    events = logged_events(led)
+    assert [(e.emitter, e.tag, e.payload) for e in events[genesis:]] == lines
+    assert {name: led.balance_of(name) for name in balances} == balances
+    assert replay_balances(events).balances == balances
+    assert led.flush().balances == balances
 
 
 class TestConservation:

@@ -21,9 +21,11 @@ the ledger calls or the beacon's reward (``BeaconContract._reward``); for
 the accrual the beacon keeps, its derivation (``BeaconContract._derive``)
 or the key of a factor map (``beacon.factor_key``); for the state maps
 written per token or per holder, the shared map's write
-(``ledger.SharedMap.set``). Each names one existing test that passes on the
-real code and must fail under the mutant, with an ``AssertionError`` or a
-failed ``pytest.raises``, or with an exception group of only those
+(``ledger.SharedMap.set``); for a call's value, the ledger's replay
+(``ledger.replay_balances``) or a call tree's log (``CallContext.log``).
+Each names one existing test that passes on the real code and must fail
+under the mutant, with an ``AssertionError`` or a failed
+``pytest.raises``, or with an exception group of only those
 (hypothesis raises one when it finds several failures): a check that no
 mutant fails proves nothing (DeMillo, Lipton & Sayward, *Hints on Test Data
 Selection*, 1978).
@@ -58,7 +60,7 @@ from math import inf
 from stakeclaim import beacon, errors, ledger, scenario, treasury
 from stakeclaim.beacon import BeaconContract
 from stakeclaim.explain import _Fold
-from stakeclaim.ledger import Ledger, SharedMap, evolve
+from stakeclaim.ledger import CallContext, Ledger, SharedMap, evolve
 from stakeclaim.scenario import RunReport, World
 from stakeclaim.treasury import TreasuryContract
 from stakeclaim.wallet import ValidatorWallet, WalletStatus
@@ -265,6 +267,26 @@ def recent_one_line_short(flush=Ledger.flush):
         recent = self._recent
         del recent[:max(len(recent) - (self._seq - self._prev_seq) + 1, 0)]
         return replay
+
+    return mutant
+
+
+def call_value_not_replayed(replay=ledger.replay_balances):
+    """The ledger's replay, folding each Call line as if it carried no value."""
+    def mutant(events, into=None):
+        return replay([e._replace(payload={k: v for k, v in e.payload.items() if k != "value"})
+                       if e.tag == "Call" else e for e in events], into)
+
+    return mutant
+
+
+def call_value_also_transferred(log=CallContext.log):
+    """A call tree's log, writing after each Call line with a value a
+    Transfer line of that value, as a bare move logs one."""
+    def mutant(self, emitter, tag, payload):
+        log(self, emitter, tag, payload)
+        if tag == "Call" and "value" in payload:
+            log(self, emitter, "Transfer", {"to": payload["target"], "amount": payload["value"]})
 
     return mutant
 
@@ -483,6 +505,12 @@ MUTANTS = {
         ledger, "encode_lines",
         repeat_written_with(lambda p: {**p, "net_total": p["net_total"] + 1}),
         test_segments.test_goldens_match_the_stepped_reference),
+    "call-value-not-replayed": (
+        ledger, "replay_balances", call_value_not_replayed(),
+        test_ledger.test_a_call_tree_logs_each_value_once_on_its_call_line),
+    "call-value-also-transferred": (
+        CallContext, "log", call_value_also_transferred(),
+        test_ledger.test_a_call_tree_logs_each_value_once_on_its_call_line),
     "segment-lines-one-stride-ahead": (
         ledger, "strided", stride_one_too_far(),
         lambda: test_ledger.TestSegment().test_copies_match_a_naive_reference_and_stepping(7)),
@@ -510,7 +538,7 @@ MUTANTS = {
     **{f"fold-{tag}-unchecked": (
         _Fold, "_on", fold_with(tag, unchecked),
         test_explain.test_one_unit_added_to_any_int_field_fails_replay_ok)
-       for tag in ("EpochAccrual", "ExitSettled", "Swept", "Activated")},
+       for tag in ("EpochAccrual", "ExitSettled", "Swept", "Activated", "Call")},
     "token-map-writes-in-place": (
         SharedMap, "set", written_in_place(),
         test_shared_map.test_every_version_reads_like_its_dict),

@@ -197,11 +197,10 @@ class TestClaims:
         amounts = [1000, 777, 31, 4999, 12, 1000]
         for a in amounts:
             receive(w, a)
-        # A receipt is the Transfer right after a wallet's Call to
-        # receive_rewards; the Distributed that follows carries its fee.
+        # A receipt is the value of a wallet's Call to receive_rewards; the
+        # Distributed right after it carries its fee.
         events = logged_events(w.ledger)
-        receipts = [(moved.payload["amount"], dist) for call, moved, dist
-                    in zip(events, events[1:], events[2:])
+        receipts = [(call.payload["value"], dist) for call, dist in zip(events, events[1:])
                     if call.tag == "Call" and call.payload["method"] == "receive_rewards"]
         assert [amount for amount, _ in receipts] == amounts
         assert all(d.tag == "Distributed" and d.payload["amount"] == amount
