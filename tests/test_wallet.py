@@ -15,6 +15,15 @@ from stakeclaim.treasury import Phase
 from stakeclaim.wallet import WalletStatus
 
 
+def paid_calls(events):
+    """(caller, target, method, value) of each Call line that carries a value.
+
+    A call's value rides on its Call line; no Transfer line repeats it.
+    """
+    return [(e.emitter, e.payload["target"], e.payload["method"], e.payload["value"])
+            for e in events if e.tag == "Call" and "value" in e.payload]
+
+
 class TestDeposit:
     def test_treasury_deposit_creates_validator(self, world):
         world.mint("alice", 64)
@@ -73,7 +82,10 @@ class TestForwardRewards:
     def test_forwards_full_balance_and_records_window(self, staked_world):
         w = staked_world
         w.ledger.genesis(w.wallets[0], 1000, "rewards")
+        events_before = len(logged_events(w.ledger))
         assert w.forward() == 1000
+        assert paid_calls(logged_events(w.ledger)[events_before:]) == [
+            (w.wallets[0], TREASURY, "receive_rewards", 1000)]
         assert w.ledger.balance_of(w.wallets[0]) == 0
         assert w.wallet_state().reward_window[w.ledger.epoch] == 1000
         assert w.treasury_state.rewards_received == {0: 1000}
@@ -83,8 +95,11 @@ class TestForwardRewards:
         events_before = len(logged_events(w.ledger))
         assert w.forward() == 0
         assert w.wallet_state().reward_window[w.ledger.epoch] == 0
-        tags = [e.tag for e in logged_events(w.ledger)[events_before:]]
-        assert "Transfer" not in tags
+        new = logged_events(w.ledger)[events_before:]
+        assert "Transfer" not in [e.tag for e in new]
+        assert paid_calls(new) == []
+        assert [e for e in new if e.tag == "Call"
+                and e.payload["method"] == "receive_rewards"] == []
 
     def test_second_forward_same_epoch_only_new_funds(self, staked_world):
         w = staked_world
@@ -338,6 +353,9 @@ class TestZeroTrust:
             run_epoch(w, 0.7)
             if w.wallet_state().status is WalletStatus.WITHDRAWN:
                 break
-        outflows = {e.payload["to"] for e in logged_events(w.ledger)
+        events = logged_events(w.ledger)
+        outflows = {e.payload["to"] for e in events
                     if e.tag == "Transfer" and e.emitter == w.wallets[0]}
-        assert outflows <= {TREASURY, BEACON}
+        outflows |= {target for emitter, target, _, _ in paid_calls(events)
+                     if emitter == w.wallets[0]}
+        assert outflows == {TREASURY, BEACON}   # the deposit and the forwards
