@@ -89,10 +89,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                 (out / stale).unlink(missing_ok=True)
             return 2
         _write_log(out / "events.jsonl", report.log)
-        if args.format == "csv":
-            (out / "report.csv").write_text(report.to_csv())
-        else:
-            (out / "report.json").write_text(report.to_json())
+        text = report.to_csv() if args.format == "csv" else report.to_json()
+        (out / f"report.{args.format}").write_text(text, encoding="utf-8")
     except OSError as exc:      # --out is not a directory we can write; the run raises none
         print(f"--out: {exc}", file=sys.stderr)
         return 1

@@ -73,12 +73,10 @@ import json
 from collections.abc import Iterable, Iterator
 
 from .beacon import ValidatorStatus
-from .ledger import REPEAT, REPEAT_KEYS, SYSTEM, Event, ReplayResult, replay_balances, strided
+from .ledger import LEDGER_TAGS, REPEAT, REPEAT_KEYS, SYSTEM, Event, ReplayResult, replay_balances, strided
 from .scenario import TREASURY, RunReport, is_holder_name, wallet_name
 from .treasury import (CAUSE_PERFORMANCE, CAUSE_SLASHED, Phase, SettlementRecord, TreasuryState,
                        balance_identity, credit_settlement, moved, settle_token)
-
-_REPLAYED = frozenset(("SupplyMint", "SupplyBurn", "Transfer", "Call"))
 
 
 class _Fold:
@@ -100,7 +98,7 @@ class _Fold:
         self.consistent = True      # no line has disagreed with the state before it
 
     def step(self, e: Event) -> None:
-        if e.tag in _REPLAYED:
+        if e.tag in LEDGER_TAGS:
             replay_balances((e,), self.replay)
         handler = self._on.get(e.tag)
         if handler is not None:

@@ -95,12 +95,13 @@ whole segment as one ``Repeat`` line: ``{"epoch":e+1,"seq":s,"emitter":"system",
 repeat k times, with ``epoch``, ``seq`` and each further key of the
 payload advanced by 1, n and its value. It is not an event and takes no
 seq: ``seq`` counts on through the events it stands for, which
-``explain.expand`` writes out again. The segment's last epoch is then no
-longer text, so the ledger keeps its lines, one epoch's, as the epoch
-before the next one. Every balance and supply move of the segment
-is k times :func:`replay_balances` of the last epoch's lines, applied to
-the live balances, the supply counters and the running replay alike: no
-balance moves on the driver's word.
+``explain.expand`` writes out again. The ledger keeps the lines of the
+two epochs it checked, advanced k strides, as the segment's last two.
+Every balance and supply move of the segment is k times
+:func:`replay_balances` of the last epoch's lines, applied to the live
+balances, the supply counters and the running replay alike: no balance
+moves on the driver's word, and but for its log's text, a segment leaves
+the ledger as stepping would.
 
 A ledger instance is single-threaded but self-contained; independent
 instances can run in parallel threads or processes.
@@ -593,11 +594,8 @@ class Ledger:
         # The log's text: a file, made at its first write, of _log_len bytes.
         self._log_file: LogFile | None = None
         self._log_len = 0
-        # The lines a segment check reads, as flushed: those from _prev_seq
-        # on, or after a segment, those of the epoch it ended on (the held
-        # epoch; before any segment, epoch -1, which logged none).
+        # The lines a segment check reads, as flushed: those from _prev_seq on.
         self._recent: list[str] = []
-        self._held_epoch = -1
         self._replay = ReplayResult({}, 0, 0)     # the fold of every flushed event
         # (target, method) -> the one shared payload of its Call events without value
         self._call_payloads: dict[tuple[str, str], dict] = {}
@@ -762,20 +760,18 @@ class Ledger:
         ``Repeat`` line, and `states` names registered contracts only; else
         ValueError, and nothing changes.
         The lines are the log's own, and checked first. Unless the epoch
-        before the last logged exactly n lines and the last epoch is not
-        the held one (the last a ``Repeat`` line stands for, as on a second
-        ask with no epoch between), False is returned and nothing changes,
-        the pending batch included. Then, after a flush, the epoch before's
-        n lines, advanced by one stride, must read as the last epoch's n,
-        the last 2n lines the ledger keeps. The caller does not test that,
-        so this check is a condition of correctness, not a spare guard: if
-        it fails, False is returned and nothing but the flush has happened.
-        Otherwise, in one step: one ``Repeat`` line stands for the k·n
-        lines (none if k or n is 0), and the last of the k epochs becomes
-        the held one, its lines kept for the next segment's check; k times
-        :func:`replay_balances` of the last epoch's lines moves the live
-        balances, the supply counters and the running replay; the epoch,
-        seq and `states` are set. Returns True.
+        before the last logged exactly n lines, False is returned and
+        nothing changes, the pending batch included. Then, after a flush,
+        the epoch before's n lines, advanced by one stride, must read as the
+        last epoch's n: the 2n lines the ledger keeps. The caller does not
+        test that, so this check is a condition of correctness, not a spare
+        guard: if it fails, False is returned and nothing but the flush has
+        happened. Otherwise, in one step: one ``Repeat`` line stands for the
+        k·n lines (none if k or n is 0), and the 2n lines kept advance k
+        strides, as stepping would keep them; k times :func:`replay_balances`
+        of the last epoch's lines moves the live balances, the supply
+        counters and the running replay; the epoch, seq and `states` are
+        set. Returns True.
         """
         if type(k) is not int or k < 0 or any(type(v) is not int for v in strides.values()):
             raise ValueError(f"a segment is an int k >= 0 of int strides, got {k!r}, {strides!r}")
@@ -784,23 +780,20 @@ class Ledger:
         if not states.keys() <= self._contracts.keys():
             raise ValueError(f"no contract is named {sorted(states.keys() - self._contracts.keys())}")
         n = self._seq - self._epoch_seq
-        if self._epoch_seq - self._prev_seq != n or self.epoch == self._held_epoch:
+        if self._epoch_seq - self._prev_seq != n:
             return False
         self.flush()
         recent = self._recent
-        cut = len(recent) - n           # where the last epoch's lines begin
-        last = "".join(recent[cut:])
         every = {"epoch": 1, "seq": n, **strides}
-        if strided("".join(recent[max(cut - n, 0):cut]), every)(1) != last:
+        if strided("".join(recent[:n]), every)(1) != "".join(recent[n:]):
             return False
 
         if k and n:
             self._write(encode_lines((Event(
                 self.epoch + 1, self._seq, SYSTEM, REPEAT,
                 {"epochs": k, "lines": n, **strides}),))[0])
-            self._recent = strided(last, every)(k).splitlines(keepends=True)
-            self._held_epoch = self.epoch + k
-        once = replay_balances([Event(**json.loads(line)) for line in recent[cut:]])
+        self._recent = strided("".join(recent), every)(k).splitlines(keepends=True)
+        once = replay_balances([Event(**json.loads(line)) for line in recent[n:]])
         for moved in (self._balances, self._replay.balances):
             for name, amount in once.balances.items():
                 moved[name] = moved.get(name, 0) + k * amount
@@ -838,20 +831,19 @@ class Ledger:
 
         The batch's lines (:func:`encode_lines`) go to the log's file, and
         :func:`replay_balances` folds the batch into the running replay.
-        The ledger keeps the lines from the epoch before the current one on
-        (``_prev_seq``), those a segment check reads. Returns the replay of
-        the whole log so far; the object is the ledger's own, and later
-        flushes fold into it.
+        Every flush, of a batch or of none, then leaves the ledger exactly
+        the lines from the epoch before the current one on (``_prev_seq``),
+        those a segment check reads. Returns the replay of the whole log so
+        far; the object is the ledger's own, and later flushes fold into it.
         """
-        pending = self._pending
+        pending, recent = self._pending, self._recent
         if pending:
             lines = encode_lines(pending)
             self._write("".join(lines))
             replay_balances(pending, self._replay)
             self._pending = []
-            recent = self._recent
             recent += lines
-            del recent[:max(len(recent) - (self._seq - self._prev_seq), 0)]
+        del recent[:max(len(recent) - (self._seq - self._prev_seq), 0)]
         return self._replay
 
     def _write(self, text: str) -> None:

@@ -289,9 +289,20 @@ def scenario_from_dict(doc: dict) -> Scenario:
     return s
 
 
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict; ValueError if a key repeats, as json keeps the last."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} repeats in one object")
+        doc[key] = value
+    return doc
+
+
 def load_scenario(path: str | Path) -> Scenario:
+    """The scenario file at `path`: JSON in UTF-8 (RFC 8259), no object repeating a key."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_object)
     except (OSError, ValueError, RecursionError) as exc:   # ValueError: bad JSON or UTF-8
         raise InvalidScenario(f"cannot read scenario {path}: {exc}") from exc
     return scenario_from_dict(doc)

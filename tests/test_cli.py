@@ -298,6 +298,44 @@ class TestRun:
         bad.write_bytes(b"\xff\xfe{")
         assert run_cli("run", "--scenario", str(bad), "--out", str(tmp_path / "o")) == 1
 
+    @pytest.mark.parametrize("where, repeated", [
+        ("", '"horizon": 30, '),
+        ('"treasury": ', '"fee_bps": 0, '),
+    ], ids=["top-level", "nested"])
+    def test_a_repeated_key_exit_1_naming_it(self, where, repeated, tmp_path, capsys):
+        # json keeps a repeated key's last value: the first would be read
+        # past, and a run would go on to the other horizon or fee.
+        text = sc.golden_scenario_path("honest").read_text(encoding="utf-8")
+        dup = tmp_path / "dup.json"
+        dup.write_text(text.replace(where + "{", where + "{" + repeated, 1), encoding="utf-8")
+        key = repeated.split('"')[1]
+        assert run_cli("validate", "--scenario", str(dup)) == 1
+        assert f"key {key!r} repeats" in capsys.readouterr().out
+        assert run_cli("run", "--scenario", str(dup), "--out", str(tmp_path / "o")) == 1
+        assert f"key {key!r} repeats" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "events.jsonl").exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_files_are_utf8_whatever_the_locale(self, fmt, tmp_path):
+        # Under the C locale, with neither locale coercion nor UTF-8 mode,
+        # Python's default encoding is ASCII: a holder named alicé must
+        # still be read, and written to report.csv, in UTF-8.
+        text = sc.golden_scenario_path("honest").read_text(encoding="utf-8")
+        scenario = tmp_path / "accented.json"
+        scenario.write_text(text.replace('"alice"', '"alicé"'), encoding="utf-8")
+        src = Path(sc.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "stakeclaim.cli", "run", "--scenario",
+             str(scenario), "--out", str(tmp_path / "o"), "--format", fmt],
+            env={**os.environ, "PYTHONPATH": str(src), "LC_ALL": "C",
+                 "PYTHONCOERCECLOCALE": "0", "PYTHONIOENCODING": ""},
+            capture_output=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, b"")
+        report = sc.run(sc.load_scenario(scenario))
+        assert "alicé" in [h.holder for h in report.holders]
+        written = report.to_csv() if fmt == "csv" else report.to_json()
+        assert (tmp_path / "o" / f"report.{fmt}").read_bytes() == written.encode("utf-8")
+
     def test_csv_format(self, tmp_path):
         # Every row of report.csv is a holder of the golden report.json.
         for name in sc.GOLDEN_SCENARIOS:

@@ -41,6 +41,7 @@ from stakeclaim.scenario import (
 from conftest import SteppedWorld, small_scenario
 from test_acceptance import CORPUS_SEED, CORPUS_SIZE, random_scenario
 from test_handler_purity import with_claims_and_transfers
+from test_ledger import poke, tally_ledger, tally_segment
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
@@ -406,6 +407,34 @@ def test_a_repeat_that_does_not_fit_the_lines_around_it_does_not_expand(at, chan
         list(expand(lines))
     with pytest.raises(ValueError):
         rebuild_report(lines, report.horizon)
+
+
+def two_repeats_in_a_row() -> tuple[list[str], str]:
+    """A log whose two segments, asked at one epoch, wrote two Repeat lines
+    in a row, with a stepped epoch after them; and the log of stepping."""
+    led, stepped = tally_ledger(7, "x"), tally_ledger(7, "x")
+    for k in (5, 3):
+        assert tally_segment(led, k, 7)
+    for _ in range(8):
+        stepped.advance_epoch(poke(stepped))
+    for each in (led, stepped):
+        each.advance_epoch(poke(each))
+    return led.events_jsonl().splitlines(keepends=True), stepped.events_jsonl()
+
+
+@pytest.mark.parametrize("key", ["lines", "epochs", "seq"])
+def test_two_repeats_in_a_row_expand_as_stepping_would(key):
+    lines, stepped = two_repeats_in_a_row()
+    assert "".join(expand(lines)) == stepped
+    i = max(i for i, line in enumerate(lines) if '"tag":"Repeat"' in line)
+    assert '"tag":"Repeat"' in lines[i - 1]
+
+    def one_more(e):
+        (e if key == "seq" else e["payload"])[key] += 1
+
+    lines[i] = changed(lines[i], one_more)
+    with pytest.raises(ValueError):
+        list(expand(lines))
 
 
 @pytest.mark.parametrize("line", ["[1, 2]\n", "7\n", '{"epoch": 0}\n', "{not json\n",

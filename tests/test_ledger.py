@@ -534,15 +534,13 @@ def tally_segment(led: Ledger, k: int, step: int) -> bool:
 
 
 def ledger_state(led: Ledger) -> dict:
-    """What the ledger holds, flushed, with its log written out: the expanded
-    log (not the file's length), seq, epoch, balances, supply, states and
-    replay, but not the epoch it holds for its next segment or the lines it
-    keeps for that check, which must be the expanded log's last."""
+    """What the ledger holds, flushed, with its log written out: every
+    snapshotted field but the file's length, and the expanded log. The
+    lines it keeps for a segment check must be the expanded log's last."""
     log = expanded(led.events_jsonl())
     state = pickle.loads(snapshot(led))
-    assert log.endswith("".join(state.pop("_recent")))
-    for kept in ("_held_epoch", "_log_len"):
-        del state[kept]
+    assert log.endswith("".join(state["_recent"]))
+    del state["_log_len"]
     return {**state, "log": log}
 
 
@@ -565,17 +563,18 @@ def repeat_line(epoch: int, seq: int, k: int, n: int, step: int) -> str:
 def assert_segment_copies_like_stepping(step: int, note: str, k: int) -> None:
     led, stepped = tally_ledger(step, note), tally_ledger(step, note)
     for first in (3, k + 4):
-        # A segment, one stepped epoch, and a segment checked against the held epoch.
+        # A segment, one stepped epoch, and a segment checked against the
+        # last epoch of the one before.
         head = led.events_jsonl()
         whole = expanded(head)
-        last = head.splitlines()[-4:]
+        last = head.splitlines(keepends=True)[-4:]
         assert tally_segment(led, k, step)
         strides = {"epoch": 1, "seq": 4, "net_total": step}
         reference = [encode_lines([Event(**advanced(json.loads(line), t, strides))])[0]
                      for t in range(1, k + 1) for line in last]
         assert led.events_jsonl() == head + repeat_line(first, 4 * first - 4, k, 4, step)
         assert expanded(led.events_jsonl()) == whole + "".join(reference)
-        assert led._recent == reference[-4:]
+        assert led._recent == (last + reference)[-8:]      # the last two epochs
         for _ in range(k):
             stepped.advance_epoch(poke(stepped))
         assert ledger_state(led) == ledger_state(stepped)
@@ -628,17 +627,21 @@ class TestSegment:
         assert led.epoch == 8
         assert ledger_state(led) == ledger_state(stepped)
 
-    def test_a_second_segment_with_no_epoch_between_is_refused(self):
-        led = tally_ledger(7, "x")
-        assert tally_segment(led, 5, 7)
-        before = pickle.loads(snapshot(led))
-        assert not tally_segment(led, 5, 7)
-        assert pickle.loads(snapshot(led)) == before
+    def test_a_second_segment_with_no_epoch_between_is_checked_like_any_other(self):
+        # A segment keeps the last two of its epochs, as stepping does, so
+        # a second ask reads them as it would two stepped epochs.
+        led, stepped = tally_ledger(7, "x"), tally_ledger(7, "x")
+        for k in (5, 3):
+            assert tally_segment(led, k, 7)
+            for _ in range(k):
+                stepped.advance_epoch(poke(stepped))
+            assert ledger_state(led) == ledger_state(stepped)
+        assert led.events_jsonl().count('"tag":"Repeat"') == 2
+        assert not tally_segment(led, 5, 8)         # and refused on a wrong stride
 
-    def test_a_segment_is_checked_against_the_epoch_it_ended_on(self):
-        # The held epoch is the one before the next only while no epoch
-        # steps between: after an idle epoch and a poked one, the epoch
-        # before the poke logged no lines, so the segment is refused.
+    def test_a_segment_is_checked_against_the_epoch_before_the_next(self):
+        # After an idle epoch and a poked one, the epoch before the poke
+        # logged no lines, so the segment is refused.
         led = tally_ledger(7, "x")
         assert tally_segment(led, 5, 7)
         led.advance_epoch()
@@ -663,7 +666,7 @@ class TestSegment:
 
     def test_a_segment_of_epochs_that_log_nothing_writes_no_line(self):
         # After a segment of pokes, two idle epochs, then a segment of idle
-        # ones: it writes nothing, and the held epoch stays the last poked.
+        # ones: it writes nothing, and keeps no lines, as the idle epochs.
         led, stepped = tally_ledger(7, "x"), tally_ledger(7, "x")
         assert tally_segment(led, 5, 7)
         for _ in range(5):
@@ -671,11 +674,12 @@ class TestSegment:
         for each in (led, stepped):
             each.advance_epoch()
             each.advance_epoch()
-        text, held = led.events_jsonl(), (list(led._recent), led._held_epoch)
+        text = led.events_jsonl()
+        assert led._recent == []
         assert led.advance_segment(10, {}, {})
         for _ in range(10):
             stepped.advance_epoch()
-        assert (led.events_jsonl(), (led._recent, led._held_epoch)) == (text, held)
+        assert (led.events_jsonl(), led._recent) == (text, [])
         assert ledger_state(led) == ledger_state(stepped)
 
     @pytest.mark.parametrize("key", ["epoch", "seq", "epochs", "lines"])

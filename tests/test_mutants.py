@@ -259,6 +259,18 @@ def segment_epoch_count_unchecked(advance_segment=Ledger.advance_segment):
     return mutant
 
 
+def segment_keeps_one_epoch(advance_segment=Ledger.advance_segment):
+    """The ledger's segment commit, keeping after a segment of lines only
+    those of its last epoch, not of the two stepping would keep."""
+    def mutant(self, k, strides, states):
+        done = advance_segment(self, k, strides, states)
+        if done and k:
+            del self._recent[:self._seq - self._epoch_seq]
+        return done
+
+    return mutant
+
+
 def recent_one_line_short(flush=Ledger.flush):
     """The ledger's flush, keeping one line fewer of those from the epoch
     before the current one on than there are."""
@@ -492,6 +504,10 @@ MUTANTS = {
         Ledger, "advance_segment", segment_epoch_count_unchecked(),
         lambda: test_ledger.TestSegment().test_a_refused_segment_changes_nothing(
             lambda: test_ledger.poked_ledger(2, 1), 7)),
+    "segment-keeps-one-epoch": (
+        Ledger, "advance_segment", segment_keeps_one_epoch(),
+        test_ledger.TestSegment()
+        .test_a_second_segment_with_no_epoch_between_is_checked_like_any_other),
     "recent-trimmed-one-line-short": (
         Ledger, "flush", recent_one_line_short(),
         lambda: test_ledger.TestSegment().test_copies_match_a_naive_reference_and_stepping(7)),
