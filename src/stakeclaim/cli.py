@@ -15,7 +15,8 @@ the failing epoch's audit, and there is no report.json or report.csv.
 events.jsonl is copied from the log file the ledger wrote as the run went,
 and so is the log on stdout: neither holds the whole log in memory.
 Both commands list a scenario's problems one a line, the same lines:
-``validate`` on stdout, ``run`` on stderr. Output is byte-stable for
+``validate`` on stdout, ``run`` on stderr, each with what the locale
+cannot encode escaped. Output is byte-stable for
 identical inputs.
 
 ``explain --expand`` prints an events.jsonl with each ``Repeat`` line, a
@@ -104,8 +105,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     _, violations = _load_checked(args.scenario)
+    # A problem quotes the value it rejects: what the locale cannot encode
+    # is escaped, as on stderr, not a UnicodeEncodeError.
+    encoding = sys.stdout.encoding or "utf-8"
     for v in violations:
-        print(v)
+        print(v.encode(encoding, "backslashreplace").decode(encoding))
     return 0 if not violations else 1
 
 

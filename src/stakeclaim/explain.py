@@ -11,16 +11,22 @@ treasury's own helpers, then reads it as the run does
 (:meth:`RunReport.read`). The one input the log does not hold is the
 horizon, where a finished run ends (its ``final_epoch``).
 
-Each line changes the state as the handler that logged it did: ``Mint``
-registers a token, ``TransferNft`` moves it and settles its credit to the
-seller, ``Distributed`` raises N and the fees (right after an
-``ExitSettled`` it is a settlement, credited per owner), ``Claimed``
-adds to the holder's claimed total, and ``Staked``, ``PhaseChanged``,
-the escrow and fee events do the rest. A claim, a fee claim or an escrow
-refund books what its line says it took, never what the state says was
-due, so a tampered amount stays in the state. A line the ledger writes
-names its sender as its emitter: a reward receipt is a ``Call`` to
-``receive_rewards`` that wallet j emits with a ``value``. ``Slashed``
+Each line changes the state as the handler that logged it did. No line
+restates an amount the line right before it carries, so the fold reads
+it there: ``Mint`` registers a token whose capital is the value of the
+mint's ``register_nft`` ``Call`` before it, ``TransferNft`` moves a token
+and settles its credit to the seller, ``Distributed`` raises N and the
+fees (right after an ``ExitSettled`` it is a settlement, credited per
+owner), the treasury's ``Transfer`` right after a holder's ``Call`` to
+``claim`` adds to its claimed total, and one after the operator's
+``Call`` to ``claim_operator_fees`` takes the fees; ``Staked``,
+``PhaseChanged`` and the escrow events do the rest. A claim, a fee claim
+or an escrow refund books what its line says it took, never what the
+state says was due, so a tampered amount stays in the state; as a
+claim's ``Transfer`` also moves the treasury's balance, the fold checks
+too that it took what was due. A line the ledger writes names its sender
+as its emitter: a reward receipt is a ``Call`` to ``receive_rewards``
+that wallet j emits with a ``value``. ``Slashed``
 and ``ExitTriggered`` give a wallet's exit cause and epoch, the beacon's
 events its validator id and status (an exit due by the horizon and not
 yet swept reads Withdrawable), and the holders are every name the log
@@ -35,12 +41,14 @@ balance is negative, the treasury's is the rebuilt state's
 every line agrees with the state before it and with the line it
 restates:
 
-* each ``Mint`` takes the next token id, and each ``TransferNft`` moves a
-  token its seller holds;
-* each ``Distributed`` raises N by its amount less its fee, and its amount
-  is the value of the receipt ``Call`` right before it (a reward) or the
-  returned, escrow cover and penalty of the ``ExitSettled`` right before
-  it (a settlement);
+* each ``Mint`` follows the mint's paid ``register_nft`` ``Call`` and
+  takes the next token id, and each ``TransferNft`` moves a token its
+  seller holds;
+* each ``Distributed`` follows a receipt ``Call`` (a reward) or an
+  ``ExitSettled`` (a settlement), and raises N by that line's amount less
+  its fee;
+* a claim's ``Transfer`` pays its caller what it could claim
+  (:func:`treasury.claimable_of`), and a fee claim's the fees accrued;
 * a reward receipt leaves its wallet's replayed balance at 0: a wallet
   forwards all it holds, so its receipts restate the sweeps it was paid;
 * ``Staked`` deploys the principal raised, ``MintAborted`` refunds it,
@@ -74,9 +82,9 @@ from collections.abc import Iterable, Iterator
 
 from .beacon import ValidatorStatus
 from .ledger import LEDGER_TAGS, REPEAT, REPEAT_KEYS, SYSTEM, Event, ReplayResult, replay_balances, strided
-from .scenario import TREASURY, RunReport, is_holder_name, wallet_name
+from .scenario import HORIZON_MAX, TREASURY, RunReport, is_holder_name, wallet_name
 from .treasury import (CAUSE_PERFORMANCE, CAUSE_SLASHED, Phase, SettlementRecord, TreasuryState,
-                       balance_identity, credit_settlement, moved, settle_token)
+                       balance_identity, claimable_of, credit_settlement, moved, settle_token)
 
 
 class _Fold:
@@ -128,13 +136,19 @@ class _Fold:
             self.names.add(e.payload["to"])
 
     def _on_Mint(self, e: Event) -> None:
-        p, t = e.payload, self.tst
+        # its capital: the value of the mint's register_nft Call right before it
+        p, t, last = e.payload, self.tst, self.last
         token_id = len(t.capital)       # ids are positions: the next one
-        self.consistent &= p["token_id"] == token_id
-        t.capital = t.capital.set(token_id, p["capital"])
+        paid = (last.tag, last.emitter, last.payload.get("method")) \
+            == ("Call", e.emitter, "register_nft")
+        capital = last.payload.get("value", 0) if paid else 0
+        if not (p["token_id"] == token_id and capital > 0):    # no token the treasury would book
+            self.consistent = False
+            return
+        t.capital = t.capital.set(token_id, capital)
         t.owned = moved(t.owned, token_id, None, p["owner"])
-        t.sum_capital += p["capital"]
-        t.principal += p["capital"]
+        t.sum_capital += capital
+        t.principal += capital
 
     def _on_TransferNft(self, e: Event) -> None:
         p, t = e.payload, self.tst
@@ -172,25 +186,37 @@ class _Fold:
 
     def _on_Distributed(self, e: Event) -> None:
         t, p, last = self.tst, e.payload, self.last
+        q = last.payload
+        settlement = last.tag == "ExitSettled"
+        if settlement:                      # the pot the exit settled
+            amount = q["returned"] + q["escrow_cover"] + q["penalty"]
+        else:                               # a reward: the receipt Call right before it
+            amount = q.get("value", 0)
+            self.consistent &= (last.tag, q.get("method")) == ("Call", "receive_rewards") \
+                and amount > 0
         before, t.net_total = t.net_total, p["net_total"]
-        self.consistent &= t.net_total == before + p["amount"] - p["fee"]
+        self.consistent &= t.net_total == before + amount - p["fee"]
         t.operator_fees_accrued += p["fee"]
-        if last.tag == "ExitSettled":       # a settlement: the pot the exit settled
-            q = last.payload
-            self.consistent &= p["amount"] == q["returned"] + q["escrow_cover"] + q["penalty"]
+        if settlement:
             credit_settlement(t, before)
-        else:                               # a reward: the receipt right before it
-            self.consistent &= last.tag == "Call" and p["amount"] == last.payload.get("value")
 
-    def _on_Claimed(self, e: Event) -> None:
-        # As the claim handler, with what the line says was taken: a
-        # tampered amount stays in the state and breaks balance_identity.
-        t, h = self.tst, e.payload["holder"]
-        t.claimed_total = t.claimed_total.set(h, t.claimed_total.get(h, 0) + e.payload["amount"])
-
-    def _on_OperatorFeesClaimed(self, e: Event) -> None:
-        self.tst.operator_fees_accrued -= e.payload["amount"]
-        self.tst.fees_claimed_total += e.payload["amount"]
+    def _on_Transfer(self, e: Event) -> None:
+        # A claim or a fee claim: the treasury's Transfer right after the
+        # Call that asked for it. It books what it says it took, which must
+        # be what was due: a tampered amount moves the claimed total and
+        # the balance together, so balance_identity alone cannot see it.
+        last = self.last
+        if e.emitter != TREASURY or last.tag != "Call" or last.payload["target"] != TREASURY:
+            return
+        t, p, caller, method = self.tst, e.payload, last.emitter, last.payload["method"]
+        if method == "claim":
+            self.consistent &= p["to"] == caller and p["amount"] == claimable_of(t, caller)
+            t.claimed_total = t.claimed_total.set(caller,
+                                                  t.claimed_total.get(caller, 0) + p["amount"])
+        elif method == "claim_operator_fees":
+            self.consistent &= p["to"] == caller and p["amount"] == t.operator_fees_accrued
+            t.operator_fees_accrued -= p["amount"]
+            t.fees_claimed_total += p["amount"]
 
     def _on_Deposited(self, e: Event) -> None:
         self.consistent &= e.payload["stake"] == self.stake_each
@@ -310,9 +336,11 @@ def expand(lines: Iterable[str]) -> Iterator[str]:
     stands for the n lines before it repeated k times, with ``epoch``,
     ``seq`` and each further payload key advanced by 1, n and that key's
     value each time. Raises ValueError if those n lines are not exactly
-    epoch e-1, all of it, up to seq s-1; if the line after it does not
-    carry seq s + k·n and an epoch past e+k-1; or if a line is not a log
-    line. Holds one epoch's lines at a time.
+    epoch e-1, all of it, up to seq s-1; if it stands for an epoch past
+    ``scenario.HORIZON_MAX``, the last a run can reach, before it writes
+    the first; if the line after it does not carry seq s + k·n and an
+    epoch past e+k-1; or if a line is not a log line. Holds one epoch's
+    lines at a time.
     """
     block: list[str] = []     # the lines of the last epoch written so far
     block_epoch = last_seq = None
@@ -335,6 +363,8 @@ def expand(lines: Iterable[str]) -> Iterator[str]:
         k, n = p.get("epochs", 0), p.get("lines")
         if k < 1 or (n, block_epoch, last_seq) != (len(block), e.epoch - 1, e.seq - 1):
             raise ValueError(f"the Repeat at seq {e.seq} does not follow one whole epoch")
+        if e.epoch + k - 1 > HORIZON_MAX:       # no run logs it, and it would write without end
+            raise ValueError(f"the Repeat at seq {e.seq} runs past epoch {HORIZON_MAX}")
         strides = {key: v for key, v in p.items() if key not in REPEAT_KEYS}
         at = strided("".join(block), {"epoch": 1, "seq": n, **strides})
         for t in range(1, k + 1):

@@ -1,8 +1,11 @@
 """Capital-raising contract.
 
-Collects depositor capital during a fixed epoch window, forwards every unit
-to the treasury, and issues one NFT per contribution recording how much the
-depositor put in. Ownership of a token carries the right to that share of
+Collects depositor capital during a fixed epoch window and issues one NFT
+per contribution. Each contribution is paid on to the treasury as the
+value of the ``register_nft`` call that records the token, so the
+treasury books as its capital what it received, and the log states the
+amount once, on that call's line: the ``Mint`` event names only the token
+and its owner. Ownership of a token carries the right to that share of
 future rewards, so transfers are mirrored to the treasury's owner index in
 the same atomic call tree. Token ids are the positions 0, 1, ...; any
 other id, a bool or a float equal to one included, is ``UnknownToken``.
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .beacon import BeaconParams
 from .errors import UINT256_MAX, BelowMinimum, ExceedsCapacity, MintClosed, NotOwner, UnknownToken, WrongStatus, bounded, checked
-from .ledger import Call, CallContext, Emit, Handlers, Msg, SharedMap, Transfer, evolve
+from .ledger import Call, CallContext, Emit, Handlers, Msg, SharedMap, evolve
 from .treasury import TreasurySpec
 
 
@@ -59,7 +62,8 @@ class MintContract(Handlers):
         return MintState()
 
     def _op_mint(self, state: MintState, msg: Msg, ctx: CallContext):
-        """Exchange the attached value for a new token; returns the token id."""
+        """Exchange the attached value for a new token, paying it on to the
+        treasury with the token's registration; returns the token id."""
         spec = self.spec
         if state.aborted or not (spec.open_epoch <= ctx.epoch < spec.close_epoch):
             raise MintClosed(f"mint not open at epoch {ctx.epoch}")
@@ -73,11 +77,9 @@ class MintContract(Handlers):
         st = evolve(state, owners=state.owners.set(token_id, msg.caller),
                     minted_total=state.minted_total + msg.value)
         effects = [
-            Transfer(self.treasury, msg.value),
-            Call(self.treasury, "register_nft",
-                 {"token_id": token_id, "owner": msg.caller, "capital": msg.value}),
-            Emit("Mint", {"token_id": token_id, "owner": msg.caller,
-                          "capital": msg.value}),
+            Call(self.treasury, "register_nft", {"token_id": token_id, "owner": msg.caller},
+                 value=msg.value),
+            Emit("Mint", {"token_id": token_id, "owner": msg.caller}),
         ]
         return st, effects, token_id
 

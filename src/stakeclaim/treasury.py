@@ -1,8 +1,9 @@
 """Token records and reward accounting for the staking arrangement.
 
-The treasury keeps each NFT's capital (``capital``: token -> capital) and
-who owns it (``owned``), receives every unit a validator wallet forwards,
-and accounts for it in integer arithmetic. The operator's cut of a reward
+The treasury keeps each NFT's capital (``capital``: token -> capital, the
+value the mint's ``register_nft`` call paid) and who owns it
+(``owned``), receives every unit a validator wallet forwards, and
+accounts for it in integer arithmetic. The operator's cut of a reward
 is ``amount * fee_bps // 10000``; everything else is "net" and belongs to
 the token owners in proportion to contributed capital.
 
@@ -201,13 +202,15 @@ def credit_settlement(st: TreasuryState, before: int) -> None:
             st.settlement_credits[owner] = st.settlement_credits.get(owner, 0) + credit
 
 
-def _distributed(amount: int, fee: int, net_total: int) -> Emit:
-    """The log record of one distribution.
+def _distributed(fee: int, net_total: int) -> Emit:
+    """The log record of one distribution: its fee and N after it.
 
-    N after it, with the Mint events' capitals, lets anyone rebuild every
-    token's credit from the log alone.
+    Its amount is on the line right before it, the value of the reward
+    receipt's ``Call`` or the pot of the ``ExitSettled`` it pays out. N,
+    with the tokens' capitals (the values of the mint's ``register_nft``
+    calls), lets anyone rebuild every token's credit from the log alone.
     """
-    return Emit("Distributed", {"amount": amount, "fee": fee, "net_total": net_total})
+    return Emit("Distributed", {"fee": fee, "net_total": net_total})
 
 
 class TreasuryContract(Handlers):
@@ -237,11 +240,14 @@ class TreasuryContract(Handlers):
     # --- token records (mint-only) ------------------------------------------
 
     def _op_register_nft(self, state: TreasuryState, msg: Msg, ctx: CallContext):
+        """Book a new token with the call's value as its capital: only what was paid."""
         if msg.caller != self.mint:
             raise WrongCaller("only the mint registers tokens")
         if state.phase is not Phase.FUNDRAISING:
             raise WrongPhase(f"cannot register in phase {state.phase.value}")
-        token_id, capital = msg.args["token_id"], msg.args["capital"]
+        if msg.value <= 0:
+            raise InvalidAmount("a token's registration must carry its capital")
+        token_id, capital = msg.args["token_id"], msg.value
         return evolve(state, capital=state.capital.set(token_id, capital),
                       owned=moved(state.owned, token_id, None, msg.args["owner"]),
                       sum_capital=state.sum_capital + capital,
@@ -315,7 +321,7 @@ class TreasuryContract(Handlers):
             raise InvalidAmount("reward receipt must carry value")
         st = self.advance(state, {msg.caller: msg.value}, 1)
         fee = st.operator_fees_accrued - state.operator_fees_accrued
-        return st, [_distributed(msg.value, fee, st.net_total)], None
+        return st, [_distributed(fee, st.net_total)], None
 
     def advance(self, state: TreasuryState, receipts: dict[str, int], k: int) -> TreasuryState:
         """The state after k epochs in each of which every wallet of
@@ -340,17 +346,16 @@ class TreasuryContract(Handlers):
                       net_total=state.net_total + k * net)
 
     def _op_claim(self, state: TreasuryState, msg: Msg, ctx: CallContext):
-        """Pull-payment of the caller's :func:`claimable_of`; only its ``claimed_total`` moves."""
+        """Pull-payment of the caller's :func:`claimable_of`; only its ``claimed_total`` moves.
+
+        The ``Transfer`` that pays it is the claim's one log line.
+        """
         amount = claimable_of(state, msg.caller)
         if amount <= 0:
             raise NothingToClaim(f"{msg.caller} has nothing to claim")
         claimed = state.claimed_total.get(msg.caller, 0) + amount
         st = evolve(state, claimed_total=state.claimed_total.set(msg.caller, claimed))
-        effects = [
-            Transfer(msg.caller, amount),
-            Emit("Claimed", {"holder": msg.caller, "amount": amount}),
-        ]
-        return st, effects, amount
+        return st, [Transfer(msg.caller, amount)], amount
 
     def _op_claim_operator_fees(self, state: TreasuryState, msg: Msg, ctx: CallContext):
         if msg.caller != self.operator:
@@ -360,11 +365,7 @@ class TreasuryContract(Handlers):
             raise NothingToClaim("no fees accrued")
         st = evolve(state, operator_fees_accrued=0,
                     fees_claimed_total=state.fees_claimed_total + amount)
-        effects = [
-            Transfer(msg.caller, amount),
-            Emit("OperatorFeesClaimed", {"amount": amount}),
-        ]
-        return st, effects, amount
+        return st, [Transfer(msg.caller, amount)], amount
 
     # --- exit path -------------------------------------------------------------
 
@@ -419,9 +420,8 @@ class TreasuryContract(Handlers):
             "penalty": penalty,
         })]
         before = st.net_total
-        pot = returned + escrow_cover + penalty
-        st.net_total += pot
-        effects.append(_distributed(pot, 0, st.net_total))
+        st.net_total += returned + escrow_cover + penalty
+        effects.append(_distributed(0, st.net_total))
         credit_settlement(st, before)
 
         if len(st.settlements) == len(self.validators):

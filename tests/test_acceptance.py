@@ -109,14 +109,24 @@ def corpus():
     return runs, elapsed
 
 
+def trigger(e) -> tuple[str, int] | None:
+    """(its name, the amount it distributes) if `e` sets off a distribution, else None."""
+    p = e.payload
+    if e.tag == "ExitSettled":
+        return "ExitSettled", p["returned"] + p["escrow_cover"] + p["penalty"]
+    if e.tag == "Call" and p["method"] == "receive_rewards":
+        return "receive_rewards", p["value"]
+    return None
+
+
 def record_distributions(world: World) -> list[tuple]:
     """Wrap the world's Ledger.call and log to watch every distribution as it commits.
 
     For each committed call that logged a Distributed event or moved the
-    treasury's cumulative net N, keeps (trigger tags, Distributed payloads,
+    treasury's cumulative net N, keeps (triggers, Distributed payloads,
     {token: accrued credit}, dust) read from the committed treasury state
-    right after the call. A receipt's trigger is the wallet's Call to
-    receive_rewards, a settlement's its ExitSettled event.
+    right after the call. A trigger (:func:`trigger`) is a receipt, the
+    wallet's Call to receive_rewards, or a settlement, its ExitSettled event.
     """
     led = world.ledger
     inner = led.call
@@ -136,8 +146,7 @@ def record_distributions(world: World) -> list[tuple]:
         dists = [e.payload for e in logged if e.tag == "Distributed"]
         tst = led.contract_state(TREASURY)
         if dists or tst.net_total != n_before:
-            triggers = [e.payload.get("method", e.tag) for e in logged if e.tag == "ExitSettled"
-                        or (e.tag == "Call" and e.payload["method"] == "receive_rewards")]
+            triggers = [t for t in map(trigger, logged) if t is not None]
             steps.append((triggers, dists,
                           {t: accrued(tst, t) for t in tst.capital}, dust_of(tst)))
         return result
@@ -160,13 +169,12 @@ def test_criterion_1_operator_fee_equation(corpus):
         # Each receipt's Distributed follows the wallet's Call to
         # receive_rewards, which carries the receipt's value.
         events = logged_events(world.ledger)
-        pairs = [(call.payload, dist.payload) for call, dist in zip(events, events[1:])
+        pairs = [(call.payload, dist) for call, dist in zip(events, events[1:])
                  if call.tag == "Call" and call.payload["method"] == "receive_rewards"]
-        assert all(call["value"] == dist["amount"] for call, dist in pairs)
-        receipts = [dist for _, dist in pairs]
-        receipt_count = len(receipts)
-        assert sum(p["amount"] for p in receipts) == r_total
-        assert sum(p["fee"] for p in receipts) \
+        assert all(dist.tag == "Distributed" for _, dist in pairs)
+        receipt_count = len(pairs)
+        assert sum(call["value"] for call, _ in pairs) == r_total
+        assert sum(dist.payload["fee"] for _, dist in pairs) \
             == report.operator_fees_claimed + report.operator_fees_accrued
         paid = report.operator_fees_claimed
         if report.operator_fees_accrued > 0:
@@ -199,8 +207,8 @@ def test_criterion_2_holder_share_equation(corpus):
         token_order = sorted(tst.capital)
         capitals = [tst.capital[t] for t in token_order]
 
-        stream = [(dists[0]["amount"], triggers == ["receive_rewards"])
-                  for triggers, dists, _, _ in steps]
+        stream = [(triggers[0][1], triggers[0][0] == "receive_rewards")
+                  for triggers, _, _, _ in steps]
         o_fees, o_reward, o_settle, o_dust, o_steps = replay_mixed(
             stream, capitals, s.treasury.fee_bps)
         receipts = []
@@ -210,16 +218,16 @@ def test_criterion_2_holder_share_equation(corpus):
                 steps, o_steps):
             # one receipt or one settlement per call, logged once
             assert len(dists) == 1 and len(triggers) == 1
-            p = dists[0]
+            p, (trigger, amount) = dists[0], triggers[0]
             assert sorted(acc) == token_order
             now = [acc[t] for t in token_order]
             step = [a - b for a, b in zip(now, prev)]
             # per-distribution conservation, zero tolerance
-            assert p["fee"] + sum(step) + (dust - prev_dust) == p["amount"]
+            assert p["fee"] + sum(step) + (dust - prev_dust) == amount
             # per-token, per-distribution equality with the oracle
             assert (p["fee"], step, dust) == (o_fee, o_shares, o_dust_after)
-            if triggers == ["receive_rewards"]:
-                receipts.append(p["amount"])
+            if trigger == "receive_rewards":
+                receipts.append(amount)
             prev, prev_dust = now, dust
         if not receipts:
             continue

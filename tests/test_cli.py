@@ -497,6 +497,24 @@ class TestValidateCommand:
             "deposits[2] must be an object",
             f"horizon 30.0 is not an integer in 0..{sc.scenario.HORIZON_MAX}"]
 
+    def test_a_problem_the_locale_cannot_encode_is_listed_exit_1(self, tmp_path):
+        # Under the C locale, with neither locale coercion nor UTF-8 mode,
+        # stdout is ASCII: the problem quoting "é" is still its one line.
+        doc = json.loads(sc.golden_scenario_path("honest").read_text())
+        doc["horizon"] = "é"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        src = Path(sc.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "stakeclaim.cli", "validate", "--scenario",
+             str(bad)],
+            env={**os.environ, "PYTHONPATH": str(src), "LC_ALL": "C",
+                 "PYTHONCOERCECLOCALE": "0", "PYTHONIOENCODING": ""},
+            capture_output=True, timeout=120)
+        assert (done.returncode, done.stderr) == (1, b"")
+        assert done.stdout.decode("ascii").splitlines() == [
+            f"horizon '\\xe9' is not an integer in 0..{sc.scenario.HORIZON_MAX}"]
+
     def test_unreadable_file_exit_1(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
         assert run_cli("validate", "--scenario", str(missing)) == 1
@@ -509,9 +527,9 @@ class TestValidateCommand:
 # sha256 of each golden's log as stepping writes it, every line in full:
 # what `stakeclaim explain --expand` prints for the log the run wrote.
 STEPPED_DIGESTS = {
-    "honest": "44f6642ba54a918b301d6d0ab9b8fa1e8e9430d2be9f203dfe581ed746363167",
-    "nonpaying": "39421cb33e9d66c803b78e8da25a99d2639094eb7cd5cbd5a5e32a0a16480ec8",
-    "slashed": "c496116ef930ff64093298356b17608b4fa76a9ed2d61d7687ad66a9857665fc",
+    "honest": "c0a2cb980ff2852902362d3bf103f380e8fe20b08222329c1e501d867e17fc30",
+    "nonpaying": "a1ac3401f1bf44310b65dd5f0bfb4ea9529ae9a22be93171bf70cd3c711404dc",
+    "slashed": "4cde60b925c44fccfcaf8acda3b8b362aee2f258fab089842b55344fe6c5d64e",
 }
 
 
@@ -538,7 +556,7 @@ class TestExplainCommand:
 
     def test_a_reader_that_stops_early_ends_it_quietly(self, tmp_path):
         # As `stakeclaim explain ... --expand | head -1` does: the expanded
-        # log (139 kB) outgrows the pipe, and the reader closes it.
+        # log (136 kB) outgrows the pipe, and the reader closes it.
         assert run_cli("run", "--scenario", str(sc.golden_scenario_path("honest")),
                        "--out", str(tmp_path)) == 0
         src = Path(sc.__file__).resolve().parent.parent

@@ -15,6 +15,7 @@ import json
 import random
 import re
 from collections.abc import Iterator
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -86,14 +87,15 @@ def test_the_fold_rebuilds_every_corpus_report():
     rng = random.Random(CORPUS_SEED)
     corpus = [random_scenario(rng) for _ in range(CORPUS_SIZE)]
     extras = random.Random(CORPUS_SEED + 1)
-    seen = {"TransferNft": 0, "Claimed": 0, "ActionRejected": 0, "Slashed": 0,
-            "ExitTriggered": 0, "ExitSettled": 0}
+    # A claim is logged as its Call, then the Transfer that pays it.
+    seen = {'"tag":"TransferNft"': 0, '"method":"claim"}': 0, '"tag":"ActionRejected"': 0,
+            '"tag":"Slashed"': 0, '"tag":"ExitTriggered"': 0, '"tag":"ExitSettled"': 0}
     statuses = set()
     for s in corpus:
         report = sc.run(with_claims_and_transfers(s, extras))
         assert_rebuilt(report)
-        for tag in seen:
-            seen[tag] += report.events_jsonl.count(f'"tag":"{tag}"')
+        for marker in seen:
+            seen[marker] += report.events_jsonl.count(marker)
         statuses.update(v.beacon_status for v in report.validators)
     # Every path of the fold was taken, none vacuously.
     assert min(seen.values()) > 0, seen
@@ -196,46 +198,89 @@ def test_the_fold_follows_an_operator_fee_claim():
     assert_rebuilt(run_with_the_operator_fees_claimed())
 
 
-@pytest.mark.parametrize("run,tag,key", [
-    (run_with_resales_claims_and_both_exit_causes, "Claimed", "amount"),
-    (run_with_resales_claims_and_both_exit_causes, "EscrowPosted", "total"),
-    (run_with_resales_claims_and_both_exit_causes, "Distributed", "fee"),
+def first(marker: str, then: int = 0):
+    """The index of the first line holding `marker`, or of the line `then` after it."""
+    return lambda lines: then + next(i for i, line in enumerate(lines) if marker in line)
+
+
+def tagged(tag: str):
+    return first(f'"tag":"{tag}"')
+
+
+# The Call lines that ask for a claim, a fee claim or a token, and for a
+# reward receipt: a claim's amount is the Transfer right after its Call, a
+# token's capital and a receipt's amount are their Call's value.
+CLAIM = '"method":"claim"}'
+FEE_CLAIM = '"method":"claim_operator_fees"}'
+REGISTER = '"method":"register_nft",'
+RECEIPT = '"method":"receive_rewards",'
+
+
+# Each id names an amount as the report books it. The log states it once:
+# each case finds it on the line that carries it.
+@pytest.mark.parametrize("run,at,key", [
+    (run_with_resales_claims_and_both_exit_causes, first(CLAIM, then=1), "amount"),
+    (run_with_resales_claims_and_both_exit_causes, tagged("EscrowPosted"), "total"),
+    (run_with_resales_claims_and_both_exit_causes, tagged("Distributed"), "fee"),
     # A refund or a fee claim must be taken off the balance, not zero it.
-    (run_with_the_escrow_refunded, "EscrowPosted", "total"),
-    (run_with_the_operator_fees_claimed, "OperatorFeesClaimed", "amount"),
+    (run_with_the_escrow_refunded, tagged("EscrowPosted"), "total"),
+    (run_with_the_operator_fees_claimed, first(FEE_CLAIM, then=1), "amount"),
     # The principal raised must be what is staked, or what is refunded.
-    (run_with_resales_claims_and_both_exit_causes, "Mint", "capital"),
-    (run_with_resales_claims_and_both_exit_causes, "Staked", "validators"),
-    (run_with_the_mint_aborted, "Mint", "capital"),
+    (run_with_resales_claims_and_both_exit_causes, first(REGISTER), "value"),
+    (run_with_resales_claims_and_both_exit_causes, tagged("Staked"), "validators"),
+    (run_with_the_mint_aborted, first(REGISTER), "value"),
     # Token ids are positions: a Mint takes the next one, and a resale
     # moves a token its seller holds.
-    (run_with_resales_claims_and_both_exit_causes, "Mint", "token_id"),
-    (run_with_resales_claims_and_both_exit_causes, "TransferNft", "token_id"),
+    (run_with_resales_claims_and_both_exit_causes, tagged("Mint"), "token_id"),
+    (run_with_resales_claims_and_both_exit_causes, tagged("TransferNft"), "token_id"),
     # Each Distributed raises N by its amount less its fee, repeated ones too.
-    (run_with_resales_claims_and_both_exit_causes, "Distributed", "net_total"),
-    (run_with_the_escrow_refunded, "Repeat", "net_total"),
+    (run_with_resales_claims_and_both_exit_causes, tagged("Distributed"), "net_total"),
+    (run_with_the_escrow_refunded, tagged("Repeat"), "net_total"),
     # A line that restates another must say what that one says: a reward is
     # its Call's value, an accrual's minted its rewards and its SupplyMint,
     # and a settlement's returned its wallet's withdrawal.
-    (run_with_resales_claims_and_both_exit_causes, "Distributed", "amount"),
-    (run_with_resales_claims_and_both_exit_causes, "EpochAccrual", "minted"),
-    (run_with_resales_claims_and_both_exit_causes, "ExitSettled", "returned"),
+    (run_with_resales_claims_and_both_exit_causes, first(RECEIPT), "value"),
+    (run_with_resales_claims_and_both_exit_causes, tagged("EpochAccrual"), "minted"),
+    (run_with_resales_claims_and_both_exit_causes, tagged("ExitSettled"), "returned"),
 ], ids=["Claimed.amount", "EscrowPosted.total", "Distributed.fee",
         "EscrowPosted.total-refunded", "OperatorFeesClaimed.amount", "Mint.capital",
         "Staked.validators", "Mint.capital-aborted", "Mint.token_id", "TransferNft.token_id",
         "Distributed.net_total", "Repeat.net_total",
         "Distributed.amount", "EpochAccrual.minted", "ExitSettled.returned"])
-def test_one_unit_added_to_an_amount_the_fold_reads_fails_replay_ok(run, tag, key):
+def test_one_unit_added_to_an_amount_the_fold_reads_fails_replay_ok(run, at, key):
     # The treasury's replayed balance must be what the rebuilt state says
     # it holds, so the first such line, one unit off, breaks replay_ok.
     report = run()
     lines = report.events_jsonl.splitlines(keepends=True)
     assert rebuild_report(lines, report.horizon)["conservation"]["replay_ok"]
-    i = next(i for i, line in enumerate(lines) if f'"tag":"{tag}"' in line)
+    i = at(lines)
     e = json.loads(lines[i])
     e["payload"][key] += 1
     lines[i] = encode_lines([Event(**e)])[0]
     assert not rebuild_report(lines, report.horizon)["conservation"]["replay_ok"]
+
+
+@pytest.mark.parametrize("run,marker,then,key", [
+    (run_with_resales_claims_and_both_exit_causes, CLAIM, 1, "amount"),
+    (run_with_the_operator_fees_claimed, FEE_CLAIM, 1, "amount"),
+    (run_with_resales_claims_and_both_exit_causes, REGISTER, 0, "value"),
+], ids=["claim-Transfer.amount", "fee-claim-Transfer.amount", "register_nft-Call.value"])
+def test_one_unit_added_to_a_claim_or_a_deposit_fails_replay_ok(
+        run, marker, then, key):
+    # A claim's Transfer moves the treasury's balance and is the claim's
+    # record: one unit more takes both off together, and only the check
+    # that it took what was due (claimable_of, or the fees accrued) sees
+    # it. A token's capital is what its register_nft Call paid, which the
+    # mint holds only once. Each such line is tampered on its own.
+    report = run()
+    lines = report.events_jsonl.splitlines(keepends=True)
+    found = [i + then for i, line in enumerate(lines) if marker in line]
+    assert found and all('"tag":"Transfer"' in lines[i] for i in found if then)
+    for i in found:
+        e = json.loads(lines[i])
+        e["payload"][key] += 1
+        tampered = [*lines[:i], encode_lines([Event(**e)])[0], *lines[i + 1:]]
+        assert not rebuild_report(tampered, report.horizon)["conservation"]["replay_ok"], i
 
 
 def test_one_unit_added_to_a_reward_receipt_fails_replay_ok():
@@ -334,7 +379,7 @@ def test_one_unit_added_to_any_int_field_fails_replay_ok():
     ('"tag":"Staked"', lambda e: e["payload"].update(validators=-1)),
     ('"tag":"Staked"', lambda e: e["payload"].update(validators=0)),
     ('"tag":"ExitTriggered"', lambda e: e["payload"].pop("validator_id")),
-    ('"tag":"Mint"', lambda e: e["payload"].update(capital="x")),
+    (REGISTER, lambda e: e["payload"].update(value="x")),
 ], ids=["rewards-Call-from-a-holder", "ExitTriggered-from-a-holder",
         "DepositAccepted-to-a-holder", "Staked.validators=-1", "Staked.validators=0",
         "ExitTriggered-no-validator_id", "Mint.capital-a-string"])
@@ -435,6 +480,34 @@ def test_two_repeats_in_a_row_expand_as_stepping_would(key):
     lines[i] = changed(lines[i], one_more)
     with pytest.raises(ValueError):
         list(expand(lines))
+
+
+@pytest.mark.parametrize("epochs, expands", [(2, True), (3, False)])
+def test_a_repeat_ends_by_the_last_epoch_a_run_can_reach(epochs, expands):
+    # One line at epoch HORIZON_MAX - 2, then a Repeat of it from the epoch
+    # after: two epochs end on HORIZON_MAX, three would pass it.
+    last = sc.scenario.HORIZON_MAX
+    lines = [encode_lines([Event(last - 2, 0, "alice", "Note", {})])[0],
+             f'{{"epoch":{last - 1},"seq":1,"emitter":"system","tag":"Repeat",'
+             f'"payload":{{"epochs":{epochs},"lines":1}}}}\n']
+    if expands:
+        assert [json.loads(line)["epoch"] for line in expand(lines)] == [last - 2, last - 1, last]
+    else:
+        with pytest.raises(ValueError, match=f"runs past epoch {last}"):
+            list(expand(lines))
+
+
+def test_a_repeat_of_a_trillion_epochs_raises_before_its_first_line():
+    # Written out, it would never end: at most 10**6 lines are taken.
+    report = sc.run(sc.load_scenario(sc.golden_scenario_path("honest")))
+    lines = report.events_jsonl.splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if '"tag":"Repeat"' in line)
+    lines[i] = changed(lines[i], lambda e: e["payload"].update(epochs=10**12))
+    with pytest.raises(ValueError, match="runs past epoch"):
+        for _ in islice(expand(lines), 10**6):
+            pass
+    with pytest.raises(ValueError, match="runs past epoch"):
+        rebuild_report(lines, report.horizon)
 
 
 @pytest.mark.parametrize("line", ["[1, 2]\n", "7\n", '{"epoch": 0}\n', "{not json\n",

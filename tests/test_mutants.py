@@ -377,13 +377,14 @@ def unchecked(handler):
     return mutant
 
 
-def claim_records_what_was_claimable(handler):
-    """The fold's Claimed handler recording as claimed what the holder could
-    claim, as the claim handler does, whatever amount the line says was taken."""
+def claim_unchecked(handler):
+    """The fold's Transfer handler booking a holder's claim without checking
+    that it took what was due (``treasury.claimable_of``)."""
     def mutant(self, e):
-        t, h = self.tst, e.payload["holder"]
-        t.claimed_total = t.claimed_total.set(h, t.claimed_total.get(h, 0)
-                                              + treasury.claimable_of(t, h))
+        consistent = self.consistent
+        handler(self, e)
+        if self.last.payload.get("method") == "claim":
+            self.consistent = consistent
 
     return mutant
 
@@ -547,10 +548,11 @@ MUTANTS = {
     "fold-slash-read-as-performance": (
         _Fold, "_on", fold_with("Slashed", slash_read_as_performance),
         test_explain.test_an_exit_due_but_not_yet_swept_reads_withdrawable),
-    "fold-claim-records-what-was-claimable": (
-        _Fold, "_on", fold_with("Claimed", claim_records_what_was_claimable),
-        lambda: test_explain.test_one_unit_added_to_an_amount_the_fold_reads_fails_replay_ok(
-            test_explain.run_with_resales_claims_and_both_exit_causes, "Claimed", "amount")),
+    "fold-claim-unchecked": (
+        _Fold, "_on", fold_with("Transfer", claim_unchecked),
+        lambda: test_explain.test_one_unit_added_to_a_claim_or_a_deposit_fails_replay_ok(
+            test_explain.run_with_resales_claims_and_both_exit_causes, test_explain.CLAIM, 1,
+            "amount")),
     **{f"fold-{tag}-unchecked": (
         _Fold, "_on", fold_with(tag, unchecked),
         test_explain.test_one_unit_added_to_any_int_field_fails_replay_ok)

@@ -517,8 +517,9 @@ class TestLifecycleVariants:
         assert report.conservation_ok and report.replay_ok
 
     def test_credit_trail_rebuilds_from_the_log_alone(self):
-        # Mint capitals, NFT transfers and Distributed.net_total are enough
-        # to attribute every unit of credit, across resales and a settlement.
+        # Token capitals (the register_nft Calls' values), NFT transfers and
+        # Distributed.net_total are enough to attribute every unit of
+        # credit, across resales and a settlement.
         s = small_scenario(
             treasury=TreasurySpec(fee_bps=777, expected_reward_per_epoch=90,
                                   grace_epochs=3, escrow_required=50, validators=2),
@@ -539,12 +540,14 @@ class TestLifecycleVariants:
         capital: dict[int, int] = {}
         owner: dict[int, str] = {}
         credit: dict[str, int] = {}
-        n = 0
+        n = paid = 0
         for line in expanded(report.events_jsonl).splitlines():
             e = json.loads(line)
             p = e["payload"]
-            if e["tag"] == "Mint":
-                capital[p["token_id"]], owner[p["token_id"]] = p["capital"], p["owner"]
+            if p.get("method") == "register_nft":
+                paid = p["value"]
+            elif e["tag"] == "Mint":
+                capital[p["token_id"]], owner[p["token_id"]] = paid, p["owner"]
             elif e["tag"] == "TransferNft":
                 owner[p["token_id"]] = p["to"]
             elif e["tag"] == "Distributed":

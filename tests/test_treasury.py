@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BEACON, OPERATOR, SYSTEM, TREASURY, Mini, dust_of, logged_events, make_world, snapshot
+from conftest import BEACON, MINT, OPERATOR, SYSTEM, TREASURY, Mini, dust_of, logged_events, make_world, snapshot
 from oracle import rational_shares, replay_split
 from stakeclaim.errors import (
     AlreadySettled,
@@ -57,6 +57,20 @@ class TestConstructor:
         with pytest.raises(ValueError, match=f"^TreasurySpec.validators 2 != {count} wallets$"):
             TreasuryContract(spec, params, tuple(f"wallet:{j}" for j in range(count)),
                              operator=OPERATOR, mint="mint")
+
+
+class TestRegisterNft:
+    def test_a_registration_without_value_is_refused(self):
+        # The treasury books as capital what the mint's call paid, never a
+        # sum an argument names: with nothing paid, nothing is booked.
+        w = make_world()
+        w.mint("alice", 40)
+        before = snapshot(w.ledger)
+        with pytest.raises(InvalidAmount):
+            w.ledger.call(MINT, TREASURY, "register_nft",
+                          {"token_id": 1, "owner": "bob", "capital": 24})
+        assert snapshot(w.ledger) == before
+        assert w.treasury_state.principal == w.ledger.balance_of(TREASURY) == 40
 
 
 class TestSplitCredits:
@@ -203,8 +217,10 @@ class TestClaims:
         receipts = [(call.payload["value"], dist) for call, dist in zip(events, events[1:])
                     if call.tag == "Call" and call.payload["method"] == "receive_rewards"]
         assert [amount for amount, _ in receipts] == amounts
-        assert all(d.tag == "Distributed" and d.payload["amount"] == amount
-                   for amount, d in receipts)
+        assert all(d.tag == "Distributed" for _, d in receipts)
+        nets = [0] + [d.payload["net_total"] for _, d in receipts]
+        assert [after - before for before, after in zip(nets, nets[1:])] \
+            == [amount - d.payload["fee"] for amount, d in receipts]
         assert sum(amounts) == w.treasury_state.rewards_received[0]
         fees, _, _, _ = replay_split(amounts, [40, 24], 1000)
         paid = w.ledger.call(OPERATOR, TREASURY, "claim_operator_fees", {})
