@@ -4,7 +4,7 @@ Three subcommands::
 
     stakeclaim run --scenario PATH --out DIR [--format json|csv] [--epochs N]
     stakeclaim validate --scenario PATH
-    stakeclaim explain --events FILE --expand
+    stakeclaim explain --events FILE [--expand]
 
 ``run`` writes report.json (or report.csv) plus events.jsonl into the
 output directory, which it creates before the run. Exit codes: 0 success,
@@ -19,11 +19,15 @@ Both commands list a scenario's problems one a line, the same lines:
 cannot encode escaped. Output is byte-stable for
 identical inputs.
 
-``explain --expand`` prints an events.jsonl with each ``Repeat`` line, a
+``explain`` verifies a run from its log alone: it prints the report
+rebuilt from an events.jsonl (``explain.rebuild_report``), byte for byte
+the report.json the run wrote, and exits 0 when the rebuilt
+``conservation.ok`` and ``replay_ok`` both hold, 2 when either fails.
+``explain --expand`` prints the log instead, with each ``Repeat`` line, a
 segment of quiet epochs, written out in full (``explain.expand``): the log
-of stepping every epoch. It streams; on an unreadable or inconsistent log
-it stops there and exits 1 with one line on stderr. A reader that closes
-stdout early (``| head``) ends it quietly, with exit 0.
+of stepping every epoch. It streams. On an unreadable or inconsistent log
+either stops there and exits 1 with one line on stderr. A reader that
+closes stdout early (``| head``) ends it quietly, with exit 0.
 
 The STAKECLAIM_LOG environment variable controls stdout verbosity:
 ``quiet`` (default) prints nothing on success, ``events`` streams the
@@ -35,13 +39,14 @@ Any other value is invalid input: ``run`` exits 1 before it starts.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .errors import InvalidScenario, InvariantViolation, bound_problems
-from .explain import expand
+from .explain import expand, rebuild_report
 from .ledger import LogText
 from .scenario import Scenario, World, load_scenario, validate
 
@@ -114,15 +119,22 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
+    code = 0
     try:
         with open(args.events, encoding="utf-8", newline="") as log:
-            sys.stdout.writelines(expand(log))
+            if args.expand:
+                sys.stdout.writelines(expand(log))
+            else:
+                report = rebuild_report(log)
+                checks = report["conservation"]
+                code = 0 if checks["ok"] and checks["replay_ok"] else 2
+                sys.stdout.write(json.dumps(report, indent=2) + "\n")    # as RunReport.to_json
     except BrokenPipeError:     # the reader closed stdout, as `| head` does: stop quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (OSError, ValueError) as exc:     # a decode error is a ValueError
         print(f"--events: {exc}", file=sys.stderr)
         return 1
-    return 0
+    return code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -149,10 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--scenario", required=True, help="scenario JSON file")
     p_val.set_defaults(func=cmd_validate)
 
-    p_exp = sub.add_parser("explain", help="read a run's event log")
+    p_exp = sub.add_parser("explain", help="verify a run's event log and print its report")
     p_exp.add_argument("--events", required=True, help="events.jsonl of a run")
-    p_exp.add_argument("--expand", action="store_true", required=True,
-                       help="print the log with each Repeat line written out in full")
+    p_exp.add_argument("--expand", action="store_true",
+                       help="print the log with each Repeat line written out in full instead")
     p_exp.set_defaults(func=cmd_explain)
     return parser
 

@@ -8,26 +8,35 @@ against the lines around it.
 :func:`rebuild_report` folds the expanded lines of a run's ``events.jsonl`` into
 the treasury's own state, a :class:`treasury.TreasuryState`, with the
 treasury's own helpers, then reads it as the run does
-(:meth:`RunReport.read`). The one input the log does not hold is the
-horizon, where a finished run ends (its ``final_epoch``).
+(:meth:`RunReport.read`). The log holds every input: its first line, and
+only that one, is the ``Genesis`` line, which states the terms, each
+section read through its record's declared bounds (``TreasurySpec``,
+``MintSpec``, ``BeaconParams``), and the horizon, where a finished run ends
+(its ``final_epoch``). The terms name the wallets, ``treasury.validators``
+of them, so a run that never stakes still has its validator rows. A log
+that does not begin with ``Genesis``, or holds a second one, or whose
+terms are out of their bounds, does not fold.
 
 Each line changes the state as the handler that logged it did. No line
-restates an amount the line right before it carries, so the fold reads
-it there: ``Mint`` registers a token whose capital is the value of the
-mint's ``register_nft`` ``Call`` before it, ``TransferNft`` moves a token
-and settles its credit to the seller, ``Distributed`` raises N and the
-fees (right after an ``ExitSettled`` it is a settlement, credited per
-owner), the treasury's ``Transfer`` right after a holder's ``Call`` to
-``claim`` adds to its claimed total, and one after the operator's
-``Call`` to ``claim_operator_fees`` takes the fees; ``Staked``,
-``PhaseChanged`` and the escrow events do the rest. A claim, a fee claim
-or an escrow refund books what its line says it took, never what the
-state says was due, so a tampered amount stays in the state; as a
-claim's ``Transfer`` also moves the treasury's balance, the fold checks
-too that it took what was due. A line the ledger writes names its sender
-as its emitter: a reward receipt is a ``Call`` to ``receive_rewards``
-that wallet j emits with a ``value``. ``Slashed``
-and ``ExitTriggered`` give a wallet's exit cause and epoch, the beacon's
+restates an amount the line right before it carries, or a number the
+terms fix, so the fold reads it there: ``Mint`` registers a token whose
+capital is the value of the mint's ``register_nft`` ``Call`` before it;
+``TransferNft`` moves a token and settles its credit to the seller; a
+reward receipt, a ``Call`` to ``receive_rewards`` that wallet j emits with
+a ``value``, raises N by that value less its fee and the fees by the fee,
+``value * fee_bps // 10000`` as written here (the fold does not call the
+treasury's rule, so a wrong rule there rebuilds another report); an
+``ExitSettled`` raises N by its pot, what it returned, its escrow cover
+and its penalty, with no fee, and credits it per owner; the treasury's
+``Transfer`` right after a holder's ``Call`` to ``claim`` adds to its
+claimed total, and one after the operator's ``Call`` to
+``claim_operator_fees`` takes the fees; ``Staked``, ``PhaseChanged`` and
+the escrow events do the rest. A claim, a fee claim or an escrow refund
+books what its line says it took, never what the state says was due, so
+a tampered amount stays in the state; as such a ``Transfer`` also moves
+the treasury's balance, the fold checks too that it took what was due. A
+line the ledger writes names its sender as its emitter. ``Slashed`` and
+``ExitTriggered`` give a wallet's exit cause and epoch, the beacon's
 events its validator id and status (an exit due by the horizon and not
 yet swept reads Withdrawable), and the holders are every name the log
 endows, sees calling, names in a rejected action (its caller, and a
@@ -38,40 +47,44 @@ are replayed (:func:`ledger.replay_balances`): ``ok`` holds when the
 replayed total is minted - burned, and ``replay_ok`` when no replayed
 balance is negative, the treasury's is the rebuilt state's
 :func:`treasury.balance_identity`, no line lies past the horizon, and
-every line agrees with the state before it and with the line it
-restates:
+every line agrees with the state before it, with the line it restates
+and with the terms:
 
-* each ``Mint`` follows the mint's paid ``register_nft`` ``Call`` and
-  takes the next token id, and each ``TransferNft`` moves a token its
-  seller holds;
-* each ``Distributed`` follows a receipt ``Call`` (a reward) or an
-  ``ExitSettled`` (a settlement), and raises N by that line's amount less
-  its fee;
-* a claim's ``Transfer`` pays its caller what it could claim
-  (:func:`treasury.claimable_of`), and a fee claim's the fees accrued;
+* each ``Mint`` follows the mint's paid ``register_nft`` ``Call``, falls
+  in the mint's window, pays at least its smallest contribution and takes
+  the next token id, and each ``TransferNft`` moves a token its seller
+  holds;
 * a reward receipt leaves its wallet's replayed balance at 0: a wallet
   forwards all it holds, so its receipts restate the sweeps it was paid;
-* ``Staked`` deploys the principal raised, ``MintAborted`` refunds it,
-  each ``Deposited`` is one stake, and ``EscrowPosted`` adds its amount
-  to the last total;
+* a claim's ``Transfer`` pays its caller what it could claim
+  (:func:`treasury.claimable_of`), and a fee claim's the fees accrued;
+* ``Staked`` stakes the terms' validators at the stake requirement, the
+  principal raised, once the escrow required is posted, each
+  ``Deposited`` is one stake, and ``EscrowPosted`` adds its amount to the
+  last total;
+* an abort's refunds pay each token's owner its capital, in token order,
+  and its ``MintAborted`` states the principal they refunded; the escrow
+  refund pays the operator the escrow left;
 * an ``EpochAccrual`` rewards the Active validators, in id order, and
   its minted is their sum and, when positive, the beacon's ``SupplyMint``
   right before it; a ``Slashed`` line's burn is the ``SupplyBurn`` before
   it, and a ``Swept`` line's payout the ``Transfer`` before it, to the
-  validator's wallet;
+  validator's wallet; the beacon pays out on the sweep period's grid only;
+* a ``DepositAccepted`` activates the activation delay after its epoch,
+  and a ``Slashed`` or ``ExitRequested`` exit falls due the exit delay
+  after its own;
+* an ``ExitTriggered`` names its own wallet's validator and states the
+  watchdog's threshold, the expected reward per epoch times the grace
+  epochs;
 * an ``ExitSettled`` returns what its wallet's ``WithdrawalFinalized``
-  did, and each states the shortfall below one stake;
+  did, each states the shortfall below one stake, and its cause, escrow
+  cover and penalty are those the treasury settles by;
 * validator ids are positions, each status moves only from the one before
   it (Pending at its activation epoch, Active, Exiting once its exit is
-  due), ``Withdrawn`` follows its ``Swept``, and an ``ExitTriggered``
-  names its own wallet's validator.
+  due), and ``Withdrawn`` follows its ``Swept``.
 
 ``event_count`` counts the expanded lines, and ``events_digest`` hashes
 the lines as read, each as it passes.
-
-One name reaches the report without a line of its own: before the raise
-fills, no event names a validator wallet, so a run that never stakes
-rebuilds no validator rows.
 """
 
 from __future__ import annotations
@@ -80,29 +93,56 @@ import hashlib
 import json
 from collections.abc import Iterable, Iterator
 
-from .beacon import ValidatorStatus
+from .beacon import BeaconParams, ValidatorStatus
+from .errors import checked
 from .ledger import LEDGER_TAGS, REPEAT, REPEAT_KEYS, SYSTEM, Event, ReplayResult, replay_balances, strided
-from .scenario import HORIZON_MAX, TREASURY, RunReport, is_holder_name, wallet_name
-from .treasury import (CAUSE_PERFORMANCE, CAUSE_SLASHED, Phase, SettlementRecord, TreasuryState,
-                       balance_identity, claimable_of, credit_settlement, moved, settle_token)
+from .mint import MintSpec
+from .scenario import (_RECORDS, BEACON, GENESIS, HORIZON_MAX, MINT, OPERATOR, TREASURY, RunReport,
+                       is_holder_name, wallet_name)
+from .treasury import (CAUSE_PERFORMANCE, CAUSE_SLASHED, Phase, SettlementRecord, TreasurySpec,
+                       TreasuryState, balance_identity, claimable_of, credit_settlement, moved,
+                       settle_token)
+
+
+# What a line the fold cannot read raises in its handler: a field missing,
+# of the wrong type or out of its bounds.
+_UNREADABLE = (LookupError, TypeError, ValueError, AttributeError)
+
+
+def _terms(p: dict) -> tuple[TreasurySpec, MintSpec, BeaconParams, int]:
+    """The terms a Genesis payload states, the scenario file's sections and
+    its horizon; ValueError unless each is in its declared bounds."""
+    horizon = p["horizon"]
+    if p.keys() != {*_RECORDS, "horizon"} or type(horizon) is not int \
+            or not 0 <= horizon <= HORIZON_MAX:
+        raise ValueError(f"Genesis holds {sorted(p)}, horizon {horizon!r}")
+    return (*(checked(cls(**p[key])) for key, cls in _RECORDS.items()), horizon)
 
 
 class _Fold:
-    """The running state of :func:`rebuild_report`, one handler per tag (``_on``)."""
+    """The running state of :func:`rebuild_report`, one handler per tag (``_on``),
+    from the terms its first line, `genesis`, states."""
 
-    def __init__(self):
+    def __init__(self, genesis: Event | None):
+        if genesis is None or (genesis.epoch, genesis.seq, genesis.emitter, genesis.tag) \
+                != (0, 0, SYSTEM, GENESIS):
+            raise ValueError("the log does not begin with its Genesis line")
+        try:
+            self.spec, self.mint, self.params, self.horizon = _terms(genesis.payload)
+        except _UNREADABLE as exc:
+            raise ValueError(f"the line at seq 0 does not fold: {exc!r}") from None
         self.replay = ReplayResult({}, 0, 0)
         self.tst = TreasuryState()          # the treasury's facts, as its handlers keep them
         self.names: set[str] = set()
-        self.wallets: dict[str, int] = {}    # wallet name -> index
+        self.wallets = {wallet_name(j): j for j in range(self.spec.validators)}   # name -> index
         self.wallet_of: dict[int, int] = {}  # validator id -> wallet index
         self.status: dict[int, str] = {}     # validator id -> beacon status
         self.activation_at: dict[int, int] = {}  # validator id -> the epoch it activates
         self.exit_at: dict[int, int] = {}    # validator id -> the epoch its exit is due
         self.exit_epoch: dict[int, int] = {}     # wallet index -> the epoch its exit began
         self.returned: dict[str, int] = {}   # wallet name -> what its withdrawal returned
-        self.stake_each = 0                  # each validator's stake, once staked
-        self.last = Event(0, -1, "", "", {})     # the event before the one being folded
+        self.refunds: list | None = None     # an abort's (owner, capital) still to pay, last first
+        self.last = genesis                  # the event before the one being folded
         self.consistent = True      # no line has disagreed with the state before it
 
     def step(self, e: Event) -> None:
@@ -115,6 +155,9 @@ class _Fold:
 
     # --- one handler per tag ---------------------------------------------
 
+    def _on_Genesis(self, e: Event) -> None:
+        raise ValueError("a second Genesis line")
+
     def _on_SupplyMint(self, e: Event) -> None:
         # the emitter: the holder an endowment credits, or (as _on_Call) a caller
         if is_holder_name(e.emitter):
@@ -122,13 +165,21 @@ class _Fold:
 
     def _on_Call(self, e: Event) -> None:
         self._on_SupplyMint(e)
-        p = e.payload
+        p, t = e.payload, self.tst
         if p["method"] == "receive_rewards" and "value" in p:     # wallet j's reward receipt
-            j = self.wallets[e.emitter]
-            rewards = self.tst.rewards_received
-            rewards[j] = rewards.get(j, 0) + p["value"]
+            j, value = self.wallets[e.emitter], p["value"]
+            fee = value * self.spec.fee_bps // 10_000
+            t.rewards_received[j] = t.rewards_received.get(j, 0) + value
+            t.net_total += value - fee
+            t.operator_fees_accrued += fee
             # a wallet forwards all it holds, so the sweeps it got are its receipts
-            self.consistent &= self.replay.balances[e.emitter] == 0
+            self.consistent &= type(value) is int and value > 0 \
+                and self.replay.balances[e.emitter] == 0
+        elif p["method"] == "abort_refund" and p["target"] == TREASURY:
+            # the refunds to come: each token's capital to its owner, in token order
+            self.consistent &= e.emitter == MINT
+            owners = sorted((token, owner) for owner, tokens in t.owned.items() for token in tokens)
+            self.refunds = [(owner, t.capital[token]) for token, owner in reversed(owners)]
 
     def _on_ActionRejected(self, e: Event) -> None:
         self.names.add(e.payload["caller"])
@@ -137,12 +188,13 @@ class _Fold:
 
     def _on_Mint(self, e: Event) -> None:
         # its capital: the value of the mint's register_nft Call right before it
-        p, t, last = e.payload, self.tst, self.last
+        p, t, m, last = e.payload, self.tst, self.mint, self.last
         token_id = len(t.capital)       # ids are positions: the next one
         paid = (last.tag, last.emitter, last.payload.get("method")) \
             == ("Call", e.emitter, "register_nft")
         capital = last.payload.get("value", 0) if paid else 0
-        if not (p["token_id"] == token_id and capital > 0):    # no token the treasury would book
+        if not (p["token_id"] == token_id and capital >= m.min_contribution
+                and m.open_epoch <= e.epoch < m.close_epoch):   # no token the mint would issue
             self.consistent = False
             return
         t.capital = t.capital.set(token_id, capital)
@@ -160,17 +212,18 @@ class _Fold:
         settle_token(t, p["token_id"], p["from"])
 
     def _on_MintAborted(self, e: Event) -> None:
-        self.consistent &= self.tst.principal == e.payload["refunded"]
+        # after its abort_refund Call and every refund it owed
+        self.consistent &= self.refunds == [] and self.tst.principal == e.payload["refunded"]
+        self.refunds = None
         self.tst.principal = 0
 
     def _on_Staked(self, e: Event) -> None:
-        p = e.payload
-        if p["validators"] < 1:     # no wallet for a later line to name
-            raise ValueError(f"{p['validators']} validators staked")
-        self.consistent &= self.tst.principal == p["validators"] * p["stake_each"]
-        self.tst.principal = 0
-        self.stake_each = p["stake_each"]
-        self.wallets = {wallet_name(j): j for j in range(p["validators"])}
+        p, t, spec = e.payload, self.tst, self.spec
+        stake = self.params.stake_requirement
+        self.consistent &= (p["validators"], p["stake_each"]) == (spec.validators, stake) \
+            and t.principal == spec.validators * stake \
+            and t.escrow_balance >= spec.escrow_required
+        t.principal = 0
 
     def _on_EscrowPosted(self, e: Event) -> None:
         t, p = self.tst, e.payload
@@ -178,37 +231,34 @@ class _Fold:
         t.escrow_balance = p["total"]
 
     def _on_EscrowRefunded(self, e: Event) -> None:
-        self.tst.escrow_refunded = e.payload["amount"]
-        self.tst.escrow_balance -= e.payload["amount"]
+        # the escrow left, paid to the operator by the treasury's Transfer right before it
+        t, amount = self.tst, e.payload["amount"]
+        self.consistent &= self._follows(e, "Transfer", amount) \
+            and self.last.payload.get("to") == OPERATOR and amount == t.escrow_balance
+        t.escrow_refunded = amount
+        t.escrow_balance -= amount
 
     def _on_PhaseChanged(self, e: Event) -> None:
         self.tst.phase = Phase(e.payload["to"])
 
-    def _on_Distributed(self, e: Event) -> None:
-        t, p, last = self.tst, e.payload, self.last
-        q = last.payload
-        settlement = last.tag == "ExitSettled"
-        if settlement:                      # the pot the exit settled
-            amount = q["returned"] + q["escrow_cover"] + q["penalty"]
-        else:                               # a reward: the receipt Call right before it
-            amount = q.get("value", 0)
-            self.consistent &= (last.tag, q.get("method")) == ("Call", "receive_rewards") \
-                and amount > 0
-        before, t.net_total = t.net_total, p["net_total"]
-        self.consistent &= t.net_total == before + amount - p["fee"]
-        t.operator_fees_accrued += p["fee"]
-        if settlement:
-            credit_settlement(t, before)
-
     def _on_Transfer(self, e: Event) -> None:
-        # A claim or a fee claim: the treasury's Transfer right after the
-        # Call that asked for it. It books what it says it took, which must
-        # be what was due: a tampered amount moves the claimed total and
-        # the balance together, so balance_identity alone cannot see it.
-        last = self.last
-        if e.emitter != TREASURY or last.tag != "Call" or last.payload["target"] != TREASURY:
+        # A sweep, on the sweep period's grid; an abort's refund; or a claim
+        # or a fee claim, the treasury's Transfer right after the Call that
+        # asked for it. A claim books what it says it took, which must be
+        # what was due: a tampered amount moves the claimed total and the
+        # balance together, so balance_identity alone cannot see it.
+        if e.emitter == BEACON:
+            self.consistent &= e.epoch % self.params.sweep_period == 0
             return
-        t, p, caller, method = self.tst, e.payload, last.emitter, last.payload["method"]
+        if e.emitter != TREASURY:
+            return
+        t, p, last = self.tst, e.payload, self.last
+        if self.refunds:
+            self.consistent &= (p["to"], p["amount"]) == self.refunds.pop()
+            return
+        if last.tag != "Call" or last.payload["target"] != TREASURY:
+            return
+        caller, method = last.emitter, last.payload["method"]
         if method == "claim":
             self.consistent &= p["to"] == caller and p["amount"] == claimable_of(t, caller)
             t.claimed_total = t.claimed_total.set(caller,
@@ -219,14 +269,16 @@ class _Fold:
             t.fees_claimed_total += p["amount"]
 
     def _on_Deposited(self, e: Event) -> None:
-        self.consistent &= e.payload["stake"] == self.stake_each
+        self.consistent &= e.payload["stake"] == self.params.stake_requirement
 
     def _on_DepositAccepted(self, e: Event) -> None:
-        vid = e.payload["id"]
-        self.consistent &= vid == len(self.status)      # ids are positions: the next one
-        self.wallet_of[vid] = self.wallets[e.payload["withdrawal_address"]]
+        p = e.payload
+        vid = p["id"]
+        self.consistent &= vid == len(self.status) \
+            and p["activation_epoch"] == e.epoch + self.params.activation_delay
+        self.wallet_of[vid] = self.wallets[p["withdrawal_address"]]
         self.status[vid] = ValidatorStatus.PENDING.value
-        self.activation_at[vid] = e.payload["activation_epoch"]
+        self.activation_at[vid] = p["activation_epoch"]
 
     def _on_Activated(self, e: Event) -> None:
         vid = e.payload["id"]
@@ -242,8 +294,9 @@ class _Fold:
             self.exit_epoch[j] = e.epoch
 
     def _on_ExitTriggered(self, e: Event) -> None:
-        j = self.wallets[e.emitter]
-        self.consistent &= self.wallet_of.get(e.payload["validator_id"]) == j
+        j, spec = self.wallets[e.emitter], self.spec
+        self.consistent &= self.wallet_of.get(e.payload["validator_id"]) == j \
+            and e.payload["threshold"] == spec.expected_reward_per_epoch * spec.grace_epochs
         self.tst.exit_causes[j] = CAUSE_PERFORMANCE
         self.exit_epoch[j] = e.epoch
 
@@ -271,16 +324,30 @@ class _Fold:
 
     def _on_WithdrawalFinalized(self, e: Event) -> None:
         p = e.payload
-        self.consistent &= p["shortfall"] == max(0, self.stake_each - p["returned"])
+        self.consistent &= p["shortfall"] == max(0, self.params.stake_requirement - p["returned"])
         self.returned[e.emitter] = p["returned"]
 
     def _on_ExitSettled(self, e: Event) -> None:
-        p = e.payload
-        self.consistent &= self.returned.get(wallet_name(p["validator_index"])) == p["returned"] \
-            and p["shortfall"] == max(0, self.stake_each - p["returned"])
-        self.tst.settlements[p["validator_index"]] = SettlementRecord(
-            p["returned"], p["shortfall"], p["escrow_cover"], p["penalty"])
-        self.tst.escrow_balance -= p["escrow_cover"] + p["penalty"]
+        # The treasury's settlement rule: escrow covers the shortfall first,
+        # and a performance exit pays this validator's share of the rest as a
+        # penalty. The pot raises N with no fee, credited per owner.
+        p, t = e.payload, self.tst
+        j, returned, cover, penalty = (p["validator_index"], p["returned"], p["escrow_cover"],
+                                       p["penalty"])
+        cause = t.exit_causes.get(j)
+        shortfall = max(0, self.params.stake_requirement - returned)
+        due = min(shortfall, t.escrow_balance)
+        unsettled = self.spec.validators - len(t.settlements)
+        share = (t.escrow_balance - due) // unsettled \
+            if cause == CAUSE_PERFORMANCE and unsettled > 0 else 0
+        self.consistent &= self.returned.get(wallet_name(j)) == returned \
+            and j not in t.settlements and p["cause"] == cause \
+            and (p["shortfall"], cover, penalty) == (shortfall, due, share)
+        t.settlements[j] = SettlementRecord(returned, p["shortfall"], cover, penalty)
+        t.escrow_balance -= cover + penalty
+        before = t.net_total
+        t.net_total += returned + cover + penalty
+        credit_settlement(t, before)
 
     _on = {name[4:]: f for name, f in list(vars().items()) if name.startswith("_on_")}
 
@@ -300,11 +367,13 @@ class _Fold:
         return ok
 
     def _exits(self, e: Event) -> bool:
-        """A Slashed or ExitRequested line: its Active validator starts its exit."""
+        """A Slashed or ExitRequested line: its Active validator starts its
+        exit, due the exit delay after it."""
         vid = e.payload["id"]
         if not self._moves(vid, ValidatorStatus.ACTIVE, ValidatorStatus.EXITING):
             return False
         self.exit_at[vid] = e.payload["exit_epoch"]
+        self.consistent &= self.exit_at[vid] == e.epoch + self.params.exit_delay
         return True
 
     def wallet_facts(self, final_epoch: int) -> Iterator[tuple[int | None, str | None, int | None]]:
@@ -332,15 +401,15 @@ def _event(line: str) -> Event:
 def expand(lines: Iterable[str]) -> Iterator[str]:
     """The log `lines` with each ``Repeat`` line written out in full.
 
-    A Repeat ``{"epoch":e,"seq":s,...,"payload":{"epochs":k,"lines":n,...}}``
-    stands for the n lines before it repeated k times, with ``epoch``,
-    ``seq`` and each further payload key advanced by 1, n and that key's
-    value each time. Raises ValueError if those n lines are not exactly
-    epoch e-1, all of it, up to seq s-1; if it stands for an epoch past
-    ``scenario.HORIZON_MAX``, the last a run can reach, before it writes
-    the first; if the line after it does not carry seq s + k·n and an
-    epoch past e+k-1; or if a line is not a log line. Holds one epoch's
-    lines at a time.
+    A Repeat ``{"epoch":e,"seq":s,...,"payload":{"epochs":k,"lines":n}}``
+    stands for the n lines before it repeated k times, with ``epoch`` and
+    ``seq`` advanced by 1 and n each time. Raises ValueError if its payload
+    holds any other key, or a value that is not an int; if those n lines
+    are not exactly epoch e-1, all of it, up to seq s-1; if it stands for
+    an epoch past ``scenario.HORIZON_MAX``, the last a run can reach,
+    before it writes the first; if the line after it does not carry seq
+    s + k·n and an epoch past e+k-1; or if a line is not a log line. Holds
+    one epoch's lines at a time.
     """
     block: list[str] = []     # the lines of the last epoch written so far
     block_epoch = last_seq = None
@@ -358,15 +427,15 @@ def expand(lines: Iterable[str]) -> Iterator[str]:
             yield line
             continue
         p = e.payload
-        if type(p) is not dict or not all(type(v) is int for v in p.values()):
-            raise ValueError(f"the Repeat at seq {e.seq} is not a map of ints")
-        k, n = p.get("epochs", 0), p.get("lines")
+        if type(p) is not dict or p.keys() != REPEAT_KEYS \
+                or not all(type(v) is int for v in p.values()):
+            raise ValueError(f"the Repeat at seq {e.seq} is not an int epochs and lines")
+        k, n = p["epochs"], p["lines"]
         if k < 1 or (n, block_epoch, last_seq) != (len(block), e.epoch - 1, e.seq - 1):
             raise ValueError(f"the Repeat at seq {e.seq} does not follow one whole epoch")
         if e.epoch + k - 1 > HORIZON_MAX:       # no run logs it, and it would write without end
             raise ValueError(f"the Repeat at seq {e.seq} runs past epoch {HORIZON_MAX}")
-        strides = {key: v for key, v in p.items() if key not in REPEAT_KEYS}
-        at = strided("".join(block), {"epoch": 1, "seq": n, **strides})
+        at = strided("".join(block), {"epoch": 1, "seq": n})
         for t in range(1, k + 1):
             block = at(t).splitlines(keepends=True)
             yield from block
@@ -374,15 +443,17 @@ def expand(lines: Iterable[str]) -> Iterator[str]:
         after = (e.seq + k * n, e.epoch + k)
 
 
-def rebuild_report(lines: Iterable[str], horizon: int) -> dict:
-    """:meth:`RunReport.to_dict` of the run that logged `lines`, which ended at `horizon`.
+def rebuild_report(lines: Iterable[str]) -> dict:
+    """:meth:`RunReport.to_dict` of the run that logged `lines`.
 
     `lines` are the log's lines as ``events.jsonl`` holds them, each with
     its newline (iterating the open file, or ``splitlines(keepends=True)``);
     they are read once, each hashed as it passes into :func:`expand`.
-    Raises ValueError if they do not expand (:func:`expand`), or, naming
-    its seq, at the first line the fold cannot read: a field missing or of
-    the wrong type, or a wallet or validator that no line before it made.
+    Raises ValueError if they do not expand (:func:`expand`), if the first
+    is not a ``Genesis`` line of terms in their bounds, or, naming its seq,
+    at the first line the fold cannot read: a second ``Genesis``, a field
+    missing or of the wrong type, or a wallet or validator that no line
+    before it made.
     """
     digest = hashlib.sha256()
 
@@ -391,14 +462,15 @@ def rebuild_report(lines: Iterable[str], horizon: int) -> dict:
             digest.update(line.encode())
             yield line
 
-    fold = _Fold()
-    count = 0
-    for line in expand(hashed()):
-        e = _event(line)
+    events = map(_event, expand(hashed()))
+    fold = _Fold(next(events, None))
+    horizon = fold.horizon
+    count = 1
+    for e in events:
         fold.consistent &= e.epoch <= horizon       # no line after the run ended
         try:
             fold.step(e)
-        except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        except _UNREADABLE as exc:
             raise ValueError(f"the line at seq {e.seq} does not fold: {exc!r}") from None
         count += 1
     replay, tst = fold.replay, fold.tst

@@ -84,24 +84,24 @@ block at a time. :meth:`Ledger.events_digest` hashes those blocks, and only
 depend on the batch size, and no Event object outlives its batch.
 
 A segment is one commit of many epochs (:meth:`Ledger.advance_segment`):
-the driver says how many epochs repeat the last one, by what strides, and
-which contract states they leave. The ledger keeps where its last two
-epochs began, so it counts their lines itself, and keeps those lines
-apart from the file, as each flush encoded them. It checks the last
-epoch's lines, its own, against the whole epoch before, which must have
-logged as many, advanced by one stride (:func:`strided`). It then logs the
-whole segment as one ``Repeat`` line: ``{"epoch":e+1,"seq":s,"emitter":"system","tag":"Repeat",
-"payload":{"epochs":k,"lines":n,...}}`` says that the n lines before it
-repeat k times, with ``epoch``, ``seq`` and each further key of the
-payload advanced by 1, n and its value. It is not an event and takes no
-seq: ``seq`` counts on through the events it stands for, which
-``explain.expand`` writes out again. The ledger keeps the lines of the
-two epochs it checked, advanced k strides, as the segment's last two.
-Every balance and supply move of the segment is k times
-:func:`replay_balances` of the last epoch's lines, applied to the live
-balances, the supply counters and the running replay alike: no balance
-moves on the driver's word, and but for its log's text, a segment leaves
-the ledger as stepping would.
+the driver says how many epochs repeat the last one and which contract
+states they leave. The ledger keeps where its last two epochs began, so it
+counts their lines itself, and keeps those lines apart from the file, as
+each flush encoded them. It checks the last epoch's lines, its own,
+against the whole epoch before, which must have logged as many, with
+``epoch`` advanced by 1 and ``seq`` by n (:func:`strided`): every other
+number on them is the same. It then logs the whole segment as one
+``Repeat`` line: ``{"epoch":e+1,"seq":s,"emitter":"system","tag":"Repeat",
+"payload":{"epochs":k,"lines":n}}`` says that the n lines before it
+repeat k times, with ``epoch`` and ``seq`` advanced by 1 and n each time.
+It is not an event and takes no seq: ``seq`` counts on through the events
+it stands for, which ``explain.expand`` writes out again. The ledger keeps
+the lines of the two epochs it checked, advanced k epochs, as the
+segment's last two. Every balance and supply move of the segment is k
+times :func:`replay_balances` of the last epoch's lines, applied to the
+live balances, the supply counters and the running replay alike: no
+balance moves on the driver's word, and but for its log's text, a segment
+leaves the ledger as stepping would.
 
 A ledger instance is single-threaded but self-contained; independent
 instances can run in parallel threads or processes.
@@ -133,11 +133,10 @@ from .errors import (
 CALL_DEPTH_LIMIT = 8
 
 # The emitter and tag of the line that stands for a segment's epochs, and
-# the keys no stride may take: the two every line advances and the line's
-# own two. Every other key of its payload is a stride.
+# the keys of its payload, which are all it holds.
 SYSTEM = "system"
 REPEAT = "Repeat"
-REPEAT_KEYS = frozenset(("epoch", "seq", "epochs", "lines"))
+REPEAT_KEYS = frozenset(("epochs", "lines"))
 
 # The tags of the lines the ledger writes itself, which replay_balances folds
 # or the fold of the log reads as the ledger's: no contract or driver emits one.
@@ -744,39 +743,35 @@ class Ledger:
             substeps()
         return self.epoch
 
-    def advance_segment(self, k: int, strides: dict[str, int], states: dict[str, Any]) -> bool:
+    def advance_segment(self, k: int, states: dict[str, Any]) -> bool:
         """Commit k epochs at once, each a repeat of the last epoch's events.
 
         The caller vouches that each of the next k epochs would log the last
         epoch's n lines again, n being the events logged since the epoch
         began, with the integers under the keys ``"epoch"`` and ``"seq"``
-        advanced by 1 and n, and those under each key of `strides` by its
-        stride; and that the contract states after the k epochs are
-        `states` (for the contracts named) and the committed ones (for the
-        rest). Balances and supply are not the caller's to state: they move
-        as the lines say.
+        advanced by 1 and n and every other number the same; and that the
+        contract states after the k epochs are `states` (for the contracts
+        named) and the committed ones (for the rest). Balances and supply
+        are not the caller's to state: they move as the lines say.
 
-        k is an int >= 0, each stride an int, no stride takes a key of the
-        ``Repeat`` line, and `states` names registered contracts only; else
+        k is an int >= 0 and `states` names registered contracts only; else
         ValueError, and nothing changes.
         The lines are the log's own, and checked first. Unless the epoch
         before the last logged exactly n lines, False is returned and
         nothing changes, the pending batch included. Then, after a flush,
-        the epoch before's n lines, advanced by one stride, must read as the
+        the epoch before's n lines, advanced one epoch, must read as the
         last epoch's n: the 2n lines the ledger keeps. The caller does not
         test that, so this check is a condition of correctness, not a spare
         guard: if it fails, False is returned and nothing but the flush has
         happened. Otherwise, in one step: one ``Repeat`` line stands for the
         k·n lines (none if k or n is 0), and the 2n lines kept advance k
-        strides, as stepping would keep them; k times :func:`replay_balances`
+        epochs, as stepping would keep them; k times :func:`replay_balances`
         of the last epoch's lines moves the live balances, the supply
         counters and the running replay; the epoch, seq and `states` are
         set. Returns True.
         """
-        if type(k) is not int or k < 0 or any(type(v) is not int for v in strides.values()):
-            raise ValueError(f"a segment is an int k >= 0 of int strides, got {k!r}, {strides!r}")
-        if strides.keys() & REPEAT_KEYS:
-            raise ValueError(f"a stride may not be named any of {sorted(REPEAT_KEYS)}")
+        if type(k) is not int or k < 0:
+            raise ValueError(f"a segment is an int k >= 0 of epochs, got {k!r}")
         if not states.keys() <= self._contracts.keys():
             raise ValueError(f"no contract is named {sorted(states.keys() - self._contracts.keys())}")
         n = self._seq - self._epoch_seq
@@ -784,14 +779,13 @@ class Ledger:
             return False
         self.flush()
         recent = self._recent
-        every = {"epoch": 1, "seq": n, **strides}
+        every = {"epoch": 1, "seq": n}
         if strided("".join(recent[:n]), every)(1) != "".join(recent[n:]):
             return False
 
         if k and n:
             self._write(encode_lines((Event(
-                self.epoch + 1, self._seq, SYSTEM, REPEAT,
-                {"epochs": k, "lines": n, **strides}),))[0])
+                self.epoch + 1, self._seq, SYSTEM, REPEAT, {"epochs": k, "lines": n}),))[0])
         self._recent = strided("".join(recent), every)(k).splitlines(keepends=True)
         once = replay_balances([Event(**json.loads(line)) for line in recent[n:]])
         for moved in (self._balances, self._replay.balances):

@@ -56,10 +56,10 @@ treasury's balance and the minted total rise by the same step each epoch,
 the wallets' windows slide, and the beacon's state is unchanged. The
 segment's states are closed forms (``ValidatorWallet.advance``,
 ``TreasuryContract.advance``); its log lines are epoch e's own with
-``epoch``, ``seq`` and ``Distributed.net_total`` advanced by fixed
-strides, and its balance and supply moves k times those epoch e's lines
-make (``Ledger.advance_segment``, which counts epoch e's lines, first
-checks that epoch e-1's whole lines advance to them, and steps on if not).
+``epoch`` and ``seq`` advanced, as no line states a running total, and its
+balance and supply moves k times those epoch e's lines make
+(``Ledger.advance_segment``, which counts epoch e's lines, first checks
+that epoch e-1's whole lines advance to them, and steps on if not).
 The log holds the segment as one ``Repeat`` line. ``explain.expand(log)``
 is byte for byte the log of stepping; the replay and every report field
 but ``events_digest`` are those of stepping.
@@ -89,6 +89,13 @@ the contracts read (``TreasurySpec``, ``MintSpec``, :class:`BeaconParams`),
 so :func:`validate` and the contract constructors' guards check the same
 declarations. Epochs are bounded by ``horizon`` and validator indices by
 ``treasury.validators``.
+
+A run's log states its terms once, on its first line: the ``Genesis``
+line (seq 0, from ``system``) holds those three sections, each its
+record's fields, and the horizon run. Every party agreed to them before
+the mint opened, as a contract's constructor arguments are public on a
+chain; the schedules (deposits, operator performance, slashes, claims and
+resales) are not terms, and show only through the lines they cause.
 """
 
 from __future__ import annotations
@@ -120,6 +127,8 @@ BEACON = "beacon"
 RESERVED = frozenset((SYSTEM, OPERATOR, MINT, TREASURY, BEACON))
 # Every validator wallet's address starts with it; no holder name may.
 WALLET_PREFIX = "wallet:"
+# The tag of a run's first line, which states its terms.
+GENESIS = "Genesis"
 
 
 def wallet_name(index: int) -> str:
@@ -611,6 +620,11 @@ class World:
         led = self.ledger
 
         led.register_account(SYSTEM)
+        # The terms, first: plain copies of the records' fields.
+        led.emit(SYSTEM, GENESIS, {"treasury": dict(vars(scenario.treasury)),
+                                   "mint": dict(vars(scenario.mint)),
+                                   "beacon": dict(vars(scenario.beacon)),
+                                   "horizon": scenario.horizon})
         led.register_account(OPERATOR)
         self.holders = sorted(scenario.holder_names)
         for h in self.holders:
@@ -742,9 +756,8 @@ class World:
             if amount:
                 receipts[w] = amount
                 states[w] = self._wallet.advance(wst, e, k)
-        tst = led.contract_state(TREASURY)
-        states[TREASURY] = after = self._treasury.advance(tst, receipts, k)
-        if led.advance_segment(k, {"net_total": (after.net_total - tst.net_total) // k}, states):
+        states[TREASURY] = self._treasury.advance(led.contract_state(TREASURY), receipts, k)
+        if led.advance_segment(k, states):
             self.audit()
 
     @cached_property

@@ -41,6 +41,15 @@ coverage, and non-performance penalties are distributed whole. They are
 the one O(tokens) step, because each owner's ``settlement_credits`` must
 be attributed at that moment (:func:`split_credits`).
 
+No line logs a distribution. The terms, ``fee_bps`` among them, are
+stated once, on the run's ``Genesis`` line, and each amount once, on the
+line that moves it: a reward is the value of its wallet's ``Call`` to
+``receive_rewards``, and a settlement the pot its ``ExitSettled`` states.
+N and the fees are a fold of those lines (``explain.rebuild_report``): N
+is the running sum of the receipts' nets and the settlements' pots, and
+with the tokens' capitals (the values of the mint's ``register_nft``
+calls) it gives every token's credit.
+
 Phase machine: Fundraising -> Staked -> Exiting -> Settled, never skipping
 or reversing. An aborted raise refunds depositors and simply never leaves
 Fundraising.
@@ -202,17 +211,6 @@ def credit_settlement(st: TreasuryState, before: int) -> None:
             st.settlement_credits[owner] = st.settlement_credits.get(owner, 0) + credit
 
 
-def _distributed(fee: int, net_total: int) -> Emit:
-    """The log record of one distribution: its fee and N after it.
-
-    Its amount is on the line right before it, the value of the reward
-    receipt's ``Call`` or the pot of the ``ExitSettled`` it pays out. N,
-    with the tokens' capitals (the values of the mint's ``register_nft``
-    calls), lets anyone rebuild every token's credit from the log alone.
-    """
-    return Emit("Distributed", {"fee": fee, "net_total": net_total})
-
-
 class TreasuryContract(Handlers):
     kind = "treasury"
 
@@ -319,9 +317,7 @@ class TreasuryContract(Handlers):
             raise WrongPhase(f"cannot receive rewards in phase {state.phase.value}")
         if msg.value <= 0:
             raise InvalidAmount("reward receipt must carry value")
-        st = self.advance(state, {msg.caller: msg.value}, 1)
-        fee = st.operator_fees_accrued - state.operator_fees_accrued
-        return st, [_distributed(fee, st.net_total)], None
+        return self.advance(state, {msg.caller: msg.value}, 1), [], None
 
     def advance(self, state: TreasuryState, receipts: dict[str, int], k: int) -> TreasuryState:
         """The state after k epochs in each of which every wallet of
@@ -421,7 +417,6 @@ class TreasuryContract(Handlers):
         })]
         before = st.net_total
         st.net_total += returned + escrow_cover + penalty
-        effects.append(_distributed(0, st.net_total))
         credit_settlement(st, before)
 
         if len(st.settlements) == len(self.validators):

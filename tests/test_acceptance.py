@@ -122,11 +122,12 @@ def trigger(e) -> tuple[str, int] | None:
 def record_distributions(world: World) -> list[tuple]:
     """Wrap the world's Ledger.call and log to watch every distribution as it commits.
 
-    For each committed call that logged a Distributed event or moved the
-    treasury's cumulative net N, keeps (triggers, Distributed payloads,
-    {token: accrued credit}, dust) read from the committed treasury state
+    For each committed call that logged a trigger or moved the treasury's
+    cumulative net N, keeps (triggers, its fee, {token: accrued credit},
+    dust), the fee and the rest read from the committed treasury state
     right after the call. A trigger (:func:`trigger`) is a receipt, the
-    wallet's Call to receive_rewards, or a settlement, its ExitSettled event.
+    wallet's Call to receive_rewards, or a settlement, its ExitSettled
+    event: the one line that states a distribution's amount.
     """
     led = world.ledger
     inner = led.call
@@ -139,15 +140,13 @@ def record_distributions(world: World) -> list[tuple]:
         log(events)
 
     def call(*args, **kwargs):
-        n_before = led.contract_state(TREASURY).net_total
+        before = led.contract_state(TREASURY)
         first = len(committed)
         result = inner(*args, **kwargs)
-        logged = committed[first:]
-        dists = [e.payload for e in logged if e.tag == "Distributed"]
+        triggers = [t for t in map(trigger, committed[first:]) if t is not None]
         tst = led.contract_state(TREASURY)
-        if dists or tst.net_total != n_before:
-            triggers = [t for t in map(trigger, logged) if t is not None]
-            steps.append((triggers, dists,
+        if triggers or tst.net_total != before.net_total:
+            steps.append((triggers, tst.operator_fees_accrued - before.operator_fees_accrued,
                           {t: accrued(tst, t) for t in tst.capital}, dust_of(tst)))
         return result
 
@@ -166,15 +165,13 @@ def test_criterion_1_operator_fee_equation(corpus):
     for s, world, report, _ in runs:
         fee_bps = s.treasury.fee_bps
         r_total = sum(v.rewards_received for v in report.validators)
-        # Each receipt's Distributed follows the wallet's Call to
-        # receive_rewards, which carries the receipt's value.
-        events = logged_events(world.ledger)
-        pairs = [(call.payload, dist) for call, dist in zip(events, events[1:])
-                 if call.tag == "Call" and call.payload["method"] == "receive_rewards"]
-        assert all(dist.tag == "Distributed" for _, dist in pairs)
-        receipt_count = len(pairs)
-        assert sum(call["value"] for call, _ in pairs) == r_total
-        assert sum(dist.payload["fee"] for _, dist in pairs) \
+        # Each receipt is the wallet's Call to receive_rewards, which
+        # carries its value; its fee floors value * F.
+        receipts = [e.payload["value"] for e in logged_events(world.ledger)
+                    if e.tag == "Call" and e.payload["method"] == "receive_rewards"]
+        receipt_count = len(receipts)
+        assert sum(receipts) == r_total
+        assert sum(value * fee_bps // 10_000 for value in receipts) \
             == report.operator_fees_claimed + report.operator_fees_accrued
         paid = report.operator_fees_claimed
         if report.operator_fees_accrued > 0:
@@ -202,7 +199,7 @@ def test_criterion_2_holder_share_equation(corpus):
     for s, world, report, steps in runs:
         # Every distribution in the log was seen as a step: a driver that
         # bypassed the Ledger.call wrapper would record none and pass below.
-        assert len(steps) == sum(1 for e in logged_events(world.ledger) if e.tag == "Distributed")
+        assert len(steps) == sum(1 for e in logged_events(world.ledger) if trigger(e))
         tst = world.ledger.contract_state(TREASURY)
         token_order = sorted(tst.capital)
         capitals = [tst.capital[t] for t in token_order]
@@ -214,25 +211,25 @@ def test_criterion_2_holder_share_equation(corpus):
         receipts = []
         prev = [0] * len(capitals)
         prev_dust = 0
-        for (triggers, dists, acc, dust), (o_fee, o_shares, o_dust_after) in zip(
+        for (triggers, fee, acc, dust), (o_fee, o_shares, o_dust_after) in zip(
                 steps, o_steps):
             # one receipt or one settlement per call, logged once
-            assert len(dists) == 1 and len(triggers) == 1
-            p, (trigger, amount) = dists[0], triggers[0]
+            assert len(triggers) == 1
+            (kind, amount), = triggers
             assert sorted(acc) == token_order
             now = [acc[t] for t in token_order]
             step = [a - b for a, b in zip(now, prev)]
             # per-distribution conservation, zero tolerance
-            assert p["fee"] + sum(step) + (dust - prev_dust) == amount
+            assert fee + sum(step) + (dust - prev_dust) == amount
             # per-token, per-distribution equality with the oracle
-            assert (p["fee"], step, dust) == (o_fee, o_shares, o_dust_after)
-            if trigger == "receive_rewards":
+            assert (fee, step, dust) == (o_fee, o_shares, o_dust_after)
+            if kind == "receive_rewards":
                 receipts.append(amount)
             prev, prev_dust = now, dust
         if not receipts:
             continue
         runs_with_receipts += 1
-        assert sum(p["fee"] for _, (p,), _, _ in steps) == o_fees
+        assert sum(fee for _, fee, _, _ in steps) == o_fees
         # all credits + fee + dust == everything distributed, zero tolerance
         assert o_fees + sum(o_reward) + sum(o_settle) + o_dust \
             == sum(amount for amount, _ in stream)

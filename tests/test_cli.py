@@ -122,7 +122,7 @@ class TestRun:
         # dave is named only as the recipient of the rejected resale, which the log records.
         assert "dave" in {h.holder for h in expected.holders}
         with open(tmp_path / "out" / "events.jsonl", encoding="utf-8", newline="") as log:
-            assert rebuild_report(log, expected.horizon) == expected.to_dict()
+            assert rebuild_report(log) == expected.to_dict()
 
     def test_invalid_scenario_exit_1(self, tmp_path):
         doc = json.loads(sc.golden_scenario_path("honest").read_text())
@@ -287,11 +287,16 @@ class TestRun:
         assert json.loads(partial.splitlines()[-1])["epoch"] == k
         assert json.loads(clean[len(partial):].splitlines()[0])["epoch"] == k + 1
         assert not (out / "report.json").exists()
-        # The evidence folds: the log so far is the log of the run cut at k.
+        # The evidence folds: past its terms, which state the horizon the run
+        # was to reach, the log so far is the log of the run cut at k.
         monkeypatch.setattr(World, "audit", audit)
         cut = World(replace(sc.load_scenario(scenario), horizon=k)).run()
-        with (out / "events.jsonl").open(encoding="utf-8", newline="") as log:
-            assert rebuild_report(log, k) == cut.to_dict()
+        terms, *rest = partial.decode().splitlines(keepends=True)
+        cut_terms, *cut_rest = cut.events_jsonl.splitlines(keepends=True)
+        assert rest == cut_rest and json.loads(terms)["payload"]["horizon"] == 100
+        assert rebuild_report(partial.decode().splitlines(keepends=True))["conservation"] \
+            == cut.to_dict()["conservation"]
+        assert rebuild_report([cut_terms, *rest]) == cut.to_dict()
 
     def test_undecodable_file_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -396,9 +401,9 @@ class TestUsageErrors:
         ["run", "--scenario", "{scenario}", "--out", "{out}", "--seed", "3"],
         ["run", "--scenario", "{scenario}", "--out", "{out}", "--epochs", "ten"],
         [],
-        ["explain", "--events", "{out}"],
+        ["explain", "--expand"],
     ], ids=["unknown-flag", "missing-out", "removed-seed", "non-integer-epochs",
-            "no-command", "explain-without-expand"])
+            "no-command", "explain-without-events"])
     def test_usage_error_exits_1(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
         scenario = str(sc.golden_scenario_path("honest"))
@@ -527,9 +532,9 @@ class TestValidateCommand:
 # sha256 of each golden's log as stepping writes it, every line in full:
 # what `stakeclaim explain --expand` prints for the log the run wrote.
 STEPPED_DIGESTS = {
-    "honest": "c0a2cb980ff2852902362d3bf103f380e8fe20b08222329c1e501d867e17fc30",
-    "nonpaying": "a1ac3401f1bf44310b65dd5f0bfb4ea9529ae9a22be93171bf70cd3c711404dc",
-    "slashed": "4cde60b925c44fccfcaf8acda3b8b362aee2f258fab089842b55344fe6c5d64e",
+    "honest": "dbee25980a05571e9c97a47548d1650377b6c7355b6f7fa25b0232d3544bbdd1",
+    "nonpaying": "3f4d116f80b3ee2f7e11b5ac3fff82cf5880adf28ebc499a56a857cf95d5ddbe",
+    "slashed": "c265df64ad9f2e2360814842813acba172eb8bfb627bb7ff97dd4dcfb4779664",
 }
 
 
@@ -547,6 +552,45 @@ class TestExplainCommand:
         assert printed.out == SteppedWorld(sc.load_scenario(sc.golden_scenario_path(name))) \
             .run().events_jsonl
         assert hashlib.sha256(printed.out.encode()).hexdigest() == STEPPED_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sc.GOLDEN_SCENARIOS)
+    def test_a_log_verifies_to_its_report_byte_for_byte_exit_0(self, name, tmp_path, capsys):
+        assert run_cli("run", "--scenario", str(sc.golden_scenario_path(name)),
+                       "--out", str(tmp_path)) == 0
+        assert run_cli("explain", "--events", str(tmp_path / "events.jsonl")) == 0
+        printed = capsys.readouterr()
+        assert printed.err == ""
+        assert printed.out == (tmp_path / "report.json").read_text(encoding="utf-8")
+
+    def test_a_log_whose_fold_disagrees_prints_its_report_and_exits_2(self, tmp_path, capsys):
+        # One unit more on the first reward receipt: a unit its wallet never held.
+        assert run_cli("run", "--scenario", str(sc.golden_scenario_path("honest")),
+                       "--out", str(tmp_path)) == 0
+        path = tmp_path / "events.jsonl"
+        text = path.read_text()
+        receipt = '"method":"receive_rewards","value":1000}'
+        path.write_text(text.replace(receipt, receipt.replace("1000", "1001"), 1))
+        capsys.readouterr()
+        assert run_cli("explain", "--events", str(path)) == 2
+        printed = capsys.readouterr()
+        assert printed.err == ""
+        report = json.loads(printed.out)
+        assert report["conservation"]["ok"] and not report["conservation"]["replay_ok"]
+
+    @pytest.mark.parametrize("content", [
+        None,                                   # no such file
+        b"{not json\n",
+        b'{"epoch":0,"seq":0,"emitter":"alice","tag":"SupplyMint",'
+        b'"payload":{"amount":1,"memo":"m"}}\n',   # no Genesis line first
+    ], ids=["missing", "not-json", "no-terms"])
+    def test_verifying_an_unreadable_log_exits_1(self, content, tmp_path, capsys):
+        path = tmp_path / "events.jsonl"
+        if content is not None:
+            path.write_bytes(content)
+        assert run_cli("explain", "--events", str(path)) == 1
+        printed = capsys.readouterr()
+        assert printed.out == "" and len(printed.err.splitlines()) == 1
+        assert printed.err.startswith("--events: ") and "Traceback" not in printed.err
 
     def test_a_log_without_repeat_lines_prints_as_it_is(self, tmp_path, capsys):
         log = SteppedWorld(sc.load_scenario(sc.golden_scenario_path("slashed"))).run().events_jsonl

@@ -229,7 +229,7 @@ def test_a_default_world_holds_at_most_one_batch(monkeypatch):
 # contracts' states, the Call payloads, one batch of Event objects with its
 # lines, the lines of the two epochs a segment check reads, and the log's
 # file while it is still in memory, up to LOG_BLOCK bytes. About 0.5 MB on
-# the runs below; the log in memory would add 2.1 MB at horizon 1,500.
+# the runs below; the log in memory would add 1.7 MB at horizon 1,500.
 RUN_PEAK = 1 << 20
 
 
@@ -242,7 +242,7 @@ def test_a_run_holds_a_bounded_tail_of_its_log():
     # when asked for, after tracing stops. Stepped, as a segment's epochs
     # would add one line.
     scenario = sc.load_scenario(sc.golden_scenario_path("honest"))
-    for horizon, at_least in ((1500, 2_000_000), (6000, 8_000_000)):
+    for horizon, at_least in ((1500, 1_500_000), (6000, 6_000_000)):
         world = SteppedWorld(dataclasses.replace(scenario, horizon=horizon))
         tracemalloc.start()
         try:

@@ -1,7 +1,8 @@
 """The report is a fold of the log: ``explain.rebuild_report`` rebuilds every field.
 
-The fold reads nothing but the log's lines and the horizon, and its
-result must equal ``RunReport.to_dict()`` exactly, field for field. It
+The fold reads nothing but the log's lines, whose first states the
+terms and the horizon, and its result must equal ``RunReport.to_dict()``
+exactly, field for field. It
 runs over the acceptance corpus with claims and resales added (as
 ``test_handler_purity`` does), over the three goldens as the CLI writes
 them, and over one scenario built to reach every path of the credit trail.
@@ -50,7 +51,7 @@ README = Path(__file__).parent.parent / "README.md"
 
 def assert_rebuilt(report) -> None:
     """The fold of `report`'s log is `report`, naming the first field that differs."""
-    got = rebuild_report(report.events_jsonl.splitlines(keepends=True), report.horizon)
+    got = rebuild_report(report.events_jsonl.splitlines(keepends=True))
     want = report.to_dict()
     differ = [key for key in want if got[key] != want[key]]
     assert not differ, f"{differ[0]}: rebuilt {got[differ[0]]!r}, reported {want[differ[0]]!r}"
@@ -64,7 +65,7 @@ def test_the_fold_rebuilds_each_golden_report(name, tmp_path):
     assert code == 0
     frozen = json.loads((GOLDEN / name / "report.json").read_text())
     with open(tmp_path / "events.jsonl", encoding="utf-8", newline="") as log:
-        assert rebuild_report(log, frozen["horizon"]) == frozen
+        assert rebuild_report(log) == frozen
 
 
 
@@ -80,7 +81,7 @@ def test_the_fold_reads_a_one_shot_generator(name):
             pulled.append(line)
             yield line
 
-    assert rebuild_report(lines(), report.horizon) == report.to_dict()
+    assert rebuild_report(lines()) == report.to_dict()
     assert "".join(pulled) == report.events_jsonl
 
 def test_the_fold_rebuilds_every_corpus_report():
@@ -160,7 +161,8 @@ def test_validate_and_the_fold_agree_on_who_is_a_holder(name, tag):
     rejected = any(p.startswith("deposits[2].holder ") for p in validate(s))
     payload = ({"amount": 1, "memo": "m"} if tag == "SupplyMint"
                else {"target": MINT, "method": "mint"})
-    rebuilt = rebuild_report(encode_lines([Event(0, 0, name, tag, payload)]), 0)
+    terms = World(small_scenario()).ledger.events_jsonl().splitlines(keepends=True)[0]
+    rebuilt = rebuild_report([terms, *encode_lines([Event(0, 1, name, tag, payload)])])
     assert ({h["holder"] for h in rebuilt["holders"]} == {name}) is not rejected
     assert rejected is (name != "dave")
 
@@ -178,9 +180,17 @@ def run_with_the_escrow_refunded() -> RunReport:
 
 def run_with_the_mint_aborted() -> RunReport:
     """A raise that does not fill: the mint refunds it when its window closes."""
-    report = sc.run(small_scenario(deposits=(DepositAction("alice", 4000, 0),)))
+    report = sc.run(small_scenario(deposits=(DepositAction("alice", 4000, 0),
+                                             DepositAction("bob", 100, 0))))
     assert report.phase == "Fundraising" and '"tag":"MintAborted"' in report.events_jsonl
     return report
+
+
+def test_the_fold_rebuilds_a_run_that_never_stakes():
+    # No line but the terms names a wallet before the raise fills.
+    report = run_with_the_mint_aborted()
+    assert len(report.validators) == 1 and report.validators[0].validator_id is None
+    assert_rebuilt(report)
 
 
 def run_with_the_operator_fees_claimed() -> RunReport:
@@ -207,12 +217,23 @@ def tagged(tag: str):
     return first(f'"tag":"{tag}"')
 
 
-# The Call lines that ask for a claim, a fee claim or a token, and for a
-# reward receipt: a claim's amount is the Transfer right after its Call, a
-# token's capital and a receipt's amount are their Call's value.
+def last_before(marker: str, before: str):
+    """The index of the last line holding `marker` before the first holding `before`."""
+    def at(lines):
+        end = first(before)(lines)
+        return max(i for i, line in enumerate(lines[:end]) if marker in line)
+
+    return at
+
+
+# The Call lines that ask for a claim, a fee claim, a token or an abort's
+# refunds, and for a reward receipt: a claim's amount is the Transfer right
+# after its Call, a token's capital and a receipt's amount are their Call's
+# value.
 CLAIM = '"method":"claim"}'
 FEE_CLAIM = '"method":"claim_operator_fees"}'
 REGISTER = '"method":"register_nft",'
+ABORT_REFUND = '"method":"abort_refund"}'
 RECEIPT = '"method":"receive_rewards",'
 
 
@@ -221,7 +242,6 @@ RECEIPT = '"method":"receive_rewards",'
 @pytest.mark.parametrize("run,at,key", [
     (run_with_resales_claims_and_both_exit_causes, first(CLAIM, then=1), "amount"),
     (run_with_resales_claims_and_both_exit_causes, tagged("EscrowPosted"), "total"),
-    (run_with_resales_claims_and_both_exit_causes, tagged("Distributed"), "fee"),
     # A refund or a fee claim must be taken off the balance, not zero it.
     (run_with_the_escrow_refunded, tagged("EscrowPosted"), "total"),
     (run_with_the_operator_fees_claimed, first(FEE_CLAIM, then=1), "amount"),
@@ -233,31 +253,66 @@ RECEIPT = '"method":"receive_rewards",'
     # moves a token its seller holds.
     (run_with_resales_claims_and_both_exit_causes, tagged("Mint"), "token_id"),
     (run_with_resales_claims_and_both_exit_causes, tagged("TransferNft"), "token_id"),
-    # Each Distributed raises N by its amount less its fee, repeated ones too.
-    (run_with_resales_claims_and_both_exit_causes, tagged("Distributed"), "net_total"),
-    (run_with_the_escrow_refunded, tagged("Repeat"), "net_total"),
+    # A settlement raises N by its pot, which must be the treasury's rule's,
+    # and each receipt by its value less its fee, repeated ones too.
+    (run_with_resales_claims_and_both_exit_causes, tagged("ExitSettled"), "penalty"),
+    (run_with_the_escrow_refunded, last_before(RECEIPT, '"tag":"Repeat"'), "value"),
     # A line that restates another must say what that one says: a reward is
     # its Call's value, an accrual's minted its rewards and its SupplyMint,
     # and a settlement's returned its wallet's withdrawal.
     (run_with_resales_claims_and_both_exit_causes, first(RECEIPT), "value"),
     (run_with_resales_claims_and_both_exit_causes, tagged("EpochAccrual"), "minted"),
     (run_with_resales_claims_and_both_exit_causes, tagged("ExitSettled"), "returned"),
-], ids=["Claimed.amount", "EscrowPosted.total", "Distributed.fee",
+], ids=["Claimed.amount", "EscrowPosted.total",
         "EscrowPosted.total-refunded", "OperatorFeesClaimed.amount", "Mint.capital",
         "Staked.validators", "Mint.capital-aborted", "Mint.token_id", "TransferNft.token_id",
-        "Distributed.net_total", "Repeat.net_total",
+        "ExitSettled.penalty", "Repeat.receipt-value",
         "Distributed.amount", "EpochAccrual.minted", "ExitSettled.returned"])
 def test_one_unit_added_to_an_amount_the_fold_reads_fails_replay_ok(run, at, key):
     # The treasury's replayed balance must be what the rebuilt state says
     # it holds, so the first such line, one unit off, breaks replay_ok.
     report = run()
     lines = report.events_jsonl.splitlines(keepends=True)
-    assert rebuild_report(lines, report.horizon)["conservation"]["replay_ok"]
+    assert rebuild_report(lines)["conservation"]["replay_ok"]
     i = at(lines)
     e = json.loads(lines[i])
     e["payload"][key] += 1
     lines[i] = encode_lines([Event(**e)])[0]
-    assert not rebuild_report(lines, report.horizon)["conservation"]["replay_ok"]
+    assert not rebuild_report(lines)["conservation"]["replay_ok"]
+
+
+@pytest.mark.parametrize("run", [run_with_resales_claims_and_both_exit_causes,
+                                 run_with_the_operator_fees_claimed], ids=["claims", "fee-claim"])
+def test_a_fee_reckoned_by_other_terms_fails_replay_ok(run):
+    # No line states a fee: the fold reckons each receipt's from the terms'
+    # fee_bps, and a claim of credit or of the fees restates them. Under
+    # terms with no fee, it pays out what the fold does not rebuild.
+    report = run()
+    lines = report.events_jsonl.splitlines(keepends=True)
+    e = json.loads(lines[0])
+    assert e["tag"] == "Genesis" and e["payload"]["treasury"]["fee_bps"] > 0
+    e["payload"]["treasury"]["fee_bps"] = 0
+    lines[0] = encode_lines([Event(**e)])[0]
+    assert not rebuild_report(lines)["conservation"]["replay_ok"]
+
+
+@pytest.mark.parametrize("run,at,to", [
+    (run_with_the_mint_aborted, first(ABORT_REFUND, then=1), "bob"),
+    (run_with_the_escrow_refunded, first('"tag":"EscrowRefunded"', then=-1), "alice"),
+], ids=["abort-refund", "escrow-refund"])
+def test_a_refund_paid_to_another_name_fails_replay_ok(run, at, to):
+    # An abort refunds each token's capital to its owner, in token order,
+    # and the escrow left returns to the operator: paid to anyone else, the
+    # amounts and the balances still add up.
+    report = run()
+    lines = report.events_jsonl.splitlines(keepends=True)
+    i = at(lines)
+    e = json.loads(lines[i])
+    assert e["tag"] == "Transfer" and e["payload"]["to"] != to
+    assert rebuild_report(lines)["conservation"]["replay_ok"]
+    e["payload"]["to"] = to
+    lines[i] = encode_lines([Event(**e)])[0]
+    assert not rebuild_report(lines)["conservation"]["replay_ok"]
 
 
 @pytest.mark.parametrize("run,marker,then,key", [
@@ -280,13 +335,13 @@ def test_one_unit_added_to_a_claim_or_a_deposit_fails_replay_ok(
         e = json.loads(lines[i])
         e["payload"][key] += 1
         tampered = [*lines[:i], encode_lines([Event(**e)])[0], *lines[i + 1:]]
-        assert not rebuild_report(tampered, report.horizon)["conservation"]["replay_ok"], i
+        assert not rebuild_report(tampered)["conservation"]["replay_ok"], i
 
 
 def test_one_unit_added_to_a_reward_receipt_fails_replay_ok():
     # A reward receipt is a wallet's Call to receive_rewards with a value.
     # One unit more, at the first receipt or the last, moves a unit its
-    # wallet never held, past the Distributed that restates the receipt.
+    # wallet never held, and raises N and the fees as the unit was paid.
     report = run_with_resales_claims_and_both_exit_causes()
     lines = report.events_jsonl.splitlines(keepends=True)
     receipts = [i for i, line in enumerate(lines) if '"method":"receive_rewards","value":' in line]
@@ -295,7 +350,18 @@ def test_one_unit_added_to_a_reward_receipt_fails_replay_ok():
         e = json.loads(lines[i])
         e["payload"]["value"] += 1
         tampered = [*lines[:i], encode_lines([Event(**e)])[0], *lines[i + 1:]]
-        assert not rebuild_report(tampered, report.horizon)["conservation"]["replay_ok"]
+        assert not rebuild_report(tampered)["conservation"]["replay_ok"]
+
+
+def test_a_validator_activated_off_its_epoch_fails_replay_ok():
+    # Its activation epoch is the activation delay after its deposit: an
+    # Activated line an epoch late is not the beacon's, though the
+    # accruals after it name the validator Active all the same.
+    report = run_with_resales_claims_and_both_exit_causes()
+    lines = report.events_jsonl.splitlines(keepends=True)
+    i = first('"tag":"Activated"')(lines)
+    lines[i] = changed(lines[i], lambda e: e.update(epoch=e["epoch"] + 1))
+    assert not rebuild_report(lines)["conservation"]["replay_ok"]
 
 
 # (tag, key) -> why one unit added to that int field of a line can leave
@@ -306,37 +372,63 @@ UNCHECKED = {
         "a genesis endowment is an input no line restates (a beacon issue is its accrual's minted)",
     ("ActionRejected", "token_id"):
         "a rejected resale changes nothing, and may name any id (an UnknownToken)",
-    ("ExitTriggered", "threshold"):
-        "the watchdog's expected sum is a scenario term no line states",
     ("ExitTriggered", "window_sum"):
-        "the watchdog's window spans grace_epochs, a scenario term no line states",
+        "the receipts in the watchdog's window are not summed from the log",
     ("Slashed", "fraction_bps"):
         "the validator's beacon balance, which it is a share of, is not rebuilt from the log",
+    # The terms that no line of some run restates.
+    ("Genesis", "treasury.fee_bps"):
+        "a fee floors value * fee_bps / 10000, so one point more moves no fee of a receipt "
+        "below 10,000 units, and only a claim restates the fees",
+    ("Genesis", "treasury.expected_reward_per_epoch"):
+        "only an ExitTriggered's threshold restates it, and a run with no performance exit has none",
+    ("Genesis", "treasury.grace_epochs"):
+        "only an ExitTriggered's threshold restates it, and a run with no performance exit has none",
+    ("Genesis", "mint.min_contribution"):
+        "a deposit pays at least it, so only a deposit of exactly it restates it",
+    ("Genesis", "mint.close_epoch"):
+        "a deposit comes before it, so no line of a raise that fills restates it",
+    ("Genesis", "beacon.reward_per_epoch"):
+        "a validator earns it times its performance factor, which is no term",
+    ("Genesis", "beacon.exit_delay"):
+        "only an exit restates it, and a run with no exit has none",
+    ("Genesis", "horizon"):
+        "the run ends at it, and a later end leaves every line of the run before it",
 }
 
 
-def int_paths(value, path: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
-    """The path of each int in `value`: () for `value` itself, else its
-    positions in the lists it is nested in (an EpochAccrual's [id, reward])."""
+IntPath = tuple[int | str, ...]
+
+
+def int_paths(value, path: IntPath = ()) -> Iterator[IntPath]:
+    """The path of each int in `value`: () for `value` itself, else its keys
+    and positions in the dicts and lists it is nested in (a Genesis section's
+    terms, an EpochAccrual's [id, reward])."""
     if type(value) is int:
         yield path
     elif type(value) is list:
         for j, item in enumerate(value):
             yield from int_paths(item, (*path, j))
+    elif type(value) is dict:
+        for key, item in value.items():
+            yield from int_paths(item, (*path, key))
 
 
-def int_fields(lines: list[str]) -> dict[tuple[str, str], list[tuple[int, tuple[int, ...]]]]:
-    """(tag, key) -> (line index, path) of every int under key in a line's payload."""
-    fields: dict[tuple[str, str], list[tuple[int, tuple[int, ...]]]] = {}
+def int_fields(lines: list[str]) -> dict[tuple[str, str], list[tuple[int, IntPath]]]:
+    """(tag, field) -> (line index, path) of every int under a key in a
+    line's payload, the field being the key and any keys nested under it,
+    dotted ("treasury.fee_bps")."""
+    fields: dict[tuple[str, str], list[tuple[int, IntPath]]] = {}
     for i, line in enumerate(lines):
         e = json.loads(line)
         for key, value in e["payload"].items():
             for path in int_paths(value):
-                fields.setdefault((e["tag"], key), []).append((i, path))
+                name = ".".join([key, *(at for at in path if type(at) is str)])
+                fields.setdefault((e["tag"], name), []).append((i, path))
     return fields
 
 
-def one_unit_added(payload: dict, key: str, path: tuple[int, ...]) -> None:
+def one_unit_added(payload: dict, key: str, path: IntPath) -> None:
     """Add 1 to the int at `path` under `key` (:func:`int_paths`), in place."""
     inner, at = payload, key
     for j in path:
@@ -345,8 +437,8 @@ def one_unit_added(payload: dict, key: str, path: tuple[int, ...]) -> None:
 
 
 def test_one_unit_added_to_any_int_field_fails_replay_ok():
-    # Every int field of every line kind, each int of it, nested in lists
-    # too, at its first and its last line, in six logs: a +1 must make
+    # Every int field of every line kind, each int of it, nested in dicts
+    # and lists too, at its first and its last line, in six logs: a +1 must make
     # replay_ok false (or make the log refuse to expand), unless UNCHECKED
     # names the field and says why.
     runs = [sc.run(sc.load_scenario(sc.golden_scenario_path(name)))
@@ -360,10 +452,10 @@ def test_one_unit_added_to_any_int_field_fails_replay_ok():
             ends = {at[0][0], at[-1][0]}
             for i, path in (x for x in at if x[0] in ends):
                 e = json.loads(lines[i])
-                one_unit_added(e["payload"], key, path)
+                one_unit_added(e["payload"], key.split(".")[0], path)
                 tampered = [*lines[:i], encode_lines([Event(**e)])[0], *lines[i + 1:]]
                 try:
-                    kept = rebuild_report(tampered, report.horizon)["conservation"]["replay_ok"]
+                    kept = rebuild_report(tampered)["conservation"]["replay_ok"]
                 except ValueError:
                     kept = False
                 if kept:
@@ -378,10 +470,14 @@ def test_one_unit_added_to_any_int_field_fails_replay_ok():
     ('"tag":"DepositAccepted"', lambda e: e["payload"].update(withdrawal_address="alice")),
     ('"tag":"Staked"', lambda e: e["payload"].update(validators=-1)),
     ('"tag":"Staked"', lambda e: e["payload"].update(validators=0)),
+    ('"tag":"Genesis"', lambda e: e["payload"]["treasury"].update(validators=0)),
+    ('"tag":"Genesis"', lambda e: e["payload"]["beacon"].pop("sweep_period")),
+    ('"tag":"Genesis"', lambda e: e["payload"].update(horizon="30")),
     ('"tag":"ExitTriggered"', lambda e: e["payload"].pop("validator_id")),
     (REGISTER, lambda e: e["payload"].update(value="x")),
 ], ids=["rewards-Call-from-a-holder", "ExitTriggered-from-a-holder",
         "DepositAccepted-to-a-holder", "Staked.validators=-1", "Staked.validators=0",
+        "Genesis.treasury.validators=0", "Genesis-no-sweep_period", "Genesis.horizon-a-string",
         "ExitTriggered-no-validator_id", "Mint.capital-a-string"])
 def test_a_line_the_fold_cannot_read_fails_replay_ok_or_names_its_seq(marker, change):
     # The fold never ends in a KeyError or a TypeError: a line naming a
@@ -395,12 +491,39 @@ def test_a_line_the_fold_cannot_read_fails_replay_ok_or_names_its_seq(marker, ch
     change(e)
     lines[i] = encode_lines([Event(**e)])[0]
     try:
-        replay_ok = rebuild_report(lines, report.horizon)["conservation"]["replay_ok"]
+        replay_ok = rebuild_report(lines)["conservation"]["replay_ok"]
     except ValueError as exc:
         named = re.match(r"the line at seq (\d+) ", str(exc))
         assert named and int(named[1]) == e["seq"], exc
     else:
         assert not replay_ok
+
+
+# Each way a log can fail to state its terms first, and why it does not fold.
+NO_TERMS_FIRST = {
+    "empty": "does not begin with its Genesis line",
+    "no-Genesis": "does not begin with its Genesis line",
+    "Genesis-at-seq-1": "does not begin with its Genesis line",
+    "second-Genesis": "a second Genesis line",
+}
+
+
+@pytest.mark.parametrize("case", NO_TERMS_FIRST)
+def test_a_log_that_does_not_begin_with_its_terms_does_not_fold(case):
+    # The terms are stated once, first: the fold reads every line by them.
+    lines = list(expand(sc.run(small_scenario()).events_jsonl.splitlines(keepends=True)))
+    if case == "empty":
+        lines = []
+    elif case == "no-Genesis":
+        lines = lines[1:]
+    elif case == "Genesis-at-seq-1":
+        lines[0] = changed(lines[0], lambda e: e.update(seq=1))
+    else:
+        last = json.loads(lines[-1])
+        lines.append(changed(lines[0], lambda e: e.update(epoch=last["epoch"],
+                                                          seq=last["seq"] + 1)))
+    with pytest.raises(ValueError, match=NO_TERMS_FIRST[case]):
+        rebuild_report(lines)
 
 
 def test_every_log_line_the_readme_shows_is_a_line_of_the_honest_golden():
@@ -435,12 +558,15 @@ def changed(line: str, change) -> str:
     (0, lambda e: e["payload"].update(lines=e["payload"]["lines"] + 1)),
     (0, lambda e: e["payload"].update(lines=e["payload"]["lines"] - 1)),
     (0, lambda e: e["payload"].update(net_total="1")),
+    (0, lambda e: e["payload"].update(net_total=1)),
+    (0, lambda e: e["payload"].pop("lines")),
     (0, lambda e: e.update(epoch=e["epoch"] + 1)),
     (0, lambda e: e.update(seq=e["seq"] + 1)),
     (1, lambda e: e.update(seq=e["seq"] + 1)),
     (1, lambda e: e.update(epoch=e["epoch"] - 1)),
     (-1, lambda e: e.update(epoch=e["epoch"] - 1)),
 ], ids=["epochs+1", "epochs-1", "epochs=0", "lines+1", "lines-1", "stride-not-an-int",
+        "stride", "no-lines",
         "epoch+1", "seq+1", "next-seq+1", "next-epoch-overlaps", "epoch-before-split"])
 def test_a_repeat_that_does_not_fit_the_lines_around_it_does_not_expand(at, change):
     # `at` picks the Repeat line (0), the line after it (1) or the line before it (-1).
@@ -451,7 +577,7 @@ def test_a_repeat_that_does_not_fit_the_lines_around_it_does_not_expand(at, chan
     with pytest.raises(ValueError):
         list(expand(lines))
     with pytest.raises(ValueError):
-        rebuild_report(lines, report.horizon)
+        rebuild_report(lines)
 
 
 def two_repeats_in_a_row() -> tuple[list[str], str]:
@@ -507,7 +633,7 @@ def test_a_repeat_of_a_trillion_epochs_raises_before_its_first_line():
         for _ in islice(expand(lines), 10**6):
             pass
     with pytest.raises(ValueError, match="runs past epoch"):
-        rebuild_report(lines, report.horizon)
+        rebuild_report(lines)
 
 
 @pytest.mark.parametrize("line", ["[1, 2]\n", "7\n", '{"epoch": 0}\n', "{not json\n",

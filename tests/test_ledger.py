@@ -486,24 +486,27 @@ class TestEventEncoding:
 
 # Text that a format string, a pattern over the log or a careless escape misreads.
 HOSTILE = ["{", "{0}", "}", "{{}}", '"', "\\", '\\"', "é€💸", '"epoch":5', '"seq":1',
-           ',"net_total":3}', "\n"]
+           ',"lines":3}', "\n"]
 
 
 class Tally:
-    """Each poke mints 6 to itself and pays 3 of it to ``user``. It logs the
-    epoch and its running total (`step` more each poke) under keys a segment
-    advances, beside `note` as tag, memo, key and strings."""
+    """Each poke mints 6 to itself, pays 3 of it to ``user`` and adds `step`
+    to its running total. It logs the epoch under the key a segment
+    advances, beside `step`, `note` as tag, memo, key and strings, and, if
+    `total`, the running total, which no segment advances."""
 
-    def __init__(self, step: int, note: str):
-        self.step, self.note = step, note
+    def __init__(self, step: int, note: str, total: bool = False):
+        self.step, self.note, self.total = step, note, total
 
     def initial_state(self):
         return 24
 
     def handle(self, state, msg: Msg, ctx):
         total, note, epoch = state + self.step, self.note, msg.args["epoch"]
-        payload = {"epoch": epoch, "net_total": total, note: note, "seq": note,
-                   "hostile": [*HOSTILE, {"epoch": epoch, "net_total": True, "seq": "1"}]}
+        payload = {"epoch": epoch, "step": self.step, note: note, "seq": note,
+                   "hostile": [*HOSTILE, {"epoch": epoch, "lines": True, "seq": "1"}]}
+        if self.total:
+            payload["total"] = total
         return total, [Issue(6, note), Transfer("user", 3), Emit(note, payload)], None
 
 
@@ -512,25 +515,24 @@ def poke(led: Ledger):
     return lambda: led.call("user", "tally", "poke", {"epoch": led.epoch})
 
 
-def tally_ledger(step: int, note: str) -> Ledger:
+def tally_ledger(step: int, note: str, total: bool = False) -> Ledger:
     """A ledger whose every epoch pokes a Tally (:func:`poke`), stepped to epoch 2."""
-    return poked_ledger(1, 1, step=step, note=note)
+    return poked_ledger(1, 1, step=step, note=note, total=total)
 
 
-def poked_ledger(*pokes: int, step: int = 7, note: str = "x") -> Ledger:
+def poked_ledger(*pokes: int, step: int = 7, note: str = "x", total: bool = False) -> Ledger:
     """A fresh ledger with a Tally, stepped one epoch for each of `pokes`,
     whose Tally is poked that many times in it."""
     led = fresh_ledger(user=0)
-    led.register_contract("tally", Tally(step, note), issuer=True)
+    led.register_contract("tally", Tally(step, note, total), issuer=True)
     for times in pokes:
         led.advance_epoch(lambda: [poke(led)() for _ in range(times)])
     return led
 
 
 def tally_segment(led: Ledger, k: int, step: int) -> bool:
-    """advance_segment for k more pokes of `led`'s Tally, whose stride is `step`."""
-    return led.advance_segment(k, {"net_total": step},
-                               {"tally": led.contract_state("tally") + k * step})
+    """advance_segment for k more pokes of `led`'s Tally, whose total rises by `step` each."""
+    return led.advance_segment(k, {"tally": led.contract_state("tally") + k * step})
 
 
 def ledger_state(led: Ledger) -> dict:
@@ -554,9 +556,9 @@ def advanced(obj, t: int, strides: dict[str, int]):
     return obj
 
 
-def repeat_line(epoch: int, seq: int, k: int, n: int, step: int) -> str:
+def repeat_line(epoch: int, seq: int, k: int, n: int) -> str:
     return json.dumps({"epoch": epoch, "seq": seq, "emitter": "system", "tag": "Repeat",
-                       "payload": {"epochs": k, "lines": n, "net_total": step}},
+                       "payload": {"epochs": k, "lines": n}},
                       separators=(",", ":")) + "\n"
 
 
@@ -569,10 +571,10 @@ def assert_segment_copies_like_stepping(step: int, note: str, k: int) -> None:
         whole = expanded(head)
         last = head.splitlines(keepends=True)[-4:]
         assert tally_segment(led, k, step)
-        strides = {"epoch": 1, "seq": 4, "net_total": step}
+        strides = {"epoch": 1, "seq": 4}
         reference = [encode_lines([Event(**advanced(json.loads(line), t, strides))])[0]
                      for t in range(1, k + 1) for line in last]
-        assert led.events_jsonl() == head + repeat_line(first, 4 * first - 4, k, 4, step)
+        assert led.events_jsonl() == head + repeat_line(first, 4 * first - 4, k, 4)
         assert expanded(led.events_jsonl()) == whole + "".join(reference)
         assert led._recent == (last + reference)[-8:]      # the last two epochs
         for _ in range(k):
@@ -586,7 +588,7 @@ class TestSegment:
     @pytest.mark.parametrize("step", [7, 0, -7])
     def test_copies_match_a_naive_reference_and_stepping(self, step):
         # Two segments of 500 epochs of 4 lines, each one Repeat line.
-        # A stride of -7 takes the total below zero in the first.
+        # A step of -7 takes the Tally's total below zero in the first.
         assert_segment_copies_like_stepping(step, "".join(HOSTILE), 500)
 
     @settings(max_examples=60, deadline=None)
@@ -596,11 +598,13 @@ class TestSegment:
         assert_segment_copies_like_stepping(step, note, k)
 
     @pytest.mark.parametrize("build, step", [
-        (lambda: tally_ledger(7, "".join(HOSTILE)), 8),
+        # A line of the last epoch states a running total, a stride no
+        # Repeat line advances.
+        (lambda: tally_ledger(7, "".join(HOSTILE), total=True), 7),
         (lambda: poked_ledger(1), 7),
         (lambda: poked_ledger(1, 1, 2), 7),
         # The last epoch's lines are the tail of the one before, advanced one
-        # stride, but that epoch logged more lines.
+        # epoch, but that epoch logged more lines.
         (lambda: poked_ledger(2, 1), 7),
     ], ids=["stride", "first-epoch-that-logs-lines", "epoch-longer-than-the-one-before",
             "epoch-shorter-than-the-one-before"])
@@ -617,11 +621,11 @@ class TestSegment:
         # Epoch 2 logs nothing after epoch 1's poke, so it repeats nothing:
         # refused before any flush. Epoch 3, after epoch 2, repeats it.
         led, untouched = poked_ledger(1, 0), poked_ledger(1, 0)
-        assert not led.advance_segment(5, {}, {})
+        assert not led.advance_segment(5, {})
         assert pickle.loads(snapshot(led)) == pickle.loads(snapshot(untouched))
         stepped = poked_ledger(1, 0, 0)
         led.advance_epoch()
-        assert led.advance_segment(5, {}, {})
+        assert led.advance_segment(5, {})
         for _ in range(5):
             stepped.advance_epoch()
         assert led.epoch == 8
@@ -637,7 +641,6 @@ class TestSegment:
                 stepped.advance_epoch(poke(stepped))
             assert ledger_state(led) == ledger_state(stepped)
         assert led.events_jsonl().count('"tag":"Repeat"') == 2
-        assert not tally_segment(led, 5, 8)         # and refused on a wrong stride
 
     def test_a_segment_is_checked_against_the_epoch_before_the_next(self):
         # After an idle epoch and a poked one, the epoch before the poke
@@ -658,7 +661,7 @@ class TestSegment:
         for each in (led, stepped):
             each.advance_epoch()
             each.advance_epoch()
-        assert led.advance_segment(10_000, {}, {})
+        assert led.advance_segment(10_000, {})
         for _ in range(10_000):
             stepped.advance_epoch()
         assert led.epoch == 10_002
@@ -676,30 +679,21 @@ class TestSegment:
             each.advance_epoch()
         text = led.events_jsonl()
         assert led._recent == []
-        assert led.advance_segment(10, {}, {})
+        assert led.advance_segment(10, {})
         for _ in range(10):
             stepped.advance_epoch()
         assert (led.events_jsonl(), led._recent) == (text, [])
         assert ledger_state(led) == ledger_state(stepped)
 
-    @pytest.mark.parametrize("key", ["epoch", "seq", "epochs", "lines"])
-    def test_a_stride_may_not_take_a_key_of_the_repeat_line(self, key):
-        led = tally_ledger(7, "x")
-        before = pickle.loads(snapshot(led))
-        with pytest.raises(ValueError, match="stride"):
-            led.advance_segment(5, {key: 7}, {})
-        assert pickle.loads(snapshot(led)) == before
-
-    @pytest.mark.parametrize("k, other", [(-1, 0), (True, 0), (1.0, 0), (5, True), (5, 1.5)],
-                             ids=["k-negative", "k-bool", "k-float", "stride-bool", "stride-float"])
-    def test_a_segment_is_an_int_count_of_epochs_by_int_strides(self, k, other):
-        # Taken, either would log a Repeat line explain.expand refuses, and
-        # a negative k would move the clock, the seqs and supply backwards.
+    @pytest.mark.parametrize("k", [-1, True, 1.0], ids=["k-negative", "k-bool", "k-float"])
+    def test_a_segment_is_an_int_count_of_epochs(self, k):
+        # Taken, a bool or a float would log a Repeat line explain.expand
+        # refuses, and a negative k would move the clock, the seqs and
+        # supply backwards.
         led = tally_ledger(7, "x")
         before = ledger_state(led)
         with pytest.raises(ValueError, match="segment"):
-            led.advance_segment(k, {"net_total": 7, "other": other},
-                                {"tally": led.contract_state("tally") + 7})
+            led.advance_segment(k, {"tally": led.contract_state("tally") + 7})
         assert ledger_state(led) == before
 
     def test_a_segment_sets_the_states_of_contracts_only(self):
@@ -708,8 +702,8 @@ class TestSegment:
         led = tally_ledger(7, "x")
         before = ledger_state(led)
         with pytest.raises(ValueError, match=r"no contract is named \['ghost', 'user'\]"):
-            led.advance_segment(3, {"net_total": 7},
-                                {"tally": led.contract_state("tally") + 21, "user": 99, "ghost": 1})
+            led.advance_segment(3, {"tally": led.contract_state("tally") + 21, "user": 99,
+                                    "ghost": 1})
         assert ledger_state(led) == before
 
     def test_the_repeat_line_is_not_an_event_a_driver_may_emit(self):

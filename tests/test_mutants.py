@@ -238,9 +238,9 @@ def quiet_until_without_steady_window(self, state, now):
 
 def segment_moves_one_unit_short(advance_segment=Ledger.advance_segment):
     """The ledger's segment commit, one unit short on the first live balance it moves."""
-    def mutant(self, k, strides, states):
+    def mutant(self, k, states):
         before = dict(self._balances)
-        done = advance_segment(self, k, strides, states)
+        done = advance_segment(self, k, states)
         moved = next((n for n, v in self._balances.items() if v != before[n]), None)
         if moved is not None:
             self._balances[moved] -= 1
@@ -252,9 +252,9 @@ def segment_moves_one_unit_short(advance_segment=Ledger.advance_segment):
 def segment_epoch_count_unchecked(advance_segment=Ledger.advance_segment):
     """The ledger's segment commit, taking the epoch before the last to have
     logged as many lines as the last, whatever it logged."""
-    def mutant(self, k, strides, states):
+    def mutant(self, k, states):
         self._prev_seq = 2 * self._epoch_seq - self._seq
-        return advance_segment(self, k, strides, states)
+        return advance_segment(self, k, states)
 
     return mutant
 
@@ -262,8 +262,8 @@ def segment_epoch_count_unchecked(advance_segment=Ledger.advance_segment):
 def segment_keeps_one_epoch(advance_segment=Ledger.advance_segment):
     """The ledger's segment commit, keeping after a segment of lines only
     those of its last epoch, not of the two stepping would keep."""
-    def mutant(self, k, strides, states):
-        done = advance_segment(self, k, strides, states)
+    def mutant(self, k, states):
+        done = advance_segment(self, k, states)
         if done and k:
             del self._recent[:self._seq - self._epoch_seq]
         return done
@@ -349,10 +349,14 @@ def fold_with(tag: str, wrap) -> dict:
 
 
 def settlement_read_as_reward(handler):
-    """The fold's Distributed handler taking a settlement's (fee 0) for a reward's."""
+    """The fold's ExitSettled handler taking the operator's fee out of the
+    pot, as the fold does out of a reward."""
     def mutant(self, e):
-        self.last = e
+        t, before = self.tst, self.tst.net_total
         handler(self, e)
+        fee = (t.net_total - before) * self.spec.fee_bps // 10_000
+        t.net_total -= fee
+        t.operator_fees_accrued += fee
 
     return mutant
 
@@ -518,9 +522,9 @@ MUTANTS = {
     "repeat-one-epoch-long": (
         ledger, "encode_lines", repeat_written_with(lambda p: {**p, "epochs": p["epochs"] + 1}),
         test_segments.test_goldens_match_the_stepped_reference),
+    # A receipt's value is the same in every quiet epoch: its stride is 0.
     "repeat-stride-one-unit-off": (
-        ledger, "encode_lines",
-        repeat_written_with(lambda p: {**p, "net_total": p["net_total"] + 1}),
+        ledger, "encode_lines", repeat_written_with(lambda p: {**p, "value": 1}),
         test_segments.test_goldens_match_the_stepped_reference),
     "call-value-not-replayed": (
         ledger, "replay_balances", call_value_not_replayed(),
@@ -532,8 +536,22 @@ MUTANTS = {
         ledger, "strided", stride_one_too_far(),
         lambda: test_ledger.TestSegment().test_copies_match_a_naive_reference_and_stepping(7)),
     "fold-settlement-read-as-reward": (
-        _Fold, "_on", fold_with("Distributed", settlement_read_as_reward),
+        _Fold, "_on", fold_with("ExitSettled", settlement_read_as_reward),
         test_explain.test_the_fold_follows_resales_claims_and_both_exit_causes),
+    "fold-second-genesis-read": (
+        _Fold, "_on", fold_with("Genesis", lambda handler: lambda self, e: None),
+        lambda: test_explain.test_a_log_that_does_not_begin_with_its_terms_does_not_fold(
+            "second-Genesis")),
+    "fold-abort-refund-unchecked": (
+        _Fold, "_on", fold_with("Transfer", unchecked),
+        lambda: test_explain.test_a_refund_paid_to_another_name_fails_replay_ok(
+            test_explain.run_with_the_mint_aborted, test_explain.first(test_explain.ABORT_REFUND, 1),
+            "bob")),
+    "fold-escrow-refund-unchecked": (
+        _Fold, "_on", fold_with("EscrowRefunded", unchecked),
+        lambda: test_explain.test_a_refund_paid_to_another_name_fails_replay_ok(
+            test_explain.run_with_the_escrow_refunded,
+            test_explain.first('"tag":"EscrowRefunded"', -1), "alice")),
     "fold-transfer-nft-ignored": (
         _Fold, "_on", fold_with("TransferNft", lambda handler: lambda self, e: None),
         test_explain.test_the_fold_follows_resales_claims_and_both_exit_causes),
@@ -556,7 +574,10 @@ MUTANTS = {
     **{f"fold-{tag}-unchecked": (
         _Fold, "_on", fold_with(tag, unchecked),
         test_explain.test_one_unit_added_to_any_int_field_fails_replay_ok)
-       for tag in ("EpochAccrual", "ExitSettled", "Swept", "Activated", "Call")},
+       for tag in ("EpochAccrual", "ExitSettled", "Swept", "Call", "ExitTriggered", "Staked")},
+    "fold-Activated-unchecked": (
+        _Fold, "_on", fold_with("Activated", unchecked),
+        test_explain.test_a_validator_activated_off_its_epoch_fails_replay_ok),
     "token-map-writes-in-place": (
         SharedMap, "set", written_in_place(),
         test_shared_map.test_every_version_reads_like_its_dict),

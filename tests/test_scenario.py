@@ -517,9 +517,10 @@ class TestLifecycleVariants:
         assert report.conservation_ok and report.replay_ok
 
     def test_credit_trail_rebuilds_from_the_log_alone(self):
-        # Token capitals (the register_nft Calls' values), NFT transfers and
-        # Distributed.net_total are enough to attribute every unit of
-        # credit, across resales and a settlement.
+        # Token capitals (the register_nft Calls' values), NFT transfers,
+        # the receipts and settlements, and the fee_bps the Genesis line
+        # states are enough to attribute every unit of credit, across
+        # resales and a settlement.
         s = small_scenario(
             treasury=TreasurySpec(fee_bps=777, expected_reward_per_epoch=90,
                                   grace_epochs=3, escrow_required=50, validators=2),
@@ -540,22 +541,29 @@ class TestLifecycleVariants:
         capital: dict[int, int] = {}
         owner: dict[int, str] = {}
         credit: dict[str, int] = {}
-        n = paid = 0
+        n = paid = fee_bps = 0
         for line in expanded(report.events_jsonl).splitlines():
             e = json.loads(line)
             p = e["payload"]
-            if p.get("method") == "register_nft":
+            net = None
+            if e["tag"] == "Genesis":
+                fee_bps = p["treasury"]["fee_bps"]
+            elif p.get("method") == "register_nft":
                 paid = p["value"]
+            elif p.get("method") == "receive_rewards" and "value" in p:
+                net = p["value"] - p["value"] * fee_bps // 10_000
+            elif e["tag"] == "ExitSettled":
+                net = p["returned"] + p["escrow_cover"] + p["penalty"]
             elif e["tag"] == "Mint":
                 capital[p["token_id"]], owner[p["token_id"]] = paid, p["owner"]
             elif e["tag"] == "TransferNft":
                 owner[p["token_id"]] = p["to"]
-            elif e["tag"] == "Distributed":
+            if net is not None:
                 total = sum(capital.values())
                 for t, c in capital.items():
                     credit[owner[t]] = (credit.get(owner[t], 0)
-                                        + p["net_total"] * c // total - n * c // total)
-                n = p["net_total"]
+                                        + (n + net) * c // total - n * c // total)
+                n += net
         assert report.validators[1].settled
         assert {h.holder for h in report.holders} == {"alice", "bob", "carol"}
         for h in report.holders:

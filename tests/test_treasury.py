@@ -211,21 +211,19 @@ class TestClaims:
         amounts = [1000, 777, 31, 4999, 12, 1000]
         for a in amounts:
             receive(w, a)
-        # A receipt is the value of a wallet's Call to receive_rewards; the
-        # Distributed right after it carries its fee.
+        # A receipt is the value of a wallet's Call to receive_rewards, its
+        # one line: it raises N by that value less its fee, and logs no fee.
         events = logged_events(w.ledger)
-        receipts = [(call.payload["value"], dist) for call, dist in zip(events, events[1:])
-                    if call.tag == "Call" and call.payload["method"] == "receive_rewards"]
-        assert [amount for amount, _ in receipts] == amounts
-        assert all(d.tag == "Distributed" for _, d in receipts)
-        nets = [0] + [d.payload["net_total"] for _, d in receipts]
-        assert [after - before for before, after in zip(nets, nets[1:])] \
-            == [amount - d.payload["fee"] for amount, d in receipts]
+        receipts = [e.payload["value"] for e in events
+                    if e.tag == "Call" and e.payload["method"] == "receive_rewards"]
+        assert receipts == amounts
+        assert "Distributed" not in {e.tag for e in events}
+        floored = sum((a * 1000) // 10_000 for a in amounts)
+        assert w.treasury_state.net_total == sum(amounts) - floored
         assert sum(amounts) == w.treasury_state.rewards_received[0]
         fees, _, _, _ = replay_split(amounts, [40, 24], 1000)
         paid = w.ledger.call(OPERATOR, TREASURY, "claim_operator_fees", {})
-        assert paid == fees == sum(d.payload["fee"] for _, d in receipts) \
-            == sum((a * 1000) // 10_000 for a in amounts)
+        assert paid == fees == floored
         assert w.treasury_state.operator_fees_accrued == 0
         # bounded against the real-valued formula: |paid - R*F| < receipt count
         exact = sum(amounts) * 1000 / 10_000
