@@ -23,8 +23,16 @@ the last accrual it derived (:class:`Accrual`: each validator's reward, the
 total minted and the ``EpochAccrual`` payload) beside the validators list
 it came from, and walks the validators again only when the list, the
 factor map's contents or a status can have changed. In between, an accrual
-adds the kept reward vector to the balances and logs the kept payload
-object again, which the ledger encodes once per flush.
+adds the kept reward vector to the balances.
+
+The accrual is logged as its amounts change, not every epoch. Each accrual
+is its driver's ``Call`` and, when it mints, its ``SupplyMint``; an
+``EpochAccrual`` line (the Active validators' ``[id, reward]`` pairs, in id
+order, and their sum as ``minted``) follows only when those amounts differ
+from the last ones logged. The last payload logged is part of the state
+(``BeaconState.accrual_logged``), not of the contract's memo, so the log
+stays a function of the state; a reader of the log carries the last
+amounts forward to each accrual that logs none.
 
 Withdrawal addresses are write-once: validator records are frozen
 dataclasses and no operation constructs a record with a different
@@ -85,6 +93,7 @@ class BeaconValidator:
 class BeaconState:
     validators: list[BeaconValidator] = field(default_factory=list)   # id == list index
     balances: list[int] = field(default_factory=list)                 # by validator id
+    accrual_logged: dict | None = None      # the last EpochAccrual payload logged, if any
 
 
 class Accrual(NamedTuple):
@@ -198,7 +207,12 @@ class BeaconContract(Handlers):
         another object (the beacon copies it on every write), the map's
         contents differ (:func:`factor_key`), or the epoch has reached a
         status transition of the list. Otherwise the accrual adds the kept
-        reward vector to the balances and logs the kept payload again.
+        reward vector to the balances.
+
+        An ``EpochAccrual`` line is emitted only when its payload differs
+        from the last one logged (``BeaconState.accrual_logged``, compared
+        by value), so an accrual that rewards as the last one logged is
+        the ``Call`` and its ``SupplyMint`` alone.
         """
         self._require_driver(msg)
         performance = msg.args.get("performance", {})
@@ -214,10 +228,12 @@ class BeaconContract(Handlers):
         if accrual.minted:
             balances = list(map(add, balances, accrual.vector))
             effects.append(Issue(accrual.minted, "epoch rewards"))
-        if accrual.payload is not None:
-            effects.append(Emit("EpochAccrual", accrual.payload))
-        return evolve(state, validators=accrual.validators, balances=balances), \
-            effects, accrual.minted
+        payload, logged = accrual.payload, state.accrual_logged
+        if payload is not None and payload is not logged and payload != logged:
+            effects.append(Emit("EpochAccrual", payload))
+            logged = payload
+        return evolve(state, validators=accrual.validators, balances=balances,
+                      accrual_logged=logged), effects, accrual.minted
 
     def _derive(self, validators: list[BeaconValidator], performance: dict, key: tuple,
                 ctx: CallContext) -> tuple[Accrual, list]:

@@ -20,9 +20,12 @@ cannot encode escaped. Output is byte-stable for
 identical inputs.
 
 ``explain`` verifies a run from its log alone: it prints the report
-rebuilt from an events.jsonl (``explain.rebuild_report``), byte for byte
-the report.json the run wrote, and exits 0 when the rebuilt
-``conservation.ok`` and ``replay_ok`` both hold, 2 when either fails.
+rebuilt from an events.jsonl (``explain.rebuild``), byte for byte the
+report.json the run wrote, and exits 0 when the rebuilt
+``conservation.ok`` and ``replay_ok`` both hold and the log ends with its
+``End`` line, 2 otherwise. A log without its ``End`` line, such as the
+evidence of an exit 2 run, prints the report of the run cut at its last
+line, and "incomplete log" on stderr.
 ``explain --expand`` prints the log instead, with each ``Repeat`` line, a
 segment of quiet epochs, written out in full (``explain.expand``): the log
 of stepping every epoch. It streams. On an unreadable or inconsistent log
@@ -46,7 +49,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import InvalidScenario, InvariantViolation, bound_problems
-from .explain import expand, rebuild_report
+from .explain import expand, rebuild
 from .ledger import LogText
 from .scenario import Scenario, World, load_scenario, validate
 
@@ -125,10 +128,13 @@ def cmd_explain(args: argparse.Namespace) -> int:
             if args.expand:
                 sys.stdout.writelines(expand(log))
             else:
-                report = rebuild_report(log)
+                report, ended = rebuild(log)
                 checks = report["conservation"]
-                code = 0 if checks["ok"] and checks["replay_ok"] else 2
+                code = 0 if checks["ok"] and checks["replay_ok"] and ended else 2
                 sys.stdout.write(json.dumps(report, indent=2) + "\n")    # as RunReport.to_json
+                if not ended:
+                    print(f"incomplete log: no End line; folded as the run cut at epoch "
+                          f"{report['final_epoch']}", file=sys.stderr)
     except BrokenPipeError:     # the reader closed stdout, as `| head` does: stop quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (OSError, ValueError) as exc:     # a decode error is a ValueError

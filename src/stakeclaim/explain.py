@@ -11,16 +11,22 @@ treasury's own helpers, then reads it as the run does
 (:meth:`RunReport.read`). The log holds every input: its first line, and
 only that one, is the ``Genesis`` line, which states the terms, each
 section read through its record's declared bounds (``TreasurySpec``,
-``MintSpec``, ``BeaconParams``), and the horizon, where a finished run ends
-(its ``final_epoch``). The terms name the wallets, ``treasury.validators``
-of them, so a run that never stakes still has its validator rows. A log
-that does not begin with ``Genesis``, or holds a second one, or whose
-terms are out of their bounds, does not fold.
+``MintSpec``, ``BeaconParams``), and the horizon the run is to reach. The
+terms name the wallets, ``treasury.validators`` of them, so a run that
+never stakes still has its validator rows. A log that does not begin with
+``Genesis``, or holds a second one, or whose terms are out of their
+bounds, does not fold. A run's last line is the ``End`` line its report
+wrote, at its ``final_epoch``; a log whose last line is not one, such as
+the evidence an invariant violation leaves, folds as the run cut at its
+last line, whose epoch is the ``final_epoch`` (:func:`rebuild` says which
+it was).
 
-Each line changes the state as the handler that logged it did. No line
-restates an amount the line right before it carries, or a number the
-terms fix, so the fold reads it there: ``Mint`` registers a token whose
-capital is the value of the mint's ``register_nft`` ``Call`` before it;
+Each line changes the state as the handler that logged it did; a
+``TransferBatch`` is read as the ``Transfer`` lines of its pairs, in
+order, so every rule below about "the ``Transfer`` before" a line reads a
+batch's last pair. No line restates an amount the line right before it
+carries, or a number the terms fix, so the fold reads it there: ``Mint``
+registers a token whose capital is the value of the mint's ``register_nft`` ``Call`` before it;
 ``TransferNft`` moves a token and settles its credit to the seller; a
 reward receipt, a ``Call`` to ``receive_rewards`` that wallet j emits with
 a ``value``, raises N by that value less its fee and the fees by the fee,
@@ -37,7 +43,7 @@ a tampered amount stays in the state; as such a ``Transfer`` also moves
 the treasury's balance, the fold checks too that it took what was due. A
 line the ledger writes names its sender as its emitter. ``Slashed`` and
 ``ExitTriggered`` give a wallet's exit cause and epoch, the beacon's
-events its validator id and status (an exit due by the horizon and not
+events its validator id and status (an exit due by the final epoch and not
 yet swept reads Withdrawable), and the holders are every name the log
 endows, sees calling, names in a rejected action (its caller, and a
 resale's recipient) or gives a token.
@@ -65,11 +71,18 @@ and with the terms:
 * an abort's refunds pay each token's owner its capital, in token order,
   and its ``MintAborted`` states the principal they refunded; the escrow
   refund pays the operator the escrow left;
-* an ``EpochAccrual`` rewards the Active validators, in id order, and
-  its minted is their sum and, when positive, the beacon's ``SupplyMint``
-  right before it; a ``Slashed`` line's burn is the ``SupplyBurn`` before
-  it, and a ``Swept`` line's payout the ``Transfer`` before it, to the
-  validator's wallet; the beacon pays out on the sweep period's grid only;
+* an accrual is the driver's ``Call`` to ``accrue_epoch`` and the beacon
+  lines after it, at most one ``SupplyMint`` among them; its
+  ``EpochAccrual`` line, logged only when the amounts change, rewards the
+  Active validators, in id order, its minted is their sum and, when
+  positive, its ``SupplyMint``, and it differs from the last one; an
+  accrual without one rewards as the last one
+  logged (:meth:`_Fold.carry`): their ids are the Active validators and
+  their minted its ``SupplyMint``, or, with no validator Active, it mints
+  nothing. A ``Slashed`` line's burn is the ``SupplyBurn`` before it, and
+  a ``Swept`` line's payout the ``Transfer`` before it, to the
+  validator's wallet; the beacon pays out on the sweep period's grid only,
+  and a ``TransferBatch`` holds two pairs or more;
 * a ``DepositAccepted`` activates the activation delay after its epoch,
   and a ``Slashed`` or ``ExitRequested`` exit falls due the exit delay
   after its own;
@@ -81,7 +94,8 @@ and with the terms:
   cover and penalty are those the treasury settles by;
 * validator ids are positions, each status moves only from the one before
   it (Pending at its activation epoch, Active, Exiting once its exit is
-  due), and ``Withdrawn`` follows its ``Swept``.
+  due), and ``Withdrawn`` follows its ``Swept``;
+* an ``End`` line is ``system``'s, with an empty payload.
 
 ``event_count`` counts the expanded lines, and ``events_digest`` hashes
 the lines as read, each as it passes.
@@ -92,13 +106,15 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Iterable, Iterator
+from typing import NamedTuple
 
 from .beacon import BeaconParams, ValidatorStatus
 from .errors import checked
-from .ledger import LEDGER_TAGS, REPEAT, REPEAT_KEYS, SYSTEM, Event, ReplayResult, replay_balances, strided
+from .ledger import (BATCH, LEDGER_TAGS, REPEAT, REPEAT_KEYS, SYSTEM, Event, ReplayResult,
+                     replay_balances, strided)
 from .mint import MintSpec
-from .scenario import (_RECORDS, BEACON, GENESIS, HORIZON_MAX, MINT, OPERATOR, TREASURY, RunReport,
-                       is_holder_name, wallet_name)
+from .scenario import (_RECORDS, BEACON, END, GENESIS, HORIZON_MAX, MINT, OPERATOR, TREASURY,
+                       RunReport, is_holder_name, wallet_name)
 from .treasury import (CAUSE_PERFORMANCE, CAUSE_SLASHED, Phase, SettlementRecord, TreasurySpec,
                        TreasuryState, balance_identity, claimable_of, credit_settlement, moved,
                        settle_token)
@@ -142,10 +158,19 @@ class _Fold:
         self.exit_epoch: dict[int, int] = {}     # wallet index -> the epoch its exit began
         self.returned: dict[str, int] = {}   # wallet name -> what its withdrawal returned
         self.refunds: list | None = None     # an abort's (owner, capital) still to pay, last first
+        self.accrual: dict | None = None     # the last EpochAccrual payload, carried forward
+        self.accruing: int | None = None     # in an accrual's lines: what its SupplyMint minted
         self.last = genesis                  # the event before the one being folded
         self.consistent = True      # no line has disagreed with the state before it
 
     def step(self, e: Event) -> None:
+        if self.accruing is not None and e.emitter != BEACON:   # past the accrual's lines
+            self.carry()
+        if e.tag == BATCH:      # its pairs, in order, as the Transfer lines they stand for
+            for pair in _pairs(e):
+                self.step(pair)
+            self.consistent &= len(e.payload["to"]) > 1
+            return
         if e.tag in LEDGER_TAGS:
             replay_balances((e,), self.replay)
         handler = self._on.get(e.tag)
@@ -153,28 +178,50 @@ class _Fold:
             handler(self, e)
         self.last = e
 
+    def carry(self) -> None:
+        """End an accrual that logged no ``EpochAccrual``: it rewarded as
+        the last one logged, so their ids are the Active validators and
+        their minted its ``SupplyMint``; with none Active, it minted nothing."""
+        active = [vid for vid, status in self.status.items()
+                  if status == ValidatorStatus.ACTIVE.value]
+        p = self.accrual
+        if active:
+            self.consistent &= p is not None and self.accruing == p["minted"] \
+                and [vid for vid, _ in p["amounts"]] == active
+        else:
+            self.consistent &= self.accruing == 0
+        self.accruing = None
+
     # --- one handler per tag ---------------------------------------------
 
     def _on_Genesis(self, e: Event) -> None:
         raise ValueError("a second Genesis line")
 
+    def _named(self, name: str) -> None:
+        """A line's emitter: the holder an endowment credits, or a caller."""
+        if is_holder_name(name):
+            self.names.add(name)
+
     def _on_SupplyMint(self, e: Event) -> None:
-        # the emitter: the holder an endowment credits, or (as _on_Call) a caller
-        if is_holder_name(e.emitter):
-            self.names.add(e.emitter)
+        if e.emitter == BEACON:     # an accrual's issue, one at most
+            self.consistent &= self.accruing == 0
+            self.accruing = e.payload["amount"]
+        self._named(e.emitter)
 
     def _on_Call(self, e: Event) -> None:
-        self._on_SupplyMint(e)
+        self._named(e.emitter)
         p, t = e.payload, self.tst
         if p["method"] == "receive_rewards" and "value" in p:     # wallet j's reward receipt
             j, value = self.wallets[e.emitter], p["value"]
             fee = value * self.spec.fee_bps // 10_000
-            t.rewards_received[j] = t.rewards_received.get(j, 0) + value
+            t.rewards_received = t.rewards_received.set(j, t.rewards_received.get(j, 0) + value)
             t.net_total += value - fee
             t.operator_fees_accrued += fee
             # a wallet forwards all it holds, so the sweeps it got are its receipts
             self.consistent &= type(value) is int and value > 0 \
                 and self.replay.balances[e.emitter] == 0
+        elif p["method"] == "accrue_epoch" and p["target"] == BEACON:
+            self.accruing = 0
         elif p["method"] == "abort_refund" and p["target"] == TREASURY:
             # the refunds to come: each token's capital to its owner, in token order
             self.consistent &= e.emitter == MINT
@@ -290,14 +337,14 @@ class _Fold:
         self.consistent &= self._follows(e, "SupplyBurn", p["burned"])
         if self._exits(e):
             j = self.wallet_of[p["id"]]
-            self.tst.exit_causes[j] = CAUSE_SLASHED
+            self.tst.exit_causes = self.tst.exit_causes.set(j, CAUSE_SLASHED)
             self.exit_epoch[j] = e.epoch
 
     def _on_ExitTriggered(self, e: Event) -> None:
         j, spec = self.wallets[e.emitter], self.spec
         self.consistent &= self.wallet_of.get(e.payload["validator_id"]) == j \
             and e.payload["threshold"] == spec.expected_reward_per_epoch * spec.grace_epochs
-        self.tst.exit_causes[j] = CAUSE_PERFORMANCE
+        self.tst.exit_causes = self.tst.exit_causes.set(j, CAUSE_PERFORMANCE)
         self.exit_epoch[j] = e.epoch
 
     def _on_ExitRequested(self, e: Event) -> None:
@@ -316,11 +363,17 @@ class _Fold:
             self.consistent &= self.exit_at[vid] <= e.epoch
 
     def _on_EpochAccrual(self, e: Event) -> None:
+        # an accrual's last line, logged when its amounts differ from the last ones
         p, active = e.payload, ValidatorStatus.ACTIVE.value
         self.consistent &= [vid for vid, _ in p["amounts"]] \
             == [vid for vid, status in self.status.items() if status == active] \
-            and p["minted"] == sum(reward for _, reward in p["amounts"]) \
-            and self._follows(e, "SupplyMint", p["minted"])
+            and p["minted"] == sum(reward for _, reward in p["amounts"]) == self.accruing \
+            and p != self.accrual
+        self.accrual = p
+        self.accruing = None
+
+    def _on_End(self, e: Event) -> None:
+        self.consistent &= e.emitter == SYSTEM and e.payload == {}
 
     def _on_WithdrawalFinalized(self, e: Event) -> None:
         p = e.payload
@@ -343,7 +396,8 @@ class _Fold:
         self.consistent &= self.returned.get(wallet_name(j)) == returned \
             and j not in t.settlements and p["cause"] == cause \
             and (p["shortfall"], cover, penalty) == (shortfall, due, share)
-        t.settlements[j] = SettlementRecord(returned, p["shortfall"], cover, penalty)
+        t.settlements = t.settlements.set(j, SettlementRecord(returned, p["shortfall"], cover,
+                                                                penalty))
         t.escrow_balance -= cover + penalty
         before = t.net_total
         t.net_total += returned + cover + penalty
@@ -387,6 +441,16 @@ class _Fold:
             yield vid, status, self.exit_epoch.get(j)
 
 
+def _pairs(e: Event) -> Iterator[Event]:
+    """The ``Transfer`` lines a ``TransferBatch`` stands for, in order;
+    ValueError unless its ``to`` and ``amount`` are lists of one length."""
+    to, amounts = e.payload["to"], e.payload["amount"]
+    if type(to) is not list or type(amounts) is not list or len(to) != len(amounts):
+        raise ValueError(f"a {BATCH} is lists to and amount of one length")
+    for name, amount in zip(to, amounts):
+        yield Event(e.epoch, e.seq, e.emitter, "Transfer", {"to": name, "amount": amount})
+
+
 def _event(line: str) -> Event:
     """`line` decoded; ValueError if it is not a log line."""
     try:
@@ -408,15 +472,17 @@ def expand(lines: Iterable[str]) -> Iterator[str]:
     are not exactly epoch e-1, all of it, up to seq s-1; if it stands for
     an epoch past ``scenario.HORIZON_MAX``, the last a run can reach,
     before it writes the first; if the line after it does not carry seq
-    s + k·n and an epoch past e+k-1; or if a line is not a log line. Holds
-    one epoch's lines at a time.
+    s + k·n and an epoch past e+k-1, or is not the ``End`` line that ends
+    the run at e+k-1; or if a line is not a log line. Holds one epoch's
+    lines at a time.
     """
     block: list[str] = []     # the lines of the last epoch written so far
     block_epoch = last_seq = None
     after = None              # (seq, least epoch) of the line after a Repeat
     for line in lines:
         e = _event(line)
-        if after is not None and (e.seq != after[0] or e.epoch < after[1]):
+        if after is not None and (e.seq != after[0] or e.epoch < after[1]) \
+                and (e.seq, e.epoch, e.emitter, e.tag) != (after[0], after[1] - 1, SYSTEM, END):
             raise ValueError(f"the line at seq {e.seq} does not follow the Repeat before it")
         after = None
         if (e.emitter, e.tag) != (SYSTEM, REPEAT):
@@ -443,8 +509,17 @@ def expand(lines: Iterable[str]) -> Iterator[str]:
         after = (e.seq + k * n, e.epoch + k)
 
 
-def rebuild_report(lines: Iterable[str]) -> dict:
-    """:meth:`RunReport.to_dict` of the run that logged `lines`.
+class Rebuilt(NamedTuple):
+    """A log's fold: the report, and whether the log ends with its ``End``
+    line; if not, the report is that of the run cut at its last line."""
+
+    report: dict
+    ended: bool
+
+
+def rebuild(lines: Iterable[str]) -> Rebuilt:
+    """:meth:`RunReport.to_dict` of the run that logged `lines`, and
+    whether the log ended.
 
     `lines` are the log's lines as ``events.jsonl`` holds them, each with
     its newline (iterating the open file, or ``splitlines(keepends=True)``);
@@ -454,6 +529,12 @@ def rebuild_report(lines: Iterable[str]) -> dict:
     at the first line the fold cannot read: a second ``Genesis``, a field
     missing or of the wrong type, or a wallet or validator that no line
     before it made.
+
+    A run's log ends with the ``End`` line ``World.report`` writes, at the
+    final epoch. A log whose last line is no ``End``, such as the evidence
+    an invariant violation leaves, folds as the run cut at its last line:
+    ``final_epoch`` is that line's epoch, and ``horizon`` the one the terms
+    state, which the run did not reach.
     """
     digest = hashlib.sha256()
 
@@ -473,13 +554,16 @@ def rebuild_report(lines: Iterable[str]) -> dict:
         except _UNREADABLE as exc:
             raise ValueError(f"the line at seq {e.seq} does not fold: {exc!r}") from None
         count += 1
+    if fold.accruing is not None:       # the log ends in an accrual's lines
+        fold.carry()
+    last = fold.last
     replay, tst = fold.replay, fold.tst
     balances = replay.balances
     final_total = sum(balances.values())
-    return RunReport.read(
-        tst, sorted(fold.names), fold.wallet_facts(horizon),
+    report = RunReport.read(
+        tst, sorted(fold.names), fold.wallet_facts(last.epoch),
         horizon=horizon,
-        final_epoch=horizon,
+        final_epoch=last.epoch,
         conservation_ok=final_total == replay.minted - replay.burned,
         replay_ok=(fold.consistent and min(balances.values(), default=0) >= 0
                    and balances.get(TREASURY, 0) == balance_identity(tst)),
@@ -489,3 +573,9 @@ def rebuild_report(lines: Iterable[str]) -> dict:
         event_count=count,
         events_digest=digest.hexdigest(),
     ).to_dict()
+    return Rebuilt(report, (last.emitter, last.tag) == (SYSTEM, END))
+
+
+def rebuild_report(lines: Iterable[str]) -> dict:
+    """The report :func:`rebuild` folds from `lines`, ended or cut."""
+    return rebuild(lines).report

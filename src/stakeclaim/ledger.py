@@ -21,8 +21,8 @@ The handler contract, which every contract in this package keeps:
   field written per token or per holder is a :class:`SharedMap` instead.
 * Logged payloads are read-only once emitted. ``Call`` events without
   value share one payload dict per (target, method) across the whole
-  log, and the beacon's ``EpochAccrual`` events one payload while their
-  rewards stay the same.
+  log, and the beacon's state keeps the last ``EpochAccrual`` payload it
+  logged.
 
 Design constraints honoured throughout:
 
@@ -54,20 +54,25 @@ The log serialises one event per line, each line exactly
 separators=(",", ":"))``; :func:`encode_lines` is the one line builder,
 used by :meth:`Ledger.flush`. It writes flat payloads from cached
 encodings, hands anything else to a single JSON encoder, and encodes a
-shared payload object (a ``Call``'s without value, or the beacon's
-``EpochAccrual``) once per batch, so the bytes, and every digest over
-them, are those of ``json.dumps``. The tags
+shared payload object (a ``Call``'s without value) once per batch, so the
+bytes, and every digest over them, are those of ``json.dumps``. The tags
 of the lines the ledger writes itself (``LEDGER_TAGS``) are no
 contract's or driver's to emit, so such a line names its sender once, as
 its emitter, as an EVM log entry names its address (Wood, *Ethereum
-Yellow Paper*, §4.3.1): a ``Transfer``, ``SupplyMint`` or ``SupplyBurn``
-line's emitter is the account it debits or credits, and a ``Call``
-line's is its caller. Their payloads are ``{"to","amount"}``,
+Yellow Paper*, §4.3.1): a ``Transfer``, ``TransferBatch``,
+``SupplyMint`` or ``SupplyBurn`` line's emitter is the account it debits
+or credits, and a ``Call`` line's is its caller. Their payloads are
+``{"to","amount"}``, ``{"to":[...],"amount":[...]}``,
 ``{"amount","memo"}`` and ``{"target","method"}``, or
 ``{"target","method","value"}`` for a call that carries value. As a
 message call carries its value as a parameter (§8), that ``Call`` line
 is the value's one line: no ``Transfer`` line repeats it, and
-:func:`replay_balances` moves it from the caller to the target.
+:func:`replay_balances` moves it from the caller to the target. A
+handler's run of two or more ``Transfer`` effects in a row is paid one
+at a time, in order, and logged as one ``TransferBatch`` line, whose
+lists pair each payee with its amount, as a block's withdrawals are one
+list on Ethereum (EIP-4895); a single transfer is a ``Transfer`` line,
+which stays on the encoder's flat path.
 
 The log streams. Committed events wait in a pending batch until
 ``EVENT_BATCH`` of them have built up; :meth:`Ledger.flush` then encodes
@@ -138,9 +143,12 @@ SYSTEM = "system"
 REPEAT = "Repeat"
 REPEAT_KEYS = frozenset(("epochs", "lines"))
 
+# The tag of the line that logs a handler's run of two or more transfers.
+BATCH = "TransferBatch"
+
 # The tags of the lines the ledger writes itself, which replay_balances folds
 # or the fold of the log reads as the ledger's: no contract or driver emits one.
-LEDGER_TAGS = frozenset(("Transfer", "SupplyMint", "SupplyBurn", "Call"))
+LEDGER_TAGS = frozenset(("Transfer", BATCH, "SupplyMint", "SupplyBurn", "Call"))
 
 # Committed events the ledger holds before it encodes and folds them as one
 # batch, the log's one chunk. Larger batches share more of encode_lines'
@@ -181,9 +189,7 @@ def encode_lines(events) -> list[str]:
     encoded keys and strings cached for this call; any other payload goes
     through the JSON encoder. Both a payload that went through the encoder
     and a ``Call`` payload without value, which the ledger shares one per
-    route, are encoded once per object: the beacon's ``EpochAccrual``
-    payload, shared while its rewards stay the same, is the costliest to
-    encode. Their
+    route, are encoded once per object. Their
     encoding is cached by id next to the payload itself, so the id cannot
     be reused while cached. The caches live only as long as the call.
     """
@@ -493,6 +499,17 @@ class CallContext:
         self.pay(src, dst, amount)
         self.log(src, "Transfer", {"to": dst, "amount": amount})
 
+    def move_all(self, src: str, run: list[Transfer]) -> None:
+        """A handler's run of Transfer effects from `src`, paid one at a
+        time, in order (:meth:`pay`), and logged as one ``Transfer`` line,
+        or as one ``TransferBatch`` line for two or more."""
+        if len(run) == 1:
+            self.move(src, *run[0])
+            return
+        for to, amount in run:
+            self.pay(src, to, amount)
+        self.log(src, BATCH, {"to": [t.to for t in run], "amount": [t.amount for t in run]})
+
     def issue(self, name: str, amount: int, memo: str) -> None:
         if type(amount) is not int or amount < 0:
             raise InvalidAmount(f"issue amount must be a non-negative integer, got {amount!r}")
@@ -709,8 +726,18 @@ class Ledger:
         state = states[target] if target in states else self._states[target]
         states[target], effects, result = contract.handle(
             state, _new_record(Msg, (caller, target, method, args, value)), ctx)
+        run = None      # the Transfer effects in a row, paid and logged once the row ends
         for eff in effects:
             kind = type(eff)
+            if kind is Transfer:
+                if run is None:
+                    run = [eff]
+                else:
+                    run.append(eff)
+                continue
+            if run is not None:
+                ctx.move_all(target, run)
+                run = None
             if kind is Emit:
                 if eff.tag in LEDGER_TAGS:
                     raise Unauthorized(f"{target} may not emit {eff.tag!r}, a line the ledger writes")
@@ -718,8 +745,6 @@ class Ledger:
             elif kind is Call:
                 self._dispatch(ctx, target, eff.target, eff.method,
                                dict(eff.args or ()), eff.value, depth + 1)
-            elif kind is Transfer:
-                ctx.move(target, eff.to, eff.amount)
             elif kind is Issue:
                 if target not in self._issuers:
                     raise Unauthorized(f"{target} is not an issuer")
@@ -730,6 +755,8 @@ class Ledger:
                 ctx.destroy(target, eff.amount, eff.memo)
             else:
                 raise TypeError(f"unknown effect {eff!r}")
+        if run is not None:
+            ctx.move_all(target, run)
         return result
 
     # --- time -------------------------------------------------------------
@@ -876,13 +903,15 @@ class ReplayResult:
 def replay_balances(events, into: ReplayResult | None = None) -> ReplayResult:
     """Reconstruct balances and the supply totals from events only.
 
-    Folds SupplyMint, SupplyBurn, Transfer and Call events, onto `into` in
-    place if given (so a log can be folded batch by batch), else onto a
-    fresh result. Each credits or debits its emitter: a Transfer moves its
-    amount from the emitter to its ``to``, and a Call its ``value``, if it
-    carries one, to its ``target``. For a well-behaved ledger the balances
-    equal the live ones, and the minted and burned totals equal
-    ``Ledger.minted_total`` / ``burned_total``, kept apart.
+    Folds SupplyMint, SupplyBurn, Transfer, TransferBatch and Call events,
+    onto `into` in place if given (so a log can be folded batch by batch),
+    else onto a fresh result. Each credits or debits its emitter: a
+    Transfer moves its amount from the emitter to its ``to``, a
+    TransferBatch each of its amounts to the ``to`` at the same position
+    (ValueError if the two lists differ in length), and a Call its
+    ``value``, if it carries one, to its ``target``. For a well-behaved
+    ledger the balances equal the live ones, and the minted and burned
+    totals equal ``Ledger.minted_total`` / ``burned_total``, kept apart.
     """
     if into is None:
         into = ReplayResult({}, 0, 0)
@@ -899,6 +928,10 @@ def replay_balances(events, into: ReplayResult | None = None) -> ReplayResult:
         elif e.tag == "Transfer":
             balances[name] = balances.get(name, 0) - p["amount"]
             balances[p["to"]] = balances.get(p["to"], 0) + p["amount"]
+        elif e.tag == BATCH:
+            for to, amount in zip(p["to"], p["amount"], strict=True):
+                balances[name] = balances.get(name, 0) - amount
+                balances[to] = balances.get(to, 0) + amount
         elif e.tag == "Call" and "value" in p:
             balances[name] = balances.get(name, 0) - p["value"]
             balances[p["target"]] = balances.get(p["target"], 0) + p["value"]

@@ -95,7 +95,10 @@ line (seq 0, from ``system``) holds those three sections, each its
 record's fields, and the horizon run. Every party agreed to them before
 the mint opened, as a contract's constructor arguments are public on a
 chain; the schedules (deposits, operator performance, slashes, claims and
-resales) are not terms, and show only through the lines they cause.
+resales) are not terms, and show only through the lines they cause. The
+run's report ends its log: the ``End`` line (from ``system``, with an
+empty payload) at the final epoch, so a log without one is a run cut
+short.
 """
 
 from __future__ import annotations
@@ -127,8 +130,10 @@ BEACON = "beacon"
 RESERVED = frozenset((SYSTEM, OPERATOR, MINT, TREASURY, BEACON))
 # Every validator wallet's address starts with it; no holder name may.
 WALLET_PREFIX = "wallet:"
-# The tag of a run's first line, which states its terms.
+# The tag of a run's first line, which states its terms, and of its last,
+# which ends it at the final epoch.
 GENESIS = "Genesis"
+END = "End"
 
 
 def wallet_name(index: int) -> str:
@@ -675,6 +680,8 @@ class World:
         self._perf: dict = {}
         self._perf_count = 0
         self._perf_until = 0
+        # The log's length in events after the End line report() wrote last.
+        self._ended_at = None
 
     # --- driving ---------------------------------------------------------
 
@@ -706,7 +713,7 @@ class World:
 
         It does not test that the current epoch repeats the one before;
         ``Ledger.advance_segment`` does, from the whole of both epochs'
-        lines, and refuses the segment if not (89 of 157 over the
+        lines, and refuses the segment if not (101 of 163 over the
         acceptance corpus, the goldens and long and wide at seed 0), so
         that check is a condition of correctness, not a spare guard.
         """
@@ -930,7 +937,14 @@ class World:
     # --- report ------------------------------------------------------------------
 
     def report(self) -> RunReport:
+        """The run's report, at the current epoch. The log ends with an
+        ``End`` line at that epoch, unless it already does: a world stepped
+        on after a report logs on after its ``End``, and ends again at its
+        next report."""
         led = self.ledger
+        if led.event_count != self._ended_at:
+            led.emit(SYSTEM, END, {})
+            self._ended_at = led.event_count
         bst = led.contract_state(BEACON)
         wallets = []
         for w in self.wallets:

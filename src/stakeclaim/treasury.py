@@ -27,7 +27,9 @@ index (``owned``: owner -> ascending token ids, the analogue of ERC-721
 Enumerable's per-owner token list), the one record of who owns a token,
 kept on register and transfer (:func:`moved`), so a claim costs O(owned).
 These maps are SharedMaps: a write copies one chunk, so a raise of n
-tokens costs O(n), not O(n^2).
+tokens costs O(n), not O(n^2). So are the maps written per validator (its
+reward receipts, exit cause and settlement), so a receipt or an exit costs
+the same at any validator count.
 
 The undistributed sub-unit remainder is dust: ``N - sum(accrued(i))``,
 always below the token count. Per distribution of ``amount`` the split is
@@ -137,9 +139,9 @@ class TreasuryState:
     escrow_balance: int = 0
     escrow_refunded: int = 0
     phase: Phase = Phase.FUNDRAISING
-    rewards_received: dict[int, int] = field(default_factory=dict)
-    exit_causes: dict[int, str] = field(default_factory=dict)
-    settlements: dict[int, SettlementRecord] = field(default_factory=dict)
+    rewards_received: SharedMap = field(default_factory=SharedMap)   # wallet index -> its receipts
+    exit_causes: SharedMap = field(default_factory=SharedMap)        # wallet index -> its cause
+    settlements: SharedMap = field(default_factory=SharedMap)        # wallet index -> its record
     settlement_credits: dict[str, int] = field(default_factory=dict)
 
 
@@ -329,12 +331,12 @@ class TreasuryContract(Handlers):
         epoch's step. The caller sends receipts only in a phase that takes
         them, and positive amounts only. Pure, like a handler.
         """
-        rewards = dict(state.rewards_received)
+        rewards = state.rewards_received
         fees = net = 0
         for wallet, amount in receipts.items():
             j = self._index[wallet]
             fee = (amount * self.spec.fee_bps) // 10_000
-            rewards[j] = rewards.get(j, 0) + k * amount
+            rewards = rewards.set(j, rewards.get(j, 0) + k * amount)
             fees += fee
             net += amount - fee
         return evolve(state, rewards_received=rewards,
@@ -371,7 +373,7 @@ class TreasuryContract(Handlers):
             raise WrongStatus(f"validator {j} already exiting")
         if state.phase not in (Phase.STAKED, Phase.EXITING):
             raise WrongPhase(f"no exits in phase {state.phase.value}")
-        st = evolve(state, exit_causes={**state.exit_causes, j: msg.args["cause"]})
+        st = evolve(state, exit_causes=state.exit_causes.set(j, msg.args["cause"]))
         effects = []
         if st.phase is Phase.STAKED:
             st.phase = Phase.EXITING
@@ -407,8 +409,8 @@ class TreasuryContract(Handlers):
             unsettled = len(self.validators) - len(st.settlements)
             penalty = st.escrow_balance // unsettled
             st.escrow_balance -= penalty
-        st.settlements = {**state.settlements,
-                          j: SettlementRecord(returned, shortfall, escrow_cover, penalty)}
+        st.settlements = state.settlements.set(
+            j, SettlementRecord(returned, shortfall, escrow_cover, penalty))
 
         effects = [Emit("ExitSettled", {
             "validator_index": j, "cause": cause, "returned": returned,

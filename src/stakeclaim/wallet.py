@@ -193,12 +193,10 @@ class ValidatorWallet(Handlers):
         ``forward_rewards`` k times over, in closed form, for a wallet whose
         window is steady (:meth:`quiet_until`): the window's trailing
         grace_epochs slots, each holding that amount, move k epochs on.
-        Nothing else in the state changes; a wallet that forwarded nothing
-        at `now` keeps its state. Pure, like a handler.
+        Nothing else in the state changes. The caller passes only a wallet
+        that forwarded a nonzero amount at `now`. Pure, like a handler.
         """
-        amount = state.reward_window.get(now, 0)
-        if not amount:
-            return state
+        amount = state.reward_window[now]
         end = now + k
         return evolve(state, reward_window=dict.fromkeys(
             range(end - self.spec.grace_epochs + 1, end + 1), amount))

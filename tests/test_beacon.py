@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_staked_world, snapshot
+from conftest import logged_events, make_staked_world, snapshot
 from stakeclaim.beacon import (
     BeaconContract,
     BeaconParams,
@@ -249,6 +249,32 @@ class TestAccrualKept:
         performance[vid] = 0.5      # equal, but not an exact factor
         with pytest.raises(InvalidFactor):
             accrue(led, performance)
+
+
+class TestAccrualLog:
+    def test_an_accrual_is_logged_only_when_its_amounts_change(self):
+        # Each accrual is its Call and its SupplyMint; its EpochAccrual line
+        # follows only when the amounts differ from the last ones logged,
+        # which the state keeps, a run of no Active validator in between.
+        led = bare_beacon(activation_delay=1)
+        vid = deposit(led)
+        logged = []
+        for factor in (1, 1, Fraction(1, 2), Fraction(1, 2), 1, 1):
+            led.advance_epoch()
+            accrue(led, {vid: factor})
+            tags = [e.tag for e in logged_events(led) if e.epoch == led.epoch]
+            logged.append(tags.count("EpochAccrual"))
+            assert tags.count("SupplyMint") == 1
+        assert logged == [1, 0, 1, 0, 1, 0]
+        assert led.contract_state("beacon").accrual_logged == {"minted": 100,
+                                                               "amounts": [[vid, 100]]}
+        led.call("op", "beacon", "request_exit", {"validator_id": vid})
+        for _ in range(4):      # Exiting, then Withdrawable: no validator Active
+            led.advance_epoch()
+            accrue(led)
+            assert "EpochAccrual" not in [e.tag for e in logged_events(led)
+                                          if e.epoch == led.epoch]
+        assert led.contract_state("beacon").accrual_logged["amounts"] == [[vid, 100]]
 
 
 class TestSlash:

@@ -19,7 +19,7 @@ import stakeclaim as sc
 from conftest import SteppedWorld, json_values, one_field_replaced
 from stakeclaim.cli import main
 from stakeclaim.errors import InvariantViolation
-from stakeclaim.explain import rebuild_report
+from stakeclaim.explain import rebuild, rebuild_report
 from stakeclaim.scenario import ClaimAction, NftTransferAction, World
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -288,15 +288,25 @@ class TestRun:
         assert json.loads(clean[len(partial):].splitlines()[0])["epoch"] == k + 1
         assert not (out / "report.json").exists()
         # The evidence folds: past its terms, which state the horizon the run
-        # was to reach, the log so far is the log of the run cut at k.
+        # was to reach, the log so far is the log of the run cut at k, but
+        # for the End line that only a report writes. It rebuilds the cut
+        # run's report from its own Genesis line, with the horizon it states.
         monkeypatch.setattr(World, "audit", audit)
         cut = World(replace(sc.load_scenario(scenario), horizon=k)).run()
         terms, *rest = partial.decode().splitlines(keepends=True)
-        cut_terms, *cut_rest = cut.events_jsonl.splitlines(keepends=True)
+        cut_terms, *cut_rest, end = cut.events_jsonl.splitlines(keepends=True)
         assert rest == cut_rest and json.loads(terms)["payload"]["horizon"] == 100
-        assert rebuild_report(partial.decode().splitlines(keepends=True))["conservation"] \
-            == cut.to_dict()["conservation"]
-        assert rebuild_report([cut_terms, *rest]) == cut.to_dict()
+        assert json.loads(end)["tag"] == "End"
+        report, ended = rebuild(partial.decode().splitlines(keepends=True))
+        assert not ended
+        assert report == {**cut.to_dict(), "horizon": 100, "event_count": cut.event_count - 1,
+                          "events_digest": hashlib.sha256(partial).hexdigest()}
+        # stakeclaim explain prints it, and exits 2: the log is incomplete.
+        capsys.readouterr()
+        assert run_cli("explain", "--events", str(out / "events.jsonl")) == 2
+        printed = capsys.readouterr()
+        assert json.loads(printed.out) == report
+        assert printed.err == f"incomplete log: no End line; folded as the run cut at epoch {k}\n"
 
     def test_undecodable_file_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -532,9 +542,9 @@ class TestValidateCommand:
 # sha256 of each golden's log as stepping writes it, every line in full:
 # what `stakeclaim explain --expand` prints for the log the run wrote.
 STEPPED_DIGESTS = {
-    "honest": "dbee25980a05571e9c97a47548d1650377b6c7355b6f7fa25b0232d3544bbdd1",
-    "nonpaying": "3f4d116f80b3ee2f7e11b5ac3fff82cf5880adf28ebc499a56a857cf95d5ddbe",
-    "slashed": "c265df64ad9f2e2360814842813acba172eb8bfb627bb7ff97dd4dcfb4779664",
+    "honest": "cf55c2235cc4dfced368ac7da8f01c2f6257d11122ae61103e8263e36578b894",
+    "nonpaying": "d9628d15302208bcfbfc03969a46db88b354b6487c432371495bd1281cfae475",
+    "slashed": "e73c51b8e8416fd16f96ccea16b61e9188244e3fd7a7d636625f25d7f624f206",
 }
 
 

@@ -168,7 +168,8 @@ def test_restore_across_a_write_rolls_the_file_back(monkeypatch):
 
 def test_a_transfer_corrupted_before_its_fold_fails_replay_ok(monkeypatch):
     # The fold is not vacuous: one amount off by one in what it is fed, with
-    # the log's bytes untouched, turns replay_ok false.
+    # the log's bytes untouched, turns replay_ok false. The honest golden's
+    # payouts are sweeps of both validators, each one TransferBatch line.
     scenario = sc.load_scenario(sc.golden_scenario_path("honest"))
     clean = World(scenario).run()
     assert clean.replay_ok
@@ -179,8 +180,9 @@ def test_a_transfer_corrupted_before_its_fold_fails_replay_ok(monkeypatch):
     def corrupting_fold(events, into=None):
         events = list(events)
         for i, e in enumerate(events):
-            if e.tag == "Transfer" and not corrupted:
-                events[i] = e._replace(payload={**e.payload, "amount": e.payload["amount"] + 1})
+            if e.tag == "TransferBatch" and not corrupted:
+                first, *rest = e.payload["amount"]
+                events[i] = e._replace(payload={**e.payload, "amount": [first + 1, *rest]})
                 corrupted.append(e)
         return fold(events, into)
 
@@ -229,7 +231,7 @@ def test_a_default_world_holds_at_most_one_batch(monkeypatch):
 # contracts' states, the Call payloads, one batch of Event objects with its
 # lines, the lines of the two epochs a segment check reads, and the log's
 # file while it is still in memory, up to LOG_BLOCK bytes. About 0.5 MB on
-# the runs below; the log in memory would add 1.7 MB at horizon 1,500.
+# the runs below; the log in memory would add 1.4 MB at horizon 1,500.
 RUN_PEAK = 1 << 20
 
 
@@ -242,7 +244,7 @@ def test_a_run_holds_a_bounded_tail_of_its_log():
     # when asked for, after tracing stops. Stepped, as a segment's epochs
     # would add one line.
     scenario = sc.load_scenario(sc.golden_scenario_path("honest"))
-    for horizon, at_least in ((1500, 1_500_000), (6000, 6_000_000)):
+    for horizon, at_least in ((1500, 1_250_000), (6000, 5_000_000)):
         world = SteppedWorld(dataclasses.replace(scenario, horizon=horizon))
         tracemalloc.start()
         try:

@@ -12,10 +12,12 @@ It folds the log written out (``explain.expand``), which refuses a
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import re
 from collections.abc import Iterator
+from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
@@ -23,7 +25,7 @@ import pytest
 
 import stakeclaim as sc
 from stakeclaim.cli import main as cli_main
-from stakeclaim.explain import expand, rebuild_report
+from stakeclaim.explain import expand, rebuild, rebuild_report
 from stakeclaim.ledger import Event, encode_lines
 from stakeclaim.scenario import (
     MINT,
@@ -139,17 +141,58 @@ def test_the_fold_follows_resales_claims_and_both_exit_causes():
     assert_rebuilt(report)
 
 
+def exit_due_at_the_horizon() -> sc.Scenario:
+    """Sweeps every other epoch, and a slash whose exit falls due at the horizon."""
+    return small_scenario(beacon=sc.BeaconParams(stake_requirement=6400, reward_per_epoch=100,
+                                                 activation_delay=1, exit_delay=3,
+                                                 sweep_period=2),
+                          slashes=(SlashAction(epoch=10, validator=0, fraction_bps=500),),
+                          horizon=13)
+
+
 def test_an_exit_due_but_not_yet_swept_reads_withdrawable():
     # Sweeps run every other epoch: the run ends on the epoch the exit
     # falls due, before the sweep that pays it out.
-    s = small_scenario(beacon=sc.BeaconParams(stake_requirement=6400, reward_per_epoch=100,
-                                              activation_delay=1, exit_delay=3,
-                                              sweep_period=2),
-                       slashes=(SlashAction(epoch=10, validator=0, fraction_bps=500),),
-                       horizon=13)
-    report = sc.run(s)
+    report = sc.run(exit_due_at_the_horizon())
     assert report.validators[0].beacon_status == "Withdrawable"
     assert_rebuilt(report)
+
+
+def test_a_log_without_its_end_folds_as_the_run_cut_at_its_last_line():
+    # The run above, cut after epoch 12: its exit falls due at 13, which
+    # the cut log never reaches, so the validator still reads Exiting. The
+    # report is the one a run to epoch 12 writes, but for the horizon the
+    # terms state, and for the End line only a report writes.
+    s = exit_due_at_the_horizon()
+    lines = sc.run(s).events_jsonl.splitlines(keepends=True)
+    cut = [line for line in lines if json.loads(line)["epoch"] <= 12]
+    assert json.loads(cut[-1])["tag"] != "End"
+    report, ended = rebuild(cut)
+    shorter = sc.run(replace(s, horizon=12))
+    assert not ended and shorter.validators[0].beacon_status == "Exiting"
+    assert report == {**shorter.to_dict(), "horizon": 13, "event_count": shorter.event_count - 1,
+                      "events_digest": hashlib.sha256("".join(cut).encode()).hexdigest()}
+    assert rebuild(lines).ended
+
+
+@pytest.mark.parametrize("name", sc.GOLDEN_SCENARIOS)
+def test_every_prefix_of_a_log_folds_as_the_run_cut_at_its_last_line(name):
+    # Only the whole log ends with its End line. Every shorter prefix folds
+    # as a cut run whose final_epoch is the last epoch its last line
+    # reaches (for a Repeat, the last it stands for), or does not fold.
+    lines = sc.run(sc.load_scenario(sc.golden_scenario_path(name))) \
+        .events_jsonl.splitlines(keepends=True)
+    folded = 0
+    for n in range(1, len(lines) + 1):
+        last = json.loads(lines[n - 1])
+        reaches = last["epoch"] + (last["payload"]["epochs"] - 1 if last["tag"] == "Repeat" else 0)
+        try:
+            report, ended = rebuild(lines[:n])
+        except ValueError:
+            continue
+        folded += 1
+        assert ended is (n == len(lines)) and report["final_epoch"] == reaches, n
+    assert folded > len(lines) // 2
 
 
 @pytest.mark.parametrize("tag", ["SupplyMint", "Call"])
@@ -296,21 +339,28 @@ def test_a_fee_reckoned_by_other_terms_fails_replay_ok(run):
     assert not rebuild_report(lines)["conservation"]["replay_ok"]
 
 
-@pytest.mark.parametrize("run,at,to", [
-    (run_with_the_mint_aborted, first(ABORT_REFUND, then=1), "bob"),
-    (run_with_the_escrow_refunded, first('"tag":"EscrowRefunded"', then=-1), "alice"),
-], ids=["abort-refund", "escrow-refund"])
-def test_a_refund_paid_to_another_name_fails_replay_ok(run, at, to):
+@pytest.mark.parametrize("run,at,pair,to", [
+    (run_with_the_mint_aborted, first(ABORT_REFUND, then=1), 0, "bob"),
+    (run_with_the_mint_aborted, first(ABORT_REFUND, then=1), 1, "alice"),
+    (run_with_the_escrow_refunded, first('"tag":"EscrowRefunded"', then=-1), None, "alice"),
+    (run_with_resales_claims_and_both_exit_causes, tagged("TransferBatch"), 1, "wallet:0"),
+], ids=["abort-refund", "abort-refund-last", "escrow-refund", "sweep"])
+def test_a_refund_paid_to_another_name_fails_replay_ok(run, at, pair, to):
     # An abort refunds each token's capital to its owner, in token order,
     # and the escrow left returns to the operator: paid to anyone else, the
-    # amounts and the balances still add up.
+    # amounts and the balances still add up. The abort's refunds are one
+    # TransferBatch line, as is a sweep of two validators, and each pair is
+    # read in order as the Transfer it stands for: a sweep paid to the
+    # other wallet leaves one wallet's receipt short and the other's over.
     report = run()
     lines = report.events_jsonl.splitlines(keepends=True)
     i = at(lines)
     e = json.loads(lines[i])
-    assert e["tag"] == "Transfer" and e["payload"]["to"] != to
+    assert e["tag"] == ("Transfer" if pair is None else "TransferBatch")
     assert rebuild_report(lines)["conservation"]["replay_ok"]
-    e["payload"]["to"] = to
+    names, key = (e["payload"], "to") if pair is None else (e["payload"]["to"], pair)
+    assert names[key] != to
+    names[key] = to
     lines[i] = encode_lines([Event(**e)])[0]
     assert not rebuild_report(lines)["conservation"]["replay_ok"]
 
@@ -351,6 +401,51 @@ def test_one_unit_added_to_a_reward_receipt_fails_replay_ok():
         e["payload"]["value"] += 1
         tampered = [*lines[:i], encode_lines([Event(**e)])[0], *lines[i + 1:]]
         assert not rebuild_report(tampered)["conservation"]["replay_ok"]
+
+
+def test_an_accrual_line_deleted_or_restated_fails_replay_ok():
+    # An EpochAccrual is logged when the amounts change, and the fold
+    # carries the last one to each accrual that logs none. Deleted, each
+    # leaves an accrual whose SupplyMint or Active validators the carried
+    # amounts do not fit; logged again where the amounts did not change,
+    # it is no line the beacon writes.
+    lines = list(expand(run_with_resales_claims_and_both_exit_causes().events_jsonl
+                        .splitlines(keepends=True)))
+    assert rebuild_report(lines)["conservation"]["replay_ok"]
+    accruals = [i for i, line in enumerate(lines) if '"tag":"EpochAccrual"' in line]
+    assert len(accruals) == 2      # both validators Active, then validator 0 alone
+    for i in accruals:
+        assert not rebuild_report([*lines[:i], *lines[i + 1:]])["conservation"]["replay_ok"], i
+    # The first accrual that logs none: its SupplyMint, with the last
+    # EpochAccrual after it.
+    minted = [i for i, line in enumerate(lines) if '"emitter":"beacon","tag":"SupplyMint"' in line]
+    i = next(i for i in minted if i > accruals[0] and '"tag":"EpochAccrual"' not in lines[i + 1])
+    again = [*lines[:i + 1], lines[accruals[0]], *lines[i + 1:]]
+    assert not rebuild_report(again)["conservation"]["replay_ok"]
+
+
+@pytest.mark.parametrize("change", [
+    lambda p: {"to": [p["to"]], "amount": [p["amount"]]},
+    lambda p: {"to": [p["to"], p["to"]], "amount": [p["amount"]]},
+    lambda p: {"to": p["to"], "amount": [p["amount"]]},
+], ids=["one-pair", "lengths-differ", "to-not-a-list"])
+def test_a_claim_paid_by_a_batch_the_ledger_does_not_write_fails(change):
+    # The ledger logs a run of two or more transfers as one TransferBatch
+    # and a single one as a Transfer: a claim's payout as a batch of one
+    # pair pays what the claim was due, but is no line of the ledger's. A
+    # batch whose lists differ, or are not lists, does not fold.
+    report = run_with_resales_claims_and_both_exit_causes()
+    lines = report.events_jsonl.splitlines(keepends=True)
+    i = first(CLAIM, then=1)(lines)
+    e = json.loads(lines[i])
+    e.update(tag="TransferBatch", payload=change(e["payload"]))
+    lines[i] = encode_lines([Event(**e)])[0]
+    try:
+        replay_ok = rebuild_report(lines)["conservation"]["replay_ok"]
+    except ValueError as exc:
+        assert str(exc).startswith(f"the line at seq {e['seq']} does not fold"), exc
+    else:
+        assert not replay_ok
 
 
 def test_a_validator_activated_off_its_epoch_fails_replay_ok():

@@ -763,7 +763,11 @@ def tree_lines(tree, caller: str, balances: dict, lines: list, depth: int = 0) -
     lines.append((caller, "Call", call))
     for to, amount in pays:
         tree_moved(balances, target, to, amount)
-        lines.append((target, "Transfer", {"to": to, "amount": amount}))
+    if len(pays) == 1:      # a run of two or more is one TransferBatch line
+        lines.append((target, "Transfer", {"to": pays[0][0], "amount": pays[0][1]}))
+    elif pays:
+        lines.append((target, "TransferBatch", {"to": [to for to, _ in pays],
+                                                "amount": [amount for _, amount in pays]}))
     for child in calls:
         tree_lines(child, target, balances, lines, depth + 1)
 

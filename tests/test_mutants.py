@@ -16,7 +16,8 @@ reads, as the ledger's flush keeps them (``Ledger.flush``); for the engine, a
 treasury helper, a contract's method table (``_ops``, with one handler
 wrapped) or ``World.report``; for the report, the reader both the run and
 the fold call (``RunReport.read``); for the fold of the log, its table of
-per-tag handlers (``explain._Fold._on``); for exact inputs, the ``type``
+per-tag handlers (``explain._Fold._on``) or its check of an accrual that
+logs no line (``explain._Fold.carry``); for the live audit, ``World.audit``; for exact inputs, the ``type``
 the ledger calls or the beacon's reward (``BeaconContract._reward``); for
 the accrual the beacon keeps, its derivation (``BeaconContract._derive``)
 or the key of a factor map (``beacon.factor_key``); for the state maps
@@ -236,6 +237,17 @@ def quiet_until_without_steady_window(self, state, now):
     return state.activation_epoch + self.spec.grace_epochs - 1
 
 
+def audit_without_the_vault(self):
+    """World.audit without its third identity, the beacon vault against the
+    sum of the validator balances."""
+    led = self.ledger
+    if led.total_balance() != led.minted_total - led.burned_total:
+        raise errors.InvariantViolation("total != minted - burned")
+    if led.balance_of(scenario.TREASURY) != scenario.balance_identity(
+            led.contract_state(scenario.TREASURY)):
+        raise errors.InvariantViolation("treasury balance != identity")
+
+
 def segment_moves_one_unit_short(advance_segment=Ledger.advance_segment):
     """The ledger's segment commit, one unit short on the first live balance it moves."""
     def mutant(self, k, states):
@@ -365,7 +377,8 @@ def slash_read_as_performance(handler):
     """The fold's Slashed handler recording the exit as a performance exit."""
     def mutant(self, e):
         handler(self, e)
-        self.tst.exit_causes[self.wallet_of[e.payload["id"]]] = treasury.CAUSE_PERFORMANCE
+        self.tst.exit_causes = self.tst.exit_causes.set(self.wallet_of[e.payload["id"]],
+                                                         treasury.CAUSE_PERFORMANCE)
 
     return mutant
 
@@ -484,6 +497,10 @@ MUTANTS = {
         RunReport, "read", loss_counted_before_settled(),
         in_a_temporary_directory(
             lambda tmp: test_cli.TestRun().test_golden_reports_frozen("honest", tmp))),
+    "audit-skips-the-beacon-vault": (
+        World, "audit", audit_without_the_vault,
+        test_scenario.TestConservationChecks()
+        .test_audit_catches_a_beacon_vault_apart_from_its_validator_balances),
     "performance-map-never-rebuilt": (
         World, "_performance", map_never_rebuilt(),
         test_keeper.test_goldens_agree_with_the_every_epoch_keeper),
@@ -546,12 +563,12 @@ MUTANTS = {
         _Fold, "_on", fold_with("Transfer", unchecked),
         lambda: test_explain.test_a_refund_paid_to_another_name_fails_replay_ok(
             test_explain.run_with_the_mint_aborted, test_explain.first(test_explain.ABORT_REFUND, 1),
-            "bob")),
+            0, "bob")),
     "fold-escrow-refund-unchecked": (
         _Fold, "_on", fold_with("EscrowRefunded", unchecked),
         lambda: test_explain.test_a_refund_paid_to_another_name_fails_replay_ok(
             test_explain.run_with_the_escrow_refunded,
-            test_explain.first('"tag":"EscrowRefunded"', -1), "alice")),
+            test_explain.first('"tag":"EscrowRefunded"', -1), None, "alice")),
     "fold-transfer-nft-ignored": (
         _Fold, "_on", fold_with("TransferNft", lambda handler: lambda self, e: None),
         test_explain.test_the_fold_follows_resales_claims_and_both_exit_causes),
@@ -575,6 +592,9 @@ MUTANTS = {
         _Fold, "_on", fold_with(tag, unchecked),
         test_explain.test_one_unit_added_to_any_int_field_fails_replay_ok)
        for tag in ("EpochAccrual", "ExitSettled", "Swept", "Call", "ExitTriggered", "Staked")},
+    "fold-carried-accrual-unchecked": (
+        _Fold, "carry", lambda self: setattr(self, "accruing", None),
+        test_explain.test_an_accrual_line_deleted_or_restated_fails_replay_ok),
     "fold-Activated-unchecked": (
         _Fold, "_on", fold_with("Activated", unchecked),
         test_explain.test_a_validator_activated_off_its_epoch_fails_replay_ok),

@@ -458,6 +458,18 @@ class TestConservationChecks:
         assert report.conservation_ok
         assert not report.replay_ok
 
+    def test_audit_catches_a_beacon_vault_apart_from_its_validator_balances(self):
+        # The beacon's account is the vault its validators' balances sum to:
+        # a balance one unit above what the vault holds stops the run.
+        world = World(sc.load_scenario(sc.golden_scenario_path("slashed")))
+        world.run()
+        led = world.ledger
+        bst = led.contract_state(sc.scenario.BEACON)
+        led._states[sc.scenario.BEACON] = replace(bst, balances=[bst.balances[0] + 1,
+                                                                 *bst.balances[1:]])
+        with pytest.raises(InvariantViolation, match="beacon vault .* != validator balances"):
+            world.audit()
+
     def test_audit_catches_a_balance_moved_without_the_counters(self):
         world = World(sc.load_scenario(sc.golden_scenario_path("honest")))
         world.run()

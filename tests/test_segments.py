@@ -108,8 +108,9 @@ def assert_segments_match_the_reference(scenario: Scenario) -> list[tuple[int, i
     log = expanded(report.events_jsonl)
     same = log == reference.events_jsonl
     assert same, first_difference(log, reference.events_jsonl)
-    # One Repeat line for each segment whose epochs log anything.
-    per_epoch = Counter(json.loads(line)["epoch"] for line in log.splitlines())
+    # One Repeat line for each segment whose epochs log anything, the End
+    # line at the final epoch aside.
+    per_epoch = Counter(e["epoch"] for e in map(json.loads, log.splitlines()) if e["tag"] != "End")
     assert repeats(report.events_jsonl) == [(first, last - first + 1, per_epoch[first])
                                             for first, last in spans if per_epoch[first]]
     assert report.events_digest == hashlib.sha256(report.events_jsonl.encode()).hexdigest()
@@ -128,7 +129,8 @@ def test_goldens_match_the_stepped_reference():
 @pytest.mark.parametrize("edge", [None, 20])
 def test_epochs_after_the_last_settlement_log_nothing_and_form_one_segment(edge):
     # Once every validator is Withdrawn the keeper calls no contract, so
-    # the slashed golden logs nothing after its settlement at epoch 13.
+    # the slashed golden logs nothing after its settlement at epoch 13 but
+    # the End line at the horizon.
     # Epoch 14 steps, and so does epoch 15: epoch 14 repeats no epoch, as
     # epoch 13 logged lines. The rest is one segment of zero-line epochs,
     # even across a window edge, as no performance map is sent any more.
@@ -140,7 +142,8 @@ def test_epochs_after_the_last_settlement_log_nothing_and_form_one_segment(edge)
     assert spans[-1] == (16, s.horizon)
     # The last segment's epochs log nothing, so it writes no Repeat line.
     log = sc.run(s).events_jsonl
-    assert log.splitlines()[-1].startswith('{"epoch":13,')
+    *_, settled, end = log.splitlines()
+    assert settled.startswith('{"epoch":13,') and end.startswith(f'{{"epoch":{s.horizon},')
     assert log.count('"tag":"Repeat"') == len(spans) - 1
 
 
@@ -290,7 +293,9 @@ def test_any_batch_size_gives_the_same_log_across_segments(batch, monkeypatch):
 def test_segments_end_before_each_beacon_transition():
     # Two validators pending for 12 epochs (their wallets idle), then one
     # slashed at epoch 25 and exiting for 15: each segment ends the epoch
-    # before an activation or an exit matures.
+    # before an activation or an exit matures. Epoch 26 logs the accrual
+    # without the slashed validator, so epoch 27 repeats no epoch, and the
+    # segment begins at 29, after epoch 28 repeats 27.
     s = small_scenario(
         treasury=TreasurySpec(fee_bps=1000, expected_reward_per_epoch=20, grace_epochs=3,
                               escrow_required=50, validators=2),
@@ -301,21 +306,22 @@ def test_segments_end_before_each_beacon_transition():
         horizon=60)
     assert validate(s) == []
     spans = assert_segments_match_the_reference(s)
-    assert [span for span in spans if span[1] in (12, 39)] == [(4, 12), (28, 39)]
+    assert [span for span in spans if span[1] in (12, 39)] == [(4, 12), (29, 39)]
 
 
 def test_a_window_still_filling_is_stepped_until_the_watchdog_arms():
-    # Grace 6, activation at epoch 2, nothing paid until epoch 5, then the
-    # full 1000 a epoch: epochs 5 and 6 repeat each other, but the window
-    # still holds the unpaid epochs, and when the watchdog arms at epoch 7
-    # it sums 3000 against a threshold of 3600.
+    # Grace 6, activation at epoch 2, nothing paid until epoch 4, then the
+    # full 1000 a epoch: epoch 4 logs the new accrual, epochs 5 and 6
+    # repeat each other, but the window still holds the unpaid epochs, and
+    # when the watchdog arms at epoch 7 it sums 4000 against a threshold of
+    # 4200.
     s = small_scenario(
-        treasury=TreasurySpec(fee_bps=1000, expected_reward_per_epoch=600, grace_epochs=6,
+        treasury=TreasurySpec(fee_bps=1000, expected_reward_per_epoch=700, grace_epochs=6,
                               escrow_required=50, validators=1),
         beacon=BeaconParams(stake_requirement=6400, reward_per_epoch=1000,
                             activation_delay=1, exit_delay=2, sweep_period=1),
         deposits=(DepositAction("alice", 4000, 0), DepositAction("bob", 2400, 1)),
-        operator_schedule=(BehaviorWindow(0, 0, 5), BehaviorWindow(5, 1)),
+        operator_schedule=(BehaviorWindow(0, 0, 4), BehaviorWindow(4, 1)),
         horizon=30)
     assert validate(s) == []
     assert_segments_match_the_reference(s)

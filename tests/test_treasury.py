@@ -17,7 +17,9 @@ from stakeclaim.errors import (
     Underfunded,
     UnknownMethod,
     UnknownValidator,
+    WrongCaller,
     WrongPhase,
+    WrongStatus,
 )
 from stakeclaim.beacon import BeaconParams
 from stakeclaim.treasury import (
@@ -382,6 +384,44 @@ class TestSettleExit:
         assert ts.settlements[1].penalty == 5                 # 5 // 1 remaining
         assert ts.escrow_balance == 0
         w.check_treasury_identity()
+
+
+class TestGuards:
+    """Each guard refuses its call and leaves the chain as it was."""
+
+    def refused(self, w: Mini, error, match: str, caller: str, method: str, args: dict,
+                value: int = 0):
+        before = snapshot(w.ledger)
+        with pytest.raises(error, match=match):
+            w.ledger.call(caller, TREASURY, method, args, value=value)
+        assert snapshot(w.ledger) == before
+
+    def test_only_the_mint_moves_a_token(self, world):
+        world.mint("alice", 40)
+        self.refused(world, WrongCaller, "moves tokens", "alice", "update_owner",
+                     {"token_id": 0, "from": "alice", "to": "bob"})
+
+    def test_only_the_mint_aborts(self, world):
+        world.mint("alice", 40)
+        self.refused(world, WrongCaller, "aborts", "alice", "abort_refund", {})
+
+    def test_no_abort_once_staked(self, staked_world):
+        self.refused(staked_world, WrongPhase, "cannot abort", MINT, "abort_refund", {})
+
+    def test_an_escrow_post_without_value_is_refused(self, world):
+        self.refused(world, InvalidAmount, "must carry value", OPERATOR, "post_escrow", {})
+
+    def test_no_settlement_without_an_exit(self):
+        # Validator 0's exit makes the phase Exiting; validator 1 never exited.
+        w = make_world(m=2, stake=32)
+        w.mint("alice", 40)
+        w.mint("bob", 24)
+        w.stake_all()
+        w.ledger.call(w.wallets[0], TREASURY, "on_exit_initiated", {"cause": "slashed"})
+        assert w.treasury_state.phase is Phase.EXITING
+        w.ledger.genesis(w.wallets[1], 32, "test exit balance")
+        self.refused(w, WrongStatus, "never initiated", w.wallets[1], "settle_exit", {},
+                     value=32)
 
 
 class TestPhaseMachine:
