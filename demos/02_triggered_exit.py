@@ -7,9 +7,8 @@ comes home, and the operator's escrow is paid out to holders as a
 penalty. No message from the operator appears anywhere on that path.
 """
 
-import json
-
 import stakeclaim as sc
+from stakeclaim.explain import expand
 
 scenario = sc.load_scenario(sc.golden_scenario_path("nonpaying"))
 print("== TRIGGERED EXIT" + " =" * 25)
@@ -17,7 +16,7 @@ print(f"expected per epoch: {scenario.treasury.expected_reward_per_epoch}, "
       f"grace window: {scenario.treasury.grace_epochs} epochs")
 
 report = sc.run(scenario)
-events = [json.loads(line) for line in report.events_jsonl.splitlines()]
+events = [e._asdict() for e in expand(report.events_jsonl.splitlines())]
 
 activation = next(e for e in events if e["tag"] == "Activated")
 trigger = next(e for e in events if e["tag"] == "ExitTriggered")

@@ -6,10 +6,10 @@ cannot cover lands on the holders pro-rata. A second run with a tiny
 1-basis-point slash shows the escrow covering everything.
 """
 
-import json
 from dataclasses import replace
 
 import stakeclaim as sc
+from stakeclaim.explain import expand
 from stakeclaim.scenario import SlashAction
 
 scenario = sc.load_scenario(sc.golden_scenario_path("slashed"))
@@ -26,7 +26,7 @@ for label, s in (
     ("1 bps slash, escrow covers it", covered),
 ):
     report = sc.run(s)
-    events = [json.loads(line) for line in report.events_jsonl.splitlines()]
+    events = [e._asdict() for e in expand(report.events_jsonl.splitlines())]
     slash = next(e for e in events if e["tag"] == "Slashed")
     v = report.validators[0]
     print(f"\n-- {label}")

@@ -4,10 +4,9 @@ Two runs of the same scenario produce byte-identical logs, and the log
 alone is enough to rebuild every balance and the supply totals, which
 must equal the ledger's own minted and burned counters: total supply moves
 only when the beacon mints rewards or a slash burns stake. A stretch of
-quiet epochs is logged as one Repeat line; `expand` writes it out in full.
+quiet epochs is logged as one Repeat line; `expand`, the log's reader,
+yields each event with its epoch and seq, a Repeat's events in full.
 """
-
-import json
 
 import stakeclaim as sc
 from stakeclaim.explain import expand
@@ -27,7 +26,7 @@ print("byte-identical: yes")
 world = World(scenario)
 report = world.run()
 lines = report.events_jsonl.splitlines(keepends=True)
-events = [sc.Event(**json.loads(line)) for line in expand(lines)]
+events = list(expand(lines))
 replay = sc.replay_balances(events)
 
 print(f"\nevents: {report.event_count} in {len(lines)} lines, minted {report.minted:,}, "

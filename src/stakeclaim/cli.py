@@ -26,9 +26,10 @@ report.json the run wrote, and exits 0 when the rebuilt
 ``End`` line, 2 otherwise. A log without its ``End`` line, such as the
 evidence of an exit 2 run, prints the report of the run cut at its last
 line, and "incomplete log" on stderr.
-``explain --expand`` prints the log instead, with each ``Repeat`` line, a
-segment of quiet epochs, written out in full (``explain.expand``): the log
-of stepping every epoch. It streams. On an unreadable or inconsistent log
+``explain --expand`` prints the log's events instead, one a line with its
+epoch and seq (``explain.event_lines``), each ``Repeat`` line's, a segment
+of quiet epochs, written out in full: the events of stepping every epoch.
+It streams. On an unreadable or inconsistent log
 either stops there and exits 1 with one line on stderr. A reader that
 closes stdout early (``| head``) ends it quietly, with exit 0.
 
@@ -49,7 +50,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import InvalidScenario, InvariantViolation, bound_problems
-from .explain import expand, rebuild
+from .explain import event_lines, rebuild
 from .ledger import LogText
 from .scenario import Scenario, World, load_scenario, validate
 
@@ -126,7 +127,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     try:
         with open(args.events, encoding="utf-8", newline="") as log:
             if args.expand:
-                sys.stdout.writelines(expand(log))
+                sys.stdout.writelines(event_lines(log))
             else:
                 report, ended = rebuild(log)
                 checks = report["conservation"]
@@ -170,7 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("explain", help="verify a run's event log and print its report")
     p_exp.add_argument("--events", required=True, help="events.jsonl of a run")
     p_exp.add_argument("--expand", action="store_true",
-                       help="print the log with each Repeat line written out in full instead")
+                       help="print the log's events instead, each with its epoch and seq, "
+                            "each Repeat line's written out in full")
     p_exp.set_defaults(func=cmd_explain)
     return parser
 

@@ -1,11 +1,13 @@
 """The report, rebuilt from the event log alone.
 
-A segment of quiet epochs is logged as one ``Repeat`` line
-(``Ledger.advance_segment``); :func:`expand` writes each out in full, with
-the ledger's own line-advancing helper (``ledger.strided``), and checks it
-against the lines around it.
+The log is a list of epoch blocks, each a header ``{"epoch":e}`` and its
+event lines, and a segment of quiet epochs is one ``Repeat`` line
+(``Ledger.advance_segment``). :func:`expand` is the log's one reader: it
+yields each event with the epoch and seq its place gives it, decodes a
+repeated block once and yields it again for each epoch, and checks each
+header and ``Repeat`` against the lines around it.
 
-:func:`rebuild_report` folds the expanded lines of a run's ``events.jsonl`` into
+:func:`rebuild_report` folds the events of a run's ``events.jsonl`` into
 the treasury's own state, a :class:`treasury.TreasuryState`, with the
 treasury's own helpers, then reads it as the run does
 (:meth:`RunReport.read`). The log holds every input: its first line, and
@@ -79,9 +81,16 @@ and with the terms:
   accrual without one rewards as the last one
   logged (:meth:`_Fold.carry`): their ids are the Active validators and
   their minted its ``SupplyMint``, or, with no validator Active, it mints
-  nothing. A ``Slashed`` line's burn is the ``SupplyBurn`` before it, and
-  a ``Swept`` line's payout the ``Transfer`` before it, to the
-  validator's wallet; the beacon pays out on the sweep period's grid only,
+  nothing. The beacon accrues once an epoch, from the epoch after
+  ``Staked`` until every validator is Withdrawn;
+* each validator's beacon balance is rebuilt: the stake at its
+  ``DepositAccepted``, plus each accrual's reward for it, less its
+  ``Slashed`` burn, ``balance * fraction_bps // 10000`` and the
+  ``SupplyBurn`` before it, and less its payouts. The beacon pays out on
+  the sweep period's grid only, to a validator's wallet: an Active one's
+  balance less the stake, an exiting one's whole balance once its exit is
+  due, which a ``Swept`` line then restates, the ``Transfer`` before it;
+  the beacon's replayed balance is their sum at the end of each epoch;
   and a ``TransferBatch`` holds two pairs or more;
 * a ``DepositAccepted`` activates the activation delay after its epoch,
   and a ``Slashed`` or ``ExitRequested`` exit falls due the exit delay
@@ -97,8 +106,8 @@ and with the terms:
   due), and ``Withdrawn`` follows its ``Swept``;
 * an ``End`` line is ``system``'s, with an empty payload.
 
-``event_count`` counts the expanded lines, and ``events_digest`` hashes
-the lines as read, each as it passes.
+``event_count`` counts the events :func:`expand` yields, and
+``events_digest`` hashes the lines as read, each as it passes.
 """
 
 from __future__ import annotations
@@ -106,12 +115,13 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Iterable, Iterator
+from operator import itemgetter
 from typing import NamedTuple
 
 from .beacon import BeaconParams, ValidatorStatus
 from .errors import checked
 from .ledger import (BATCH, LEDGER_TAGS, REPEAT, REPEAT_KEYS, SYSTEM, Event, ReplayResult,
-                     replay_balances, strided)
+                     replay_balances)
 from .mint import MintSpec
 from .scenario import (_RECORDS, BEACON, END, GENESIS, HORIZON_MAX, MINT, OPERATOR, TREASURY,
                        RunReport, is_holder_name, wallet_name)
@@ -152,6 +162,9 @@ class _Fold:
         self.names: set[str] = set()
         self.wallets = {wallet_name(j): j for j in range(self.spec.validators)}   # name -> index
         self.wallet_of: dict[int, int] = {}  # validator id -> wallet index
+        self.vid_of: dict[int, int] = {}     # wallet index -> validator id
+        self.balance: dict[int, int] = {}    # validator id -> beacon balance
+        self.next_accrual: int | None = None     # the epoch of the next accrual, while one is due
         self.status: dict[int, str] = {}     # validator id -> beacon status
         self.activation_at: dict[int, int] = {}  # validator id -> the epoch it activates
         self.exit_at: dict[int, int] = {}    # validator id -> the epoch its exit is due
@@ -166,6 +179,8 @@ class _Fold:
     def step(self, e: Event) -> None:
         if self.accruing is not None and e.emitter != BEACON:   # past the accrual's lines
             self.carry()
+        if e.epoch != self.last.epoch:
+            self.end_epoch()
         if e.tag == BATCH:      # its pairs, in order, as the Transfer lines they stand for
             for pair in _pairs(e):
                 self.step(pair)
@@ -186,11 +201,25 @@ class _Fold:
                   if status == ValidatorStatus.ACTIVE.value]
         p = self.accrual
         if active:
-            self.consistent &= p is not None and self.accruing == p["minted"] \
-                and [vid for vid, _ in p["amounts"]] == active
+            self.consistent &= p is not None and self.accruing == p["minted"]
+            self.accrue(p, active)
         else:
             self.consistent &= self.accruing == 0
         self.accruing = None
+
+    def accrue(self, p: dict | None, active: list[int]) -> None:
+        """Reward each validator the amount an ``EpochAccrual`` payload `p`
+        gives it, if it names exactly the `active` validators, in id order."""
+        ok = p is not None and [vid for vid, _ in p["amounts"]] == active
+        if ok:
+            balance = self.balance
+            for vid, reward in p["amounts"]:
+                balance[vid] += reward
+        self.consistent &= ok
+
+    def end_epoch(self) -> None:
+        """The beacon's vault, its replayed balance, holds its validators' balances."""
+        self.consistent &= self.replay.balances.get(BEACON, 0) == sum(self.balance.values())
 
     # --- one handler per tag ---------------------------------------------
 
@@ -221,6 +250,9 @@ class _Fold:
             self.consistent &= type(value) is int and value > 0 \
                 and self.replay.balances[e.emitter] == 0
         elif p["method"] == "accrue_epoch" and p["target"] == BEACON:
+            # one a epoch, from the epoch after the stake while a validator is not Withdrawn
+            self.consistent &= e.epoch == self.next_accrual
+            self.next_accrual = e.epoch + 1
             self.accruing = 0
         elif p["method"] == "abort_refund" and p["target"] == TREASURY:
             # the refunds to come: each token's capital to its owner, in token order
@@ -271,6 +303,7 @@ class _Fold:
             and t.principal == spec.validators * stake \
             and t.escrow_balance >= spec.escrow_required
         t.principal = 0
+        self.next_accrual = e.epoch + 1
 
     def _on_EscrowPosted(self, e: Event) -> None:
         t, p = self.tst, e.payload
@@ -295,7 +328,7 @@ class _Fold:
         # what was due: a tampered amount moves the claimed total and the
         # balance together, so balance_identity alone cannot see it.
         if e.emitter == BEACON:
-            self.consistent &= e.epoch % self.params.sweep_period == 0
+            self._paid_out(e)
             return
         if e.emitter != TREASURY:
             return
@@ -324,6 +357,8 @@ class _Fold:
         self.consistent &= vid == len(self.status) \
             and p["activation_epoch"] == e.epoch + self.params.activation_delay
         self.wallet_of[vid] = self.wallets[p["withdrawal_address"]]
+        self.vid_of[self.wallet_of[vid]] = vid
+        self.balance[vid] = self.params.stake_requirement
         self.status[vid] = ValidatorStatus.PENDING.value
         self.activation_at[vid] = p["activation_epoch"]
 
@@ -334,7 +369,10 @@ class _Fold:
 
     def _on_Slashed(self, e: Event) -> None:
         p = e.payload
-        self.consistent &= self._follows(e, "SupplyBurn", p["burned"])
+        vid, burned = p["id"], p["burned"]
+        self.consistent &= self._follows(e, "SupplyBurn", burned) \
+            and burned == self.balance[vid] * p["fraction_bps"] // 10_000
+        self.balance[vid] -= burned
         if self._exits(e):
             j = self.wallet_of[p["id"]]
             self.tst.exit_causes = self.tst.exit_causes.set(j, CAUSE_SLASHED)
@@ -354,21 +392,24 @@ class _Fold:
         # an exit's payout: the beacon's Transfer right before it, to the validator's wallet
         p = e.payload
         self.consistent &= self._follows(e, "Transfer", p["amount"]) \
-            and self.wallets.get(p["to"]) == self.wallet_of.get(p["id"])
+            and self.wallets.get(p["to"]) == self.wallet_of.get(p["id"]) \
+            and self.balance.get(p["id"]) == 0
 
     def _on_Withdrawn(self, e: Event) -> None:
         vid, last = e.payload["id"], self.last
         self.consistent &= last.tag == "Swept" and last.payload["id"] == vid
         if self._moves(vid, ValidatorStatus.EXITING, ValidatorStatus.WITHDRAWN):
             self.consistent &= self.exit_at[vid] <= e.epoch
+        if all(status == ValidatorStatus.WITHDRAWN.value for status in self.status.values()):
+            self.next_accrual = None        # no validator left to accrue or sweep
 
     def _on_EpochAccrual(self, e: Event) -> None:
         # an accrual's last line, logged when its amounts differ from the last ones
         p, active = e.payload, ValidatorStatus.ACTIVE.value
-        self.consistent &= [vid for vid, _ in p["amounts"]] \
-            == [vid for vid, status in self.status.items() if status == active] \
-            and p["minted"] == sum(reward for _, reward in p["amounts"]) == self.accruing \
+        self.consistent &= \
+            p["minted"] == sum(reward for _, reward in p["amounts"]) == self.accruing \
             and p != self.accrual
+        self.accrue(p, [vid for vid, status in self.status.items() if status == active])
         self.accrual = p
         self.accruing = None
 
@@ -411,6 +452,26 @@ class _Fold:
         return amount == 0 or (last.tag, last.emitter, last.payload.get("amount")) \
             == (tag, e.emitter, amount)
 
+    def _paid_out(self, e: Event) -> None:
+        """A sweep's payout, on the sweep period's grid, to a validator's
+        wallet: an Active one's balance less the stake, an exiting one's
+        whole balance once its exit is due."""
+        p = e.payload
+        vid = self.vid_of.get(self.wallets.get(p["to"]))
+        if vid is None:     # no validator's wallet
+            self.consistent = False
+            return
+        status, balance = self.status[vid], self.balance[vid]
+        if status == ValidatorStatus.ACTIVE.value:
+            left = self.params.stake_requirement
+        elif status == ValidatorStatus.EXITING.value and self.exit_at[vid] <= e.epoch:
+            left = 0
+        else:
+            left = balance
+        self.consistent &= e.epoch % self.params.sweep_period == 0 \
+            and p["amount"] > 0 and p["amount"] == balance - left
+        self.balance[vid] = left
+
     def _moves(self, vid: int, was: ValidatorStatus, to: ValidatorStatus) -> bool:
         """Move validator `vid` from status `was` to `to`; if it is not at
         `was`, the line disagrees with the state: False, and nothing moves."""
@@ -451,62 +512,89 @@ def _pairs(e: Event) -> Iterator[Event]:
         yield Event(e.epoch, e.seq, e.emitter, "Transfer", {"to": name, "amount": amount})
 
 
-def _event(line: str) -> Event:
-    """`line` decoded; ValueError if it is not a log line."""
-    try:
-        e = Event(**json.loads(line))
-        if type(e.epoch) is int and type(e.seq) is int:
-            return e
-    except TypeError:       # not an object with exactly an Event's keys
-        pass
+_EVENT_KEYS = {"emitter", "tag", "payload"}
+
+
+def _decoded(line: str) -> dict:
+    """`line` decoded: a header ``{"epoch"}``, an int >= 0, or an event
+    ``{"emitter","tag","payload"}``; ValueError if it is neither."""
+    d = json.loads(line)
+    if type(d) is dict and (d.keys() == _EVENT_KEYS or d.keys() == {"epoch"}
+                            and type(d["epoch"]) is int and d["epoch"] >= 0):
+        return d
     raise ValueError(f"not a log line: {line.strip()[:80]}")
 
 
-def expand(lines: Iterable[str]) -> Iterator[str]:
-    """The log `lines` with each ``Repeat`` line written out in full.
+def expand(lines: Iterable[str]) -> Iterator[Event]:
+    """The events of the log `lines`, each with its epoch and seq, and each
+    ``Repeat`` line's events written out in full.
 
-    A Repeat ``{"epoch":e,"seq":s,...,"payload":{"epochs":k,"lines":n}}``
-    stands for the n lines before it repeated k times, with ``epoch`` and
-    ``seq`` advanced by 1 and n each time. Raises ValueError if its payload
-    holds any other key, or a value that is not an int; if those n lines
-    are not exactly epoch e-1, all of it, up to seq s-1; if it stands for
-    an epoch past ``scenario.HORIZON_MAX``, the last a run can reach,
-    before it writes the first; if the line after it does not carry seq
-    s + k·n and an epoch past e+k-1, or is not the ``End`` line that ends
-    the run at e+k-1; or if a line is not a log line. Holds one epoch's
-    lines at a time.
+    A header ``{"epoch":e}`` opens the block of epoch e; the event lines
+    after it, up to the next header, are that epoch's. A Repeat
+    ``{"emitter":"system","tag":"Repeat","payload":{"epochs":k}}`` says that
+    the last epoch's block repeats for the next k epochs: its events are
+    decoded once and yielded k more times, each time one epoch later, as
+    the same objects. Events after a Repeat and before the next header are
+    of the last epoch it stands for. An event's seq is its position among
+    the events. Raises ValueError if a line is not a header or an event
+    line; if a header's epoch is not past the last epoch, that of the last
+    header or of the last epoch a Repeat stands for; if a block is empty, a
+    header with no event after it; if an event comes before the first
+    header; if a Repeat's payload holds any other key than ``epochs`` or
+    not an int >= 1, or it follows no block; or if it stands for an epoch
+    past ``scenario.HORIZON_MAX``, the last a run can reach, before it
+    yields the first. Holds one epoch's events at a time.
     """
-    block: list[str] = []     # the lines of the last epoch written so far
-    block_epoch = last_seq = None
-    after = None              # (seq, least epoch) of the line after a Repeat
+    return map(itemgetter(0), _expanded(lines))
+
+
+def _expanded(lines: Iterable[str]) -> Iterator[tuple[Event, str]]:
+    """:func:`expand`'s events, each with the line that states it."""
+    epoch, seq = -1, 0
+    block: list | None = None     # the last epoch's (emitter, tag, payload, line); None before a header
     for line in lines:
-        e = _event(line)
-        if after is not None and (e.seq != after[0] or e.epoch < after[1]) \
-                and (e.seq, e.epoch, e.emitter, e.tag) != (after[0], after[1] - 1, SYSTEM, END):
-            raise ValueError(f"the line at seq {e.seq} does not follow the Repeat before it")
-        after = None
-        if (e.emitter, e.tag) != (SYSTEM, REPEAT):
-            if e.epoch != block_epoch:
-                block, block_epoch = [], e.epoch
-            block.append(line)
-            last_seq = e.seq
-            yield line
+        d = _decoded(line)
+        if "epoch" in d:
+            if block == []:
+                raise ValueError(f"the header of epoch {epoch} opens no block")
+            if d["epoch"] <= epoch:
+                raise ValueError(f"the header of epoch {d['epoch']} follows epoch {epoch}")
+            epoch, block = d["epoch"], []
             continue
-        p = e.payload
-        if type(p) is not dict or p.keys() != REPEAT_KEYS \
-                or not all(type(v) is int for v in p.values()):
-            raise ValueError(f"the Repeat at seq {e.seq} is not an int epochs and lines")
-        k, n = p["epochs"], p["lines"]
-        if k < 1 or (n, block_epoch, last_seq) != (len(block), e.epoch - 1, e.seq - 1):
-            raise ValueError(f"the Repeat at seq {e.seq} does not follow one whole epoch")
-        if e.epoch + k - 1 > HORIZON_MAX:       # no run logs it, and it would write without end
-            raise ValueError(f"the Repeat at seq {e.seq} runs past epoch {HORIZON_MAX}")
-        at = strided("".join(block), {"epoch": 1, "seq": n})
-        for t in range(1, k + 1):
-            block = at(t).splitlines(keepends=True)
-            yield from block
-        block_epoch, last_seq = e.epoch + k - 1, e.seq + k * n - 1
-        after = (e.seq + k * n, e.epoch + k)
+        emitter, tag, p = d["emitter"], d["tag"], d["payload"]
+        if block is None:
+            raise ValueError(f"an event before the first header: {line.strip()[:80]}")
+        if (emitter, tag) != (SYSTEM, REPEAT):
+            block.append((emitter, tag, p, line))
+            yield Event(epoch, seq, emitter, tag, p), line
+            seq += 1
+            continue
+        if type(p) is not dict or p.keys() != REPEAT_KEYS or type(p["epochs"]) is not int \
+                or p["epochs"] < 1:
+            raise ValueError(f"the Repeat in epoch {epoch} is not an int epochs >= 1")
+        if not block:
+            raise ValueError(f"the Repeat in epoch {epoch} follows no block")
+        k = p["epochs"]
+        if epoch + k > HORIZON_MAX:     # no run logs it, and it would write without end
+            raise ValueError(f"the Repeat in epoch {epoch} runs past epoch {HORIZON_MAX}")
+        for _ in range(k):
+            epoch += 1
+            for emitter, tag, p, line in block:
+                yield Event(epoch, seq, emitter, tag, p), line
+                seq += 1
+    if block == []:
+        raise ValueError(f"the header of epoch {epoch} opens no block")
+
+
+def event_lines(lines: Iterable[str]) -> Iterator[str]:
+    """Each event of ``expand(lines)`` as one line of its own, its epoch and
+    seq put in front of its event line: for a log the ledger wrote,
+    ``json.dumps({"epoch","seq","emitter","tag","payload"},
+    separators=(",", ":"))`` and a newline, the log of stepping every epoch
+    as ``stakeclaim explain --expand`` prints it."""
+    for e, line in _expanded(lines):
+        body = line[1:].rstrip("\r\n")
+        yield f'{{"epoch":{e.epoch},"seq":{e.seq},{body}\n'
 
 
 class Rebuilt(NamedTuple):
@@ -543,7 +631,7 @@ def rebuild(lines: Iterable[str]) -> Rebuilt:
             digest.update(line.encode())
             yield line
 
-    events = map(_event, expand(hashed()))
+    events = expand(hashed())
     fold = _Fold(next(events, None))
     horizon = fold.horizon
     count = 1
@@ -556,7 +644,10 @@ def rebuild(lines: Iterable[str]) -> Rebuilt:
         count += 1
     if fold.accruing is not None:       # the log ends in an accrual's lines
         fold.carry()
+    fold.end_epoch()
     last = fold.last
+    # every epoch up to the last had its accrual, while one was due
+    fold.consistent &= fold.next_accrual is None or fold.next_accrual > last.epoch
     replay, tst = fold.replay, fold.tst
     balances = replay.balances
     final_total = sum(balances.values())

@@ -49,10 +49,17 @@ effects. One is built per event, message and effect, so they are kept
 cheap. Effects are told apart by exact class, never by comparing them: as
 tuples, ``Issue(5, "x") == Destroy(5, "x")``.
 
-The log serialises one event per line, each line exactly
-``json.dumps({"epoch", "seq", "emitter", "tag", "payload"},
-separators=(",", ":"))``; :func:`encode_lines` is the one line builder,
-used by :meth:`Ledger.flush`. It writes flat payloads from cached
+The log is a list of epoch blocks. A header line ``{"epoch":e}`` opens
+the block of each epoch that logs anything, and each event of it is one
+line, exactly ``json.dumps({"emitter", "tag", "payload"},
+separators=(",", ":"))``: no event line states its epoch or its seq. Its
+epoch is its header's, and its seq its position among the events,
+counting those a ``Repeat`` line stands for, as a block header states
+its number once and a receipt's log entries carry only an address,
+topics and data (Wood, *Ethereum Yellow Paper*, §4.3 and §4.3.1).
+:func:`encode_lines` is the one line builder, used by
+:meth:`Ledger.flush`, whose headers carry on from one batch to the next.
+It writes flat payloads from cached
 encodings, hands anything else to a single JSON encoder, and encodes a
 shared payload object (a ``Call``'s without value) once per batch, so the
 bytes, and every digest over them, are those of ``json.dumps``. The tags
@@ -91,22 +98,21 @@ depend on the batch size, and no Event object outlives its batch.
 A segment is one commit of many epochs (:meth:`Ledger.advance_segment`):
 the driver says how many epochs repeat the last one and which contract
 states they leave. The ledger keeps where its last two epochs began, so it
-counts their lines itself, and keeps those lines apart from the file, as
-each flush encoded them. It checks the last epoch's lines, its own,
-against the whole epoch before, which must have logged as many, with
-``epoch`` advanced by 1 and ``seq`` by n (:func:`strided`): every other
-number on them is the same. It then logs the whole segment as one
-``Repeat`` line: ``{"epoch":e+1,"seq":s,"emitter":"system","tag":"Repeat",
-"payload":{"epochs":k,"lines":n}}`` says that the n lines before it
-repeat k times, with ``epoch`` and ``seq`` advanced by 1 and n each time.
-It is not an event and takes no seq: ``seq`` counts on through the events
-it stands for, which ``explain.expand`` writes out again. The ledger keeps
-the lines of the two epochs it checked, advanced k epochs, as the
-segment's last two. Every balance and supply move of the segment is k
-times :func:`replay_balances` of the last epoch's lines, applied to the
-live balances, the supply counters and the running replay alike: no
-balance moves on the driver's word, and but for its log's text, a segment
-leaves the ledger as stepping would.
+counts their events itself, and keeps the blocks of the last two epochs
+that logged apart from the file, two strings as each flush wrote them. It
+checks that the last epoch's block, its own, is the whole block of the
+epoch before, string for string: no event line states an epoch, a seq or
+a running total. It then logs the whole segment as one ``Repeat`` line:
+``{"emitter":"system","tag":"Repeat","payload":{"epochs":k}}`` says that
+the last epoch's block repeats for the next k epochs. It is not an event
+and takes no seq: ``seq`` counts on through the events it stands for,
+which ``explain.expand`` yields again, and lines after it and before the
+next header are of its last epoch. The blocks the ledger keeps are then
+those of the segment's last two epochs, as they were. Every balance and
+supply move of the segment is k times :func:`replay_balances` of the last
+block, applied to the live balances, the supply counters and the running
+replay alike: no balance moves on the driver's word, and but for its
+log's text, a segment leaves the ledger as stepping would.
 
 A ledger instance is single-threaded but self-contained; independent
 instances can run in parallel threads or processes.
@@ -116,7 +122,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 import tempfile
 import weakref
 from collections.abc import Iterator, Mapping
@@ -138,10 +143,10 @@ from .errors import (
 CALL_DEPTH_LIMIT = 8
 
 # The emitter and tag of the line that stands for a segment's epochs, and
-# the keys of its payload, which are all it holds.
+# the key of its payload, which is all it holds.
 SYSTEM = "system"
 REPEAT = "Repeat"
-REPEAT_KEYS = frozenset(("epochs", "lines"))
+REPEAT_KEYS = frozenset(("epochs",))
 
 # The tag of the line that logs a handler's run of two or more transfers.
 BATCH = "TransferBatch"
@@ -177,13 +182,15 @@ class Event(NamedTuple):
     payload: dict
 
 
-def encode_lines(events) -> list[str]:
-    """Each event as its JSON line, newline included.
+def encode_lines(events, epoch: int = -1) -> list[str]:
+    """Each event as its JSON line, newline included, after a header line
+    ``{"epoch":e}`` wherever the epoch changes: before an event whose epoch
+    is not that of the one before it, or for the first, not `epoch`, the
+    epoch of the last header written (-1 for none).
 
-    The line is ``{"epoch":..,"seq":..,"emitter":..,"tag":..,"payload":..}``
-    with no spaces, exactly ``json.dumps`` of that dict with
-    ``separators=(",", ":")``: this format is the regression surface.
-    epoch and seq are the ledger's ints. The part from ``"emitter"`` to
+    The event line is ``{"emitter":..,"tag":..,"payload":..}`` with no
+    spaces, exactly ``json.dumps`` of that dict with ``separators=(",",
+    ":")``: this format is the regression surface. The part up to
     ``"payload":`` is encoded once per str (emitter, tag) pair. A flat
     payload (str keys, values of exact type int or str) is written from
     encoded keys and strings cached for this call; any other payload goes
@@ -198,10 +205,13 @@ def encode_lines(events) -> list[str]:
     strs: dict = {}
     shared: dict = {}
     out = []
-    for epoch, seq, emitter, tag, payload in events:
+    for e, _, emitter, tag, payload in events:
+        if e != epoch:
+            epoch = e
+            out.append(f'{{"epoch":{e}}}\n')
         head = heads.get((emitter, tag))
         if head is None:
-            head = f',"emitter":{_encode(emitter)},"tag":{_encode(tag)},"payload":'
+            head = f'{{"emitter":{_encode(emitter)},"tag":{_encode(tag)},"payload":'
             if type(emitter) is str and type(tag) is str:
                 heads[(emitter, tag)] = head
         cached = shared.get(id(payload))
@@ -234,7 +244,7 @@ def encode_lines(events) -> list[str]:
                 shared[id(payload)] = (payload, body)
             elif tag == "Call" and "value" not in payload:
                 shared[id(payload)] = (payload, body)
-        out.append(f'{{"epoch":{epoch},"seq":{seq}{head}{body}}}\n')
+        out.append(f'{head}{body}}}\n')
     return out
 
 
@@ -610,8 +620,13 @@ class Ledger:
         # The log's text: a file, made at its first write, of _log_len bytes.
         self._log_file: LogFile | None = None
         self._log_len = 0
-        # The lines a segment check reads, as flushed: those from _prev_seq on.
-        self._recent: list[str] = []
+        self._header_epoch = -1             # the epoch of the last header written; -1 for none
+        # What a segment check reads, as flushed: the blocks of the last
+        # epoch that logged, _header_epoch, and of the epoch before it (none
+        # if it logged nothing), [before, last], each its event lines' text
+        # as the flushes that wrote it cut it. A block grown by one string
+        # per flush would leave wide's big first epoch fragmenting the heap.
+        self._recent: list[list[str]] = [[], []]
         self._replay = ReplayResult({}, 0, 0)     # the fold of every flushed event
         # (target, method) -> the one shared payload of its Call events without value
         self._call_payloads: dict[tuple[str, str], dict] = {}
@@ -774,28 +789,27 @@ class Ledger:
         """Commit k epochs at once, each a repeat of the last epoch's events.
 
         The caller vouches that each of the next k epochs would log the last
-        epoch's n lines again, n being the events logged since the epoch
-        began, with the integers under the keys ``"epoch"`` and ``"seq"``
-        advanced by 1 and n and every other number the same; and that the
-        contract states after the k epochs are `states` (for the contracts
-        named) and the committed ones (for the rest). Balances and supply
-        are not the caller's to state: they move as the lines say.
+        epoch's block again, its n event lines, n being the events logged
+        since the epoch began; and that the contract states after the k
+        epochs are `states` (for the contracts named) and the committed ones
+        (for the rest). Balances and supply are not the caller's to state:
+        they move as the lines say.
 
         k is an int >= 0 and `states` names registered contracts only; else
         ValueError, and nothing changes.
         The lines are the log's own, and checked first. Unless the epoch
         before the last logged exactly n lines, False is returned and
         nothing changes, the pending batch included. Then, after a flush,
-        the epoch before's n lines, advanced one epoch, must read as the
-        last epoch's n: the 2n lines the ledger keeps. The caller does not
-        test that, so this check is a condition of correctness, not a spare
-        guard: if it fails, False is returned and nothing but the flush has
-        happened. Otherwise, in one step: one ``Repeat`` line stands for the
-        k·n lines (none if k or n is 0), and the 2n lines kept advance k
+        the two epochs' blocks, which the ledger keeps, must be equal
+        strings. The caller does not test that, so this check is a
+        condition of correctness, not a spare guard: if it fails, False is
+        returned and nothing but the flush has happened. Otherwise, in one
+        step: one ``Repeat`` line stands for the k·n events (none if k or n
+        is 0), and the blocks kept are those of the segment's last two
         epochs, as stepping would keep them; k times :func:`replay_balances`
-        of the last epoch's lines moves the live balances, the supply
-        counters and the running replay; the epoch, seq and `states` are
-        set. Returns True.
+        of the last block moves the live balances, the supply counters and
+        the running replay; the epoch, seq and `states` are set. Returns
+        True.
         """
         if type(k) is not int or k < 0:
             raise ValueError(f"a segment is an int k >= 0 of epochs, got {k!r}")
@@ -805,16 +819,16 @@ class Ledger:
         if self._epoch_seq - self._prev_seq != n:
             return False
         self.flush()
-        recent = self._recent
-        every = {"epoch": 1, "seq": n}
-        if strided("".join(recent[:n]), every)(1) != "".join(recent[n:]):
+        before, last = map("".join, self._recent)
+        if n and before != last:    # the blocks of the epochs e-1 and e
             return False
 
         if k and n:
-            self._write(encode_lines((Event(
-                self.epoch + 1, self._seq, SYSTEM, REPEAT, {"epochs": k, "lines": n}),))[0])
-        self._recent = strided("".join(recent), every)(k).splitlines(keepends=True)
-        once = replay_balances([Event(**json.loads(line)) for line in recent[n:]])
+            self._write(encode_lines(
+                (Event(self.epoch, self._seq, SYSTEM, REPEAT, {"epochs": k}),), self.epoch)[0])
+            self._header_epoch += k
+        once = replay_balances([Event(0, 0, **json.loads(line)) for line in last.splitlines()]
+                               if n else ())
         for moved in (self._balances, self._replay.balances):
             for name, amount in once.balances.items():
                 moved[name] = moved.get(name, 0) + k * amount
@@ -850,22 +864,46 @@ class Ledger:
     def flush(self) -> ReplayResult:
         """Encode and fold the committed events not yet flushed; drop them.
 
-        The batch's lines (:func:`encode_lines`) go to the log's file, and
+        The batch's lines (:func:`encode_lines`, whose headers carry on from
+        the last one written) go to the log's file, and
         :func:`replay_balances` folds the batch into the running replay.
-        Every flush, of a batch or of none, then leaves the ledger exactly
-        the lines from the epoch before the current one on (``_prev_seq``),
-        those a segment check reads. Returns the replay of the whole log so
-        far; the object is the ledger's own, and later flushes fold into it.
+        Every flush, of a batch or of none, then leaves the ledger the
+        blocks a segment check reads (``_recent``). Returns the replay of
+        the whole log so far; the object is the ledger's own, and later
+        flushes fold into it.
         """
-        pending, recent = self._pending, self._recent
+        pending = self._pending
         if pending:
-            lines = encode_lines(pending)
-            self._write("".join(lines))
+            text = "".join(encode_lines(pending, self._header_epoch))
+            self._write(text)
             replay_balances(pending, self._replay)
             self._pending = []
-            recent += lines
-        del recent[:max(len(recent) - (self._seq - self._prev_seq), 0)]
+            self._keep(pending, text)
         return self._replay
+
+    def _keep(self, events: list[Event], text: str) -> None:
+        """Fold a flushed batch, `events` written as `text`, into ``_recent``."""
+        last = self._recent[1]
+        epoch = events[-1].epoch
+        if epoch == self._header_epoch:     # no header: the last block goes on
+            last.append(text)
+            return
+        header = text.rfind('\n{"epoch":') + 1     # no payload holds a raw newline
+        i = len(events) - 2
+        while i >= 0 and events[i].epoch == epoch:
+            i -= 1
+        if i < 0:           # the batch opens the last block
+            prev, prev_epoch = last, self._header_epoch
+        else:               # the block before ends in the batch
+            prev_epoch = events[i].epoch
+            if prev_epoch == self._header_epoch:
+                prev = [*last, text[:header]]
+            else:
+                start = text.rfind('\n{"epoch":', 0, header - 1) + 1
+                prev = [text[text.index("\n", start) + 1:header]]
+        self._recent = [prev if prev_epoch == epoch - 1 else [],
+                        [text[text.index("\n", header) + 1:]]]
+        self._header_epoch = epoch
 
     def _write(self, text: str) -> None:
         """Write `text`, whole lines, to the log's file at the log's length."""
@@ -882,8 +920,9 @@ class Ledger:
         return LogText(self._log_file, self._log_len)
 
     def events_jsonl(self) -> str:
-        """The whole log as JSON lines, one event or ``Repeat`` line per line
-        (:func:`encode_lines`), read back from its file into a new string."""
+        """The whole log as JSON lines, one header, event or ``Repeat`` line
+        per line (:func:`encode_lines`), read back from its file into a new
+        string."""
         return "".join(self.log_text().chunks())
 
     def events_digest(self) -> str:
@@ -938,24 +977,3 @@ def replay_balances(events, into: ReplayResult | None = None) -> ReplayResult:
     into.minted += minted
     into.burned += burned
     return into
-
-
-def strided(block: str, strides: dict[str, int]) -> Callable[[int], str]:
-    """The function t -> `block` with each integer under a key of `strides`
-    advanced by t times its stride: the one line-advancing helper, which the
-    segment check and ``explain.expand`` share.
-
-    `block` is cut once at those integers. Only a JSON key is a quote, the
-    key and ``":`` unescaped: inside an encoded string a quote is ``\\"``.
-    """
-    keys = "|".join(re.escape(key) for key in strides)
-    parts = re.split(f'"({keys})":(-?\\d+)', block)
-    heads = [f'{text}"{key}":' for text, key in zip(parts[0::3], parts[1::3])]
-    fields = [(int(v), strides[key]) for key, v in zip(parts[1::3], parts[2::3])]
-    end = parts[-1]
-
-    def at(t: int) -> str:
-        return "".join([head + str(v + t * s) for head, (v, s) in zip(heads, fields)]) + end
-
-    return at
-

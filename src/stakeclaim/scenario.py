@@ -55,14 +55,14 @@ the same amounts, so the treasury's N and fees, the reward totals, the
 treasury's balance and the minted total rise by the same step each epoch,
 the wallets' windows slide, and the beacon's state is unchanged. The
 segment's states are closed forms (``ValidatorWallet.advance``,
-``TreasuryContract.advance``); its log lines are epoch e's own with
-``epoch`` and ``seq`` advanced, as no line states a running total, and its
-balance and supply moves k times those epoch e's lines make
-(``Ledger.advance_segment``, which counts epoch e's lines, first checks
-that epoch e-1's whole lines advance to them, and steps on if not).
-The log holds the segment as one ``Repeat`` line. ``explain.expand(log)``
-is byte for byte the log of stepping; the replay and every report field
-but ``events_digest`` are those of stepping.
+``TreasuryContract.advance``); each epoch's block is epoch e's own, as no
+line states a running total, and its balance and supply moves k times
+those epoch e's lines make (``Ledger.advance_segment``, which counts epoch
+e's lines, first checks that epoch e-1's block is the same string, and
+steps on if not). The log holds the segment as one ``Repeat`` line.
+``explain.expand(log)`` yields the events of stepping, epochs and seqs
+included; the replay and every report field but ``events_digest`` are
+those of stepping.
 
 :meth:`World.audit` runs at both ends of every segment, not at each
 epoch inside it, and that is enough. Inside a segment every term of every

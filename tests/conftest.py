@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from stakeclaim import golden_scenario_path
 from stakeclaim.beacon import BeaconContract, BeaconParams
-from stakeclaim.explain import expand
+from stakeclaim.explain import event_lines, expand
 from stakeclaim.ledger import CallContext, Event, Ledger, encode_lines
 from stakeclaim.mint import MintContract
 from stakeclaim.scenario import BehaviorWindow, DepositAction, MintSpec, Scenario, TreasurySpec, World
@@ -190,8 +190,9 @@ def transfer(led: Ledger, src: str, dst: str, amount: int) -> None:
 
 
 def to_json(e: Event) -> str:
-    """`e`'s line of ``Ledger.events_jsonl``, without the newline."""
-    return encode_lines((e,))[0][:-1]
+    """`e`'s event line of ``Ledger.events_jsonl``, without the newline:
+    the line under its epoch's header, which states its epoch."""
+    return encode_lines((e,), e.epoch)[0][:-1]
 
 
 def dust_of(state: TreasuryState) -> int:
@@ -200,17 +201,21 @@ def dust_of(state: TreasuryState) -> int:
 
 
 def expanded(log: str) -> str:
-    """`log` with each Repeat line written out (``explain.expand``); an
-    inconsistent Repeat fails the test."""
+    """`log`'s events, each a line with its epoch and seq, each Repeat
+    line's written out (``explain.event_lines``): the log of stepping; an
+    inconsistent log fails the test."""
     try:
-        return "".join(expand(log.splitlines(keepends=True)))
+        return "".join(event_lines(log.splitlines(keepends=True)))
     except ValueError as exc:
         pytest.fail(f"the log does not expand: {exc}")
 
 
 def logged_events(led: Ledger) -> list[Event]:
-    """Every event on `led`'s log so far, decoded from the expanded log."""
-    return [Event(**json.loads(line)) for line in expanded(led.events_jsonl()).splitlines()]
+    """Every event on `led`'s log so far, with its epoch and seq (``explain.expand``)."""
+    try:
+        return list(expand(led.events_jsonl().splitlines(keepends=True)))
+    except ValueError as exc:
+        pytest.fail(f"the log does not expand: {exc}")
 
 
 def small_scenario(**overrides) -> Scenario:

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import stakeclaim as sc
-from conftest import SteppedWorld, json_values, one_field_replaced
+from conftest import SteppedWorld, expanded, json_values, one_field_replaced
 from stakeclaim.cli import main
 from stakeclaim.errors import InvariantViolation
 from stakeclaim.explain import rebuild, rebuild_report
@@ -284,8 +284,11 @@ class TestRun:
         assert f"invariant violation: epoch {k}: planted" in capsys.readouterr().err
         partial = (out / "events.jsonl").read_bytes()
         assert 0 < len(partial) < len(clean) and clean.startswith(partial)
-        assert json.loads(partial.splitlines()[-1])["epoch"] == k
-        assert json.loads(clean[len(partial):].splitlines()[0])["epoch"] == k + 1
+        headers = [line for line in partial.splitlines() if line.startswith(b'{"epoch":')]
+        assert json.loads(headers[-1]) == {"epoch": k}
+        # The full run went on with a segment of epoch k's block, from k + 1.
+        assert json.loads(clean[len(partial):].splitlines()[0]) \
+            == {"emitter": "system", "tag": "Repeat", "payload": {"epochs": 100 - k}}
         assert not (out / "report.json").exists()
         # The evidence folds: past its terms, which state the horizon the run
         # was to reach, the log so far is the log of the run cut at k, but
@@ -293,8 +296,8 @@ class TestRun:
         # run's report from its own Genesis line, with the horizon it states.
         monkeypatch.setattr(World, "audit", audit)
         cut = World(replace(sc.load_scenario(scenario), horizon=k)).run()
-        terms, *rest = partial.decode().splitlines(keepends=True)
-        cut_terms, *cut_rest, end = cut.events_jsonl.splitlines(keepends=True)
+        _, terms, *rest = partial.decode().splitlines(keepends=True)
+        _, cut_terms, *cut_rest, end = cut.events_jsonl.splitlines(keepends=True)
         assert rest == cut_rest and json.loads(terms)["payload"]["horizon"] == 100
         assert json.loads(end)["tag"] == "End"
         report, ended = rebuild(partial.decode().splitlines(keepends=True))
@@ -559,8 +562,8 @@ class TestExplainCommand:
         assert run_cli("explain", "--events", str(tmp_path / "events.jsonl"), "--expand") == 0
         printed = capsys.readouterr()
         assert printed.err == ""
-        assert printed.out == SteppedWorld(sc.load_scenario(sc.golden_scenario_path(name))) \
-            .run().events_jsonl
+        assert printed.out == expanded(
+            SteppedWorld(sc.load_scenario(sc.golden_scenario_path(name))).run().events_jsonl)
         assert hashlib.sha256(printed.out.encode()).hexdigest() == STEPPED_DIGESTS[name]
 
     @pytest.mark.parametrize("name", sc.GOLDEN_SCENARIOS)
@@ -590,7 +593,7 @@ class TestExplainCommand:
     @pytest.mark.parametrize("content", [
         None,                                   # no such file
         b"{not json\n",
-        b'{"epoch":0,"seq":0,"emitter":"alice","tag":"SupplyMint",'
+        b'{"epoch":0}\n{"emitter":"alice","tag":"SupplyMint",'
         b'"payload":{"amount":1,"memo":"m"}}\n',   # no Genesis line first
     ], ids=["missing", "not-json", "no-terms"])
     def test_verifying_an_unreadable_log_exits_1(self, content, tmp_path, capsys):
@@ -603,10 +606,18 @@ class TestExplainCommand:
         assert printed.err.startswith("--events: ") and "Traceback" not in printed.err
 
     def test_a_log_without_repeat_lines_prints_as_it_is(self, tmp_path, capsys):
+        # Each event line as it is, with its header's epoch and its position
+        # among the events put in front.
         log = SteppedWorld(sc.load_scenario(sc.golden_scenario_path("slashed"))).run().events_jsonl
         (tmp_path / "events.jsonl").write_text(log)
         assert run_cli("explain", "--events", str(tmp_path / "events.jsonl"), "--expand") == 0
-        assert capsys.readouterr().out == log
+        want, epoch = [], None
+        for line in log.splitlines():
+            if line.startswith('{"epoch":'):
+                epoch = json.loads(line)["epoch"]
+            else:
+                want.append(f'{{"epoch":{epoch},"seq":{len(want)},{line[1:]}\n')
+        assert capsys.readouterr().out == "".join(want)
 
     def test_a_reader_that_stops_early_ends_it_quietly(self, tmp_path):
         # As `stakeclaim explain ... --expand | head -1` does: the expanded
@@ -629,8 +640,8 @@ class TestExplainCommand:
         None,                                   # no such file
         b"\xff\xfe{",                           # not UTF-8
         b"{not json\n",
-        b'{"epoch":4,"seq":0,"emitter":"system","tag":"Repeat",'
-        b'"payload":{"epochs":1,"lines":1}}\n',   # a Repeat with no epoch before it
+        b'{"epoch":4}\n{"emitter":"system","tag":"Repeat",'
+        b'"payload":{"epochs":1}}\n',   # a Repeat with no block before it
     ], ids=["missing", "undecodable", "not-json", "inconsistent-repeat"])
     def test_an_unreadable_or_inconsistent_log_exits_1(self, content, tmp_path, capsys):
         path = tmp_path / "events.jsonl"

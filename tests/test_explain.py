@@ -6,8 +6,8 @@ exactly, field for field. It
 runs over the acceptance corpus with claims and resales added (as
 ``test_handler_purity`` does), over the three goldens as the CLI writes
 them, and over one scenario built to reach every path of the credit trail.
-It folds the log written out (``explain.expand``), which refuses a
-``Repeat`` line that does not fit the lines around it.
+It folds the events the log's lines stand for (``explain.expand``), which
+refuses a header or a ``Repeat`` line that does not fit the lines around it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import pytest
 
 import stakeclaim as sc
 from stakeclaim.cli import main as cli_main
-from stakeclaim.explain import expand, rebuild, rebuild_report
+from stakeclaim.explain import event_lines, expand, rebuild, rebuild_report
 from stakeclaim.ledger import Event, encode_lines
 from stakeclaim.scenario import (
     MINT,
@@ -58,6 +58,20 @@ def assert_rebuilt(report) -> None:
     differ = [key for key in want if got[key] != want[key]]
     assert not differ, f"{differ[0]}: rebuilt {got[differ[0]]!r}, reported {want[differ[0]]!r}"
     assert got.keys() == want.keys()
+
+
+def line_of(e: dict) -> str:
+    """A decoded log line, a header or an event, written back."""
+    return json.dumps(e, separators=(",", ":")) + "\n"
+
+
+def seq_of(lines: list[str], i: int) -> int:
+    """The seq of the event on line i: how many events the lines before it stand for."""
+    return sum(1 for _ in expand(lines[:i + 1])) - 1
+
+
+def is_header(line: str) -> bool:
+    return line.startswith('{"epoch":')
 
 
 @pytest.mark.parametrize("name", sc.GOLDEN_SCENARIOS)
@@ -165,7 +179,7 @@ def test_a_log_without_its_end_folds_as_the_run_cut_at_its_last_line():
     # terms state, and for the End line only a report writes.
     s = exit_due_at_the_horizon()
     lines = sc.run(s).events_jsonl.splitlines(keepends=True)
-    cut = [line for line in lines if json.loads(line)["epoch"] <= 12]
+    cut = lines[:lines.index('{"epoch":13}\n')]
     assert json.loads(cut[-1])["tag"] != "End"
     report, ended = rebuild(cut)
     shorter = sc.run(replace(s, horizon=12))
@@ -182,10 +196,13 @@ def test_every_prefix_of_a_log_folds_as_the_run_cut_at_its_last_line(name):
     # reaches (for a Repeat, the last it stands for), or does not fold.
     lines = sc.run(sc.load_scenario(sc.golden_scenario_path(name))) \
         .events_jsonl.splitlines(keepends=True)
-    folded = 0
+    folded = reaches = 0
     for n in range(1, len(lines) + 1):
         last = json.loads(lines[n - 1])
-        reaches = last["epoch"] + (last["payload"]["epochs"] - 1 if last["tag"] == "Repeat" else 0)
+        if "epoch" in last:         # a prefix ending at a header opens an empty block
+            reaches = last["epoch"]
+        elif last["tag"] == "Repeat":
+            reaches += last["payload"]["epochs"]
         try:
             report, ended = rebuild(lines[:n])
         except ValueError:
@@ -204,8 +221,8 @@ def test_validate_and_the_fold_agree_on_who_is_a_holder(name, tag):
     rejected = any(p.startswith("deposits[2].holder ") for p in validate(s))
     payload = ({"amount": 1, "memo": "m"} if tag == "SupplyMint"
                else {"target": MINT, "method": "mint"})
-    terms = World(small_scenario()).ledger.events_jsonl().splitlines(keepends=True)[0]
-    rebuilt = rebuild_report([terms, *encode_lines([Event(0, 1, name, tag, payload)])])
+    terms = World(small_scenario()).ledger.events_jsonl().splitlines(keepends=True)[:2]
+    rebuilt = rebuild_report([*terms, *encode_lines([Event(0, 1, name, tag, payload)], 0)])
     assert ({h["holder"] for h in rebuilt["holders"]} == {name}) is not rejected
     assert rejected is (name != "dave")
 
@@ -320,7 +337,7 @@ def test_one_unit_added_to_an_amount_the_fold_reads_fails_replay_ok(run, at, key
     i = at(lines)
     e = json.loads(lines[i])
     e["payload"][key] += 1
-    lines[i] = encode_lines([Event(**e)])[0]
+    lines[i] = line_of(e)
     assert not rebuild_report(lines)["conservation"]["replay_ok"]
 
 
@@ -332,10 +349,10 @@ def test_a_fee_reckoned_by_other_terms_fails_replay_ok(run):
     # terms with no fee, it pays out what the fold does not rebuild.
     report = run()
     lines = report.events_jsonl.splitlines(keepends=True)
-    e = json.loads(lines[0])
+    e = json.loads(lines[1])
     assert e["tag"] == "Genesis" and e["payload"]["treasury"]["fee_bps"] > 0
     e["payload"]["treasury"]["fee_bps"] = 0
-    lines[0] = encode_lines([Event(**e)])[0]
+    lines[1] = line_of(e)
     assert not rebuild_report(lines)["conservation"]["replay_ok"]
 
 
@@ -361,7 +378,7 @@ def test_a_refund_paid_to_another_name_fails_replay_ok(run, at, pair, to):
     names, key = (e["payload"], "to") if pair is None else (e["payload"]["to"], pair)
     assert names[key] != to
     names[key] = to
-    lines[i] = encode_lines([Event(**e)])[0]
+    lines[i] = line_of(e)
     assert not rebuild_report(lines)["conservation"]["replay_ok"]
 
 
@@ -384,7 +401,7 @@ def test_one_unit_added_to_a_claim_or_a_deposit_fails_replay_ok(
     for i in found:
         e = json.loads(lines[i])
         e["payload"][key] += 1
-        tampered = [*lines[:i], encode_lines([Event(**e)])[0], *lines[i + 1:]]
+        tampered = [*lines[:i], line_of(e), *lines[i + 1:]]
         assert not rebuild_report(tampered)["conservation"]["replay_ok"], i
 
 
@@ -399,8 +416,36 @@ def test_one_unit_added_to_a_reward_receipt_fails_replay_ok():
     for i in (receipts[0], receipts[-1]):
         e = json.loads(lines[i])
         e["payload"]["value"] += 1
-        tampered = [*lines[:i], encode_lines([Event(**e)])[0], *lines[i + 1:]]
+        tampered = [*lines[:i], line_of(e), *lines[i + 1:]]
         assert not rebuild_report(tampered)["conservation"]["replay_ok"]
+
+
+@pytest.mark.parametrize("name", sc.GOLDEN_SCENARIOS)
+def test_a_reward_receipt_one_unit_short_fails_replay_ok(name):
+    # A wallet forwards all it holds: one unit less, at the first receipt
+    # or the last, leaves that unit in the wallet, and in a run without
+    # claims every balance and identity adds up all the same.
+    lines = sc.run(sc.load_scenario(sc.golden_scenario_path(name))) \
+        .events_jsonl.splitlines(keepends=True)
+    receipts = [i for i, line in enumerate(lines) if '"method":"receive_rewards","value":' in line]
+    for i in (receipts[0], receipts[-1]):
+        tampered = [*lines[:i], changed(lines[i], lambda e: e["payload"].update(
+            value=e["payload"]["value"] - 1)), *lines[i + 1:]]
+        assert not rebuild_report(tampered)["conservation"]["replay_ok"]
+
+
+@pytest.mark.parametrize("name", sc.GOLDEN_SCENARIOS)
+def test_an_epoch_deleted_whole_fails_replay_ok(name):
+    # The beacon accrues once an epoch, from the epoch after the stake until
+    # every validator is Withdrawn. A stepped epoch's block deleted, its
+    # header and all, leaves every balance, identity and restated amount
+    # of the rest as they were, but no accrual at that epoch.
+    lines = sc.run(sc.load_scenario(sc.golden_scenario_path(name))) \
+        .events_jsonl.splitlines(keepends=True)
+    start = lines.index('{"epoch":5}\n')
+    end = next(i for i in range(start + 1, len(lines)) if is_header(lines[i]))
+    assert '"method":"accrue_epoch"' in lines[start + 1]
+    assert not rebuild_report([*lines[:start], *lines[end:]])["conservation"]["replay_ok"]
 
 
 def test_an_accrual_line_deleted_or_restated_fails_replay_ok():
@@ -409,8 +454,7 @@ def test_an_accrual_line_deleted_or_restated_fails_replay_ok():
     # leaves an accrual whose SupplyMint or Active validators the carried
     # amounts do not fit; logged again where the amounts did not change,
     # it is no line the beacon writes.
-    lines = list(expand(run_with_resales_claims_and_both_exit_causes().events_jsonl
-                        .splitlines(keepends=True)))
+    lines = run_with_resales_claims_and_both_exit_causes().events_jsonl.splitlines(keepends=True)
     assert rebuild_report(lines)["conservation"]["replay_ok"]
     accruals = [i for i, line in enumerate(lines) if '"tag":"EpochAccrual"' in line]
     assert len(accruals) == 2      # both validators Active, then validator 0 alone
@@ -439,23 +483,62 @@ def test_a_claim_paid_by_a_batch_the_ledger_does_not_write_fails(change):
     i = first(CLAIM, then=1)(lines)
     e = json.loads(lines[i])
     e.update(tag="TransferBatch", payload=change(e["payload"]))
-    lines[i] = encode_lines([Event(**e)])[0]
+    lines[i] = line_of(e)
     try:
         replay_ok = rebuild_report(lines)["conservation"]["replay_ok"]
     except ValueError as exc:
-        assert str(exc).startswith(f"the line at seq {e['seq']} does not fold"), exc
+        assert str(exc).startswith(f"the line at seq {seq_of(lines, i)} does not fold"), exc
     else:
         assert not replay_ok
 
 
+def swapping_factors() -> sc.Scenario:
+    """Two validators at factors 1 and 1/2 that swap at epoch 10: its two
+    EpochAccrual lines mint the same sum, each validator's reward the
+    other's in the other line."""
+    return small_scenario(
+        treasury=TreasurySpec(fee_bps=1000, expected_reward_per_epoch=20, grace_epochs=3,
+                              escrow_required=50, validators=2),
+        deposits=(DepositAction("alice", 8000, 0), DepositAction("bob", 4800, 0)),
+        operator_schedule=(BehaviorWindow(from_epoch=0, to_epoch=10, factor=1.0, validator=0),
+                           BehaviorWindow(from_epoch=10, factor=0.5, validator=0),
+                           BehaviorWindow(from_epoch=0, to_epoch=10, factor=0.5, validator=1),
+                           BehaviorWindow(from_epoch=10, factor=1.0, validator=1)))
+
+
+@pytest.mark.parametrize("tamper", ["swapped", "second-deleted"])
+def test_an_accrual_paid_to_the_other_validator_fails_replay_ok(tamper):
+    # The fold rebuilds each validator's beacon balance from its accruals,
+    # and a sweep pays out its excess over the stake. Each accrual's
+    # amounts swapped between the two validators, or the second accrual
+    # deleted, so that the first is carried past the swap, leaves every id
+    # and every sum as it was: only the sweeps' payouts tell.
+    lines = sc.run(swapping_factors()).events_jsonl.splitlines(keepends=True)
+    assert rebuild_report(lines)["conservation"]["replay_ok"]
+    accruals = [i for i, line in enumerate(lines) if '"tag":"EpochAccrual"' in line]
+    assert [json.loads(lines[i])["payload"] for i in accruals] \
+        == [{"minted": 150, "amounts": [[0, 100], [1, 50]]},
+            {"minted": 150, "amounts": [[0, 50], [1, 100]]}]
+    if tamper == "swapped":
+        for i in accruals:
+            lines[i] = changed(lines[i], lambda e: e["payload"].update(
+                amounts=[[0, e["payload"]["amounts"][1][1]], [1, e["payload"]["amounts"][0][1]]]))
+    else:
+        del lines[accruals[1]]
+    assert not rebuild_report(lines)["conservation"]["replay_ok"]
+
+
 def test_a_validator_activated_off_its_epoch_fails_replay_ok():
     # Its activation epoch is the activation delay after its deposit: an
-    # Activated line an epoch late is not the beacon's, though the
-    # accruals after it name the validator Active all the same.
+    # Activated line an epoch early, the last of the epoch before, is not
+    # the beacon's, though the accruals after it name the validator Active
+    # all the same.
     report = run_with_resales_claims_and_both_exit_causes()
     lines = report.events_jsonl.splitlines(keepends=True)
     i = first('"tag":"Activated"')(lines)
-    lines[i] = changed(lines[i], lambda e: e.update(epoch=e["epoch"] + 1))
+    header = max(j for j in range(i) if is_header(lines[j]))
+    assert not is_header(lines[header - 1])     # the epoch before logged
+    lines.insert(header, lines.pop(i))
     assert not rebuild_report(lines)["conservation"]["replay_ok"]
 
 
@@ -470,7 +553,8 @@ UNCHECKED = {
     ("ExitTriggered", "window_sum"):
         "the receipts in the watchdog's window are not summed from the log",
     ("Slashed", "fraction_bps"):
-        "the validator's beacon balance, which it is a share of, is not rebuilt from the log",
+        "the burn is checked against the validator's rebuilt beacon balance, but a basis "
+        "point more burns no unit more of a balance below 10,000 units, as in the small runs",
     # The terms that no line of some run restates.
     ("Genesis", "treasury.fee_bps"):
         "a fee floors value * fee_bps / 10000, so one point more moves no fee of a receipt "
@@ -510,12 +594,14 @@ def int_paths(value, path: IntPath = ()) -> Iterator[IntPath]:
 
 
 def int_fields(lines: list[str]) -> dict[tuple[str, str], list[tuple[int, IntPath]]]:
-    """(tag, field) -> (line index, path) of every int under a key in a
-    line's payload, the field being the key and any keys nested under it,
-    dotted ("treasury.fee_bps")."""
+    """(tag, field) -> (line index, path) of every int under a key in an
+    event line's payload, the field being the key and any keys nested under
+    it, dotted ("treasury.fee_bps")."""
     fields: dict[tuple[str, str], list[tuple[int, IntPath]]] = {}
     for i, line in enumerate(lines):
         e = json.loads(line)
+        if "epoch" in e:        # a header: its int is swept apart
+            continue
         for key, value in e["payload"].items():
             for path in int_paths(value):
                 name = ".".join([key, *(at for at in path if type(at) is str)])
@@ -533,9 +619,10 @@ def one_unit_added(payload: dict, key: str, path: IntPath) -> None:
 
 def test_one_unit_added_to_any_int_field_fails_replay_ok():
     # Every int field of every line kind, each int of it, nested in dicts
-    # and lists too, at its first and its last line, in six logs: a +1 must make
-    # replay_ok false (or make the log refuse to expand), unless UNCHECKED
-    # names the field and says why.
+    # and lists too, at its first and its last line, and the epoch of the
+    # first and the last header, in six logs: a +1 must make replay_ok
+    # false (or make the log refuse to expand), unless UNCHECKED names the
+    # field and says why.
     runs = [sc.run(sc.load_scenario(sc.golden_scenario_path(name)))
             for name in sc.GOLDEN_SCENARIOS]
     runs += [run_with_resales_claims_and_both_exit_causes(), run_with_the_escrow_refunded(),
@@ -543,12 +630,15 @@ def test_one_unit_added_to_any_int_field_fails_replay_ok():
     missed = set()
     for report in runs:
         lines = report.events_jsonl.splitlines(keepends=True)
-        for (tag, key), at in int_fields(lines).items():
+        headers = [i for i, line in enumerate(lines) if is_header(line)]
+        fields = {**int_fields(lines),
+                  ("header", "epoch"): [(i, ()) for i in (headers[0], headers[-1])]}
+        for (tag, key), at in fields.items():
             ends = {at[0][0], at[-1][0]}
             for i, path in (x for x in at if x[0] in ends):
                 e = json.loads(lines[i])
-                one_unit_added(e["payload"], key.split(".")[0], path)
-                tampered = [*lines[:i], encode_lines([Event(**e)])[0], *lines[i + 1:]]
+                one_unit_added(e if tag == "header" else e["payload"], key.split(".")[0], path)
+                tampered = [*lines[:i], line_of(e), *lines[i + 1:]]
                 try:
                     kept = rebuild_report(tampered)["conservation"]["replay_ok"]
                 except ValueError:
@@ -584,12 +674,12 @@ def test_a_line_the_fold_cannot_read_fails_replay_ok_or_names_its_seq(marker, ch
     i = next(i for i, line in enumerate(lines) if marker in line)
     e = json.loads(lines[i])
     change(e)
-    lines[i] = encode_lines([Event(**e)])[0]
+    lines[i] = line_of(e)
     try:
         replay_ok = rebuild_report(lines)["conservation"]["replay_ok"]
     except ValueError as exc:
         named = re.match(r"the line at seq (\d+) ", str(exc))
-        assert named and int(named[1]) == e["seq"], exc
+        assert named and int(named[1]) == seq_of(lines, i), exc
     else:
         assert not replay_ok
 
@@ -606,31 +696,32 @@ NO_TERMS_FIRST = {
 @pytest.mark.parametrize("case", NO_TERMS_FIRST)
 def test_a_log_that_does_not_begin_with_its_terms_does_not_fold(case):
     # The terms are stated once, first: the fold reads every line by them.
-    lines = list(expand(sc.run(small_scenario()).events_jsonl.splitlines(keepends=True)))
+    # Line 0 is epoch 0's header, line 1 the Genesis line.
+    lines = sc.run(small_scenario()).events_jsonl.splitlines(keepends=True)
     if case == "empty":
         lines = []
     elif case == "no-Genesis":
-        lines = lines[1:]
+        del lines[1]
     elif case == "Genesis-at-seq-1":
-        lines[0] = changed(lines[0], lambda e: e.update(seq=1))
+        lines[1], lines[2] = lines[2], lines[1]
     else:
-        last = json.loads(lines[-1])
-        lines.append(changed(lines[0], lambda e: e.update(epoch=last["epoch"],
-                                                          seq=last["seq"] + 1)))
+        lines.append(lines[1])
     with pytest.raises(ValueError, match=NO_TERMS_FIRST[case]):
         rebuild_report(lines)
 
 
 def test_every_log_line_the_readme_shows_is_a_line_of_the_honest_golden():
-    # Written as the log writes it, or, inside a quiet stretch, as expand does.
+    # Written as the log writes it, or as `stakeclaim explain --expand`
+    # prints it (explain.event_lines).
     blocks = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     shown = [line + "\n" for block in blocks for line in block.splitlines()
-             if line.startswith('{"epoch"')]
+             if line.startswith(('{"epoch"', '{"emitter"'))]
     assert len(shown) >= 4
     log = sc.run(sc.load_scenario(sc.golden_scenario_path("honest"))).events_jsonl
     lines = log.splitlines(keepends=True)
-    written, expanded = set(lines), set(expand(lines))
-    assert [line for line in shown if line not in written | expanded] == []
+    written, printed = set(lines), set(event_lines(lines))
+    assert any(line in printed for line in shown)
+    assert [line for line in shown if line not in written | printed] == []
 
 
 def lines_around_a_repeat(report: RunReport) -> tuple[list[str], int]:
@@ -646,20 +737,25 @@ def changed(line: str, change) -> str:
     return json.dumps(e, separators=(",", ":")) + "\n"
 
 
+# The escrow-refunded run's first Repeat stands for one epoch, 4, and the
+# header of epoch 5 follows it.
 @pytest.mark.parametrize("at, change", [
     (0, lambda e: e["payload"].update(epochs=e["payload"]["epochs"] + 1)),
     (0, lambda e: e["payload"].update(epochs=e["payload"]["epochs"] - 1)),
     (0, lambda e: e["payload"].update(epochs=0)),
-    (0, lambda e: e["payload"].update(lines=e["payload"]["lines"] + 1)),
-    (0, lambda e: e["payload"].update(lines=e["payload"]["lines"] - 1)),
+    # A Repeat states no count of lines: its block is the last epoch's, whole.
+    (0, lambda e: e["payload"].update(lines=6)),
+    (0, lambda e: e["payload"].update(lines=5)),
     (0, lambda e: e["payload"].update(net_total="1")),
     (0, lambda e: e["payload"].update(net_total=1)),
-    (0, lambda e: e["payload"].pop("lines")),
-    (0, lambda e: e.update(epoch=e["epoch"] + 1)),
-    (0, lambda e: e.update(seq=e["seq"] + 1)),
-    (1, lambda e: e.update(seq=e["seq"] + 1)),
+    (0, lambda e: e["payload"].pop("epochs")),
+    # No line but a header states an epoch, and none a seq.
+    (0, lambda e: e.update(epoch=4)),
+    (0, lambda e: e.update(seq=0)),
+    (1, lambda e: e.update(seq=0)),
     (1, lambda e: e.update(epoch=e["epoch"] - 1)),
-    (-1, lambda e: e.update(epoch=e["epoch"] - 1)),
+    # A header for the block's last line: the Repeat follows an empty block.
+    (-1, lambda e: (e.clear(), e.update(epoch=4))),
 ], ids=["epochs+1", "epochs-1", "epochs=0", "lines+1", "lines-1", "stride-not-an-int",
         "stride", "no-lines",
         "epoch+1", "seq+1", "next-seq+1", "next-epoch-overlaps", "epoch-before-split"])
@@ -667,7 +763,10 @@ def test_a_repeat_that_does_not_fit_the_lines_around_it_does_not_expand(at, chan
     # `at` picks the Repeat line (0), the line after it (1) or the line before it (-1).
     report = run_with_the_escrow_refunded()
     lines, i = lines_around_a_repeat(report)
-    assert "".join(expand(lines)) == SteppedWorld(escrow_refunded()).run().events_jsonl
+    assert json.loads(lines[i + 1]) == {"epoch": 5}
+    assert "".join(event_lines(lines)) \
+        == "".join(event_lines(SteppedWorld(escrow_refunded()).run().events_jsonl
+                               .splitlines(keepends=True)))
     lines[i + at] = changed(lines[i + at], change)
     with pytest.raises(ValueError):
         list(expand(lines))
@@ -690,13 +789,16 @@ def two_repeats_in_a_row() -> tuple[list[str], str]:
 
 @pytest.mark.parametrize("key", ["lines", "epochs", "seq"])
 def test_two_repeats_in_a_row_expand_as_stepping_would(key):
+    # One more epoch runs into the header after; a lines count or a seq
+    # is no key of a Repeat line.
     lines, stepped = two_repeats_in_a_row()
-    assert "".join(expand(lines)) == stepped
+    assert "".join(event_lines(lines)) == "".join(event_lines(stepped.splitlines(keepends=True)))
     i = max(i for i, line in enumerate(lines) if '"tag":"Repeat"' in line)
     assert '"tag":"Repeat"' in lines[i - 1]
 
     def one_more(e):
-        (e if key == "seq" else e["payload"])[key] += 1
+        at = e if key == "seq" else e["payload"]
+        at[key] = at.get(key, 0) + 1
 
     lines[i] = changed(lines[i], one_more)
     with pytest.raises(ValueError):
@@ -705,14 +807,14 @@ def test_two_repeats_in_a_row_expand_as_stepping_would(key):
 
 @pytest.mark.parametrize("epochs, expands", [(2, True), (3, False)])
 def test_a_repeat_ends_by_the_last_epoch_a_run_can_reach(epochs, expands):
-    # One line at epoch HORIZON_MAX - 2, then a Repeat of it from the epoch
+    # One line at epoch HORIZON_MAX - 2, then a Repeat of it for the epochs
     # after: two epochs end on HORIZON_MAX, three would pass it.
     last = sc.scenario.HORIZON_MAX
-    lines = [encode_lines([Event(last - 2, 0, "alice", "Note", {})])[0],
-             f'{{"epoch":{last - 1},"seq":1,"emitter":"system","tag":"Repeat",'
-             f'"payload":{{"epochs":{epochs},"lines":1}}}}\n']
+    lines = [*encode_lines([Event(last - 2, 0, "alice", "Note", {})]),
+             f'{{"emitter":"system","tag":"Repeat","payload":{{"epochs":{epochs}}}}}\n']
     if expands:
-        assert [json.loads(line)["epoch"] for line in expand(lines)] == [last - 2, last - 1, last]
+        assert [(e.epoch, e.seq) for e in expand(lines)] \
+            == [(last - 2, 0), (last - 1, 1), (last, 2)]
     else:
         with pytest.raises(ValueError, match=f"runs past epoch {last}"):
             list(expand(lines))
@@ -731,8 +833,39 @@ def test_a_repeat_of_a_trillion_epochs_raises_before_its_first_line():
         rebuild_report(lines)
 
 
+E = '{"emitter":"a","tag":"b","payload":{}}\n'
+REPEAT = '{"emitter":"system","tag":"Repeat","payload":{"epochs":1}}\n'
+
+
+@pytest.mark.parametrize("lines, match", [
+    (['{"epoch":1}\n', E, '{"epoch":1}\n', E], "header of epoch 1 follows epoch 1"),
+    (['{"epoch":2}\n', E, '{"epoch":1}\n', E], "header of epoch 1 follows epoch 2"),
+    (['{"epoch":0}\n', E, REPEAT, '{"epoch":1}\n', E], "header of epoch 1 follows epoch 1"),
+    (['{"epoch":0}\n', '{"epoch":1}\n', E], "header of epoch 0 opens no block"),
+    (['{"epoch":0}\n', E, '{"epoch":1}\n'], "header of epoch 1 opens no block"),
+    (['{"epoch":0}\n', REPEAT, E], "follows no block"),
+    ([REPEAT, '{"epoch":0}\n', E], "before the first header"),
+    ([E], "before the first header"),
+], ids=["header-repeated", "header-earlier", "header-inside-a-repeat", "empty-block",
+        "empty-last-block", "repeat-after-a-header", "repeat-first", "event-first"])
+def test_a_block_out_of_order_or_empty_does_not_expand(lines, match):
+    # Headers strictly increase, past the epochs a Repeat stands for too;
+    # each opens a block of one event or more, and a Repeat repeats one.
+    with pytest.raises(ValueError, match=match):
+        list(expand(lines))
+
+
+def test_events_after_a_repeat_are_of_its_last_epoch_and_a_repeat_repeats_them():
+    # Seqs count on through the events a Repeat stands for.
+    lines = ['{"epoch":3}\n', E, REPEAT.replace("1", "2"), E, REPEAT, '{"epoch":9}\n', E]
+    assert [(e.epoch, e.seq) for e in expand(lines)] \
+        == [(3, 0), (4, 1), (5, 2), (5, 3), (6, 4), (6, 5), (9, 6)]
+
+
 @pytest.mark.parametrize("line", ["[1, 2]\n", "7\n", '{"epoch": 0}\n', "{not json\n",
                                   '{"epoch":"0","seq":0,"emitter":"a","tag":"b","payload":{}}\n'])
 def test_a_line_that_is_not_a_log_line_does_not_expand(line):
+    # Each after a header and an event, as the second line of a block or
+    # the first of the next: a header alone is a block with no event.
     with pytest.raises(ValueError):
-        list(expand([line]))
+        list(expand(['{"epoch":0}\n', '{"emitter":"a","tag":"b","payload":{}}\n', line]))

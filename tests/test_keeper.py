@@ -110,7 +110,7 @@ def assert_keepers_agree(scenario: Scenario) -> None:
     old = old_world.run()
     assert economics(new) == economics(old)
     kept = []
-    for line in old.events_jsonl.splitlines():
+    for line in expanded(old.events_jsonl).splitlines():
         seq, rest = split_seq(line)
         if seq in old_world.declined:
             event = json.loads(line)

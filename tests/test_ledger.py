@@ -296,12 +296,11 @@ class TestEpochs:
 
             for _ in range(10):
                 led.advance_epoch(substeps)
-            return led.events_jsonl()
+            return led.events_jsonl(), logged_events(led)
 
-        log = build()
-        assert log == build()
-        moves = [(e["epoch"], e["emitter"]) for e in map(json.loads, log.splitlines())
-                 if e["tag"] == "Transfer"]
+        (log, events), again = build(), build()
+        assert log == again[0]
+        moves = [(e.epoch, e.emitter) for e in events if e.tag == "Transfer"]
         assert moves == [(epoch, src) for epoch in range(1, 11) for src in "ab"]
 
 
@@ -309,10 +308,19 @@ class TestEventLog:
     def test_jsonl_field_order(self):
         led = fresh_ledger(a=5, b=0)
         transfer(led, "a", "b", 2)
-        line = led.events_jsonl().splitlines()[-1]
-        assert line.startswith('{"epoch":0,"seq":')
-        parsed = json.loads(line)
-        assert list(parsed) == ["epoch", "seq", "emitter", "tag", "payload"]
+        header, *lines = led.events_jsonl().splitlines()
+        assert header == '{"epoch":0}'
+        assert [list(json.loads(line)) for line in lines] == [["emitter", "tag", "payload"]] * 2
+
+    def test_a_header_opens_each_epoch_that_logs_and_no_other(self):
+        # Epochs 1 and 3 log nothing; an event's epoch is its header's.
+        led = fresh_ledger(a=10, b=0)
+        for logs in (False, True, False, True, True):
+            led.advance_epoch(lambda: transfer(led, "a", "b", 1) if logs else None)
+        lines = led.events_jsonl().splitlines()
+        assert [json.loads(line)["epoch"] for line in lines if "epoch" in json.loads(line)] \
+            == [0, 2, 4, 5]
+        assert [e.epoch for e in logged_events(led)] == [0, 2, 4, 5]
 
     def test_seq_is_total_order(self):
         led = fresh_ledger(a=10, b=0)
@@ -396,8 +404,20 @@ def event_tags(max_size: int):
 
 
 def dumps_line(e: Event) -> str:
-    return json.dumps({"epoch": e.epoch, "seq": e.seq, "emitter": e.emitter,
-                       "tag": e.tag, "payload": e.payload}, separators=(",", ":"))
+    return json.dumps({"emitter": e.emitter, "tag": e.tag, "payload": e.payload},
+                      separators=(",", ":"))
+
+
+def dumps_log(events, epoch: int = -1) -> list[str]:
+    """The oracle of ``encode_lines(events, epoch)``: each event's line,
+    after a header wherever the epoch changes."""
+    out = []
+    for e in events:
+        if e.epoch != epoch:
+            epoch = e.epoch
+            out.append(json.dumps({"epoch": epoch}, separators=(",", ":")) + "\n")
+        out.append(dumps_line(e) + "\n")
+    return out
 
 
 class TestEventEncoding:
@@ -406,14 +426,19 @@ class TestEventEncoding:
                               st.sampled_from(["Transfer", "Tag\u00e9", "x\n"]),
                               payloads | flat_payloads | row_payloads),
                     max_size=8),
-           st.integers(min_value=0, max_value=10 ** 9))
-    def test_lines_equal_json_dumps(self, entries, epoch):
+           st.integers(min_value=0, max_value=10 ** 9), st.lists(st.booleans(), max_size=8),
+           st.integers(min_value=-1, max_value=1))
+    def test_lines_equal_json_dumps(self, entries, epoch, later, carried):
         # Several events per call, so one payload's cached keys and strings
-        # serve the next ones.
-        events = [Event(epoch, seq, em, tag, p) for seq, (em, tag, p) in enumerate(entries)]
-        lines = encode_lines(events)
-        assert lines == [dumps_line(e) + "\n" for e in events]
-        assert [to_json(e) for e in events] == [line[:-1] for line in lines]
+        # serve the next ones. Each may be an epoch after the one before, and
+        # the first's header is left out if the last header written was its.
+        epochs = [epoch + sum(later[:i + 1]) for i in range(len(entries))]
+        events = [Event(e, seq, em, tag, p) for seq, (e, (em, tag, p))
+                  in enumerate(zip(epochs, entries))]
+        lines = encode_lines(events, epoch + carried)
+        assert lines == dumps_log(events, epoch + carried)
+        assert [to_json(e) for e in events] == [line[:-1] for line in lines
+                                                if not line.startswith('{"epoch":')]
 
     @settings(max_examples=100)
     @given(st.lists(st.tuples(st.sampled_from(["a", "b"]), event_tags(4),
@@ -424,8 +449,7 @@ class TestEventEncoding:
             led.emit(emitter, tag, payload)
             led.advance_epoch()
         events = list(led._pending)      # the Event objects, before events_jsonl encodes them
-        assert led.events_jsonl() == "".join(to_json(e) + "\n" for e in events)
-        assert led.events_jsonl() == "".join(dumps_line(e) + "\n" for e in events)
+        assert led.events_jsonl() == "".join(dumps_log(events))
 
     @settings(max_examples=100)
     @given(st.lists(payloads | flat_payloads | row_payloads, min_size=1, max_size=4),
@@ -436,7 +460,7 @@ class TestEventEncoding:
         # holds lists of int lists, is encoded once.
         events = [Event(0, seq, "a", tag, pool[i % len(pool)])
                   for seq, (i, tag) in enumerate(picks)]
-        assert encode_lines(events) == [dumps_line(e) + "\n" for e in events]
+        assert encode_lines(events) == dumps_log(events)
 
     def test_payloads_built_on_the_fly_keep_their_own_encoding(self):
         # A payload freed after its line must not pass its cached encoding
@@ -445,8 +469,7 @@ class TestEventEncoding:
         for tag, payload in (("Call", lambda i: {"i": i}),
                              ("EpochAccrual", lambda i: {"amounts": [[0, i]]})):
             lines = encode_lines(Event(0, i, "a", tag, payload(i)) for i in range(n))
-            assert lines == [dumps_line(Event(0, i, "a", tag, payload(i))) + "\n"
-                             for i in range(n)]
+            assert lines == dumps_log([Event(0, i, "a", tag, payload(i)) for i in range(n)])
 
     def test_circular_payload_still_rejected(self):
         p: dict = {"self": []}
@@ -484,16 +507,17 @@ class TestEventEncoding:
 
 # --- segments: many epochs committed at once -----------------------------------
 
-# Text that a format string, a pattern over the log or a careless escape misreads.
+# Text that a format string, a pattern over the log or a careless escape
+# misreads: a header, or a Repeat, inside a payload.
 HOSTILE = ["{", "{0}", "}", "{{}}", '"', "\\", '\\"', "é€💸", '"epoch":5', '"seq":1',
-           ',"lines":3}', "\n"]
+           ',"lines":3}', "\n", '\n{"epoch":5}\n', '{"emitter":"system","tag":"Repeat"']
 
 
 class Tally:
     """Each poke mints 6 to itself, pays 3 of it to ``user`` and adds `step`
-    to its running total. It logs the epoch under the key a segment
-    advances, beside `step`, `note` as tag, memo, key and strings, and, if
-    `total`, the running total, which no segment advances."""
+    to its running total. It logs `step`, `note` as tag, memo, key and
+    strings, a header's and a Repeat's text, and, if `total`, the running
+    total, which differs from epoch to epoch."""
 
     def __init__(self, step: int, note: str, total: bool = False):
         self.step, self.note, self.total = step, note, total
@@ -502,9 +526,9 @@ class Tally:
         return 24
 
     def handle(self, state, msg: Msg, ctx):
-        total, note, epoch = state + self.step, self.note, msg.args["epoch"]
-        payload = {"epoch": epoch, "step": self.step, note: note, "seq": note,
-                   "hostile": [*HOSTILE, {"epoch": epoch, "lines": True, "seq": "1"}]}
+        total, note = state + self.step, self.note
+        payload = {"epoch": 5, "step": self.step, note: note, "seq": note,
+                   "hostile": [*HOSTILE, {"epoch": 5, "lines": True, "seq": "1"}]}
         if self.total:
             payload["total"] = total
         return total, [Issue(6, note), Transfer("user", 3), Emit(note, payload)], None
@@ -512,7 +536,7 @@ class Tally:
 
 def poke(led: Ledger):
     """`led`'s sub-steps: one poke of its Tally (4 events)."""
-    return lambda: led.call("user", "tally", "poke", {"epoch": led.epoch})
+    return lambda: led.call("user", "tally", "poke")
 
 
 def tally_ledger(step: int, note: str, total: bool = False) -> Ledger:
@@ -535,48 +559,54 @@ def tally_segment(led: Ledger, k: int, step: int) -> bool:
     return led.advance_segment(k, {"tally": led.contract_state("tally") + k * step})
 
 
+def blocks(events: list[Event]) -> list[str]:
+    """The blocks of the last epoch that logged in `events` and of the epoch
+    before it, each its event lines ("" for none): what ``Ledger._recent``
+    must hold, each block joined."""
+    if not events:
+        return ["", ""]
+    last = events[-1].epoch
+    return ["".join(to_json(e) + "\n" for e in events if e.epoch == epoch)
+            for epoch in (last - 1, last)]
+
+
 def ledger_state(led: Ledger) -> dict:
     """What the ledger holds, flushed, with its log written out: every
     snapshotted field but the file's length, and the expanded log. The
-    lines it keeps for a segment check must be the expanded log's last."""
-    log = expanded(led.events_jsonl())
+    blocks it keeps for a segment check, wherever flushes cut them, must
+    be the log's last."""
+    events = logged_events(led)
     state = pickle.loads(snapshot(led))
-    assert log.endswith("".join(state["_recent"]))
+    state["_recent"] = [*map("".join, state["_recent"])]
+    assert state["_recent"] == blocks(events)
     del state["_log_len"]
-    return {**state, "log": log}
+    return {**state, "log": expanded(led.events_jsonl())}
 
 
-def advanced(obj, t: int, strides: dict[str, int]):
-    """`obj`, decoded from a line, with each int under a key of `strides` advanced t strides."""
-    if type(obj) is list:
-        return [advanced(v, t, strides) for v in obj]
-    if type(obj) is dict:
-        return {key: v + t * strides[key] if key in strides and type(v) is int
-                else advanced(v, t, strides) for key, v in obj.items()}
-    return obj
-
-
-def repeat_line(epoch: int, seq: int, k: int, n: int) -> str:
-    return json.dumps({"epoch": epoch, "seq": seq, "emitter": "system", "tag": "Repeat",
-                       "payload": {"epochs": k, "lines": n}},
+def repeat_line(k: int) -> str:
+    return json.dumps({"emitter": "system", "tag": "Repeat", "payload": {"epochs": k}},
                       separators=(",", ":")) + "\n"
+
+
+def old_line(e: Event) -> str:
+    return json.dumps(e._asdict(), separators=(",", ":")) + "\n"
 
 
 def assert_segment_copies_like_stepping(step: int, note: str, k: int) -> None:
     led, stepped = tally_ledger(step, note), tally_ledger(step, note)
-    for first in (3, k + 4):
+    for _ in range(2):
         # A segment, one stepped epoch, and a segment checked against the
         # last epoch of the one before.
         head = led.events_jsonl()
         whole = expanded(head)
-        last = head.splitlines(keepends=True)[-4:]
+        block = head.splitlines(keepends=True)[-4:]
+        last = logged_events(led)[-4:]
         assert tally_segment(led, k, step)
-        strides = {"epoch": 1, "seq": 4}
-        reference = [encode_lines([Event(**advanced(json.loads(line), t, strides))])[0]
-                     for t in range(1, k + 1) for line in last]
-        assert led.events_jsonl() == head + repeat_line(first, 4 * first - 4, k, 4)
+        reference = [old_line(e._replace(epoch=e.epoch + t, seq=e.seq + 4 * t))
+                     for t in range(1, k + 1) for e in last]
+        assert led.events_jsonl() == head + repeat_line(k)
         assert expanded(led.events_jsonl()) == whole + "".join(reference)
-        assert led._recent == (last + reference)[-8:]      # the last two epochs
+        assert [*map("".join, led._recent)] == ["".join(block)] * 2    # the last two epochs
         for _ in range(k):
             stepped.advance_epoch(poke(stepped))
         assert ledger_state(led) == ledger_state(stepped)
@@ -598,8 +628,8 @@ class TestSegment:
         assert_segment_copies_like_stepping(step, note, k)
 
     @pytest.mark.parametrize("build, step", [
-        # A line of the last epoch states a running total, a stride no
-        # Repeat line advances.
+        # A line of the last epoch states a running total, which differs by
+        # a stride from the epoch before's: the two blocks differ.
         (lambda: tally_ledger(7, "".join(HOSTILE), total=True), 7),
         (lambda: poked_ledger(1), 7),
         (lambda: poked_ledger(1, 1, 2), 7),
@@ -669,7 +699,8 @@ class TestSegment:
 
     def test_a_segment_of_epochs_that_log_nothing_writes_no_line(self):
         # After a segment of pokes, two idle epochs, then a segment of idle
-        # ones: it writes nothing, and keeps no lines, as the idle epochs.
+        # ones: it writes nothing, and keeps the blocks of the last epoch
+        # that logged, as the idle epochs do.
         led, stepped = tally_ledger(7, "x"), tally_ledger(7, "x")
         assert tally_segment(led, 5, 7)
         for _ in range(5):
@@ -677,12 +708,11 @@ class TestSegment:
         for each in (led, stepped):
             each.advance_epoch()
             each.advance_epoch()
-        text = led.events_jsonl()
-        assert led._recent == []
+        text, recent = led.events_jsonl(), [*map("".join, led._recent)]
         assert led.advance_segment(10, {})
         for _ in range(10):
             stepped.advance_epoch()
-        assert (led.events_jsonl(), led._recent) == (text, [])
+        assert (led.events_jsonl(), [*map("".join, led._recent)]) == (text, recent)
         assert ledger_state(led) == ledger_state(stepped)
 
     @pytest.mark.parametrize("k", [-1, True, 1.0], ids=["k-negative", "k-bool", "k-float"])
@@ -710,7 +740,7 @@ class TestSegment:
         led = fresh_ledger(user=5)
         led.register_account("system")
         with pytest.raises(ValueError, match="Repeat"):
-            led.emit("system", "Repeat", {"epochs": 1, "lines": 1})
+            led.emit("system", "Repeat", {"epochs": 1})
         led.emit("user", "Repeat", {})     # only the system's is the ledger's
 
 

@@ -10,9 +10,9 @@ which the driver and the handlers share, or the ``World``'s performance map
 and wallet walk; for segments, the ``World``'s quiet span, its search for
 the next action, the beacon's ``next_transition``,
 ``ValidatorWallet.quiet_until``, or the ledger's segment commit
-(``Ledger.advance_segment``), its line-advancing helper (``strided``), the
-``Repeat`` line it writes (through ``encode_lines``) and the lines it
-reads, as the ledger's flush keeps them (``Ledger.flush``); for the engine, a
+(``Ledger.advance_segment``), the headers and the ``Repeat`` line it
+writes (through ``encode_lines``) and the blocks it reads, as the ledger's
+flush keeps them (``Ledger.flush``); for the engine, a
 treasury helper, a contract's method table (``_ops``, with one handler
 wrapped) or ``World.report``; for the report, the reader both the run and
 the fold call (``RunReport.read``); for the fold of the log, its table of
@@ -273,24 +273,35 @@ def segment_epoch_count_unchecked(advance_segment=Ledger.advance_segment):
 
 def segment_keeps_one_epoch(advance_segment=Ledger.advance_segment):
     """The ledger's segment commit, keeping after a segment of lines only
-    those of its last epoch, not of the two stepping would keep."""
+    the block of its last epoch, not of the two stepping would keep."""
     def mutant(self, k, states):
         done = advance_segment(self, k, states)
         if done and k:
-            del self._recent[:self._seq - self._epoch_seq]
+            self._recent[0] = []
         return done
 
     return mutant
 
 
 def recent_one_line_short(flush=Ledger.flush):
-    """The ledger's flush, keeping one line fewer of those from the epoch
-    before the current one on than there are."""
+    """The ledger's flush, keeping the block of the epoch before the last
+    without its first line."""
     def mutant(self):
         replay = flush(self)
-        recent = self._recent
-        del recent[:max(len(recent) - (self._seq - self._prev_seq) + 1, 0)]
+        self._recent[0] = ["".join(self._recent[0]).partition("\n")[2]]
         return replay
+
+    return mutant
+
+
+def repeat_of_the_wrong_block(advance_segment=Ledger.advance_segment):
+    """The ledger's segment commit, checking the last epoch's block against
+    itself, not against the block of the epoch before: its Repeat then
+    repeats an epoch that need not repeat the one before."""
+    def mutant(self, k, states):
+        self.flush()
+        self._recent[0] = self._recent[1]
+        return advance_segment(self, k, states)
 
     return mutant
 
@@ -339,18 +350,19 @@ def walk_reindexes_after_an_unparsed_item(walk=scenario._bound_problems):
 
 def repeat_written_with(change, encode_lines=ledger.encode_lines):
     """The ledger's line builder, writing each Repeat line's payload through `change`."""
-    def mutant(events):
+    def mutant(events, epoch=-1):
         return encode_lines([e._replace(payload=change(dict(e.payload))) if e.tag == "Repeat"
-                             else e for e in events])
+                             else e for e in events], epoch)
 
     return mutant
 
 
-def stride_one_too_far(strided=ledger.strided):
-    """The line-advancing helper, advancing every integer one stride too far."""
-    def mutant(block, strides):
-        at = strided(block, strides)
-        return lambda t: at(t + 1)
+def header_epoch_off_by_one(encode_lines=ledger.encode_lines):
+    """The ledger's line builder, writing each header after epoch 0's one epoch high."""
+    def mutant(events, epoch=-1):
+        return [f'{{"epoch":{int(line[9:-2]) + 1}}}\n'
+                if line.startswith('{"epoch":') and line != '{"epoch":0}\n' else line
+                for line in encode_lines(events, epoch)]
 
     return mutant
 
@@ -401,6 +413,17 @@ def claim_unchecked(handler):
         consistent = self.consistent
         handler(self, e)
         if self.last.payload.get("method") == "claim":
+            self.consistent = consistent
+
+    return mutant
+
+
+def accrual_epoch_unchecked(handler):
+    """The fold's Call handler taking an accrual at any epoch."""
+    def mutant(self, e):
+        consistent = self.consistent
+        handler(self, e)
+        if e.payload.get("method") == "accrue_epoch":
             self.consistent = consistent
 
     return mutant
@@ -539,7 +562,7 @@ MUTANTS = {
     "repeat-one-epoch-long": (
         ledger, "encode_lines", repeat_written_with(lambda p: {**p, "epochs": p["epochs"] + 1}),
         test_segments.test_goldens_match_the_stepped_reference),
-    # A receipt's value is the same in every quiet epoch: its stride is 0.
+    # A Repeat's payload holds its epochs and nothing else.
     "repeat-stride-one-unit-off": (
         ledger, "encode_lines", repeat_written_with(lambda p: {**p, "value": 1}),
         test_segments.test_goldens_match_the_stepped_reference),
@@ -549,9 +572,13 @@ MUTANTS = {
     "call-value-also-transferred": (
         CallContext, "log", call_value_also_transferred(),
         test_ledger.test_a_call_tree_logs_each_value_once_on_its_call_line),
-    "segment-lines-one-stride-ahead": (
-        ledger, "strided", stride_one_too_far(),
-        lambda: test_ledger.TestSegment().test_copies_match_a_naive_reference_and_stepping(7)),
+    "header-epoch-off-by-one": (
+        ledger, "encode_lines", header_epoch_off_by_one(),
+        test_ledger.TestEpochs().test_hooks_run_in_fixed_order_deterministically),
+    "repeat-of-the-wrong-block": (
+        Ledger, "advance_segment", repeat_of_the_wrong_block(),
+        lambda: test_ledger.TestSegment().test_a_refused_segment_changes_nothing(
+            lambda: test_ledger.tally_ledger(7, "x", total=True), 7)),
     "fold-settlement-read-as-reward": (
         _Fold, "_on", fold_with("ExitSettled", settlement_read_as_reward),
         test_explain.test_the_fold_follows_resales_claims_and_both_exit_causes),
@@ -591,7 +618,17 @@ MUTANTS = {
     **{f"fold-{tag}-unchecked": (
         _Fold, "_on", fold_with(tag, unchecked),
         test_explain.test_one_unit_added_to_any_int_field_fails_replay_ok)
-       for tag in ("EpochAccrual", "ExitSettled", "Swept", "Call", "ExitTriggered", "Staked")},
+       for tag in ("ExitSettled", "Swept", "ExitTriggered", "Staked")},
+    # The rebuilt beacon balances also catch a +1 on an accrual or a receipt.
+    "fold-EpochAccrual-unchecked": (
+        _Fold, "_on", fold_with("EpochAccrual", unchecked),
+        test_explain.test_an_accrual_line_deleted_or_restated_fails_replay_ok),
+    "fold-Call-unchecked": (
+        _Fold, "_on", fold_with("Call", unchecked),
+        lambda: test_explain.test_a_reward_receipt_one_unit_short_fails_replay_ok("honest")),
+    "fold-accrual-epochs-unchecked": (
+        _Fold, "_on", fold_with("Call", accrual_epoch_unchecked),
+        lambda: test_explain.test_an_epoch_deleted_whole_fails_replay_ok("honest")),
     "fold-carried-accrual-unchecked": (
         _Fold, "carry", lambda self: setattr(self, "accruing", None),
         test_explain.test_an_accrual_line_deleted_or_restated_fails_replay_ok),

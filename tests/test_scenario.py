@@ -498,7 +498,7 @@ class TestLifecycleVariants:
                                      DepositAction("bob", 2400, 5)),
                            horizon=8)
         report = sc.run(s)
-        events = [json.loads(line) for line in report.events_jsonl.splitlines()]
+        events = [json.loads(line) for line in expanded(report.events_jsonl).splitlines()]
         rejected = [e for e in events if e["tag"] == "ActionRejected"]
         assert any(e["payload"]["reason"] == "MintClosed" for e in rejected)
 
@@ -507,7 +507,7 @@ class TestLifecycleVariants:
                                      DepositAction("bob", 2400, 0),
                                      DepositAction("carol", 100, 1)))
         report = sc.run(s)
-        events = [json.loads(line) for line in report.events_jsonl.splitlines()]
+        events = [json.loads(line) for line in expanded(report.events_jsonl).splitlines()]
         rejected = [e for e in events if e["tag"] == "ActionRejected"]
         assert any(e["payload"]["caller"] == "carol"
                    and e["payload"]["reason"] in ("ExceedsCapacity", "MintClosed")

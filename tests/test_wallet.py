@@ -175,6 +175,21 @@ class TestWatchdog:
         assert window == [100, 40, 100]
         assert decision == "TriggerExit"
 
+    def test_a_steady_short_window_is_quiet_for_no_epoch(self):
+        # The keeper pokes the watchdog at the first short epoch, so a span
+        # never asks about a window the watchdog would act on; asked for
+        # one, quiet_until names the next epoch, not the epoch it armed.
+        w = make_world(expected=100, grace=3)
+        w.mint("alice", 64)
+        w.stake_all()
+        for _ in range(4):          # no reward: every slot of the window reads 0
+            w.ledger.advance_epoch()
+            w.accrue({0: 0})
+        code, state, now = w.ledger._contracts[w.wallets[0]], w.wallet_state(), w.ledger.epoch
+        assert state.activation_epoch + 3 - 1 < now and not state.reward_window
+        assert code.watchdog_shortfall(state, now) == (0, 300)
+        assert code.quiet_until(state, now) == now + 1
+
     def test_window_must_fill_before_check_arms(self):
         w = make_world(expected=100, grace=5)
         w.mint("alice", 64)
