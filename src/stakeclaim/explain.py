@@ -33,7 +33,9 @@ registers a token whose capital is the value of the mint's ``register_nft`` ``Ca
 reward receipt, a ``Call`` to ``receive_rewards`` that wallet j emits with
 a ``value``, raises N by that value less its fee and the fees by the fee,
 ``value * fee_bps // 10000`` as written here (the fold does not call the
-treasury's rule, so a wrong rule there rebuilds another report); an
+treasury's rule, so a wrong rule there rebuilds another report), and
+wallet j's forwarded total, which the fold keeps as the wallet does, by
+the value; an
 ``ExitSettled`` raises N by its pot, what it returned, its escrow cover
 and its penalty, with no fee, and credits it per owner; the treasury's
 ``Transfer`` right after a holder's ``Call`` to ``claim`` adds to its
@@ -169,6 +171,7 @@ class _Fold:
         self.activation_at: dict[int, int] = {}  # validator id -> the epoch it activates
         self.exit_at: dict[int, int] = {}    # validator id -> the epoch its exit is due
         self.exit_epoch: dict[int, int] = {}     # wallet index -> the epoch its exit began
+        self.forwarded: dict[int, int] = {}      # wallet index -> the rewards it forwarded
         self.returned: dict[str, int] = {}   # wallet name -> what its withdrawal returned
         self.refunds: list | None = None     # an abort's (owner, capital) still to pay, last first
         self.accrual: dict | None = None     # the last EpochAccrual payload, carried forward
@@ -243,7 +246,7 @@ class _Fold:
         if p["method"] == "receive_rewards" and "value" in p:     # wallet j's reward receipt
             j, value = self.wallets[e.emitter], p["value"]
             fee = value * self.spec.fee_bps // 10_000
-            t.rewards_received = t.rewards_received.set(j, t.rewards_received.get(j, 0) + value)
+            self.forwarded[j] = self.forwarded.get(j, 0) + value
             t.net_total += value - fee
             t.operator_fees_accrued += fee
             # a wallet forwards all it holds, so the sweeps it got are its receipts
@@ -491,15 +494,17 @@ class _Fold:
         self.consistent &= self.exit_at[vid] == e.epoch + self.params.exit_delay
         return True
 
-    def wallet_facts(self, final_epoch: int) -> Iterator[tuple[int | None, str | None, int | None]]:
-        """Each wallet's (validator id, beacon status, exit epoch) at `final_epoch`."""
+    def wallet_facts(self, final_epoch: int
+                     ) -> Iterator[tuple[int | None, int, str | None, int | None]]:
+        """Each wallet's (validator id, rewards forwarded, beacon status,
+        exit epoch) at `final_epoch`."""
         ids = {j: vid for vid, j in self.wallet_of.items()}
         for j in range(len(self.wallets)):
             vid = ids.get(j)
             status = self.status.get(vid)
             if status == ValidatorStatus.EXITING.value and self.exit_at[vid] <= final_epoch:
                 status = ValidatorStatus.WITHDRAWABLE.value
-            yield vid, status, self.exit_epoch.get(j)
+            yield vid, self.forwarded.get(j, 0), status, self.exit_epoch.get(j)
 
 
 def _pairs(e: Event) -> Iterator[Event]:

@@ -194,9 +194,9 @@ def encode_lines(events, epoch: int = -1) -> list[str]:
     ``"payload":`` is encoded once per str (emitter, tag) pair. A flat
     payload (str keys, values of exact type int or str) is written from
     encoded keys and strings cached for this call; any other payload goes
-    through the JSON encoder. Both a payload that went through the encoder
-    and a ``Call`` payload without value, which the ledger shares one per
-    route, are encoded once per object. Their
+    through the JSON encoder. A flat ``Call`` payload without value, its
+    target and method, which the ledger shares one per route and the only
+    payload object a batch repeats, is encoded once per object: its
     encoding is cached by id next to the payload itself, so the id cannot
     be reused while cached. The caches live only as long as the call.
     """
@@ -241,7 +241,6 @@ def encode_lines(events, epoch: int = -1) -> list[str]:
                     body = "{" + ",".join(parts) + "}"
             if body is None:
                 body = _encode(payload)
-                shared[id(payload)] = (payload, body)
             elif tag == "Call" and "value" not in payload:
                 shared[id(payload)] = (payload, body)
         out.append(f'{head}{body}}}\n')

@@ -149,9 +149,11 @@ def is_holder_name(name) -> bool:
 # --- scenario description ----------------------------------------------------
 
 # Bound on horizon (and on `stakeclaim run --epochs`): a stepped epoch logs
-# about 0.6 kB per validator, and a run with a sweep_period above 1 steps
-# every epoch; a segment of quiet epochs logs one Repeat line, so quiet
-# epochs add next to nothing. The benchmark's long workload runs 10,000.
+# about 0.24 kB per validator (a stepped run of the benchmark's wide
+# workload at seed 0: a median block of 3,835 B over 16 validators) and
+# about 0.55 kB with one, and a run with a sweep_period above 1 steps every
+# epoch; a segment of quiet epochs logs one Repeat line, so quiet epochs add
+# next to nothing. The benchmark's long workload runs 10,000.
 HORIZON_MAX = 100_000
 
 
@@ -541,15 +543,16 @@ class RunReport:
 
     @classmethod
     def read(cls, tst: TreasuryState, holders: Iterable[str],
-             wallets: Iterable[tuple[int | None, str | None, int | None]], **rest) -> RunReport:
+             wallets: Iterable[tuple[int | None, int, str | None, int | None]],
+             **rest) -> RunReport:
         """The report of a run whose treasury ended in `tst`.
 
         `holders` are the holders' names in report order, `wallets` each
-        wallet's (validator id, beacon status, exit epoch) in index order,
-        and `rest` the fields the treasury does not hold: the epochs, the
-        conservation checks and the log. A holder's claimable is
-        :func:`treasury.claimable_of`; its realized loss, capital
-        not returned as settlement credit, counts only once Settled.
+        wallet's (validator id, rewards forwarded, beacon status, exit
+        epoch) in index order, and `rest` the fields the treasury does not
+        hold: the epochs, the conservation checks and the log. A holder's
+        claimable is :func:`treasury.claimable_of`; its realized loss,
+        capital not returned as settlement credit, counts only once Settled.
         """
         settled = tst.phase is Phase.SETTLED
         # Plain dicts for the per-token reads below: one C-speed copy each.
@@ -561,10 +564,10 @@ class RunReport:
             rows.append(HolderReport(h, cap, tst.claimed_total.get(h, 0), claimable_of(tst, h),
                                      credit, max(0, cap - credit) if settled else 0))
         validators = []
-        for j, (vid, status, exit_epoch) in enumerate(wallets):
+        for j, (vid, rewards, status, exit_epoch) in enumerate(wallets):
             record = tst.settlements.get(j)
             validators.append(ValidatorReport(
-                index=j, validator_id=vid, rewards_received=tst.rewards_received.get(j, 0),
+                index=j, validator_id=vid, rewards_received=rewards,
                 beacon_status=status, exit_cause=tst.exit_causes.get(j), exit_epoch=exit_epoch,
                 settled=record is not None, **(vars(record) if record else {})))
         return cls(phase=tst.phase.value, holders=rows,
@@ -755,15 +758,15 @@ class World:
         """
         led = self.ledger
         e = led.epoch
-        receipts = {}
+        amounts = []
         states = {}
         for w in self._live:
             wst = led.contract_state(w)
             amount = wst.reward_window.get(e, 0) if wst.status is WalletStatus.ACTIVE else 0
             if amount:
-                receipts[w] = amount
+                amounts.append(amount)
                 states[w] = self._wallet.advance(wst, e, k)
-        states[TREASURY] = self._treasury.advance(led.contract_state(TREASURY), receipts, k)
+        states[TREASURY] = self._treasury.advance(led.contract_state(TREASURY), amounts, k)
         if led.advance_segment(k, states):
             self.audit()
 
@@ -951,7 +954,7 @@ class World:
             wst = led.contract_state(w)
             vid = wst.validator_id
             status = None if vid is None else validator_by_id(bst, vid).status.value
-            wallets.append((vid, status, wst.exit_epoch))
+            wallets.append((vid, wst.forwarded, status, wst.exit_epoch))
 
         # The ledger folded every flushed batch as it committed; this folds the rest.
         replay = led.flush()

@@ -27,9 +27,11 @@ index (``owned``: owner -> ascending token ids, the analogue of ERC-721
 Enumerable's per-owner token list), the one record of who owns a token,
 kept on register and transfer (:func:`moved`), so a claim costs O(owned).
 These maps are SharedMaps: a write copies one chunk, so a raise of n
-tokens costs O(n), not O(n^2). So are the maps written per validator (its
-reward receipts, exit cause and settlement), so a receipt or an exit costs
-the same at any validator count.
+tokens costs O(n), not O(n^2). So are the two maps written per validator,
+its exit cause and its settlement, so an exit costs the same at any
+validator count. A receipt writes no map at all: it raises N and the fees,
+O(1) integer work, and what each validator forwarded is its wallet's own
+count (``WalletState.forwarded``).
 
 The undistributed sub-unit remainder is dust: ``N - sum(accrued(i))``,
 always below the token count. Per distribution of ``amount`` the split is
@@ -139,7 +141,6 @@ class TreasuryState:
     escrow_balance: int = 0
     escrow_refunded: int = 0
     phase: Phase = Phase.FUNDRAISING
-    rewards_received: SharedMap = field(default_factory=SharedMap)   # wallet index -> its receipts
     exit_causes: SharedMap = field(default_factory=SharedMap)        # wallet index -> its cause
     settlements: SharedMap = field(default_factory=SharedMap)        # wallet index -> its record
     settlement_credits: dict[str, int] = field(default_factory=dict)
@@ -319,28 +320,23 @@ class TreasuryContract(Handlers):
             raise WrongPhase(f"cannot receive rewards in phase {state.phase.value}")
         if msg.value <= 0:
             raise InvalidAmount("reward receipt must carry value")
-        return self.advance(state, {msg.caller: msg.value}, 1), [], None
+        return self.advance(state, [msg.value], 1), [], None
 
-    def advance(self, state: TreasuryState, receipts: dict[str, int], k: int) -> TreasuryState:
-        """The state after k epochs in each of which every wallet of
-        `receipts` forwards its amount, in that order.
+    def advance(self, state: TreasuryState, amounts: list[int], k: int) -> TreasuryState:
+        """The state after k epochs in each of which a wallet forwards each of `amounts`.
 
-        The one reward-receipt rule: ``receive_rewards`` is one wallet's
-        receipt at k = 1. Each receipt's fee and net are the same every
-        epoch, so the reward totals, the fees and N each rise by k times one
-        epoch's step. The caller sends receipts only in a phase that takes
-        them, and positive amounts only. Pure, like a handler.
+        The one reward-receipt rule: ``receive_rewards`` is one receipt at
+        k = 1. Each receipt's fee and net are the same every epoch, so the
+        fees and N each rise by k times one epoch's step. The caller sends
+        receipts only in a phase that takes them, and positive amounts
+        only. Pure, like a handler.
         """
-        rewards = state.rewards_received
         fees = net = 0
-        for wallet, amount in receipts.items():
-            j = self._index[wallet]
+        for amount in amounts:
             fee = (amount * self.spec.fee_bps) // 10_000
-            rewards = rewards.set(j, rewards.get(j, 0) + k * amount)
             fees += fee
             net += amount - fee
-        return evolve(state, rewards_received=rewards,
-                      operator_fees_accrued=state.operator_fees_accrued + k * fees,
+        return evolve(state, operator_fees_accrued=state.operator_fees_accrued + k * fees,
                       net_total=state.net_total + k * net)
 
     def _op_claim(self, state: TreasuryState, msg: Msg, ctx: CallContext):

@@ -53,6 +53,7 @@ class WalletState:
     validator_id: int | None = None
     activation_epoch: int | None = None
     reward_window: dict[int, int] = field(default_factory=dict)
+    forwarded: int = 0                  # all it ever forwarded to the treasury
     last_check_epoch: int = -1
     exit_epoch: int | None = None
     settlement_ready: bool = False
@@ -115,20 +116,16 @@ class ValidatorWallet(Handlers):
     def _op_forward_rewards(self, state: WalletState, msg: Msg, ctx: CallContext):
         """Push the wallet's whole liquid balance to the treasury.
 
-        Records the forwarded amount into the per-epoch reward window, so
-        repeated calls within one epoch forward only newly arrived funds
-        and accumulate into the same window slot. Once the exit sweep has
+        Records the forwarded amount into the per-epoch reward window and
+        the ``forwarded`` total (:meth:`_forward`), so repeated calls within
+        one epoch forward only newly arrived funds and accumulate into the
+        same window slot. Once the exit sweep has
         landed, the balance is settlement money and nothing is forwarded.
         """
         if state.status not in (WalletStatus.ACTIVE, WalletStatus.EXIT_REQUESTED):
             raise WrongStatus(f"wallet is {state.status.value}")
-        now = ctx.epoch
         amount = 0 if state.settlement_ready else ctx.balance_of(msg.target)
-        # Only the trailing grace_epochs slots ever matter.
-        cutoff = now - self.spec.grace_epochs + 1
-        window = {e: r for e, r in state.reward_window.items() if e >= cutoff}
-        window[now] = window.get(now, 0) + amount
-        st = evolve(state, reward_window=window)
+        st = self._forward(state, ctx.epoch, amount, 1)
         effects = [Call(self.treasury, "receive_rewards", {}, value=amount)] if amount > 0 else []
         return st, effects, amount
 
@@ -187,19 +184,30 @@ class ValidatorWallet(Handlers):
             return inf
         return state.activation_epoch + grace - 1
 
+    def _forward(self, state: WalletState, end: int, amount: int, k: int) -> WalletState:
+        """The state after `amount` is forwarded in each of the k epochs that end at `end`.
+
+        The one forwarding rule: ``forward_rewards`` is one forward at
+        k = 1, and :meth:`advance` k of them. Only the trailing grace_epochs
+        slots ever matter, so the window keeps only those, and the amount
+        lands in each of the last k of them; ``forwarded`` rises by k times it.
+        """
+        cutoff = end - self.spec.grace_epochs + 1
+        window = {e: r for e, r in state.reward_window.items() if e >= cutoff}
+        for e in range(max(cutoff, end - k + 1), end + 1):
+            window[e] = window.get(e, 0) + amount
+        return evolve(state, reward_window=window, forwarded=state.forwarded + k * amount)
+
     def advance(self, state: WalletState, now: int, k: int) -> WalletState:
         """The state after k more epochs that each forward what `now` did.
 
         ``forward_rewards`` k times over, in closed form, for a wallet whose
-        window is steady (:meth:`quiet_until`): the window's trailing
-        grace_epochs slots, each holding that amount, move k epochs on.
-        Nothing else in the state changes. The caller passes only a wallet
-        that forwarded a nonzero amount at `now`. Pure, like a handler.
+        window is steady (:meth:`quiet_until`): its window and its
+        ``forwarded`` total move k epochs on, and nothing else in the state
+        changes. The caller passes only a wallet that forwarded a nonzero
+        amount at `now`. Pure, like a handler.
         """
-        amount = state.reward_window[now]
-        end = now + k
-        return evolve(state, reward_window=dict.fromkeys(
-            range(end - self.spec.grace_epochs + 1, end + 1), amount))
+        return self._forward(state, now + k, state.reward_window[now], k)
 
     def _op_watchdog_check(self, state: WalletState, msg: Msg, ctx: CallContext):
         """Exit autonomously when :meth:`watchdog_shortfall` says the window fell short.

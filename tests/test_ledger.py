@@ -457,7 +457,8 @@ class TestEventEncoding:
                               st.sampled_from(["Call", "EpochAccrual"])), max_size=10))
     def test_shared_payload_objects_encode_like_copies(self, pool, picks):
         # One payload object logged by several events, a Call's or one that
-        # holds lists of int lists, is encoded once.
+        # holds lists of int lists, encodes as copies of it would: a flat
+        # Call's without value once, any other once per line.
         events = [Event(0, seq, "a", tag, pool[i % len(pool)])
                   for seq, (i, tag) in enumerate(picks)]
         assert encode_lines(events) == dumps_log(events)

@@ -9,12 +9,14 @@ on its error path, which ``validate`` shares
 which the driver and the handlers share, or the ``World``'s performance map
 and wallet walk; for segments, the ``World``'s quiet span, its search for
 the next action, the beacon's ``next_transition``,
-``ValidatorWallet.quiet_until``, or the ledger's segment commit
+``ValidatorWallet.quiet_until``, the wallet's forwarding rule
+(``ValidatorWallet._forward``), or the ledger's segment commit
 (``Ledger.advance_segment``), the headers and the ``Repeat`` line it
 writes (through ``encode_lines``) and the blocks it reads, as the ledger's
 flush keeps them (``Ledger.flush``); for the engine, a
-treasury helper, a contract's method table (``_ops``, with one handler
-wrapped) or ``World.report``; for the report, the reader both the run and
+treasury helper or its receipt rule (``TreasuryContract.advance``), a
+contract's method table (``_ops``, with one handler wrapped) or
+``World.report``; for the report, the reader both the run and
 the fold call (``RunReport.read``); for the fold of the log, its table of
 per-tag handlers (``explain._Fold._on``) or its check of an accrual that
 logs no line (``explain._Fold.carry``); for the live audit, ``World.audit``; for exact inputs, the ``type``
@@ -132,14 +134,22 @@ def ops_with(cls, method: str, wrap) -> dict:
     return {**cls._ops, method: wrap(cls._ops[method])}
 
 
-def fee_rounded_up(handler):
-    """receive_rewards taking ceil(amount * fee_bps / 10000) as the operator's fee."""
-    def mutant(self, state, msg, ctx):
-        st, effects, result = handler(self, state, msg, ctx)
-        if msg.value * self.spec.fee_bps % 10_000:
-            st = evolve(st, operator_fees_accrued=st.operator_fees_accrued + 1,
-                        net_total=st.net_total - 1)
-        return st, effects, result
+def fee_rounded_up(advance=TreasuryContract.advance):
+    """The receipt rule, which receive_rewards runs at k = 1, taking
+    ceil(amount * fee_bps / 10000) as the operator's fee."""
+    def mutant(self, state, amounts, k):
+        st = advance(self, state, amounts, k)
+        up = k * sum(1 for amount in amounts if amount * self.spec.fee_bps % 10_000)
+        return evolve(st, operator_fees_accrued=st.operator_fees_accrued + up,
+                      net_total=st.net_total - up)
+
+    return mutant
+
+
+def forwarded_not_scaled(forward=ValidatorWallet._forward):
+    """The wallet's forwarding rule adding the amount to ``forwarded`` once, not k times."""
+    def mutant(self, state, end, amount, k):
+        return evolve(forward(self, state, end, amount, k), forwarded=state.forwarded + amount)
 
     return mutant
 
@@ -498,9 +508,12 @@ MUTANTS = {
         treasury, "settle_token", lambda st, token_id, owner: None,
         test_mint.TestTransferNft().test_accrual_follows_ownership_across_transfer),
     "fee-rounded-up": (
-        TreasuryContract, "_ops", ops_with(TreasuryContract, "receive_rewards", fee_rounded_up),
+        TreasuryContract, "advance", fee_rounded_up(),
         lambda: test_treasury.TestClaims().test_operator_fee_payouts_match_oracle(
             make_staked_world())),
+    "forwarded-not-scaled": (
+        ValidatorWallet, "_forward", forwarded_not_scaled(),
+        test_wallet.test_closed_form_is_k_forwards_of_a_steady_window),
     "fee-taken-on-settlement": (
         TreasuryContract, "_ops", ops_with(TreasuryContract, "settle_exit", fee_on_settlement),
         test_treasury.TestSettleExit().test_shortfall_fully_covered_by_escrow),

@@ -415,8 +415,8 @@ def test_every_identity_term_is_affine_within_a_segment():
 
 
 def test_a_closed_form_receipt_one_unit_short_fails_the_audit_at_the_segment_end(monkeypatch):
-    # The treasury's closed form reads each wallet's receipt from the World;
-    # one unit short, it no longer agrees with the lines the segment
+    # The treasury's closed form reads the receipts' amounts from the World;
+    # one amount a unit short, it no longer agrees with the lines the segment
     # repeats, which alone move the treasury's balance. The audit at the
     # first segment's end must see it, not the report at the horizon. The
     # receipt handler takes its state from the same rule at k = 1, one
@@ -428,11 +428,10 @@ def test_a_closed_form_receipt_one_unit_short_fails_the_audit_at_the_segment_end
     assert spans[0][1] - spans[0][0] > 0
     advance = TreasuryContract.advance
 
-    def one_unit_short(self, state, receipts, k):
+    def one_unit_short(self, state, amounts, k):
         if k > 1:
-            short = next(iter(receipts))
-            receipts[short] -= 1
-        return advance(self, state, receipts, k)
+            amounts = [amounts[0] - 1, *amounts[1:]]
+        return advance(self, state, amounts, k)
 
     monkeypatch.setattr(TreasuryContract, "advance", one_unit_short)
     with pytest.raises(InvariantViolation, match=f"^epoch {spans[0][1]}: treasury balance"):

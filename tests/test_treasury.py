@@ -22,10 +22,12 @@ from stakeclaim.errors import (
     WrongStatus,
 )
 from stakeclaim.beacon import BeaconParams
+from stakeclaim.ledger import Msg
 from stakeclaim.treasury import (
     Phase,
     TreasuryContract,
     TreasurySpec,
+    TreasuryState,
     accrued,
     claimable_of,
     split_credits,
@@ -110,7 +112,7 @@ class TestReceiveRewards:
         assert ts.operator_fees_accrued == 100
         assert holders_claimable(ts) == {"alice": 562, "bob": 337}
         assert dust_of(ts) == 1
-        assert ts.rewards_received == {0: 1000}
+        assert w.wallet_state().forwarded == 1000
         w.check_treasury_identity()
 
     def test_remainders_carry_into_next_receipt(self, staked_world):
@@ -174,6 +176,33 @@ class TestReceiveRewards:
         assert claimable_of(ts, "alice") == 0
 
 
+@settings(max_examples=100, deadline=None)
+@given(fee_bps=st.integers(min_value=0, max_value=10_000),
+       amounts=st.lists(st.integers(min_value=1, max_value=10 ** 30), min_size=1, max_size=4),
+       k=st.integers(min_value=1, max_value=12),
+       phase=st.sampled_from([Phase.STAKED, Phase.EXITING]),
+       net_total=st.integers(min_value=0, max_value=10 ** 30),
+       fees=st.integers(min_value=0, max_value=10 ** 30))
+def test_closed_form_is_k_rounds_of_receipts(fee_bps, amounts, k, phase, net_total, fees):
+    # TreasuryContract.advance is k rounds of receive_rewards, a receipt of
+    # each amount a round: N and the fees rise alike, and nothing else in
+    # the state moves.
+    wallets = tuple(f"wallet:{j}" for j in range(len(amounts)))
+    spec = TreasurySpec(fee_bps=fee_bps, expected_reward_per_epoch=0, grace_epochs=1,
+                        escrow_required=0, validators=len(wallets))
+    params = BeaconParams(stake_requirement=64, reward_per_epoch=1, activation_delay=1,
+                          exit_delay=2, sweep_period=1)
+    treasury = TreasuryContract(spec, params, wallets, operator=OPERATOR, mint=MINT)
+    start = TreasuryState(phase=phase, net_total=net_total, operator_fees_accrued=fees)
+    stepped = start
+    for _ in range(k):
+        for wallet, amount in zip(wallets, amounts):
+            stepped, effects, _ = treasury.handle(
+                stepped, Msg(wallet, TREASURY, "receive_rewards", {}, amount), None)
+            assert effects == []
+    assert treasury.advance(start, amounts, k) == stepped
+
+
 class TestClaims:
     def test_claim_transfers_and_zeroes(self, staked_world):
         w = staked_world
@@ -222,7 +251,7 @@ class TestClaims:
         assert "Distributed" not in {e.tag for e in events}
         floored = sum((a * 1000) // 10_000 for a in amounts)
         assert w.treasury_state.net_total == sum(amounts) - floored
-        assert sum(amounts) == w.treasury_state.rewards_received[0]
+        assert sum(amounts) == w.wallet_state().forwarded
         fees, _, _, _ = replay_split(amounts, [40, 24], 1000)
         paid = w.ledger.call(OPERATOR, TREASURY, "claim_operator_fees", {})
         assert paid == fees == floored

@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from math import inf
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import BEACON, OPERATOR, TREASURY, logged_events, make_world, snapshot
+from conftest import BEACON, OPERATOR, SYSTEM, TREASURY, logged_events, make_world, snapshot
 from oracle import trigger_epoch
-from stakeclaim.beacon import validator_by_id
+from stakeclaim.beacon import BeaconParams, validator_by_id
 from stakeclaim.errors import BeaconNotSwept, WrongAmount, WrongCaller, WrongStatus
+from stakeclaim.ledger import Msg
 from stakeclaim.scenario import parse_factor
-from stakeclaim.treasury import Phase
-from stakeclaim.wallet import WalletStatus
+from stakeclaim.treasury import Phase, TreasurySpec
+from stakeclaim.wallet import ValidatorWallet, WalletState, WalletStatus
 
 
 def paid_calls(events):
@@ -75,7 +80,7 @@ class TestOneCodeManyAddresses:
         assert [led.balance_of(a) for a in w.wallets] == [5, 0]
         assert w.forward(0) == 5
         assert [led.balance_of(a) for a in w.wallets] == [0, 0]
-        assert w.treasury_state.rewards_received == {0: 5, 1: 7}
+        assert [w.wallet_state(j).forwarded for j in (0, 1)] == [5, 7]
 
 
 class TestForwardRewards:
@@ -88,7 +93,7 @@ class TestForwardRewards:
             (w.wallets[0], TREASURY, "receive_rewards", 1000)]
         assert w.ledger.balance_of(w.wallets[0]) == 0
         assert w.wallet_state().reward_window[w.ledger.epoch] == 1000
-        assert w.treasury_state.rewards_received == {0: 1000}
+        assert w.wallet_state().forwarded == 1000
 
     def test_zero_balance_records_zero_no_transfer(self, staked_world):
         w = staked_world
@@ -108,11 +113,41 @@ class TestForwardRewards:
         w.ledger.genesis(w.wallets[0], 44, "late rewards")
         assert w.forward() == 44
         assert w.wallet_state().reward_window[w.ledger.epoch] == 344
-        assert w.treasury_state.rewards_received == {0: 344}
+        assert w.wallet_state().forwarded == 344
 
     def test_idle_wallet_cannot_forward(self, world):
         with pytest.raises(WrongStatus):
             world.forward()
+
+
+@settings(max_examples=100, deadline=None)
+@given(grace=st.integers(min_value=1, max_value=6),
+       amount=st.integers(min_value=1, max_value=10 ** 30),
+       since=st.integers(min_value=0, max_value=20),
+       k=st.integers(min_value=1, max_value=12),
+       forwarded=st.integers(min_value=0, max_value=10 ** 30))
+def test_closed_form_is_k_forwards_of_a_steady_window(grace, amount, since, k, forwarded):
+    # On a steady window, ValidatorWallet.advance is the handler run once
+    # an epoch for k epochs, each forwarding the same amount: the window
+    # and the forwarded total alike.
+    spec = TreasurySpec(fee_bps=0, expected_reward_per_epoch=amount, grace_epochs=grace,
+                        escrow_required=0, validators=1)
+    params = BeaconParams(stake_requirement=64, reward_per_epoch=1, activation_delay=1,
+                          exit_delay=2, sweep_period=1)
+    wallet = ValidatorWallet(spec, params, treasury=TREASURY, beacon=BEACON, operator=OPERATOR)
+    now = grace - 1 + since
+    steady = WalletState(status=WalletStatus.ACTIVE, validator_id=0, activation_epoch=0,
+                         reward_window=dict.fromkeys(range(now - grace + 1, now + 1), amount),
+                         forwarded=forwarded)
+    assert wallet.quiet_until(steady, now) == inf
+    stepped = steady
+    for e in range(now + 1, now + k + 1):
+        ctx = SimpleNamespace(epoch=e, balance_of=lambda address: amount)
+        stepped, _, sent = wallet.handle(
+            stepped, Msg(SYSTEM, "wallet:0", "forward_rewards", {}), ctx)
+        assert sent == amount
+    assert stepped.forwarded == forwarded + k * amount
+    assert wallet.advance(steady, now, k) == stepped
 
 
 def run_epoch(w, factor=1.0, skip_empty=False):
