@@ -23,10 +23,16 @@ the evidence an invariant violation leaves, folds as the run cut at its
 last line, whose epoch is the ``final_epoch`` (:func:`rebuild` says which
 it was).
 
-Each line changes the state as the handler that logged it did; a
-``TransferBatch`` is read as the ``Transfer`` lines of its pairs, in
-order, so every rule below about "the ``Transfer`` before" a line reads a
-batch's last pair. No line restates an amount the line right before it
+Each line changes the state as the handler that logged it did. A line
+the ledger writes is read by position (``ledger.LEDGER_TAGS``): a
+``Call`` is ``[target, method]``, or ``[target, method, value]`` when it
+carries value, a ``Transfer`` ``[to, amount]``, a ``SupplyMint`` or
+``SupplyBurn`` ``[amount, memo]``, each a list of exactly those items,
+each an int or a str as named, or the line does not fold; a
+``TransferBatch`` ``[[to, ...], [amount, ...]]``, two lists of one
+length, is read as the ``Transfer`` lines of its pairs, in order, so
+every rule below about "the ``Transfer`` before" a line reads a batch's
+last pair. No line restates an amount the line right before it
 carries, or a number the terms fix, so the fold reads it there: ``Mint``
 registers a token whose capital is the value of the mint's ``register_nft`` ``Call`` before it;
 ``TransferNft`` moves a token and settles its credit to the seller; a
@@ -99,7 +105,9 @@ and with the terms:
   after its own;
 * an ``ExitTriggered`` names its own wallet's validator and states the
   watchdog's threshold, the expected reward per epoch times the grace
-  epochs;
+  epochs, and its window sum, below it: the values of its wallet's
+  receipts over the last grace epochs, its own included, which the fold
+  keeps by epoch;
 * an ``ExitSettled`` returns what its wallet's ``WithdrawalFinalized``
   did, each states the shortfall below one stake, and its cause, escrow
   cover and penalty are those the treasury settles by;
@@ -172,6 +180,9 @@ class _Fold:
         self.exit_at: dict[int, int] = {}    # validator id -> the epoch its exit is due
         self.exit_epoch: dict[int, int] = {}     # wallet index -> the epoch its exit began
         self.forwarded: dict[int, int] = {}      # wallet index -> the rewards it forwarded
+        # wallet index -> epoch -> its receipts in that epoch, for its last
+        # grace_epochs epochs with one: what its watchdog's window can hold
+        self.windows: dict[int, dict[int, int]] = {}
         self.returned: dict[str, int] = {}   # wallet name -> what its withdrawal returned
         self.refunds: list | None = None     # an abort's (owner, capital) still to pay, last first
         self.accrual: dict | None = None     # the last EpochAccrual payload, carried forward
@@ -184,12 +195,15 @@ class _Fold:
             self.carry()
         if e.epoch != self.last.epoch:
             self.end_epoch()
-        if e.tag == BATCH:      # its pairs, in order, as the Transfer lines they stand for
-            for pair in _pairs(e):
-                self.step(pair)
-            self.consistent &= len(e.payload["to"]) > 1
-            return
         if e.tag in LEDGER_TAGS:
+            if e.tag == BATCH:      # its pairs, in order, as the Transfer lines they stand for
+                for pair in _pairs(e):
+                    self.step(pair)
+                self.consistent &= len(e.payload[0]) > 1
+                return
+            p = e.payload
+            if type(p) is not list or tuple(map(type, p)) not in _SHAPES[e.tag]:
+                raise ValueError(_misshaped(e))
             replay_balances((e,), self.replay)
         handler = self._on.get(e.tag)
         if handler is not None:
@@ -237,27 +251,31 @@ class _Fold:
     def _on_SupplyMint(self, e: Event) -> None:
         if e.emitter == BEACON:     # an accrual's issue, one at most
             self.consistent &= self.accruing == 0
-            self.accruing = e.payload["amount"]
+            self.accruing = e.payload[0]
         self._named(e.emitter)
 
     def _on_Call(self, e: Event) -> None:
         self._named(e.emitter)
-        p, t = e.payload, self.tst
-        if p["method"] == "receive_rewards" and "value" in p:     # wallet j's reward receipt
-            j, value = self.wallets[e.emitter], p["value"]
+        p, t = e.payload, self.tst       # [target, method] or [target, method, value]
+        method = p[1]
+        if method == "receive_rewards" and len(p) == 3:     # wallet j's reward receipt
+            j, value = self.wallets[e.emitter], p[2]
             fee = value * self.spec.fee_bps // 10_000
             self.forwarded[j] = self.forwarded.get(j, 0) + value
             t.net_total += value - fee
             t.operator_fees_accrued += fee
+            window = self.windows.setdefault(j, {})
+            window[e.epoch] = window.get(e.epoch, 0) + value
+            if len(window) > self.spec.grace_epochs:    # its oldest epoch is in no window to come
+                del window[next(iter(window))]
             # a wallet forwards all it holds, so the sweeps it got are its receipts
-            self.consistent &= type(value) is int and value > 0 \
-                and self.replay.balances[e.emitter] == 0
-        elif p["method"] == "accrue_epoch" and p["target"] == BEACON:
+            self.consistent &= value > 0 and self.replay.balances[e.emitter] == 0
+        elif method == "accrue_epoch" and p[0] == BEACON:
             # one a epoch, from the epoch after the stake while a validator is not Withdrawn
             self.consistent &= e.epoch == self.next_accrual
             self.next_accrual = e.epoch + 1
             self.accruing = 0
-        elif p["method"] == "abort_refund" and p["target"] == TREASURY:
+        elif method == "abort_refund" and p[0] == TREASURY:
             # the refunds to come: each token's capital to its owner, in token order
             self.consistent &= e.emitter == MINT
             owners = sorted((token, owner) for owner, tokens in t.owned.items() for token in tokens)
@@ -272,9 +290,9 @@ class _Fold:
         # its capital: the value of the mint's register_nft Call right before it
         p, t, m, last = e.payload, self.tst, self.mint, self.last
         token_id = len(t.capital)       # ids are positions: the next one
-        paid = (last.tag, last.emitter, last.payload.get("method")) \
-            == ("Call", e.emitter, "register_nft")
-        capital = last.payload.get("value", 0) if paid else 0
+        paid = (last.tag, last.emitter) == ("Call", e.emitter) and len(last.payload) == 3 \
+            and last.payload[1] == "register_nft"
+        capital = last.payload[2] if paid else 0
         if not (p["token_id"] == token_id and capital >= m.min_contribution
                 and m.open_epoch <= e.epoch < m.close_epoch):   # no token the mint would issue
             self.consistent = False
@@ -315,9 +333,9 @@ class _Fold:
 
     def _on_EscrowRefunded(self, e: Event) -> None:
         # the escrow left, paid to the operator by the treasury's Transfer right before it
-        t, amount = self.tst, e.payload["amount"]
-        self.consistent &= self._follows(e, "Transfer", amount) \
-            and self.last.payload.get("to") == OPERATOR and amount == t.escrow_balance
+        t, amount, last = self.tst, e.payload["amount"], self.last
+        self.consistent &= (last.tag, last.emitter, last.payload) \
+            == ("Transfer", e.emitter, [OPERATOR, amount]) and amount == t.escrow_balance
         t.escrow_refunded = amount
         t.escrow_balance -= amount
 
@@ -335,21 +353,21 @@ class _Fold:
             return
         if e.emitter != TREASURY:
             return
-        t, p, last = self.tst, e.payload, self.last
+        t, last = self.tst, self.last
+        to, amount = e.payload
         if self.refunds:
-            self.consistent &= (p["to"], p["amount"]) == self.refunds.pop()
+            self.consistent &= (to, amount) == self.refunds.pop()
             return
-        if last.tag != "Call" or last.payload["target"] != TREASURY:
+        if last.tag != "Call" or last.payload[0] != TREASURY:
             return
-        caller, method = last.emitter, last.payload["method"]
+        caller, method = last.emitter, last.payload[1]
         if method == "claim":
-            self.consistent &= p["to"] == caller and p["amount"] == claimable_of(t, caller)
-            t.claimed_total = t.claimed_total.set(caller,
-                                                  t.claimed_total.get(caller, 0) + p["amount"])
+            self.consistent &= to == caller and amount == claimable_of(t, caller)
+            t.claimed_total = t.claimed_total.set(caller, t.claimed_total.get(caller, 0) + amount)
         elif method == "claim_operator_fees":
-            self.consistent &= p["to"] == caller and p["amount"] == t.operator_fees_accrued
-            t.operator_fees_accrued -= p["amount"]
-            t.fees_claimed_total += p["amount"]
+            self.consistent &= to == caller and amount == t.operator_fees_accrued
+            t.operator_fees_accrued -= amount
+            t.fees_claimed_total += amount
 
     def _on_Deposited(self, e: Event) -> None:
         self.consistent &= e.payload["stake"] == self.params.stake_requirement
@@ -382,9 +400,14 @@ class _Fold:
             self.exit_epoch[j] = e.epoch
 
     def _on_ExitTriggered(self, e: Event) -> None:
-        j, spec = self.wallets[e.emitter], self.spec
-        self.consistent &= self.wallet_of.get(e.payload["validator_id"]) == j \
-            and e.payload["threshold"] == spec.expected_reward_per_epoch * spec.grace_epochs
+        # the watchdog's window: wallet j's receipts of the grace epochs up to this one
+        j, spec, p = self.wallets[e.emitter], self.spec, e.payload
+        oldest = e.epoch - spec.grace_epochs + 1
+        window_sum = sum(value for epoch, value in self.windows.get(j, {}).items()
+                         if epoch >= oldest)
+        self.consistent &= self.wallet_of.get(p["validator_id"]) == j \
+            and p["threshold"] == spec.expected_reward_per_epoch * spec.grace_epochs \
+            and p["window_sum"] == window_sum < p["threshold"]
         self.tst.exit_causes = self.tst.exit_causes.set(j, CAUSE_PERFORMANCE)
         self.exit_epoch[j] = e.epoch
 
@@ -450,17 +473,18 @@ class _Fold:
     _on = {name[4:]: f for name, f in list(vars().items()) if name.startswith("_on_")}
 
     def _follows(self, e: Event, tag: str, amount: int) -> bool:
-        """True if `amount` is 0, or the line before `e` is a `tag` of it from `e`'s emitter."""
+        """True if `amount` is 0, or the line before `e` is a `tag` of it
+        from `e`'s emitter: a ``Transfer`` or a ``SupplyBurn``."""
         last = self.last
-        return amount == 0 or (last.tag, last.emitter, last.payload.get("amount")) \
-            == (tag, e.emitter, amount)
+        return amount == 0 or (last.tag, last.emitter) == (tag, e.emitter) \
+            and last.payload[_AMOUNT_AT[tag]] == amount
 
     def _paid_out(self, e: Event) -> None:
         """A sweep's payout, on the sweep period's grid, to a validator's
         wallet: an Active one's balance less the stake, an exiting one's
         whole balance once its exit is due."""
-        p = e.payload
-        vid = self.vid_of.get(self.wallets.get(p["to"]))
+        to, amount = e.payload
+        vid = self.vid_of.get(self.wallets.get(to))
         if vid is None:     # no validator's wallet
             self.consistent = False
             return
@@ -472,7 +496,7 @@ class _Fold:
         else:
             left = balance
         self.consistent &= e.epoch % self.params.sweep_period == 0 \
-            and p["amount"] > 0 and p["amount"] == balance - left
+            and amount > 0 and amount == balance - left
         self.balance[vid] = left
 
     def _moves(self, vid: int, was: ValidatorStatus, to: ValidatorStatus) -> bool:
@@ -507,14 +531,36 @@ class _Fold:
             yield vid, self.forwarded.get(j, 0), status, self.exit_epoch.get(j)
 
 
+# The types, by position, of the payload of each line the ledger writes but
+# a TransferBatch (_pairs): a Call's value is there only when it carries one.
+_SHAPES = {
+    "Call": ((str, str), (str, str, int)),
+    "Transfer": ((str, int),),
+    "SupplyMint": ((int, str),),
+    "SupplyBurn": ((int, str),),
+}
+
+# The position of the amount in a Transfer's and a SupplyBurn's payload.
+_AMOUNT_AT = {"Transfer": 1, "SupplyBurn": 0}
+
+
+def _misshaped(e: Event) -> str:
+    """Why `e`, a line the ledger writes, does not fold: its payload is not
+    the list of its tag's length and types that the ledger writes."""
+    named = " or ".join(f"[{', '.join(t.__name__ for t in shape)}]" for shape in _SHAPES[e.tag])
+    return f"a {e.tag} payload is {named}, not {e.payload!r:.80}"
+
+
 def _pairs(e: Event) -> Iterator[Event]:
-    """The ``Transfer`` lines a ``TransferBatch`` stands for, in order;
-    ValueError unless its ``to`` and ``amount`` are lists of one length."""
-    to, amounts = e.payload["to"], e.payload["amount"]
-    if type(to) is not list or type(amounts) is not list or len(to) != len(amounts):
-        raise ValueError(f"a {BATCH} is lists to and amount of one length")
-    for name, amount in zip(to, amounts):
-        yield Event(e.epoch, e.seq, e.emitter, "Transfer", {"to": name, "amount": amount})
+    """The ``Transfer`` lines a ``TransferBatch`` ``[[to, ...], [amount,
+    ...]]`` stands for, in order; ValueError unless it is two lists of one
+    length (each pair is then read as a ``Transfer``, of its shape)."""
+    p = e.payload
+    if type(p) is not list or len(p) != 2 or type(p[0]) is not list \
+            or type(p[1]) is not list or len(p[0]) != len(p[1]):
+        raise ValueError(f"a {BATCH} is two lists, to and amount, of one length: {p!r:.80}")
+    for name, amount in zip(*p):
+        yield Event(e.epoch, e.seq, e.emitter, "Transfer", [name, amount])
 
 
 _EVENT_KEYS = {"emitter", "tag", "payload"}
@@ -620,8 +666,9 @@ def rebuild(lines: Iterable[str]) -> Rebuilt:
     Raises ValueError if they do not expand (:func:`expand`), if the first
     is not a ``Genesis`` line of terms in their bounds, or, naming its seq,
     at the first line the fold cannot read: a second ``Genesis``, a field
-    missing or of the wrong type, or a wallet or validator that no line
-    before it made.
+    missing or of the wrong type, a line the ledger writes whose payload
+    is not the list of its tag's length and types, or a wallet or
+    validator that no line before it made.
 
     A run's log ends with the ``End`` line ``World.report`` writes, at the
     final epoch. A log whose last line is no ``End``, such as the evidence

@@ -20,7 +20,7 @@ The handler contract, which every contract in this package keeps:
   before writing to it and leaves the fields it does not write shared; a
   field written per token or per holder is a :class:`SharedMap` instead.
 * Logged payloads are read-only once emitted. ``Call`` events without
-  value share one payload dict per (target, method) across the whole
+  value share one payload list per (target, method) across the whole
   log, and the beacon's state keeps the last ``EpochAccrual`` payload it
   logged.
 
@@ -59,7 +59,7 @@ its number once and a receipt's log entries carry only an address,
 topics and data (Wood, *Ethereum Yellow Paper*, §4.3 and §4.3.1).
 :func:`encode_lines` is the one line builder, used by
 :meth:`Ledger.flush`, whose headers carry on from one batch to the next.
-It writes flat payloads from cached
+It writes flat payloads, dicts and lists, from cached
 encodings, hands anything else to a single JSON encoder, and encodes a
 shared payload object (a ``Call``'s without value) once per batch, so the
 bytes, and every digest over them, are those of ``json.dumps``. The tags
@@ -68,10 +68,12 @@ contract's or driver's to emit, so such a line names its sender once, as
 its emitter, as an EVM log entry names its address (Wood, *Ethereum
 Yellow Paper*, §4.3.1): a ``Transfer``, ``TransferBatch``,
 ``SupplyMint`` or ``SupplyBurn`` line's emitter is the account it debits
-or credits, and a ``Call`` line's is its caller. Their payloads are
-``{"to","amount"}``, ``{"to":[...],"amount":[...]}``,
-``{"amount","memo"}`` and ``{"target","method"}``, or
-``{"target","method","value"}`` for a call that carries value. As a
+or credits, and a ``Call`` line's is its caller. Each of these tags has
+fixed fields, so its payload is a list that states them by position, as
+the Yellow Paper writes a log entry and a message call as tuples (§4.3.1,
+§8): ``[to, amount]``, ``[[to, ...], [amount, ...]]``, ``[amount, memo]``
+and ``[target, method]``, or ``[target, method, value]`` for a call that
+carries value. Contract and driver events keep named dict payloads. As a
 message call carries its value as a parameter (§8), that ``Call`` line
 is the value's one line: no ``Transfer`` line repeats it, and
 :func:`replay_balances` moves it from the caller to the target. A
@@ -179,7 +181,7 @@ class Event(NamedTuple):
     seq: int
     emitter: str
     tag: str
-    payload: dict
+    payload: dict | list
 
 
 def encode_lines(events, epoch: int = -1) -> list[str]:
@@ -192,13 +194,14 @@ def encode_lines(events, epoch: int = -1) -> list[str]:
     spaces, exactly ``json.dumps`` of that dict with ``separators=(",",
     ":")``: this format is the regression surface. The part up to
     ``"payload":`` is encoded once per str (emitter, tag) pair. A flat
-    payload (str keys, values of exact type int or str) is written from
-    encoded keys and strings cached for this call; any other payload goes
-    through the JSON encoder. A flat ``Call`` payload without value, its
-    target and method, which the ledger shares one per route and the only
-    payload object a batch repeats, is encoded once per object: its
-    encoding is cached by id next to the payload itself, so the id cannot
-    be reused while cached. The caches live only as long as the call.
+    payload, a dict of str keys or a list whose values are of exact type
+    int or str, is written from encoded keys and strings cached for this
+    call; any other payload goes through the JSON encoder. A flat ``Call``
+    list without value, its target and method, which the ledger shares one
+    per route and the only payload object a batch repeats, is encoded once
+    per object: its encoding is cached by id next to the payload itself, so
+    the id cannot be reused while cached. The caches live only as long as
+    the call.
     """
     heads: dict = {}
     keys: dict = {}
@@ -219,7 +222,25 @@ def encode_lines(events, epoch: int = -1) -> list[str]:
             body = cached[1]
         else:
             body = None
-            if type(payload) is dict:
+            kind = type(payload)
+            if kind is list:
+                parts = []
+                for v in payload:
+                    t = type(v)
+                    if t is int:
+                        parts.append(str(v))
+                    elif t is str:
+                        ev = strs.get(v)
+                        if ev is None:
+                            ev = strs[v] = encode_basestring_ascii(v)
+                        parts.append(ev)
+                    else:
+                        break
+                else:
+                    body = "[" + ",".join(parts) + "]"
+                    if tag == "Call" and len(payload) == 2:
+                        shared[id(payload)] = (payload, body)
+            elif kind is dict:
                 parts = []
                 for k, v in payload.items():
                     ek = keys.get(k)
@@ -241,8 +262,6 @@ def encode_lines(events, epoch: int = -1) -> list[str]:
                     body = "{" + ",".join(parts) + "}"
             if body is None:
                 body = _encode(payload)
-            elif tag == "Call" and "value" not in payload:
-                shared[id(payload)] = (payload, body)
         out.append(f'{head}{body}}}\n')
     return out
 
@@ -506,7 +525,7 @@ class CallContext:
     def move(self, src: str, dst: str, amount: int) -> None:
         """:meth:`pay`, logged as the ``Transfer`` line `src` emits."""
         self.pay(src, dst, amount)
-        self.log(src, "Transfer", {"to": dst, "amount": amount})
+        self.log(src, "Transfer", [dst, amount])
 
     def move_all(self, src: str, run: list[Transfer]) -> None:
         """A handler's run of Transfer effects from `src`, paid one at a
@@ -517,7 +536,7 @@ class CallContext:
             return
         for to, amount in run:
             self.pay(src, to, amount)
-        self.log(src, BATCH, {"to": [t.to for t in run], "amount": [t.amount for t in run]})
+        self.log(src, BATCH, [[t.to for t in run], [t.amount for t in run]])
 
     def issue(self, name: str, amount: int, memo: str) -> None:
         if type(amount) is not int or amount < 0:
@@ -526,7 +545,7 @@ class CallContext:
             return
         self._balances[name] = self.balance_of(name) + amount
         self._minted += amount
-        self.log(name, "SupplyMint", {"amount": amount, "memo": memo})
+        self.log(name, "SupplyMint", [amount, memo])
 
     def destroy(self, name: str, amount: int, memo: str) -> None:
         if type(amount) is not int or amount < 0:
@@ -538,9 +557,9 @@ class CallContext:
             raise InsufficientBalance(f"{name} has {have}, cannot destroy {amount}")
         self._balances[name] = have - amount
         self._burned += amount
-        self.log(name, "SupplyBurn", {"amount": amount, "memo": memo})
+        self.log(name, "SupplyBurn", [amount, memo])
 
-    def log(self, emitter: str, tag: str, payload: dict) -> None:
+    def log(self, emitter: str, tag: str, payload: dict | list) -> None:
         events = self._events
         events.append(_new_record(
             Event, (self.epoch, self._seq + len(events), emitter, tag, payload)))
@@ -628,7 +647,7 @@ class Ledger:
         self._recent: list[list[str]] = [[], []]
         self._replay = ReplayResult({}, 0, 0)     # the fold of every flushed event
         # (target, method) -> the one shared payload of its Call events without value
-        self._call_payloads: dict[tuple[str, str], dict] = {}
+        self._call_payloads: dict[tuple[str, str], list] = {}
 
     # --- registration -------------------------------------------------
 
@@ -691,7 +710,7 @@ class Ledger:
             raise InvalidAmount(f"genesis amount must be a positive integer, got {amount!r}")
         self._balances[to] += amount
         self.minted_total += amount
-        self._append_event(to, "SupplyMint", {"amount": amount, "memo": memo})
+        self._append_event(to, "SupplyMint", [amount, memo])
 
     def emit(self, emitter: str, tag: str, payload: dict) -> None:
         """Append a driver-level event outside any call tree."""
@@ -729,12 +748,12 @@ class Ledger:
         log = ctx.log
         if value or type(value) is not int:     # pay rejects any value but a positive int
             ctx.pay(caller, target, value)
-            payload = {"target": target, "method": method, "value": value}
+            payload = [target, method, value]
         else:
             key = (target, method)
             payload = self._call_payloads.get(key)
             if payload is None:
-                payload = self._call_payloads[key] = {"target": target, "method": method}
+                payload = self._call_payloads[key] = [target, method]
         log(caller, "Call", payload)
         states = ctx._states
         state = states[target] if target in states else self._states[target]
@@ -844,7 +863,7 @@ class Ledger:
 
     # --- event log ---------------------------------------------------------
 
-    def _append_event(self, emitter: str, tag: str, payload: dict) -> None:
+    def _append_event(self, emitter: str, tag: str, payload: dict | list) -> None:
         self._log((_new_record(Event, (self.epoch, self._seq, emitter, tag, payload)),))
 
     def _log(self, events: list[Event] | tuple[Event, ...]) -> None:
@@ -943,36 +962,42 @@ def replay_balances(events, into: ReplayResult | None = None) -> ReplayResult:
 
     Folds SupplyMint, SupplyBurn, Transfer, TransferBatch and Call events,
     onto `into` in place if given (so a log can be folded batch by batch),
-    else onto a fresh result. Each credits or debits its emitter: a
-    Transfer moves its amount from the emitter to its ``to``, a
-    TransferBatch each of its amounts to the ``to`` at the same position
-    (ValueError if the two lists differ in length), and a Call its
-    ``value``, if it carries one, to its ``target``. For a well-behaved
-    ledger the balances equal the live ones, and the minted and burned
-    totals equal ``Ledger.minted_total`` / ``burned_total``, kept apart.
+    else onto a fresh result, reading each payload by position. Each
+    credits or debits its emitter: a SupplyMint ``[amount, memo]`` or
+    SupplyBurn its amount, a Transfer ``[to, amount]`` its amount from the
+    emitter to ``to``, a TransferBatch ``[[to, ...], [amount, ...]]`` each
+    of its amounts to the ``to`` at the same position (ValueError if the
+    two lists differ in length), and a Call ``[target, method, value]`` its
+    value, if it carries one, to its target. For a well-behaved ledger the
+    balances equal the live ones, and the minted and burned totals equal
+    ``Ledger.minted_total`` / ``burned_total``, kept apart.
     """
     if into is None:
         into = ReplayResult({}, 0, 0)
     balances = into.balances
     minted = burned = 0
     for e in events:
-        p, name = e.payload, e.emitter
-        if e.tag == "SupplyMint":
-            balances[name] = balances.get(name, 0) + p["amount"]
-            minted += p["amount"]
-        elif e.tag == "SupplyBurn":
-            balances[name] = balances.get(name, 0) - p["amount"]
-            burned += p["amount"]
-        elif e.tag == "Transfer":
-            balances[name] = balances.get(name, 0) - p["amount"]
-            balances[p["to"]] = balances.get(p["to"], 0) + p["amount"]
-        elif e.tag == BATCH:
-            for to, amount in zip(p["to"], p["amount"], strict=True):
+        p, name, tag = e.payload, e.emitter, e.tag
+        if tag == "Call":
+            if len(p) == 3:
+                target, _, value = p
+                balances[name] = balances.get(name, 0) - value
+                balances[target] = balances.get(target, 0) + value
+        elif tag == "Transfer":
+            to, amount = p
+            balances[name] = balances.get(name, 0) - amount
+            balances[to] = balances.get(to, 0) + amount
+        elif tag == "SupplyMint":
+            balances[name] = balances.get(name, 0) + p[0]
+            minted += p[0]
+        elif tag == "SupplyBurn":
+            balances[name] = balances.get(name, 0) - p[0]
+            burned += p[0]
+        elif tag == BATCH:
+            tos, amounts = p
+            for to, amount in zip(tos, amounts, strict=True):
                 balances[name] = balances.get(name, 0) - amount
                 balances[to] = balances.get(to, 0) + amount
-        elif e.tag == "Call" and "value" in p:
-            balances[name] = balances.get(name, 0) - p["value"]
-            balances[p["target"]] = balances.get(p["target"], 0) + p["value"]
     into.minted += minted
     into.burned += burned
     return into

@@ -149,9 +149,9 @@ def is_holder_name(name) -> bool:
 # --- scenario description ----------------------------------------------------
 
 # Bound on horizon (and on `stakeclaim run --epochs`): a stepped epoch logs
-# about 0.24 kB per validator (a stepped run of the benchmark's wide
-# workload at seed 0: a median block of 3,835 B over 16 validators) and
-# about 0.55 kB with one, and a run with a sweep_period above 1 steps every
+# about 0.19 kB per validator (a stepped run of the benchmark's wide
+# workload at seed 0: a median block of 3,065 B over 16 validators) and
+# about 0.44 kB with one, and a run with a sweep_period above 1 steps every
 # epoch; a segment of quiet epochs logs one Repeat line, so quiet epochs add
 # next to nothing. The benchmark's long workload runs 10,000.
 HORIZON_MAX = 100_000

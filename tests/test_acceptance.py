@@ -114,8 +114,8 @@ def trigger(e) -> tuple[str, int] | None:
     p = e.payload
     if e.tag == "ExitSettled":
         return "ExitSettled", p["returned"] + p["escrow_cover"] + p["penalty"]
-    if e.tag == "Call" and p["method"] == "receive_rewards":
-        return "receive_rewards", p["value"]
+    if e.tag == "Call" and p[1] == "receive_rewards":     # [target, method, value]
+        return "receive_rewards", p[2]
     return None
 
 
@@ -167,8 +167,8 @@ def test_criterion_1_operator_fee_equation(corpus):
         r_total = sum(v.rewards_received for v in report.validators)
         # Each receipt is the wallet's Call to receive_rewards, which
         # carries its value; its fee floors value * F.
-        receipts = [e.payload["value"] for e in logged_events(world.ledger)
-                    if e.tag == "Call" and e.payload["method"] == "receive_rewards"]
+        receipts = [e.payload[2] for e in logged_events(world.ledger)
+                    if e.tag == "Call" and e.payload[1] == "receive_rewards"]
         receipt_count = len(receipts)
         assert sum(receipts) == r_total
         assert sum(value * fee_bps // 10_000 for value in receipts) \

@@ -545,9 +545,9 @@ class TestValidateCommand:
 # sha256 of each golden's log as stepping writes it, every line in full:
 # what `stakeclaim explain --expand` prints for the log the run wrote.
 STEPPED_DIGESTS = {
-    "honest": "cf55c2235cc4dfced368ac7da8f01c2f6257d11122ae61103e8263e36578b894",
-    "nonpaying": "d9628d15302208bcfbfc03969a46db88b354b6487c432371495bd1281cfae475",
-    "slashed": "e73c51b8e8416fd16f96ccea16b61e9188244e3fd7a7d636625f25d7f624f206",
+    "honest": "52df641ac48fc8a94412d664226b224c64d9a71633d075f4168643d3a8b74a51",
+    "nonpaying": "172ee5aacd0f464e913cc50fe7110144b8d306f18e3359ebb4bb4833ce0d2c62",
+    "slashed": "756fb0c19717f1a7297aea3d126d1b08acdc07dbe5a0e922cf1f4323484fce48",
 }
 
 
@@ -581,7 +581,7 @@ class TestExplainCommand:
                        "--out", str(tmp_path)) == 0
         path = tmp_path / "events.jsonl"
         text = path.read_text()
-        receipt = '"method":"receive_rewards","value":1000}'
+        receipt = '"receive_rewards",1000]'
         path.write_text(text.replace(receipt, receipt.replace("1000", "1001"), 1))
         capsys.readouterr()
         assert run_cli("explain", "--events", str(path)) == 2
@@ -594,7 +594,7 @@ class TestExplainCommand:
         None,                                   # no such file
         b"{not json\n",
         b'{"epoch":0}\n{"emitter":"alice","tag":"SupplyMint",'
-        b'"payload":{"amount":1,"memo":"m"}}\n',   # no Genesis line first
+        b'"payload":[1,"m"]}\n',   # no Genesis line first
     ], ids=["missing", "not-json", "no-terms"])
     def test_verifying_an_unreadable_log_exits_1(self, content, tmp_path, capsys):
         path = tmp_path / "events.jsonl"
@@ -621,7 +621,7 @@ class TestExplainCommand:
 
     def test_a_reader_that_stops_early_ends_it_quietly(self, tmp_path):
         # As `stakeclaim explain ... --expand | head -1` does: the expanded
-        # log (136 kB) outgrows the pipe, and the reader closes it.
+        # log (81 kB) outgrows the pipe, and the reader closes it.
         assert run_cli("run", "--scenario", str(sc.golden_scenario_path("honest")),
                        "--out", str(tmp_path)) == 0
         src = Path(sc.__file__).resolve().parent.parent

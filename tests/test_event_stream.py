@@ -198,8 +198,8 @@ def test_a_transfer_corrupted_before_its_fold_fails_replay_ok(monkeypatch):
         events = list(events)
         for i, e in enumerate(events):
             if e.tag == "TransferBatch" and not corrupted:
-                first, *rest = e.payload["amount"]
-                events[i] = e._replace(payload={**e.payload, "amount": [first + 1, *rest]})
+                to, (first, *rest) = e.payload
+                events[i] = e._replace(payload=[to, [first + 1, *rest]])
                 corrupted.append(e)
         return fold(events, into)
 
@@ -247,8 +247,8 @@ def test_a_default_world_holds_at_most_one_batch(monkeypatch):
 # What a stepped run may hold at its peak, whatever its horizon: the
 # contracts' states, the Call payloads, one batch of Event objects with its
 # lines, the blocks of the two epochs a segment check reads, and the log's
-# file while it is still in memory, up to LOG_BLOCK bytes. About 0.5 MB on
-# the runs below; the log in memory would add 1.2 MB at horizon 1,500.
+# file while it is still in memory, up to LOG_BLOCK bytes. About 0.3 MB on
+# the runs below; the log in memory would add 1.1 MB at horizon 1,800.
 RUN_PEAK = 1 << 20
 
 
@@ -256,12 +256,12 @@ def test_a_run_holds_a_bounded_tail_of_its_log():
     # The log goes to its file at each flush. The ledger keeps in hand only
     # the blocks of the last two epochs that logged, and the report
     # only the file and its length, so tracemalloc's peak over the whole run,
-    # the report included, stays under one bound at a horizon of 1,500 and
+    # the report included, stays under one bound at a horizon of 1,800 and
     # at four times that, well below either log (each longer than the
     # bound). The text is read back only when asked for, after tracing
     # stops. Stepped, as a segment's epochs would add one line.
     scenario = sc.load_scenario(sc.golden_scenario_path("honest"))
-    for horizon, at_least in ((1500, 1_100_000), (6000, 4_500_000)):
+    for horizon, at_least in ((1800, 1_100_000), (7200, 4_500_000)):
         world = SteppedWorld(dataclasses.replace(scenario, horizon=horizon))
         tracemalloc.start()
         try:
@@ -281,7 +281,7 @@ FD_DIR = Path("/proc/self/fd")
 @pytest.mark.skipif(not FD_DIR.is_dir(), reason="no per-process descriptor listing here")
 def test_no_log_file_outlives_its_ledger_and_report(monkeypatch):
     # A log's file stays in memory until it holds LOG_BLOCK bytes: a
-    # golden's log, about 12 kB, opens no descriptor at the default block,
+    # golden's log, about 7 kB, opens no descriptor at the default block,
     # and at 256 bytes each run's file opens one, early on. Once the worlds
     # and the reports are dropped, the files close (weakref.finalize),
     # cycles or not.

@@ -115,7 +115,7 @@ def assert_keepers_agree(scenario: Scenario) -> None:
         if seq in old_world.declined:
             event = json.loads(line)
             assert event["tag"] == "Call"
-            assert event["payload"]["method"] in ("watchdog_check", "sweep")
+            assert event["payload"][1] in ("watchdog_check", "sweep")
         else:
             kept.append(rest)
     assert lines_without_seq(expanded(new.events_jsonl)) == kept
@@ -202,7 +202,7 @@ def test_any_schedule_agrees_with_the_every_epoch_keeper(scenario):
 def pokes(report, method: str) -> list[int]:
     events = [json.loads(line) for line in expanded(report.events_jsonl).splitlines()]
     return [e["epoch"] for e in events
-            if e["tag"] == "Call" and e["payload"]["method"] == method]
+            if e["tag"] == "Call" and e["payload"][1] == method]
 
 
 def test_the_sweep_is_called_on_its_grid_only():

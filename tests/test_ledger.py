@@ -77,7 +77,7 @@ class TestTransfer:
         transfer(led, "a", "b", 3)
         last = logged_events(led)[-1]
         assert last.tag == "Transfer"
-        assert (last.emitter, last.payload) == ("a", {"to": "b", "amount": 3})
+        assert (last.emitter, last.payload) == ("a", ["b", 3])
 
 
 # --- toy contracts for dispatch tests ----------------------------------------
@@ -183,7 +183,7 @@ class TestDispatch:
         assert led.balance_of("user") == 60
         assert led.balance_of("c1") == 40
         assert [(e.emitter, e.tag, e.payload) for e in logged_events(led)[1:]] == [
-            ("user", "Call", {"target": "c1", "method": "poke", "value": 40}),
+            ("user", "Call", ["c1", "poke", 40]),
             ("c1", "Poked", {"count": 1})]
 
     def test_nested_revert_rolls_back_everything(self):
@@ -251,8 +251,7 @@ class TestDispatch:
             led.call("user", "c1", "poke_then_call", {"peer": "c2", "peer_method": "poke"})
         # The batch not yet encoded holds the logged Event objects themselves.
         calls = [e.payload for e in led._pending if e.tag == "Call"]
-        assert calls == [{"target": "c1", "method": "poke_then_call"},
-                         {"target": "c2", "method": "poke"}] * 2
+        assert calls == [["c1", "poke_then_call"], ["c2", "poke"]] * 2
         assert calls[0] is calls[2] and calls[1] is calls[3]
         assert calls[0] is not calls[1]
 
@@ -365,6 +364,12 @@ class TestEventLog:
             led.is_contract("system")
 
 
+# Text that a format string, a pattern over the log or a careless escape
+# misreads: a header, or a Repeat, inside a payload.
+HOSTILE = ["{", "{0}", "}", "{{}}", '"', "\\", '\\"', "é€💸", '"epoch":5', '"seq":1',
+           ',"lines":3}', "\n", '\n{"epoch":5}\n', '{"emitter":"system","tag":"Repeat"']
+
+
 class Name(str):
     """A str subclass: json writes it as the string it holds."""
 
@@ -396,6 +401,24 @@ int_rows = st.lists(st.lists(st.integers() | st.integers(-3, 3).map(Int) | st.bo
                              max_size=3) | st.integers(), max_size=3)
 row_payloads = st.dictionaries(json_text, st.integers() | json_text | int_rows, max_size=3)
 
+# Positional payloads, as the ledger's own lines are: lists of ints and
+# strings, the encoder's flat path, and lists that also hold, at any
+# position, a scalar of another type (a bool, a float, None, a subclass) or
+# a list or dict (a TransferBatch's two lists), which are not. Their strings
+# are escaped, non-ASCII or HOSTILE text, and their ints reach past 2**64.
+list_items = st.integers() | st.integers(-2 ** 70, 2 ** 70) | json_text \
+    | st.sampled_from(HOSTILE)
+list_scalars = list_items | json_scalars | st.integers(-3, 3).map(Int)
+flat_lists = st.lists(list_items, max_size=4)
+list_payloads = st.lists(list_scalars, max_size=4) | st.lists(
+    st.recursive(list_scalars, lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(json_keys, inner, max_size=3), max_leaves=6),
+    max_size=4)
+# A Call's payload without value, [target, method], which the ledger shares
+# one per route.
+routes = st.lists(json_text, min_size=2, max_size=2)
+any_payloads = payloads | flat_payloads | row_payloads | flat_lists | list_payloads | routes
+
 
 def event_tags(max_size: int):
     """Any text up to `max_size` characters that a contract or a driver may
@@ -423,8 +446,8 @@ def dumps_log(events, epoch: int = -1) -> list[str]:
 class TestEventEncoding:
     @settings(max_examples=200)
     @given(st.lists(st.tuples(st.sampled_from(["a", "é", Name("a")]),
-                              st.sampled_from(["Transfer", "Tag\u00e9", "x\n"]),
-                              payloads | flat_payloads | row_payloads),
+                              st.sampled_from(["Transfer", "Call", "Tag\u00e9", "x\n"]),
+                              any_payloads),
                     max_size=8),
            st.integers(min_value=0, max_value=10 ** 9), st.lists(st.booleans(), max_size=8),
            st.integers(min_value=-1, max_value=1))
@@ -452,13 +475,14 @@ class TestEventEncoding:
         assert led.events_jsonl() == "".join(dumps_log(events))
 
     @settings(max_examples=100)
-    @given(st.lists(payloads | flat_payloads | row_payloads, min_size=1, max_size=4),
+    @given(st.lists(any_payloads, min_size=1, max_size=4),
            st.lists(st.tuples(st.integers(min_value=0, max_value=3),
                               st.sampled_from(["Call", "EpochAccrual"])), max_size=10))
     def test_shared_payload_objects_encode_like_copies(self, pool, picks):
         # One payload object logged by several events, a Call's or one that
         # holds lists of int lists, encodes as copies of it would: a flat
-        # Call's without value once, any other once per line.
+        # Call's without value, its [target, method], once, any other once
+        # per line.
         events = [Event(0, seq, "a", tag, pool[i % len(pool)])
                   for seq, (i, tag) in enumerate(picks)]
         assert encode_lines(events) == dumps_log(events)
@@ -467,7 +491,7 @@ class TestEventEncoding:
         # A payload freed after its line must not pass its cached encoding
         # on to a later payload that reuses its id.
         n = 1000
-        for tag, payload in (("Call", lambda i: {"i": i}),
+        for tag, payload in (("Call", lambda i: {"i": i}), ("Call", lambda i: ["c", str(i)]),
                              ("EpochAccrual", lambda i: {"amounts": [[0, i]]})):
             lines = encode_lines(Event(0, i, "a", tag, payload(i)) for i in range(n))
             assert lines == dumps_log([Event(0, i, "a", tag, payload(i)) for i in range(n)])
@@ -507,12 +531,6 @@ class TestEventEncoding:
 
 
 # --- segments: many epochs committed at once -----------------------------------
-
-# Text that a format string, a pattern over the log or a careless escape
-# misreads: a header, or a Repeat, inside a payload.
-HOSTILE = ["{", "{0}", "}", "{{}}", '"', "\\", '\\"', "é€💸", '"epoch":5', '"seq":1',
-           ',"lines":3}', "\n", '\n{"epoch":5}\n', '{"emitter":"system","tag":"Repeat"']
-
 
 class Tally:
     """Each poke mints 6 to itself, pays 3 of it to ``user`` and adds `step`
@@ -787,18 +805,18 @@ def tree_lines(tree, caller: str, balances: dict, lines: list, depth: int = 0) -
         raise ReentrancyLimitExceeded
     if type(value) is not int or value < 0:
         raise InvalidAmount
-    call = {"target": target, "method": "relay"}
+    call = [target, "relay"]
     if value:
         tree_moved(balances, caller, target, value)
-        call["value"] = value
+        call.append(value)
     lines.append((caller, "Call", call))
     for to, amount in pays:
         tree_moved(balances, target, to, amount)
     if len(pays) == 1:      # a run of two or more is one TransferBatch line
-        lines.append((target, "Transfer", {"to": pays[0][0], "amount": pays[0][1]}))
+        lines.append((target, "Transfer", list(pays[0])))
     elif pays:
-        lines.append((target, "TransferBatch", {"to": [to for to, _ in pays],
-                                                "amount": [amount for _, amount in pays]}))
+        lines.append((target, "TransferBatch", [[to for to, _ in pays],
+                                                [amount for _, amount in pays]]))
     for child in calls:
         tree_lines(child, target, balances, lines, depth + 1)
 

@@ -319,8 +319,8 @@ def repeat_of_the_wrong_block(advance_segment=Ledger.advance_segment):
 def call_value_not_replayed(replay=ledger.replay_balances):
     """The ledger's replay, folding each Call line as if it carried no value."""
     def mutant(events, into=None):
-        return replay([e._replace(payload={k: v for k, v in e.payload.items() if k != "value"})
-                       if e.tag == "Call" else e for e in events], into)
+        return replay([e._replace(payload=e.payload[:2]) if e.tag == "Call" else e
+                       for e in events], into)
 
     return mutant
 
@@ -330,8 +330,8 @@ def call_value_also_transferred(log=CallContext.log):
     Transfer line of that value, as a bare move logs one."""
     def mutant(self, emitter, tag, payload):
         log(self, emitter, tag, payload)
-        if tag == "Call" and "value" in payload:
-            log(self, emitter, "Transfer", {"to": payload["target"], "amount": payload["value"]})
+        if tag == "Call" and len(payload) == 3:     # [target, method, value]
+            log(self, emitter, "Transfer", [payload[0], payload[2]])
 
     return mutant
 
@@ -422,7 +422,7 @@ def claim_unchecked(handler):
     def mutant(self, e):
         consistent = self.consistent
         handler(self, e)
-        if self.last.payload.get("method") == "claim":
+        if self.last.tag == "Call" and self.last.payload[1] == "claim":
             self.consistent = consistent
 
     return mutant
@@ -433,8 +433,20 @@ def accrual_epoch_unchecked(handler):
     def mutant(self, e):
         consistent = self.consistent
         handler(self, e)
-        if e.payload.get("method") == "accrue_epoch":
+        if e.payload[1] == "accrue_epoch":
             self.consistent = consistent
+
+    return mutant
+
+
+def window_sum_unchecked(handler):
+    """The fold's ExitTriggered handler reading the line's window_sum as the
+    sum of the receipts the fold keeps, whatever the line says: it never
+    checks it."""
+    def mutant(self, e):
+        j, oldest = self.wallets[e.emitter], e.epoch - self.spec.grace_epochs + 1
+        summed = sum(value for epoch, value in self.windows.get(j, {}).items() if epoch >= oldest)
+        handler(self, e._replace(payload={**e.payload, "window_sum": summed}))
 
     return mutant
 
@@ -627,7 +639,7 @@ MUTANTS = {
         _Fold, "_on", fold_with("Transfer", claim_unchecked),
         lambda: test_explain.test_one_unit_added_to_a_claim_or_a_deposit_fails_replay_ok(
             test_explain.run_with_resales_claims_and_both_exit_causes, test_explain.CLAIM, 1,
-            "amount")),
+            test_explain.AMOUNT)),
     **{f"fold-{tag}-unchecked": (
         _Fold, "_on", fold_with(tag, unchecked),
         test_explain.test_one_unit_added_to_any_int_field_fails_replay_ok)
@@ -645,6 +657,10 @@ MUTANTS = {
     "fold-carried-accrual-unchecked": (
         _Fold, "carry", lambda self: setattr(self, "accruing", None),
         test_explain.test_an_accrual_line_deleted_or_restated_fails_replay_ok),
+    "fold-window-sum-unchecked": (
+        _Fold, "_on", fold_with("ExitTriggered", window_sum_unchecked),
+        lambda: test_explain.test_a_window_sum_one_unit_high_fails_replay_ok(
+            test_explain.staggered_exits)),
     "fold-Activated-unchecked": (
         _Fold, "_on", fold_with("Activated", unchecked),
         test_explain.test_a_validator_activated_off_its_epoch_fails_replay_ok),

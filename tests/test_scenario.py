@@ -417,8 +417,8 @@ class TestNonPayingRun:
         balances = ReplayResult({}, 0, 0)
         poked = []
         for e in events:
-            if e.tag == "Call" and e.payload["method"] == "forward_rewards":
-                poked.append((e.epoch, balances.balances.get(e.payload["target"], 0)))
+            if e.tag == "Call" and e.payload[1] == "forward_rewards":     # [target, method]
+                poked.append((e.epoch, balances.balances.get(e.payload[0], 0)))
             replay_balances([e], into=balances)
         assert poked == [(epoch, 1000) for epoch in range(2, 13)]
         # Skipped forwards left slots missing where zeros were; the exit is unchanged.
@@ -560,10 +560,10 @@ class TestLifecycleVariants:
             net = None
             if e["tag"] == "Genesis":
                 fee_bps = p["treasury"]["fee_bps"]
-            elif p.get("method") == "register_nft":
-                paid = p["value"]
-            elif p.get("method") == "receive_rewards" and "value" in p:
-                net = p["value"] - p["value"] * fee_bps // 10_000
+            elif e["tag"] == "Call" and p[1] == "register_nft":     # [target, method, value]
+                paid = p[2]
+            elif e["tag"] == "Call" and p[1] == "receive_rewards" and len(p) == 3:
+                net = p[2] - p[2] * fee_bps // 10_000
             elif e["tag"] == "ExitSettled":
                 net = p["returned"] + p["escrow_cover"] + p["penalty"]
             elif e["tag"] == "Mint":

@@ -245,8 +245,8 @@ class TestClaims:
         # A receipt is the value of a wallet's Call to receive_rewards, its
         # one line: it raises N by that value less its fee, and logs no fee.
         events = logged_events(w.ledger)
-        receipts = [e.payload["value"] for e in events
-                    if e.tag == "Call" and e.payload["method"] == "receive_rewards"]
+        receipts = [e.payload[2] for e in events     # [target, method, value]
+                    if e.tag == "Call" and e.payload[1] == "receive_rewards"]
         assert receipts == amounts
         assert "Distributed" not in {e.tag for e in events}
         floored = sum((a * 1000) // 10_000 for a in amounts)

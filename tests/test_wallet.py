@@ -25,8 +25,7 @@ def paid_calls(events):
 
     A call's value rides on its Call line; no Transfer line repeats it.
     """
-    return [(e.emitter, e.payload["target"], e.payload["method"], e.payload["value"])
-            for e in events if e.tag == "Call" and "value" in e.payload]
+    return [(e.emitter, *e.payload) for e in events if e.tag == "Call" and len(e.payload) == 3]
 
 
 class TestDeposit:
@@ -103,8 +102,7 @@ class TestForwardRewards:
         new = logged_events(w.ledger)[events_before:]
         assert "Transfer" not in [e.tag for e in new]
         assert paid_calls(new) == []
-        assert [e for e in new if e.tag == "Call"
-                and e.payload["method"] == "receive_rewards"] == []
+        assert [e for e in new if e.tag == "Call" and e.payload[1] == "receive_rewards"] == []
 
     def test_second_forward_same_epoch_only_new_funds(self, staked_world):
         w = staked_world
@@ -404,7 +402,7 @@ class TestZeroTrust:
             if w.wallet_state().status is WalletStatus.WITHDRAWN:
                 break
         events = logged_events(w.ledger)
-        outflows = {e.payload["to"] for e in events
+        outflows = {e.payload[0] for e in events
                     if e.tag == "Transfer" and e.emitter == w.wallets[0]}
         outflows |= {target for emitter, target, _, _ in paid_calls(events)
                      if emitter == w.wallets[0]}
