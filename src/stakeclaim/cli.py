@@ -29,8 +29,10 @@ line, and "incomplete log" on stderr.
 ``explain --expand`` prints the log's events instead, one a line with its
 epoch and seq (``explain.event_lines``), each ``Repeat`` line's, a segment
 of quiet epochs, written out in full: the events of stepping every epoch.
-It streams. On an unreadable or inconsistent log
-either stops there and exits 1 with one line on stderr. A reader that
+It streams. On an unreadable or inconsistent log, a line
+the ledger writes whose payload is not the list of its tag's types with
+each amount above 0 among them, either stops there and exits 1 with one
+line on stderr. A reader that
 closes stdout early (``| head``) ends it quietly, with exit 0.
 
 The STAKECLAIM_LOG environment variable controls stdout verbosity:

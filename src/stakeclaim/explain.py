@@ -5,7 +5,10 @@ event lines, and a segment of quiet epochs is one ``Repeat`` line
 (``Ledger.advance_segment``). :func:`expand` is the log's one reader: it
 yields each event with the epoch and seq its place gives it, decodes a
 repeated block once and yields it again for each epoch, and checks each
-header and ``Repeat`` against the lines around it.
+header and ``Repeat`` against the lines around it. It also checks the
+shape and the amounts of each line the ledger writes (below) where it
+decodes it, so once per line of the log: a repeated block's lines are
+checked once, not once per epoch they stand for.
 
 :func:`rebuild_report` folds the events of a run's ``events.jsonl`` into
 the treasury's own state, a :class:`treasury.TreasuryState`, with the
@@ -28,9 +31,9 @@ the ledger writes is read by position (``ledger.LEDGER_TAGS``): a
 ``Call`` is ``[target, method]``, or ``[target, method, value]`` when it
 carries value, a ``Transfer`` ``[to, amount]``, a ``SupplyMint`` or
 ``SupplyBurn`` ``[amount, memo]``, each a list of exactly those items,
-each an int or a str as named, or the line does not fold; a
-``TransferBatch`` ``[[to, ...], [amount, ...]]``, two lists of one
-length, is read as the ``Transfer`` lines of its pairs, in order, so
+each an int or a str as named, its amount above 0, or the line does not
+fold; a ``TransferBatch`` ``[[to, ...], [amount, ...]]``, two lists of
+one length, is read as the ``Transfer`` lines of its pairs, in order, so
 every rule below about "the ``Transfer`` before" a line reads a batch's
 last pair. No line restates an amount the line right before it
 carries, or a number the terms fix, so the fold reads it there: ``Mint``
@@ -197,13 +200,10 @@ class _Fold:
             self.end_epoch()
         if e.tag in LEDGER_TAGS:
             if e.tag == BATCH:      # its pairs, in order, as the Transfer lines they stand for
-                for pair in _pairs(e):
-                    self.step(pair)
+                for name, amount in zip(*e.payload):
+                    self.step(Event(e.epoch, e.seq, e.emitter, "Transfer", [name, amount]))
                 self.consistent &= len(e.payload[0]) > 1
                 return
-            p = e.payload
-            if type(p) is not list or tuple(map(type, p)) not in _SHAPES[e.tag]:
-                raise ValueError(_misshaped(e))
             replay_balances((e,), self.replay)
         handler = self._on.get(e.tag)
         if handler is not None:
@@ -532,7 +532,7 @@ class _Fold:
 
 
 # The types, by position, of the payload of each line the ledger writes but
-# a TransferBatch (_pairs): a Call's value is there only when it carries one.
+# a TransferBatch: a Call's value is there only when it carries one.
 _SHAPES = {
     "Call": ((str, str), (str, str, int)),
     "Transfer": ((str, int),),
@@ -540,27 +540,30 @@ _SHAPES = {
     "SupplyBurn": ((int, str),),
 }
 
-# The position of the amount in a Transfer's and a SupplyBurn's payload.
-_AMOUNT_AT = {"Transfer": 1, "SupplyBurn": 0}
+# The position of the amount in each of those payloads, an int > 0 wherever
+# the ledger writes one.
+_AMOUNT_AT = {"Call": 2, "Transfer": 1, "SupplyMint": 0, "SupplyBurn": 0}
 
 
-def _misshaped(e: Event) -> str:
-    """Why `e`, a line the ledger writes, does not fold: its payload is not
-    the list of its tag's length and types that the ledger writes."""
-    named = " or ".join(f"[{', '.join(t.__name__ for t in shape)}]" for shape in _SHAPES[e.tag])
-    return f"a {e.tag} payload is {named}, not {e.payload!r:.80}"
-
-
-def _pairs(e: Event) -> Iterator[Event]:
-    """The ``Transfer`` lines a ``TransferBatch`` ``[[to, ...], [amount,
-    ...]]`` stands for, in order; ValueError unless it is two lists of one
-    length (each pair is then read as a ``Transfer``, of its shape)."""
-    p = e.payload
-    if type(p) is not list or len(p) != 2 or type(p[0]) is not list \
-            or type(p[1]) is not list or len(p[0]) != len(p[1]):
-        raise ValueError(f"a {BATCH} is two lists, to and amount, of one length: {p!r:.80}")
-    for name, amount in zip(*p):
-        yield Event(e.epoch, e.seq, e.emitter, "Transfer", [name, amount])
+def _check_ledger_line(tag: str, p) -> None:
+    """ValueError unless `p` is a payload the ledger writes for `tag`, one
+    of ``LEDGER_TAGS``: the list of its tag's length and types, its amount
+    an int > 0; a ``TransferBatch`` ``[[to, ...], [amount, ...]]``, two
+    lists of one length, each pair then a ``Transfer``'s."""
+    if tag == BATCH:
+        if type(p) is not list or len(p) != 2 or type(p[0]) is not list \
+                or type(p[1]) is not list or len(p[0]) != len(p[1]):
+            raise ValueError(f"a {BATCH} is two lists, to and amount, of one length: {p!r:.80}")
+        for pair in zip(*p):
+            _check_ledger_line("Transfer", list(pair))
+        return
+    shapes = _SHAPES[tag]
+    if type(p) is not list or tuple(map(type, p)) not in shapes:
+        named = " or ".join(f"[{', '.join(t.__name__ for t in shape)}]" for shape in shapes)
+        raise ValueError(f"a {tag} payload is {named}, not {p!r:.80}")
+    at = _AMOUNT_AT[tag]
+    if at < len(p) and p[at] <= 0:
+        raise ValueError(f"the amount of a {tag} is an int > 0, not {p[at]!r}")
 
 
 _EVENT_KEYS = {"emitter", "tag", "payload"}
@@ -592,9 +595,11 @@ def expand(lines: Iterable[str]) -> Iterator[Event]:
     header or of the last epoch a Repeat stands for; if a block is empty, a
     header with no event after it; if an event comes before the first
     header; if a Repeat's payload holds any other key than ``epochs`` or
-    not an int >= 1, or it follows no block; or if it stands for an epoch
+    not an int >= 1, or it follows no block; if it stands for an epoch
     past ``scenario.HORIZON_MAX``, the last a run can reach, before it
-    yields the first. Holds one epoch's events at a time.
+    yields the first; or, naming its seq, if a line the ledger writes holds
+    another payload than it writes (:func:`_check_ledger_line`), a line
+    the fold cannot read. Holds one epoch's events at a time.
     """
     return map(itemgetter(0), _expanded(lines))
 
@@ -616,6 +621,11 @@ def _expanded(lines: Iterable[str]) -> Iterator[tuple[Event, str]]:
         if block is None:
             raise ValueError(f"an event before the first header: {line.strip()[:80]}")
         if (emitter, tag) != (SYSTEM, REPEAT):
+            if tag in LEDGER_TAGS:
+                try:
+                    _check_ledger_line(tag, p)
+                except ValueError as exc:
+                    raise ValueError(f"the line at seq {seq} does not fold: {exc!r}") from None
             block.append((emitter, tag, p, line))
             yield Event(epoch, seq, emitter, tag, p), line
             seq += 1
@@ -666,9 +676,10 @@ def rebuild(lines: Iterable[str]) -> Rebuilt:
     Raises ValueError if they do not expand (:func:`expand`), if the first
     is not a ``Genesis`` line of terms in their bounds, or, naming its seq,
     at the first line the fold cannot read: a second ``Genesis``, a field
-    missing or of the wrong type, a line the ledger writes whose payload
-    is not the list of its tag's length and types, or a wallet or
-    validator that no line before it made.
+    missing or of the wrong type, or a wallet or validator that no line
+    before it made. A line the ledger writes whose payload is not the list
+    of its tag's length and types, each amount above 0, does not expand,
+    and its ValueError names its seq in the same words.
 
     A run's log ends with the ``End`` line ``World.report`` writes, at the
     final epoch. A log whose last line is no ``End``, such as the evidence

@@ -19,10 +19,8 @@ The handler contract, which every contract in this package keeps:
   with the state they came from, so a handler copies a dict or list field
   before writing to it and leaves the fields it does not write shared; a
   field written per token or per holder is a :class:`SharedMap` instead.
-* Logged payloads are read-only once emitted. ``Call`` events without
-  value share one payload list per (target, method) across the whole
-  log, and the beacon's state keeps the last ``EpochAccrual`` payload it
-  logged.
+* Logged payloads are read-only once emitted: the beacon's state keeps
+  the last ``EpochAccrual`` payload it logged.
 
 Design constraints honoured throughout:
 
@@ -59,14 +57,13 @@ its number once and a receipt's log entries carry only an address,
 topics and data (Wood, *Ethereum Yellow Paper*, §4.3 and §4.3.1).
 :func:`encode_lines` is the one line builder, used by
 :meth:`Ledger.flush`, whose headers carry on from one batch to the next.
-It writes flat payloads, dicts and lists, from cached
-encodings, hands anything else to a single JSON encoder, and encodes a
-shared payload object (a ``Call``'s without value) once per batch, so the
-bytes, and every digest over them, are those of ``json.dumps``. The tags
-of the lines the ledger writes itself (``LEDGER_TAGS``) are no
-contract's or driver's to emit, so such a line names its sender once, as
-its emitter, as an EVM log entry names its address (Wood, *Ethereum
-Yellow Paper*, §4.3.1): a ``Transfer``, ``TransferBatch``,
+It builds one encoder per batch, the C encoder that ``json.dumps``
+itself builds, with the same arguments, and writes every payload through
+it, so the bytes, and every digest over them, are those of
+``json.dumps``. The tags of the lines the ledger writes itself
+(``LEDGER_TAGS``) are no contract's or driver's to emit, so such a line
+names its sender once, as its emitter, as an EVM log entry names its
+address (Wood, *Ethereum Yellow Paper*, §4.3.1): a ``Transfer``, ``TransferBatch``,
 ``SupplyMint`` or ``SupplyBurn`` line's emitter is the account it debits
 or credits, and a ``Call`` line's is its caller. Each of these tags has
 fixed fields, so its payload is a list that states them by position, as
@@ -80,8 +77,7 @@ is the value's one line: no ``Transfer`` line repeats it, and
 handler's run of two or more ``Transfer`` effects in a row is paid one
 at a time, in order, and logged as one ``TransferBatch`` line, whose
 lists pair each payee with its amount, as a block's withdrawals are one
-list on Ethereum (EIP-4895); a single transfer is a ``Transfer`` line,
-which stays on the encoder's flat path.
+list on Ethereum (EIP-4895); a single transfer is a ``Transfer`` line.
 
 The log streams. Committed events wait in a pending batch until
 ``EVENT_BATCH`` of them have built up; :meth:`Ledger.flush` then encodes
@@ -129,7 +125,7 @@ import weakref
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from itertools import chain, islice
-from json.encoder import encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable, NamedTuple, Protocol
 
 from .errors import (
@@ -158,16 +154,17 @@ BATCH = "TransferBatch"
 LEDGER_TAGS = frozenset(("Transfer", BATCH, "SupplyMint", "SupplyBurn", "Call"))
 
 # Committed events the ledger holds before it encodes and folds them as one
-# batch, the log's one chunk. Larger batches share more of encode_lines'
-# per-call caches; smaller ones hold fewer Event objects and payloads.
+# batch, the log's one chunk. Larger batches share encode_lines' encoder
+# and heads over more events; smaller ones hold fewer Event objects and
+# payloads.
 EVENT_BATCH = 512
 
 # The log's file stays in memory until it holds more than this many bytes,
 # and is read back in blocks of at most this many.
 LOG_BLOCK = 1 << 16
 
-# json.dumps(o, separators=(",", ":")) without building an encoder per call.
-_encode = json.JSONEncoder(separators=(",", ":")).encode
+# What json.dumps calls on an object it cannot encode: raises its TypeError.
+_default = json.JSONEncoder().default
 
 # Record(*fields) for the ledger's hot paths, skipping the NamedTuple's
 # Python-level __new__: _new_record(Event, (epoch, seq, emitter, tag, payload)).
@@ -192,21 +189,17 @@ def encode_lines(events, epoch: int = -1) -> list[str]:
 
     The event line is ``{"emitter":..,"tag":..,"payload":..}`` with no
     spaces, exactly ``json.dumps`` of that dict with ``separators=(",",
-    ":")``: this format is the regression surface. The part up to
-    ``"payload":`` is encoded once per str (emitter, tag) pair. A flat
-    payload, a dict of str keys or a list whose values are of exact type
-    int or str, is written from encoded keys and strings cached for this
-    call; any other payload goes through the JSON encoder. A flat ``Call``
-    list without value, its target and method, which the ledger shares one
-    per route and the only payload object a batch repeats, is encoded once
-    per object: its encoding is cached by id next to the payload itself, so
-    the id cannot be reused while cached. The caches live only as long as
-    the call.
+    ":")``: this format is the regression surface. Each call builds one C
+    encoder with the arguments that ``json.dumps`` passes it, a fresh dict
+    of circular-reference markers among them, so a circular or
+    unserializable payload raises as under ``json.dumps``, and a failed
+    encode leaves no marker behind for a later call. The part up to
+    ``"payload":`` is encoded once per str (emitter, tag) pair for the
+    call, and every payload goes through the encoder.
     """
+    encode = c_make_encoder({}, _default, encode_basestring_ascii, None,
+                            ":", ",", False, False, True)
     heads: dict = {}
-    keys: dict = {}
-    strs: dict = {}
-    shared: dict = {}
     out = []
     for e, _, emitter, tag, payload in events:
         if e != epoch:
@@ -214,55 +207,11 @@ def encode_lines(events, epoch: int = -1) -> list[str]:
             out.append(f'{{"epoch":{e}}}\n')
         head = heads.get((emitter, tag))
         if head is None:
-            head = f'{{"emitter":{_encode(emitter)},"tag":{_encode(tag)},"payload":'
+            head = (f'{{"emitter":{"".join(encode(emitter, 0))},'
+                    f'"tag":{"".join(encode(tag, 0))},"payload":')
             if type(emitter) is str and type(tag) is str:
                 heads[(emitter, tag)] = head
-        cached = shared.get(id(payload))
-        if cached is not None:
-            body = cached[1]
-        else:
-            body = None
-            kind = type(payload)
-            if kind is list:
-                parts = []
-                for v in payload:
-                    t = type(v)
-                    if t is int:
-                        parts.append(str(v))
-                    elif t is str:
-                        ev = strs.get(v)
-                        if ev is None:
-                            ev = strs[v] = encode_basestring_ascii(v)
-                        parts.append(ev)
-                    else:
-                        break
-                else:
-                    body = "[" + ",".join(parts) + "]"
-                    if tag == "Call" and len(payload) == 2:
-                        shared[id(payload)] = (payload, body)
-            elif kind is dict:
-                parts = []
-                for k, v in payload.items():
-                    ek = keys.get(k)
-                    if ek is None:
-                        if type(k) is not str:
-                            break
-                        ek = keys[k] = encode_basestring_ascii(k) + ":"
-                    t = type(v)
-                    if t is int:
-                        parts.append(ek + str(v))
-                    elif t is str:
-                        ev = strs.get(v)
-                        if ev is None:
-                            ev = strs[v] = encode_basestring_ascii(v)
-                        parts.append(ek + ev)
-                    else:
-                        break
-                else:
-                    body = "{" + ",".join(parts) + "}"
-            if body is None:
-                body = _encode(payload)
-        out.append(f'{head}{body}}}\n')
+        out.append(f'{head}{"".join(encode(payload, 0))}}}\n')
     return out
 
 
@@ -646,8 +595,6 @@ class Ledger:
         # per flush would leave wide's big first epoch fragmenting the heap.
         self._recent: list[list[str]] = [[], []]
         self._replay = ReplayResult({}, 0, 0)     # the fold of every flushed event
-        # (target, method) -> the one shared payload of its Call events without value
-        self._call_payloads: dict[tuple[str, str], list] = {}
 
     # --- registration -------------------------------------------------
 
@@ -750,10 +697,7 @@ class Ledger:
             ctx.pay(caller, target, value)
             payload = [target, method, value]
         else:
-            key = (target, method)
-            payload = self._call_payloads.get(key)
-            if payload is None:
-                payload = self._call_payloads[key] = [target, method]
+            payload = [target, method]
         log(caller, "Call", payload)
         states = ctx._states
         state = states[target] if target in states else self._states[target]

@@ -147,14 +147,13 @@ class SteppedWorld(World):
 
 
 # The Ledger fields a snapshot leaves out, each with its reason: registries
-# that no call tree writes, so restoring them could only undo a registration
-# or unshare what the log shares, and the log's file, which no pickle holds.
+# that no call tree writes, so restoring them could only undo a registration,
+# and the log's file, which no pickle holds.
 # Every other instance field is snapshotted, so a field added to Ledger is
 # covered unless it is named here.
 REGISTRY_FIELDS = {
     "_contracts": "contract code, registered once and never written by a call",
     "_issuers": "the issuer set, fixed when a contract registers",
-    "_call_payloads": "the interned Call payloads, which logged events share by identity",
     "_log_file": "the log's open file: a restore keeps it, and the restored _log_len "
                  "rolls the log back, as the next write goes at that length",
 }
@@ -165,12 +164,11 @@ def snapshot(led: Ledger) -> bytes:
     ``REGISTRY_FIELDS``, pickled; pair with :func:`restore`.
 
     The bytes are not canonical. A restored state holds unpickled copies
-    of the shared ``Call`` payloads and event strings, while payloads and
-    strings built after the restore are other objects, so pickle shares
-    them differently: equal states can pickle to different bytes once
+    of the event strings and of the payloads states share, while those
+    built after the restore are other objects, so pickle shares them
+    differently: equal states can pickle to different bytes once
     :func:`restore` has run. Compare snapshots taken across a restore with
-    ``pickle.loads``, not as bytes. (Adding the interned payloads to the
-    snapshot does not make the bytes canonical either.) A report taken
+    ``pickle.loads``, not as bytes. A report taken
     before a restore is not read after it: the restored ledger writes its
     log over the file the report reads.
     """

@@ -66,8 +66,10 @@ def line_of(e: dict) -> str:
 
 
 def seq_of(lines: list[str], i: int) -> int:
-    """The seq of the event on line i: how many events the lines before it stand for."""
-    return sum(1 for _ in expand(lines[:i + 1])) - 1
+    """The seq of the event on line i: how many events the lines before it
+    stand for. They are counted with a plain event line in its place, as
+    `expand` refuses a line of the ledger's that does not fold."""
+    return sum(1 for _ in expand([*lines[:i], '{"emitter":"a","tag":"Note","payload":{}}\n'])) - 1
 
 
 def is_header(line: str) -> bool:
@@ -591,9 +593,12 @@ def test_a_window_sum_one_unit_high_fails_replay_ok(scenario):
 
 
 # Each way a line the ledger writes can hold another payload than the list
-# of its tag's length and types, and the marker of the line it changes: a
-# receipt's Call [target, method, value], a claim's Transfer [to, amount]
-# right after its Call, a sweep's TransferBatch [[to, ...], [amount, ...]].
+# of its tag's length and types, or an amount that is not an int > 0, which
+# the ledger never writes, and the marker of the line it changes: a
+# receipt's Call [target, method, value], a claim's Call [target, method]
+# and its Transfer [to, amount] right after it, a sweep's TransferBatch
+# [[to, ...], [amount, ...]], a genesis endowment's SupplyMint and a
+# slash's SupplyBurn [amount, memo].
 MALFORMED = {
     "named-keys": (RECEIPT, 0, lambda p: dict(zip(("target", "method", "value"), p))),
     "Call-of-one": (RECEIPT, 0, lambda p: p[:1]),
@@ -604,14 +609,23 @@ MALFORMED = {
     "TransferBatch-lengths-differ": ('"tag":"TransferBatch"', 0, lambda p: [p[0], p[1][:1]]),
     "TransferBatch-amount-a-str": ('"tag":"TransferBatch"', 0,
                                    lambda p: [p[0], [str(p[1][0]), *p[1][1:]]]),
+    "Call-value-0": (RECEIPT, 0, lambda p: [*p[:2], 0]),
+    "Call-value-negative": (RECEIPT, 0, lambda p: [*p[:2], -p[2]]),
+    "claim-Call-value-0": (CLAIM, 0, lambda p: [*p, 0]),
+    "Transfer-amount-0": (CLAIM, 1, lambda p: [p[0], 0]),
+    "Transfer-amount-negative": (CLAIM, 1, lambda p: [p[0], -p[1]]),
+    "TransferBatch-amount-0": ('"tag":"TransferBatch"', 0, lambda p: [p[0], [0, *p[1][1:]]]),
+    "SupplyMint-amount-0": ('"tag":"SupplyMint"', 0, lambda p: [0, p[1]]),
+    "SupplyBurn-amount-negative": ('"tag":"SupplyBurn"', 0, lambda p: [-p[0], p[1]]),
 }
 
 
 @pytest.mark.parametrize("case", MALFORMED)
 def test_a_ledger_line_of_another_shape_does_not_fold(case, tmp_path, capsys):
     # The fold reads a line the ledger writes by position, so it first
-    # requires the list the ledger writes; any other payload is a line it
-    # cannot read, and `stakeclaim explain` says which and exits 1.
+    # requires the list the ledger writes, each amount an int > 0; any
+    # other payload is a line it cannot read, and `stakeclaim explain` says
+    # which and exits 1.
     marker, then, change = MALFORMED[case]
     lines = run_with_resales_claims_and_both_exit_causes().events_jsonl.splitlines(keepends=True)
     i = first(marker, then)(lines)
@@ -628,6 +642,10 @@ def test_a_ledger_line_of_another_shape_does_not_fold(case, tmp_path, capsys):
     assert printed.out == "" and len(printed.err.splitlines()) == 1
     assert printed.err.startswith("--events: ") and message in printed.err
     assert "Traceback" not in printed.err
+    # expand refuses the line where it decodes it, so --expand stops there.
+    assert cli_main(["explain", "--events", str(tmp_path / "events.jsonl"), "--expand"]) == 1
+    printed = capsys.readouterr()
+    assert printed.out.count("\n") == seq_of(lines, i) and message in printed.err
 
 
 # (tag, key) -> why one unit added to that int field of a line can leave

@@ -245,16 +245,6 @@ class TestDispatch:
             led.call("user", "c1", method)
         assert snapshot(led) == snap
 
-    def test_call_events_share_one_payload_per_route(self):
-        led = dispatch_ledger()
-        for _ in range(2):
-            led.call("user", "c1", "poke_then_call", {"peer": "c2", "peer_method": "poke"})
-        # The batch not yet encoded holds the logged Event objects themselves.
-        calls = [e.payload for e in led._pending if e.tag == "Call"]
-        assert calls == [["c1", "poke_then_call"], ["c2", "poke"]] * 2
-        assert calls[0] is calls[2] and calls[1] is calls[3]
-        assert calls[0] is not calls[1]
-
     def test_issue_restricted_to_issuers(self):
         led = dispatch_ledger()
         with pytest.raises(Unauthorized):
@@ -402,10 +392,10 @@ int_rows = st.lists(st.lists(st.integers() | st.integers(-3, 3).map(Int) | st.bo
 row_payloads = st.dictionaries(json_text, st.integers() | json_text | int_rows, max_size=3)
 
 # Positional payloads, as the ledger's own lines are: lists of ints and
-# strings, the encoder's flat path, and lists that also hold, at any
-# position, a scalar of another type (a bool, a float, None, a subclass) or
-# a list or dict (a TransferBatch's two lists), which are not. Their strings
-# are escaped, non-ASCII or HOSTILE text, and their ints reach past 2**64.
+# strings, and lists that also hold, at any position, a scalar of another
+# type (a bool, a float, None, a subclass) or a list or dict (a
+# TransferBatch's two lists). Their strings are escaped, non-ASCII or
+# HOSTILE text, and their ints reach past 2**64.
 list_items = st.integers() | st.integers(-2 ** 70, 2 ** 70) | json_text \
     | st.sampled_from(HOSTILE)
 list_scalars = list_items | json_scalars | st.integers(-3, 3).map(Int)
@@ -414,8 +404,7 @@ list_payloads = st.lists(list_scalars, max_size=4) | st.lists(
     st.recursive(list_scalars, lambda inner: st.lists(inner, max_size=3)
                  | st.dictionaries(json_keys, inner, max_size=3), max_leaves=6),
     max_size=4)
-# A Call's payload without value, [target, method], which the ledger shares
-# one per route.
+# A Call's payload without value, [target, method].
 routes = st.lists(json_text, min_size=2, max_size=2)
 any_payloads = payloads | flat_payloads | row_payloads | flat_lists | list_payloads | routes
 
@@ -452,8 +441,8 @@ class TestEventEncoding:
            st.integers(min_value=0, max_value=10 ** 9), st.lists(st.booleans(), max_size=8),
            st.integers(min_value=-1, max_value=1))
     def test_lines_equal_json_dumps(self, entries, epoch, later, carried):
-        # Several events per call, so one payload's cached keys and strings
-        # serve the next ones. Each may be an epoch after the one before, and
+        # Several events per call, so one encoder and its cached heads serve
+        # them all. Each may be an epoch after the one before, and
         # the first's header is left out if the last header written was its.
         epochs = [epoch + sum(later[:i + 1]) for i in range(len(entries))]
         events = [Event(e, seq, em, tag, p) for seq, (e, (em, tag, p))
@@ -479,22 +468,37 @@ class TestEventEncoding:
            st.lists(st.tuples(st.integers(min_value=0, max_value=3),
                               st.sampled_from(["Call", "EpochAccrual"])), max_size=10))
     def test_shared_payload_objects_encode_like_copies(self, pool, picks):
-        # One payload object logged by several events, a Call's or one that
-        # holds lists of int lists, encodes as copies of it would: a flat
-        # Call's without value, its [target, method], once, any other once
-        # per line.
+        # One payload object logged by several events in one batch, a Call's
+        # or one that holds lists of int lists, as the beacon's state shares
+        # its last EpochAccrual payload, encodes as copies of it would: the
+        # encoder's circular-reference markers are cleared after each line.
         events = [Event(0, seq, "a", tag, pool[i % len(pool)])
                   for seq, (i, tag) in enumerate(picks)]
         assert encode_lines(events) == dumps_log(events)
 
     def test_payloads_built_on_the_fly_keep_their_own_encoding(self):
-        # A payload freed after its line must not pass its cached encoding
-        # on to a later payload that reuses its id.
+        # A payload freed after its line must not pass its encoding, or a
+        # circular-reference marker under its id, on to a later payload that
+        # reuses its id.
         n = 1000
         for tag, payload in (("Call", lambda i: {"i": i}), ("Call", lambda i: ["c", str(i)]),
                              ("EpochAccrual", lambda i: {"amounts": [[0, i]]})):
             lines = encode_lines(Event(0, i, "a", tag, payload(i)) for i in range(n))
             assert lines == dumps_log([Event(0, i, "a", tag, payload(i)) for i in range(n)])
+
+    def test_a_failed_encode_leaves_the_next_batch_as_json_dumps(self):
+        # The encoder raises json.dumps' error, and the next call encodes the
+        # same payload, now valid, as json.dumps does: an encoder kept from
+        # the failed call would still hold the failed lines' markers.
+        bad = {"x": [set()]}
+        with pytest.raises(TypeError) as dumped:
+            json.dumps(bad, separators=(",", ":"))
+        with pytest.raises(TypeError) as encoded:
+            encode_lines([Event(0, 0, "a", "Bad", bad)])
+        assert str(encoded.value) == str(dumped.value)
+        bad["x"][0] = 1
+        event = Event(0, 0, "a", "Bad", bad)
+        assert encode_lines([event]) == dumps_log([event])
 
     def test_circular_payload_still_rejected(self):
         p: dict = {"self": []}
